@@ -38,7 +38,7 @@ fn main() {
         if let Some(pk) = std::env::args().nth(2) {
             ocfg.relay_pair_packets = pk.parse().unwrap();
         }
-        let (mut ro, _) = run_oblivious(ocfg, TopologyKind::ThinClos, &trace, duration, 1);
+        let (mut ro, _) = run_oblivious(ocfg, TopologyKind::ThinClos, &trace, duration);
         let tob = t1.elapsed();
         println!(
             "load {:>4}: NEGO goodput {:.3} mice99 {:>9.1}us cr {:.3} ({:?}) | OBLV goodput {:.3} mice99 {:>9.1}us cr {:.3} ({:?}) flows {}",

@@ -255,7 +255,6 @@ impl Experiment for Fig13a {
                                 ObliviousConfig::paper_default(net.clone()),
                                 TopologyKind::ThinClos,
                             );
-                            sim.set_workers(workers);
                             sim.run(trace, duration);
                             let bg = sim.report_subset(trace, bg_tags);
                             let overall = RunReport::build(

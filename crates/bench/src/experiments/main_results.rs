@@ -63,7 +63,7 @@ fn measure(
         Sys::Oblv(pq) => {
             let mut cfg = ObliviousConfig::paper_default(net.clone());
             cfg.priority_queues = pq;
-            let (rep, _) = run_oblivious(cfg, TopologyKind::ThinClos, trace, duration, workers);
+            let (rep, _) = run_oblivious(cfg, TopologyKind::ThinClos, trace, duration);
             rep
         }
     }

@@ -186,7 +186,6 @@ fn burst_finish(
                 TopologyKind::ThinClos,
                 trace,
                 horizon,
-                workers,
             );
             RunReport::burst_finish_time(trace, sim.tracker())
         }

@@ -61,16 +61,15 @@ pub fn run_negotiator(
     (report, sim)
 }
 
-/// One traffic-oblivious run. `workers` as in [`run_negotiator`].
+/// One traffic-oblivious run. The rotor's slot loop is order-semantic
+/// (relay credits, one RNG stream), so it takes no worker count.
 pub fn run_oblivious(
     cfg: ObliviousConfig,
     kind: TopologyKind,
     trace: &FlowTrace,
     duration: Nanos,
-    workers: usize,
 ) -> (RunReport, ObliviousSim) {
     let mut sim = ObliviousSim::new(cfg, kind);
-    sim.set_workers(workers);
     let report = sim.run(trace, duration);
     (report, sim)
 }

@@ -19,6 +19,7 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use crate::experiments::Args;
+use crate::profile::{self, Stage};
 use crate::sweep::{Rendered, RunMeta, RunMetrics, RunResult, SweepReport};
 use scenario::series::stats_to_json;
 use sim::pool;
@@ -41,9 +42,12 @@ pub fn load(path: &Path) -> Result<CompiledScenario, String> {
 /// submission body). `origin` names the source in errors; its parent
 /// directory anchors relative trace paths.
 pub fn load_str(text: &str, origin: &Path) -> Result<CompiledScenario, String> {
+    let timer = profile::start(Stage::Compile);
     let spec = parse_scenario(text).map_err(|e| format!("{}:{e}", origin.display()))?;
     let base_dir = origin.parent().unwrap_or_else(|| Path::new("."));
-    compile(spec, base_dir).map_err(|e| format!("{}: {e}", origin.display()))
+    let compiled = compile(spec, base_dir).map_err(|e| format!("{}: {e}", origin.display()))?;
+    timer.stop();
+    Ok(compiled)
 }
 
 /// One completed scenario batch: the per-scenario reports (input order)
@@ -95,7 +99,7 @@ pub fn run_batch(compiled: &[CompiledScenario], jobs: usize, workers: usize) -> 
                     task_of_hash.insert(hash, task);
                     let body = run.run;
                     tasks.push(Box::new(move || {
-                        let timer = crate::profile::start(crate::profile::Stage::Execute);
+                        let timer = profile::start(Stage::Execute);
                         let out = body();
                         (out, timer.stop())
                     }));
@@ -178,7 +182,7 @@ fn execute_inner(
         .into_iter()
         .enumerate()
         .map(|(index, run)| {
-            let timer = crate::profile::start(crate::profile::Stage::Execute);
+            let timer = profile::start(Stage::Execute);
             let mut out = (run.run)();
             let wall_secs = timer.stop();
             if let (Some(all), Some(one)) = (traces.as_mut(), out.trace.take()) {
@@ -195,8 +199,10 @@ fn execute_inner(
 /// `paper scenario --json --no-timing` writes, the daemon serves, and the
 /// cache stores.
 pub fn deterministic_document(report: &SweepReport) -> String {
+    let timer = profile::start(Stage::Render);
     let mut text = crate::results::experiment_json(report, None).render();
     text.push('\n');
+    timer.stop();
     text
 }
 

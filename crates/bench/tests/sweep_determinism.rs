@@ -169,6 +169,41 @@ fn shipped_scenario_library_is_valid() {
 }
 
 #[test]
+fn every_ci_baseline_is_committed() {
+    // A `bench-diff` gate is only as good as its reference: every
+    // `results/baseline-*` directory the workflow names must exist in the
+    // tree with at least one document in it (`.gitignore` ignores
+    // `results/*` unless a `!` rule whitelists the directory).
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("ci.yml");
+    let ignore = std::fs::read_to_string(root.join(".gitignore")).expect(".gitignore");
+    let mut named = std::collections::BTreeSet::new();
+    for (at, _) in ci.match_indices("results/baseline") {
+        let path: String = ci[at..]
+            .chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || "/-_".contains(*c))
+            .collect();
+        named.insert(path.trim_end_matches('/').to_string());
+    }
+    assert!(
+        named.len() >= 3,
+        "the workflow gates on baselines: {named:?}"
+    );
+    for dir in named {
+        let documents = std::fs::read_dir(root.join(&dir))
+            .unwrap_or_else(|e| panic!("ci.yml names {dir}, which is not in the tree: {e}"))
+            .filter_map(Result::ok)
+            .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
+            .count();
+        assert!(documents > 0, "{dir} holds no result document");
+        assert!(
+            ignore.lines().any(|l| l.trim() == format!("!/{dir}")),
+            "{dir} is not whitelisted in .gitignore, so it cannot be committed"
+        );
+    }
+}
+
+#[test]
 fn seed_changes_the_sweep() {
     // Guard against a sweep that ignores its seed: JSON for seed A and
     // seed B must differ in metrics, not just in the config stanza.

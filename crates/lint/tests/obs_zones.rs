@@ -49,26 +49,29 @@ fn wall_clock_in_profiling_hooks_does_not_fire_d002() {
     }
 }
 
-/// The causal span-recording sites in both engines are engine-zone code
-/// too: each `trace_epoch` stamps `FlowSpans` milestones from the merged
-/// per-epoch state inside a registered hot-path region, and the shipped
-/// sources must keep scanning clean so span emission can never grow a
-/// wall clock, an unordered map, or an unregistered hot-path allocation.
+/// The causal span-recording sites are engine-zone code too: the shared
+/// run loop (`metrics::frame::run`) births and sweeps `FlowSpans` every
+/// tick and the negotiator's `trace_control` stamps the pair milestones,
+/// each from merged per-tick state inside a registered hot-path region.
+/// The shipped sources — the rotor's tick included — must keep scanning
+/// clean so span emission can never grow a wall clock, an unordered map,
+/// or an unregistered hot-path allocation.
 #[test]
 fn the_shipped_span_recording_sites_are_registered_and_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    for rel in [
-        "crates/negotiator/src/sim.rs",
-        "crates/oblivious/src/sim.rs",
+    for (rel, stamps_spans) in [
+        ("crates/metrics/src/frame.rs", true),
+        ("crates/negotiator/src/sim.rs", true),
+        ("crates/oblivious/src/sim.rs", false),
     ] {
         let src = std::fs::read_to_string(root.join(rel)).expect("shipped engine source");
         assert!(
-            src.contains("FlowSpans"),
-            "{rel}: the engine must stamp causal flow spans"
+            !stamps_spans || src.contains("FlowSpans"),
+            "{rel}: must stamp causal flow spans"
         );
         assert!(
             src.contains("// lint: hot-path"),
-            "{rel}: the span-recording epoch loop must stay a registered H001 hot region"
+            "{rel}: the per-tick code must stay a registered H001 hot region"
         );
         let f = lint::scan_file(rel, &src);
         assert!(f.is_empty(), "{rel}: shipped engine has findings: {f:?}");

@@ -1,0 +1,273 @@
+//! The run frame both epoch engines share.
+//!
+//! A run of either engine is the same loop around a different scheduling
+//! policy: advance the clock one tick (an epoch for the negotiator, a
+//! rotor slot for the oblivious baseline), snapshot the phase probe when a
+//! boundary passed, apply the failure and fault schedules, play the tick,
+//! emit the tick's flow spans, stop once everything drained, then close
+//! the probe and build the report. [`run`] is that loop, written once;
+//! [`RunFrame`] is the state it needs (ground-truth links and their
+//! schedules, probe, flight recorder, the finished run's tracker), held by
+//! both engines and reached through `Deref`, so the scheduling and
+//! attachment calls (`schedule_failure`, `set_phase_probe`, `tracker`, …)
+//! are defined here and nowhere else. An engine supplies only
+//! [`EpochEngine`]: its tick length, its tick, its side of the counters.
+
+use std::ops::DerefMut;
+
+use sim::time::Nanos;
+use topology::{
+    FailureAction, FailureSchedule, FaultAction, FaultModel, LinkFailures, NetworkConfig,
+};
+use workload::{Flow, FlowTrace};
+
+use crate::fct::{FlowTracker, RunReport};
+use crate::phase::{PhaseCounters, PhaseProbe};
+use crate::trace::{FlightRecorder, FlowSpans};
+
+/// Engine-independent state of one simulation run.
+#[derive(Debug)]
+pub struct RunFrame {
+    n_tors: usize,
+    host_bps: u64,
+    /// Ground-truth link state, mutated only by the two schedules below.
+    pub failures: LinkFailures,
+    /// Adversarial fault families (flap / partition / gray / greedy)
+    /// layered on top of the clean failure schedule.
+    pub faults: FaultModel,
+    fail_sched: FailureSchedule,
+    probe: Option<PhaseProbe>,
+    /// Flight recorder (`None` = tracing off: one branch per tick).
+    recorder: Option<Box<FlightRecorder>>,
+    tracker: Option<FlowTracker>,
+    ran_duration: Nanos,
+    ran: bool,
+}
+
+impl RunFrame {
+    /// Frame for a run over the fabric `net` describes.
+    pub fn new(net: &NetworkConfig) -> Self {
+        RunFrame {
+            n_tors: net.n_tors,
+            host_bps: net.host_bandwidth.bps(),
+            failures: LinkFailures::new(net.n_tors, net.n_ports),
+            faults: FaultModel::new(),
+            fail_sched: FailureSchedule::new(),
+            probe: None,
+            recorder: None,
+            tracker: None,
+            ran_duration: 0,
+            ran: false,
+        }
+    }
+
+    /// Schedule a link-state change at absolute time `at` (see
+    /// [`topology::FailureSchedule`] for the ordering rules).
+    pub fn schedule_failure(&mut self, at: Nanos, action: FailureAction) {
+        self.fail_sched.schedule(at, action);
+    }
+
+    /// Schedule an adversarial fault action at absolute time `at` (see
+    /// [`topology::FaultModel`] for the families and ordering rules).
+    pub fn schedule_fault(&mut self, at: Nanos, action: FaultAction) {
+        self.faults.schedule(at, action);
+    }
+
+    /// Attach a phase-boundary probe; its snapshots are readable via
+    /// [`Self::phase_probe`] after the run.
+    pub fn set_phase_probe(&mut self, probe: PhaseProbe) {
+        self.probe = Some(probe);
+    }
+
+    /// The phase probe, once attached (complete after the run).
+    pub fn phase_probe(&self) -> Option<&PhaseProbe> {
+        self.probe.as_ref()
+    }
+
+    /// Attach a flight recorder. Events are emitted from [`run`]'s loop,
+    /// between ticks — after any intra-tick shards have merged — so the
+    /// trace is byte-identical at any worker count. Off (the default)
+    /// costs one branch per tick.
+    pub fn set_recorder(&mut self, recorder: FlightRecorder) {
+        self.recorder = Some(Box::new(recorder));
+    }
+
+    /// The attached flight recorder, if any (complete after the run).
+    pub fn recorder(&self) -> Option<&FlightRecorder> {
+        self.recorder.as_deref()
+    }
+
+    /// Detach and return the flight recorder.
+    pub fn take_recorder(&mut self) -> Option<FlightRecorder> {
+        self.recorder.take().map(|b| *b)
+    }
+
+    /// Per-flow tracker of the completed run.
+    pub fn tracker(&self) -> &FlowTracker {
+        self.tracker.as_ref().expect("call run() first")
+    }
+
+    /// Build a report restricted to flows where `tags[id]` is true
+    /// (Figure 13(a) separates background from incast traffic).
+    pub fn report_subset(&self, trace: &FlowTrace, tags: &[bool]) -> RunReport {
+        self.report(trace, Some(tags))
+    }
+
+    fn report(&self, trace: &FlowTrace, subset: Option<&[bool]>) -> RunReport {
+        RunReport::build(
+            trace,
+            self.tracker(),
+            self.ran_duration,
+            self.n_tors,
+            self.host_bps,
+            subset,
+        )
+    }
+
+    /// Apply every failure and fault action due by `now`.
+    fn apply_schedules(&mut self, now: Nanos, tick: u64) {
+        let mark = (self.fail_sched.applied(), self.faults.applied());
+        self.fail_sched.apply_due(now, &mut self.failures);
+        self.faults.epoch_update(now, &mut self.failures);
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            let links = (self.fail_sched.applied() - mark.0) as u64;
+            let injected = (self.faults.applied() - mark.1) as u64;
+            let total = (self.fail_sched.applied() + self.faults.applied()) as u64;
+            rec.fault_applied(now, tick, injected, links, total);
+        }
+    }
+}
+
+/// What an engine adds to the shared run loop: its scheduling policy.
+pub trait EpochEngine: DerefMut<Target = RunFrame> {
+    /// Simulated length of one loop tick.
+    fn tick_len(&self) -> Nanos;
+
+    /// The engine's side of the cumulative phase counters: backlog,
+    /// control plane, detector. The frame fills in `delivered_bytes` and
+    /// `partitioned_tors`.
+    fn phase_counters(&self) -> PhaseCounters;
+
+    /// Play tick number `tick`, starting at `now`: inject the flows of
+    /// `flows[cursor..]` that arrive within it, move data, report every
+    /// delivery to `tracker`. Returns the advanced cursor.
+    fn tick(
+        &mut self,
+        tick: u64,
+        now: Nanos,
+        flows: &[Flow],
+        cursor: usize,
+        tracker: &mut FlowTracker,
+    ) -> usize;
+
+    /// Traced runs: emit the tick's control-plane events and stamp its
+    /// pair-level REQUEST / GRANT / ACCEPT activity into `spans`. Called
+    /// after the tick's flow births, before the span sweep.
+    fn trace_control(
+        &mut self,
+        _rec: &mut FlightRecorder,
+        _spans: &mut FlowSpans,
+        _tick: u64,
+        _now: Nanos,
+    ) {
+    }
+
+    /// Traced runs: emit the tick's closing samples, after the span sweep.
+    fn trace_backlog(&self, _rec: &mut FlightRecorder, _tick: u64, _now: Nanos) {}
+}
+
+/// Snapshot the engine's cumulative counters into the probe and the trace:
+/// for every boundary at or before `now`, or — `None`, once the run is
+/// over — for every boundary the (possibly early) exit left unvisited,
+/// each stamped at its nominal time.
+fn snapshot<E: EpochEngine>(engine: &mut E, tracker: &FlowTracker, now: Option<Nanos>, tick: u64) {
+    let mut counters = engine.phase_counters();
+    counters.delivered_bytes = tracker.delivered_payload();
+    counters.partitioned_tors = engine.failures.partitioned_tors() as u64;
+    let frame: &mut RunFrame = engine;
+    let probe = frame.probe.as_mut().expect("caller checked the probe");
+    let before = probe.snapshots().len();
+    match now {
+        Some(now) => probe.record(now, counters),
+        None => probe.finish(counters),
+    }
+    if let Some(rec) = frame.recorder.as_deref_mut() {
+        for (phase, snap) in probe.snapshots().iter().enumerate().skip(before) {
+            rec.phase_boundary(now.unwrap_or(snap.at), tick, phase as u64, &counters);
+        }
+    }
+}
+
+/// Play `trace` through `engine` for `duration` ns of simulated time and
+/// report. The loop may stop early once every flow has completed and both
+/// schedules are drained; goodput is still normalized over `duration`.
+pub fn run<E: EpochEngine>(engine: &mut E, trace: &FlowTrace, duration: Nanos) -> RunReport {
+    assert!(!engine.ran, "a simulator runs once; build a new one");
+    engine.ran = true;
+    engine.ran_duration = duration;
+    let mut tracker = FlowTracker::new(trace);
+    let flows = trace.flows();
+    let mut cursor = 0usize;
+    // Span tracking is sized for the whole trace up front so the per-tick
+    // emission below stays allocation-free.
+    let mut spans = engine
+        .recorder
+        .is_some()
+        .then(|| FlowSpans::new(engine.n_tors, flows.len()));
+    let tick_len = engine.tick_len();
+
+    let mut tick: u64 = 0;
+    // lint: hot-path
+    loop {
+        let now = tick * tick_len;
+        if now >= duration {
+            break;
+        }
+        if engine.probe.as_ref().is_some_and(|p| p.due(now)) {
+            snapshot(engine, &tracker, Some(now), tick);
+        }
+        engine.apply_schedules(now, tick);
+        cursor = engine.tick(tick, now, flows, cursor, &mut tracker);
+        // Span emission iterates live flows in flow-id order from merged
+        // state, which keeps span bytes identical at any worker count.
+        if let Some(spans) = spans.as_mut() {
+            let mut rec = engine
+                .recorder
+                .take()
+                .expect("spans exist only when tracing");
+            for f in &flows[spans.next_born()..cursor] {
+                spans.born(
+                    &mut rec,
+                    now,
+                    tick,
+                    f.id as u32,
+                    f.src as u32,
+                    f.dst as u32,
+                    f.bytes,
+                    f.arrival,
+                );
+            }
+            engine.trace_control(&mut rec, spans, tick, now);
+            spans.sweep(&mut rec, now, tick, |id| {
+                (tracker.remaining(id as u64), tracker.completion(id as u64))
+            });
+            engine.trace_backlog(&mut rec, tick, now);
+            engine.recorder = Some(rec);
+        }
+        tick += 1;
+
+        // Early exit when nothing is left anywhere.
+        if cursor >= flows.len()
+            && tracker.completed_count() == flows.len()
+            && engine.fail_sched.is_drained()
+            && engine.faults.is_drained()
+        {
+            break;
+        }
+    }
+    if engine.probe.is_some() {
+        snapshot(engine, &tracker, None, tick);
+    }
+    engine.tracker = Some(tracker);
+    engine.report(trace, None)
+}

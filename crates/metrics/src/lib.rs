@@ -17,6 +17,7 @@
 //! * [`json`] — a dependency-free JSON writer/parser so sweep results are
 //!   machine-readable (`results/<id>.json`, consumed by `bench-diff`) and
 //!   scenario files are loadable with `line:column` error reporting.
+//! * [`frame`] — the run loop and per-run state both engines share.
 //! * [`phase`] — phase-boundary counter snapshots feeding the scenario
 //!   engine's per-phase time series.
 //! * [`trace`] — the deterministic flight recorder: a bounded ring of
@@ -24,6 +25,7 @@
 //!   NDJSON for `paper scenario --trace` and the daemon's trace endpoint.
 
 pub mod fct;
+pub mod frame;
 pub mod json;
 pub mod matchratio;
 pub mod phase;
@@ -31,6 +33,7 @@ pub mod report;
 pub mod trace;
 
 pub use fct::{FctReport, FctSummary, FlowTracker, GoodputReport, RunReport, RunSummary};
+pub use frame::{EpochEngine, RunFrame};
 pub use json::{Json, SpannedJson};
 pub use matchratio::MatchRatioRecorder;
 pub use phase::{PhaseCounters, PhaseObserver, PhaseProbe, PhaseSnapshot};

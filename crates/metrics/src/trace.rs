@@ -1,9 +1,9 @@
 //! Deterministic flight recorder: a bounded ring of epoch-stamped events.
 //!
 //! Both engines can carry a [`FlightRecorder`] (behind an `Option`, so the
-//! off state costs one branch per epoch) and emit structured events from
-//! the *sequential* top of their main loop — after the parallel shards of
-//! the previous epoch have merged — so a trace is a pure function of
+//! off state costs one branch per epoch); events are emitted from the run
+//! loop the engines share ([`crate::frame::run`]), between ticks — after
+//! the shards of the tick have merged — so a trace is a pure function of
 //! (config, seed) and byte-identical at any `--workers` count. The ring is
 //! preallocated at construction and never grows: recording is a store into
 //! existing capacity, with no wall-clock reads and no allocation on the

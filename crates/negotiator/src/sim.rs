@@ -21,13 +21,29 @@
 //! port, ACCEPT each egress port); integration tests assert this against
 //! `topology::validate_matching` anyway.
 //!
-//! The hot path is allocation-free in steady state and does no dead-slot
-//! scanning: ACCEPT builds a dense active-match list the scheduled phase
+//! # Where the code lives
+//!
+//! The run loop — clock, failure and fault schedules, phase probe, flight
+//! recorder, report — is [`metrics::frame`], shared with the oblivious
+//! engine; this file supplies the epoch ([`EpochEngine::tick`]). Every
+//! phase has exactly one body. The five that are per-ToR work — ACCEPT,
+//! GRANT, REQUEST, the healthy predefined phase and the quiet scheduled
+//! phase — are written in row-window form in `sim/parallel.rs` and run at
+//! whatever shard count `SimOptions::workers` asks for, one shard included.
+//! What stays here is what is whole-fabric by nature: the observed
+//! (failure / gray) predefined phase, the slot-major scheduled phase that
+//! flow arrivals and relay transmissions force, the selective-relay steps
+//! and iterative matching.
+//!
+//! The state is grouped by who touches it, which is what lets a phase
+//! borrow exactly its share: [`SrcQueues`] (the per-source data path, a
+//! shard owns its rows), [`Outbox`] (scheduling messages written at epoch
+//! start, read-only during the predefined phase) and [`Landing`] (where
+//! cross-ToR effects arrive). The hot path is allocation-free in steady
+//! state: ACCEPT builds a dense active-match list the scheduled phase
 //! iterates, the predefined pattern comes from a cached table
 //! ([`topology::PredefinedCache`]), scheduling messages deliver through
-//! per-pair indexed buckets, and every per-epoch buffer lives in a
-//! reused scratch struct (see README § Performance). All of it is
-//! bit-exact against the straightforward loops it replaced —
+//! per-pair indexed buckets, and every per-epoch buffer is reused.
 //! `tests/golden_report.rs` holds the engine to committed golden reports.
 //!
 //! The engine also hosts the Appendix A.2 design variants via
@@ -52,20 +68,21 @@ use crate::variants::relay::{self, RelayBuffer, RelayPolicy, RelayRequest};
 use crate::variants::stateful::DemandMatrix;
 use metrics::{
     trace::{FlightRecorder, FlowSpans, TraceCursor},
-    FlowTracker, MatchRatioRecorder, PhaseCounters, PhaseProbe, RunReport,
+    EpochEngine, FlowTracker, MatchRatioRecorder, PhaseCounters, RunFrame, RunReport,
 };
+use sim::shard::Shard;
 use sim::time::Nanos;
 use sim::{BandwidthSeries, Xoshiro256};
 use std::collections::VecDeque;
-use topology::{
-    AnyTopology, FailureSchedule, FaultModel, LinkFailures, PredefinedCache, Topology, TopologyKind,
-};
-use workload::FlowTrace;
+use std::ops::{Deref, DerefMut};
+use topology::{AnyTopology, LinkFailures, PredefinedCache, Topology, TopologyKind};
+use workload::{Flow, FlowTrace};
 
 pub use topology::failures::FailureAction;
 pub use topology::inject::FaultAction;
 
 mod parallel;
+use parallel::{Event, Sink, SlotClock};
 
 /// Which scheduling logic runs on top of the common data path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,12 +129,12 @@ pub struct SimOptions {
     /// setting) treats ToRs as sinks.
     pub host_buffer_bytes: Option<u64>,
     /// Intra-run worker threads for the per-ToR phase work (`--workers`).
-    /// ToRs are partitioned into contiguous shards (`sim::shard`) and
-    /// shard results merge in fixed shard order, so any value — including
-    /// the default `1`, which runs fully sequential — produces
-    /// byte-identical reports. Selective-relay runs ignore the knob and
-    /// stay sequential: relay admission is order-dependent across ToRs
-    /// (see `sim/parallel.rs`).
+    /// ToRs are partitioned into contiguous shards (`sim::shard`), every
+    /// phase body runs once per shard and shard results merge in fixed
+    /// shard order, so any value — including the default `1`, one shard
+    /// on the caller's thread — produces byte-identical reports.
+    /// Selective-relay runs ignore the knob and stay on one shard (see
+    /// `sim/parallel.rs`).
     pub workers: usize,
 }
 
@@ -167,8 +184,8 @@ struct ActiveTx {
 }
 
 /// Reusable per-epoch buffers: every `Vec` the scheduling steps used to
-/// allocate afresh each epoch lives here instead, cleared and reused so
-/// steady-state epochs perform no heap allocation at all.
+/// allocate afresh each epoch lives here instead (one set per shard lane),
+/// cleared and reused so steady-state epochs perform no heap allocation.
 #[derive(Debug, Default)]
 struct SimScratch {
     /// Swapped against `inbox_grants[src]` in ACCEPT.
@@ -189,12 +206,289 @@ struct SimScratch {
     usable_vals: Vec<(usize, f64)>,
     /// Projector port requests.
     preqs: Vec<projector::PortRequest>,
-    /// Swapped against `inbox_relay_req[via]`.
-    relay_reqs: Vec<RelayRequest>,
-    /// Swapped against `inbox_relay_grant[src]`.
-    relay_grants: Vec<(usize, usize, usize, u64)>,
     /// Batched scheduled-phase packets of one matched port.
     packets: Vec<Packet>,
+}
+
+/// The per-source data path: every ToR's per-destination queues with the
+/// mirrors and buffers that move with them. Row-major by source, so a
+/// shard owns a contiguous window of each array ([`SrcRows`]).
+struct SrcQueues {
+    n: usize,
+    s: usize,
+    /// PIAS priority queues on, and their demotion thresholds.
+    pias: bool,
+    pias_th: [u64; 2],
+    queues: Vec<DestQueue>,   // src * n + dst
+    enqueued_total: Vec<u64>, // src * n + dst, lifetime enqueued bytes
+    /// Dense mirror of every queue's total bytes (src * n + dst), updated
+    /// on each enqueue/dequeue: the REQUEST scan and the piggyback probe
+    /// read this contiguous array instead of the queue structs.
+    queue_bytes: Vec<u64>,
+    /// Per-port direct-backlog sums (selective relay only, else empty):
+    /// tor * s + port, maintained incrementally so the relay steps'
+    /// busy-port checks are O(1) instead of O(n).
+    backlog_by_port: Vec<u64>,
+    pair_port_tbl: Vec<u8>, // src * n + dst -> thin-clos pair port
+    relay_buffers: Vec<RelayBuffer>,
+}
+
+/// A window of [`SrcQueues`] covering the source rows of one shard — the
+/// whole fabric for whole-fabric code ([`SrcQueues::all`]). Everything
+/// that moves bytes in or out of a queue goes through here, so the mirrors
+/// and relay buffers cannot drift from the queues they shadow.
+struct SrcRows<'a> {
+    shard: Shard,
+    n: usize,
+    s: usize,
+    pias: bool,
+    pias_th: [u64; 2],
+    queues: &'a mut [DestQueue],
+    enqueued_total: &'a mut [u64],
+    queue_bytes: &'a mut [u64],
+    backlog_by_port: &'a mut [u64],
+    pair_port_tbl: &'a [u8],
+    relay_buffers: &'a mut [RelayBuffer],
+}
+
+impl SrcQueues {
+    fn all(&mut self) -> SrcRows<'_> {
+        SrcRows {
+            shard: Shard {
+                start: 0,
+                end: self.n,
+            },
+            n: self.n,
+            s: self.s,
+            pias: self.pias,
+            pias_th: self.pias_th,
+            queues: &mut self.queues,
+            enqueued_total: &mut self.enqueued_total,
+            queue_bytes: &mut self.queue_bytes,
+            backlog_by_port: &mut self.backlog_by_port,
+            pair_port_tbl: &self.pair_port_tbl,
+            relay_buffers: &mut self.relay_buffers,
+        }
+    }
+
+    /// One window per shard, in shard order. `shards` must tile `[0, n)`
+    /// contiguously ascending, as `sim::shard::partition` guarantees.
+    fn split(&mut self, shards: &[Shard]) -> Vec<SrcRows<'_>> {
+        let mut rest = self.all();
+        let mut out = Vec::with_capacity(shards.len());
+        for shard in shards {
+            assert_eq!(shard.start, rest.shard.start, "shards must be contiguous");
+            let (head, tail) = rest.split_at(shard.len());
+            out.push(head);
+            rest = tail;
+        }
+        assert!(rest.shard.is_empty(), "shards must cover every source");
+        out
+    }
+}
+
+impl<'a> SrcRows<'a> {
+    fn split_at(self, rows: usize) -> (SrcRows<'a>, SrcRows<'a>) {
+        let mid = self.shard.start + rows;
+        let port_rows = if self.backlog_by_port.is_empty() {
+            0
+        } else {
+            rows * self.s
+        };
+        let (queues, queues_rest) = self.queues.split_at_mut(rows * self.n);
+        let (enqueued, enqueued_rest) = self.enqueued_total.split_at_mut(rows * self.n);
+        let (bytes, bytes_rest) = self.queue_bytes.split_at_mut(rows * self.n);
+        let (backlog, backlog_rest) = self.backlog_by_port.split_at_mut(port_rows);
+        let (buffers, buffers_rest) = self.relay_buffers.split_at_mut(rows);
+        let head = SrcRows {
+            shard: Shard {
+                start: self.shard.start,
+                end: mid,
+            },
+            queues,
+            enqueued_total: enqueued,
+            queue_bytes: bytes,
+            backlog_by_port: backlog,
+            relay_buffers: buffers,
+            ..self
+        };
+        let tail = SrcRows {
+            shard: Shard {
+                start: mid,
+                end: self.shard.end,
+            },
+            queues: queues_rest,
+            enqueued_total: enqueued_rest,
+            queue_bytes: bytes_rest,
+            backlog_by_port: backlog_rest,
+            relay_buffers: buffers_rest,
+            ..self
+        };
+        (head, tail)
+    }
+
+    #[inline]
+    fn row(&self, src: usize, dst: usize) -> usize {
+        (src - self.shard.start) * self.n + dst
+    }
+
+    /// Enqueue every flow of `flows[cursor..]` that has arrived by `now`
+    /// and whose source lies in this window; flows of other shards'
+    /// sources are skipped (their shard enqueues them). Returns the
+    /// advanced cursor.
+    fn inject(&mut self, flows: &[Flow], mut cursor: usize, now: Nanos) -> usize {
+        while cursor < flows.len() && flows[cursor].arrival <= now {
+            let f = &flows[cursor];
+            cursor += 1;
+            if f.src < self.shard.start || f.src >= self.shard.end {
+                continue;
+            }
+            let row = self.row(f.src, f.dst);
+            self.queues[row].enqueue_flow(f.id, f.bytes, f.arrival, self.pias, self.pias_th);
+            self.enqueued_total[row] += f.bytes;
+            self.note_enqueue(f.src, f.dst, f.bytes);
+        }
+        cursor
+    }
+
+    /// Mirror an enqueue into the dense byte counts and (selective relay)
+    /// the per-port direct-backlog cache.
+    #[inline]
+    fn note_enqueue(&mut self, src: usize, dst: usize, bytes: u64) {
+        let row = self.row(src, dst);
+        self.queue_bytes[row] += bytes;
+        if !self.backlog_by_port.is_empty() {
+            let port = self.pair_port_tbl[src * self.n + dst] as usize;
+            self.backlog_by_port[(src - self.shard.start) * self.s + port] += bytes;
+        }
+    }
+
+    /// Account `bytes` that left queue `src → dst`; `relayed` of them came
+    /// out of `src`'s relay buffer. See [`Self::note_enqueue`].
+    #[inline]
+    fn note_dequeue(&mut self, src: usize, dst: usize, bytes: u64, relayed: u64) {
+        let row = self.row(src, dst);
+        self.queue_bytes[row] -= bytes;
+        if !self.backlog_by_port.is_empty() {
+            let port = self.pair_port_tbl[src * self.n + dst] as usize;
+            self.backlog_by_port[(src - self.shard.start) * self.s + port] -= bytes;
+        }
+        if relayed > 0 {
+            self.relay_buffers[src - self.shard.start].release(relayed);
+        }
+    }
+
+    #[inline]
+    fn sent(&mut self, src: usize, dst: usize, pkt: Option<Packet>) -> Option<Packet> {
+        let pkt = pkt?;
+        self.note_dequeue(src, dst, pkt.bytes, if pkt.relayed { pkt.bytes } else { 0 });
+        Some(pkt)
+    }
+
+    /// Dequeue one packet of at most `cap` payload bytes from `src → dst`,
+    /// highest priority first.
+    #[inline]
+    fn dequeue_packet(&mut self, src: usize, dst: usize, cap: u64) -> Option<Packet> {
+        let pkt = self.queues[self.row(src, dst)].dequeue_packet(cap);
+        self.sent(src, dst, pkt)
+    }
+
+    /// Dequeue one packet from the lowest priority level (relay traffic).
+    fn dequeue_lowest_packet(&mut self, src: usize, dst: usize, cap: u64) -> Option<Packet> {
+        let pkt = self.queues[self.row(src, dst)].dequeue_lowest_packet(cap);
+        self.sent(src, dst, pkt)
+    }
+
+    /// Batch form of [`Self::dequeue_packet`]: up to `max` packets into
+    /// `out` (cleared first).
+    fn dequeue_packets_into(
+        &mut self,
+        src: usize,
+        dst: usize,
+        cap: u64,
+        max: usize,
+        out: &mut Vec<Packet>,
+    ) {
+        out.clear();
+        self.queues[self.row(src, dst)].dequeue_packets_into(cap, max, out);
+        let (mut bytes, mut relayed) = (0, 0);
+        for pkt in out.iter() {
+            bytes += pkt.bytes;
+            if pkt.relayed {
+                relayed += pkt.bytes;
+            }
+        }
+        self.note_dequeue(src, dst, bytes, relayed);
+    }
+
+    /// A relayed packet arrives at intermediate `via`: admitted to its
+    /// relay buffer and re-queued for `final_dst` at lowest priority.
+    fn enqueue_relay(&mut self, via: usize, final_dst: usize, flow: u64, bytes: u64, at: Nanos) {
+        self.relay_buffers[via - self.shard.start].admit(bytes);
+        self.queues[self.row(via, final_dst)].enqueue_relay(flow, bytes, at);
+        self.note_enqueue(via, final_dst, bytes);
+    }
+
+    /// One scheduled-slot transmission of the direct match `src → dst` on
+    /// `port` in scheduled slot `k`.
+    #[inline]
+    #[allow(clippy::too_many_arguments)] // one packet's full coordinates
+    fn serve_direct_slot(
+        &mut self,
+        failures: &LinkFailures,
+        src: usize,
+        port: usize,
+        dst: usize,
+        k: usize,
+        cap: u64,
+        stats: &mut SchedStats,
+        sink: &mut Sink<'_>,
+    ) {
+        if let Some(pkt) = self.dequeue_packet(src, dst, cap) {
+            if failures.link_up(src, dst, port) {
+                stats.scheduled_packets += 1;
+                stats.scheduled_bytes += pkt.bytes;
+                sink.emit(Event::Data {
+                    slot: k as u32,
+                    dst: dst as u32,
+                    flow: pkt.flow,
+                    bytes: pkt.bytes,
+                });
+            } else {
+                stats.lost_packets += 1;
+            }
+        } else {
+            stats.overscheduled_slots += 1;
+        }
+    }
+}
+
+/// Pipeline outboxes: the scheduling messages each ToR computed at epoch
+/// start, waiting for their predefined connection. Grants and relay
+/// messages are bucketed per (sender, receiver) pair so a connection
+/// delivers in O(messages) instead of scanning the sender's whole outbox.
+/// Presence is a bit in `NegotiatorSim::msg_flags`.
+struct Outbox {
+    n: usize,
+    req: Vec<f64>,                           // src * n + dst (live iff REQ_FLAG set)
+    req_port: Vec<usize>,                    // projector port binding
+    grants: Vec<Vec<(u32, u64)>>,            // granter * n + requester: (port, debit)
+    relay_reqs: Vec<Vec<RelayRequest>>,      // src * n + via
+    relay_grants: Vec<Vec<(u32, u32, u64)>>, // via * n + src: (port, final, vol)
+}
+
+/// Where cross-ToR effects arrive: the inboxes the next epoch start
+/// consumes, and the delivery bookkeeping of the destination ToRs.
+/// [`Landing::apply`] is the one definition of what each effect does.
+struct Landing {
+    inbox_requests: Vec<Vec<ReqIn>>,                         // per dst
+    inbox_grants: Vec<Vec<(Grant, u64)>>,                    // per src: (grant, stateful debit)
+    inbox_relay_req: Vec<Vec<RelayRequest>>,                 // per via
+    inbox_relay_grant: Vec<Vec<(usize, usize, usize, u64)>>, // per src: (via, port, final, vol)
+    /// §3.6.5 receiver-side buffers (empty unless `host_buffer_bytes` set).
+    rx_buffer: Vec<u64>,
+    rx_series: Vec<BandwidthSeries>,
+    total_rx: Option<BandwidthSeries>,
 }
 
 /// The full NegotiaToR simulator.
@@ -202,6 +496,9 @@ pub struct NegotiatorSim {
     cfg: NegotiatorConfig,
     topo: AnyTopology,
     opts: SimOptions,
+    /// The run state and loop shared with the oblivious engine:
+    /// ground-truth links and their schedules, probe, recorder, tracker.
+    frame: RunFrame,
 
     // Derived constants.
     n: usize,
@@ -211,30 +508,26 @@ pub struct NegotiatorSim {
     epoch_len: Nanos,
     pb_payload: u64,
     sched_payload: u64,
-    pias_th: [u64; 2],
     /// Bytes one port can move in one scheduled phase (grant debit unit).
     epoch_capacity: u64,
 
     // Per-ToR state.
-    queues: Vec<DestQueue>, // src * n + dst
+    q: SrcQueues,
     grant_arbs: Vec<GrantArbiter>,
     accept_arbs: Vec<AcceptArbiter>,
 
-    // Pipeline outboxes (filled at epoch start, drained by the predefined
-    // phase) and inboxes (filled by the predefined phase, consumed next
-    // epoch start). Outgoing grants are bucketed per (granter, requester)
-    // pair so the predefined phase delivers each connection's messages in
-    // O(messages) instead of scanning the granter's whole outbox.
-    req_out: Vec<f64>,                    // src * n + dst (live iff REQ_FLAG set)
-    req_dirty: Vec<u32>,                  // indices with REQ_FLAG set this epoch
-    req_port_out: Vec<usize>,             // projector port binding
-    msg_flags: Vec<u8>,                   // src * n + dst: REQ/GRANT/RELAY_* presence
-    grant_buckets: Vec<Vec<(u32, u64)>>,  // granter * n + requester: (port, debit)
-    grant_dirty: Vec<u32>,                // non-empty bucket indices, cleared per epoch
-    port_granted: Vec<bool>,              // granter * s + port (relay leftover-port check)
-    inbox_requests: Vec<Vec<ReqIn>>,      // per dst
-    inbox_grants: Vec<Vec<(Grant, u64)>>, // per src: (grant, stateful debit)
-    active: Vec<Option<usize>>,           // src * s + port -> dst
+    // The message pipeline: outboxes filled at epoch start and drained by
+    // the predefined phase into the landing inboxes, consumed next epoch
+    // start.
+    out: Outbox,
+    land: Landing,
+    msg_flags: Vec<u8>,        // src * n + dst: REQ/GRANT/RELAY_* presence
+    req_dirty: Vec<u32>,       // indices with REQ_FLAG set this epoch
+    grant_dirty: Vec<u32>,     // non-empty grant buckets, cleared per epoch
+    relay_req_dirty: Vec<u32>, // likewise for the relay buckets
+    relay_grant_dirty: Vec<u32>,
+    port_granted: Vec<bool>, // granter * s + port (relay leftover-port check)
+    active: Vec<Option<usize>>, // src * s + port -> dst
     /// Dense (src, port)-ordered transmissions of this epoch's scheduled
     /// phase — what the phase iterates instead of all `n · s` slots.
     active_list: Vec<ActiveTx>,
@@ -244,71 +537,45 @@ pub struct NegotiatorSim {
 
     // Variant state.
     matrices: Vec<DemandMatrix>, // stateful (empty otherwise)
-    enqueued_total: Vec<u64>,    // src * n + dst, lifetime enqueued bytes
     reported_total: Vec<u64>,    // stateful: bytes already reported
     iter_pending: VecDeque<Vec<Vec<Accept>>>, // iterative activation queue
-
-    // Selective relay state (outboxes bucketed like the grants above).
     relay_policy: RelayPolicy,
-    relay_buffers: Vec<RelayBuffer>,
-    relay_req_buckets: Vec<Vec<RelayRequest>>, // src * n + via
-    relay_req_dirty: Vec<u32>,
-    relay_grant_buckets: Vec<Vec<(u32, u32, u64)>>, // via * n + src: (port, final, vol)
-    relay_grant_dirty: Vec<u32>,
-    inbox_relay_req: Vec<Vec<RelayRequest>>, // per via
-    inbox_relay_grant: Vec<Vec<(usize, usize, usize, u64)>>, // per src: (via, port, final, vol)
+    relay_reqs_in: Vec<RelayRequest>, // swapped against `inbox_relay_req[via]`
+    relay_grants_in: Vec<(usize, usize, usize, u64)>, // against `inbox_relay_grant[src]`
     active_relay: Vec<Option<(usize, usize, u64)>>, // src*s+port -> (via, final, vol left)
-
-    // Dense mirror of every queue's total bytes (src * n + dst), updated
-    // on each enqueue/dequeue: the REQUEST scan and the piggyback probe
-    // read this contiguous array instead of the queue structs.
-    queue_bytes: Vec<u64>,
-
-    // Per-port direct-backlog sums (selective relay only): tor * s + port,
-    // maintained incrementally on every enqueue/dequeue so the relay
-    // steps' busy-port checks are O(1) instead of O(n).
-    backlog_by_port: Vec<u64>,
-    pair_port_tbl: Vec<u8>, // src * n + dst -> thin-clos pair port
 
     /// False after the predefined phase took the healthy-fabric fast path
     /// (skipping observation is a detector no-op then).
     observe_pending: bool,
-
-    // Failures: the shared once-sorted, cursor-consumed schedule.
-    failures: LinkFailures,
     detector: FaultDetector,
-    fail_sched: FailureSchedule,
-    // Adversarial fault families (flap / partition / gray / greedy) layered
-    // on top of the clean failure schedule.
-    faults: FaultModel,
     // Per-epoch observation scratch.
     egress_attempted: Vec<bool>,
     egress_ok: Vec<bool>,
     ingress_attempted: Vec<bool>,
     ingress_ok: Vec<bool>,
 
-    // §3.6.5 receiver-side buffers (empty unless host_buffer_bytes set).
-    rx_buffer: Vec<u64>,
     host_drain_per_epoch: u64,
 
     // Metrics.
-    tracker: Option<FlowTracker>,
     match_rec: MatchRatioRecorder,
     stats: SchedStats,
-    rx_series: Vec<BandwidthSeries>,
-    total_rx: Option<BandwidthSeries>,
-    phase_probe: Option<PhaseProbe>,
-    /// Flight recorder (`None` = tracing off: one branch per epoch).
-    recorder: Option<Box<FlightRecorder>>,
-    ran_duration: Nanos,
 
-    // Reusable per-epoch buffers.
-    scratch: SimScratch,
-    /// Per-shard lanes + merge cursors for the intra-run parallel path
-    /// (`opts.workers > 1`); empty and untouched when sequential.
+    /// Per-shard lanes (scratch, merge queues, counters) of the phase
+    /// bodies, retained across epochs.
     par: parallel::ParState,
+}
 
-    ran: bool,
+impl Deref for NegotiatorSim {
+    type Target = RunFrame;
+    fn deref(&self) -> &RunFrame {
+        &self.frame
+    }
+}
+
+impl DerefMut for NegotiatorSim {
+    fn deref_mut(&mut self) -> &mut RunFrame {
+        &mut self.frame
+    }
 }
 
 impl NegotiatorSim {
@@ -339,11 +606,8 @@ impl NegotiatorSim {
             .collect();
         let sched_payload = cfg.scheduled_payload();
         let epoch_capacity = sched_payload * cfg.epoch.scheduled_slots as u64;
+        let epoch_len = cfg.epoch.epoch_len(pre_slots);
         let stateful = matches!(opts.mode, SchedulerMode::Stateful);
-        let rx_series = match opts.rx_window {
-            Some(w) => (0..n).map(|_| BandwidthSeries::new(w)).collect(),
-            None => Vec::new(),
-        };
         let selective_relay = opts.selective_relay;
         let pair_port_tbl = if selective_relay {
             let mut tbl = vec![0u8; n * n];
@@ -358,28 +622,64 @@ impl NegotiatorSim {
         } else {
             Vec::new()
         };
-        let mut sim = NegotiatorSim {
+        let relay_pairs = if selective_relay { n * n } else { 0 };
+        NegotiatorSim {
+            frame: RunFrame::new(&cfg.net),
             n,
             s,
             pre_slots,
             pre_slot_len: cfg.epoch.predefined_slot(),
-            epoch_len: cfg.epoch.epoch_len(pre_slots),
+            epoch_len,
             pb_payload: cfg.piggyback_payload().max(1),
             sched_payload: sched_payload.max(1),
-            pias_th: cfg.pias_thresholds(),
             epoch_capacity,
-            queues: (0..n * n).map(|_| DestQueue::new()).collect(),
+            q: SrcQueues {
+                n,
+                s,
+                pias: cfg.priority_queues,
+                pias_th: cfg.pias_thresholds(),
+                queues: (0..n * n).map(|_| DestQueue::new()).collect(),
+                enqueued_total: vec![0; n * n],
+                queue_bytes: vec![0; n * n],
+                backlog_by_port: vec![0; if selective_relay { n * s } else { 0 }],
+                pair_port_tbl,
+                relay_buffers: (0..n).map(|_| RelayBuffer::default()).collect(),
+            },
             grant_arbs,
             accept_arbs,
-            req_out: vec![f64::NAN; n * n],
-            req_dirty: Vec::new(),
-            req_port_out: vec![usize::MAX; n * n],
+            out: Outbox {
+                n,
+                req: vec![f64::NAN; n * n],
+                req_port: vec![usize::MAX; n * n],
+                grants: vec![Vec::new(); n * n],
+                relay_reqs: vec![Vec::new(); relay_pairs],
+                relay_grants: vec![Vec::new(); relay_pairs],
+            },
+            land: Landing {
+                inbox_requests: vec![Vec::new(); n],
+                inbox_grants: vec![Vec::new(); n],
+                inbox_relay_req: vec![Vec::new(); n],
+                inbox_relay_grant: vec![Vec::new(); n],
+                rx_buffer: vec![
+                    0;
+                    if opts.host_buffer_bytes.is_some() {
+                        n
+                    } else {
+                        0
+                    }
+                ],
+                rx_series: match opts.rx_window {
+                    Some(w) => (0..n).map(|_| BandwidthSeries::new(w)).collect(),
+                    None => Vec::new(),
+                },
+                total_rx: opts.total_rx_window.map(BandwidthSeries::new),
+            },
             msg_flags: vec![0; n * n],
-            grant_buckets: vec![Vec::new(); n * n],
+            req_dirty: Vec::new(),
             grant_dirty: Vec::new(),
+            relay_req_dirty: Vec::new(),
+            relay_grant_dirty: Vec::new(),
             port_granted: vec![false; n * s],
-            inbox_requests: vec![Vec::new(); n],
-            inbox_grants: vec![Vec::new(); n],
             active: vec![None; n * s],
             active_list: Vec::with_capacity(n * s),
             pre_cache: PredefinedCache::build(&topo),
@@ -388,61 +688,26 @@ impl NegotiatorSim {
             } else {
                 Vec::new()
             },
-            enqueued_total: vec![0; n * n],
             reported_total: vec![0; n * n],
             iter_pending: VecDeque::new(),
             relay_policy: RelayPolicy::default_for(epoch_capacity),
-            relay_buffers: (0..n).map(|_| RelayBuffer::default()).collect(),
-            relay_req_buckets: vec![Vec::new(); if selective_relay { n * n } else { 0 }],
-            relay_req_dirty: Vec::new(),
-            relay_grant_buckets: vec![Vec::new(); if selective_relay { n * n } else { 0 }],
-            relay_grant_dirty: Vec::new(),
-            inbox_relay_req: vec![Vec::new(); n],
-            inbox_relay_grant: vec![Vec::new(); n],
+            relay_reqs_in: Vec::new(),
+            relay_grants_in: Vec::new(),
             active_relay: vec![None; n * s],
-            queue_bytes: vec![0; n * n],
-            backlog_by_port: if selective_relay {
-                vec![0; n * s]
-            } else {
-                Vec::new()
-            },
-            pair_port_tbl,
             observe_pending: true,
-            failures: LinkFailures::new(n, s),
             detector: FaultDetector::new(n, s),
-            fail_sched: FailureSchedule::new(),
-            faults: FaultModel::new(),
             egress_attempted: vec![false; n * s],
             egress_ok: vec![false; n * s],
             ingress_attempted: vec![false; n * s],
             ingress_ok: vec![false; n * s],
-            rx_buffer: vec![
-                0;
-                if opts.host_buffer_bytes.is_some() {
-                    n
-                } else {
-                    0
-                }
-            ],
-            host_drain_per_epoch: 0, // finalized below (needs epoch length)
-            tracker: None,
+            host_drain_per_epoch: cfg.net.host_bandwidth.bytes_in(epoch_len),
             match_rec: MatchRatioRecorder::new(),
             stats: SchedStats::default(),
-            rx_series,
-            total_rx: opts.total_rx_window.map(BandwidthSeries::new),
-            phase_probe: None,
-            recorder: None,
-            ran_duration: 0,
-            scratch: SimScratch::default(),
             par: parallel::ParState::default(),
-
-            ran: false,
             cfg,
             topo,
             opts,
-        };
-        sim.host_drain_per_epoch = sim.cfg.net.host_bandwidth.bytes_in(sim.epoch_len);
-        sim
+        }
     }
 
     /// Epoch length in ns for this configuration/topology.
@@ -450,149 +715,17 @@ impl NegotiatorSim {
         self.epoch_len
     }
 
-    /// Effective intra-run worker count. Selective relay pins the run to
-    /// one worker: relay admission reads claims left by lower-numbered
-    /// ToRs in the same step, so its visit order is semantic, not an
-    /// artifact — sharding it would change bytes. The clamp never makes
-    /// path *selection* depend on data, only on options fixed at
-    /// construction, so a `workers > 1` run is byte-identical to the
-    /// sequential one by the merge rules in `sim/parallel.rs`.
+    /// Shard count of the phase bodies. Selective relay pins the run to
+    /// one shard: its admission steps are whole-fabric passes written
+    /// against claims earlier ToRs left in the same step. The clamp
+    /// depends only on options fixed at construction, never on data, so
+    /// which form runs cannot vary within or between runs of one
+    /// configuration.
     fn par_workers(&self) -> usize {
         if self.opts.selective_relay {
             1
         } else {
             self.opts.workers.max(1)
-        }
-    }
-
-    /// Schedule a link-state change at absolute time `at` (see
-    /// [`topology::FailureSchedule`] for the ordering rules).
-    pub fn schedule_failure(&mut self, at: Nanos, action: FailureAction) {
-        self.fail_sched.schedule(at, action);
-    }
-
-    /// Schedule an adversarial fault action at absolute time `at` (see
-    /// [`topology::FaultModel`] for the families and ordering rules).
-    pub fn schedule_fault(&mut self, at: Nanos, action: FaultAction) {
-        self.faults.schedule(at, action);
-    }
-
-    /// Attach a phase-boundary probe; its snapshots are readable via
-    /// [`Self::phase_probe`] after the run.
-    pub fn set_phase_probe(&mut self, probe: PhaseProbe) {
-        self.phase_probe = Some(probe);
-    }
-
-    /// The phase probe, once attached (complete after [`Self::run`]).
-    pub fn phase_probe(&self) -> Option<&PhaseProbe> {
-        self.phase_probe.as_ref()
-    }
-
-    /// Attach a flight recorder; the run then emits epoch-stamped trace
-    /// events from the sequential top of the epoch loop, where parallel
-    /// shards have already merged — so the trace is byte-identical at any
-    /// worker count. Off (the default) costs one branch per epoch.
-    pub fn set_recorder(&mut self, recorder: FlightRecorder) {
-        self.recorder = Some(Box::new(recorder));
-    }
-
-    /// The attached flight recorder, if any (complete after [`Self::run`]).
-    pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder.as_deref()
-    }
-
-    /// Detach and return the flight recorder.
-    pub fn take_recorder(&mut self) -> Option<FlightRecorder> {
-        self.recorder.take().map(|b| *b)
-    }
-
-    /// End-of-epoch flight-recorder emission: flow births, control-plane
-    /// deltas, detector transitions, flow-lifecycle span milestones and
-    /// per-ToR backlog watermarks. Reads the same merged state the phase
-    /// counters read: the dirty lists hold this epoch's REQUEST pairs and
-    /// GRANT buckets as *sets* (the parallel steps concatenate per-lane
-    /// lists in shard order, so the set is worker-invariant even though
-    /// the order is not), and span emission iterates live flows in flow-id
-    /// order — which is what keeps span bytes identical at any worker
-    /// count. Only called when a recorder is attached; the divergence
-    /// scan, the span sweep and the O(n²) backlog row sums are paid only
-    /// by traced runs.
-    fn trace_epoch(
-        &mut self,
-        epoch: u64,
-        t0: Nanos,
-        flows: &[workload::Flow],
-        injected: usize,
-        spans: &mut FlowSpans,
-        tracker: &FlowTracker,
-    ) {
-        let (fp, fn_) = self.detector_divergence();
-        let cursor = TraceCursor {
-            requests: self.stats.requests_sent,
-            grants: self.stats.grants_issued,
-            accepts: self.stats.accepts_made,
-            control_dropped: self.stats.control_dropped,
-            detector_fp: fp,
-            detector_fn: fn_,
-        };
-        let mut rec = self.recorder.take().expect("caller checked recorder");
-        for f in &flows[spans.next_born()..injected] {
-            spans.born(
-                &mut rec,
-                t0,
-                epoch,
-                f.id as u32,
-                f.src as u32,
-                f.dst as u32,
-                f.bytes,
-                f.arrival,
-            );
-        }
-        rec.epoch_counters(t0, epoch, cursor);
-        // Stamp this epoch's pair-level control activity. Stamping is
-        // idempotent, so the dirty lists' order never matters.
-        for &idx in &self.req_dirty {
-            let (src, dst) = (idx as usize / self.n, idx as usize % self.n);
-            spans.mark_request(src as u32, dst as u32, epoch);
-        }
-        for &idx in &self.grant_dirty {
-            // Buckets are granter * n + requester; the flow pair runs
-            // requester → granter.
-            let (granter, requester) = (idx as usize / self.n, idx as usize % self.n);
-            spans.mark_grant(requester as u32, granter as u32, epoch);
-        }
-        for tx in &self.active_list {
-            // Relay slots forward another pair's traffic; only direct
-            // matches are pair-level ACCEPTs.
-            if !tx.relay {
-                let src = tx.slot as usize / self.s;
-                spans.mark_accept(src as u32, tx.dst, epoch);
-            }
-        }
-        spans.sweep(&mut rec, t0, epoch, |id| {
-            (tracker.remaining(id as u64), tracker.completion(id as u64))
-        });
-        for tor in 0..self.n {
-            let backlog: u64 = self.queue_bytes[tor * self.n..(tor + 1) * self.n]
-                .iter()
-                .sum();
-            rec.backlog_sample(t0, epoch, tor, backlog);
-        }
-        self.recorder = Some(rec);
-    }
-
-    /// Cumulative counters for phase-boundary snapshots.
-    fn phase_counters(&self, tracker: &FlowTracker) -> PhaseCounters {
-        let (fp, fn_) = self.detector_divergence();
-        PhaseCounters {
-            delivered_bytes: tracker.delivered_payload(),
-            backlog_bytes: self.queue_bytes.iter().sum(),
-            grants: self.stats.grants_issued,
-            accepts: self.stats.accepts_made,
-            control_dropped: self.stats.control_dropped,
-            detector_fp_links: fp,
-            detector_fn_links: fn_,
-            partitioned_tors: self.failures.partitioned_tors() as u64,
         }
     }
 
@@ -602,17 +735,18 @@ impl NegotiatorSim {
     /// drop); clean failures show up as false negatives until the
     /// two-epoch detection window closes.
     fn detector_divergence(&self) -> (u64, u64) {
+        let failures = &self.frame.failures;
         let (mut fp, mut fn_) = (0, 0);
         for tor in 0..self.n {
             for port in 0..self.s {
                 for (excluded, down) in [
                     (
                         self.detector.egress_excluded(tor, port),
-                        self.failures.egress_down(tor, port),
+                        failures.egress_down(tor, port),
                     ),
                     (
                         self.detector.ingress_excluded(tor, port),
-                        self.failures.ingress_down(tor, port),
+                        failures.ingress_down(tor, port),
                     ),
                 ] {
                     match (excluded, down) {
@@ -624,11 +758,6 @@ impl NegotiatorSim {
             }
         }
         (fp, fn_)
-    }
-
-    /// Per-flow tracker of the completed run.
-    pub fn tracker(&self) -> &FlowTracker {
-        self.tracker.as_ref().expect("call run() first")
     }
 
     /// Per-epoch match-ratio record of the completed run.
@@ -643,25 +772,12 @@ impl NegotiatorSim {
 
     /// Receive-bandwidth series of ToR `dst` (requires `rx_window`).
     pub fn rx_series(&self, dst: usize) -> Option<&BandwidthSeries> {
-        self.rx_series.get(dst)
+        self.land.rx_series.get(dst)
     }
 
     /// Network-wide delivery series (requires `total_rx_window`).
     pub fn total_rx(&self) -> Option<&BandwidthSeries> {
-        self.total_rx.as_ref()
-    }
-
-    /// Build a report restricted to flows where `tags[id]` is true
-    /// (Figure 13(a) separates background from incast traffic).
-    pub fn report_subset(&self, trace: &FlowTrace, tags: &[bool]) -> RunReport {
-        RunReport::build(
-            trace,
-            self.tracker(),
-            self.ran_duration,
-            self.n,
-            self.cfg.net.host_bandwidth.bps(),
-            Some(tags),
-        )
+        self.land.total_rx.as_ref()
     }
 
     /// Play `trace` for `duration` ns of simulated time and report.
@@ -669,155 +785,24 @@ impl NegotiatorSim {
     /// The engine may stop early once every flow has completed and all
     /// queues are drained; goodput is still normalized over `duration`.
     pub fn run(&mut self, trace: &FlowTrace, duration: Nanos) -> RunReport {
-        assert!(
-            !self.ran,
-            "NegotiatorSim::run is single-shot; build a new sim"
-        );
-        self.ran = true;
-        self.ran_duration = duration;
-        let mut tracker = FlowTracker::new(trace);
-        let flows = trace.flows();
-        let mut cursor = 0usize;
-        // Span tracking is sized for the whole trace up front so the
-        // per-epoch emission below stays allocation-free.
-        let mut spans = self
-            .recorder
-            .is_some()
-            .then(|| FlowSpans::new(self.n, flows.len()));
-
-        let mut epoch: u64 = 0;
-        // lint: hot-path
-        loop {
-            let t0 = epoch * self.epoch_len;
-            if t0 >= duration {
-                break;
-            }
-            if self.phase_probe.as_ref().is_some_and(|p| p.due(t0)) {
-                let counters = self.phase_counters(&tracker);
-                let before = self.phase_probe.as_ref().map_or(0, |p| p.snapshots().len());
-                self.phase_probe
-                    .as_mut()
-                    .expect("probe checked above")
-                    .record(t0, counters);
-                if let Some(rec) = self.recorder.as_deref_mut() {
-                    let after = self.phase_probe.as_ref().map_or(0, |p| p.snapshots().len());
-                    for phase in before..after {
-                        rec.phase_boundary(t0, epoch, phase as u64, &counters);
-                    }
-                }
-            }
-            let fault_mark = match self.recorder.is_some() {
-                true => (self.fail_sched.applied(), self.faults.applied()),
-                false => (0, 0),
-            };
-            self.fail_sched.apply_due(t0, &mut self.failures);
-            self.faults.epoch_update(t0, &mut self.failures);
-            if let Some(rec) = self.recorder.as_deref_mut() {
-                let links = (self.fail_sched.applied() - fault_mark.0) as u64;
-                let injected = (self.faults.applied() - fault_mark.1) as u64;
-                let total = (self.fail_sched.applied() + self.faults.applied()) as u64;
-                rec.fault_applied(t0, epoch, injected, links, total);
-            }
-            cursor = self.inject(flows, cursor, t0);
-            self.epoch_start(epoch, t0);
-            cursor = self.predefined_phase(flows, cursor, epoch, t0, &mut tracker);
-            cursor = self.scheduled_phase(flows, cursor, epoch, t0, &mut tracker);
-            self.observe_epoch();
-            if let Some(spans) = spans.as_mut() {
-                self.trace_epoch(epoch, t0, flows, cursor, spans, &tracker);
-            }
-            epoch += 1;
-
-            // Early exit when nothing is left anywhere.
-            if cursor >= flows.len()
-                && tracker.completed_count() == flows.len()
-                && self.fail_sched.is_drained()
-                && self.faults.is_drained()
-            {
-                break;
-            }
-        }
-        if let Some(mut probe) = self.phase_probe.take() {
-            let counters = self.phase_counters(&tracker);
-            let before = probe.snapshots().len();
-            probe.finish(counters);
-            if let Some(rec) = self.recorder.as_deref_mut() {
-                // Trailing boundaries the early exit skipped: stamp them
-                // into the trace at their nominal times, like the probe.
-                for (phase, snap) in probe.snapshots().iter().enumerate().skip(before) {
-                    rec.phase_boundary(snap.at, epoch, phase as u64, &counters);
-                }
-            }
-            self.phase_probe = Some(probe);
-        }
-        self.tracker = Some(tracker);
-        RunReport::build(
-            trace,
-            self.tracker(),
-            duration,
-            self.n,
-            self.cfg.net.host_bandwidth.bps(),
-            None,
-        )
-    }
-
-    // ------------------------------------------------------------------
-    // Flow injection and failures
-    // ------------------------------------------------------------------
-
-    fn inject(&mut self, flows: &[workload::Flow], mut cursor: usize, now: Nanos) -> usize {
-        let pias = self.cfg.priority_queues;
-        while cursor < flows.len() && flows[cursor].arrival <= now {
-            let f = &flows[cursor];
-            self.queues[f.src * self.n + f.dst].enqueue_flow(
-                f.id,
-                f.bytes,
-                f.arrival,
-                pias,
-                self.pias_th,
-            );
-            self.enqueued_total[f.src * self.n + f.dst] += f.bytes;
-            self.note_enqueue(f.src, f.dst, f.bytes);
-            cursor += 1;
-        }
-        cursor
-    }
-
-    /// Mirror an enqueue into the dense byte counts and (selective relay)
-    /// the per-port direct-backlog cache.
-    #[inline]
-    fn note_enqueue(&mut self, src: usize, dst: usize, bytes: u64) {
-        self.queue_bytes[src * self.n + dst] += bytes;
-        if !self.backlog_by_port.is_empty() {
-            let port = self.pair_port_tbl[src * self.n + dst] as usize;
-            self.backlog_by_port[src * self.s + port] += bytes;
-        }
-    }
-
-    /// Mirror a dequeue; see [`Self::note_enqueue`].
-    #[inline]
-    fn note_dequeue(&mut self, src: usize, dst: usize, bytes: u64) {
-        self.queue_bytes[src * self.n + dst] -= bytes;
-        if !self.backlog_by_port.is_empty() {
-            let port = self.pair_port_tbl[src * self.n + dst] as usize;
-            self.backlog_by_port[src * self.s + port] -= bytes;
-        }
+        metrics::frame::run(self, trace, duration)
     }
 
     /// Debug-build check that the incremental mirrors still equal fresh
     /// sums over the queues they shadow.
     #[cfg(debug_assertions)]
     fn debug_verify_mirrors(&self) {
-        for src in 0..self.n {
-            for dst in 0..self.n {
-                debug_assert_eq!(
-                    self.queue_bytes[src * self.n + dst],
-                    self.queues[src * self.n + dst].total_bytes(),
-                    "queue-bytes mirror drifted at ({src}, {dst})"
-                );
-            }
+        let q = &self.q;
+        for (idx, queue) in q.queues.iter().enumerate() {
+            debug_assert_eq!(
+                q.queue_bytes[idx],
+                queue.total_bytes(),
+                "queue-bytes mirror drifted at ({}, {})",
+                idx / self.n,
+                idx % self.n
+            );
         }
-        if self.backlog_by_port.is_empty() {
+        if q.backlog_by_port.is_empty() {
             return;
         }
         for tor in 0..self.n {
@@ -825,12 +810,12 @@ impl NegotiatorSim {
                 let mut sum = 0;
                 for dst in 0..self.n {
                     if dst != tor && self.topo.port_reaches(tor, port, dst) {
-                        sum += self.queues[tor * self.n + dst].total_bytes();
+                        sum += q.queues[tor * self.n + dst].total_bytes();
                     }
                 }
                 debug_assert_eq!(
                     sum,
-                    self.backlog_by_port[tor * self.s + port],
+                    q.backlog_by_port[tor * self.s + port],
                     "backlog cache drifted at tor {tor} port {port}"
                 );
             }
@@ -843,30 +828,20 @@ impl NegotiatorSim {
 
     fn epoch_start(&mut self, epoch: u64, t0: Nanos) {
         // §3.6.5: hosts drain the receive buffers at the downlink rate.
-        if !self.rx_buffer.is_empty() {
-            let drain = self.host_drain_per_epoch;
-            for b in &mut self.rx_buffer {
-                *b = b.saturating_sub(drain);
-            }
+        for b in &mut self.land.rx_buffer {
+            *b = b.saturating_sub(self.host_drain_per_epoch);
         }
         #[cfg(debug_assertions)]
         self.debug_verify_mirrors();
         if let SchedulerMode::Iterative { rounds } = self.opts.mode {
             self.epoch_start_iterative(rounds);
-            self.rebuild_active_list();
-            return;
-        }
-        if self.par_workers() > 1 {
-            self.step_accept_parallel();
-            self.step_grant_parallel(epoch);
-            self.step_request_parallel(t0);
         } else {
             self.step_accept();
             self.step_grant(epoch);
             self.step_request(t0);
-        }
-        if self.opts.selective_relay {
-            self.relay_request_step(epoch);
+            if self.opts.selective_relay {
+                self.relay_request_step(epoch);
+            }
         }
         self.rebuild_active_list();
     }
@@ -896,93 +871,20 @@ impl NegotiatorSim {
         }
     }
 
-    /// ACCEPT: consume grants delivered last epoch, fix this epoch's
-    /// matching, and (stateful) revert debits of rejected grants.
-    fn step_accept(&mut self) {
-        self.active.fill(None);
-        if self.opts.selective_relay {
-            self.active_relay.fill(None);
+    /// Clear last epoch's undelivered request flags. Request presence is a
+    /// bit in `msg_flags` (plus the value in the outbox), so only the
+    /// stragglers need clearing — no per-epoch sweep over all `n²` pairs.
+    fn clear_requests(&mut self) {
+        for &i in &self.req_dirty {
+            self.msg_flags[i as usize] &= !REQ_FLAG;
         }
-        let mut total_grants = 0u64;
-        let mut total_accepts = 0u64;
-        let mut grants_in = std::mem::take(&mut self.scratch.grants_in);
-        let mut grants = std::mem::take(&mut self.scratch.grants);
-        let mut accepts = std::mem::take(&mut self.scratch.accepts);
-        for src in 0..self.n {
-            grants_in.clear();
-            std::mem::swap(&mut grants_in, &mut self.inbox_grants[src]);
-            total_grants += grants_in.len() as u64;
-            grants.clear();
-            grants.extend(grants_in.iter().map(|&(g, _)| g));
-            let detector = &self.detector;
-            if matches!(self.opts.mode, SchedulerMode::Projector) {
-                // Port pre-binding means at most one grant per port: accept
-                // everything usable.
-                accepts.clear();
-                accepts.extend(
-                    grants
-                        .iter()
-                        .filter(|g| detector.usable(src, g.dst, g.port))
-                        .map(|g| Accept {
-                            dst: g.dst,
-                            port: g.port,
-                        }),
-                );
-            } else {
-                self.accept_arbs[src].accept_into(
-                    self.s,
-                    &grants,
-                    |dst, port| detector.usable(src, dst, port),
-                    &mut accepts,
-                );
-            }
-            total_accepts += accepts.len() as u64;
-            for a in &accepts {
-                self.active[src * self.s + a.port] = Some(a.dst);
-            }
-            // Stateful: revert matrix debits for grants not accepted.
-            if matches!(self.opts.mode, SchedulerMode::Stateful) {
-                for (g, debit) in &grants_in {
-                    let kept = accepts.iter().any(|a| a.dst == g.dst && a.port == g.port);
-                    if !kept && *debit > 0 {
-                        self.matrices[g.dst].revert(src, *debit);
-                    }
-                }
-            }
-        }
-        grants_in.clear();
-        self.scratch.grants_in = grants_in;
-        self.scratch.grants = grants;
-        self.scratch.accepts = accepts;
-        self.match_rec.record_epoch(total_grants, total_accepts);
-        self.stats.grants_issued += total_grants;
-        self.stats.accepts_made += total_accepts;
-
-        // Relay accepts: leftover egress ports take relay grants.
-        if self.opts.selective_relay {
-            let mut relay_grants = std::mem::take(&mut self.scratch.relay_grants);
-            for src in 0..self.n {
-                relay_grants.clear();
-                std::mem::swap(&mut relay_grants, &mut self.inbox_relay_grant[src]);
-                for &(via, port, final_dst, vol) in &relay_grants {
-                    let slot = src * self.s + port;
-                    if self.active[slot].is_none()
-                        && self.active_relay[slot].is_none()
-                        && self.detector.usable(src, via, port)
-                    {
-                        self.active_relay[slot] = Some((via, final_dst, vol));
-                    }
-                }
-            }
-            relay_grants.clear();
-            self.scratch.relay_grants = relay_grants;
-        }
+        self.req_dirty.clear();
     }
 
     /// Drop every grant bucketed last epoch (touched buckets only).
     fn clear_grant_buckets(&mut self) {
         for &i in &self.grant_dirty {
-            self.grant_buckets[i as usize].clear();
+            self.out.grants[i as usize].clear();
             self.msg_flags[i as usize] &= !GRANT_FLAG;
         }
         self.grant_dirty.clear();
@@ -991,218 +893,12 @@ impl NegotiatorSim {
         }
     }
 
-    /// Bucket one grant from `granter` to `requester` for delivery over
-    /// their predefined connection.
-    #[inline]
-    fn push_grant(&mut self, granter: usize, requester: usize, port: usize, debit: u64) {
-        let idx = granter * self.n + requester;
-        if self.grant_buckets[idx].is_empty() {
-            self.grant_dirty.push(idx as u32);
-            self.msg_flags[idx] |= GRANT_FLAG;
-        }
-        self.grant_buckets[idx].push((port as u32, debit));
-        if self.opts.selective_relay {
-            self.port_granted[granter * self.s + port] = true;
-        }
-    }
-
-    /// GRANT: consume requests delivered last epoch and allocate ports.
-    fn step_grant(&mut self, epoch: u64) {
-        self.clear_grant_buckets();
-        let mut reqs = std::mem::take(&mut self.scratch.reqs);
-        let mut srcs = std::mem::take(&mut self.scratch.srcs);
-        let mut grant_pairs = std::mem::take(&mut self.scratch.grant_pairs);
-        let mut vals = std::mem::take(&mut self.scratch.vals);
-        let mut usable_vals = std::mem::take(&mut self.scratch.usable_vals);
-        let mut preqs = std::mem::take(&mut self.scratch.preqs);
-        for dst in 0..self.n {
-            reqs.clear();
-            std::mem::swap(&mut reqs, &mut self.inbox_requests[dst]);
-            if self.faults.greedy(dst) {
-                // Byzantine-lite misbehavior: the requests just swapped in
-                // are discarded, backpressure and debits are ignored, and
-                // every ingress port is granted round-robin.
-                for port in 0..self.s {
-                    if let Some(src) = greedy::greedy_source(&self.topo, self.n, epoch, dst, port) {
-                        self.push_grant(dst, src, port, 0);
-                    }
-                }
-                continue;
-            }
-            // §3.6.5 backpressure: a destination whose receive buffer is
-            // more than half full grants nothing this epoch.
-            if let Some(cap) = self.opts.host_buffer_bytes {
-                if self.rx_buffer[dst] > cap / 2 {
-                    continue;
-                }
-            }
-            if matches!(self.opts.mode, SchedulerMode::Stateful) {
-                for r in &reqs {
-                    self.matrices[dst].report(r.src, r.value as u64);
-                }
-            }
-            if reqs.is_empty() && !matches!(self.opts.mode, SchedulerMode::Stateful) {
-                continue;
-            }
-            match self.opts.mode {
-                SchedulerMode::Base | SchedulerMode::Iterative { .. } => {
-                    srcs.clear();
-                    srcs.extend(reqs.iter().map(|r| r.src));
-                    let detector = &self.detector;
-                    self.grant_arbs[dst].grant_into(
-                        self.s,
-                        &srcs,
-                        |src, port| detector.usable(src, dst, port),
-                        &mut grant_pairs,
-                    );
-                    for &(src, port) in &grant_pairs {
-                        self.push_grant(dst, src, port, 0);
-                    }
-                }
-                SchedulerMode::Stateful => {
-                    // Candidates: sources whose matrix entry shows pending
-                    // data (requests above already refreshed the matrix).
-                    let matrix = &self.matrices[dst];
-                    srcs.clear();
-                    srcs.extend((0..self.n).filter(|&s| matrix.has_pending(s)));
-                    if srcs.is_empty() {
-                        continue;
-                    }
-                    let detector = &self.detector;
-                    self.grant_arbs[dst].grant_into(
-                        self.s,
-                        &srcs,
-                        |src, port| detector.usable(src, dst, port),
-                        &mut grant_pairs,
-                    );
-                    let cap = self.epoch_capacity;
-                    for &(src, port) in &grant_pairs {
-                        let debit = self.matrices[dst].debit(src, cap);
-                        self.push_grant(dst, src, port, debit);
-                    }
-                }
-                SchedulerMode::DataSize | SchedulerMode::HolDelay { .. } => {
-                    // Highest-value requester first. A served pair's value
-                    // drops so ports spread across pairs: DataSize debits
-                    // one epoch of service and stops granting at zero
-                    // remaining backlog; HolDelay demotes the served pair
-                    // below every still-waiting one but keeps it eligible
-                    // for leftover ports (a deep-backlog pair may use
-                    // several ports, as the base algorithm allows).
-                    let datasize = matches!(self.opts.mode, SchedulerMode::DataSize);
-                    vals.clear();
-                    vals.extend(reqs.iter().map(|r| (r.src, r.value)));
-                    for port in 0..self.s {
-                        usable_vals.clear();
-                        usable_vals.extend(
-                            vals.iter()
-                                .copied()
-                                .filter(|&(s, v)| {
-                                    (!datasize || v > 0.0) && self.detector.usable(s, dst, port)
-                                })
-                                .filter(|&(s, _)| self.topo.port_reaches(s, port, dst)),
-                        );
-                        if let Some(src) = informative::pick_max_value(&usable_vals) {
-                            let v = vals.iter_mut().find(|(s, _)| *s == src).unwrap();
-                            v.1 = if datasize {
-                                (v.1 - self.epoch_capacity as f64).max(0.0)
-                            } else {
-                                -1.0 - v.1.abs() // strictly below fresh requests
-                            };
-                            self.push_grant(dst, src, port, 0);
-                        }
-                    }
-                }
-                SchedulerMode::Projector => {
-                    preqs.clear();
-                    preqs.extend(
-                        reqs.iter()
-                            .filter(|r| r.port != usize::MAX)
-                            .filter(|r| self.detector.usable(r.src, dst, r.port))
-                            .map(|r| projector::PortRequest {
-                                src: r.src,
-                                port: r.port,
-                                waiting: r.value,
-                            }),
-                    );
-                    let grants = projector::grant_by_waiting(self.s, &preqs);
-                    for (src, port) in grants {
-                        self.push_grant(dst, src, port, 0);
-                    }
-                }
-            }
-        }
-        reqs.clear();
-        self.scratch.reqs = reqs;
-        self.scratch.srcs = srcs;
-        self.scratch.grant_pairs = grant_pairs;
-        self.scratch.vals = vals;
-        self.scratch.usable_vals = usable_vals;
-        self.scratch.preqs = preqs;
-        if self.opts.selective_relay {
-            self.relay_grant_step();
-        }
-    }
-
-    /// REQUEST: read queues, emit this epoch's requests.
-    ///
-    /// Request presence is a bit in `msg_flags` (plus the value in
-    /// `req_out`), so only last epoch's undelivered stragglers need
-    /// clearing — no per-epoch sweep over all `n²` pairs' values. The
-    /// threshold scan reads the dense `queue_bytes` mirror, touching the
-    /// queue structs themselves only for above-threshold pairs.
-    fn step_request(&mut self, now: Nanos) {
-        for &i in &self.req_dirty {
-            self.msg_flags[i as usize] &= !REQ_FLAG;
-        }
-        self.req_dirty.clear();
-        let threshold = self.cfg.request_threshold_bytes();
-        for src in 0..self.n {
-            if matches!(self.opts.mode, SchedulerMode::Projector) {
-                let qs = &self.queues[src * self.n..(src + 1) * self.n];
-                for (dst, preq) in projector::bind_requests(&self.topo, src, qs, now) {
-                    let idx = src * self.n + dst;
-                    self.req_out[idx] = preq.waiting;
-                    self.req_port_out[idx] = preq.port;
-                    self.msg_flags[idx] |= REQ_FLAG;
-                    self.req_dirty.push(idx as u32);
-                }
-                continue;
-            }
-            for dst in 0..self.n {
-                if dst == src {
-                    continue;
-                }
-                let idx = src * self.n + dst;
-                if self.queue_bytes[idx] <= threshold {
-                    continue;
-                }
-                let value = match self.opts.mode {
-                    SchedulerMode::DataSize => self.queue_bytes[idx] as f64,
-                    SchedulerMode::HolDelay { alpha } => {
-                        informative::hol_delay_value(&self.queues[idx], now, alpha)
-                    }
-                    SchedulerMode::Stateful => {
-                        let new = self.enqueued_total[idx] - self.reported_total[idx];
-                        self.reported_total[idx] = self.enqueued_total[idx];
-                        new as f64
-                    }
-                    _ => 0.0,
-                };
-                self.req_out[idx] = value;
-                self.msg_flags[idx] |= REQ_FLAG;
-                self.req_dirty.push(idx as u32);
-                self.stats.requests_sent += 1;
-            }
-        }
-    }
-
     /// Iterative mode: compute the whole multi-round match now, activate it
     /// `2 + 3·(rounds−1)` epochs later (Appendix A.2.1's delay model).
     fn epoch_start_iterative(&mut self, rounds: usize) {
         let threshold = self.cfg.request_threshold_bytes();
         let mut requests: Vec<Vec<usize>> = vec![Vec::new(); self.n];
-        for (src, row) in self.queue_bytes.chunks(self.n).enumerate() {
+        for (src, row) in self.q.queue_bytes.chunks(self.n).enumerate() {
             for (dst, &bytes) in row.iter().enumerate() {
                 if dst != src && bytes > threshold {
                     requests[dst].push(src);
@@ -1229,26 +925,45 @@ impl NegotiatorSim {
         }
         // Keep the predefined phase silent on requests/grants; messages are
         // modeled as equal-size bundles either way (§A.2.1's fairness note).
-        for &i in &self.req_dirty {
-            self.msg_flags[i as usize] &= !REQ_FLAG;
-        }
-        self.req_dirty.clear();
+        self.clear_requests();
         self.clear_grant_buckets();
     }
 
     // ------------------------------------------------------------------
-    // Selective relay steps (Appendix A.2.2)
+    // Selective relay steps (Appendix A.2.2) — whole-fabric epilogues of
+    // ACCEPT, GRANT and REQUEST, run only when the option is on
     // ------------------------------------------------------------------
 
     /// Direct backlog whose only path uses `port` of `tor` (thin-clos):
     /// an O(1) read of the incrementally maintained per-port sums.
     fn direct_backlog_via_port(&self, tor: usize, port: usize) -> u64 {
-        self.backlog_by_port[tor * self.s + port]
+        self.q.backlog_by_port[tor * self.s + port]
+    }
+
+    /// Relay accepts: egress ports ACCEPT left over take relay grants.
+    fn relay_accept_step(&mut self) {
+        self.active_relay.fill(None);
+        let mut relay_grants = std::mem::take(&mut self.relay_grants_in);
+        for src in 0..self.n {
+            relay_grants.clear();
+            std::mem::swap(&mut relay_grants, &mut self.land.inbox_relay_grant[src]);
+            for &(via, port, final_dst, vol) in &relay_grants {
+                let slot = src * self.s + port;
+                if self.active[slot].is_none()
+                    && self.active_relay[slot].is_none()
+                    && self.detector.usable(src, via, port)
+                {
+                    self.active_relay[slot] = Some((via, final_dst, vol));
+                }
+            }
+        }
+        relay_grants.clear();
+        self.relay_grants_in = relay_grants;
     }
 
     fn relay_request_step(&mut self, epoch: u64) {
         for &i in &self.relay_req_dirty {
-            self.relay_req_buckets[i as usize].clear();
+            self.out.relay_reqs[i as usize].clear();
             self.msg_flags[i as usize] &= !RELAY_REQ_FLAG;
         }
         self.relay_req_dirty.clear();
@@ -1257,7 +972,7 @@ impl NegotiatorSim {
                 if dst == src {
                     continue;
                 }
-                if !relay::pair_qualifies(&self.queues[src * self.n + dst], &self.relay_policy) {
+                if !relay::pair_qualifies(&self.q.queues[src * self.n + dst], &self.relay_policy) {
                     continue;
                 }
                 // Scan a rotating window of intermediates; keep up to two
@@ -1276,11 +991,11 @@ impl NegotiatorSim {
                         continue;
                     }
                     let idx = src * self.n + via;
-                    if self.relay_req_buckets[idx].is_empty() {
+                    if self.out.relay_reqs[idx].is_empty() {
                         self.relay_req_dirty.push(idx as u32);
                         self.msg_flags[idx] |= RELAY_REQ_FLAG;
                     }
-                    self.relay_req_buckets[idx].push(RelayRequest {
+                    self.out.relay_reqs[idx].push(RelayRequest {
                         src,
                         via,
                         final_dst: dst,
@@ -1299,18 +1014,18 @@ impl NegotiatorSim {
     /// the same per-epoch map.
     fn relay_grant_step(&mut self) {
         for &i in &self.relay_grant_dirty {
-            self.relay_grant_buckets[i as usize].clear();
+            self.out.relay_grants[i as usize].clear();
             self.msg_flags[i as usize] &= !RELAY_GRANT_FLAG;
         }
         self.relay_grant_dirty.clear();
-        let mut reqs = std::mem::take(&mut self.scratch.relay_reqs);
+        let mut reqs = std::mem::take(&mut self.relay_reqs_in);
         for via in 0..self.n {
             reqs.clear();
-            std::mem::swap(&mut reqs, &mut self.inbox_relay_req[via]);
+            std::mem::swap(&mut reqs, &mut self.land.inbox_relay_req[via]);
             if reqs.is_empty() {
                 continue;
             }
-            let mut space = self.relay_buffers[via].space(&self.relay_policy);
+            let mut space = self.q.relay_buffers[via].space(&self.relay_policy);
             for &r in &reqs {
                 let p = match self.topo.pair_port(r.src, via) {
                     Some(p) => p,
@@ -1335,15 +1050,15 @@ impl NegotiatorSim {
                 space -= vol;
                 self.port_granted[via * self.s + p] = true;
                 let idx = via * self.n + r.src;
-                if self.relay_grant_buckets[idx].is_empty() {
+                if self.out.relay_grants[idx].is_empty() {
                     self.relay_grant_dirty.push(idx as u32);
                     self.msg_flags[idx] |= RELAY_GRANT_FLAG;
                 }
-                self.relay_grant_buckets[idx].push((p as u32, r.final_dst as u32, vol));
+                self.out.relay_grants[idx].push((p as u32, r.final_dst as u32, vol));
             }
         }
         reqs.clear();
-        self.scratch.relay_reqs = reqs;
+        self.relay_reqs_in = reqs;
     }
 
     // ------------------------------------------------------------------
@@ -1361,108 +1076,110 @@ impl NegotiatorSim {
 
     fn predefined_phase(
         &mut self,
-        flows: &[workload::Flow],
-        mut cursor: usize,
+        flows: &[Flow],
+        cursor: usize,
         epoch: u64,
         t0: Nanos,
         tracker: &mut FlowTracker,
     ) -> usize {
         let rot = self.rotation(epoch);
-        let prop = self.cfg.net.propagation_delay;
-        let piggyback = self.cfg.piggyback;
-        // The cached schedule lists each slot's connections in the same
-        // (src, port) order the old triple loop visited; take the cache so
-        // the loop body can borrow `self` mutably.
+        // Arrival time of predefined slot `k`'s transmissions.
+        let clock = SlotClock {
+            first: t0 + self.pre_slot_len + self.cfg.net.propagation_delay,
+            slot_len: self.pre_slot_len,
+        };
+        // The cached schedule lists each slot's connections in (src, port)
+        // order; take the cache so the phase can borrow `self` mutably.
         let cache = std::mem::take(&mut self.pre_cache);
-
         // Healthy-fabric fast path: with zero ground failures (including
         // partitions), a quiescent detector and no active gray failure,
         // every connection is up and usable, and a round of all-success
         // observations would change no detector state — so the
         // per-connection bookkeeping and the end-of-epoch observation pass
         // can be skipped wholesale. Bit-exact: the only skipped work is
-        // writes of values already in place. Gray epochs must take the
-        // slow path even though no link is down: drops are decided
-        // per-connection and the detector has to see the misses.
-        if self.failures.healthy() && self.detector.is_quiescent() && !self.faults.gray_active() {
-            self.observe_pending = false;
-            if self.par_workers() > 1 {
-                cursor = self.predefined_healthy_parallel(flows, cursor, &cache, rot, t0, tracker);
-                self.pre_cache = cache;
-                return cursor;
-            }
-            for slot in 0..self.pre_slots {
-                let slot_start = t0 + slot as Nanos * self.pre_slot_len;
-                cursor = self.inject(flows, cursor, slot_start);
-                let arrive = slot_start + self.pre_slot_len + prop;
-                for conn in cache.slot_conns(rot, slot) {
-                    let (src, dst) = (conn.src as usize, conn.dst as usize);
-                    let idx = src * self.n + dst;
-                    if self.msg_flags[idx] != 0 {
-                        self.deliver_messages(src, dst);
-                    }
-                    if piggyback && self.queue_bytes[idx] > 0 {
-                        let pkt = self.queues[idx]
-                            .dequeue_packet(self.pb_payload)
-                            .expect("non-zero mirror implies a packet");
-                        self.note_dequeue(src, dst, pkt.bytes);
-                        if pkt.relayed {
-                            self.relay_buffers[src].release(pkt.bytes);
-                        }
-                        self.stats.piggyback_packets += 1;
-                        self.stats.piggyback_bytes += pkt.bytes;
-                        self.deliver_data(dst, pkt.flow, pkt.bytes, arrive, tracker);
-                    }
-                }
-            }
-            self.pre_cache = cache;
-            return cursor;
-        }
+        // writes of values already in place. Gray epochs must be observed
+        // even though no link is down: drops are decided per-connection
+        // and the detector has to see the misses.
+        let healthy = self.frame.failures.healthy()
+            && self.detector.is_quiescent()
+            && !self.frame.faults.gray_active();
+        self.observe_pending = !healthy;
+        let cursor = if healthy {
+            self.predefined_healthy(flows, cursor, &cache, rot, t0, clock, tracker)
+        } else {
+            self.predefined_observed(flows, cursor, &cache, rot, epoch, t0, clock, tracker)
+        };
+        self.pre_cache = cache;
+        cursor
+    }
 
-        self.observe_pending = true;
+    /// The predefined phase of an epoch with failures, exclusions or gray
+    /// drops in play: whole-fabric and slot-major, recording what every
+    /// port attempted and achieved for the detector.
+    #[allow(clippy::too_many_arguments)] // the epoch's coordinates
+    fn predefined_observed(
+        &mut self,
+        flows: &[Flow],
+        mut cursor: usize,
+        cache: &PredefinedCache,
+        rot: u64,
+        epoch: u64,
+        t0: Nanos,
+        clock: SlotClock,
+        tracker: &mut FlowTracker,
+    ) -> usize {
+        let (n, s) = (self.n, self.s);
+        let (piggyback, pb_payload) = (self.cfg.piggyback, self.pb_payload);
         self.egress_attempted.fill(false);
         self.egress_ok.fill(false);
         self.ingress_attempted.fill(false);
         self.ingress_ok.fill(false);
+        let (failures, faults) = (&self.frame.failures, &self.frame.faults);
+        let mut rows = self.q.all();
+        let mut sink = Sink::Apply {
+            land: &mut self.land,
+            tracker,
+            clock,
+        };
         for slot in 0..self.pre_slots {
-            let slot_start = t0 + slot as Nanos * self.pre_slot_len;
-            cursor = self.inject(flows, cursor, slot_start);
-            let arrive = slot_start + self.pre_slot_len + prop;
+            cursor = rows.inject(flows, cursor, t0 + slot as Nanos * self.pre_slot_len);
             for conn in cache.slot_conns(rot, slot) {
                 let (src, port, dst) = (conn.src as usize, conn.port as usize, conn.dst as usize);
-                self.egress_attempted[src * self.s + port] = true;
-                self.ingress_attempted[dst * self.s + port] = true;
-                let up = self.failures.link_up(src, dst, port);
+                let idx = src * n + dst;
+                self.egress_attempted[src * s + port] = true;
+                self.ingress_attempted[dst * s + port] = true;
+                let up = failures.link_up(src, dst, port);
                 // Gray failure: the link carries data but loses this
                 // epoch's control traffic. No ok-observation is recorded
                 // (the detector sees a missed dummy and may exclude the
                 // link — an organic false positive) and no scheduling
                 // message crosses; undelivered requests and grants expire
                 // in their buckets at the next epoch start.
-                let gray = up && self.faults.gray_drops(epoch, src, dst);
+                let gray = up && faults.gray_drops(epoch, src, dst);
                 if up && !gray {
-                    self.egress_ok[src * self.s + port] = true;
-                    self.ingress_ok[dst * self.s + port] = true;
-                    if self.msg_flags[src * self.n + dst] != 0 {
-                        self.deliver_messages(src, dst);
+                    self.egress_ok[src * s + port] = true;
+                    self.ingress_ok[dst * s + port] = true;
+                    if self.msg_flags[idx] != 0 {
+                        self.out
+                            .emit(self.msg_flags[idx], src, dst, slot as u32, &mut sink);
+                        self.msg_flags[idx] &= !REQ_FLAG; // delivered once
                     }
                 } else if gray {
-                    self.stats.control_dropped += self.control_msg_count(src, dst) + 1;
+                    self.stats.control_dropped += self.out.queued(self.msg_flags[idx], idx) + 1;
                 }
                 // Piggyback one data packet (§3.4.1) unless the
                 // detector already excluded the link.
                 if piggyback && self.detector.usable(src, dst, port) {
-                    if let Some(pkt) =
-                        self.queues[src * self.n + dst].dequeue_packet(self.pb_payload)
-                    {
-                        self.note_dequeue(src, dst, pkt.bytes);
-                        if pkt.relayed {
-                            self.relay_buffers[src].release(pkt.bytes);
-                        }
+                    if let Some(pkt) = rows.dequeue_packet(src, dst, pb_payload) {
                         if up {
                             self.stats.piggyback_packets += 1;
                             self.stats.piggyback_bytes += pkt.bytes;
-                            self.deliver_data(dst, pkt.flow, pkt.bytes, arrive, tracker);
+                            sink.emit(Event::Data {
+                                slot: slot as u32,
+                                dst: dst as u32,
+                                flow: pkt.flow,
+                                bytes: pkt.bytes,
+                            });
                         } else {
                             // A ground-truth-down link loses the packet;
                             // recovery is an upper-layer (TCP) concern.
@@ -1472,145 +1189,89 @@ impl NegotiatorSim {
                 }
             }
         }
-        self.pre_cache = cache;
         cursor
-    }
-
-    /// Control messages queued on the `src → dst` predefined connection
-    /// this epoch: the request (if flagged) plus the pair's grant and
-    /// relay buckets. Used to size [`SchedStats::control_dropped`] when a
-    /// gray failure eats the connection's control traffic.
-    fn control_msg_count(&self, src: usize, dst: usize) -> u64 {
-        let idx = src * self.n + dst;
-        let flags = self.msg_flags[idx];
-        let mut count = 0;
-        if flags & REQ_FLAG != 0 {
-            count += 1;
-        }
-        if flags & GRANT_FLAG != 0 {
-            count += self.grant_buckets[idx].len() as u64;
-        }
-        if flags & RELAY_REQ_FLAG != 0 {
-            count += self.relay_req_buckets[idx].len() as u64;
-        }
-        if flags & RELAY_GRANT_FLAG != 0 {
-            count += self.relay_grant_buckets[idx].len() as u64;
-        }
-        count
-    }
-
-    /// Move this epoch's outgoing scheduling messages across one predefined
-    /// connection `src → dst`: an O(messages) indexed delivery — the
-    /// request slot plus this pair's grant/relay buckets, no scanning.
-    /// Callers gate on `msg_flags[idx] != 0`.
-    fn deliver_messages(&mut self, src: usize, dst: usize) {
-        let idx = src * self.n + dst;
-        let flags = self.msg_flags[idx];
-        if flags & REQ_FLAG != 0 {
-            self.inbox_requests[dst].push(ReqIn {
-                src,
-                value: self.req_out[idx],
-                port: self.req_port_out[idx],
-            });
-            self.msg_flags[idx] &= !REQ_FLAG; // delivered once
-        }
-        // Grants computed by `src` for requester `dst` ride this connection.
-        if flags & GRANT_FLAG != 0 {
-            for &(port, debit) in &self.grant_buckets[idx] {
-                self.inbox_grants[dst].push((
-                    Grant {
-                        dst: src,
-                        port: port as usize,
-                    },
-                    debit,
-                ));
-            }
-        }
-        if flags & RELAY_REQ_FLAG != 0 {
-            for r in &self.relay_req_buckets[idx] {
-                self.inbox_relay_req[dst].push(*r);
-            }
-        }
-        if flags & RELAY_GRANT_FLAG != 0 {
-            for &(port, final_dst, vol) in &self.relay_grant_buckets[idx] {
-                self.inbox_relay_grant[dst].push((src, port as usize, final_dst as usize, vol));
-            }
-        }
     }
 
     fn scheduled_phase(
         &mut self,
-        flows: &[workload::Flow],
+        flows: &[Flow],
         mut cursor: usize,
-        _epoch: u64,
         t0: Nanos,
         tracker: &mut FlowTracker,
     ) -> usize {
         let sched_start = t0 + self.pre_slots as Nanos * self.pre_slot_len;
-        let prop = self.cfg.net.propagation_delay;
         let slot_len = self.cfg.epoch.scheduled_slot;
         let k_slots = self.cfg.epoch.scheduled_slots;
         if k_slots == 0 {
             return cursor;
         }
         let total_slots = (self.n * self.s) as u64;
-        cursor = self.inject(flows, cursor, sched_start);
+        // Arrival time of scheduled slot `k`'s transmissions.
+        let clock = SlotClock {
+            first: sched_start + slot_len + self.cfg.net.propagation_delay,
+            slot_len,
+        };
+        cursor = self.q.all().inject(flows, cursor, sched_start);
 
         // Fast path: no flow arrives during the remaining slots and no
         // relay transmissions are live, so every matched port can drain its
         // whole phase in one batch. This is bit-exact, not approximate:
         // without relays a flow lives in exactly one queue, each queue's
         // dequeue sequence is preserved (single server batches; multi-port
-        // servers of one queue replay slot order below), and the tracker /
+        // servers of one queue replay slot order), and the tracker /
         // bandwidth series accumulate order-insensitively across queues.
         let quiet = cursor >= flows.len()
             || flows[cursor].arrival > sched_start + (k_slots as Nanos - 1) * slot_len;
         if quiet && !self.opts.selective_relay {
             self.stats.unmatched_slots +=
                 (total_slots - self.active_list.len() as u64) * k_slots as u64;
-            if self.par_workers() > 1 {
-                self.scheduled_batched_parallel(sched_start, tracker);
-            } else {
-                self.scheduled_phase_batched(sched_start, tracker);
-            }
+            self.scheduled_quiet(clock, tracker);
             return cursor;
         }
 
         // General path: slot-major over the active list only; slots outside
         // the list are unmatched for the whole phase (arithmetic, not
         // iteration), relay slots that drain mid-phase count from then on.
-        let list = std::mem::take(&mut self.active_list);
+        let failures = &self.frame.failures;
+        let mut rows = self.q.all();
+        let mut sink = Sink::Apply {
+            land: &mut self.land,
+            tracker,
+            clock,
+        };
         for k in 0..k_slots {
             let slot_start = sched_start + k as Nanos * slot_len;
-            cursor = self.inject(flows, cursor, slot_start);
-            let arrive = slot_start + slot_len + prop;
-            self.stats.unmatched_slots += total_slots - list.len() as u64;
-            for e in &list {
+            cursor = rows.inject(flows, cursor, slot_start);
+            self.stats.unmatched_slots += total_slots - self.active_list.len() as u64;
+            for e in &self.active_list {
                 let slot = e.slot as usize;
                 let (src, port) = (slot / self.s, slot % self.s);
                 if !e.relay {
-                    self.serve_direct_slot(src, port, e.dst as usize, arrive, tracker);
+                    rows.serve_direct_slot(
+                        failures,
+                        src,
+                        port,
+                        e.dst as usize,
+                        k,
+                        self.sched_payload,
+                        &mut self.stats,
+                        &mut sink,
+                    );
                 } else if let Some((via, final_dst, vol)) = self.active_relay[slot] {
                     if vol == 0 {
                         continue;
                     }
                     let cap = self.sched_payload.min(vol);
-                    if let Some(pkt) =
-                        self.queues[src * self.n + final_dst].dequeue_lowest_packet(cap)
-                    {
-                        self.note_dequeue(src, final_dst, pkt.bytes);
-                        if pkt.relayed {
-                            self.relay_buffers[src].release(pkt.bytes);
-                        }
+                    if let Some(pkt) = rows.dequeue_lowest_packet(src, final_dst, cap) {
                         self.active_relay[slot] = Some((via, final_dst, vol - pkt.bytes));
-                        if self.failures.link_up(src, via, port) {
-                            // Arrives at the intermediate: admitted to
-                            // its relay buffer and re-queued for the
-                            // final destination at lowest priority.
-                            self.relay_buffers[via].admit(pkt.bytes);
-                            self.queues[via * self.n + final_dst]
-                                .enqueue_relay(pkt.flow, pkt.bytes, arrive);
-                            self.note_enqueue(via, final_dst, pkt.bytes);
+                        if failures.link_up(src, via, port) {
+                            rows.enqueue_relay(
+                                via,
+                                final_dst,
+                                pkt.flow,
+                                pkt.bytes,
+                                clock.arrive(k as u32),
+                            );
                         }
                     } else {
                         self.active_relay[slot] = None; // drained
@@ -1620,121 +1281,7 @@ impl NegotiatorSim {
                 }
             }
         }
-        self.active_list = list;
         cursor
-    }
-
-    /// One scheduled-slot transmission of a direct match (general path).
-    #[inline]
-    fn serve_direct_slot(
-        &mut self,
-        src: usize,
-        port: usize,
-        dst: usize,
-        arrive: Nanos,
-        tracker: &mut FlowTracker,
-    ) {
-        if let Some(pkt) = self.queues[src * self.n + dst].dequeue_packet(self.sched_payload) {
-            self.note_dequeue(src, dst, pkt.bytes);
-            if pkt.relayed {
-                self.relay_buffers[src].release(pkt.bytes);
-            }
-            if self.failures.link_up(src, dst, port) {
-                self.stats.scheduled_packets += 1;
-                self.stats.scheduled_bytes += pkt.bytes;
-                self.deliver_data(dst, pkt.flow, pkt.bytes, arrive, tracker);
-            } else {
-                self.stats.lost_packets += 1;
-            }
-        } else {
-            self.stats.overscheduled_slots += 1;
-        }
-    }
-
-    /// Entry-major scheduled phase: each matched port pulls its whole
-    /// phase's packets in one batch dequeue. Ports of one source serving
-    /// the *same* destination queue replay exact slot order instead (their
-    /// interleaving determines which packet each port carries).
-    fn scheduled_phase_batched(&mut self, sched_start: Nanos, tracker: &mut FlowTracker) {
-        let prop = self.cfg.net.propagation_delay;
-        let slot_len = self.cfg.epoch.scheduled_slot;
-        let k_slots = self.cfg.epoch.scheduled_slots;
-        let list = std::mem::take(&mut self.active_list);
-        let mut packets = std::mem::take(&mut self.scratch.packets);
-        let mut i = 0;
-        while i < list.len() {
-            // One source's run of entries (same src ⇒ contiguous, ≤ s long).
-            let src = list[i].slot as usize / self.s;
-            let mut run_end = i + 1;
-            while run_end < list.len() && list[run_end].slot as usize / self.s == src {
-                run_end += 1;
-            }
-            let run = &list[i..run_end];
-            let shared_queue = run
-                .iter()
-                .enumerate()
-                .any(|(a, e)| run[..a].iter().any(|f| f.dst == e.dst));
-            if shared_queue {
-                // Rare: one queue feeds several ports; replay slot order.
-                for k in 0..k_slots {
-                    let arrive = sched_start + (k as Nanos + 1) * slot_len + prop;
-                    for e in run {
-                        let port = e.slot as usize % self.s;
-                        self.serve_direct_slot(src, port, e.dst as usize, arrive, tracker);
-                    }
-                }
-            } else {
-                for e in run {
-                    let (port, dst) = (e.slot as usize % self.s, e.dst as usize);
-                    packets.clear();
-                    self.queues[src * self.n + dst].dequeue_packets_into(
-                        self.sched_payload,
-                        k_slots,
-                        &mut packets,
-                    );
-                    let drained: u64 = packets.iter().map(|p| p.bytes).sum();
-                    self.note_dequeue(src, dst, drained);
-                    self.stats.overscheduled_slots += (k_slots - packets.len()) as u64;
-                    let up = self.failures.link_up(src, dst, port);
-                    for (k, pkt) in packets.iter().enumerate() {
-                        if pkt.relayed {
-                            self.relay_buffers[src].release(pkt.bytes);
-                        }
-                        if up {
-                            self.stats.scheduled_packets += 1;
-                            self.stats.scheduled_bytes += pkt.bytes;
-                            let arrive = sched_start + (k as Nanos + 1) * slot_len + prop;
-                            self.deliver_data(dst, pkt.flow, pkt.bytes, arrive, tracker);
-                        } else {
-                            self.stats.lost_packets += 1;
-                        }
-                    }
-                }
-            }
-            i = run_end;
-        }
-        self.scratch.packets = packets;
-        self.active_list = list;
-    }
-
-    fn deliver_data(
-        &mut self,
-        dst: usize,
-        flow: u64,
-        bytes: u64,
-        at: Nanos,
-        tracker: &mut FlowTracker,
-    ) {
-        if let Some(b) = self.rx_buffer.get_mut(dst) {
-            *b += bytes;
-        }
-        tracker.deliver(flow, bytes, at);
-        if let Some(series) = self.rx_series.get_mut(dst) {
-            series.record(at, bytes);
-        }
-        if let Some(total) = self.total_rx.as_mut() {
-            total.record(at, bytes);
-        }
     }
 
     /// Feed the epoch's predefined-phase observations to the detector.
@@ -1754,6 +1301,97 @@ impl NegotiatorSim {
                     self.detector.observe_ingress(tor, port, self.ingress_ok[i]);
                 }
             }
+        }
+    }
+}
+
+impl EpochEngine for NegotiatorSim {
+    fn tick_len(&self) -> Nanos {
+        self.epoch_len
+    }
+
+    fn phase_counters(&self) -> PhaseCounters {
+        let (fp, fn_) = self.detector_divergence();
+        PhaseCounters {
+            backlog_bytes: self.q.queue_bytes.iter().sum(),
+            grants: self.stats.grants_issued,
+            accepts: self.stats.accepts_made,
+            control_dropped: self.stats.control_dropped,
+            detector_fp_links: fp,
+            detector_fn_links: fn_,
+            ..PhaseCounters::default()
+        }
+    }
+
+    /// One epoch (Figure 2): the scheduling steps, then the two phases.
+    // lint: hot-path
+    fn tick(
+        &mut self,
+        epoch: u64,
+        t0: Nanos,
+        flows: &[Flow],
+        mut cursor: usize,
+        tracker: &mut FlowTracker,
+    ) -> usize {
+        cursor = self.q.all().inject(flows, cursor, t0);
+        self.epoch_start(epoch, t0);
+        cursor = self.predefined_phase(flows, cursor, epoch, t0, tracker);
+        cursor = self.scheduled_phase(flows, cursor, t0, tracker);
+        self.observe_epoch();
+        cursor
+    }
+
+    /// Control-plane deltas, detector transitions and this epoch's
+    /// pair-level REQUEST / GRANT / ACCEPT stamps. Reads the same merged
+    /// state the phase counters read: the dirty lists hold this epoch's
+    /// REQUEST pairs and GRANT buckets as *sets* (the steps concatenate
+    /// per-lane lists in shard order, so the set is worker-invariant), and
+    /// stamping is idempotent, so their order never matters. Only traced
+    /// runs pay for the divergence scan.
+    fn trace_control(
+        &mut self,
+        rec: &mut FlightRecorder,
+        spans: &mut FlowSpans,
+        epoch: u64,
+        t0: Nanos,
+    ) {
+        let (fp, fn_) = self.detector_divergence();
+        rec.epoch_counters(
+            t0,
+            epoch,
+            TraceCursor {
+                requests: self.stats.requests_sent,
+                grants: self.stats.grants_issued,
+                accepts: self.stats.accepts_made,
+                control_dropped: self.stats.control_dropped,
+                detector_fp: fp,
+                detector_fn: fn_,
+            },
+        );
+        for &idx in &self.req_dirty {
+            let (src, dst) = (idx as usize / self.n, idx as usize % self.n);
+            spans.mark_request(src as u32, dst as u32, epoch);
+        }
+        for &idx in &self.grant_dirty {
+            // Buckets are granter * n + requester; the flow pair runs
+            // requester → granter.
+            let (granter, requester) = (idx as usize / self.n, idx as usize % self.n);
+            spans.mark_grant(requester as u32, granter as u32, epoch);
+        }
+        for tx in &self.active_list {
+            // Relay slots forward another pair's traffic; only direct
+            // matches are pair-level ACCEPTs.
+            if !tx.relay {
+                let src = tx.slot as usize / self.s;
+                spans.mark_accept(src as u32, tx.dst, epoch);
+            }
+        }
+    }
+
+    /// Per-ToR backlog watermarks (O(n²) row sums, traced runs only).
+    fn trace_backlog(&self, rec: &mut FlightRecorder, epoch: u64, t0: Nanos) {
+        for (tor, row) in self.q.queue_bytes.chunks(self.n).enumerate() {
+            rec.backlog_sample(t0, epoch, tor, row.iter().sum());
         }
     }
 }

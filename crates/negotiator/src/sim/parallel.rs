@@ -1,97 +1,113 @@
-//! Intra-run parallel epoch phases: contiguous ToR shards, sequential
-//! event-replay merges, byte-identical output at any worker count.
+//! The epoch kernel: the one body of each per-ToR phase — ACCEPT, GRANT,
+//! REQUEST, the healthy predefined phase, the quiet scheduled phase —
+//! written over contiguous ToR shards, byte-identical at any shard count.
 //!
-//! # The determinism argument
+//! # One body, any shard count
 //!
-//! Every parallel section below follows one recipe:
+//! Every phase below follows one recipe:
 //!
 //! 1. **Ownership by row.** ToRs are partitioned into contiguous shards
 //!    ([`sim::shard::partition`]). Each shard receives disjoint `&mut`
-//!    windows of the row-major state it owns ([`sim::shard::split_rows`]):
-//!    REQUEST and ACCEPT shard by *source* row, GRANT by *granter* row.
-//!    The type system — not a convention — rules out cross-shard writes.
-//! 2. **Events for everything else.** Writes that land on another ToR's
-//!    state (inbox pushes, stateful matrix reverts, flow-tracker
-//!    deliveries) are not performed by the shard; the shard appends an
-//!    [`Event`] to its lane instead, in exactly the order the sequential
-//!    loop would have performed the write.
-//! 3. **Ordered replay.** After the fork/join, the merge replays lane
-//!    events on the caller's thread in *sequential visit order*: shard
-//!    concatenation where the sequential loop is row-major (rows ascend
-//!    across shards), slot-major interleaving where it is slot-major
-//!    (the predefined phase tags events with their slot). The replayed
-//!    write sequence is therefore *identical* to the sequential one —
-//!    no commutativity assumptions, no floating-point reassociation.
+//!    windows of the row-major state it owns ([`sim::shard::split_rows`],
+//!    [`SrcQueues::split`]): REQUEST, ACCEPT and the two data phases shard
+//!    by *source* row, GRANT by *granter* row. The type system — not a
+//!    convention — rules out cross-shard writes.
+//! 2. **Effects for everything else.** A write that lands on another
+//!    ToR's state — an inbox push, a data delivery — is an [`Event`]
+//!    handed to the shard's [`Sink`], in exactly the order a single pass
+//!    over rows `0..n` performs them. With one shard nothing runs beside
+//!    it, so the sink applies the effect on the spot; with several it
+//!    appends the event to the shard's lane. Either way what the effect
+//!    *does* is [`Landing::apply`], and nothing else.
+//! 3. **Ordered replay.** After a fork/join of several shards the merge
+//!    replays lane events on the caller's thread in *single-pass visit
+//!    order*: shard concatenation where the pass is row-major (rows
+//!    ascend across shards), slot-major interleaving where it is
+//!    slot-major (the predefined phase; events carry their slot). The
+//!    replayed write sequence is therefore *identical* to the one-shard
+//!    one — no commutativity assumptions, no floating-point
+//!    reassociation.
 //!
-//! Worker count moves shard boundaries, never row order, so any
-//! `--workers` value produces the same bytes; `tests/determinism.rs`
-//! and the CI `determinism-matrix` job hold the engine to it, and the
-//! golden-report gate pins the sequential path the parallel one must
-//! match.
+//! Shard count moves shard boundaries, never row order, so any
+//! `--workers` value produces the same bytes; `tests/determinism.rs`,
+//! `tests/adversarial.rs` and the CI `determinism-matrix` job hold the
+//! engine to it at 1, 2 and 8, and the golden-report gate pins the bytes.
+//! Shard count alone decides apply-now versus lane-and-replay: one shard
+//! runs inline on the caller's thread ([`sim::shard::map_shards`]),
+//! records nothing and replays nothing.
 //!
-//! # What stays sequential, and why
+//! ACCEPT's stateful matrix reverts, the dirty-index lists and the
+//! counters are lane state at every shard count (a handful of entries
+//! per epoch), merged by concatenation in shard order.
 //!
-//! * **Selective relay** (`par_workers() == 1`): relay grant admission
-//!   reads `port_granted`/buffer claims written by lower-numbered ToRs
-//!   in the same step — the visit order is semantic.
+//! # What is not sharded, and why
+//!
+//! * **Selective relay** (`par_workers() == 1`): its three steps are
+//!   whole-fabric epilogues of ACCEPT, GRANT and REQUEST, and relayed
+//!   packets are enqueued at *another* source's queues mid-phase.
 //! * **Iterative mode's epoch start**: `IterativeMatcher` is a global
 //!   fixed point over all ToRs, not per-ToR work.
-//! * **Failure-path phases**: observation arrays are cheap but
-//!   cross-indexed; failure epochs are rare by construction.
+//! * **The observed predefined phase and the slot-major scheduled
+//!   phase** (`sim.rs`): observation arrays are cheap but cross-indexed
+//!   and failure epochs rare by construction; a scheduled phase with
+//!   mid-phase arrivals interleaves injection with every slot.
 //! * **`rebuild_active_list` and the flag-clearing prologues**: memset-
 //!   class scans that cost less than a fork/join.
 
 use super::*;
-use sim::shard::{self, Shard};
+use sim::shard;
 
 /// Per-shard lane: scratch buffers, merge queues and counters. Retained
-/// across epochs so the steady-state parallel path allocates nothing
-/// once lane capacities have warmed up.
+/// across epochs so steady-state phases allocate nothing once lane
+/// capacities have warmed up.
 #[derive(Debug, Default)]
-pub(super) struct Lane {
+struct Lane {
     scratch: SimScratch,
     /// `req_dirty`/`grant_dirty` contributions, concatenated in shard
-    /// order by the merge (= row-ascending = sequential order).
+    /// order by the merge (= row-ascending order).
     dirty: Vec<u32>,
     /// Stateful-mode `(granter, src, debit)` matrix reverts, replayed in
     /// shard order after ACCEPT.
     reverts: Vec<(u32, u32, u64)>,
-    /// Cross-ToR writes of the phase bodies, replayed by the merge.
+    /// Cross-ToR effects of the data phases awaiting the ordered replay
+    /// (filled only when several shards run).
     events: Vec<Event>,
-    // Per-section counters, summed into `SchedStats` by the merge.
-    grants: u64,
-    accepts: u64,
-    requests: u64,
-    pb_packets: u64,
-    pb_bytes: u64,
-    sched_packets: u64,
-    sched_bytes: u64,
-    lost: u64,
-    oversched: u64,
+    /// The phase's counters, added into the run's by the merge.
+    stats: SchedStats,
 }
 
-impl Lane {
-    fn reset(&mut self) {
-        self.dirty.clear();
-        self.reverts.clear();
-        self.events.clear();
-        self.grants = 0;
-        self.accepts = 0;
-        self.requests = 0;
-        self.pb_packets = 0;
-        self.pb_bytes = 0;
-        self.sched_packets = 0;
-        self.sched_bytes = 0;
-        self.lost = 0;
-        self.oversched = 0;
+/// Retained lane state hanging off the sim.
+#[derive(Debug, Default)]
+pub(super) struct ParState {
+    lanes: Vec<Lane>,
+    /// Per-lane replay cursors (slot-major merges).
+    ptrs: Vec<usize>,
+    /// Scheduled-phase chunk starts into `active_list`.
+    cuts: Vec<usize>,
+}
+
+impl ParState {
+    /// `k` lanes with empty merge queues and zeroed counters, growing the
+    /// pool on first use.
+    fn lanes(&mut self, k: usize) -> &mut [Lane] {
+        if self.lanes.len() < k {
+            self.lanes.resize_with(k, Lane::default);
+        }
+        for lane in &mut self.lanes[..k] {
+            lane.dirty.clear();
+            lane.reverts.clear();
+            lane.events.clear();
+            lane.stats = SchedStats::default();
+        }
+        &mut self.lanes[..k]
     }
 }
 
-/// A cross-ToR write recorded by a shard for the ordered replay. `slot`
-/// is the predefined timeslot (predefined phase) or the scheduled slot
-/// index `k` (scheduled phase); the replay derives arrival times from it.
+/// A write that lands on another ToR's state. `slot` is the predefined
+/// timeslot (predefined phase) or the scheduled slot index `k` (scheduled
+/// phase); the arrival time derives from it ([`SlotClock`]).
 #[derive(Debug, Clone, Copy)]
-enum Event {
+pub(super) enum Event {
     /// A REQUEST landing in `inbox_requests[dst]`.
     Req {
         slot: u32,
@@ -108,6 +124,22 @@ enum Event {
         port: u32,
         debit: u64,
     },
+    /// A relay request landing in `inbox_relay_req[via]`.
+    RelayReq {
+        slot: u32,
+        via: u32,
+        src: u32,
+        final_dst: u32,
+    },
+    /// One relay-grant entry landing in `inbox_relay_grant[dst]`.
+    RelayGrant {
+        slot: u32,
+        dst: u32,
+        via: u32,
+        port: u32,
+        final_dst: u32,
+        vol: u64,
+    },
     /// A data packet delivered to `dst` (tracker + series + rx buffer).
     Data {
         slot: u32,
@@ -120,7 +152,11 @@ enum Event {
 impl Event {
     fn slot(&self) -> u32 {
         match *self {
-            Event::Req { slot, .. } | Event::Grant { slot, .. } | Event::Data { slot, .. } => slot,
+            Event::Req { slot, .. }
+            | Event::Grant { slot, .. }
+            | Event::RelayReq { slot, .. }
+            | Event::RelayGrant { slot, .. }
+            | Event::Data { slot, .. } => slot,
         }
     }
 }
@@ -143,724 +179,56 @@ fn port_from_u32(p: u32) -> usize {
     }
 }
 
-/// Retained parallel-path state hanging off the sim (empty when the run
-/// is sequential).
-#[derive(Debug, Default)]
-pub(super) struct ParState {
-    lanes: Vec<Lane>,
-    /// Per-lane replay cursors (slot-major merges).
-    ptrs: Vec<usize>,
-    /// Scheduled-phase chunk starts into `active_list`.
-    cuts: Vec<usize>,
+/// When the transmissions of a phase's slot `k` arrive: `first` for slot
+/// 0 (slot end plus propagation), one `slot_len` later per slot.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct SlotClock {
+    pub(super) first: Nanos,
+    pub(super) slot_len: Nanos,
 }
 
-/// Take `k` lanes out of the sim (so shard closures can own them while
-/// `self` is re-borrowed for the merge), growing the pool on first use.
-fn take_lanes(par: &mut ParState, k: usize) -> Vec<Lane> {
-    let mut lanes = std::mem::take(&mut par.lanes);
-    if lanes.len() < k {
-        lanes.resize_with(k, Lane::default);
+impl SlotClock {
+    #[inline]
+    pub(super) fn arrive(&self, slot: u32) -> Nanos {
+        self.first + slot as Nanos * self.slot_len
     }
-    for lane in &mut lanes {
-        lane.reset();
-    }
-    lanes
 }
 
-// Shard-side borrow bundles. One struct per section keeps the closure a
-// single argument and documents exactly which rows a shard may touch.
-
-struct AcceptCtx<'a> {
-    shard: Shard,
-    inbox_grants: &'a mut [Vec<(Grant, u64)>],
-    accept_arbs: &'a mut [AcceptArbiter],
-    active: &'a mut [Option<usize>],
-    lane: &'a mut Lane,
+/// Where a phase body's cross-ToR effects go.
+pub(super) enum Sink<'a> {
+    /// One shard, nothing runs beside it: apply on the spot.
+    Apply {
+        land: &'a mut Landing,
+        tracker: &'a mut FlowTracker,
+        clock: SlotClock,
+    },
+    /// Several shards: append to the shard's lane for the ordered replay.
+    Record(&'a mut Vec<Event>),
 }
 
-struct GrantCtx<'a> {
-    shard: Shard,
-    inbox_requests: &'a mut [Vec<ReqIn>],
-    grant_arbs: &'a mut [GrantArbiter],
-    matrices: &'a mut [DemandMatrix],
-    grant_buckets: &'a mut [Vec<(u32, u64)>],
-    msg_flags: &'a mut [u8],
-    lane: &'a mut Lane,
-}
-
-struct RequestCtx<'a> {
-    shard: Shard,
-    req_out: &'a mut [f64],
-    req_port_out: &'a mut [usize],
-    msg_flags: &'a mut [u8],
-    reported_total: &'a mut [u64],
-    lane: &'a mut Lane,
-}
-
-struct PredefCtx<'a> {
-    shard: Shard,
-    queues: &'a mut [DestQueue],
-    queue_bytes: &'a mut [u64],
-    enqueued_total: &'a mut [u64],
-    msg_flags: &'a mut [u8],
-    relay_buffers: &'a mut [RelayBuffer],
-    lane: &'a mut Lane,
-}
-
-struct SchedCtx<'a> {
-    shard: Shard,
-    entries: &'a [ActiveTx],
-    queues: &'a mut [DestQueue],
-    queue_bytes: &'a mut [u64],
-    relay_buffers: &'a mut [RelayBuffer],
-    lane: &'a mut Lane,
-}
-
-impl NegotiatorSim {
-    /// Parallel ACCEPT (sharded by source ToR): arbitration and the
-    /// `active` match table are source-owned; stateful matrix reverts —
-    /// the one cross-ToR write — are buffered per lane and replayed in
-    /// shard order, which is exactly the sequential src-ascending order.
-    pub(super) fn step_accept_parallel(&mut self) {
-        debug_assert!(!self.opts.selective_relay, "relay runs are sequential");
-        self.active.fill(None);
-        let shards = shard::partition(self.n, self.par_workers());
-        let mut lanes = take_lanes(&mut self.par, shards.len());
-        let (s, mode) = (self.s, self.opts.mode);
-        let detector = &self.detector;
-        {
-            let inboxes = shard::split_rows(&mut self.inbox_grants, 1, &shards);
-            let arbs = shard::split_rows(&mut self.accept_arbs, 1, &shards);
-            let actives = shard::split_rows(&mut self.active, s, &shards);
-            let mut ctxs = Vec::with_capacity(shards.len());
-            for ((((&shard, inbox_grants), accept_arbs), active), lane) in shards
-                .iter()
-                .zip(inboxes)
-                .zip(arbs)
-                .zip(actives)
-                .zip(lanes.iter_mut())
-            {
-                ctxs.push(AcceptCtx {
-                    shard,
-                    inbox_grants,
-                    accept_arbs,
-                    active,
-                    lane,
-                });
-            }
-            shard::map_shards(ctxs, |_, ctx| {
-                let AcceptCtx {
-                    shard,
-                    inbox_grants,
-                    accept_arbs,
-                    active,
-                    lane,
-                } = ctx;
-                for src in shard.start..shard.end {
-                    let row = src - shard.start;
-                    lane.scratch.grants_in.clear();
-                    std::mem::swap(&mut lane.scratch.grants_in, &mut inbox_grants[row]);
-                    lane.grants += lane.scratch.grants_in.len() as u64;
-                    lane.scratch.grants.clear();
-                    lane.scratch
-                        .grants
-                        .extend(lane.scratch.grants_in.iter().map(|&(g, _)| g));
-                    if matches!(mode, SchedulerMode::Projector) {
-                        lane.scratch.accepts.clear();
-                        lane.scratch.accepts.extend(
-                            lane.scratch
-                                .grants
-                                .iter()
-                                .filter(|g| detector.usable(src, g.dst, g.port))
-                                .map(|g| Accept {
-                                    dst: g.dst,
-                                    port: g.port,
-                                }),
-                        );
-                    } else {
-                        let (arb, grants, accepts) = (
-                            &mut accept_arbs[row],
-                            &lane.scratch.grants,
-                            &mut lane.scratch.accepts,
-                        );
-                        arb.accept_into(
-                            s,
-                            grants,
-                            |dst, port| detector.usable(src, dst, port),
-                            accepts,
-                        );
-                    }
-                    lane.accepts += lane.scratch.accepts.len() as u64;
-                    for a in &lane.scratch.accepts {
-                        active[row * s + a.port] = Some(a.dst);
-                    }
-                    if matches!(mode, SchedulerMode::Stateful) {
-                        for (g, debit) in &lane.scratch.grants_in {
-                            let kept = lane
-                                .scratch
-                                .accepts
-                                .iter()
-                                .any(|a| a.dst == g.dst && a.port == g.port);
-                            if !kept && *debit > 0 {
-                                lane.reverts.push((g.dst as u32, src as u32, *debit));
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        let (mut total_grants, mut total_accepts) = (0u64, 0u64);
-        for lane in &lanes {
-            total_grants += lane.grants;
-            total_accepts += lane.accepts;
-            for &(granter, src, debit) in &lane.reverts {
-                self.matrices[granter as usize].revert(src as usize, debit);
-            }
-        }
-        self.par.lanes = lanes;
-        self.match_rec.record_epoch(total_grants, total_accepts);
-        self.stats.grants_issued += total_grants;
-        self.stats.accepts_made += total_accepts;
-    }
-
-    /// Parallel GRANT (sharded by granter ToR): request inboxes, grant
-    /// arbiters, demand matrices and outgoing grant buckets are all
-    /// granter-row state; the dirty-index merge concatenates lanes in
-    /// shard order, matching the sequential granter-ascending scan.
-    pub(super) fn step_grant_parallel(&mut self, epoch: u64) {
-        debug_assert!(!self.opts.selective_relay, "relay runs are sequential");
-        self.clear_grant_buckets();
-        let shards = shard::partition(self.n, self.par_workers());
-        let mut lanes = take_lanes(&mut self.par, shards.len());
-        let (n, s, mode) = (self.n, self.s, self.opts.mode);
-        let stateful = matches!(mode, SchedulerMode::Stateful);
-        let epoch_capacity = self.epoch_capacity;
-        let host_buffer = self.opts.host_buffer_bytes;
-        let detector = &self.detector;
-        let topo = &self.topo;
-        let faults = &self.faults;
-        let rx_buffer = &self.rx_buffer[..];
-        {
-            let inboxes = shard::split_rows(&mut self.inbox_requests, 1, &shards);
-            let arbs = shard::split_rows(&mut self.grant_arbs, 1, &shards);
-            let buckets = shard::split_rows(&mut self.grant_buckets, n, &shards);
-            let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
-            // `matrices` is empty outside stateful mode: hand out empty
-            // windows instead of row ranges then.
-            let mut mat_rest: &mut [DemandMatrix] = &mut self.matrices;
-            let mut ctxs = Vec::with_capacity(shards.len());
-            for (((((&shard, inbox_requests), grant_arbs), grant_buckets), msg_flags), lane) in
-                shards
-                    .iter()
-                    .zip(inboxes)
-                    .zip(arbs)
-                    .zip(buckets)
-                    .zip(flags)
-                    .zip(lanes.iter_mut())
-            {
-                let take = if stateful { shard.len() } else { 0 };
-                let (matrices, rest) = mat_rest.split_at_mut(take);
-                mat_rest = rest;
-                ctxs.push(GrantCtx {
-                    shard,
-                    inbox_requests,
-                    grant_arbs,
-                    matrices,
-                    grant_buckets,
-                    msg_flags,
-                    lane,
-                });
-            }
-            shard::map_shards(ctxs, |_, ctx| {
-                let GrantCtx {
-                    shard,
-                    inbox_requests,
-                    grant_arbs,
-                    matrices,
-                    grant_buckets,
-                    msg_flags,
-                    lane,
-                } = ctx;
-                // Shard-local `push_grant`: identical writes, granter rows
-                // only, dirty indices collected on the lane.
-                let push_grant = |grant_buckets: &mut [Vec<(u32, u64)>],
-                                  msg_flags: &mut [u8],
-                                  lane_dirty: &mut Vec<u32>,
-                                  dst: usize,
-                                  src: usize,
-                                  port: usize,
-                                  debit: u64| {
-                    let local = (dst - shard.start) * n + src;
-                    if grant_buckets[local].is_empty() {
-                        lane_dirty.push((dst * n + src) as u32);
-                        msg_flags[local] |= GRANT_FLAG;
-                    }
-                    grant_buckets[local].push((port as u32, debit));
-                };
-                #[allow(clippy::needless_range_loop)] // dst drives several arrays
-                for dst in shard.start..shard.end {
-                    let row = dst - shard.start;
-                    lane.scratch.reqs.clear();
-                    std::mem::swap(&mut lane.scratch.reqs, &mut inbox_requests[row]);
-                    if faults.greedy(dst) {
-                        // Byzantine-lite misbehavior, mirroring the
-                        // sequential step: discard the swapped-in requests
-                        // and grant every port round-robin over sources.
-                        for port in 0..s {
-                            if let Some(src) = greedy::greedy_source(topo, n, epoch, dst, port) {
-                                push_grant(
-                                    grant_buckets,
-                                    msg_flags,
-                                    &mut lane.dirty,
-                                    dst,
-                                    src,
-                                    port,
-                                    0,
-                                );
-                            }
-                        }
-                        continue;
-                    }
-                    if let Some(cap) = host_buffer {
-                        if rx_buffer[dst] > cap / 2 {
-                            continue;
-                        }
-                    }
-                    if stateful {
-                        for r in &lane.scratch.reqs {
-                            matrices[row].report(r.src, r.value as u64);
-                        }
-                    }
-                    if lane.scratch.reqs.is_empty() && !stateful {
-                        continue;
-                    }
-                    match mode {
-                        SchedulerMode::Base | SchedulerMode::Iterative { .. } => {
-                            lane.scratch.srcs.clear();
-                            lane.scratch
-                                .srcs
-                                .extend(lane.scratch.reqs.iter().map(|r| r.src));
-                            grant_arbs[row].grant_into(
-                                s,
-                                &lane.scratch.srcs,
-                                |src, port| detector.usable(src, dst, port),
-                                &mut lane.scratch.grant_pairs,
-                            );
-                            for &(src, port) in &lane.scratch.grant_pairs {
-                                push_grant(
-                                    grant_buckets,
-                                    msg_flags,
-                                    &mut lane.dirty,
-                                    dst,
-                                    src,
-                                    port,
-                                    0,
-                                );
-                            }
-                        }
-                        SchedulerMode::Stateful => {
-                            let matrix = &matrices[row];
-                            lane.scratch.srcs.clear();
-                            lane.scratch
-                                .srcs
-                                .extend((0..n).filter(|&src| matrix.has_pending(src)));
-                            if lane.scratch.srcs.is_empty() {
-                                continue;
-                            }
-                            grant_arbs[row].grant_into(
-                                s,
-                                &lane.scratch.srcs,
-                                |src, port| detector.usable(src, dst, port),
-                                &mut lane.scratch.grant_pairs,
-                            );
-                            for &(src, port) in &lane.scratch.grant_pairs {
-                                let debit = matrices[row].debit(src, epoch_capacity);
-                                push_grant(
-                                    grant_buckets,
-                                    msg_flags,
-                                    &mut lane.dirty,
-                                    dst,
-                                    src,
-                                    port,
-                                    debit,
-                                );
-                            }
-                        }
-                        SchedulerMode::DataSize | SchedulerMode::HolDelay { .. } => {
-                            let datasize = matches!(mode, SchedulerMode::DataSize);
-                            lane.scratch.vals.clear();
-                            lane.scratch
-                                .vals
-                                .extend(lane.scratch.reqs.iter().map(|r| (r.src, r.value)));
-                            for port in 0..s {
-                                lane.scratch.usable_vals.clear();
-                                lane.scratch.usable_vals.extend(
-                                    lane.scratch
-                                        .vals
-                                        .iter()
-                                        .copied()
-                                        .filter(|&(src, v)| {
-                                            (!datasize || v > 0.0)
-                                                && detector.usable(src, dst, port)
-                                        })
-                                        .filter(|&(src, _)| topo.port_reaches(src, port, dst)),
-                                );
-                                if let Some(src) =
-                                    informative::pick_max_value(&lane.scratch.usable_vals)
-                                {
-                                    let v = lane
-                                        .scratch
-                                        .vals
-                                        .iter_mut()
-                                        .find(|(x, _)| *x == src)
-                                        .unwrap();
-                                    v.1 = if datasize {
-                                        (v.1 - epoch_capacity as f64).max(0.0)
-                                    } else {
-                                        -1.0 - v.1.abs()
-                                    };
-                                    push_grant(
-                                        grant_buckets,
-                                        msg_flags,
-                                        &mut lane.dirty,
-                                        dst,
-                                        src,
-                                        port,
-                                        0,
-                                    );
-                                }
-                            }
-                        }
-                        SchedulerMode::Projector => {
-                            lane.scratch.preqs.clear();
-                            lane.scratch.preqs.extend(
-                                lane.scratch
-                                    .reqs
-                                    .iter()
-                                    .filter(|r| r.port != usize::MAX)
-                                    .filter(|r| detector.usable(r.src, dst, r.port))
-                                    .map(|r| projector::PortRequest {
-                                        src: r.src,
-                                        port: r.port,
-                                        waiting: r.value,
-                                    }),
-                            );
-                            let grants = projector::grant_by_waiting(s, &lane.scratch.preqs);
-                            for (src, port) in grants {
-                                push_grant(
-                                    grant_buckets,
-                                    msg_flags,
-                                    &mut lane.dirty,
-                                    dst,
-                                    src,
-                                    port,
-                                    0,
-                                );
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        for lane in &lanes {
-            self.grant_dirty.extend_from_slice(&lane.dirty);
-        }
-        self.par.lanes = lanes;
-    }
-
-    /// Parallel REQUEST (sharded by source ToR): the O(n²) threshold scan
-    /// over `queue_bytes` plus per-source outbox writes; per-lane dirty
-    /// indices concatenate to the sequential source-ascending order.
-    pub(super) fn step_request_parallel(&mut self, now: Nanos) {
-        debug_assert!(!self.opts.selective_relay, "relay runs are sequential");
-        for &i in &self.req_dirty {
-            self.msg_flags[i as usize] &= !REQ_FLAG;
-        }
-        self.req_dirty.clear();
-        let shards = shard::partition(self.n, self.par_workers());
-        let mut lanes = take_lanes(&mut self.par, shards.len());
-        let (n, mode) = (self.n, self.opts.mode);
-        let threshold = self.cfg.request_threshold_bytes();
-        let topo = &self.topo;
-        let queues = &self.queues[..];
-        let queue_bytes = &self.queue_bytes[..];
-        let enqueued_total = &self.enqueued_total[..];
-        {
-            let outs = shard::split_rows(&mut self.req_out, n, &shards);
-            let ports = shard::split_rows(&mut self.req_port_out, n, &shards);
-            let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
-            let reported = shard::split_rows(&mut self.reported_total, n, &shards);
-            let mut ctxs = Vec::with_capacity(shards.len());
-            for (((((&shard, req_out), req_port_out), msg_flags), reported_total), lane) in shards
-                .iter()
-                .zip(outs)
-                .zip(ports)
-                .zip(flags)
-                .zip(reported)
-                .zip(lanes.iter_mut())
-            {
-                ctxs.push(RequestCtx {
-                    shard,
-                    req_out,
-                    req_port_out,
-                    msg_flags,
-                    reported_total,
-                    lane,
-                });
-            }
-            shard::map_shards(ctxs, |_, ctx| {
-                let RequestCtx {
-                    shard,
-                    req_out,
-                    req_port_out,
-                    msg_flags,
-                    reported_total,
-                    lane,
-                } = ctx;
-                for src in shard.start..shard.end {
-                    let base = (src - shard.start) * n;
-                    if matches!(mode, SchedulerMode::Projector) {
-                        let qs = &queues[src * n..(src + 1) * n];
-                        for (dst, preq) in projector::bind_requests(topo, src, qs, now) {
-                            req_out[base + dst] = preq.waiting;
-                            req_port_out[base + dst] = preq.port;
-                            msg_flags[base + dst] |= REQ_FLAG;
-                            lane.dirty.push((src * n + dst) as u32);
-                        }
-                        continue;
-                    }
-                    for dst in 0..n {
-                        if dst == src {
-                            continue;
-                        }
-                        let idx = src * n + dst;
-                        if queue_bytes[idx] <= threshold {
-                            continue;
-                        }
-                        let value = match mode {
-                            SchedulerMode::DataSize => queue_bytes[idx] as f64,
-                            SchedulerMode::HolDelay { alpha } => {
-                                informative::hol_delay_value(&queues[idx], now, alpha)
-                            }
-                            SchedulerMode::Stateful => {
-                                let new = enqueued_total[idx] - reported_total[base + dst];
-                                reported_total[base + dst] = enqueued_total[idx];
-                                new as f64
-                            }
-                            _ => 0.0,
-                        };
-                        req_out[base + dst] = value;
-                        msg_flags[base + dst] |= REQ_FLAG;
-                        lane.dirty.push(idx as u32);
-                        lane.requests += 1;
-                    }
-                }
-            });
-        }
-        for lane in &lanes {
-            self.req_dirty.extend_from_slice(&lane.dirty);
-            self.stats.requests_sent += lane.requests;
-        }
-        self.par.lanes = lanes;
-    }
-
-    /// Parallel healthy-fabric predefined phase. Shards own source rows:
-    /// they inject their own flows at slot boundaries, clear their own
-    /// REQ flags, drain their own piggyback queues — and emit slot-tagged
-    /// events for every cross-ToR effect. The merge replays events
-    /// slot-major, lanes in shard order within a slot, which is exactly
-    /// the `(slot, src, port)` order of the sequential loop.
-    pub(super) fn predefined_healthy_parallel(
-        &mut self,
-        flows: &[workload::Flow],
-        cursor: usize,
-        cache: &PredefinedCache,
-        rot: u64,
-        t0: Nanos,
-        tracker: &mut FlowTracker,
-    ) -> usize {
-        debug_assert!(!self.opts.selective_relay, "relay runs are sequential");
-        debug_assert!(
-            !self.faults.gray_active(),
-            "gray epochs take the sequential failure path (healthy gate)"
-        );
-        let (n, pre_slots) = (self.n, self.pre_slots);
-        let (pre_slot_len, prop) = (self.pre_slot_len, self.cfg.net.propagation_delay);
-        let (piggyback, pb_payload) = (self.cfg.piggyback, self.pb_payload);
-        let (pias, pias_th) = (self.cfg.priority_queues, self.pias_th);
-        // Flows that arrive during this phase, shared read-only: each
-        // shard walks the slice once and enqueues only its own sources.
-        let last_start = t0 + (pre_slots as Nanos - 1) * pre_slot_len;
-        let end = cursor + flows[cursor..].partition_point(|f| f.arrival <= last_start);
-        let phase_flows = &flows[cursor..end];
-        let shards = shard::partition(n, self.par_workers());
-        let mut lanes = take_lanes(&mut self.par, shards.len());
-        let req_out = &self.req_out[..];
-        let req_port_out = &self.req_port_out[..];
-        let grant_buckets = &self.grant_buckets[..];
-        {
-            let queues = shard::split_rows(&mut self.queues, n, &shards);
-            let qbytes = shard::split_rows(&mut self.queue_bytes, n, &shards);
-            let enq = shard::split_rows(&mut self.enqueued_total, n, &shards);
-            let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
-            let bufs = shard::split_rows(&mut self.relay_buffers, 1, &shards);
-            let mut ctxs = Vec::with_capacity(shards.len());
-            for ((((((&shard, queues), queue_bytes), enqueued_total), msg_flags), rb), lane) in
-                shards
-                    .iter()
-                    .zip(queues)
-                    .zip(qbytes)
-                    .zip(enq)
-                    .zip(flags)
-                    .zip(bufs)
-                    .zip(lanes.iter_mut())
-            {
-                ctxs.push(PredefCtx {
-                    shard,
-                    queues,
-                    queue_bytes,
-                    enqueued_total,
-                    msg_flags,
-                    relay_buffers: rb,
-                    lane,
-                });
-            }
-            shard::map_shards(ctxs, |_, ctx| {
-                let PredefCtx {
-                    shard,
-                    queues,
-                    queue_bytes,
-                    enqueued_total,
-                    msg_flags,
-                    relay_buffers,
-                    lane,
-                } = ctx;
-                let mut fi = 0usize;
-                for slot in 0..pre_slots {
-                    let slot_start = t0 + slot as Nanos * pre_slot_len;
-                    while fi < phase_flows.len() && phase_flows[fi].arrival <= slot_start {
-                        let f = &phase_flows[fi];
-                        fi += 1;
-                        if f.src < shard.start || f.src >= shard.end {
-                            continue;
-                        }
-                        let row = (f.src - shard.start) * n + f.dst;
-                        queues[row].enqueue_flow(f.id, f.bytes, f.arrival, pias, pias_th);
-                        enqueued_total[row] += f.bytes;
-                        queue_bytes[row] += f.bytes;
-                    }
-                    let conns =
-                        cache.slot_conns_for_srcs(rot, slot, shard.start as u32, shard.end as u32);
-                    for conn in conns {
-                        let (src, dst) = (conn.src as usize, conn.dst as usize);
-                        let row = (src - shard.start) * n + dst;
-                        let f = msg_flags[row];
-                        if f != 0 {
-                            debug_assert_eq!(
-                                f & (RELAY_REQ_FLAG | RELAY_GRANT_FLAG),
-                                0,
-                                "relay messages never exist on the parallel path"
-                            );
-                            if f & REQ_FLAG != 0 {
-                                lane.events.push(Event::Req {
-                                    slot: slot as u32,
-                                    dst: dst as u32,
-                                    src: src as u32,
-                                    value: req_out[src * n + dst],
-                                    port: port_to_u32(req_port_out[src * n + dst]),
-                                });
-                                msg_flags[row] &= !REQ_FLAG; // delivered once
-                            }
-                            if f & GRANT_FLAG != 0 {
-                                for &(port, debit) in &grant_buckets[src * n + dst] {
-                                    lane.events.push(Event::Grant {
-                                        slot: slot as u32,
-                                        dst: dst as u32,
-                                        granter: src as u32,
-                                        port,
-                                        debit,
-                                    });
-                                }
-                            }
-                        }
-                        if piggyback && queue_bytes[row] > 0 {
-                            let pkt = queues[row]
-                                .dequeue_packet(pb_payload)
-                                .expect("non-zero mirror implies a packet");
-                            queue_bytes[row] -= pkt.bytes;
-                            if pkt.relayed {
-                                relay_buffers[src - shard.start].release(pkt.bytes);
-                            }
-                            lane.pb_packets += 1;
-                            lane.pb_bytes += pkt.bytes;
-                            lane.events.push(Event::Data {
-                                slot: slot as u32,
-                                dst: dst as u32,
-                                flow: pkt.flow,
-                                bytes: pkt.bytes,
-                            });
-                        }
-                    }
-                }
-            });
-        }
-        self.replay_slot_major(
-            &lanes,
-            pre_slots,
-            |slot| t0 + (slot as Nanos + 1) * pre_slot_len + prop,
-            tracker,
-        );
-        // Replays above used `&mut self`; fold counters and restore lanes.
-        for lane in &lanes {
-            self.stats.piggyback_packets += lane.pb_packets;
-            self.stats.piggyback_bytes += lane.pb_bytes;
-        }
-        self.par.lanes = lanes;
-        end
-    }
-
-    /// Replay lane events slot-major: all lanes' slot-`k` events (lanes
-    /// in shard order, each lane's events in emission order) before any
-    /// slot-`k+1` event. Per-lane streams are slot-sorted by
-    /// construction, so one cursor per lane suffices.
+impl Sink<'_> {
     // lint: hot-path
-    fn replay_slot_major(
-        &mut self,
-        lanes: &[Lane],
-        slots: usize,
-        arrive_at: impl Fn(usize) -> Nanos,
-        tracker: &mut FlowTracker,
-    ) {
-        let mut ptrs = std::mem::take(&mut self.par.ptrs);
-        ptrs.clear();
-        ptrs.resize(lanes.len(), 0);
-        for slot in 0..slots {
-            let arrive = arrive_at(slot);
-            for (lane, ptr) in lanes.iter().zip(ptrs.iter_mut()) {
-                while let Some(ev) = lane.events.get(*ptr) {
-                    if ev.slot() != slot as u32 {
-                        break;
-                    }
-                    *ptr += 1;
-                    self.apply_event(*ev, arrive, tracker);
-                }
-            }
+    #[inline(always)]
+    pub(super) fn emit(&mut self, ev: Event) {
+        match self {
+            Sink::Apply {
+                land,
+                tracker,
+                clock,
+            } => land.apply(ev, clock.arrive(ev.slot()), tracker),
+            // lint: allow(H001) lane vecs keep their capacity across epochs
+            Sink::Record(events) => events.push(ev),
         }
-        debug_assert!(
-            lanes
-                .iter()
-                .zip(&ptrs)
-                .all(|(lane, &p)| p == lane.events.len()),
-            "every event must replay exactly once"
-        );
-        self.par.ptrs = ptrs;
     }
+}
 
-    /// Apply one cross-ToR event exactly as the sequential loop would
-    /// have: inbox pushes for scheduling messages, the full delivery
-    /// bookkeeping for data.
+impl Landing {
+    /// Perform one cross-ToR effect: an inbox push for a scheduling
+    /// message, the full delivery bookkeeping for data arriving at
+    /// `arrive`.
     // lint: hot-path
-    fn apply_event(&mut self, ev: Event, arrive: Nanos, tracker: &mut FlowTracker) {
+    #[inline(always)]
+    fn apply(&mut self, ev: Event, arrive: Nanos, tracker: &mut FlowTracker) {
         match ev {
             Event::Req {
                 dst,
@@ -892,38 +260,780 @@ impl NegotiatorSim {
                     debit,
                 ));
             }
+            Event::RelayReq {
+                via,
+                src,
+                final_dst,
+                ..
+            } => {
+                // lint: allow(H001) inbox vecs recycle capacity across epochs (swap-recycled)
+                self.inbox_relay_req[via as usize].push(RelayRequest {
+                    src: src as usize,
+                    via: via as usize,
+                    final_dst: final_dst as usize,
+                });
+            }
+            Event::RelayGrant {
+                dst,
+                via,
+                port,
+                final_dst,
+                vol,
+                ..
+            } => {
+                // lint: allow(H001) inbox vecs recycle capacity across epochs (swap-recycled)
+                self.inbox_relay_grant[dst as usize].push((
+                    via as usize,
+                    port as usize,
+                    final_dst as usize,
+                    vol,
+                ));
+            }
             Event::Data {
                 dst, flow, bytes, ..
             } => {
-                self.deliver_data(dst as usize, flow, bytes, arrive, tracker);
+                let dst = dst as usize;
+                if let Some(b) = self.rx_buffer.get_mut(dst) {
+                    *b += bytes;
+                }
+                tracker.deliver(flow, bytes, arrive);
+                if let Some(series) = self.rx_series.get_mut(dst) {
+                    series.record(arrive, bytes);
+                }
+                if let Some(total) = self.total_rx.as_mut() {
+                    total.record(arrive, bytes);
+                }
+            }
+        }
+    }
+}
+
+impl Outbox {
+    /// Move this epoch's outgoing scheduling messages across the
+    /// predefined connection `src → dst` in timeslot `slot`: an
+    /// O(messages) indexed delivery — the request slot plus this pair's
+    /// grant/relay buckets, no scanning. `flags` is the pair's
+    /// `msg_flags` byte; the caller clears its `REQ_FLAG` afterwards (a
+    /// request is delivered once; buckets are cleared at epoch start).
+    #[inline]
+    pub(super) fn emit(&self, flags: u8, src: usize, dst: usize, slot: u32, sink: &mut Sink<'_>) {
+        let idx = src * self.n + dst;
+        let (from, to) = (src as u32, dst as u32);
+        if flags & REQ_FLAG != 0 {
+            sink.emit(Event::Req {
+                slot,
+                dst: to,
+                src: from,
+                value: self.req[idx],
+                port: port_to_u32(self.req_port[idx]),
+            });
+        }
+        // Grants computed by `src` for requester `dst` ride this connection.
+        if flags & GRANT_FLAG != 0 {
+            for &(port, debit) in &self.grants[idx] {
+                sink.emit(Event::Grant {
+                    slot,
+                    dst: to,
+                    granter: from,
+                    port,
+                    debit,
+                });
+            }
+        }
+        if flags & RELAY_REQ_FLAG != 0 {
+            for r in &self.relay_reqs[idx] {
+                sink.emit(Event::RelayReq {
+                    slot,
+                    via: to,
+                    src: from,
+                    final_dst: r.final_dst as u32,
+                });
+            }
+        }
+        if flags & RELAY_GRANT_FLAG != 0 {
+            for &(port, final_dst, vol) in &self.relay_grants[idx] {
+                sink.emit(Event::RelayGrant {
+                    slot,
+                    dst: to,
+                    via: from,
+                    port,
+                    final_dst,
+                    vol,
+                });
             }
         }
     }
 
-    /// Parallel quiet scheduled phase: `active_list` is split at source-
-    /// run boundaries into per-shard chunks (the list is slot-ordered, so
-    /// chunks cover disjoint, ascending source ranges); each shard drains
-    /// its own queues and emits `Data` events tagged with the scheduled
-    /// slot `k`, replayed in lane order = list order = sequential order.
-    pub(super) fn scheduled_batched_parallel(
+    /// Control messages queued on the pair `idx` whose flags byte is
+    /// `flags`: sizes [`SchedStats::control_dropped`] when a gray failure
+    /// eats the connection's control traffic.
+    pub(super) fn queued(&self, flags: u8, idx: usize) -> u64 {
+        let mut count = 0;
+        if flags & REQ_FLAG != 0 {
+            count += 1;
+        }
+        if flags & GRANT_FLAG != 0 {
+            count += self.grants[idx].len() as u64;
+        }
+        if flags & RELAY_REQ_FLAG != 0 {
+            count += self.relay_reqs[idx].len() as u64;
+        }
+        if flags & RELAY_GRANT_FLAG != 0 {
+            count += self.relay_grants[idx].len() as u64;
+        }
+        count
+    }
+}
+
+// Shard-side borrow bundles. One struct per phase keeps the closure a
+// single argument and documents exactly which rows a shard may touch.
+
+struct AcceptCtx<'a> {
+    shard: Shard,
+    inbox_grants: &'a mut [Vec<(Grant, u64)>],
+    accept_arbs: &'a mut [AcceptArbiter],
+    active: &'a mut [Option<usize>],
+    lane: &'a mut Lane,
+}
+
+struct GrantCtx<'a> {
+    shard: Shard,
+    inbox_requests: &'a mut [Vec<ReqIn>],
+    grant_arbs: &'a mut [GrantArbiter],
+    matrices: &'a mut [DemandMatrix],
+    scratch: &'a mut SimScratch,
+    out: GrantOut<'a>,
+}
+
+/// The granter rows a GRANT shard writes its decisions to.
+struct GrantOut<'a> {
+    shard: Shard,
+    n: usize,
+    s: usize,
+    buckets: &'a mut [Vec<(u32, u64)>],
+    msg_flags: &'a mut [u8],
+    /// `granter * s + port` marks for the relay grant step's leftover-port
+    /// check; `None` unless selective relay is on.
+    port_granted: Option<&'a mut [bool]>,
+    dirty: &'a mut Vec<u32>,
+}
+
+impl GrantOut<'_> {
+    /// Bucket one grant from `granter` to `requester` for delivery over
+    /// their predefined connection.
+    #[inline]
+    fn push(&mut self, granter: usize, requester: usize, port: usize, debit: u64) {
+        let row = granter - self.shard.start;
+        let local = row * self.n + requester;
+        if self.buckets[local].is_empty() {
+            self.dirty.push((granter * self.n + requester) as u32);
+            self.msg_flags[local] |= GRANT_FLAG;
+        }
+        self.buckets[local].push((port as u32, debit));
+        if let Some(port_granted) = self.port_granted.as_deref_mut() {
+            port_granted[row * self.s + port] = true;
+        }
+    }
+}
+
+struct RequestCtx<'a> {
+    shard: Shard,
+    req: &'a mut [f64],
+    req_port: &'a mut [usize],
+    msg_flags: &'a mut [u8],
+    reported_total: &'a mut [u64],
+    lane: &'a mut Lane,
+}
+
+struct PredefCtx<'a> {
+    rows: SrcRows<'a>,
+    msg_flags: &'a mut [u8],
+    stats: &'a mut SchedStats,
+    sink: Sink<'a>,
+}
+
+struct SchedCtx<'a> {
+    rows: SrcRows<'a>,
+    entries: &'a [ActiveTx],
+    packets: &'a mut Vec<Packet>,
+    stats: &'a mut SchedStats,
+    sink: Sink<'a>,
+}
+
+/// One sink per lane: apply-now for a single lane, record otherwise.
+fn sinks<'a>(
+    lanes: &'a mut [Lane],
+    land: &'a mut Landing,
+    tracker: &'a mut FlowTracker,
+    clock: SlotClock,
+) -> Vec<(&'a mut SimScratch, &'a mut SchedStats, Sink<'a>)> {
+    match lanes {
+        [lane] => vec![(
+            &mut lane.scratch,
+            &mut lane.stats,
+            Sink::Apply {
+                land,
+                tracker,
+                clock,
+            },
+        )],
+        lanes => lanes
+            .iter_mut()
+            .map(|lane| {
+                (
+                    &mut lane.scratch,
+                    &mut lane.stats,
+                    Sink::Record(&mut lane.events),
+                )
+            })
+            .collect(),
+    }
+}
+
+impl NegotiatorSim {
+    /// ACCEPT (sharded by source ToR): consume the grants delivered last
+    /// epoch, fix this epoch's matching, and (stateful) revert the debits
+    /// of rejected grants. Arbitration and the `active` match table are
+    /// source-owned; the matrix reverts — the one cross-ToR write — are
+    /// buffered per lane and replayed in shard order, which is exactly
+    /// src-ascending order.
+    pub(super) fn step_accept(&mut self) {
+        self.active.fill(None);
+        let shards = shard::partition(self.n, self.par_workers());
+        let lanes = self.par.lanes(shards.len());
+        let (s, mode) = (self.s, self.opts.mode);
+        let detector = &self.detector;
+        {
+            let inboxes = shard::split_rows(&mut self.land.inbox_grants, 1, &shards);
+            let arbs = shard::split_rows(&mut self.accept_arbs, 1, &shards);
+            let actives = shard::split_rows(&mut self.active, s, &shards);
+            let mut ctxs = Vec::with_capacity(shards.len());
+            for ((((&shard, inbox_grants), accept_arbs), active), lane) in shards
+                .iter()
+                .zip(inboxes)
+                .zip(arbs)
+                .zip(actives)
+                .zip(lanes.iter_mut())
+            {
+                ctxs.push(AcceptCtx {
+                    shard,
+                    inbox_grants,
+                    accept_arbs,
+                    active,
+                    lane,
+                });
+            }
+            shard::map_shards(ctxs, |_, ctx| {
+                let AcceptCtx {
+                    shard,
+                    inbox_grants,
+                    accept_arbs,
+                    active,
+                    lane,
+                } = ctx;
+                let SimScratch {
+                    grants_in,
+                    grants,
+                    accepts,
+                    ..
+                } = &mut lane.scratch;
+                for src in shard.start..shard.end {
+                    let row = src - shard.start;
+                    grants_in.clear();
+                    std::mem::swap(grants_in, &mut inbox_grants[row]);
+                    lane.stats.grants_issued += grants_in.len() as u64;
+                    grants.clear();
+                    grants.extend(grants_in.iter().map(|&(g, _)| g));
+                    if matches!(mode, SchedulerMode::Projector) {
+                        // Port pre-binding means at most one grant per
+                        // port: accept everything usable.
+                        accepts.clear();
+                        accepts.extend(
+                            grants
+                                .iter()
+                                .filter(|g| detector.usable(src, g.dst, g.port))
+                                .map(|g| Accept {
+                                    dst: g.dst,
+                                    port: g.port,
+                                }),
+                        );
+                    } else {
+                        accept_arbs[row].accept_into(
+                            s,
+                            grants,
+                            |dst, port| detector.usable(src, dst, port),
+                            accepts,
+                        );
+                    }
+                    lane.stats.accepts_made += accepts.len() as u64;
+                    for a in accepts.iter() {
+                        active[row * s + a.port] = Some(a.dst);
+                    }
+                    // Stateful: revert matrix debits for grants not accepted.
+                    if matches!(mode, SchedulerMode::Stateful) {
+                        for (g, debit) in grants_in.iter() {
+                            let kept = accepts.iter().any(|a| a.dst == g.dst && a.port == g.port);
+                            if !kept && *debit > 0 {
+                                lane.reverts.push((g.dst as u32, src as u32, *debit));
+                            }
+                        }
+                    }
+                }
+            });
+        }
+        let mut epoch = SchedStats::default();
+        for lane in lanes.iter() {
+            epoch += lane.stats;
+            for &(granter, src, debit) in &lane.reverts {
+                self.matrices[granter as usize].revert(src as usize, debit);
+            }
+        }
+        self.match_rec
+            .record_epoch(epoch.grants_issued, epoch.accepts_made);
+        self.stats += epoch;
+        if self.opts.selective_relay {
+            self.relay_accept_step();
+        }
+    }
+
+    /// GRANT (sharded by granter ToR): consume the requests delivered
+    /// last epoch and allocate ports. Request inboxes, grant arbiters,
+    /// demand matrices and outgoing grant buckets are all granter-row
+    /// state; the dirty-index merge concatenates lanes in shard order,
+    /// i.e. granter-ascending.
+    pub(super) fn step_grant(&mut self, epoch: u64) {
+        self.clear_grant_buckets();
+        let shards = shard::partition(self.n, self.par_workers());
+        let lanes = self.par.lanes(shards.len());
+        let (n, s, mode) = (self.n, self.s, self.opts.mode);
+        let stateful = matches!(mode, SchedulerMode::Stateful);
+        let epoch_capacity = self.epoch_capacity;
+        let host_buffer = self.opts.host_buffer_bytes;
+        let detector = &self.detector;
+        let topo = &self.topo;
+        let faults = &self.frame.faults;
+        let rx_buffer = &self.land.rx_buffer[..];
+        {
+            let inboxes = shard::split_rows(&mut self.land.inbox_requests, 1, &shards);
+            let arbs = shard::split_rows(&mut self.grant_arbs, 1, &shards);
+            let buckets = shard::split_rows(&mut self.out.grants, n, &shards);
+            let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
+            let mut marks = self
+                .opts
+                .selective_relay
+                .then(|| shard::split_rows(&mut self.port_granted, s, &shards).into_iter());
+            // `matrices` is empty outside stateful mode: hand out empty
+            // windows instead of row ranges then.
+            let mut mat_rest: &mut [DemandMatrix] = &mut self.matrices;
+            let mut ctxs = Vec::with_capacity(shards.len());
+            for (((((&shard, inbox_requests), grant_arbs), buckets), msg_flags), lane) in shards
+                .iter()
+                .zip(inboxes)
+                .zip(arbs)
+                .zip(buckets)
+                .zip(flags)
+                .zip(lanes.iter_mut())
+            {
+                let take = if stateful { shard.len() } else { 0 };
+                let (matrices, rest) = mat_rest.split_at_mut(take);
+                mat_rest = rest;
+                ctxs.push(GrantCtx {
+                    shard,
+                    inbox_requests,
+                    grant_arbs,
+                    matrices,
+                    scratch: &mut lane.scratch,
+                    out: GrantOut {
+                        shard,
+                        n,
+                        s,
+                        buckets,
+                        msg_flags,
+                        port_granted: marks.as_mut().and_then(Iterator::next),
+                        dirty: &mut lane.dirty,
+                    },
+                });
+            }
+            shard::map_shards(ctxs, |_, ctx| {
+                let GrantCtx {
+                    shard,
+                    inbox_requests,
+                    grant_arbs,
+                    matrices,
+                    scratch,
+                    mut out,
+                } = ctx;
+                let SimScratch {
+                    reqs,
+                    srcs,
+                    grant_pairs,
+                    vals,
+                    usable_vals,
+                    preqs,
+                    ..
+                } = scratch;
+                #[allow(clippy::needless_range_loop)] // dst drives several arrays
+                for dst in shard.start..shard.end {
+                    let row = dst - shard.start;
+                    reqs.clear();
+                    std::mem::swap(reqs, &mut inbox_requests[row]);
+                    if faults.greedy(dst) {
+                        // Byzantine-lite misbehavior: the requests just
+                        // swapped in are discarded, backpressure and debits
+                        // are ignored, and every ingress port is granted
+                        // round-robin.
+                        for port in 0..s {
+                            if let Some(src) = greedy::greedy_source(topo, n, epoch, dst, port) {
+                                out.push(dst, src, port, 0);
+                            }
+                        }
+                        continue;
+                    }
+                    // §3.6.5 backpressure: a destination whose receive
+                    // buffer is more than half full grants nothing this
+                    // epoch.
+                    if let Some(cap) = host_buffer {
+                        if rx_buffer[dst] > cap / 2 {
+                            continue;
+                        }
+                    }
+                    if stateful {
+                        for r in reqs.iter() {
+                            matrices[row].report(r.src, r.value as u64);
+                        }
+                    }
+                    if reqs.is_empty() && !stateful {
+                        continue;
+                    }
+                    match mode {
+                        SchedulerMode::Base | SchedulerMode::Iterative { .. } => {
+                            srcs.clear();
+                            srcs.extend(reqs.iter().map(|r| r.src));
+                            grant_arbs[row].grant_into(
+                                s,
+                                srcs,
+                                |src, port| detector.usable(src, dst, port),
+                                grant_pairs,
+                            );
+                            for &(src, port) in grant_pairs.iter() {
+                                out.push(dst, src, port, 0);
+                            }
+                        }
+                        SchedulerMode::Stateful => {
+                            // Candidates: sources whose matrix entry shows
+                            // pending data (requests above already
+                            // refreshed the matrix).
+                            let matrix = &matrices[row];
+                            srcs.clear();
+                            srcs.extend((0..n).filter(|&src| matrix.has_pending(src)));
+                            if srcs.is_empty() {
+                                continue;
+                            }
+                            grant_arbs[row].grant_into(
+                                s,
+                                srcs,
+                                |src, port| detector.usable(src, dst, port),
+                                grant_pairs,
+                            );
+                            for &(src, port) in grant_pairs.iter() {
+                                let debit = matrices[row].debit(src, epoch_capacity);
+                                out.push(dst, src, port, debit);
+                            }
+                        }
+                        SchedulerMode::DataSize | SchedulerMode::HolDelay { .. } => {
+                            // Highest-value requester first. A served
+                            // pair's value drops so ports spread across
+                            // pairs: DataSize debits one epoch of service
+                            // and stops granting at zero remaining backlog;
+                            // HolDelay demotes the served pair below every
+                            // still-waiting one but keeps it eligible for
+                            // leftover ports (a deep-backlog pair may use
+                            // several ports, as the base algorithm allows).
+                            let datasize = matches!(mode, SchedulerMode::DataSize);
+                            vals.clear();
+                            vals.extend(reqs.iter().map(|r| (r.src, r.value)));
+                            for port in 0..s {
+                                usable_vals.clear();
+                                usable_vals.extend(
+                                    vals.iter()
+                                        .copied()
+                                        .filter(|&(src, v)| {
+                                            (!datasize || v > 0.0)
+                                                && detector.usable(src, dst, port)
+                                        })
+                                        .filter(|&(src, _)| topo.port_reaches(src, port, dst)),
+                                );
+                                if let Some(src) = informative::pick_max_value(usable_vals) {
+                                    let v = vals.iter_mut().find(|(x, _)| *x == src).unwrap();
+                                    v.1 = if datasize {
+                                        (v.1 - epoch_capacity as f64).max(0.0)
+                                    } else {
+                                        -1.0 - v.1.abs() // strictly below fresh requests
+                                    };
+                                    out.push(dst, src, port, 0);
+                                }
+                            }
+                        }
+                        SchedulerMode::Projector => {
+                            preqs.clear();
+                            preqs.extend(
+                                reqs.iter()
+                                    .filter(|r| r.port != usize::MAX)
+                                    .filter(|r| detector.usable(r.src, dst, r.port))
+                                    .map(|r| projector::PortRequest {
+                                        src: r.src,
+                                        port: r.port,
+                                        waiting: r.value,
+                                    }),
+                            );
+                            for (src, port) in projector::grant_by_waiting(s, preqs) {
+                                out.push(dst, src, port, 0);
+                            }
+                        }
+                    }
+                }
+            });
+        }
+        for lane in lanes.iter() {
+            self.grant_dirty.extend_from_slice(&lane.dirty);
+        }
+        if self.opts.selective_relay {
+            self.relay_grant_step();
+        }
+    }
+
+    /// REQUEST (sharded by source ToR): read the queues, emit this
+    /// epoch's requests. The threshold scan reads the dense `queue_bytes`
+    /// mirror, touching the queue structs themselves only for
+    /// above-threshold pairs; per-lane dirty indices concatenate to
+    /// source-ascending order.
+    pub(super) fn step_request(&mut self, now: Nanos) {
+        self.clear_requests();
+        let shards = shard::partition(self.n, self.par_workers());
+        let lanes = self.par.lanes(shards.len());
+        let (n, mode) = (self.n, self.opts.mode);
+        let threshold = self.cfg.request_threshold_bytes();
+        let topo = &self.topo;
+        let queues = &self.q.queues[..];
+        let queue_bytes = &self.q.queue_bytes[..];
+        let enqueued_total = &self.q.enqueued_total[..];
+        {
+            let outs = shard::split_rows(&mut self.out.req, n, &shards);
+            let ports = shard::split_rows(&mut self.out.req_port, n, &shards);
+            let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
+            let reported = shard::split_rows(&mut self.reported_total, n, &shards);
+            let mut ctxs = Vec::with_capacity(shards.len());
+            for (((((&shard, req), req_port), msg_flags), reported_total), lane) in shards
+                .iter()
+                .zip(outs)
+                .zip(ports)
+                .zip(flags)
+                .zip(reported)
+                .zip(lanes.iter_mut())
+            {
+                ctxs.push(RequestCtx {
+                    shard,
+                    req,
+                    req_port,
+                    msg_flags,
+                    reported_total,
+                    lane,
+                });
+            }
+            shard::map_shards(ctxs, |_, ctx| {
+                let RequestCtx {
+                    shard,
+                    req,
+                    req_port,
+                    msg_flags,
+                    reported_total,
+                    lane,
+                } = ctx;
+                for src in shard.start..shard.end {
+                    let base = (src - shard.start) * n;
+                    if matches!(mode, SchedulerMode::Projector) {
+                        let qs = &queues[src * n..(src + 1) * n];
+                        for (dst, preq) in projector::bind_requests(topo, src, qs, now) {
+                            req[base + dst] = preq.waiting;
+                            req_port[base + dst] = preq.port;
+                            msg_flags[base + dst] |= REQ_FLAG;
+                            lane.dirty.push((src * n + dst) as u32);
+                        }
+                        continue;
+                    }
+                    for dst in 0..n {
+                        if dst == src {
+                            continue;
+                        }
+                        let idx = src * n + dst;
+                        if queue_bytes[idx] <= threshold {
+                            continue;
+                        }
+                        let value = match mode {
+                            SchedulerMode::DataSize => queue_bytes[idx] as f64,
+                            SchedulerMode::HolDelay { alpha } => {
+                                informative::hol_delay_value(&queues[idx], now, alpha)
+                            }
+                            SchedulerMode::Stateful => {
+                                let new = enqueued_total[idx] - reported_total[base + dst];
+                                reported_total[base + dst] = enqueued_total[idx];
+                                new as f64
+                            }
+                            _ => 0.0,
+                        };
+                        req[base + dst] = value;
+                        msg_flags[base + dst] |= REQ_FLAG;
+                        lane.dirty.push(idx as u32);
+                        lane.stats.requests_sent += 1;
+                    }
+                }
+            });
+        }
+        for lane in lanes.iter() {
+            self.req_dirty.extend_from_slice(&lane.dirty);
+            self.stats += lane.stats;
+        }
+    }
+
+    /// The healthy-fabric predefined phase (sharded by source ToR): every
+    /// connection is up and usable, so a shard injects its own sources'
+    /// flows at slot boundaries, moves its connections' scheduling
+    /// messages, piggybacks one packet per connected pair — and hands
+    /// every cross-ToR effect to its sink, slot-tagged. The replay is
+    /// slot-major, lanes in shard order within a slot: exactly the
+    /// `(slot, src, port)` order of a single pass.
+    #[allow(clippy::too_many_arguments)] // the epoch's coordinates
+    pub(super) fn predefined_healthy(
         &mut self,
-        sched_start: Nanos,
+        flows: &[Flow],
+        cursor: usize,
+        cache: &PredefinedCache,
+        rot: u64,
+        t0: Nanos,
+        clock: SlotClock,
         tracker: &mut FlowTracker,
-    ) {
-        debug_assert!(!self.opts.selective_relay, "relay runs are sequential");
-        let list = std::mem::take(&mut self.active_list);
+    ) -> usize {
+        let (n, pre_slots, pre_slot_len) = (self.n, self.pre_slots, self.pre_slot_len);
+        let (piggyback, pb_payload) = (self.cfg.piggyback, self.pb_payload);
+        // Flows that arrive during this phase, shared read-only: each
+        // shard walks the slice once and enqueues only its own sources.
+        let last_start = t0 + (pre_slots as Nanos - 1) * pre_slot_len;
+        let end = cursor + flows[cursor..].partition_point(|f| f.arrival <= last_start);
+        let phase_flows = &flows[cursor..end];
+        let shards = shard::partition(n, self.par_workers());
+        self.par.lanes(shards.len());
+        let ParState { lanes, ptrs, .. } = &mut self.par;
+        let lanes = &mut lanes[..shards.len()];
+        let out = &self.out;
+        {
+            let rows = self.q.split(&shards);
+            let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
+            let sinks = sinks(lanes, &mut self.land, tracker, clock);
+            let mut ctxs = Vec::with_capacity(shards.len());
+            for ((rows, msg_flags), (_, stats, sink)) in rows.into_iter().zip(flags).zip(sinks) {
+                ctxs.push(PredefCtx {
+                    rows,
+                    msg_flags,
+                    stats,
+                    sink,
+                });
+            }
+            shard::map_shards(ctxs, |_, ctx| {
+                let PredefCtx {
+                    mut rows,
+                    msg_flags,
+                    stats,
+                    mut sink,
+                } = ctx;
+                let shard = rows.shard;
+                let mut next = 0usize;
+                for slot in 0..pre_slots {
+                    next = rows.inject(phase_flows, next, t0 + slot as Nanos * pre_slot_len);
+                    let conns =
+                        cache.slot_conns_for_srcs(rot, slot, shard.start as u32, shard.end as u32);
+                    for conn in conns {
+                        let (src, dst) = (conn.src as usize, conn.dst as usize);
+                        let row = rows.row(src, dst);
+                        let (flags, backlog) = (msg_flags[row], rows.queue_bytes[row]);
+                        // Most connections of a lightly loaded fabric are
+                        // idle. Testing both loads with one branch lets the
+                        // cache misses of consecutive idle connections
+                        // overlap; this loop is memory-bound at 1024 ToRs.
+                        if flags as u64 | backlog == 0 {
+                            continue;
+                        }
+                        if flags != 0 {
+                            out.emit(flags, src, dst, slot as u32, &mut sink);
+                            msg_flags[row] &= !REQ_FLAG; // delivered once
+                        }
+                        if piggyback && backlog > 0 {
+                            let pkt = rows
+                                .dequeue_packet(src, dst, pb_payload)
+                                .expect("non-zero mirror implies a packet");
+                            stats.piggyback_packets += 1;
+                            stats.piggyback_bytes += pkt.bytes;
+                            sink.emit(Event::Data {
+                                slot: slot as u32,
+                                dst: dst as u32,
+                                flow: pkt.flow,
+                                bytes: pkt.bytes,
+                            });
+                        }
+                    }
+                }
+            });
+        }
+        // Replay slot-major: all lanes' slot-`k` events (lanes in shard
+        // order, each lane's events in emission order) before any
+        // slot-`k+1` event. Per-lane streams are slot-sorted by
+        // construction, so one cursor per lane suffices. A single lane
+        // applied its effects as it went and recorded none.
+        ptrs.clear();
+        ptrs.resize(lanes.len(), 0);
+        // lint: hot-path
+        for slot in 0..pre_slots as u32 {
+            let arrive = clock.arrive(slot);
+            for (lane, ptr) in lanes.iter().zip(ptrs.iter_mut()) {
+                while let Some(ev) = lane.events.get(*ptr) {
+                    if ev.slot() != slot {
+                        break;
+                    }
+                    *ptr += 1;
+                    self.land.apply(*ev, arrive, tracker);
+                }
+            }
+        }
+        debug_assert!(
+            lanes
+                .iter()
+                .zip(ptrs.iter())
+                .all(|(lane, &p)| p == lane.events.len()),
+            "every event must replay exactly once"
+        );
+        for lane in lanes.iter() {
+            self.stats += lane.stats;
+        }
+        end
+    }
+
+    /// The quiet scheduled phase (no arrival mid-phase, no relay): each
+    /// matched port pulls its whole phase's packets in one batch dequeue.
+    /// `active_list` is split at source-run boundaries into per-shard
+    /// chunks (the list is slot-ordered, so chunks cover disjoint,
+    /// ascending source ranges); each shard drains its own queues and
+    /// emits `Data` events tagged with the scheduled slot `k`, replayed
+    /// in lane order = list order.
+    pub(super) fn scheduled_quiet(&mut self, clock: SlotClock, tracker: &mut FlowTracker) {
+        let list = &self.active_list[..];
         if list.is_empty() {
-            self.active_list = list;
             return;
         }
         let (n, s) = (self.n, self.s);
-        let prop = self.cfg.net.propagation_delay;
-        let slot_len = self.cfg.epoch.scheduled_slot;
         let k_slots = self.cfg.epoch.scheduled_slots;
         let sched_payload = self.sched_payload;
         let workers = self.par_workers();
         // Chunk starts, aligned so no source's run spans two chunks.
-        let mut cuts = std::mem::take(&mut self.par.cuts);
+        let cuts = &mut self.par.cuts;
         cuts.clear();
         cuts.push(0);
         for c in 1..workers {
@@ -954,41 +1064,37 @@ impl NegotiatorSim {
             };
             shards.push(Shard { start, end });
         }
-        let mut lanes = take_lanes(&mut self.par, shards.len());
-        let failures = &self.failures;
+        self.par.lanes(shards.len());
+        let ParState { lanes, cuts, .. } = &mut self.par;
+        let lanes = &mut lanes[..shards.len()];
+        let failures = &self.frame.failures;
         {
-            let queues = shard::split_rows(&mut self.queues, n, &shards);
-            let qbytes = shard::split_rows(&mut self.queue_bytes, n, &shards);
-            let bufs = shard::split_rows(&mut self.relay_buffers, 1, &shards);
+            let rows = self.q.split(&shards);
+            let sinks = sinks(lanes, &mut self.land, tracker, clock);
             let mut ctxs = Vec::with_capacity(shards.len());
-            for (ci, ((((&shard, queues), queue_bytes), relay_buffers), lane)) in shards
-                .iter()
-                .zip(queues)
-                .zip(qbytes)
-                .zip(bufs)
-                .zip(lanes.iter_mut())
-                .enumerate()
+            for ((rows, w), (scratch, stats, sink)) in
+                rows.into_iter().zip(cuts.windows(2)).zip(sinks)
             {
                 ctxs.push(SchedCtx {
-                    shard,
-                    entries: &list[cuts[ci]..cuts[ci + 1]],
-                    queues,
-                    queue_bytes,
-                    relay_buffers,
-                    lane,
+                    rows,
+                    entries: &list[w[0]..w[1]],
+                    packets: &mut scratch.packets,
+                    stats,
+                    sink,
                 });
             }
             shard::map_shards(ctxs, |_, ctx| {
                 let SchedCtx {
-                    shard,
+                    mut rows,
                     entries,
-                    queues,
-                    queue_bytes,
-                    relay_buffers,
-                    lane,
+                    packets,
+                    stats,
+                    mut sink,
                 } = ctx;
                 let mut i = 0;
                 while i < entries.len() {
+                    // One source's run of entries (same src ⇒ contiguous,
+                    // ≤ s long).
                     let src = entries[i].slot as usize / s;
                     let mut run_end = i + 1;
                     while run_end < entries.len() && entries[run_end].slot as usize / s == src {
@@ -999,67 +1105,43 @@ impl NegotiatorSim {
                         .iter()
                         .enumerate()
                         .any(|(a, e)| run[..a].iter().any(|f| f.dst == e.dst));
-                    let local = src - shard.start;
                     if shared_queue {
-                        // Rare: one queue feeds several ports; replay slot
-                        // order exactly like the sequential path.
+                        // Rare: one queue feeds several ports, and their
+                        // interleaving determines which packet each port
+                        // carries; replay slot order.
                         for k in 0..k_slots {
                             for e in run {
-                                let port = e.slot as usize % s;
-                                let dst = e.dst as usize;
-                                let row = local * n + dst;
-                                if let Some(pkt) = queues[row].dequeue_packet(sched_payload) {
-                                    queue_bytes[row] -= pkt.bytes;
-                                    if pkt.relayed {
-                                        relay_buffers[local].release(pkt.bytes);
-                                    }
-                                    if failures.link_up(src, dst, port) {
-                                        lane.sched_packets += 1;
-                                        lane.sched_bytes += pkt.bytes;
-                                        lane.events.push(Event::Data {
-                                            slot: k as u32,
-                                            dst: e.dst,
-                                            flow: pkt.flow,
-                                            bytes: pkt.bytes,
-                                        });
-                                    } else {
-                                        lane.lost += 1;
-                                    }
-                                } else {
-                                    lane.oversched += 1;
-                                }
+                                let (port, dst) = (e.slot as usize % s, e.dst as usize);
+                                rows.serve_direct_slot(
+                                    failures,
+                                    src,
+                                    port,
+                                    dst,
+                                    k,
+                                    sched_payload,
+                                    stats,
+                                    &mut sink,
+                                );
                             }
                         }
                     } else {
                         for e in run {
                             let (port, dst) = (e.slot as usize % s, e.dst as usize);
-                            let row = local * n + dst;
-                            lane.scratch.packets.clear();
-                            queues[row].dequeue_packets_into(
-                                sched_payload,
-                                k_slots,
-                                &mut lane.scratch.packets,
-                            );
-                            let drained: u64 = lane.scratch.packets.iter().map(|p| p.bytes).sum();
-                            queue_bytes[row] -= drained;
-                            lane.oversched += (k_slots - lane.scratch.packets.len()) as u64;
-                            let up = failures.link_up(src, dst, port);
-                            for (k, pkt) in lane.scratch.packets.iter().enumerate() {
-                                if pkt.relayed {
-                                    relay_buffers[local].release(pkt.bytes);
-                                }
-                                if up {
-                                    lane.sched_packets += 1;
-                                    lane.sched_bytes += pkt.bytes;
-                                    lane.events.push(Event::Data {
-                                        slot: k as u32,
-                                        dst: e.dst,
-                                        flow: pkt.flow,
-                                        bytes: pkt.bytes,
-                                    });
-                                } else {
-                                    lane.lost += 1;
-                                }
+                            rows.dequeue_packets_into(src, dst, sched_payload, k_slots, packets);
+                            stats.overscheduled_slots += (k_slots - packets.len()) as u64;
+                            if !failures.link_up(src, dst, port) {
+                                stats.lost_packets += packets.len() as u64;
+                                continue;
+                            }
+                            for (k, pkt) in packets.iter().enumerate() {
+                                stats.scheduled_packets += 1;
+                                stats.scheduled_bytes += pkt.bytes;
+                                sink.emit(Event::Data {
+                                    slot: k as u32,
+                                    dst: e.dst,
+                                    flow: pkt.flow,
+                                    bytes: pkt.bytes,
+                                });
                             }
                         }
                     }
@@ -1067,28 +1149,13 @@ impl NegotiatorSim {
                 }
             });
         }
-        // Replay deliveries in lane order = active-list order; arrival
-        // time derives from the event's scheduled-slot tag.
-        for lane in &lanes {
+        // Replay deliveries in lane order = active-list order (a single
+        // lane recorded none).
+        for lane in lanes.iter() {
             for ev in &lane.events {
-                if let Event::Data {
-                    slot,
-                    dst,
-                    flow,
-                    bytes,
-                } = *ev
-                {
-                    let arrive = sched_start + (slot as Nanos + 1) * slot_len + prop;
-                    self.deliver_data(dst as usize, flow, bytes, arrive, tracker);
-                }
+                self.land.apply(*ev, clock.arrive(ev.slot()), tracker);
             }
-            self.stats.scheduled_packets += lane.sched_packets;
-            self.stats.scheduled_bytes += lane.sched_bytes;
-            self.stats.lost_packets += lane.lost;
-            self.stats.overscheduled_slots += lane.oversched;
+            self.stats += lane.stats;
         }
-        self.par.lanes = lanes;
-        self.par.cuts = cuts;
-        self.active_list = list;
     }
 }

@@ -39,6 +39,24 @@ pub struct SchedStats {
     pub control_dropped: u64,
 }
 
+impl std::ops::AddAssign for SchedStats {
+    /// Counter-wise sum: how the per-shard tallies of a phase fold into
+    /// the run's.
+    fn add_assign(&mut self, o: SchedStats) {
+        self.requests_sent += o.requests_sent;
+        self.grants_issued += o.grants_issued;
+        self.accepts_made += o.accepts_made;
+        self.piggyback_packets += o.piggyback_packets;
+        self.piggyback_bytes += o.piggyback_bytes;
+        self.scheduled_packets += o.scheduled_packets;
+        self.scheduled_bytes += o.scheduled_bytes;
+        self.overscheduled_slots += o.overscheduled_slots;
+        self.unmatched_slots += o.unmatched_slots;
+        self.lost_packets += o.lost_packets;
+        self.control_dropped += o.control_dropped;
+    }
+}
+
 impl SchedStats {
     /// Fraction of scheduled port-slots that carried a packet.
     pub fn scheduled_utilization(&self) -> f64 {

@@ -29,18 +29,13 @@
 //! which is what caps heavy-load goodput near the worst case.
 
 use crate::config::ObliviousConfig;
-use metrics::{
-    trace::{FlightRecorder, FlowSpans},
-    FlowTracker, PhaseCounters, PhaseProbe, RunReport,
-};
+use metrics::{EpochEngine, FlowTracker, PhaseCounters, RunFrame, RunReport};
 use sim::time::Nanos;
 use sim::{BandwidthSeries, Xoshiro256};
 use std::collections::VecDeque;
-use topology::{
-    AnyTopology, FailureAction, FailureSchedule, FaultAction, FaultModel, LinkFailures,
-    PredefinedCache, Topology, TopologyKind,
-};
-use workload::FlowTrace;
+use std::ops::{Deref, DerefMut};
+use topology::{AnyTopology, PredefinedCache, Topology, TopologyKind};
+use workload::{Flow, FlowTrace};
 
 /// A data unit bound to a VLB intermediate, waiting at the source.
 #[derive(Debug, Clone, Copy)]
@@ -96,38 +91,31 @@ pub struct ObliviousSim {
     /// Reused landing buffer, swapped against the in-flight ring slots.
     landing: Vec<Inflight>,
 
-    /// Ground-truth link state. The rotor has no failure detection: a
-    /// down link simply wastes its slots (data stays queued at the
-    /// sender), which is the §2 degradation scenario timelines exercise.
-    failures: LinkFailures,
-    fail_sched: FailureSchedule,
-    // Adversarial fault families. Gray failures and greedy ToRs are
-    // negotiation-plane faults, so on this engine only the link-state
-    // families (flap, partition) have any effect.
-    faults: FaultModel,
+    /// The run state and loop shared with the negotiator engine. The
+    /// rotor has no failure detection — a down link simply wastes its
+    /// slots (data stays queued at the sender), the §2 degradation
+    /// scenario timelines exercise — and no control plane, so of the fault
+    /// families only the link-state ones (flap, partition) have any
+    /// effect, and its trace carries `phase`, `fault` and flow-span events
+    /// only.
+    frame: RunFrame,
 
     rx_final: Vec<BandwidthSeries>,
     rx_transit: Vec<BandwidthSeries>,
-    phase_probe: Option<PhaseProbe>,
-    /// Flight recorder (`None` = tracing off). The rotor has no control
-    /// plane, so its trace carries `phase` and `fault` events only.
-    recorder: Option<Box<FlightRecorder>>,
-    tracker: Option<FlowTracker>,
-    ran_duration: Nanos,
     rng: Xoshiro256,
-    /// Intra-run workers for the associative backlog scans (probes).
-    ///
-    /// Unlike the negotiator engine, `serve_slot` itself cannot shard:
-    /// relay admission is a sequential credit protocol — connection `i`
-    /// of a slot reads `relay_claim` entries written by connections
-    /// `< i`, and `pick_via` consumes one RNG stream in visit order —
-    /// so the rotor's per-slot loop is order-*semantic*, not merely
-    /// order-preserving. Worker counts therefore only fan out the
-    /// read-only probe sums, which are exact at any shard split
-    /// (integer addition is associative), keeping reports byte-identical
-    /// at any value.
-    workers: usize,
-    ran: bool,
+}
+
+impl Deref for ObliviousSim {
+    type Target = RunFrame;
+    fn deref(&self) -> &RunFrame {
+        &self.frame
+    }
+}
+
+impl DerefMut for ObliviousSim {
+    fn deref_mut(&mut self) -> &mut RunFrame {
+        &mut self.frame
+    }
 }
 
 impl ObliviousSim {
@@ -161,9 +149,7 @@ impl ObliviousSim {
             inflight: vec![Vec::new(); depth],
             cache: PredefinedCache::build(&topo),
             landing: Vec::new(),
-            failures: LinkFailures::new(n, cfg.net.n_ports),
-            fail_sched: FailureSchedule::new(),
-            faults: FaultModel::new(),
+            frame: RunFrame::new(&cfg.net),
             rx_final: match rec.rx_window {
                 Some(w) => (0..n).map(|_| BandwidthSeries::new(w)).collect(),
                 None => Vec::new(),
@@ -172,21 +158,9 @@ impl ObliviousSim {
                 Some(w) => (0..n).map(|_| BandwidthSeries::new(w)).collect(),
                 None => Vec::new(),
             },
-            phase_probe: None,
-            recorder: None,
-            tracker: None,
-            ran_duration: 0,
             rng: Xoshiro256::new(cfg.seed),
-            workers: 1,
-            ran: false,
             cfg,
         }
-    }
-
-    /// Set the intra-run worker count (`--workers`). Byte-identical at
-    /// any value: see the field doc for why only the probe scans shard.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
     }
 
     /// Slot length in ns.
@@ -199,94 +173,6 @@ impl ObliviousSim {
         self.round as Nanos * self.slot_len
     }
 
-    /// Per-flow tracker of the completed run.
-    pub fn tracker(&self) -> &FlowTracker {
-        self.tracker.as_ref().expect("call run() first")
-    }
-
-    /// Schedule a link-state change at absolute time `at`. The rotor has
-    /// no detection or recovery: while a link is down its slots transmit
-    /// nothing and the affected traffic waits at the sender.
-    pub fn schedule_failure(&mut self, at: Nanos, action: FailureAction) {
-        self.fail_sched.schedule(at, action);
-    }
-
-    /// Schedule an adversarial fault action at absolute time `at`. Flaps
-    /// and partitions take links down exactly as clean failures do; gray
-    /// failures and greedy ToRs are no-ops here — the rotor has no
-    /// control plane to degrade.
-    pub fn schedule_fault(&mut self, at: Nanos, action: FaultAction) {
-        self.faults.schedule(at, action);
-    }
-
-    /// Attach a phase-boundary probe; its snapshots are readable via
-    /// [`Self::phase_probe`] after the run.
-    pub fn set_phase_probe(&mut self, probe: PhaseProbe) {
-        self.phase_probe = Some(probe);
-    }
-
-    /// The phase probe, once attached (complete after [`Self::run`]).
-    pub fn phase_probe(&self) -> Option<&PhaseProbe> {
-        self.phase_probe.as_ref()
-    }
-
-    /// Attach a flight recorder. The rotor never negotiates, so the
-    /// trace carries `phase` boundary snapshots and `fault` activations
-    /// only — but those are exactly the events the sharded probe scans
-    /// feed, so the trace still exercises the cross-worker merge and is
-    /// byte-identical at any `--workers` count.
-    pub fn set_recorder(&mut self, recorder: FlightRecorder) {
-        self.recorder = Some(Box::new(recorder));
-    }
-
-    /// The attached flight recorder, if any (complete after [`Self::run`]).
-    pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder.as_deref()
-    }
-
-    /// Detach and return the flight recorder.
-    pub fn take_recorder(&mut self) -> Option<FlightRecorder> {
-        self.recorder.take().map(|b| *b)
-    }
-
-    /// Cumulative counters for phase-boundary snapshots. Backlog covers
-    /// bound segments at sources and relay FIFOs at intermediates; grants
-    /// and accepts stay zero — the rotor never negotiates.
-    fn phase_counters(&self, tracker: &FlowTracker) -> PhaseCounters {
-        // Shard the O(n²) backlog scans across the intra-run workers:
-        // u64 sums over disjoint row ranges recombine exactly, so any
-        // worker count produces the same totals.
-        let shards = sim::shard::partition(self.n, self.workers);
-        let (bound_q, relay_q) = (&self.bound, &self.relay);
-        let n = self.n;
-        let partials = sim::shard::map_shards(shards, |_, shard| {
-            let bound: u64 = bound_q[shard.start * n..shard.end * n]
-                .iter()
-                .flat_map(|levels| levels.iter())
-                .flat_map(|q| q.iter())
-                .map(|seg| seg.bytes as u64)
-                .sum();
-            let relay: u64 = relay_q[shard.start * n..shard.end * n]
-                .iter()
-                .flat_map(|q| q.iter())
-                .map(|&(_, bytes)| bytes as u64)
-                .sum();
-            (bound, relay)
-        });
-        let bound: u64 = partials.iter().map(|&(b, _)| b).sum();
-        let relay: u64 = partials.iter().map(|&(_, r)| r).sum();
-        PhaseCounters {
-            delivered_bytes: tracker.delivered_payload(),
-            backlog_bytes: bound + relay,
-            grants: 0,
-            accepts: 0,
-            control_dropped: 0,
-            detector_fp_links: 0,
-            detector_fn_links: 0,
-            partitioned_tors: self.failures.partitioned_tors() as u64,
-        }
-    }
-
     /// Final-delivery bandwidth series of `dst` (requires recording).
     pub fn rx_final(&self, dst: usize) -> Option<&BandwidthSeries> {
         self.rx_final.get(dst)
@@ -295,18 +181,6 @@ impl ObliviousSim {
     /// Transit-arrival bandwidth series of `dst` (requires recording).
     pub fn rx_transit(&self, dst: usize) -> Option<&BandwidthSeries> {
         self.rx_transit.get(dst)
-    }
-
-    /// Report restricted to tagged flows (mixed-workload experiments).
-    pub fn report_subset(&self, trace: &FlowTrace, tags: &[bool]) -> RunReport {
-        RunReport::build(
-            trace,
-            self.tracker(),
-            self.ran_duration,
-            self.n,
-            self.cfg.net.host_bandwidth.bps(),
-            Some(tags),
-        )
     }
 
     /// Pick a uniform random intermediate other than `src` (the final
@@ -379,146 +253,7 @@ impl ObliviousSim {
 
     /// Play `trace` for `duration` ns and report.
     pub fn run(&mut self, trace: &FlowTrace, duration: Nanos) -> RunReport {
-        assert!(
-            !self.ran,
-            "ObliviousSim::run is single-shot; build a new sim"
-        );
-        self.ran = true;
-        self.ran_duration = duration;
-        let mut tracker = FlowTracker::new(trace);
-        let flows = trace.flows();
-        let mut cursor = 0usize;
-        // Span tracking sized for the whole trace up front; the rotor has
-        // no control plane, so its spans are birth → first_tx → complete.
-        let mut spans = self
-            .recorder
-            .is_some()
-            .then(|| FlowSpans::new(self.n, flows.len()));
-        let depth = self.inflight.len();
-        let prop = self.cfg.net.propagation_delay;
-        let per_pair_cap = self.cfg.relay_pair_packets as u64 * self.payload;
-
-        let mut t: u64 = 0;
-        // lint: hot-path
-        loop {
-            let now = t * self.slot_len;
-            if now >= duration {
-                break;
-            }
-            if self.phase_probe.as_ref().is_some_and(|p| p.due(now)) {
-                let counters = self.phase_counters(&tracker);
-                let before = self.phase_probe.as_ref().map_or(0, |p| p.snapshots().len());
-                self.phase_probe
-                    .as_mut()
-                    .expect("probe checked above")
-                    .record(now, counters);
-                if let Some(rec) = self.recorder.as_deref_mut() {
-                    let after = self.phase_probe.as_ref().map_or(0, |p| p.snapshots().len());
-                    for phase in before..after {
-                        rec.phase_boundary(now, t, phase as u64, &counters);
-                    }
-                }
-            }
-            let fault_mark = match self.recorder.is_some() {
-                true => (self.fail_sched.applied(), self.faults.applied()),
-                false => (0, 0),
-            };
-            self.fail_sched.apply_due(now, &mut self.failures);
-            self.faults.epoch_update(now, &mut self.failures);
-            if let Some(rec) = self.recorder.as_deref_mut() {
-                let links = (self.fail_sched.applied() - fault_mark.0) as u64;
-                let injected = (self.faults.applied() - fault_mark.1) as u64;
-                let total = (self.fail_sched.applied() + self.faults.applied()) as u64;
-                rec.fault_applied(now, t, injected, links, total);
-            }
-            // Inject flows due by this slot.
-            while cursor < flows.len() && flows[cursor].arrival <= now {
-                let f = flows[cursor];
-                self.enqueue_flow(f.id, f.src, f.dst, f.bytes);
-                cursor += 1;
-            }
-            // Land first-hop chunks whose flight ends at this slot (the
-            // landing buffer is swapped, not reallocated, each slot).
-            let mut landing = std::mem::take(&mut self.landing);
-            landing.clear();
-            std::mem::swap(&mut landing, &mut self.inflight[(t as usize) % depth]);
-            for c in &landing {
-                let (to, d) = (c.to as usize, c.final_dst as usize);
-                self.relay[to * self.n + d].push_back((c.flow, c.bytes));
-                if let Some(series) = self.rx_transit.get_mut(to) {
-                    series.record(now, c.bytes as u64);
-                }
-            }
-            landing.clear();
-            self.landing = landing;
-
-            let arrive = now + self.slot_len + prop;
-            let arrive_slot =
-                (t as usize + (self.slot_len + prop).div_ceil(self.slot_len) as usize) % depth;
-            let slot = (t % self.round as u64) as usize;
-            let cache = std::mem::take(&mut self.cache);
-            let any_failed = !self.failures.healthy();
-            for conn in cache.slot_conns(0, slot) {
-                let (src, via) = (conn.src as usize, conn.dst as usize);
-                // A down fiber silently wastes the slot; the rotor has no
-                // feedback channel to learn about it.
-                if any_failed && !self.failures.link_up(src, via, conn.port as usize) {
-                    continue;
-                }
-                self.serve_slot(src, via, arrive, arrive_slot, per_pair_cap, &mut tracker);
-            }
-            self.cache = cache;
-            // End-of-slot span emission: the slot loop is fully sequential
-            // (workers only shard the probe's backlog scans), so this is
-            // the merge point and span bytes are worker-invariant.
-            if let Some(spans) = spans.as_mut() {
-                let mut rec = self.recorder.take().expect("spans exist only when tracing");
-                for f in &flows[spans.next_born()..cursor] {
-                    spans.born(
-                        &mut rec,
-                        now,
-                        t,
-                        f.id as u32,
-                        f.src as u32,
-                        f.dst as u32,
-                        f.bytes,
-                        f.arrival,
-                    );
-                }
-                spans.sweep(&mut rec, now, t, |id| {
-                    (tracker.remaining(id as u64), tracker.completion(id as u64))
-                });
-                self.recorder = Some(rec);
-            }
-            t += 1;
-            if cursor >= flows.len()
-                && tracker.completed_count() == flows.len()
-                && self.fail_sched.is_drained()
-                && self.faults.is_drained()
-            {
-                break;
-            }
-        }
-        if let Some(mut probe) = self.phase_probe.take() {
-            let counters = self.phase_counters(&tracker);
-            let before = probe.snapshots().len();
-            probe.finish(counters);
-            if let Some(rec) = self.recorder.as_deref_mut() {
-                for (phase, snap) in probe.snapshots().iter().enumerate().skip(before) {
-                    rec.phase_boundary(snap.at, t, phase as u64, &counters);
-                }
-            }
-            self.phase_probe = Some(probe);
-        }
-        self.tracker = Some(tracker);
-        RunReport::build(
-            trace,
-            self.tracker(),
-            duration,
-            self.n,
-            self.cfg.net.host_bandwidth.bps(),
-            None,
-        )
+        metrics::frame::run(self, trace, duration)
     }
 
     /// Transmit at most one packet on the rotor connection `src → via`.
@@ -622,6 +357,88 @@ impl ObliviousSim {
         if let Some(series) = self.rx_final.get_mut(dst) {
             series.record(at, bytes);
         }
+    }
+}
+
+impl EpochEngine for ObliviousSim {
+    /// One rotor timeslot.
+    fn tick_len(&self) -> Nanos {
+        self.slot_len
+    }
+
+    /// Backlog covers bound segments at sources and relay FIFOs at
+    /// intermediates; grants and accepts stay zero — the rotor never
+    /// negotiates.
+    fn phase_counters(&self) -> PhaseCounters {
+        let bound: u64 = self
+            .bound
+            .iter()
+            .flat_map(|levels| levels.iter())
+            .flat_map(|q| q.iter())
+            .map(|seg| seg.bytes as u64)
+            .sum();
+        let relay: u64 = self
+            .relay
+            .iter()
+            .flat_map(|q| q.iter())
+            .map(|&(_, bytes)| bytes as u64)
+            .sum();
+        PhaseCounters {
+            backlog_bytes: bound + relay,
+            ..PhaseCounters::default()
+        }
+    }
+
+    // lint: hot-path
+    fn tick(
+        &mut self,
+        t: u64,
+        now: Nanos,
+        flows: &[Flow],
+        mut cursor: usize,
+        tracker: &mut FlowTracker,
+    ) -> usize {
+        let depth = self.inflight.len();
+        let prop = self.cfg.net.propagation_delay;
+        let per_pair_cap = self.cfg.relay_pair_packets as u64 * self.payload;
+        // Inject flows due by this slot.
+        while cursor < flows.len() && flows[cursor].arrival <= now {
+            let f = flows[cursor];
+            self.enqueue_flow(f.id, f.src, f.dst, f.bytes);
+            cursor += 1;
+        }
+        // Land first-hop chunks whose flight ends at this slot (the
+        // landing buffer is swapped, not reallocated, each slot).
+        let mut landing = std::mem::take(&mut self.landing);
+        landing.clear();
+        std::mem::swap(&mut landing, &mut self.inflight[(t as usize) % depth]);
+        for c in &landing {
+            let (to, d) = (c.to as usize, c.final_dst as usize);
+            self.relay[to * self.n + d].push_back((c.flow, c.bytes));
+            if let Some(series) = self.rx_transit.get_mut(to) {
+                series.record(now, c.bytes as u64);
+            }
+        }
+        landing.clear();
+        self.landing = landing;
+
+        let arrive = now + self.slot_len + prop;
+        let arrive_slot =
+            (t as usize + (self.slot_len + prop).div_ceil(self.slot_len) as usize) % depth;
+        let slot = (t % self.round as u64) as usize;
+        let cache = std::mem::take(&mut self.cache);
+        let any_failed = !self.frame.failures.healthy();
+        for conn in cache.slot_conns(0, slot) {
+            let (src, via) = (conn.src as usize, conn.dst as usize);
+            // A down fiber silently wastes the slot; the rotor has no
+            // feedback channel to learn about it.
+            if any_failed && !self.frame.failures.link_up(src, via, conn.port as usize) {
+                continue;
+            }
+            self.serve_slot(src, via, arrive, arrive_slot, per_pair_cap, tracker);
+        }
+        self.cache = cache;
+        cursor
     }
 }
 

@@ -187,7 +187,6 @@ fn run_engine(
             let mut cfg = ObliviousConfig::paper_default(spec.net.clone());
             cfg.seed = engine_seed;
             let mut sim = ObliviousSim::new(cfg, spec.topology);
-            sim.set_workers(workers);
             for (at, action) in &compiled.failures {
                 sim.schedule_failure(*at, action.clone());
             }

@@ -82,6 +82,22 @@ fn submit_is_byte_identical_then_cache_hits() {
         phase_events, 4,
         "two engines x two phases streamed live progress"
     );
+    // The job went through every profiled stage, compile and render
+    // included: `/metrics` must not export them as zeros.
+    let (status, exposition) = client::request_json(&addr, "GET", "/metrics", b"").unwrap();
+    assert_eq!(status, 200);
+    for stage in ["compile", "execute", "render"] {
+        for family in ["paper_stage_calls_total", "paper_stage_seconds_total"] {
+            let prefix = format!("{family}{{stage=\"{stage}\"}} ");
+            let value: f64 = exposition
+                .lines()
+                .find_map(|l| l.strip_prefix(prefix.as_str()))
+                .unwrap_or_else(|| panic!("{prefix}missing:\n{exposition}"))
+                .parse()
+                .expect("a number");
+            assert!(value > 0.0, "{prefix}{value} after one simulated job");
+        }
+    }
 
     // Resubmission: served from the cache, same bytes, no progress
     // events (nothing simulates).

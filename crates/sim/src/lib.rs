@@ -10,10 +10,8 @@
 //! * [`rng`] — a self-contained, portable xoshiro256++ PRNG
 //!   ([`rng::Xoshiro256`]) so that a seed produces bit-identical experiment
 //!   results on every platform.
-//! * [`events`] — a deterministic discrete-event queue
-//!   ([`events::EventQueue`]) with FIFO tie-breaking for simultaneous events.
-//! * [`stats`] — percentiles, means, CDFs and histograms used by the
-//!   metrics crate and the experiment harness.
+//! * [`stats`] — exact percentiles and CDFs used by the metrics crate and
+//!   the experiment harness.
 //! * [`series`] — windowed time-series sampling (receiver-bandwidth plots).
 //! * [`pool`] — a minimal ordered worker pool so the experiment harness can
 //!   fan independent runs across cores.
@@ -22,15 +20,14 @@
 //!
 //! Design notes: the simulators built on top of this crate are
 //! *slot-synchronous* (both architectures in the paper transmit in fixed,
-//! globally synchronized timeslots), so the event queue is used for
-//! irregular events (flow arrivals, link failures) while the per-slot fabric
-//! work advances with plain arithmetic on [`Nanos`]. Parallelism exists on
+//! globally synchronized timeslots), so time advances with plain arithmetic
+//! on [`Nanos`] and irregular events (flow arrivals, link failures) are
+//! sorted once and consumed by cursor. Parallelism exists on
 //! two axes, both with the same guarantee — worker counts can never change
 //! output bytes: [`pool`] executes many independent runs at once and
 //! reassembles their outputs in order, and [`shard`] lets one run fan its
 //! per-ToR phase work across workers with an order-preserving merge.
 
-pub mod events;
 pub mod pool;
 pub mod rng;
 pub mod series;
@@ -38,8 +35,7 @@ pub mod shard;
 pub mod stats;
 pub mod time;
 
-pub use events::EventQueue;
 pub use rng::Xoshiro256;
 pub use series::BandwidthSeries;
-pub use stats::{Cdf, Histogram, Summary};
+pub use stats::Cdf;
 pub use time::{Bandwidth, Nanos, GBPS};

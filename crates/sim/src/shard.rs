@@ -1,21 +1,24 @@
 //! Deterministic intra-run sharding: contiguous row partitions plus a
-//! scoped fork/join helper for the epoch engines' per-ToR phase work.
+//! scoped fork/join helper for the negotiator engine's per-ToR phase
+//! bodies.
 //!
 //! [`pool`](crate::pool) parallelizes *across* independent runs; this
-//! module parallelizes *within* one run. The contract that keeps a
-//! sharded run byte-identical at any worker count is structural, not
-//! statistical:
+//! module shards *within* one run. Each phase has a single body written
+//! over a window of rows; the shard count only decides how many windows
+//! there are. The contract that keeps a run byte-identical at any count
+//! is structural, not statistical:
 //!
 //! * [`partition`] splits `n` rows (ToRs) into at most `workers`
 //!   contiguous shards. Shard boundaries depend on the worker count,
 //!   but no output may ever depend on *where* the boundaries fall —
 //!   only on the row order, which is the same at any count.
-//! * [`map_shards`] runs one closure per shard on scoped threads and
-//!   returns the results **in shard order** (panics are propagated,
-//!   lowest shard first, like `pool::run_ordered`). Callers merge
-//!   per-shard outputs by concatenation or ordered replay, which makes
-//!   the merged stream identical to what a single sequential pass over
-//!   rows `0..n` would have produced.
+//! * [`map_shards`] runs one closure per shard and returns the results
+//!   **in shard order**. One shard — the default — runs inline on the
+//!   caller's thread, with no thread, no join and nothing to merge;
+//!   several run on scoped threads (panics are propagated, lowest shard
+//!   first, like `pool::run_ordered`). Callers merge per-shard outputs
+//!   by concatenation or ordered replay, which makes the merged stream
+//!   identical to what the single shard produces.
 //! * [`split_rows`] hands each shard a disjoint `&mut` view of a
 //!   row-major state array, so the type system rules out cross-shard
 //!   writes instead of a convention doing so.
@@ -95,9 +98,8 @@ pub fn split_rows<'a, T>(
 /// Run `f` once per shard context on scoped worker threads and return
 /// the results in context order. `f` receives `(shard_index, context)`.
 ///
-/// With one context (or one worker producing one shard) everything runs
-/// inline on the caller's thread — the sequential and parallel paths
-/// share this entry point, so "1 worker" is not a special case at call
+/// With one context everything runs inline on the caller's thread — "1
+/// worker" is this same entry point, not a separate code path at call
 /// sites. A panicking shard is re-raised on the caller, lowest shard
 /// index first, after every sibling finished (no detached threads).
 pub fn map_shards<C, T, F>(ctxs: Vec<C>, f: F) -> Vec<T>

@@ -1,74 +1,5 @@
-//! Statistics used by the metrics crate and the experiment harness:
-//! running summaries, exact percentiles, CDFs and fixed-width histograms.
-
-/// Running summary of a sample stream: count, mean, min, max.
-///
-/// Values are `f64`; the FCT recorder feeds it nanoseconds, the goodput
-/// recorder normalized fractions.
-#[derive(Debug, Clone, Default)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean; 0 for an empty summary.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Minimum observation; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum observation; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Merge another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! Statistics used by the metrics crate and the experiment harness: exact
+//! percentiles and CDFs.
 
 /// Exact empirical distribution: stores every sample, answers percentile
 /// and CDF queries. Fine for this workload scale (a few million flows).
@@ -185,87 +116,9 @@ impl Cdf {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with saturating edge buckets.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    buckets: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Histogram of `n` equal buckets spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(hi > lo && n > 0, "invalid histogram bounds");
-        Histogram {
-            lo,
-            width: (hi - lo) / n as f64,
-            buckets: vec![0; n],
-            total: 0,
-        }
-    }
-
-    /// Record one observation (clamped into the edge buckets).
-    pub fn record(&mut self, value: f64) {
-        let idx = ((value - self.lo) / self.width).floor();
-        let idx = (idx.max(0.0) as usize).min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Lower edge of bucket `i`.
-    pub fn edge(&self, i: usize) -> f64 {
-        self.lo + self.width * i as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_tracks_moments() {
-        let mut s = Summary::new();
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            s.record(v);
-        }
-        assert_eq!(s.count(), 4);
-        assert_eq!(s.mean(), 2.5);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(4.0));
-        assert_eq!(s.sum(), 10.0);
-    }
-
-    #[test]
-    fn empty_summary_is_sane() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn summary_merge() {
-        let mut a = Summary::new();
-        a.record(1.0);
-        let mut b = Summary::new();
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), 2.0);
-        assert_eq!(a.max(), Some(3.0));
-    }
 
     #[test]
     fn percentile_nearest_rank() {
@@ -319,18 +172,5 @@ mod tests {
             assert!(w[0].1 <= w[1].1);
         }
         assert_eq!(pts.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_clamping() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(0.5);
-        h.record(9.99);
-        h.record(-5.0); // clamps to bucket 0
-        h.record(50.0); // clamps to last bucket
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.buckets()[0], 2);
-        assert_eq!(h.buckets()[9], 2);
-        assert_eq!(h.edge(1), 1.0);
     }
 }

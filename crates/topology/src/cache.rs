@@ -92,12 +92,12 @@ impl PredefinedCache {
 
     /// The sub-slice of [`Self::slot_conns`] whose sources fall in
     /// `[src_start, src_end)` — the shard-local view of one slot used by
-    /// the intra-run parallel epoch engine (`sim::shard`). Because the
+    /// the negotiator's predefined phase (`sim::shard`). Because the
     /// slot list is in ascending `(src, port)` order, the view is a
     /// contiguous range found by binary search, and concatenating the
     /// views of a contiguous shard partition in shard order reproduces
-    /// the full slot list exactly — which is what keeps the sharded
-    /// predefined phase byte-identical to the sequential one.
+    /// the full slot list exactly — which is what keeps the predefined
+    /// phase byte-identical at any shard count.
     #[inline]
     pub fn slot_conns_for_srcs(
         &self,
@@ -107,8 +107,18 @@ impl PredefinedCache {
         src_end: u32,
     ) -> &[PredefinedConn] {
         let conns = self.slot_conns(rot, slot);
-        let lo = conns.partition_point(|c| c.src < src_start);
-        let hi = conns.partition_point(|c| c.src < src_end);
+        // The table is far larger than any cache, so each probe of a
+        // search is a memory access: look at the two ends first — a view
+        // that starts or ends with the list (every view of a one-shard
+        // run) needs no search on that side.
+        let lo = match conns.first() {
+            Some(c) if c.src < src_start => conns.partition_point(|c| c.src < src_start),
+            _ => 0,
+        };
+        let hi = match conns.last() {
+            Some(c) if c.src >= src_end => conns.partition_point(|c| c.src < src_end),
+            _ => conns.len(),
+        };
         &conns[lo..hi]
     }
 

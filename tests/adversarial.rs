@@ -5,7 +5,8 @@
 //! fault decision is position-keyed or applied from the sequential
 //! driver loop (see `topology::inject`).
 
-use metrics::PhaseProbe;
+use metrics::{PhaseProbe, RunReport};
+use negotiator::stats::SchedStats;
 use negotiator::{FaultAction, NegotiatorConfig, NegotiatorSim, SimOptions};
 use oblivious::{ObliviousConfig, ObliviousSim};
 use topology::failures::LinkDir;
@@ -34,10 +35,17 @@ fn sim(workers: usize) -> NegotiatorSim {
     NegotiatorSim::with_options(cfg, TopologyKind::Parallel, opts)
 }
 
+/// Run to the end and return everything the byte-identity promise
+/// covers: the report and the scheduler counters.
+fn finish(mut s: NegotiatorSim, t: &FlowTrace) -> (RunReport, SchedStats) {
+    let report = s.run(t, DURATION);
+    (report, *s.stats())
+}
+
 /// Satellite property: gray-failure drop decisions are identical across
-/// `--workers 1/8`. The gray window forces the sequential predefined
-/// path, but the epoch-start steps stay sharded, so the whole report —
-/// including the control-drop counter — must match byte for byte.
+/// `--workers 1/8`. The gray window forces the whole-fabric observed
+/// predefined phase, but the epoch-start steps stay sharded, so the whole
+/// report — including the control-drop counter — must match byte for byte.
 #[test]
 fn gray_runs_are_identical_at_any_worker_count() {
     let t = trace(61);
@@ -53,8 +61,7 @@ fn gray_runs_are_identical_at_any_worker_count() {
             },
         );
         s.schedule_fault(40 * epoch, FaultAction::GrayStop);
-        let report = s.run(&t, DURATION);
-        (report, *s.stats())
+        finish(s, &t)
     };
     let (report_1, stats_1) = run(1);
     assert!(
@@ -114,15 +121,19 @@ fn greedy_tor_dents_goodput_and_stays_deterministic() {
             let epoch = s.epoch_len();
             s.schedule_fault(5 * epoch, FaultAction::GreedyStart { tors: vec![2, 9] });
         }
-        s.run(&t, DURATION)
+        finish(s, &t)
     };
     let clean = run(1, false);
     let hit = run(1, true);
     assert!(
-        hit.goodput.delivered_bytes < clean.goodput.delivered_bytes,
+        hit.0.goodput.delivered_bytes < clean.0.goodput.delivered_bytes,
         "greedy granting must cost goodput: {} !< {}",
-        hit.goodput.delivered_bytes,
-        clean.goodput.delivered_bytes
+        hit.0.goodput.delivered_bytes,
+        clean.0.goodput.delivered_bytes
+    );
+    assert!(
+        hit.1.grants_issued > clean.1.grants_issued,
+        "a greedy granter floods grants"
     );
     for workers in [2, 8] {
         assert_eq!(hit, run(workers, true), "{workers} workers diverged");
@@ -155,10 +166,13 @@ fn flap_and_partition_runs_are_identical_at_any_worker_count() {
         );
         s.schedule_fault(25 * epoch, FaultAction::Heal);
         s.schedule_fault(30 * epoch, FaultAction::FlapStop);
-        s.run(&t, DURATION)
+        finish(s, &t)
     };
     let sequential = run(1);
-    assert!(sequential.goodput.delivered_bytes > 0, "nothing delivered");
+    assert!(
+        sequential.0.goodput.delivered_bytes > 0,
+        "nothing delivered"
+    );
     for workers in [2, 8] {
         assert_eq!(sequential, run(workers), "{workers} workers diverged");
     }

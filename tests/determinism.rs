@@ -113,40 +113,58 @@ fn variant_reports_are_reproducible() {
     }
 }
 
-/// The tentpole guarantee of the intra-run parallel engine: any
-/// `--workers` count produces the very same `RunReport` as the
-/// sequential engine, on both topologies. Worker counts above the shard
-/// count (here 8 > 16 ToRs / 2) exercise the clamp too.
+/// The tentpole guarantee of the epoch kernel: every phase has one body,
+/// run at whatever shard count `--workers` asks for, and any count
+/// produces the very same `RunReport` and `SchedStats` as one shard — on
+/// both topologies, with selective relay (which pins the run to one
+/// shard, so the knob must be inert) and with §3.6.5 receiver
+/// backpressure (a GRANT input only the body sees). Worker counts above
+/// the shard count (here 8 > 16 ToRs / 2) exercise the clamp too.
 #[test]
 fn negotiator_report_is_identical_at_any_worker_count() {
     let t = trace(21);
-    for kind in [TopologyKind::Parallel, TopologyKind::ThinClos] {
+    let relay = SimOptions {
+        selective_relay: true,
+        ..SimOptions::default()
+    };
+    let backpressure = SimOptions {
+        host_buffer_bytes: Some(100_000),
+        ..SimOptions::default()
+    };
+    for (case, kind, base) in [
+        ("parallel", TopologyKind::Parallel, SimOptions::default()),
+        ("thin-clos", TopologyKind::ThinClos, SimOptions::default()),
+        ("selective relay", TopologyKind::ThinClos, relay),
+        ("host buffer", TopologyKind::Parallel, backpressure),
+    ] {
         let run = |workers: usize| {
             let cfg = NegotiatorConfig::paper_default(NetworkConfig::small_for_tests());
             let opts = SimOptions {
                 workers,
-                ..SimOptions::default()
+                ..base.clone()
             };
-            NegotiatorSim::with_options(cfg, kind, opts).run(&t, DURATION)
+            let mut sim = NegotiatorSim::with_options(cfg, kind, opts);
+            let report = sim.run(&t, DURATION);
+            (report, *sim.stats())
         };
-        let sequential = run(1);
+        let one_shard = run(1);
         assert!(
-            sequential.goodput.delivered_bytes > 0,
-            "{kind:?}: nothing delivered"
+            one_shard.0.goodput.delivered_bytes > 0,
+            "{case}: nothing delivered"
         );
         for workers in [2, 3, 8] {
             assert_eq!(
-                sequential,
+                one_shard,
                 run(workers),
-                "{kind:?}: {workers} workers diverged from sequential"
+                "{case}: {workers} workers diverged from one shard"
             );
         }
     }
 }
 
-/// Every scheduler variant shards the same way — the parallel phase
-/// bodies replicate each mode's grant/request logic, so each mode must
-/// hold the byte-identity promise on its own.
+/// Every scheduler variant shards the same way — the phase bodies carry
+/// each mode's grant/request logic, so each mode must hold the
+/// byte-identity promise on its own.
 #[test]
 fn variant_reports_are_identical_at_any_worker_count() {
     let t = trace(33);
@@ -172,7 +190,7 @@ fn variant_reports_are_identical_at_any_worker_count() {
 
 /// A run that crosses failure epochs mixes engine paths — epoch-start
 /// steps stay sharded while the predefined phase falls back to the
-/// sequential observation loop — and must still be worker-independent.
+/// whole-fabric observed loop — and must still be worker-independent.
 #[test]
 fn failure_runs_are_identical_at_any_worker_count() {
     use negotiator::FailureAction;
@@ -193,10 +211,12 @@ fn failure_runs_are_identical_at_any_worker_count() {
             },
         );
         sim.schedule_failure(30 * epoch, FailureAction::RepairAll);
-        sim.run(&t, DURATION)
+        let report = sim.run(&t, DURATION);
+        (report, *sim.stats())
     };
-    let sequential = run(1);
-    assert_eq!(sequential, run(8), "8 workers diverged across failures");
+    let one_shard = run(1);
+    assert!(one_shard.1.lost_packets > 0, "failures must cost packets");
+    assert_eq!(one_shard, run(8), "8 workers diverged across failures");
 }
 
 /// The oblivious baseline is reproducible as well.
