@@ -39,11 +39,15 @@
 //! borrow exactly its share: [`SrcQueues`] (the per-source data path, a
 //! shard owns its rows), [`Outbox`] (scheduling messages written at epoch
 //! start, read-only during the predefined phase) and [`Landing`] (where
-//! cross-ToR effects arrive). The hot path is allocation-free in steady
-//! state: ACCEPT builds a dense active-match list the scheduled phase
-//! iterates, the predefined pattern comes from a cached table
-//! ([`topology::PredefinedCache`]), scheduling messages deliver through
-//! per-pair indexed buckets, and every per-epoch buffer is reused.
+//! cross-ToR effects arrive). An epoch's work tracks its traffic, not the
+//! fabric's `n²` pairs: REQUEST walks a per-source bitmap of non-empty
+//! queues, the healthy predefined phase walks per-`(src, slot)` masks of
+//! the connections whose pair has backlog or messages (`sim/live.rs`,
+//! over the closed-form schedule inverse [`topology::PredefinedLanes`]),
+//! ACCEPT builds a dense active-match list the scheduled phase iterates,
+//! and scheduling messages are found through a flags byte per pair. The
+//! hot path is allocation-free in steady state: every per-epoch buffer is
+//! reused.
 //! `tests/golden_report.rs` holds the engine to committed golden reports.
 //!
 //! The engine also hosts the Appendix A.2 design variants via
@@ -75,13 +79,17 @@ use sim::time::Nanos;
 use sim::{BandwidthSeries, Xoshiro256};
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
-use topology::{AnyTopology, LinkFailures, PredefinedCache, Topology, TopologyKind};
+use topology::{
+    AnyTopology, LinkFailures, PredefinedCache, PredefinedLanes, Topology, TopologyKind,
+};
 use workload::{Flow, FlowTrace};
 
 pub use topology::failures::FailureAction;
 pub use topology::inject::FaultAction;
 
+mod live;
 mod parallel;
+use live::{LaneMasks, LaneTable};
 use parallel::{Event, Sink, SlotClock};
 
 /// Which scheduling logic runs on top of the common data path.
@@ -222,9 +230,18 @@ struct SrcQueues {
     queues: Vec<DestQueue>,   // src * n + dst
     enqueued_total: Vec<u64>, // src * n + dst, lifetime enqueued bytes
     /// Dense mirror of every queue's total bytes (src * n + dst), updated
-    /// on each enqueue/dequeue: the REQUEST scan and the piggyback probe
-    /// read this contiguous array instead of the queue structs.
+    /// on each enqueue/dequeue: REQUEST and the piggyback probe read this
+    /// contiguous array instead of the queue structs.
     queue_bytes: Vec<u64>,
+    /// Words per source in `nonempty`.
+    words: usize,
+    /// Non-empty bitmap: bit `dst % 64` of word `src * words + dst / 64`
+    /// is set exactly while `queue_bytes > 0`. What REQUEST and the
+    /// backlog counters walk instead of all `n²` mirrors (`sim/live.rs`).
+    nonempty: Vec<u64>,
+    /// Lane masks of the connections whose pair has backlog or outgoing
+    /// messages — what the healthy predefined phase walks.
+    lane_masks: LaneTable,
     /// Per-port direct-backlog sums (selective relay only, else empty):
     /// tor * s + port, maintained incrementally so the relay steps'
     /// busy-port checks are O(1) instead of O(n).
@@ -246,6 +263,9 @@ struct SrcRows<'a> {
     queues: &'a mut [DestQueue],
     enqueued_total: &'a mut [u64],
     queue_bytes: &'a mut [u64],
+    words: usize,
+    nonempty: &'a mut [u64],
+    lane_masks: LaneMasks<'a>,
     backlog_by_port: &'a mut [u64],
     pair_port_tbl: &'a [u8],
     relay_buffers: &'a mut [RelayBuffer],
@@ -265,10 +285,25 @@ impl SrcQueues {
             queues: &mut self.queues,
             enqueued_total: &mut self.enqueued_total,
             queue_bytes: &mut self.queue_bytes,
+            words: self.words,
+            nonempty: &mut self.nonempty,
+            lane_masks: self.lane_masks.all(),
             backlog_by_port: &mut self.backlog_by_port,
             pair_port_tbl: &self.pair_port_tbl,
             relay_buffers: &mut self.relay_buffers,
         }
+    }
+
+    /// Destinations `src` holds bytes for, ascending.
+    fn live_dsts(&self, src: usize) -> impl Iterator<Item = usize> + '_ {
+        live::ones(&self.nonempty[src * self.words..(src + 1) * self.words])
+    }
+
+    /// Bytes queued at `src`, all destinations together.
+    fn backlog_of(&self, src: usize) -> u64 {
+        self.live_dsts(src)
+            .map(|dst| self.queue_bytes[src * self.n + dst])
+            .sum()
     }
 
     /// One window per shard, in shard order. `shards` must tile `[0, n)`
@@ -298,6 +333,8 @@ impl<'a> SrcRows<'a> {
         let (queues, queues_rest) = self.queues.split_at_mut(rows * self.n);
         let (enqueued, enqueued_rest) = self.enqueued_total.split_at_mut(rows * self.n);
         let (bytes, bytes_rest) = self.queue_bytes.split_at_mut(rows * self.n);
+        let (nonempty, nonempty_rest) = self.nonempty.split_at_mut(rows * self.words);
+        let (lanes, lanes_rest) = self.lane_masks.split_at(rows);
         let (backlog, backlog_rest) = self.backlog_by_port.split_at_mut(port_rows);
         let (buffers, buffers_rest) = self.relay_buffers.split_at_mut(rows);
         let head = SrcRows {
@@ -308,6 +345,8 @@ impl<'a> SrcRows<'a> {
             queues,
             enqueued_total: enqueued,
             queue_bytes: bytes,
+            nonempty,
+            lane_masks: lanes,
             backlog_by_port: backlog,
             relay_buffers: buffers,
             ..self
@@ -320,6 +359,8 @@ impl<'a> SrcRows<'a> {
             queues: queues_rest,
             enqueued_total: enqueued_rest,
             queue_bytes: bytes_rest,
+            nonempty: nonempty_rest,
+            lane_masks: lanes_rest,
             backlog_by_port: backlog_rest,
             relay_buffers: buffers_rest,
             ..self
@@ -330,6 +371,15 @@ impl<'a> SrcRows<'a> {
     #[inline]
     fn row(&self, src: usize, dst: usize) -> usize {
         (src - self.shard.start) * self.n + dst
+    }
+
+    /// Word index and mask of the pair's bit in the non-empty bitmap.
+    #[inline]
+    fn nonempty_bit(&self, src: usize, dst: usize) -> (usize, u64) {
+        (
+            (src - self.shard.start) * self.words + dst / 64,
+            1 << (dst % 64),
+        )
     }
 
     /// Enqueue every flow of `flows[cursor..]` that has arrived by `now`
@@ -351,11 +401,17 @@ impl<'a> SrcRows<'a> {
         cursor
     }
 
-    /// Mirror an enqueue into the dense byte counts and (selective relay)
-    /// the per-port direct-backlog cache.
+    /// Mirror an enqueue into the dense byte counts, the live-pair state
+    /// (a queue turning non-empty) and (selective relay) the per-port
+    /// direct-backlog cache.
     #[inline]
     fn note_enqueue(&mut self, src: usize, dst: usize, bytes: u64) {
         let row = self.row(src, dst);
+        if self.queue_bytes[row] == 0 && bytes > 0 {
+            let (word, bit) = self.nonempty_bit(src, dst);
+            self.nonempty[word] |= bit;
+            self.lane_masks.mark(src, dst);
+        }
         self.queue_bytes[row] += bytes;
         if !self.backlog_by_port.is_empty() {
             let port = self.pair_port_tbl[src * self.n + dst] as usize;
@@ -369,6 +425,11 @@ impl<'a> SrcRows<'a> {
     fn note_dequeue(&mut self, src: usize, dst: usize, bytes: u64, relayed: u64) {
         let row = self.row(src, dst);
         self.queue_bytes[row] -= bytes;
+        if self.queue_bytes[row] == 0 {
+            // The lane masks clear lazily, at the pair's next healthy visit.
+            let (word, bit) = self.nonempty_bit(src, dst);
+            self.nonempty[word] &= !bit;
+        }
         if !self.backlog_by_port.is_empty() {
             let port = self.pair_port_tbl[src * self.n + dst] as usize;
             self.backlog_by_port[(src - self.shard.start) * self.s + port] -= bytes;
@@ -464,16 +525,18 @@ impl<'a> SrcRows<'a> {
 }
 
 /// Pipeline outboxes: the scheduling messages each ToR computed at epoch
-/// start, waiting for their predefined connection. Grants and relay
-/// messages are bucketed per (sender, receiver) pair so a connection
-/// delivers in O(messages) instead of scanning the sender's whole outbox.
-/// Presence is a bit in `NegotiatorSim::msg_flags`.
+/// start, waiting for their predefined connection. Presence is a bit in
+/// `NegotiatorSim::msg_flags`, so a connection looks only at what its pair
+/// has: the request value, the granter's short grant list (a ToR grants at
+/// most one source per ingress port), the pair's relay buckets. Nothing
+/// here costs `n²` to build: the request values are zero pages until
+/// written, and the per-pair tables exist only in the modes that use them.
 struct Outbox {
     n: usize,
     req: Vec<f64>,                           // src * n + dst (live iff REQ_FLAG set)
-    req_port: Vec<usize>,                    // projector port binding
-    grants: Vec<Vec<(u32, u64)>>,            // granter * n + requester: (port, debit)
-    relay_reqs: Vec<Vec<RelayRequest>>,      // src * n + via
+    req_port: Vec<usize>,                    // likewise; `Projector` only, else empty
+    grants: Vec<Vec<(u32, u32, u64)>>,       // per granter, push order: (requester, port, debit)
+    relay_reqs: Vec<Vec<RelayRequest>>,      // src * n + via (selective relay only)
     relay_grants: Vec<Vec<(u32, u32, u64)>>, // via * n + src: (port, final, vol)
 }
 
@@ -532,8 +595,10 @@ pub struct NegotiatorSim {
     /// phase — what the phase iterates instead of all `n · s` slots.
     active_list: Vec<ActiveTx>,
 
-    // Cached predefined schedule (built once per topology).
-    pre_cache: PredefinedCache,
+    /// The predefined schedule as per-slot connection lists, which only
+    /// the observed predefined phase walks: built by the first epoch that
+    /// has a failure, exclusion or gray drop to observe.
+    pre_cache: Option<PredefinedCache>,
 
     // Variant state.
     matrices: Vec<DemandMatrix>, // stateful (empty otherwise)
@@ -623,6 +688,8 @@ impl NegotiatorSim {
             Vec::new()
         };
         let relay_pairs = if selective_relay { n * n } else { 0 };
+        let projector = matches!(opts.mode, SchedulerMode::Projector);
+        let words = n.div_ceil(64);
         NegotiatorSim {
             frame: RunFrame::new(&cfg.net),
             n,
@@ -641,6 +708,9 @@ impl NegotiatorSim {
                 queues: (0..n * n).map(|_| DestQueue::new()).collect(),
                 enqueued_total: vec![0; n * n],
                 queue_bytes: vec![0; n * n],
+                words,
+                nonempty: vec![0; n * words],
+                lane_masks: LaneTable::new(PredefinedLanes::new(&topo), n),
                 backlog_by_port: vec![0; if selective_relay { n * s } else { 0 }],
                 pair_port_tbl,
                 relay_buffers: (0..n).map(|_| RelayBuffer::default()).collect(),
@@ -649,9 +719,9 @@ impl NegotiatorSim {
             accept_arbs,
             out: Outbox {
                 n,
-                req: vec![f64::NAN; n * n],
-                req_port: vec![usize::MAX; n * n],
-                grants: vec![Vec::new(); n * n],
+                req: vec![0.0; n * n],
+                req_port: vec![usize::MAX; if projector { n * n } else { 0 }],
+                grants: vec![Vec::new(); n],
                 relay_reqs: vec![Vec::new(); relay_pairs],
                 relay_grants: vec![Vec::new(); relay_pairs],
             },
@@ -682,7 +752,7 @@ impl NegotiatorSim {
             port_granted: vec![false; n * s],
             active: vec![None; n * s],
             active_list: Vec::with_capacity(n * s),
-            pre_cache: PredefinedCache::build(&topo),
+            pre_cache: None,
             matrices: if stateful {
                 (0..n).map(|_| DemandMatrix::new(n)).collect()
             } else {
@@ -789,17 +859,31 @@ impl NegotiatorSim {
     }
 
     /// Debug-build check that the incremental mirrors still equal fresh
-    /// sums over the queues they shadow.
+    /// sums over the queues they shadow, and that the live-pair state
+    /// covers every pair with backlog or an outgoing message.
     #[cfg(debug_assertions)]
     fn debug_verify_mirrors(&self) {
+        let n = self.n;
         let q = &self.q;
         for (idx, queue) in q.queues.iter().enumerate() {
+            let (src, dst) = (idx / n, idx % n);
             debug_assert_eq!(
                 q.queue_bytes[idx],
                 queue.total_bytes(),
-                "queue-bytes mirror drifted at ({}, {})",
-                idx / self.n,
-                idx % self.n
+                "queue-bytes mirror drifted at ({src}, {dst})"
+            );
+            if self.msg_flags[idx] != 0 || q.queue_bytes[idx] > 0 {
+                debug_assert!(
+                    q.lane_masks.is_marked(src, dst),
+                    "live pair ({src}, {dst}) is missing a lane bit"
+                );
+            }
+        }
+        for src in 0..n {
+            debug_assert!(
+                q.live_dsts(src)
+                    .eq((0..n).filter(|dst| q.queue_bytes[src * n + dst] > 0)),
+                "non-empty bitmap drifted at source {src}"
             );
         }
         if q.backlog_by_port.is_empty() {
@@ -881,10 +965,10 @@ impl NegotiatorSim {
         self.req_dirty.clear();
     }
 
-    /// Drop every grant bucketed last epoch (touched buckets only).
+    /// Drop every grant listed last epoch (touched granters only).
     fn clear_grant_buckets(&mut self) {
         for &i in &self.grant_dirty {
-            self.out.grants[i as usize].clear();
+            self.out.grants[i as usize / self.n].clear();
             self.msg_flags[i as usize] &= !GRANT_FLAG;
         }
         self.grant_dirty.clear();
@@ -898,9 +982,10 @@ impl NegotiatorSim {
     fn epoch_start_iterative(&mut self, rounds: usize) {
         let threshold = self.cfg.request_threshold_bytes();
         let mut requests: Vec<Vec<usize>> = vec![Vec::new(); self.n];
-        for (src, row) in self.q.queue_bytes.chunks(self.n).enumerate() {
-            for (dst, &bytes) in row.iter().enumerate() {
-                if dst != src && bytes > threshold {
+        for src in 0..self.n {
+            for dst in self.q.live_dsts(src) {
+                self.stats.request_pairs_scanned += 1;
+                if dst != src && self.q.queue_bytes[src * self.n + dst] > threshold {
                     requests[dst].push(src);
                 }
             }
@@ -994,6 +1079,7 @@ impl NegotiatorSim {
                     if self.out.relay_reqs[idx].is_empty() {
                         self.relay_req_dirty.push(idx as u32);
                         self.msg_flags[idx] |= RELAY_REQ_FLAG;
+                        self.q.lane_masks.all().mark(src, via);
                     }
                     self.out.relay_reqs[idx].push(RelayRequest {
                         src,
@@ -1053,6 +1139,7 @@ impl NegotiatorSim {
                 if self.out.relay_grants[idx].is_empty() {
                     self.relay_grant_dirty.push(idx as u32);
                     self.msg_flags[idx] |= RELAY_GRANT_FLAG;
+                    self.q.lane_masks.all().mark(via, r.src);
                 }
                 self.out.relay_grants[idx].push((p as u32, r.final_dst as u32, vol));
             }
@@ -1088,9 +1175,6 @@ impl NegotiatorSim {
             first: t0 + self.pre_slot_len + self.cfg.net.propagation_delay,
             slot_len: self.pre_slot_len,
         };
-        // The cached schedule lists each slot's connections in (src, port)
-        // order; take the cache so the phase can borrow `self` mutably.
-        let cache = std::mem::take(&mut self.pre_cache);
         // Healthy-fabric fast path: with zero ground failures (including
         // partitions), a quiescent detector and no active gray failure,
         // every connection is up and usable, and a round of all-success
@@ -1104,12 +1188,18 @@ impl NegotiatorSim {
             && self.detector.is_quiescent()
             && !self.frame.faults.gray_active();
         self.observe_pending = !healthy;
-        let cursor = if healthy {
-            self.predefined_healthy(flows, cursor, &cache, rot, t0, clock, tracker)
-        } else {
-            self.predefined_observed(flows, cursor, &cache, rot, epoch, t0, clock, tracker)
-        };
-        self.pre_cache = cache;
+        if healthy {
+            return self.predefined_healthy(flows, cursor, rot, t0, clock, tracker);
+        }
+        // The cached schedule lists each slot's connections in (src, port)
+        // order; take the cache so the phase can borrow `self` mutably.
+        let cache = self
+            .pre_cache
+            .take()
+            .unwrap_or_else(|| PredefinedCache::build(&self.topo));
+        let cursor =
+            self.predefined_observed(flows, cursor, &cache, rot, epoch, t0, clock, tracker);
+        self.pre_cache = Some(cache);
         cursor
     }
 
@@ -1143,7 +1233,9 @@ impl NegotiatorSim {
         };
         for slot in 0..self.pre_slots {
             cursor = rows.inject(flows, cursor, t0 + slot as Nanos * self.pre_slot_len);
-            for conn in cache.slot_conns(rot, slot) {
+            let conns = cache.slot_conns(rot, slot);
+            self.stats.predefined_conns_visited += conns.len() as u64;
+            for conn in conns {
                 let (src, port, dst) = (conn.src as usize, conn.port as usize, conn.dst as usize);
                 let idx = src * n + dst;
                 self.egress_attempted[src * s + port] = true;
@@ -1165,7 +1257,8 @@ impl NegotiatorSim {
                         self.msg_flags[idx] &= !REQ_FLAG; // delivered once
                     }
                 } else if gray {
-                    self.stats.control_dropped += self.out.queued(self.msg_flags[idx], idx) + 1;
+                    self.stats.control_dropped +=
+                        self.out.queued(self.msg_flags[idx], src, dst) + 1;
                 }
                 // Piggyback one data packet (§3.4.1) unless the
                 // detector already excluded the link.
@@ -1313,7 +1406,7 @@ impl EpochEngine for NegotiatorSim {
     fn phase_counters(&self) -> PhaseCounters {
         let (fp, fn_) = self.detector_divergence();
         PhaseCounters {
-            backlog_bytes: self.q.queue_bytes.iter().sum(),
+            backlog_bytes: (0..self.n).map(|tor| self.q.backlog_of(tor)).sum(),
             grants: self.stats.grants_issued,
             accepts: self.stats.accepts_made,
             control_dropped: self.stats.control_dropped,
@@ -1388,10 +1481,11 @@ impl EpochEngine for NegotiatorSim {
         }
     }
 
-    /// Per-ToR backlog watermarks (O(n²) row sums, traced runs only).
+    /// Per-ToR backlog watermarks (traced runs only), summed over each
+    /// ToR's non-empty queues.
     fn trace_backlog(&self, rec: &mut FlightRecorder, epoch: u64, t0: Nanos) {
-        for (tor, row) in self.q.queue_bytes.chunks(self.n).enumerate() {
-            rec.backlog_sample(t0, epoch, tor, row.iter().sum());
+        for tor in 0..self.n {
+            rec.backlog_sample(t0, epoch, tor, self.q.backlog_of(tor));
         }
     }
 }

@@ -39,6 +39,9 @@
 //! ACCEPT's stateful matrix reverts, the dirty-index lists and the
 //! counters are lane state at every shard count (a handful of entries
 //! per epoch), merged by concatenation in shard order.
+//! (A [`Lane`] is a shard's merge queue. The *lane masks* the healthy
+//! predefined phase walks are something else — bits over the predefined
+//! schedule's rotation-invariant connection indices, `sim/live.rs`.)
 //!
 //! # What is not sharded, and why
 //!
@@ -310,11 +313,12 @@ impl Landing {
 
 impl Outbox {
     /// Move this epoch's outgoing scheduling messages across the
-    /// predefined connection `src → dst` in timeslot `slot`: an
-    /// O(messages) indexed delivery — the request slot plus this pair's
-    /// grant/relay buckets, no scanning. `flags` is the pair's
-    /// `msg_flags` byte; the caller clears its `REQ_FLAG` afterwards (a
-    /// request is delivered once; buckets are cleared at epoch start).
+    /// predefined connection `src → dst` in timeslot `slot`: the request
+    /// value, `src`'s grants to `dst` (picked, in push order, from the ≤ S
+    /// grants `src` issued), the pair's relay buckets. `flags` is the
+    /// pair's `msg_flags` byte; the caller clears its `REQ_FLAG`
+    /// afterwards (a request is delivered once; grants and buckets are
+    /// cleared at epoch start).
     #[inline]
     pub(super) fn emit(&self, flags: u8, src: usize, dst: usize, slot: u32, sink: &mut Sink<'_>) {
         let idx = src * self.n + dst;
@@ -325,12 +329,12 @@ impl Outbox {
                 dst: to,
                 src: from,
                 value: self.req[idx],
-                port: port_to_u32(self.req_port[idx]),
+                port: self.req_port.get(idx).map_or(u32::MAX, |&p| port_to_u32(p)),
             });
         }
         // Grants computed by `src` for requester `dst` ride this connection.
         if flags & GRANT_FLAG != 0 {
-            for &(port, debit) in &self.grants[idx] {
+            for &(_, port, debit) in self.grants_to(src, dst) {
                 sink.emit(Event::Grant {
                     slot,
                     dst: to,
@@ -364,16 +368,28 @@ impl Outbox {
         }
     }
 
-    /// Control messages queued on the pair `idx` whose flags byte is
+    /// The grants `granter` issued to `requester` this epoch, in push order.
+    fn grants_to(
+        &self,
+        granter: usize,
+        requester: usize,
+    ) -> impl Iterator<Item = &(u32, u32, u64)> + '_ {
+        self.grants[granter]
+            .iter()
+            .filter(move |g| g.0 as usize == requester)
+    }
+
+    /// Control messages queued on the pair `src → dst` whose flags byte is
     /// `flags`: sizes [`SchedStats::control_dropped`] when a gray failure
     /// eats the connection's control traffic.
-    pub(super) fn queued(&self, flags: u8, idx: usize) -> u64 {
+    pub(super) fn queued(&self, flags: u8, src: usize, dst: usize) -> u64 {
+        let idx = src * self.n + dst;
         let mut count = 0;
         if flags & REQ_FLAG != 0 {
             count += 1;
         }
         if flags & GRANT_FLAG != 0 {
-            count += self.grants[idx].len() as u64;
+            count += self.grants_to(src, dst).count() as u64;
         }
         if flags & RELAY_REQ_FLAG != 0 {
             count += self.relay_reqs[idx].len() as u64;
@@ -410,8 +426,10 @@ struct GrantOut<'a> {
     shard: Shard,
     n: usize,
     s: usize,
-    buckets: &'a mut [Vec<(u32, u64)>],
+    /// Per granter: `(requester, port, debit)` in push order.
+    grants: &'a mut [Vec<(u32, u32, u64)>],
     msg_flags: &'a mut [u8],
+    lane_masks: LaneMasks<'a>,
     /// `granter * s + port` marks for the relay grant step's leftover-port
     /// check; `None` unless selective relay is on.
     port_granted: Option<&'a mut [bool]>,
@@ -419,17 +437,18 @@ struct GrantOut<'a> {
 }
 
 impl GrantOut<'_> {
-    /// Bucket one grant from `granter` to `requester` for delivery over
-    /// their predefined connection.
+    /// List one grant from `granter` to `requester` for delivery over
+    /// their predefined connection(s).
     #[inline]
     fn push(&mut self, granter: usize, requester: usize, port: usize, debit: u64) {
         let row = granter - self.shard.start;
         let local = row * self.n + requester;
-        if self.buckets[local].is_empty() {
+        if self.msg_flags[local] & GRANT_FLAG == 0 {
             self.dirty.push((granter * self.n + requester) as u32);
             self.msg_flags[local] |= GRANT_FLAG;
+            self.lane_masks.mark(granter, requester);
         }
-        self.buckets[local].push((port as u32, debit));
+        self.grants[row].push((requester as u32, port as u32, debit));
         if let Some(port_granted) = self.port_granted.as_deref_mut() {
             port_granted[row * self.s + port] = true;
         }
@@ -598,9 +617,9 @@ impl NegotiatorSim {
 
     /// GRANT (sharded by granter ToR): consume the requests delivered
     /// last epoch and allocate ports. Request inboxes, grant arbiters,
-    /// demand matrices and outgoing grant buckets are all granter-row
-    /// state; the dirty-index merge concatenates lanes in shard order,
-    /// i.e. granter-ascending.
+    /// demand matrices, outgoing grant lists and the lane masks of the
+    /// granter's connections are all granter-row state; the dirty-index
+    /// merge concatenates lanes in shard order, i.e. granter-ascending.
     pub(super) fn step_grant(&mut self, epoch: u64) {
         self.clear_grant_buckets();
         let shards = shard::partition(self.n, self.par_workers());
@@ -616,8 +635,9 @@ impl NegotiatorSim {
         {
             let inboxes = shard::split_rows(&mut self.land.inbox_requests, 1, &shards);
             let arbs = shard::split_rows(&mut self.grant_arbs, 1, &shards);
-            let buckets = shard::split_rows(&mut self.out.grants, n, &shards);
+            let grants = shard::split_rows(&mut self.out.grants, 1, &shards);
             let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
+            let masks = self.q.lane_masks.split(&shards);
             let mut marks = self
                 .opts
                 .selective_relay
@@ -626,12 +646,16 @@ impl NegotiatorSim {
             // windows instead of row ranges then.
             let mut mat_rest: &mut [DemandMatrix] = &mut self.matrices;
             let mut ctxs = Vec::with_capacity(shards.len());
-            for (((((&shard, inbox_requests), grant_arbs), buckets), msg_flags), lane) in shards
+            for (
+                (((((&shard, inbox_requests), grant_arbs), grants), msg_flags), lane_masks),
+                lane,
+            ) in shards
                 .iter()
                 .zip(inboxes)
                 .zip(arbs)
-                .zip(buckets)
+                .zip(grants)
                 .zip(flags)
+                .zip(masks)
                 .zip(lanes.iter_mut())
             {
                 let take = if stateful { shard.len() } else { 0 };
@@ -647,8 +671,9 @@ impl NegotiatorSim {
                         shard,
                         n,
                         s,
-                        buckets,
+                        grants,
                         msg_flags,
+                        lane_masks,
                         port_granted: marks.as_mut().and_then(Iterator::next),
                         dirty: &mut lane.dirty,
                     },
@@ -803,10 +828,11 @@ impl NegotiatorSim {
     }
 
     /// REQUEST (sharded by source ToR): read the queues, emit this
-    /// epoch's requests. The threshold scan reads the dense `queue_bytes`
-    /// mirror, touching the queue structs themselves only for
-    /// above-threshold pairs; per-lane dirty indices concatenate to
-    /// source-ascending order.
+    /// epoch's requests. Each source walks its non-empty bitmap — the
+    /// pairs with any backlog, in ascending destination order — and reads
+    /// the `queue_bytes` mirror of those alone, touching the queue structs
+    /// themselves only where the mode's request value needs them;
+    /// per-lane dirty indices concatenate to source-ascending order.
     pub(super) fn step_request(&mut self, now: Nanos) {
         self.clear_requests();
         let shards = shard::partition(self.n, self.par_workers());
@@ -814,12 +840,12 @@ impl NegotiatorSim {
         let (n, mode) = (self.n, self.opts.mode);
         let threshold = self.cfg.request_threshold_bytes();
         let topo = &self.topo;
-        let queues = &self.q.queues[..];
-        let queue_bytes = &self.q.queue_bytes[..];
-        let enqueued_total = &self.q.enqueued_total[..];
+        let q = &self.q;
         {
             let outs = shard::split_rows(&mut self.out.req, n, &shards);
-            let ports = shard::split_rows(&mut self.out.req_port, n, &shards);
+            // Port bindings exist in `Projector` mode only.
+            let port_row = self.out.req_port.len() / n;
+            let ports = shard::split_rows(&mut self.out.req_port, port_row, &shards);
             let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
             let reported = shard::split_rows(&mut self.reported_total, n, &shards);
             let mut ctxs = Vec::with_capacity(shards.len());
@@ -849,42 +875,47 @@ impl NegotiatorSim {
                     reported_total,
                     lane,
                 } = ctx;
+                let Lane { dirty, stats, .. } = lane;
+                // lint: hot-path
                 for src in shard.start..shard.end {
                     let base = (src - shard.start) * n;
                     if matches!(mode, SchedulerMode::Projector) {
-                        let qs = &queues[src * n..(src + 1) * n];
-                        for (dst, preq) in projector::bind_requests(topo, src, qs, now) {
+                        let qs = &q.queues[src * n..(src + 1) * n];
+                        let live = q
+                            .live_dsts(src)
+                            .inspect(|_| stats.request_pairs_scanned += 1);
+                        for (dst, preq) in projector::bind_requests(topo, src, qs, live, now) {
                             req[base + dst] = preq.waiting;
                             req_port[base + dst] = preq.port;
                             msg_flags[base + dst] |= REQ_FLAG;
-                            lane.dirty.push((src * n + dst) as u32);
+                            // lint: allow(H001) lane vecs keep their capacity across epochs
+                            dirty.push((src * n + dst) as u32);
                         }
                         continue;
                     }
-                    for dst in 0..n {
-                        if dst == src {
-                            continue;
-                        }
+                    for dst in q.live_dsts(src) {
+                        stats.request_pairs_scanned += 1;
                         let idx = src * n + dst;
-                        if queue_bytes[idx] <= threshold {
+                        if dst == src || q.queue_bytes[idx] <= threshold {
                             continue;
                         }
                         let value = match mode {
-                            SchedulerMode::DataSize => queue_bytes[idx] as f64,
+                            SchedulerMode::DataSize => q.queue_bytes[idx] as f64,
                             SchedulerMode::HolDelay { alpha } => {
-                                informative::hol_delay_value(&queues[idx], now, alpha)
+                                informative::hol_delay_value(&q.queues[idx], now, alpha)
                             }
                             SchedulerMode::Stateful => {
-                                let new = enqueued_total[idx] - reported_total[base + dst];
-                                reported_total[base + dst] = enqueued_total[idx];
+                                let new = q.enqueued_total[idx] - reported_total[base + dst];
+                                reported_total[base + dst] = q.enqueued_total[idx];
                                 new as f64
                             }
                             _ => 0.0,
                         };
                         req[base + dst] = value;
                         msg_flags[base + dst] |= REQ_FLAG;
-                        lane.dirty.push(idx as u32);
-                        lane.stats.requests_sent += 1;
+                        // lint: allow(H001) lane vecs keep their capacity across epochs
+                        dirty.push(idx as u32);
+                        stats.requests_sent += 1;
                     }
                 }
             });
@@ -897,17 +928,19 @@ impl NegotiatorSim {
 
     /// The healthy-fabric predefined phase (sharded by source ToR): every
     /// connection is up and usable, so a shard injects its own sources'
-    /// flows at slot boundaries, moves its connections' scheduling
-    /// messages, piggybacks one packet per connected pair — and hands
-    /// every cross-ToR effect to its sink, slot-tagged. The replay is
-    /// slot-major, lanes in shard order within a slot: exactly the
-    /// `(slot, src, port)` order of a single pass.
-    #[allow(clippy::too_many_arguments)] // the epoch's coordinates
+    /// flows at slot boundaries and then looks only at the connections
+    /// whose lane bit is set — those whose pair has backlog or scheduling
+    /// messages (`sim/live.rs`) — moving the messages and piggybacking one
+    /// packet per connected pair. Per slot it walks its sources in
+    /// ascending order and each source's set lanes in ascending port
+    /// order, which is the `(slot, src, port)` order of a pass over every
+    /// connection; every cross-ToR effect goes to the shard's sink,
+    /// slot-tagged. The replay is slot-major, lanes in shard order within
+    /// a slot: exactly the order of a single pass.
     pub(super) fn predefined_healthy(
         &mut self,
         flows: &[Flow],
         cursor: usize,
-        cache: &PredefinedCache,
         rot: u64,
         t0: Nanos,
         clock: SlotClock,
@@ -946,38 +979,52 @@ impl NegotiatorSim {
                     mut sink,
                 } = ctx;
                 let shard = rows.shard;
+                let sched = rows.lane_masks.lanes;
                 let mut next = 0usize;
+                // lint: hot-path
                 for slot in 0..pre_slots {
                     next = rows.inject(phase_flows, next, t0 + slot as Nanos * pre_slot_len);
-                    let conns =
-                        cache.slot_conns_for_srcs(rot, slot, shard.start as u32, shard.end as u32);
-                    for conn in conns {
-                        let (src, dst) = (conn.src as usize, conn.dst as usize);
-                        let row = rows.row(src, dst);
-                        let (flags, backlog) = (msg_flags[row], rows.queue_bytes[row]);
-                        // Most connections of a lightly loaded fabric are
-                        // idle. Testing both loads with one branch lets the
-                        // cache misses of consecutive idle connections
-                        // overlap; this loop is memory-bound at 1024 ToRs.
-                        if flags as u64 | backlog == 0 {
+                    for src in shard.start..shard.end {
+                        let group = rows.lane_masks.group(src, slot);
+                        // Most groups of a lightly loaded fabric are idle.
+                        if rows.lane_masks.is_idle(group) {
                             continue;
                         }
-                        if flags != 0 {
-                            out.emit(flags, src, dst, slot as u32, &mut sink);
-                            msg_flags[row] &= !REQ_FLAG; // delivered once
-                        }
-                        if piggyback && backlog > 0 {
-                            let pkt = rows
-                                .dequeue_packet(src, dst, pb_payload)
-                                .expect("non-zero mirror implies a packet");
-                            stats.piggyback_packets += 1;
-                            stats.piggyback_bytes += pkt.bytes;
-                            sink.emit(Event::Data {
-                                slot: slot as u32,
-                                dst: dst as u32,
-                                flow: pkt.flow,
-                                bytes: pkt.bytes,
-                            });
+                        let origin = sched.origin(slot, src);
+                        for ports in sched.port_order(rot) {
+                            let mut from = ports.start;
+                            while let Some(lane) = rows.lane_masks.next_lane(group, from..ports.end)
+                            {
+                                from = lane + 1;
+                                let dst = sched.dst(origin, lane);
+                                let row = rows.row(src, dst);
+                                let (flags, mut backlog) = (msg_flags[row], rows.queue_bytes[row]);
+                                let kept = flags & !REQ_FLAG; // a request is delivered once
+                                stats.predefined_conns_visited += 1;
+                                if flags != 0 {
+                                    out.emit(flags, src, dst, slot as u32, &mut sink);
+                                    msg_flags[row] = kept;
+                                }
+                                if piggyback && backlog > 0 {
+                                    let pkt = rows
+                                        .dequeue_packet(src, dst, pb_payload)
+                                        .expect("non-zero mirror implies a packet");
+                                    backlog -= pkt.bytes;
+                                    stats.piggyback_packets += 1;
+                                    stats.piggyback_bytes += pkt.bytes;
+                                    sink.emit(Event::Data {
+                                        slot: slot as u32,
+                                        dst: dst as u32,
+                                        flow: pkt.flow,
+                                        bytes: pkt.bytes,
+                                    });
+                                }
+                                // Nothing left to say: the pair's other
+                                // connection, if any, clears its own bit.
+                                if kept as u64 | backlog == 0 {
+                                    rows.lane_masks.clear(group, lane);
+                                }
+                            }
                         }
                     }
                 }

@@ -37,6 +37,13 @@ pub struct SchedStats {
     /// connection dummy) dropped by an active gray failure. Data packets
     /// are never in this count — a gray link stays up for data.
     pub control_dropped: u64,
+    /// Work counter: pairs REQUEST looked at (one per non-empty queue per
+    /// epoch). Tracks demand, not fabric size.
+    pub request_pairs_scanned: u64,
+    /// Work counter: predefined connections the predefined phase visited —
+    /// on a healthy fabric those whose pair had backlog or a scheduling
+    /// message, every connection of the round in an observed epoch.
+    pub predefined_conns_visited: u64,
 }
 
 impl std::ops::AddAssign for SchedStats {
@@ -54,6 +61,8 @@ impl std::ops::AddAssign for SchedStats {
         self.unmatched_slots += o.unmatched_slots;
         self.lost_packets += o.lost_packets;
         self.control_dropped += o.control_dropped;
+        self.request_pairs_scanned += o.request_pairs_scanned;
+        self.predefined_conns_visited += o.predefined_conns_visited;
     }
 }
 

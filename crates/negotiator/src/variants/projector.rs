@@ -27,21 +27,22 @@ pub struct PortRequest {
 /// Bind each demanded destination to one egress port of `src`, oldest
 /// bundles first (the per-port REQUEST step).
 ///
-/// `queues[dst]` are the source's per-destination queues; `now` measures
-/// waiting delays. Each port is bound at most once, and a destination is
-/// bound to at most one port — ProjecToR's unit of scheduling is one
-/// bundle.
+/// `queues[dst]` are the source's per-destination queues, of which only
+/// those `candidates` names (ascending; any superset of the non-empty
+/// ones) are looked at; `now` measures waiting delays. Each port is bound
+/// at most once, and a destination is bound to at most one port —
+/// ProjecToR's unit of scheduling is one bundle.
 pub fn bind_requests<T: Topology>(
     topo: &T,
     src: usize,
     queues: &[DestQueue],
+    candidates: impl Iterator<Item = usize>,
     now: Nanos,
 ) -> Vec<(usize, PortRequest)> {
     let n_ports = topo.net().n_ports;
     // Collect demanded destinations with their oldest HoL wait.
-    let mut demands: Vec<(usize, f64)> = queues
-        .iter()
-        .enumerate()
+    let mut demands: Vec<(usize, f64)> = candidates
+        .map(|dst| (dst, &queues[dst]))
         .filter(|&(dst, q)| dst != src && q.has_data())
         .map(|(dst, q)| {
             let oldest = (0..crate::queues::PRIORITY_LEVELS)
@@ -108,7 +109,7 @@ mod tests {
         let topo = AnyTopology::build(TopologyKind::Parallel, NetworkConfig::small_for_tests());
         // dst 1 waited longest, then 2, then 3.
         let qs = queues_with(16, &[(1, 500, 0), (2, 500, 100), (3, 500, 200)]);
-        let reqs = bind_requests(&topo, 0, &qs, 1_000);
+        let reqs = bind_requests(&topo, 0, &qs, 0..16, 1_000);
         assert_eq!(reqs.len(), 3);
         assert_eq!(reqs[0].0, 1, "oldest bundle binds first");
         let ports: std::collections::BTreeSet<usize> = reqs.iter().map(|(_, r)| r.port).collect();
@@ -119,7 +120,7 @@ mod tests {
     fn binding_saturates_at_port_count() {
         let topo = AnyTopology::build(TopologyKind::Parallel, NetworkConfig::small_for_tests());
         let demands: Vec<(usize, u64, Nanos)> = (1..9).map(|d| (d, 500u64, 0 as Nanos)).collect();
-        let reqs = bind_requests(&topo, 0, &queues_with(16, &demands), 1_000);
+        let reqs = bind_requests(&topo, 0, &queues_with(16, &demands), 0..16, 1_000);
         assert_eq!(reqs.len(), 4, "only 4 ports available");
     }
 
@@ -129,7 +130,7 @@ mod tests {
         // src 0 (group 0): dst 5 (group 1) must use port 1; dst 9 (group 2)
         // port 2.
         let qs = queues_with(16, &[(5, 500, 0), (9, 500, 0)]);
-        let reqs = bind_requests(&topo, 0, &qs, 100);
+        let reqs = bind_requests(&topo, 0, &qs, 0..16, 100);
         let by_dst: std::collections::BTreeMap<usize, usize> =
             reqs.iter().map(|&(d, r)| (d, r.port)).collect();
         assert_eq!(by_dst[&5], 1);

@@ -1,18 +1,20 @@
 //! Cached predefined-phase connection tables.
 //!
 //! The predefined round-robin pattern is a pure function of
-//! `(rotation, slot, tor, port)`, and both engines evaluate it for every
-//! ToR × port in every timeslot of every epoch — at paper scale that is
-//! ~16 k virtual-dispatched arithmetic calls per epoch, none of which ever
-//! change. The rotation argument cycles too ([`Topology::rotation_period`]):
-//! the parallel network revisits the same port↔offset mapping every `S`
-//! epochs and thin-clos ignores rotation entirely. So the whole schedule
-//! fits in a small table built once: per `(rotation, slot)` a dense,
-//! `(src, port)`-ordered list of the connections that exist in that slot.
-//! Iterating the list visits exactly the pairs `predefined_dst` would
-//! return `Some` for, in exactly the same order — which is what lets the
-//! epoch engines swap the triple loop for a flat scan without changing a
-//! single delivered byte.
+//! `(rotation, slot, tor, port)`, and a phase that has to look at every
+//! connection — the oblivious engine's rotor, the negotiator's observed
+//! (failure / gray) predefined phase — would evaluate it for every
+//! ToR × port in every timeslot: at paper scale ~16 k virtual-dispatched
+//! arithmetic calls per epoch, none of which ever change. The rotation
+//! argument cycles too ([`Topology::rotation_period`]): the parallel
+//! network revisits the same port↔offset mapping every `S` epochs and
+//! thin-clos ignores rotation entirely. So the whole schedule fits in a
+//! table built once: per `(rotation, slot)` a dense, `(src, port)`-ordered
+//! list of the connections that exist in that slot. Iterating the list
+//! visits exactly the pairs `predefined_dst` would return `Some` for, in
+//! exactly the same order. (A phase that looks only at *some* connections
+//! — the negotiator's healthy predefined phase — goes through the
+//! schedule's closed-form inverse instead, [`crate::PredefinedLanes`].)
 
 use crate::traits::Topology;
 
@@ -90,38 +92,6 @@ impl PredefinedCache {
         &self.conns[r * self.slots + slot]
     }
 
-    /// The sub-slice of [`Self::slot_conns`] whose sources fall in
-    /// `[src_start, src_end)` — the shard-local view of one slot used by
-    /// the negotiator's predefined phase (`sim::shard`). Because the
-    /// slot list is in ascending `(src, port)` order, the view is a
-    /// contiguous range found by binary search, and concatenating the
-    /// views of a contiguous shard partition in shard order reproduces
-    /// the full slot list exactly — which is what keeps the predefined
-    /// phase byte-identical at any shard count.
-    #[inline]
-    pub fn slot_conns_for_srcs(
-        &self,
-        rot: u64,
-        slot: usize,
-        src_start: u32,
-        src_end: u32,
-    ) -> &[PredefinedConn] {
-        let conns = self.slot_conns(rot, slot);
-        // The table is far larger than any cache, so each probe of a
-        // search is a memory access: look at the two ends first — a view
-        // that starts or ends with the list (every view of a one-shard
-        // run) needs no search on that side.
-        let lo = match conns.first() {
-            Some(c) if c.src < src_start => conns.partition_point(|c| c.src < src_start),
-            _ => 0,
-        };
-        let hi = match conns.last() {
-            Some(c) if c.src >= src_end => conns.partition_point(|c| c.src < src_end),
-            _ => conns.len(),
-        };
-        &conns[lo..hi]
-    }
-
     /// Number of distinct rotations cached.
     pub fn rotation_period(&self) -> usize {
         self.rot_period
@@ -165,27 +135,6 @@ mod tests {
                         direct.as_slice(),
                         "{kind:?} rot {rot} slot {slot}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn src_range_views_concatenate_to_the_full_slot_list() {
-        let topo = AnyTopology::build(TopologyKind::Parallel, NetworkConfig::paper_default());
-        let cache = PredefinedCache::build(&topo);
-        let n = topo.net().n_tors as u32;
-        for rot in [0u64, 3] {
-            for slot in 0..topo.predefined_slots() {
-                let full = cache.slot_conns(rot, slot);
-                // Any contiguous partition of the src space must tile the
-                // slot list exactly, in order.
-                for bounds in [vec![0, n], vec![0, 1, n / 2, n - 1, n]] {
-                    let mut tiled = Vec::new();
-                    for w in bounds.windows(2) {
-                        tiled.extend_from_slice(cache.slot_conns_for_srcs(rot, slot, w[0], w[1]));
-                    }
-                    assert_eq!(tiled.as_slice(), full, "rot {rot} slot {slot}");
                 }
             }
         }

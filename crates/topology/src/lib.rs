@@ -26,6 +26,7 @@ pub mod cache;
 pub mod config;
 pub mod failures;
 pub mod inject;
+pub mod lanes;
 pub mod parallel;
 pub mod thinclos;
 pub mod traits;
@@ -35,6 +36,7 @@ pub use cache::{PredefinedCache, PredefinedConn};
 pub use config::{NetworkConfig, TopologyKind};
 pub use failures::{FailureAction, FailureSchedule, LinkFailures};
 pub use inject::{FaultAction, FaultModel, FlapTargets, PartitionSpec};
+pub use lanes::{LaneOrigin, PairLanes, PredefinedLanes};
 pub use parallel::ParallelNet;
 pub use thinclos::ThinClos;
 pub use traits::{AnyTopology, Topology};

@@ -27,9 +27,18 @@ pub struct ParallelNet {
 }
 
 impl ParallelNet {
-    /// Build over `net` (panics if the config is invalid).
+    /// Build over `net`. Any ToR count works with any port count up to it
+    /// (only thin-clos needs `n_tors` divisible by `n_ports`); when
+    /// `⌈(N−1)/S⌉·S` exceeds `N` the round's last offsets wrap and the
+    /// nearest pairs meet twice.
     pub fn new(net: NetworkConfig) -> Self {
-        net.validate();
+        assert!(net.n_tors >= 2, "need at least two ToRs");
+        assert!(
+            (1..=net.n_tors).contains(&net.n_ports),
+            "need between one uplink port and one per ToR ({}), got {}",
+            net.n_tors,
+            net.n_ports
+        );
         let slots = (net.n_tors - 1).div_ceil(net.n_ports);
         ParallelNet { net, slots }
     }

@@ -178,6 +178,71 @@ fn flap_and_partition_runs_are_identical_at_any_worker_count() {
     }
 }
 
+/// The fault families on the 70-ToR × 4-port parallel fabric, whose pairs
+/// at distance 1 and 2 meet twice a round (two lanes per pair) and whose
+/// non-empty bitmap ends in a partial word: flapping links, a partition,
+/// a gray window and a greedy granter, staggered so that observed and
+/// healthy predefined phases alternate over the same lane masks. Report
+/// and counters must match at every shard count.
+#[test]
+fn odd_fabric_fault_runs_are_identical_at_any_worker_count() {
+    let net = NetworkConfig {
+        n_tors: 70,
+        n_ports: 4,
+        ..NetworkConfig::small_for_tests()
+    };
+    let t = PoissonWorkload::new(WorkloadSpec {
+        dist: FlowSizeDist::hadoop(),
+        load: 0.6,
+        n_tors: 70,
+        host_bps: 200_000_000_000,
+    })
+    .generate(DURATION, 66);
+    let run = |workers: usize| {
+        let opts = SimOptions {
+            workers,
+            ..SimOptions::default()
+        };
+        let cfg = NegotiatorConfig::paper_default(net.clone());
+        let mut s = NegotiatorSim::with_options(cfg, TopologyKind::Parallel, opts);
+        let epoch = s.epoch_len();
+        s.schedule_fault(
+            4 * epoch,
+            FaultAction::FlapStart {
+                targets: FlapTargets::Links(vec![
+                    (0, 0, LinkDir::Egress),
+                    (69, 3, LinkDir::Ingress),
+                ]),
+                up: 2 * epoch,
+                down: epoch,
+            },
+        );
+        s.schedule_fault(10 * epoch, FaultAction::FlapStop);
+        s.schedule_fault(
+            18 * epoch,
+            FaultAction::Partition(PartitionSpec::Random { groups: 2, seed: 9 }),
+        );
+        s.schedule_fault(21 * epoch, FaultAction::Heal);
+        s.schedule_fault(
+            30 * epoch,
+            FaultAction::GrayStart {
+                drop_prob: 0.5,
+                seed: 11,
+                tors: None,
+            },
+        );
+        s.schedule_fault(34 * epoch, FaultAction::GrayStop);
+        s.schedule_fault(26 * epoch, FaultAction::GreedyStart { tors: vec![1, 68] });
+        finish(s, &t)
+    };
+    let one_shard = run(1);
+    assert!(one_shard.0.goodput.delivered_bytes > 0, "nothing delivered");
+    assert!(one_shard.1.control_dropped > 0, "the gray window must bite");
+    for workers in [2, 3, 8] {
+        assert_eq!(one_shard, run(workers), "{workers} workers diverged");
+    }
+}
+
 /// A partition dents the oblivious engine too (cross-group slots waste),
 /// and the partitioned-ToR gauge reads through its phase counters.
 #[test]

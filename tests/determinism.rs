@@ -219,6 +219,86 @@ fn failure_runs_are_identical_at_any_worker_count() {
     assert_eq!(one_shard, run(8), "8 workers diverged across failures");
 }
 
+/// The live-pair state on a fabric that exercises its corners — 70 ToRs ×
+/// 4 ports on the parallel network: 70 bits leave the non-empty bitmap's
+/// second word partial, and `⌈69/4⌉·4 = 72` offsets wrap past 70, so the
+/// pairs at distance 1 and 2 meet twice a round and own two lanes each. A
+/// link failure and, later, a gray window force observed predefined
+/// phases between healthy ones: both kinds of epoch run over the same
+/// lane masks, which only the healthy ones maintain. Every scheduler mode
+/// must stay byte-identical at any shard count (debug builds also check
+/// the masks against the queues every epoch, `debug_verify_mirrors`).
+#[test]
+fn odd_fabric_reports_are_identical_at_any_worker_count() {
+    use negotiator::{FailureAction, FaultAction};
+    let net = NetworkConfig {
+        n_tors: 70,
+        n_ports: 4,
+        ..NetworkConfig::small_for_tests()
+    };
+    let t = PoissonWorkload::new(WorkloadSpec {
+        dist: FlowSizeDist::hadoop(),
+        load: 0.6,
+        n_tors: 70,
+        host_bps: 200_000_000_000,
+    })
+    .generate(DURATION, 77);
+    for mode in [
+        SchedulerMode::Base,
+        SchedulerMode::Iterative { rounds: 2 },
+        SchedulerMode::DataSize,
+        SchedulerMode::HolDelay { alpha: 0.001 },
+        SchedulerMode::Stateful,
+        SchedulerMode::Projector,
+    ] {
+        let run = |workers: usize| {
+            let cfg = NegotiatorConfig::paper_default(net.clone());
+            let opts = SimOptions {
+                mode,
+                workers,
+                ..SimOptions::default()
+            };
+            let mut sim = NegotiatorSim::with_options(cfg, TopologyKind::Parallel, opts);
+            let epoch = sim.epoch_len();
+            sim.schedule_failure(
+                8 * epoch,
+                FailureAction::FailRandom {
+                    ratio: 0.1,
+                    seed: 5,
+                },
+            );
+            sim.schedule_failure(16 * epoch, FailureAction::RepairAll);
+            sim.schedule_fault(
+                30 * epoch,
+                FaultAction::GrayStart {
+                    drop_prob: 0.5,
+                    seed: 11,
+                    tors: None,
+                },
+            );
+            sim.schedule_fault(36 * epoch, FaultAction::GrayStop);
+            let report = sim.run(&t, DURATION);
+            (report, *sim.stats())
+        };
+        let one_shard = run(1);
+        assert!(
+            one_shard.0.goodput.delivered_bytes > 0,
+            "{mode:?}: nothing delivered"
+        );
+        assert!(
+            one_shard.1.control_dropped > 0,
+            "{mode:?}: the gray window must be observed"
+        );
+        for workers in [2, 3, 8] {
+            assert_eq!(
+                one_shard,
+                run(workers),
+                "{mode:?}: {workers} workers diverged from one shard"
+            );
+        }
+    }
+}
+
 /// The oblivious baseline is reproducible as well.
 #[test]
 fn oblivious_report_is_reproducible() {
