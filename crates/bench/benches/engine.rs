@@ -10,16 +10,24 @@ use negotiator::rings::Ring;
 use negotiator::{NegotiatorConfig, NegotiatorSim};
 use oblivious::{ObliviousConfig, ObliviousSim};
 use sim::Xoshiro256;
-use topology::{AnyTopology, NetworkConfig, Topology, TopologyKind};
+use topology::{AnyTopology, NetworkConfig, RingScope, Topology, TopologyKind};
 use workload::{FlowSizeDist, PoissonWorkload, WorkloadSpec};
 
 fn ring_pick(c: &mut Criterion) {
-    let mut rng = Xoshiro256::new(1);
-    let mut ring = Ring::new((0..128).collect(), &mut rng);
-    let candidates: Vec<usize> = (0..128).step_by(3).collect();
-    c.bench_function("ring_pick_128_members", |b| {
-        b.iter(|| ring.pick(std::hint::black_box(&candidates)))
-    });
+    // One ring of the paper fabric and one of a 1024-ToR fabric; a third
+    // of the members compete, as at moderate load.
+    for n in [128, 1024] {
+        let scope = RingScope {
+            start: 0,
+            span: n,
+            skip: n,
+        };
+        let mut ring = Ring::new(scope, &mut Xoshiro256::new(1));
+        let candidates: Vec<usize> = (0..n).step_by(3).collect();
+        c.bench_function(format!("ring_pick_{n}_members"), |b| {
+            b.iter(|| ring.pick(std::hint::black_box(&candidates)))
+        });
+    }
 }
 
 fn grant_accept_cycle(c: &mut Criterion) {

@@ -48,21 +48,14 @@ pub struct GrantArbiter {
 impl GrantArbiter {
     /// Build the arbiter for destination `dst` on `topo`.
     pub fn new<T: Topology>(topo: &T, dst: usize, rng: &mut Xoshiro256) -> Self {
-        if topo.shared_grant_ring() {
-            GrantArbiter {
-                shared: true,
-                rings: vec![Ring::new(topo.grant_scope(dst, 0), rng)],
-                filtered: Vec::new(),
-            }
-        } else {
-            let rings = (0..topo.net().n_ports)
+        let shared = topo.shared_grant_ring();
+        let ports = if shared { 1 } else { topo.net().n_ports };
+        GrantArbiter {
+            shared,
+            rings: (0..ports)
                 .map(|p| Ring::new(topo.grant_scope(dst, p), rng))
-                .collect();
-            GrantArbiter {
-                shared: false,
-                rings,
-                filtered: Vec::new(),
-            }
+                .collect(),
+            filtered: Vec::new(),
         }
     }
 
@@ -125,13 +118,8 @@ pub struct AcceptArbiter {
 impl AcceptArbiter {
     /// Build the arbiter for source `src` on `topo`.
     pub fn new<T: Topology>(topo: &T, src: usize, rng: &mut Xoshiro256) -> Self {
-        let n = topo.net().n_tors;
         let rings = (0..topo.net().n_ports)
-            .map(|p| {
-                let reachable: Vec<usize> =
-                    (0..n).filter(|&d| topo.port_reaches(src, p, d)).collect();
-                Ring::new(reachable, rng)
-            })
+            .map(|p| Ring::new(topo.accept_scope(src, p), rng))
             .collect();
         AcceptArbiter {
             rings,

@@ -17,7 +17,8 @@
 //! Both implement the [`Topology`] trait, which captures everything the
 //! schedulers need: the predefined-phase round-robin pattern (who talks to
 //! whom in each timeslot), per-port reachability for the scheduled phase,
-//! and the scope of each GRANT ring. [`failures`] models per-direction link
+//! and the scope of each GRANT and ACCEPT ring in closed form
+//! ([`RingScope`]). [`failures`] models per-direction link
 //! failures for the fault-tolerance experiments (§3.6.1, Figure 10), and
 //! [`inject`] layers the adversarial fault families on top of them
 //! (flapping links, partitions, gray failures, greedy ToRs).
@@ -39,5 +40,5 @@ pub use inject::{FaultAction, FaultModel, FlapTargets, PartitionSpec};
 pub use lanes::{LaneOrigin, PairLanes, PredefinedLanes};
 pub use parallel::ParallelNet;
 pub use thinclos::ThinClos;
-pub use traits::{AnyTopology, Topology};
+pub use traits::{AnyTopology, RingScope, Topology};
 pub use validate::{validate_matching, MatchEntry, MatchingError};

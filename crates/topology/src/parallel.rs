@@ -17,7 +17,7 @@
 //! so a single failed link cannot permanently silence a pair.
 
 use crate::config::{NetworkConfig, TopologyKind};
-use crate::traits::Topology;
+use crate::traits::{RingScope, Topology};
 
 /// Figure 1(a): one high-port-count AWGR per ToR port index.
 #[derive(Debug, Clone)]
@@ -49,6 +49,15 @@ impl ParallelNet {
         let s = self.net.n_ports;
         let rotated = (port + (rot as usize % s)) % s;
         slot * s + rotated + 1
+    }
+
+    /// Every port reaches, and hears, every ToR but its own.
+    fn everyone_but(&self, tor: usize) -> RingScope {
+        RingScope {
+            start: 0,
+            span: self.net.n_tors,
+            skip: tor,
+        }
     }
 }
 
@@ -92,8 +101,12 @@ impl Topology for ParallelNet {
         src != dst && src < self.net.n_tors && dst < self.net.n_tors
     }
 
-    fn grant_scope(&self, dst: usize, _port: usize) -> Vec<usize> {
-        (0..self.net.n_tors).filter(|&s| s != dst).collect()
+    fn grant_scope(&self, dst: usize, _port: usize) -> RingScope {
+        self.everyone_but(dst)
+    }
+
+    fn accept_scope(&self, src: usize, _port: usize) -> RingScope {
+        self.everyone_but(src)
     }
 
     fn shared_grant_ring(&self) -> bool {
@@ -213,7 +226,8 @@ mod tests {
         let t = paper();
         let scope = t.grant_scope(10, 0);
         assert_eq!(scope.len(), 127);
-        assert!(!scope.contains(&10));
+        assert!(!scope.contains(10));
+        assert_eq!(t.accept_scope(10, 5), scope);
     }
 
     #[test]

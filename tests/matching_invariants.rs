@@ -12,7 +12,9 @@ use negotiator::rings::Ring;
 use negotiator::variants::iterative::IterativeMatcher;
 use proptest::prelude::*;
 use sim::Xoshiro256;
-use topology::{validate_matching, AnyTopology, MatchEntry, NetworkConfig, Topology, TopologyKind};
+use topology::{
+    validate_matching, AnyTopology, MatchEntry, NetworkConfig, RingScope, Topology, TopologyKind,
+};
 
 /// A random but always-valid network shape (thin-clos needs n_tors to be
 /// a multiple of n_ports).
@@ -167,17 +169,28 @@ proptest! {
     /// persistent candidate.
     #[test]
     fn ring_is_fair_and_sound(
-        members in prop::collection::btree_set(0usize..64, 2..32),
+        start in 0usize..64,
+        span in 3usize..40,
+        skip in 0usize..112,
         seed in any::<u64>(),
     ) {
-        let members: Vec<usize> = members.into_iter().collect();
+        // Below, inside and beyond `start..start + span`.
+        let scope = RingScope { start, span, skip };
+        let members: Vec<usize> = scope.iter().collect();
+        prop_assert_eq!(members.len(), scope.len());
         let mut rng = Xoshiro256::new(seed);
-        let mut ring = Ring::new(members.clone(), &mut rng);
+        let mut ring = Ring::new(scope, &mut rng);
+        prop_assert_eq!(ring.len(), members.len());
+        prop_assert!(members.contains(&ring.pointer_member()));
+        // Every other member, plus ids no pick may return: the skipped id
+        // and one past the range.
         let candidates: Vec<usize> = members.iter().copied().step_by(2).collect();
+        let mut offered = candidates.clone();
+        offered.extend([skip, start + span]);
         let mut counts = std::collections::BTreeMap::new();
         let rounds = candidates.len() * 10;
         for _ in 0..rounds {
-            let pick = ring.pick(&candidates).expect("candidates exist");
+            let pick = ring.pick(&offered).expect("candidates exist");
             prop_assert!(candidates.contains(&pick));
             *counts.entry(pick).or_insert(0usize) += 1;
         }
@@ -190,21 +203,28 @@ proptest! {
     }
 
     /// Thin-clos structure: each ordered pair is reachable through exactly
-    /// one port, and grant scopes partition the sources.
+    /// one port, and the grant scopes of a destination, like the accept
+    /// scopes of a source, partition the other ToRs.
     #[test]
-    fn thin_clos_single_path(net in arb_net(), dst_pick in any::<u64>()) {
+    fn thin_clos_single_path(net in arb_net(), tor_pick in any::<u64>()) {
         let topo = AnyTopology::build(TopologyKind::ThinClos, net.clone());
         let n = net.n_tors;
-        let dst = (dst_pick % n as u64) as usize;
-        let mut covered = vec![0u32; n];
+        let tor = (tor_pick % n as u64) as usize;
+        let mut heard = vec![0u32; n];
+        let mut reached = vec![0u32; n];
         for port in 0..net.n_ports {
-            for src in topo.grant_scope(dst, port) {
-                prop_assert!(topo.port_reaches(src, port, dst));
-                covered[src] += 1;
+            for src in topo.grant_scope(tor, port).iter() {
+                prop_assert!(topo.port_reaches(src, port, tor));
+                heard[src] += 1;
+            }
+            for dst in topo.accept_scope(tor, port).iter() {
+                prop_assert!(topo.port_reaches(tor, port, dst));
+                reached[dst] += 1;
             }
         }
-        for (src, &c) in covered.iter().enumerate() {
-            prop_assert_eq!(c, u32::from(src != dst));
+        for other in 0..n {
+            prop_assert_eq!(heard[other], u32::from(other != tor));
+            prop_assert_eq!(reached[other], u32::from(other != tor));
         }
     }
 }

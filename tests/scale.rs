@@ -3,10 +3,93 @@
 //! messages (`negotiator`'s live-pair state), so the same traffic costs
 //! the same pair visits on a fabric four times the size. The two work
 //! counters in `SchedStats` make that checkable without a clock.
+//!
+//! Arbiter state is held to the same standard with a byte count: a ring is
+//! its pointer and a closed-form scope, so what a fabric's GRANT and ACCEPT
+//! arbiters allocate per ToR does not depend on the number of ToRs.
 
+use negotiator::matching::{AcceptArbiter, GrantArbiter};
+use negotiator::rings::Ring;
 use negotiator::{NegotiatorConfig, NegotiatorSim};
-use topology::{NetworkConfig, TopologyKind};
+use sim::Xoshiro256;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use topology::{AnyTopology, NetworkConfig, TopologyKind};
 use workload::{FlowSizeDist, PoissonWorkload, WorkloadSpec};
+
+/// The system allocator, counting the bytes each thread asks it for (the
+/// tests of this binary run on threads of their own, so one test's count
+/// is not disturbed by another's simulation).
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every request is passed to `System` unchanged, which upholds the
+// `GlobalAlloc` contract; the counter is a plain thread-local `Cell` with no
+// destructor and no allocation of its own, and `try_with` skips the count
+// once a thread's locals are gone. `alloc_zeroed` and `realloc` keep their
+// default forms, which go through `alloc`.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATED.try_with(|bytes| bytes.set(bytes.get() + layout.size()));
+        // SAFETY: the caller's obligations are exactly `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Bytes this thread has asked the allocator for while running `f`.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    (out, ALLOCATED.with(Cell::get) - before)
+}
+
+/// Every GRANT and ACCEPT arbiter of a fabric — the rings, the arbiters
+/// around them and the vectors that hold those — fits in 64 B per port of
+/// each ToR on 256, 1024 and 4096 ToRs alike. Stored member and slot
+/// tables took 2 × 8 B per member per ring: 147 kB per ToR on 1024 × 8,
+/// 2.4 GB for the 4096-ToR fabric built here.
+#[test]
+fn arbiter_bytes_per_tor_are_flat_in_fabric_size() {
+    assert!(std::mem::size_of::<Ring>() <= 24);
+    for kind in [TopologyKind::Parallel, TopologyKind::ThinClos] {
+        for n_tors in [256usize, 1024, 4096] {
+            let net = NetworkConfig {
+                n_tors,
+                ..NetworkConfig::paper_default()
+            };
+            let ports = net.n_ports;
+            let topo = AnyTopology::build(kind, net);
+            let mut rng = Xoshiro256::new(5);
+            let (arbiters, bytes) = allocated_by(|| {
+                let grant: Vec<GrantArbiter> = (0..n_tors)
+                    .map(|d| GrantArbiter::new(&topo, d, &mut rng))
+                    .collect();
+                let accept: Vec<AcceptArbiter> = (0..n_tors)
+                    .map(|s| AcceptArbiter::new(&topo, s, &mut rng))
+                    .collect();
+                (grant, accept)
+            });
+            assert_eq!((arbiters.0.len(), arbiters.1.len()), (n_tors, n_tors));
+            assert!(bytes > 0, "the count must see the arbiters being built");
+            assert!(
+                bytes <= 64 * ports * n_tors,
+                "{kind:?} {n_tors} ToRs: arbiters allocated {bytes} B, {} B per ToR",
+                bytes / n_tors
+            );
+        }
+    }
+}
 
 /// One trace confined to ToRs 0..64, played on a 256- and a 1024-ToR
 /// fabric. Both counters must stay under a bound stated in activity terms
