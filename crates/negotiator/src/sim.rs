@@ -42,8 +42,9 @@
 //! cross-ToR effects arrive). An epoch's work tracks its traffic, not the
 //! fabric's `n²` pairs: REQUEST walks a per-source bitmap of non-empty
 //! queues, the healthy predefined phase walks per-`(src, slot)` masks of
-//! the connections whose pair has backlog or messages (`sim/live.rs`,
-//! over the closed-form schedule inverse [`topology::PredefinedLanes`]),
+//! the connections whose pair has backlog or messages
+//! ([`topology::LaneTable`], over the closed-form schedule inverse
+//! [`topology::PredefinedLanes`]),
 //! ACCEPT builds a dense active-match list the scheduled phase iterates,
 //! and scheduling messages are found through a flags byte per pair. The
 //! hot path is allocation-free in steady state: every per-epoch buffer is
@@ -80,16 +81,15 @@ use sim::{BandwidthSeries, Xoshiro256};
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use topology::{
-    AnyTopology, LinkFailures, PredefinedCache, PredefinedLanes, Topology, TopologyKind,
+    AnyTopology, LaneMasks, LaneTable, LinkFailures, PredefinedCache, PredefinedLanes, Topology,
+    TopologyKind,
 };
 use workload::{Flow, FlowTrace};
 
 pub use topology::failures::FailureAction;
 pub use topology::inject::FaultAction;
 
-mod live;
 mod parallel;
-use live::{LaneMasks, LaneTable};
 use parallel::{Event, Sink, SlotClock};
 
 /// Which scheduling logic runs on top of the common data path.
@@ -237,10 +237,14 @@ struct SrcQueues {
     words: usize,
     /// Non-empty bitmap: bit `dst % 64` of word `src * words + dst / 64`
     /// is set exactly while `queue_bytes > 0`. What REQUEST and the
-    /// backlog counters walk instead of all `n²` mirrors (`sim/live.rs`).
+    /// backlog counters walk instead of all `n²` mirrors.
     nonempty: Vec<u64>,
     /// Lane masks of the connections whose pair has backlog or outgoing
-    /// messages — what the healthy predefined phase walks.
+    /// messages — what the healthy predefined phase walks. A pair is
+    /// marked when its queue turns non-empty or a `msg_flags` bit is
+    /// raised, and a lane cleared only by the healthy visit that finds
+    /// nothing left, so the observed predefined phase need not maintain
+    /// the bits and healthy and observed epochs may interleave.
     lane_masks: LaneTable,
     /// Per-port direct-backlog sums (selective relay only, else empty):
     /// tor * s + port, maintained incrementally so the relay steps'
@@ -296,7 +300,7 @@ impl SrcQueues {
 
     /// Destinations `src` holds bytes for, ascending.
     fn live_dsts(&self, src: usize) -> impl Iterator<Item = usize> + '_ {
-        live::ones(&self.nonempty[src * self.words..(src + 1) * self.words])
+        topology::lanes::ones(&self.nonempty[src * self.words..(src + 1) * self.words])
     }
 
     /// Bytes queued at `src`, all destinations together.

@@ -41,7 +41,8 @@
 //! per epoch), merged by concatenation in shard order.
 //! (A [`Lane`] is a shard's merge queue. The *lane masks* the healthy
 //! predefined phase walks are something else — bits over the predefined
-//! schedule's rotation-invariant connection indices, `sim/live.rs`.)
+//! schedule's rotation-invariant connection indices,
+//! [`topology::LaneTable`].)
 //!
 //! # What is not sharded, and why
 //!
@@ -930,11 +931,11 @@ impl NegotiatorSim {
     /// connection is up and usable, so a shard injects its own sources'
     /// flows at slot boundaries and then looks only at the connections
     /// whose lane bit is set — those whose pair has backlog or scheduling
-    /// messages (`sim/live.rs`) — moving the messages and piggybacking one
-    /// packet per connected pair. Per slot it walks its sources in
-    /// ascending order and each source's set lanes in ascending port
-    /// order, which is the `(slot, src, port)` order of a pass over every
-    /// connection; every cross-ToR effect goes to the shard's sink,
+    /// messages ([`topology::LaneTable`]) — moving the messages and
+    /// piggybacking one packet per connected pair. Per slot it walks its
+    /// sources in ascending order and each source's set lanes in ascending
+    /// port order, which is the `(slot, src, port)` order of a pass over
+    /// every connection; every cross-ToR effect goes to the shard's sink,
     /// slot-tagged. The replay is slot-major, lanes in shard order within
     /// a slot: exactly the order of a single pass.
     pub(super) fn predefined_healthy(
@@ -979,7 +980,7 @@ impl NegotiatorSim {
                     mut sink,
                 } = ctx;
                 let shard = rows.shard;
-                let sched = rows.lane_masks.lanes;
+                let sched = rows.lane_masks.lanes();
                 let mut next = 0usize;
                 // lint: hot-path
                 for slot in 0..pre_slots {

@@ -35,4 +35,4 @@ pub mod config;
 pub mod sim;
 
 pub use config::ObliviousConfig;
-pub use sim::{ObliviousRecording, ObliviousSim};
+pub use sim::{ObliviousRecording, ObliviousSim, RotorStats};

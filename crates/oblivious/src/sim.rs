@@ -27,6 +27,17 @@
 //! neighbor, then alternates between second-hop relay forwarding and
 //! first-hop bulk injection — FIFO-fair competition between the two hops,
 //! which is what caps heavy-load goodput near the worst case.
+//!
+//! The fabric offers `n · S` connections every slot, but a connection
+//! whose pair has nothing queued — no bound segment at any level, no relay
+//! FIFO entry — wastes its slot without touching any state. So the rotor
+//! visits only the connections whose lane bit is set
+//! ([`topology::LaneTable`], the live-lane masks the negotiator's
+//! predefined phase walks): a pair is marked where one of its four queues
+//! turns non-empty, and a lane is cleared by the visit that finds all four
+//! empty. The walk keeps the `(src, port)` order of a pass over every
+//! connection, so credits taken and returned within a slot interleave as
+//! they always did; [`RotorStats`] counts the visits.
 
 use crate::config::ObliviousConfig;
 use metrics::{EpochEngine, FlowTracker, PhaseCounters, RunFrame, RunReport};
@@ -34,7 +45,7 @@ use sim::time::Nanos;
 use sim::{BandwidthSeries, Xoshiro256};
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
-use topology::{AnyTopology, PredefinedCache, Topology, TopologyKind};
+use topology::{AnyTopology, LaneTable, PredefinedLanes, Topology, TopologyKind};
 use workload::{Flow, FlowTrace};
 
 /// A data unit bound to a VLB intermediate, waiting at the source.
@@ -64,14 +75,43 @@ pub struct ObliviousRecording {
     pub transit_window: Option<Nanos>,
 }
 
-/// The traffic-oblivious simulator.
-pub struct ObliviousSim {
-    cfg: ObliviousConfig,
-    n: usize,
-    round: usize,
-    payload: u64,
-    slot_len: Nanos,
+/// Deterministic work counters of a run: what the rotor looked at, and
+/// what came of it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RotorStats {
+    /// Connections the slot walk stopped at (lane bit set), down links
+    /// included.
+    pub conns_visited: u64,
+    /// Visits that put a packet on the wire (mice, relay or bulk).
+    pub packets_sent: u64,
+    /// Visits that sent nothing because the only queued data was bulk
+    /// whose relay buffer at the intermediate was full.
+    pub credit_blocked: u64,
+}
 
+/// A rotor connection whose lane bit is set.
+#[derive(Debug, Clone, Copy, Default)]
+struct LiveConn {
+    src: u32,
+    via: u32,
+    lane: u32,
+}
+
+/// What a rotor connection's visit came to.
+enum Visit {
+    /// One packet left.
+    Sent,
+    /// Nothing left, but bulk waits behind a full relay buffer.
+    Blocked,
+    /// All four of the pair's queues are empty.
+    Idle,
+}
+
+/// The data path: everything a connection's visit reads or moves. Kept
+/// apart from the lane masks so the slot walk can hold both.
+struct RotorQueues {
+    n: usize,
+    payload: u64,
     /// Per (src, via): three priority FIFOs of bound segments
     /// (levels 0/1 mice spray, level 2 bulk bundles; without PQ only
     /// level 2 is used).
@@ -85,11 +125,27 @@ pub struct ObliviousSim {
     alt: Vec<bool>,
     /// First-hop chunks in flight, indexed by arrival slot.
     inflight: Vec<Vec<Inflight>>,
-    /// Cached rotor schedule (one rotation; the rotor never rotates its
-    /// round-robin rule).
-    cache: PredefinedCache,
+    rx_final: Vec<BandwidthSeries>,
+}
+
+/// The traffic-oblivious simulator.
+pub struct ObliviousSim {
+    cfg: ObliviousConfig,
+    n: usize,
+    round: usize,
+    slot_len: Nanos,
+
+    q: RotorQueues,
+    /// Lane masks of the rotor connections whose pair `(src, via)` may
+    /// have something queued in `bound` or `relay` — a superset, cleared
+    /// lazily — which is all the slot walk visits.
+    live: LaneTable,
+    /// The live connections of the slot being played: `n · S` entries,
+    /// overwritten from the front every slot.
+    conns: Vec<LiveConn>,
     /// Reused landing buffer, swapped against the in-flight ring slots.
     landing: Vec<Inflight>,
+    stats: RotorStats,
 
     /// The run state and loop shared with the negotiator engine. The
     /// rotor has no failure detection — a down link simply wastes its
@@ -100,9 +156,12 @@ pub struct ObliviousSim {
     /// only.
     frame: RunFrame,
 
-    rx_final: Vec<BandwidthSeries>,
     rx_transit: Vec<BandwidthSeries>,
     rng: Xoshiro256,
+    /// Test oracle: mark every lane before each tick, which makes the
+    /// slot walk the pass over every connection.
+    #[cfg(test)]
+    dense: bool,
 }
 
 impl Deref for ObliviousSim {
@@ -135,31 +194,42 @@ impl ObliviousSim {
         let n = cfg.net.n_tors;
         let round = topo.predefined_slots();
         let slot_len = cfg.slot_len();
+        let payload = cfg.payload();
+        assert!(
+            payload * cfg.bundle_chunks as u64 <= u32::MAX as u64,
+            "a bundle of {} packets of {payload} B overflows a segment's 32-bit length",
+            cfg.bundle_chunks
+        );
         // Ring buffer deep enough for transmission + propagation.
         let depth = 2 + ((cfg.net.propagation_delay + slot_len) / slot_len) as usize;
+        let series = |window: Option<Nanos>| match window {
+            Some(w) => (0..n).map(|_| BandwidthSeries::new(w)).collect(),
+            None => Vec::new(),
+        };
         ObliviousSim {
             n,
             round,
-            payload: cfg.payload(),
             slot_len,
-            bound: (0..n * n).map(|_| Default::default()).collect(),
-            relay: vec![VecDeque::new(); n * n],
-            relay_claim: vec![0; n * n],
-            alt: vec![false; n * n],
-            inflight: vec![Vec::new(); depth],
-            cache: PredefinedCache::build(&topo),
+            q: RotorQueues {
+                n,
+                payload,
+                bound: (0..n * n).map(|_| Default::default()).collect(),
+                relay: vec![VecDeque::new(); n * n],
+                relay_claim: vec![0; n * n],
+                alt: vec![false; n * n],
+                inflight: vec![Vec::new(); depth],
+                rx_final: series(rec.rx_window),
+            },
+            live: LaneTable::new(PredefinedLanes::new(&topo), n),
+            conns: vec![LiveConn::default(); n * cfg.net.n_ports],
             landing: Vec::new(),
+            stats: RotorStats::default(),
             frame: RunFrame::new(&cfg.net),
-            rx_final: match rec.rx_window {
-                Some(w) => (0..n).map(|_| BandwidthSeries::new(w)).collect(),
-                None => Vec::new(),
-            },
-            rx_transit: match rec.transit_window {
-                Some(w) => (0..n).map(|_| BandwidthSeries::new(w)).collect(),
-                None => Vec::new(),
-            },
+            rx_transit: series(rec.transit_window),
             rng: Xoshiro256::new(cfg.seed),
             cfg,
+            #[cfg(test)]
+            dense: false,
         }
     }
 
@@ -175,12 +245,17 @@ impl ObliviousSim {
 
     /// Final-delivery bandwidth series of `dst` (requires recording).
     pub fn rx_final(&self, dst: usize) -> Option<&BandwidthSeries> {
-        self.rx_final.get(dst)
+        self.q.rx_final.get(dst)
     }
 
     /// Transit-arrival bandwidth series of `dst` (requires recording).
     pub fn rx_transit(&self, dst: usize) -> Option<&BandwidthSeries> {
         self.rx_transit.get(dst)
+    }
+
+    /// The run's work counters so far.
+    pub fn stats(&self) -> RotorStats {
+        self.stats
     }
 
     /// Pick a uniform random intermediate other than `src` (the final
@@ -193,59 +268,42 @@ impl ObliviousSim {
         via
     }
 
+    /// Queue `bytes` of `flow` at priority `level`, bound to a random
+    /// intermediate.
+    fn bind(&mut self, src: usize, level: usize, flow: u64, dst: usize, bytes: u64) {
+        let via = self.pick_via(src);
+        let queue = &mut self.q.bound[src * self.n + via][level];
+        if queue.is_empty() {
+            self.live.all().mark(src, via);
+        }
+        queue.push_back(BoundSeg {
+            flow,
+            final_dst: dst as u32,
+            // At most a bundle: fits, checked at construction.
+            bytes: bytes as u32,
+        });
+    }
+
     fn enqueue_flow(&mut self, flow: u64, src: usize, dst: usize, bytes: u64) {
-        let payload = self.payload;
-        if self.cfg.priority_queues {
+        let payload = self.q.payload;
+        let bundle = payload * self.cfg.bundle_chunks as u64;
+        // Bytes of the flow at each level, and the unit they are sprayed
+        // in: the first KB and the next 9 KB per packet, the bulk per
+        // bundle; without PQ everything is bulk.
+        let levels = if self.cfg.priority_queues {
             let th = self.cfg.pias_thresholds();
-            // Level 0: first KB, sprayed per packet.
-            let mut l0 = bytes.min(th[0]);
-            while l0 > 0 {
-                let take = l0.min(payload);
-                let via = self.pick_via(src);
-                self.bound[src * self.n + via][0].push_back(BoundSeg {
-                    flow,
-                    final_dst: dst as u32,
-                    bytes: take as u32,
-                });
-                l0 -= take;
-            }
-            // Level 1: next 9 KB, sprayed per packet.
-            let mut l1 = bytes.saturating_sub(th[0]).min(th[1] - th[0]);
-            while l1 > 0 {
-                let take = l1.min(payload);
-                let via = self.pick_via(src);
-                self.bound[src * self.n + via][1].push_back(BoundSeg {
-                    flow,
-                    final_dst: dst as u32,
-                    bytes: take as u32,
-                });
-                l1 -= take;
-            }
-            // Level 2: the bulk, sprayed per bundle.
-            let bundle = payload * self.cfg.bundle_chunks as u64;
-            let mut l2 = bytes.saturating_sub(th[1]);
-            while l2 > 0 {
-                let take = l2.min(bundle);
-                let via = self.pick_via(src);
-                self.bound[src * self.n + via][2].push_back(BoundSeg {
-                    flow,
-                    final_dst: dst as u32,
-                    bytes: take as u32,
-                });
-                l2 -= take;
-            }
+            [
+                (bytes.min(th[0]), payload),
+                (bytes.saturating_sub(th[0]).min(th[1] - th[0]), payload),
+                (bytes.saturating_sub(th[1]), bundle),
+            ]
         } else {
-            // No PQ: plain FIFO bundles.
-            let bundle = payload * self.cfg.bundle_chunks as u64;
-            let mut rest = bytes;
+            [(0, payload), (0, payload), (bytes, bundle)]
+        };
+        for (level, (mut rest, unit)) in levels.into_iter().enumerate() {
             while rest > 0 {
-                let take = rest.min(bundle);
-                let via = self.pick_via(src);
-                self.bound[src * self.n + via][2].push_back(BoundSeg {
-                    flow,
-                    final_dst: dst as u32,
-                    bytes: take as u32,
-                });
+                let take = rest.min(unit);
+                self.bind(src, level, flow, dst, take);
                 rest -= take;
             }
         }
@@ -256,6 +314,33 @@ impl ObliviousSim {
         metrics::frame::run(self, trace, duration)
     }
 
+    /// Debug-build check that the lane masks cover every pair with
+    /// anything queued.
+    #[cfg(debug_assertions)]
+    fn debug_verify_mirrors(&self) {
+        for (pair, (levels, relay)) in self.q.bound.iter().zip(&self.q.relay).enumerate() {
+            if levels.iter().any(|q| !q.is_empty()) || !relay.is_empty() {
+                let (src, via) = (pair / self.n, pair % self.n);
+                debug_assert!(
+                    self.live.is_marked(src, via),
+                    "queued pair ({src}, {via}) is missing a lane bit"
+                );
+            }
+        }
+    }
+
+    #[cfg(test)]
+    fn mark_all(&mut self) {
+        let mut masks = self.live.all();
+        for src in 0..self.n {
+            for via in 0..self.n {
+                masks.mark(src, via);
+            }
+        }
+    }
+}
+
+impl RotorQueues {
     /// Transmit at most one packet on the rotor connection `src → via`.
     fn serve_slot(
         &mut self,
@@ -265,7 +350,7 @@ impl ObliviousSim {
         arrive_slot: usize,
         per_pair_cap: u64,
         tracker: &mut FlowTracker,
-    ) {
+    ) -> Visit {
         let pair = src * self.n + via;
         // 1. Bound mice packets for this neighbor (levels 0, then 1).
         for level in 0..2 {
@@ -273,8 +358,8 @@ impl ObliviousSim {
                 // Mice ignore the relay cap: their volume is negligible and
                 // Sirius-style flow control reserves headroom for them.
                 self.bound[pair][level].pop_front();
-                self.send_hop1(src, via, seg, arrive, arrive_slot, tracker);
-                return;
+                self.send_hop1(via, seg, arrive, arrive_slot, tracker);
+                return Visit::Sent;
             }
         }
         // 2. Alternate second-hop forwarding with first-hop bulk injection.
@@ -283,10 +368,14 @@ impl ObliviousSim {
             let do_relay = relay_first ^ (attempt == 1);
             if do_relay {
                 if let Some((flow, bytes)) = self.relay[pair].pop_front() {
-                    self.relay_claim[pair] = self.relay_claim[pair].saturating_sub(bytes as u64);
+                    debug_assert!(
+                        self.relay_claim[pair] >= bytes as u64,
+                        "relay credit of ({src}, {via}) leaked"
+                    );
+                    self.relay_claim[pair] -= bytes as u64;
                     self.deliver_final(via, flow, bytes as u64, arrive, tracker);
                     self.alt[pair] = false; // injection's turn next
-                    return;
+                    return Visit::Sent;
                 }
             } else {
                 // First-hop bulk injection, subject to the relay credit of
@@ -309,21 +398,26 @@ impl ObliviousSim {
                             final_dst: seg.final_dst,
                             bytes: take,
                         };
-                        self.send_hop1(src, via, chunk, arrive, arrive_slot, tracker);
+                        self.send_hop1(via, chunk, arrive, arrive_slot, tracker);
                         self.alt[pair] = true; // relay's turn next
-                        return;
+                        return Visit::Sent;
                     }
                     // Head-of-line blocked by a full relay buffer: fall
                     // through to the other side of the alternation.
                 }
             }
         }
-        // Slot wasted — rotor quantization at work.
+        // Slot wasted — rotor quantization at work. The mice levels and
+        // the relay FIFO had nothing, or a packet would have left.
+        if self.bound[pair][2].is_empty() {
+            Visit::Idle
+        } else {
+            Visit::Blocked
+        }
     }
 
     fn send_hop1(
         &mut self,
-        _src: usize,
         via: usize,
         seg: BoundSeg,
         arrive: Nanos,
@@ -370,7 +464,10 @@ impl EpochEngine for ObliviousSim {
     /// intermediates; grants and accepts stay zero — the rotor never
     /// negotiates.
     fn phase_counters(&self) -> PhaseCounters {
+        #[cfg(debug_assertions)]
+        self.debug_verify_mirrors();
         let bound: u64 = self
+            .q
             .bound
             .iter()
             .flat_map(|levels| levels.iter())
@@ -378,6 +475,7 @@ impl EpochEngine for ObliviousSim {
             .map(|seg| seg.bytes as u64)
             .sum();
         let relay: u64 = self
+            .q
             .relay
             .iter()
             .flat_map(|q| q.iter())
@@ -398,23 +496,35 @@ impl EpochEngine for ObliviousSim {
         mut cursor: usize,
         tracker: &mut FlowTracker,
     ) -> usize {
-        let depth = self.inflight.len();
+        let n = self.n;
+        let depth = self.q.inflight.len();
         let prop = self.cfg.net.propagation_delay;
-        let per_pair_cap = self.cfg.relay_pair_packets as u64 * self.payload;
+        let per_pair_cap = self.cfg.relay_pair_packets as u64 * self.q.payload;
+        #[cfg(test)]
+        if self.dense {
+            self.mark_all();
+        }
         // Inject flows due by this slot.
         while cursor < flows.len() && flows[cursor].arrival <= now {
             let f = flows[cursor];
             self.enqueue_flow(f.id, f.src, f.dst, f.bytes);
             cursor += 1;
         }
+        let mut masks = self.live.all();
         // Land first-hop chunks whose flight ends at this slot (the
-        // landing buffer is swapped, not reallocated, each slot).
+        // landing buffer is swapped, not reallocated, each slot). Only a
+        // FIFO turning non-empty marks: the bits of a FIFO that already
+        // holds something are set.
         let mut landing = std::mem::take(&mut self.landing);
         landing.clear();
-        std::mem::swap(&mut landing, &mut self.inflight[(t as usize) % depth]);
+        std::mem::swap(&mut landing, &mut self.q.inflight[(t as usize) % depth]);
         for c in &landing {
             let (to, d) = (c.to as usize, c.final_dst as usize);
-            self.relay[to * self.n + d].push_back((c.flow, c.bytes));
+            let fifo = &mut self.q.relay[to * n + d];
+            if fifo.is_empty() {
+                masks.mark(to, d);
+            }
+            fifo.push_back((c.flow, c.bytes));
             if let Some(series) = self.rx_transit.get_mut(to) {
                 series.record(now, c.bytes as u64);
             }
@@ -426,18 +536,59 @@ impl EpochEngine for ObliviousSim {
         let arrive_slot =
             (t as usize + (self.slot_len + prop).div_ceil(self.slot_len) as usize) % depth;
         let slot = (t % self.round as u64) as usize;
-        let cache = std::mem::take(&mut self.cache);
         let any_failed = !self.frame.failures.healthy();
-        for conn in cache.slot_conns(0, slot) {
-            let (src, via) = (conn.src as usize, conn.dst as usize);
-            // A down fiber silently wastes the slot; the rotor has no
-            // feedback channel to learn about it.
-            if any_failed && !self.frame.failures.link_up(src, via, conn.port as usize) {
+        // Gather the slot's live connections, in (src, port) order — the
+        // rotor never rotates its round-robin rule, and at rotation 0 a
+        // connection's lane is its egress port. Nothing the visits do
+        // marks a lane — a first hop goes to the in-flight ring, a second
+        // hop to the tracker — so the list holds every connection whose
+        // visit could change state. Gathering first keeps the visits a
+        // loop over a flat list, whose next queues the core can fetch
+        // while it waits on this one's: walking the masks between visits
+        // cost the heavy-load run 10 %.
+        let sched = masks.lanes();
+        let width = sched.width();
+        let conns = &mut self.conns[..];
+        let mut found = 0;
+        for src in 0..n {
+            let group = masks.group(src, slot);
+            if masks.is_idle(group) {
                 continue;
             }
-            self.serve_slot(src, via, arrive, arrive_slot, per_pair_cap, tracker);
+            let origin = sched.origin(slot, src);
+            // Every lane of a live group is written; a clear one is
+            // overwritten by the next (no branch on the mask's bits).
+            for lane in 0..width {
+                conns[found] = LiveConn {
+                    src: src as u32,
+                    via: sched.dst(origin, lane) as u32,
+                    lane: lane as u32,
+                };
+                found += usize::from(masks.is_set(group, lane));
+            }
         }
-        self.cache = cache;
+        let mut stats = self.stats;
+        stats.conns_visited += found as u64;
+        for conn in &conns[..found] {
+            let (src, via, lane) = (conn.src as usize, conn.via as usize, conn.lane as usize);
+            // A down fiber silently wastes the slot; the rotor has no
+            // feedback channel to learn about it. Whatever is queued stays
+            // queued, and the lane stays set.
+            if any_failed && !self.frame.failures.link_up(src, via, lane) {
+                continue;
+            }
+            match self
+                .q
+                .serve_slot(src, via, arrive, arrive_slot, per_pair_cap, tracker)
+            {
+                Visit::Sent => stats.packets_sent += 1,
+                Visit::Blocked => stats.credit_blocked += 1,
+                // The pair's other connection of the round, if any, clears
+                // its own bit.
+                Visit::Idle => masks.clear(masks.group(src, slot), lane),
+            }
+        }
+        self.stats = stats;
         cursor
     }
 }
@@ -557,8 +708,18 @@ mod tests {
         let mut s = ObliviousSim::new(small_cfg(), TopologyKind::ThinClos);
         s.run(&trace, 50_000_000);
         assert_eq!(s.tracker().completed_count(), 1);
-        assert!(s.relay_claim.iter().all(|&c| c == 0), "claims leaked");
-        assert!(s.relay.iter().all(|q| q.is_empty()));
+        assert!(s.q.relay_claim.iter().all(|&c| c == 0), "claims leaked");
+        assert!(s.q.relay.iter().all(|q| q.is_empty()));
+    }
+
+    /// A segment's length is 32 bits; a bundle that cannot fit is refused
+    /// up front instead of truncated flow by flow.
+    #[test]
+    #[should_panic(expected = "overflows a segment's 32-bit length")]
+    fn oversized_bundle_is_refused_at_construction() {
+        let mut cfg = small_cfg();
+        cfg.bundle_chunks = u32::MAX / 1_000;
+        ObliviousSim::new(cfg, TopologyKind::ThinClos);
     }
 
     #[test]
@@ -592,6 +753,144 @@ mod tests {
             })
             .sum();
         assert_eq!(final_total, 100_000);
+    }
+}
+
+/// The live-lane walk against the pass over every connection: with every
+/// lane marked before each tick (`dense`) the rotor visits all `n · S`
+/// connections of the slot, as it did before it had masks to consult.
+#[cfg(test)]
+mod dense_oracle_tests {
+    use super::*;
+    use metrics::{PhaseProbe, PhaseSnapshot};
+    use proptest::prelude::*;
+    use topology::failures::LinkDir;
+    use topology::{FailureAction, FaultAction, FlapTargets, NetworkConfig, PartitionSpec};
+    use workload::{FlowSizeDist, MixedWorkload, WorkloadSpec};
+
+    const DURATION: Nanos = 160_000;
+
+    /// 16×4 on both topologies; parallel 70×4, where the pairs at offsets
+    /// 1 and 2 meet twice a round and the last slot's group is partly
+    /// unconnected; thin-clos 24×12, whose groups take two mask bytes.
+    const FABRICS: [(TopologyKind, usize, usize); 4] = [
+        (TopologyKind::ThinClos, 16, 4),
+        (TopologyKind::Parallel, 16, 4),
+        (TopologyKind::Parallel, 70, 4),
+        (TopologyKind::ThinClos, 24, 12),
+    ];
+
+    /// What makes one case: the traffic, the relay buffer depth (shallow
+    /// ones credit-block) and when the links misbehave.
+    #[derive(Debug, Clone, Copy)]
+    struct Case {
+        seed: u64,
+        load: f64,
+        incast_degree: usize,
+        relay_pair_packets: u32,
+        fault_at: Nanos,
+    }
+
+    type Played = (
+        RunReport,
+        Vec<Option<Nanos>>,
+        Vec<PhaseSnapshot>,
+        RotorStats,
+    );
+
+    fn play(case: Case, fabric: (TopologyKind, usize, usize), pq: bool, dense: bool) -> Played {
+        let (kind, n_tors, n_ports) = fabric;
+        let net = NetworkConfig {
+            n_tors,
+            n_ports,
+            ..NetworkConfig::small_for_tests()
+        };
+        let (trace, _) = MixedWorkload {
+            background: WorkloadSpec {
+                dist: FlowSizeDist::hadoop(),
+                load: case.load,
+                n_tors,
+                host_bps: net.host_bandwidth.bps(),
+            },
+            incast_degree: case.incast_degree,
+            incast_flow_bytes: 20_000,
+            incast_load: 0.2,
+        }
+        .generate(DURATION / 2, case.seed);
+        let mut cfg = ObliviousConfig::paper_default(net);
+        cfg.priority_queues = pq;
+        cfg.relay_pair_packets = case.relay_pair_packets;
+        cfg.seed = case.seed;
+        let mut sim = ObliviousSim::new(cfg, kind);
+        sim.dense = dense;
+        // A link failed mid-run and repaired, a flap and a partition.
+        let at = case.fault_at;
+        let link = FailureAction::FailLink {
+            tor: case.seed as usize % n_tors,
+            port: (case.seed >> 8) as usize % n_ports,
+            dir: LinkDir::Egress,
+        };
+        sim.schedule_failure(at, link);
+        sim.schedule_failure(at + 30_000, FailureAction::RepairAll);
+        let flap = FaultAction::FlapStart {
+            targets: FlapTargets::Random {
+                ratio: 0.2,
+                seed: case.seed,
+            },
+            up: 2_000,
+            down: 3_000,
+        };
+        sim.schedule_fault(at + 10_000, flap);
+        sim.schedule_fault(at + 50_000, FaultAction::FlapStop);
+        let split = PartitionSpec::Random {
+            groups: 2,
+            seed: case.seed,
+        };
+        sim.schedule_fault(at + 40_000, FaultAction::Partition(split));
+        sim.schedule_fault(at + 60_000, FaultAction::Heal);
+        // Snapshots run the lane-mask invariant check in this (debug) build.
+        sim.set_phase_probe(PhaseProbe::new((1..8).map(|k| k * DURATION / 8).collect()));
+        let report = sim.run(&trace, DURATION);
+        let done = (0..trace.len() as u64)
+            .map(|id| sim.tracker().completion(id))
+            .collect();
+        let snaps = sim.phase_probe().unwrap().snapshots().to_vec();
+        (report, done, snaps, sim.stats())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Same report, same completion time of every flow, same backlog
+        /// at every snapshot, same packets sent and credit stalls — from
+        /// fewer visits.
+        #[test]
+        fn live_walk_matches_the_dense_walk(
+            seed in any::<u64>(),
+            load in 0.1f64..1.2,
+            incast_degree in 2usize..15,
+            relay_pair_packets in 2u32..100,
+            fault_at in 5_000u64..80_000,
+        ) {
+            let case = Case { seed, load, incast_degree, relay_pair_packets, fault_at };
+            for fabric in FABRICS {
+                for pq in [true, false] {
+                    let live = play(case, fabric, pq, false);
+                    let dense = play(case, fabric, pq, true);
+                    prop_assert!(live.0.all.completed > 0, "{fabric:?}: nothing completed");
+                    prop_assert!(live.0 == dense.0, "{fabric:?} pq {pq}: reports differ");
+                    prop_assert!(live.1 == dense.1, "{fabric:?} pq {pq}: completions differ");
+                    prop_assert_eq!(&live.2, &dense.2, "{:?} pq {}: snapshots", fabric, pq);
+                    let (l, d) = (live.3, dense.3);
+                    prop_assert_eq!(l.packets_sent, d.packets_sent);
+                    prop_assert_eq!(l.credit_blocked, d.credit_blocked);
+                    prop_assert!(
+                        l.conns_visited < d.conns_visited,
+                        "{fabric:?}: {} live visits, {} dense", l.conns_visited, d.conns_visited
+                    );
+                }
+            }
+        }
     }
 }
 

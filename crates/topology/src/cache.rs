@@ -2,19 +2,20 @@
 //!
 //! The predefined round-robin pattern is a pure function of
 //! `(rotation, slot, tor, port)`, and a phase that has to look at every
-//! connection — the oblivious engine's rotor, the negotiator's observed
-//! (failure / gray) predefined phase — would evaluate it for every
-//! ToR × port in every timeslot: at paper scale ~16 k virtual-dispatched
-//! arithmetic calls per epoch, none of which ever change. The rotation
-//! argument cycles too ([`Topology::rotation_period`]): the parallel
-//! network revisits the same port↔offset mapping every `S` epochs and
-//! thin-clos ignores rotation entirely. So the whole schedule fits in a
+//! connection — the negotiator's observed (failure / gray) predefined
+//! phase — would evaluate it for every ToR × port in every timeslot: at
+//! paper scale ~16 k virtual-dispatched arithmetic calls per epoch, none
+//! of which ever change. The rotation argument cycles too
+//! ([`Topology::rotation_period`]): the parallel network revisits the same
+//! port↔offset mapping every `S` epochs and thin-clos ignores rotation
+//! entirely. So the whole schedule fits in a
 //! table built once: per `(rotation, slot)` a dense, `(src, port)`-ordered
 //! list of the connections that exist in that slot. Iterating the list
 //! visits exactly the pairs `predefined_dst` would return `Some` for, in
 //! exactly the same order. (A phase that looks only at *some* connections
-//! — the negotiator's healthy predefined phase — goes through the
-//! schedule's closed-form inverse instead, [`crate::PredefinedLanes`].)
+//! — the negotiator's healthy predefined phase, the oblivious engine's
+//! rotor — goes through the schedule's closed-form inverse instead,
+//! [`crate::PredefinedLanes`] and the [`crate::LaneTable`] over it.)
 
 use crate::traits::Topology;
 
@@ -38,18 +39,6 @@ pub struct PredefinedCache {
     /// Connection lists indexed by `(rot % rot_period) * slots + slot`,
     /// each in ascending `(src, port)` order.
     conns: Vec<Vec<PredefinedConn>>,
-}
-
-impl Default for PredefinedCache {
-    /// An empty cache (no rotations, no slots) — a placeholder the epoch
-    /// engines `mem::take` against while iterating the real table.
-    fn default() -> Self {
-        PredefinedCache {
-            rot_period: 1,
-            slots: 0,
-            conns: Vec::new(),
-        }
-    }
 }
 
 impl PredefinedCache {

@@ -22,9 +22,20 @@
 //! [`PredefinedLanes::port_order`] gives is visiting its connections in
 //! ascending port order — the order [`crate::PredefinedCache::slot_conns`]
 //! lists them in.
+//!
+//! [`LaneTable`] is the state built on that inverse: per `(src, slot)` one
+//! bit per lane, a *superset* of the connections whose pair has something
+//! to send. An engine marks a pair's lanes where the pair's state turns
+//! non-empty and clears a lane only on the visit that finds nothing left,
+//! so a phase walking the set bits ([`LaneMasks::next_lane`],
+//! [`LaneMasks::is_set`]) visits, in `slot_conns` order, every connection
+//! whose visit would change state — the negotiator's healthy predefined
+//! phase and the oblivious rotor both do — while a phase that looks at
+//! every connection need not maintain the bits at all.
 
 use crate::config::TopologyKind;
 use crate::traits::Topology;
+use sim::shard::Shard;
 use std::ops::Range;
 
 /// Closed-form inverse of one topology's predefined schedule.
@@ -94,13 +105,21 @@ impl PredefinedLanes {
     }
 
     /// Timeslots per all-to-all round.
+    #[inline]
     pub fn slots(&self) -> usize {
         self.slots
     }
 
     /// Lanes per `(slot, src)` group (= ports per ToR).
+    #[inline]
     pub fn width(&self) -> usize {
         self.s
+    }
+
+    /// Bytes holding one group's lane bits in a [`LaneTable`].
+    #[inline]
+    fn stride(&self) -> usize {
+        self.s.div_ceil(8)
     }
 
     /// How far rotation `rot` shifts lanes against ports.
@@ -207,6 +226,153 @@ impl PredefinedLanes {
             }
         }
         PairLanes { items, len, pos: 0 }
+    }
+}
+
+/// Indices of the set bits of `words`, ascending.
+#[inline]
+pub fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
+/// The lane masks of every source: `(src · slots + slot) · stride` is the
+/// first of the `stride = ⌈S / 8⌉` bytes holding the lane bits of one
+/// `(src, slot)` group — row-major by source, so a shard owns a contiguous
+/// window ([`LaneMasks`]), and one byte per group up to 8 ports.
+#[derive(Debug, Clone)]
+pub struct LaneTable {
+    lanes: PredefinedLanes,
+    bits: Vec<u8>,
+}
+
+/// A window of the [`LaneTable`] covering the source rows from `first`.
+#[derive(Debug)]
+pub struct LaneMasks<'a> {
+    lanes: PredefinedLanes,
+    first: usize,
+    bits: &'a mut [u8],
+}
+
+impl LaneTable {
+    /// All lanes clear, for the `n` sources of the fabric `lanes` inverts.
+    pub fn new(lanes: PredefinedLanes, n: usize) -> Self {
+        LaneTable {
+            lanes,
+            bits: vec![0; n * lanes.slots() * lanes.stride()],
+        }
+    }
+
+    /// Every lane of the pair `src → dst` is set.
+    pub fn is_marked(&self, src: usize, dst: usize) -> bool {
+        let stride = self.lanes.stride();
+        self.lanes.pair_lanes(src, dst).all(|(slot, lane)| {
+            let at = (src * self.lanes.slots() + slot) * stride;
+            self.bits[at + lane / 8] & (1 << (lane % 8)) != 0
+        })
+    }
+
+    /// The window covering every source.
+    #[inline]
+    pub fn all(&mut self) -> LaneMasks<'_> {
+        LaneMasks {
+            lanes: self.lanes,
+            first: 0,
+            bits: &mut self.bits,
+        }
+    }
+
+    /// One window per shard, in shard order (`shards` tile `[0, n)`).
+    pub fn split(&mut self, shards: &[Shard]) -> Vec<LaneMasks<'_>> {
+        let mut rest = self.all();
+        let mut out = Vec::with_capacity(shards.len());
+        for shard in shards {
+            let (head, tail) = rest.split_at(shard.len());
+            out.push(head);
+            rest = tail;
+        }
+        out
+    }
+}
+
+impl<'a> LaneMasks<'a> {
+    /// The schedule inverse the lanes are numbered by.
+    #[inline]
+    pub fn lanes(&self) -> PredefinedLanes {
+        self.lanes
+    }
+
+    /// The windows covering the first `rows` sources and the rest.
+    pub fn split_at(self, rows: usize) -> (LaneMasks<'a>, LaneMasks<'a>) {
+        let row_bytes = self.lanes.slots() * self.lanes.stride();
+        let (head, tail) = self.bits.split_at_mut(rows * row_bytes);
+        (
+            LaneMasks { bits: head, ..self },
+            LaneMasks {
+                first: self.first + rows,
+                bits: tail,
+                ..self
+            },
+        )
+    }
+
+    /// Where the lane bits of `(src, slot)` start.
+    #[inline]
+    pub fn group(&self, src: usize, slot: usize) -> usize {
+        ((src - self.first) * self.lanes.slots() + slot) * self.lanes.stride()
+    }
+
+    /// No lane of the group at `at` is set.
+    #[inline]
+    pub fn is_idle(&self, at: usize) -> bool {
+        self.bits[at..at + self.lanes.stride()]
+            .iter()
+            .all(|&b| b == 0)
+    }
+
+    /// The first set lane of the group at `at` within `lanes`.
+    #[inline]
+    pub fn next_lane(&self, at: usize, lanes: Range<usize>) -> Option<usize> {
+        let mut lane = lanes.start;
+        while lane < lanes.end {
+            let rest = self.bits[at + lane / 8] >> (lane % 8);
+            if rest != 0 {
+                let found = lane + rest.trailing_zeros() as usize;
+                return (found < lanes.end).then_some(found);
+            }
+            lane = (lane / 8 + 1) * 8;
+        }
+        None
+    }
+
+    /// Is `lane` of the group at `at` set?
+    #[inline]
+    pub fn is_set(&self, at: usize, lane: usize) -> bool {
+        self.bits[at + lane / 8] & (1 << (lane % 8)) != 0
+    }
+
+    /// Clear `lane` of the group at `at`: its visit found nothing left.
+    #[inline]
+    pub fn clear(&mut self, at: usize, lane: usize) {
+        self.bits[at + lane / 8] &= !(1 << (lane % 8));
+    }
+
+    /// Set every lane of the pair `src → dst`: the pair just gained
+    /// something to send.
+    #[inline]
+    pub fn mark(&mut self, src: usize, dst: usize) {
+        for (slot, lane) in self.lanes.pair_lanes(src, dst) {
+            let at = self.group(src, slot);
+            self.bits[at + lane / 8] |= 1 << (lane % 8);
+        }
     }
 }
 
@@ -317,5 +483,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn ones_walks_set_bits_in_ascending_order() {
+        assert_eq!(ones(&[]).count(), 0);
+        let words = [1 | 1 << 63, 0, 1 << 5];
+        assert_eq!(ones(&words).collect::<Vec<_>>(), vec![0, 63, 133]);
+    }
+
+    /// Marked lanes come back from `next_lane` in range order, survive a
+    /// split by source row, and masks wider than a byte (12 ports) work
+    /// like narrow ones.
+    #[test]
+    fn lane_masks_mark_find_and_clear_across_byte_boundaries() {
+        let net = NetworkConfig {
+            n_tors: 24,
+            n_ports: 12,
+            ..NetworkConfig::small_for_tests()
+        };
+        let topo = AnyTopology::build(TopologyKind::ThinClos, net);
+        let lanes = PredefinedLanes::new(&topo);
+        let mut table = LaneTable::new(lanes, 24);
+        let shards = [Shard { start: 0, end: 5 }, Shard { start: 5, end: 24 }];
+        let mut windows = table.split(&shards);
+        let masks = &mut windows[1];
+        // Thin-clos: lane = destination group − source group, slot =
+        // member difference; ToR 7 = (3, 1).
+        for dst in [9, 23, 1] {
+            masks.mark(7, dst);
+        }
+        let at = masks.group(7, 0);
+        assert!(!masks.is_idle(at));
+        assert!(masks.is_idle(masks.group(7, 1)) && masks.is_idle(masks.group(6, 0)));
+        let walk = |masks: &LaneMasks<'_>, range: Range<usize>| {
+            let mut found = Vec::new();
+            let mut from = range.start;
+            while let Some(lane) = masks.next_lane(at, from..range.end) {
+                found.push(lane);
+                from = lane + 1;
+            }
+            found
+        };
+        assert_eq!(walk(masks, 0..12), vec![1, 8, 9]);
+        assert_eq!(walk(masks, 2..9), vec![8]);
+        assert_eq!(walk(masks, 9..12), vec![9]);
+        let set: Vec<_> = (0..12).filter(|&lane| masks.is_set(at, lane)).collect();
+        assert_eq!(set, walk(masks, 0..12));
+        masks.clear(at, 8);
+        assert_eq!(walk(masks, 0..12), vec![1, 9]);
+        drop(windows);
+        assert!(table.is_marked(7, 9) && table.is_marked(7, 1) && !table.is_marked(7, 23));
     }
 }

@@ -299,15 +299,31 @@ fn odd_fabric_reports_are_identical_at_any_worker_count() {
     }
 }
 
-/// The oblivious baseline is reproducible as well.
+/// The oblivious baseline is reproducible as well — report and work
+/// counters — on both topologies and on a 70 × 4 parallel fabric, where the
+/// pairs at offsets 1 and 2 meet twice a round (two lanes per pair).
 #[test]
 fn oblivious_report_is_reproducible() {
     let t = trace(55);
-    let run = || {
-        let cfg = ObliviousConfig::paper_default(NetworkConfig::small_for_tests());
-        ObliviousSim::new(cfg, TopologyKind::ThinClos).run(&t, DURATION)
+    let small = NetworkConfig::small_for_tests();
+    let wide = NetworkConfig {
+        n_tors: 70,
+        ..small.clone()
     };
-    let (a, b) = (run(), run());
-    assert!(a.goodput.delivered_bytes > 0, "nothing delivered");
-    assert_eq!(a, b);
+    for (kind, net) in [
+        (TopologyKind::ThinClos, small.clone()),
+        (TopologyKind::Parallel, small),
+        (TopologyKind::Parallel, wide),
+    ] {
+        let run = || {
+            let cfg = ObliviousConfig::paper_default(net.clone());
+            let mut sim = ObliviousSim::new(cfg, kind);
+            (sim.run(&t, DURATION), sim.stats())
+        };
+        let (a, b) = (run(), run());
+        let case = format!("{kind:?} {} ToRs", net.n_tors);
+        assert!(a.0.goodput.delivered_bytes > 0, "{case}: nothing delivered");
+        assert!(a.1.packets_sent > 0, "{case}: no packet counted");
+        assert_eq!(a, b, "{case}");
+    }
 }

@@ -107,7 +107,7 @@ fn all_reports() -> Vec<(String, RunReport)> {
         "nego/parallel/base+failures".to_string(),
         negotiator_report(TopologyKind::Parallel, SimOptions::default(), &trace, true),
     ));
-    // The traffic-oblivious baseline shares the cached predefined tables.
+    // The traffic-oblivious baseline walks the same round-robin schedule.
     let cfg = ObliviousConfig::paper_default(NetworkConfig::small_for_tests());
     let report = ObliviousSim::new(cfg, TopologyKind::ThinClos).run(&trace, DURATION);
     out.push(("oblivious/thinclos".to_string(), report));

@@ -4,6 +4,10 @@
 //! the same pair visits on a fabric four times the size. The two work
 //! counters in `SchedStats` make that checkable without a clock.
 //!
+//! The oblivious rotor is held to the same standard: a slot visits the
+//! connections whose pair has something queued, not all `n · S`, and
+//! `RotorStats` counts the visits.
+//!
 //! Arbiter state is held to the same standard with a byte count: a ring is
 //! its pointer and a closed-form scope, so what a fabric's GRANT and ACCEPT
 //! arbiters allocate per ToR does not depend on the number of ToRs.
@@ -11,11 +15,12 @@
 use negotiator::matching::{AcceptArbiter, GrantArbiter};
 use negotiator::rings::Ring;
 use negotiator::{NegotiatorConfig, NegotiatorSim};
+use oblivious::{ObliviousConfig, ObliviousSim};
 use sim::Xoshiro256;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use topology::{AnyTopology, NetworkConfig, TopologyKind};
-use workload::{FlowSizeDist, PoissonWorkload, WorkloadSpec};
+use workload::{FlowSizeDist, FlowTrace, IncastWorkload, PoissonWorkload, WorkloadSpec};
 
 /// The system allocator, counting the bytes each thread asks it for (the
 /// tests of this binary run on threads of their own, so one test's count
@@ -150,5 +155,73 @@ fn pair_visits_track_activity_not_fabric_size() {
                 "the bounds must separate live-pair visits from a dense scan ({dense})"
             );
         }
+    }
+}
+
+/// One incast trace confined to ToRs 0..64 — a 40-to-1 burst of 50 kB
+/// flows every 20 µs — played by the rotor on a 128- and a 256-ToR
+/// thin-clos fabric. The connections it visits stay under a bound in
+/// packets and credit stalls alone, which a pass over all `n · S`
+/// connections of every slot breaks more than 8× over.
+///
+/// Why the bound holds: a visit sends a packet, is stalled by a full relay
+/// buffer, or finds the pair's queues empty and retires the connection
+/// until the next mark. A mark takes a queue turning non-empty, each such
+/// queue goes on to send a packet, and a pair meets over at most two
+/// connections a round — two idle visits per packet at the very most.
+#[test]
+fn rotor_visits_track_packets_not_fabric_size() {
+    const DURATION: u64 = 400_000;
+    let trace = (0..8u64)
+        .map(|burst| {
+            IncastWorkload {
+                degree: 40,
+                flow_bytes: 50_000,
+                n_tors: 64,
+                start: burst * 20_000,
+            }
+            .generate(23 + burst)
+        })
+        .reduce(FlowTrace::merge)
+        .expect("eight bursts");
+    for n_tors in [128usize, 256] {
+        let net = NetworkConfig {
+            n_tors,
+            ..NetworkConfig::paper_default()
+        };
+        let ports = net.n_ports;
+        let mut sim =
+            ObliviousSim::new(ObliviousConfig::paper_default(net), TopologyKind::ThinClos);
+        let slot_len = sim.slot_len();
+        let report = sim.run(&trace, DURATION);
+        assert_eq!(
+            report.all.completed,
+            trace.len(),
+            "{n_tors} ToRs: the bursts must drain"
+        );
+        let st = sim.stats();
+        assert!(
+            st.packets_sent > 10_000,
+            "the trace must exercise the fabric"
+        );
+        let bound = 3 * st.packets_sent + st.credit_blocked;
+        assert!(
+            st.conns_visited <= bound,
+            "{n_tors} ToRs: the rotor visited {} connections for {} packets and {} credit stalls",
+            st.conns_visited,
+            st.packets_sent,
+            st.credit_blocked
+        );
+        // What a pass over every connection costs, over the slots the run
+        // cannot have done without: those up to the last completion.
+        let last_done = (0..trace.len() as u64)
+            .filter_map(|id| sim.tracker().completion(id))
+            .max()
+            .expect("flows completed");
+        let dense = last_done / slot_len * (n_tors * ports) as u64;
+        assert!(
+            dense > 8 * bound,
+            "{n_tors} ToRs: the bound ({bound}) must separate live-lane visits from a dense walk ({dense})"
+        );
     }
 }
