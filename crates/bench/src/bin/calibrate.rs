@@ -6,12 +6,13 @@
 //! cargo run --release -p bench --bin calibrate [duration_ns] [relay_pair_packets]
 //! ```
 //!
-//! Used to tune `ObliviousConfig::relay_pair_packets` (see DESIGN.md's
-//! baseline-substitution note) and to spot-check engine performance.
+//! Used to tune `ObliviousConfig::relay_pair_packets` — the shallow relay
+//! buffer standing in for the congestion control the paper's baseline
+//! assumes — and to spot-check engine performance.
 
-use bench::runs::*;
-use negotiator::{NegotiatorConfig, SimOptions};
-use oblivious::ObliviousConfig;
+use bench::experiments::grid::{nego, oblv};
+use bench::runs::{background, SEED};
+use scenario::System;
 use topology::{NetworkConfig, TopologyKind};
 use workload::FlowSizeDist;
 
@@ -21,25 +22,19 @@ fn main() {
         .map(|a| a.parse().unwrap())
         .unwrap_or(2_000_000);
     let net = NetworkConfig::paper_default();
+    let mut baseline = oblv(&net, true);
+    if let (System::Oblivious(_, cfg), Some(pk)) = (&mut baseline, std::env::args().nth(2)) {
+        cfg.relay_pair_packets = pk.parse().unwrap();
+    }
     for load in [0.25, 0.5, 1.0] {
-        let trace = background(FlowSizeDist::hadoop(), load, &net, duration);
-        let t0 = std::time::Instant::now();
-        let (mut rn, _) = run_negotiator(
-            NegotiatorConfig::paper_default(net.clone()),
-            TopologyKind::Parallel,
-            SimOptions::default(),
-            &trace,
-            duration,
-            1,
-        );
-        let tn = t0.elapsed();
-        let t1 = std::time::Instant::now();
-        let mut ocfg = ObliviousConfig::paper_default(net.clone());
-        if let Some(pk) = std::env::args().nth(2) {
-            ocfg.relay_pair_packets = pk.parse().unwrap();
-        }
-        let (mut ro, _) = run_oblivious(ocfg, TopologyKind::ThinClos, &trace, duration);
-        let tob = t1.elapsed();
+        let trace = background(FlowSizeDist::hadoop(), load, &net, duration, SEED);
+        let timed = |system: System| {
+            let started = std::time::Instant::now();
+            let report = system.build(1).run(&trace, duration);
+            (report, started.elapsed())
+        };
+        let (mut rn, tn) = timed(nego(TopologyKind::Parallel, &net));
+        let (mut ro, tob) = timed(baseline.clone());
         println!(
             "load {:>4}: NEGO goodput {:.3} mice99 {:>9.1}us cr {:.3} ({:?}) | OBLV goodput {:.3} mice99 {:>9.1}us cr {:.3} ({:?}) flows {}",
             load,

@@ -1,5 +1,4 @@
-//! Ablations of design choices the paper motivates but does not sweep —
-//! called out in DESIGN.md's per-experiment index:
+//! Ablations of design choices the paper motivates but does not sweep:
 //!
 //! * **Request threshold** (§3.4.1): raising the threshold from zero to
 //!   three piggybacked packets avoids granting ports to pairs whose entire
@@ -13,13 +12,13 @@
 
 use std::sync::Arc;
 
+use super::grid::nego_with;
 use super::{Args, Experiment};
-use crate::runs::{background_seeded, run_negotiator, SEED};
+use crate::runs::{full_load, SEED};
 use crate::sweep::{Rendered, RunMeta, RunMetrics, RunResult, RunSpec};
 use metrics::{report, Table};
-use negotiator::{FailureAction, NegotiatorConfig, NegotiatorSim, SimOptions};
+use negotiator::{FailureAction, NegotiatorConfig, NegotiatorSim};
 use topology::{NetworkConfig, TopologyKind};
-use workload::FlowSizeDist;
 
 /// Threshold ablation: goodput, mice FCT and over-scheduling waste as the
 /// request threshold sweeps 0..6 piggyback packets — one run per
@@ -36,14 +35,7 @@ impl Experiment for AblThreshold {
         "Ablation: request threshold vs over-scheduling waste"
     }
     fn specs(&self, args: &Args) -> Vec<RunSpec> {
-        let net = NetworkConfig::paper_default();
-        let trace = Arc::new(background_seeded(
-            FlowSizeDist::hadoop(),
-            1.0,
-            &net,
-            args.duration,
-            args.seed,
-        ));
+        let (net, trace) = full_load(args);
         THRESHOLDS
             .iter()
             .enumerate()
@@ -52,21 +44,16 @@ impl Experiment for AblThreshold {
                 let trace = Arc::clone(&trace);
                 let duration = args.duration;
                 let workers = args.workers;
-                let meta = RunMeta::new(self.id(), index, "nego/parallel", args)
+                let meta = RunMeta::new(self.id(), index, "nego/parallel", args.seed, duration)
                     .load(1.0)
                     .param("threshold_packets", threshold as f64);
                 RunSpec::new(meta, move || {
-                    let mut cfg = NegotiatorConfig::paper_default(net.clone());
-                    cfg.request_threshold_packets = threshold;
-                    let (mut rep, sim) = run_negotiator(
-                        cfg,
-                        TopologyKind::Parallel,
-                        SimOptions::default(),
-                        &trace,
-                        duration,
-                        workers,
-                    );
-                    let st = sim.stats();
+                    let system = nego_with(TopologyKind::Parallel, &net, |cfg, _| {
+                        cfg.request_threshold_packets = threshold
+                    });
+                    let mut sim = system.build(workers);
+                    let mut rep = sim.run(&trace, duration);
+                    let st = *sim.negotiator().expect("built one").stats();
                     let cells = vec![
                         report::us(rep.mice.p99_ns()),
                         format!("{:.3}", rep.goodput.normalized()),
@@ -121,15 +108,13 @@ impl Experiment for AblRotation {
     fn artifact(&self) -> &'static str {
         "Ablation: predefined-rule rotation under failures"
     }
-    fn specs(&self, args: &Args) -> Vec<RunSpec> {
+    fn specs(&self, _: &Args) -> Vec<RunSpec> {
         let horizon = 350_000;
         ROTATION_ROWS
             .iter()
             .enumerate()
             .map(|(index, &(label, kind))| {
-                let meta = RunMeta::new(self.id(), index, label, args)
-                    .seed(SEED)
-                    .duration(horizon);
+                let meta = RunMeta::new(self.id(), index, label, SEED, horizon);
                 RunSpec::new(meta, move || {
                     let net = NetworkConfig::paper_default();
                     let trace = workload::FlowTrace::new(vec![workload::Flow {

@@ -3,11 +3,12 @@
 
 use std::sync::Arc;
 
+use super::grid::{nego, nego_with, Cell, Column, Grid, GridExperiment};
 use super::{Args, Experiment};
-use crate::runs::{background_seeded, run_negotiator};
-use crate::sweep::{Rendered, RunMeta, RunMetrics, RunResult, RunSpec};
-use metrics::{report, Table};
-use negotiator::{theory, NegotiatorConfig, SchedulerMode, SimOptions};
+use crate::runs::full_load;
+use crate::sweep::{Rendered, RunMeta, RunMetrics, RunSpec};
+use metrics::Table;
+use negotiator::{theory, SchedulerMode, SimOptions};
 use topology::{NetworkConfig, TopologyKind};
 use workload::FlowSizeDist;
 
@@ -23,14 +24,7 @@ impl Experiment for Fig14 {
         "Figure 14 (A.1): per-epoch match ratio vs theory"
     }
     fn specs(&self, args: &Args) -> Vec<RunSpec> {
-        let net = NetworkConfig::paper_default();
-        let trace = Arc::new(background_seeded(
-            FlowSizeDist::hadoop(),
-            1.0,
-            &net,
-            args.duration,
-            args.seed,
-        ));
+        let (net, trace) = full_load(args);
         [TopologyKind::Parallel, TopologyKind::ThinClos]
             .into_iter()
             .enumerate()
@@ -39,13 +33,12 @@ impl Experiment for Fig14 {
                 let trace = Arc::clone(&trace);
                 let duration = args.duration;
                 let workers = args.workers;
-                let meta = RunMeta::new(self.id(), index, format!("nego/{}", kind.label()), args)
-                    .load(1.0);
+                let label = format!("nego/{}", kind.label());
+                let meta = RunMeta::new(self.id(), index, label, args.seed, duration).load(1.0);
                 RunSpec::new(meta, move || {
-                    let cfg = NegotiatorConfig::paper_default(net.clone());
-                    let (rep, sim) =
-                        run_negotiator(cfg, kind, SimOptions::default(), &trace, duration, workers);
-                    let rec = sim.match_recorder();
+                    let mut sim = nego(kind, &net).build(workers);
+                    let rep = sim.run(&trace, duration);
+                    let rec = sim.negotiator().expect("built one").match_recorder();
                     let series = rec.series();
                     let mut table = Table::new(
                         format!(
@@ -74,319 +67,119 @@ impl Experiment for Fig14 {
             })
             .collect()
     }
-    fn render(&self, results: &[RunResult]) -> String {
-        results.iter().map(|r| r.block()).collect()
-    }
 }
 
 /// Figure 15 (A.2.1): iterative matching (no speedup) vs the non-iterative
-/// algorithm with 2× speedup, parallel network — one run per
-/// (load, variant).
-pub struct Fig15;
-
-const FIG15_LABELS: &[&str] = &["speedup 2x", "ITER_I", "ITER_III", "ITER_V"];
-const FIG15_ITER_ROUNDS: [usize; 3] = [1, 3, 5];
-
-impl Experiment for Fig15 {
-    fn id(&self) -> &'static str {
-        "fig15"
-    }
-    fn artifact(&self) -> &'static str {
-        "Figure 15 (A.2.1): iterative matching vs 2x speedup"
-    }
-    fn specs(&self, args: &Args) -> Vec<RunSpec> {
-        let speedup_net = NetworkConfig::paper_default();
-        let flat_net = NetworkConfig::paper_no_speedup();
-        let mut specs = Vec::new();
-        for &load in &args.loads {
-            let speedup_trace = Arc::new(background_seeded(
-                FlowSizeDist::hadoop(),
-                load,
-                &speedup_net,
-                args.duration,
-                args.seed,
-            ));
-            let flat_trace = Arc::new(background_seeded(
-                FlowSizeDist::hadoop(),
-                load,
-                &flat_net,
-                args.duration,
-                args.seed,
-            ));
-            // Non-iterative with 2× speedup (the paper's pick).
-            {
-                let net = speedup_net.clone();
-                let trace = Arc::clone(&speedup_trace);
-                let duration = args.duration;
-                let workers = args.workers;
-                let meta = RunMeta::new(self.id(), specs.len(), FIG15_LABELS[0], args).load(load);
-                specs.push(RunSpec::new(meta, move || {
-                    let cfg = NegotiatorConfig::paper_default(net.clone());
-                    let (rep, _) = run_negotiator(
-                        cfg,
-                        TopologyKind::Parallel,
-                        SimOptions::default(),
-                        &trace,
-                        duration,
-                        workers,
-                    );
-                    fig15_metrics(rep)
-                }));
-            }
-            // Iterative at 1×.
-            for (v, rounds) in FIG15_ITER_ROUNDS.into_iter().enumerate() {
-                let net = flat_net.clone();
-                let trace = Arc::clone(&flat_trace);
-                let duration = args.duration;
-                let workers = args.workers;
-                let meta = RunMeta::new(self.id(), specs.len(), FIG15_LABELS[v + 1], args)
-                    .load(load)
-                    .param("iterations", rounds as f64);
-                specs.push(RunSpec::new(meta, move || {
-                    let cfg = NegotiatorConfig::paper_default(net.clone());
-                    let (rep, _) = run_negotiator(
-                        cfg,
-                        TopologyKind::Parallel,
-                        SimOptions {
-                            mode: SchedulerMode::Iterative { rounds },
-                            ..SimOptions::default()
-                        },
-                        &trace,
-                        duration,
-                        workers,
-                    );
-                    fig15_metrics(rep)
-                }));
-            }
+/// algorithm with 2× speedup (the paper's pick), parallel network.
+pub static FIG15: GridExperiment = GridExperiment {
+    id: "fig15",
+    artifact: "Figure 15 (A.2.1): iterative matching vs 2x speedup",
+    grid: || {
+        let net = NetworkConfig::paper_default();
+        let flat = NetworkConfig::paper_no_speedup();
+        let mut columns = vec![Column::new(
+            "speedup 2x",
+            nego(TopologyKind::Parallel, &net),
+        )];
+        for (label, rounds) in [("ITER_I", 1), ("ITER_III", 3), ("ITER_V", 5)] {
+            let system = nego_with(TopologyKind::Parallel, &flat, |_, opts| {
+                opts.mode = SchedulerMode::Iterative { rounds }
+            });
+            columns.push(Column::new(label, system).param("iterations", rounds as f64));
         }
-        specs
-    }
-    fn render(&self, results: &[RunResult]) -> String {
-        let mut headers: Vec<&str> = vec!["load"];
-        headers.extend(FIG15_LABELS);
-        let mut fct = Table::new("Figure 15 — 99p mice FCT (ms), parallel", &headers);
-        let mut gp = Table::new("Figure 15 — normalized goodput, parallel", &headers);
-        for chunk in results.chunks(FIG15_LABELS.len()) {
-            let mut fct_cells = vec![report::pct(chunk[0].load())];
-            let mut gp_cells = vec![report::pct(chunk[0].load())];
-            for r in chunk {
-                fct_cells.push(r.cells()[0].clone());
-                gp_cells.push(r.cells()[1].clone());
-            }
-            fct.row(fct_cells);
-            gp.row(gp_cells);
+        Grid {
+            columns,
+            tables: vec![
+                (
+                    "Figure 15 — 99p mice FCT (ms), parallel".into(),
+                    Cell::MiceP99Ms,
+                ),
+                (
+                    "Figure 15 — normalized goodput, parallel".into(),
+                    Cell::Goodput,
+                ),
+            ],
+            dist: FlowSizeDist::hadoop(),
+            net,
         }
-        format!("{}\n{}", fct.render(), gp.render())
-    }
-}
+    },
+};
 
-fn fig15_metrics(mut rep: metrics::RunReport) -> RunMetrics {
-    let cells = vec![
-        report::ms(rep.mice.p99_ns()),
-        format!("{:.3}", rep.goodput.normalized()),
-    ];
-    RunMetrics::with_report(Rendered::Cells(cells), rep)
-}
+/// A design variant: its column label and what it changes of the base.
+type Variant = (&'static str, fn(&mut SimOptions));
 
-/// Shared shape of Tables 3–6: base vs variants, `99p mice FCT (us) /
-/// normalized goodput` per load — one run per (load, variant).
-fn variant_specs(
-    experiment: &'static str,
-    kind: TopologyKind,
-    variants: Vec<(&'static str, SimOptions)>,
-    args: &Args,
-) -> Vec<RunSpec> {
+/// Shape of Tables 3–6: the base design against variants of it on `kind`,
+/// `99p mice FCT (us) / normalized goodput` per load.
+fn variants(title: &str, kind: TopologyKind, variants: &[Variant]) -> Grid {
     let net = NetworkConfig::paper_default();
-    let mut specs = Vec::new();
-    for &load in &args.loads {
-        let trace = Arc::new(background_seeded(
-            FlowSizeDist::hadoop(),
-            load,
-            &net,
-            args.duration,
-            args.seed,
+    let mut columns = vec![Column::new("Base", nego(kind, &net))];
+    for &(label, set) in variants {
+        columns.push(Column::new(
+            label,
+            nego_with(kind, &net, |_, opts| set(opts)),
         ));
-        for (label, opts) in &variants {
-            let net = net.clone();
-            let trace = Arc::clone(&trace);
-            let opts = opts.clone();
-            let duration = args.duration;
-            let workers = args.workers;
-            let meta = RunMeta::new(experiment, specs.len(), *label, args).load(load);
-            specs.push(RunSpec::new(meta, move || {
-                let cfg = NegotiatorConfig::paper_default(net.clone());
-                let (mut rep, _) = run_negotiator(cfg, kind, opts, &trace, duration, workers);
-                let cell = format!(
-                    "{}/{}",
-                    report::us(rep.mice.p99_ns()),
-                    report::pct(rep.goodput.normalized())
-                );
-                RunMetrics::with_report(Rendered::Cells(vec![cell]), rep)
-            }));
-        }
     }
-    specs
-}
-
-fn variant_render(title: &str, labels: &[&str], results: &[RunResult]) -> String {
-    let mut headers: Vec<&str> = vec!["load"];
-    headers.extend(labels);
-    let mut table = Table::new(title, &headers);
-    for chunk in results.chunks(labels.len()) {
-        let mut cells = vec![report::pct(chunk[0].load())];
-        cells.extend(chunk.iter().map(|r| r.cells()[0].clone()));
-        table.row(cells);
+    Grid {
+        columns,
+        tables: vec![(title.into(), Cell::MiceP99UsAndGoodput)],
+        dist: FlowSizeDist::hadoop(),
+        net,
     }
-    table.render()
 }
 
 /// Table 3 (A.2.2): traffic-aware selective relay on thin-clos.
-pub struct Table3;
-
-impl Experiment for Table3 {
-    fn id(&self) -> &'static str {
-        "table3"
-    }
-    fn artifact(&self) -> &'static str {
-        "Table 3 (A.2.2): traffic-aware selective relay"
-    }
-    fn specs(&self, args: &Args) -> Vec<RunSpec> {
-        variant_specs(
-            self.id(),
-            TopologyKind::ThinClos,
-            vec![
-                ("Base", SimOptions::default()),
-                (
-                    "Two-Hop",
-                    SimOptions {
-                        selective_relay: true,
-                        ..SimOptions::default()
-                    },
-                ),
-            ],
-            args,
-        )
-    }
-    fn render(&self, results: &[RunResult]) -> String {
-        variant_render(
+pub static TABLE3: GridExperiment = GridExperiment {
+    id: "table3",
+    artifact: "Table 3 (A.2.2): traffic-aware selective relay",
+    grid: || {
+        variants(
             "Table 3 — selective relay, thin-clos: 99p mice FCT (us) / goodput",
-            &["Base", "Two-Hop"],
-            results,
+            TopologyKind::ThinClos,
+            &[("Two-Hop", |opts| opts.selective_relay = true)],
         )
-    }
-}
+    },
+};
 
 /// Table 4 (A.2.3): informative requests on the parallel network.
-pub struct Table4;
-
-impl Experiment for Table4 {
-    fn id(&self) -> &'static str {
-        "table4"
-    }
-    fn artifact(&self) -> &'static str {
-        "Table 4 (A.2.3): informative requests"
-    }
-    fn specs(&self, args: &Args) -> Vec<RunSpec> {
-        variant_specs(
-            self.id(),
-            TopologyKind::Parallel,
-            vec![
-                ("Base", SimOptions::default()),
-                (
-                    "Data-Size",
-                    SimOptions {
-                        mode: SchedulerMode::DataSize,
-                        ..SimOptions::default()
-                    },
-                ),
-                (
-                    "HoL-Delay",
-                    SimOptions {
-                        mode: SchedulerMode::HolDelay { alpha: 0.001 },
-                        ..SimOptions::default()
-                    },
-                ),
-            ],
-            args,
-        )
-    }
-    fn render(&self, results: &[RunResult]) -> String {
-        variant_render(
+pub static TABLE4: GridExperiment = GridExperiment {
+    id: "table4",
+    artifact: "Table 4 (A.2.3): informative requests",
+    grid: || {
+        variants(
             "Table 4 — informative requests, parallel: 99p mice FCT (us) / goodput",
-            &["Base", "Data-Size", "HoL-Delay"],
-            results,
+            TopologyKind::Parallel,
+            &[
+                ("Data-Size", |opts| opts.mode = SchedulerMode::DataSize),
+                ("HoL-Delay", |opts| {
+                    opts.mode = SchedulerMode::HolDelay { alpha: 0.001 }
+                }),
+            ],
         )
-    }
-}
+    },
+};
 
 /// Table 5 (A.2.4): stateful scheduling on the parallel network.
-pub struct Table5;
-
-impl Experiment for Table5 {
-    fn id(&self) -> &'static str {
-        "table5"
-    }
-    fn artifact(&self) -> &'static str {
-        "Table 5 (A.2.4): stateful scheduling"
-    }
-    fn specs(&self, args: &Args) -> Vec<RunSpec> {
-        variant_specs(
-            self.id(),
-            TopologyKind::Parallel,
-            vec![
-                ("Base", SimOptions::default()),
-                (
-                    "Stateful",
-                    SimOptions {
-                        mode: SchedulerMode::Stateful,
-                        ..SimOptions::default()
-                    },
-                ),
-            ],
-            args,
-        )
-    }
-    fn render(&self, results: &[RunResult]) -> String {
-        variant_render(
+pub static TABLE5: GridExperiment = GridExperiment {
+    id: "table5",
+    artifact: "Table 5 (A.2.4): stateful scheduling",
+    grid: || {
+        variants(
             "Table 5 — stateful scheduling, parallel: 99p mice FCT (us) / goodput",
-            &["Base", "Stateful"],
-            results,
+            TopologyKind::Parallel,
+            &[("Stateful", |opts| opts.mode = SchedulerMode::Stateful)],
         )
-    }
-}
+    },
+};
 
 /// Table 6 (A.2.5): ProjecToR-style scheduling on the parallel network.
-pub struct Table6;
-
-impl Experiment for Table6 {
-    fn id(&self) -> &'static str {
-        "table6"
-    }
-    fn artifact(&self) -> &'static str {
-        "Table 6 (A.2.5): ProjecToR-style scheduling"
-    }
-    fn specs(&self, args: &Args) -> Vec<RunSpec> {
-        variant_specs(
-            self.id(),
-            TopologyKind::Parallel,
-            vec![
-                ("Base", SimOptions::default()),
-                (
-                    "ProjecToR",
-                    SimOptions {
-                        mode: SchedulerMode::Projector,
-                        ..SimOptions::default()
-                    },
-                ),
-            ],
-            args,
-        )
-    }
-    fn render(&self, results: &[RunResult]) -> String {
-        variant_render(
+pub static TABLE6: GridExperiment = GridExperiment {
+    id: "table6",
+    artifact: "Table 6 (A.2.5): ProjecToR-style scheduling",
+    grid: || {
+        variants(
             "Table 6 — ProjecToR scheduling, parallel: 99p mice FCT (us) / goodput",
-            &["Base", "ProjecToR"],
-            results,
+            TopologyKind::Parallel,
+            &[("ProjecToR", |opts| opts.mode = SchedulerMode::Projector)],
         )
-    }
-}
+    },
+};

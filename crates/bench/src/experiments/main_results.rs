@@ -2,171 +2,65 @@
 
 use std::sync::Arc;
 
+use super::grid::{nego, nego_with, oblv, Cell, Column, Grid, GridExperiment};
 use super::{Args, Experiment};
-use crate::runs::{background_seeded, run_negotiator, run_oblivious};
+use crate::runs::full_load;
 use crate::sweep::{Rendered, RunMeta, RunMetrics, RunResult, RunSpec};
-use metrics::{report, RunReport, Table};
+use metrics::{report, Table};
 use negotiator::{FailureAction, NegotiatorConfig, NegotiatorSim, SimOptions};
-use oblivious::ObliviousConfig;
-use sim::time::Nanos;
 use topology::{NetworkConfig, TopologyKind};
-use workload::{FlowSizeDist, FlowTrace};
+use workload::FlowSizeDist;
 
-/// The six systems of Figure 9's legend.
-const SYSTEMS: &[(&str, Sys)] = &[
-    ("nego/parallel", Sys::Nego(TopologyKind::Parallel, true)),
-    (
-        "nego/parallel w/o PQ",
-        Sys::Nego(TopologyKind::Parallel, false),
-    ),
-    ("nego/thin-clos", Sys::Nego(TopologyKind::ThinClos, true)),
-    (
-        "nego/thin-clos w/o PQ",
-        Sys::Nego(TopologyKind::ThinClos, false),
-    ),
-    ("oblivious/thin-clos", Sys::Oblv(true)),
-    ("oblivious/thin-clos w/o PQ", Sys::Oblv(false)),
-];
-
-const SWEEP_HEADERS: &[&str] = &[
-    "load",
-    "nego/par",
-    "par w/o PQ",
-    "nego/thin",
-    "thin w/o PQ",
-    "oblv",
-    "oblv w/o PQ",
-];
-
-#[derive(Clone, Copy)]
-enum Sys {
-    Nego(TopologyKind, bool),
-    Oblv(bool),
-}
-
-/// One (system, trace) run.
-fn measure(
-    sys: Sys,
-    net: &NetworkConfig,
-    trace: &FlowTrace,
-    duration: Nanos,
-    workers: usize,
-) -> RunReport {
-    match sys {
-        Sys::Nego(kind, pq) => {
-            let mut cfg = NegotiatorConfig::paper_default(net.clone());
-            cfg.priority_queues = pq;
-            let (rep, _) =
-                run_negotiator(cfg, kind, SimOptions::default(), trace, duration, workers);
-            rep
-        }
-        Sys::Oblv(pq) => {
-            let mut cfg = ObliviousConfig::paper_default(net.clone());
-            cfg.priority_queues = pq;
-            let (rep, _) = run_oblivious(cfg, TopologyKind::ThinClos, trace, duration);
-            rep
-        }
+/// The load sweep shared by Figures 9, 11, 13(b) and 13(c): the six
+/// systems of Figure 9's legend on `net`, an FCT and a goodput table.
+pub(super) fn load_sweep(title: &str, net: NetworkConfig, dist: FlowSizeDist) -> Grid {
+    use TopologyKind::{Parallel, ThinClos};
+    let no_pq = |cfg: &mut NegotiatorConfig, _: &mut SimOptions| cfg.priority_queues = false;
+    Grid {
+        columns: vec![
+            Column::new("nego/parallel", nego(Parallel, &net)).header("nego/par"),
+            Column::new("nego/parallel w/o PQ", nego_with(Parallel, &net, no_pq))
+                .header("par w/o PQ"),
+            Column::new("nego/thin-clos", nego(ThinClos, &net)).header("nego/thin"),
+            Column::new("nego/thin-clos w/o PQ", nego_with(ThinClos, &net, no_pq))
+                .header("thin w/o PQ"),
+            Column::new("oblivious/thin-clos", oblv(&net, true)).header("oblv"),
+            Column::new("oblivious/thin-clos w/o PQ", oblv(&net, false)).header("oblv w/o PQ"),
+        ],
+        tables: vec![
+            (format!("{title} — 99p mice FCT (ms)"), Cell::MiceP99Ms),
+            (format!("{title} — normalized goodput"), Cell::Goodput),
+        ],
+        dist,
+        net,
     }
-}
-
-/// Specs for the load sweep shared by Figures 9, 11, 13(b), 13(c): one run
-/// per (load, system), the per-load trace `Arc`-shared across systems.
-pub(super) fn load_sweep_specs(
-    experiment: &'static str,
-    net: NetworkConfig,
-    dist: FlowSizeDist,
-    args: &Args,
-) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
-    for &load in &args.loads {
-        let trace = Arc::new(background_seeded(
-            dist.clone(),
-            load,
-            &net,
-            args.duration,
-            args.seed,
-        ));
-        for &(name, sys) in SYSTEMS {
-            let net = net.clone();
-            let trace = Arc::clone(&trace);
-            let duration = args.duration;
-            let workers = args.workers;
-            let meta = RunMeta::new(experiment, specs.len(), name, args).load(load);
-            specs.push(RunSpec::new(meta, move || {
-                let mut rep = measure(sys, &net, &trace, duration, workers);
-                let cells = vec![
-                    format!("{:.4}", rep.mice.p99_ns() / 1e6),
-                    format!("{:.3}", rep.goodput.normalized()),
-                ];
-                RunMetrics::with_report(Rendered::Cells(cells), rep)
-            }));
-        }
-    }
-    specs
-}
-
-/// Render for [`load_sweep_specs`]: an FCT table and a goodput table.
-pub(super) fn load_sweep_render(title: &str, results: &[RunResult]) -> String {
-    let mut fct = Table::new(format!("{title} — 99p mice FCT (ms)"), SWEEP_HEADERS);
-    let mut gp = Table::new(format!("{title} — normalized goodput"), SWEEP_HEADERS);
-    for chunk in results.chunks(SYSTEMS.len()) {
-        let mut fct_cells = vec![report::pct(chunk[0].load())];
-        let mut gp_cells = vec![report::pct(chunk[0].load())];
-        for r in chunk {
-            fct_cells.push(r.cells()[0].clone());
-            gp_cells.push(r.cells()[1].clone());
-        }
-        fct.row(fct_cells);
-        gp.row(gp_cells);
-    }
-    format!("{}\n{}", fct.render(), gp.render())
 }
 
 /// Figure 9: FCT and goodput vs load on the Hadoop workload.
-pub struct Fig9;
-
-impl Experiment for Fig9 {
-    fn id(&self) -> &'static str {
-        "fig9"
-    }
-    fn artifact(&self) -> &'static str {
-        "Figure 9: mice FCT and goodput vs load (main result)"
-    }
-    fn specs(&self, args: &Args) -> Vec<RunSpec> {
-        load_sweep_specs(
-            self.id(),
+pub static FIG9: GridExperiment = GridExperiment {
+    id: "fig9",
+    artifact: "Figure 9: mice FCT and goodput vs load (main result)",
+    grid: || {
+        load_sweep(
+            "Figure 9",
             NetworkConfig::paper_default(),
             FlowSizeDist::hadoop(),
-            args,
         )
-    }
-    fn render(&self, results: &[RunResult]) -> String {
-        load_sweep_render("Figure 9", results)
-    }
-}
+    },
+};
 
 /// Figure 11: the same sweep with no uplink speedup (§4.4).
-pub struct Fig11;
-
-impl Experiment for Fig11 {
-    fn id(&self) -> &'static str {
-        "fig11"
-    }
-    fn artifact(&self) -> &'static str {
-        "Figure 11: FCT and goodput vs load without speedup"
-    }
-    fn specs(&self, args: &Args) -> Vec<RunSpec> {
-        load_sweep_specs(
-            self.id(),
+pub static FIG11: GridExperiment = GridExperiment {
+    id: "fig11",
+    artifact: "Figure 11: FCT and goodput vs load without speedup",
+    grid: || {
+        load_sweep(
+            "Figure 11 (no speedup)",
             NetworkConfig::paper_no_speedup(),
             FlowSizeDist::hadoop(),
-            args,
         )
-    }
-    fn render(&self, results: &[RunResult]) -> String {
-        load_sweep_render("Figure 11 (no speedup)", results)
-    }
-}
+    },
+};
 
 /// Figure 10: bandwidth usage through simultaneous link failures and
 /// recovery on the parallel network — one run per failure ratio.
@@ -182,14 +76,7 @@ impl Experiment for Fig10 {
         "Figure 10: bandwidth under link failure and recovery"
     }
     fn specs(&self, args: &Args) -> Vec<RunSpec> {
-        let net = NetworkConfig::paper_default();
-        let trace = Arc::new(background_seeded(
-            FlowSizeDist::hadoop(),
-            1.0,
-            &net,
-            args.duration,
-            args.seed,
-        ));
+        let (net, trace) = full_load(args);
         let fail_at = args.duration / 3;
         let repair_at = 2 * args.duration / 3;
         // Goodput ramps while backlogs build at 100% load, so each phase is
@@ -204,9 +91,10 @@ impl Experiment for Fig10 {
                 let trace = Arc::clone(&trace);
                 let duration = args.duration;
                 let workers = args.workers;
-                let meta = RunMeta::new(self.id(), index, "nego/parallel", args)
-                    .load(1.0)
-                    .param("failure_ratio", ratio);
+                let meta =
+                    RunMeta::new(self.id(), index, "nego/parallel", args.seed, args.duration)
+                        .load(1.0)
+                        .param("failure_ratio", ratio);
                 RunSpec::new(meta, move || {
                     let mut sim = NegotiatorSim::with_options(
                         NegotiatorConfig::paper_default(net.clone()),

@@ -2,14 +2,14 @@
 
 use std::sync::Arc;
 
+use super::grid::{matrix_table, nego, nego_with, three_systems};
 use super::{Args, Experiment};
-use crate::runs::{background_seeded, run_negotiator, run_oblivious, SEED};
+use crate::runs::{full_load, SEED};
 use crate::sweep::{Rendered, RunMeta, RunMetrics, RunResult, RunSpec};
 use metrics::{report, RunReport, Table};
-use negotiator::{NegotiatorConfig, SimOptions};
-use oblivious::ObliviousConfig;
-use topology::{NetworkConfig, TopologyKind};
-use workload::{AllToAllWorkload, FlowSizeDist, IncastWorkload};
+use scenario::System;
+use topology::{AnyTopology, NetworkConfig, Topology, TopologyKind};
+use workload::{AllToAllWorkload, FlowTrace, IncastWorkload};
 
 /// Table 2's PB/PQ toggle grid.
 const TABLE2_CONFIGS: &[(&str, bool, bool)] = &[
@@ -31,14 +31,7 @@ impl Experiment for Table2 {
         "Table 2: PB/PQ ablation, mice FCT at 100% load"
     }
     fn specs(&self, args: &Args) -> Vec<RunSpec> {
-        let net = NetworkConfig::paper_default();
-        let trace = Arc::new(background_seeded(
-            FlowSizeDist::hadoop(),
-            1.0,
-            &net,
-            args.duration,
-            args.seed,
-        ));
+        let (net, trace) = full_load(args);
         let mut specs = Vec::new();
         for &(label, pb, pq) in TABLE2_CONFIGS {
             for kind in [TopologyKind::Parallel, TopologyKind::ThinClos] {
@@ -50,16 +43,18 @@ impl Experiment for Table2 {
                     self.id(),
                     specs.len(),
                     format!("{label} / {}", kind.label()),
-                    args,
+                    args.seed,
+                    duration,
                 )
                 .load(1.0);
                 specs.push(RunSpec::new(meta, move || {
-                    let mut cfg = NegotiatorConfig::paper_default(net.clone());
-                    cfg.piggyback = pb;
-                    cfg.priority_queues = pq;
-                    let (mut rep, sim) =
-                        run_negotiator(cfg, kind, SimOptions::default(), &trace, duration, workers);
-                    let epoch = sim.epoch_len() as f64;
+                    let system = nego_with(kind, &net, |cfg, _| {
+                        cfg.piggyback = pb;
+                        cfg.priority_queues = pq;
+                    });
+                    let mut sim = system.build(workers);
+                    let mut rep = sim.run(&trace, duration);
+                    let epoch = sim.negotiator().expect("built one").epoch_len() as f64;
                     let cell = format!(
                         "{:.1}/{:.1}",
                         rep.mice.p99_ns() / epoch,
@@ -73,16 +68,13 @@ impl Experiment for Table2 {
         specs
     }
     fn render(&self, results: &[RunResult]) -> String {
-        let mut table = Table::new(
+        matrix_table(
             "Table 2 — mice FCT in epochs (99p/avg) at 100% load",
             &["config", "parallel", "thin-clos"],
-        );
-        for (chunk, &(label, ..)) in results.chunks(2).zip(TABLE2_CONFIGS) {
-            let mut cells = vec![label.to_string()];
-            cells.extend(chunk.iter().map(|r| r.cells()[0].clone()));
-            table.row(cells);
-        }
-        table.render()
+            results,
+            0,
+            |row, _| TABLE2_CONFIGS[row].0.to_string(),
+        )
     }
 }
 
@@ -98,14 +90,7 @@ impl Experiment for Fig6 {
         "Figure 6: CDF of mice FCT at 100% load"
     }
     fn specs(&self, args: &Args) -> Vec<RunSpec> {
-        let net = NetworkConfig::paper_default();
-        let trace = Arc::new(background_seeded(
-            FlowSizeDist::hadoop(),
-            1.0,
-            &net,
-            args.duration,
-            args.seed,
-        ));
+        let (net, trace) = full_load(args);
         [TopologyKind::Parallel, TopologyKind::ThinClos]
             .into_iter()
             .enumerate()
@@ -114,14 +99,12 @@ impl Experiment for Fig6 {
                 let trace = Arc::clone(&trace);
                 let duration = args.duration;
                 let workers = args.workers;
-                let meta =
-                    RunMeta::new(self.id(), index, format!("nego/{}", kind.label()), args)
-                        .load(1.0);
+                let label = format!("nego/{}", kind.label());
+                let meta = RunMeta::new(self.id(), index, label, args.seed, duration).load(1.0);
                 RunSpec::new(meta, move || {
-                    let cfg = NegotiatorConfig::paper_default(net.clone());
-                    let (mut rep, sim) =
-                        run_negotiator(cfg, kind, SimOptions::default(), &trace, duration, workers);
-                    let epoch = sim.epoch_len();
+                    let mut sim = nego(kind, &net).build(workers);
+                    let mut rep = sim.run(&trace, duration);
+                    let epoch = sim.negotiator().expect("built one").epoch_len();
                     let mut table = Table::new(
                         format!("Figure 6 — mice FCT CDF at 100% load, {}", kind.label()),
                         &["fct_us", "cdf"],
@@ -144,9 +127,6 @@ impl Experiment for Fig6 {
             })
             .collect()
     }
-    fn render(&self, results: &[RunResult]) -> String {
-        results.iter().map(|r| r.block()).collect()
-    }
 }
 
 /// Figure 7(a): incast finish time vs degree, 1 KB flows — one run per
@@ -154,42 +134,15 @@ impl Experiment for Fig6 {
 pub struct Fig7a;
 
 const FIG7A_DEGREES: [usize; 6] = [1, 10, 20, 30, 40, 50];
-/// The three systems of Figures 7(a)/7(b)'s legends.
-const BURST_SYSTEMS: &[&str] = &["nego/parallel", "nego/thin-clos", "oblivious/thin-clos"];
 /// Generous burst horizon; engines exit early when done.
 const FIG7A_HORIZON: u64 = 3_000_000;
 
-/// Run one burst trace on system `sys` (index into [`BURST_SYSTEMS`]) and
-/// return its finish time, if every flow completed.
-fn burst_finish(
-    sys: usize,
-    net: &NetworkConfig,
-    trace: &workload::FlowTrace,
-    horizon: u64,
-    workers: usize,
-) -> Option<u64> {
-    match sys {
-        0 | 1 => {
-            let kind = if sys == 0 {
-                TopologyKind::Parallel
-            } else {
-                TopologyKind::ThinClos
-            };
-            let cfg = NegotiatorConfig::paper_default(net.clone());
-            let (_, sim) =
-                run_negotiator(cfg, kind, SimOptions::default(), trace, horizon, workers);
-            RunReport::burst_finish_time(trace, sim.tracker())
-        }
-        _ => {
-            let (_, sim) = run_oblivious(
-                ObliviousConfig::paper_default(net.clone()),
-                TopologyKind::ThinClos,
-                trace,
-                horizon,
-            );
-            RunReport::burst_finish_time(trace, sim.tracker())
-        }
-    }
+/// Run one burst trace on `system` and return its finish time, if every
+/// flow completed.
+fn burst_finish(system: System, trace: &FlowTrace, horizon: u64, workers: usize) -> Option<u64> {
+    let mut sim = system.build(workers);
+    sim.run(trace, horizon);
+    RunReport::burst_finish_time(trace, sim.tracker())
 }
 
 impl Experiment for Fig7a {
@@ -212,16 +165,13 @@ impl Experiment for Fig7a {
                 }
                 .generate(SEED),
             );
-            for (sys, &name) in BURST_SYSTEMS.iter().enumerate() {
-                let net = net.clone();
+            for (name, system) in three_systems(&net) {
                 let trace = Arc::clone(&trace);
                 let workers = args.workers;
-                let meta = RunMeta::new(self.id(), specs.len(), name, args)
-                    .param("degree", degree as f64)
-                    .seed(SEED)
-                    .duration(FIG7A_HORIZON);
+                let meta = RunMeta::new(self.id(), specs.len(), name, SEED, FIG7A_HORIZON)
+                    .param("degree", degree as f64);
                 specs.push(RunSpec::new(meta, move || {
-                    let t = burst_finish(sys, &net, &trace, FIG7A_HORIZON, workers)
+                    let t = burst_finish(system, &trace, FIG7A_HORIZON, workers)
                         .expect("incast must complete");
                     RunMetrics::new(Rendered::Cells(vec![report::us(t as f64)]))
                         .push_extra("finish_ns", t as f64)
@@ -231,21 +181,11 @@ impl Experiment for Fig7a {
         specs
     }
     fn render(&self, results: &[RunResult]) -> String {
-        let mut table = Table::new(
+        burst_table(
             "Figure 7(a) — incast finish time (us) vs degree",
-            &[
-                "degree",
-                "nego/parallel",
-                "nego/thin-clos",
-                "oblivious/thin-clos",
-            ],
-        );
-        for chunk in results.chunks(BURST_SYSTEMS.len()) {
-            let mut cells = vec![format!("{}", chunk[0].param() as usize)];
-            cells.extend(chunk.iter().map(|r| r.cells()[0].clone()));
-            table.row(cells);
-        }
-        table.render()
+            "degree",
+            results,
+        )
     }
 }
 
@@ -276,18 +216,15 @@ impl Experiment for Fig7b {
             );
             // Horizon scales with the volume; engines exit early when done.
             let horizon = 10_000_000 + kb * 2_000_000;
-            for (sys, &name) in BURST_SYSTEMS.iter().enumerate() {
-                let net = net.clone();
+            for (name, system) in three_systems(&net) {
                 let trace = Arc::clone(&trace);
-                let workers = args.workers;
-                let meta = RunMeta::new(self.id(), specs.len(), name, args)
-                    .param("flow_kb", kb as f64)
-                    .duration(horizon);
+                let (workers, n_tors) = (args.workers, net.n_tors);
+                let meta = RunMeta::new(self.id(), specs.len(), name, args.seed, horizon)
+                    .param("flow_kb", kb as f64);
                 specs.push(RunSpec::new(meta, move || {
-                    match burst_finish(sys, &net, &trace, horizon, workers) {
+                    match burst_finish(system, &trace, horizon, workers) {
                         Some(t) if t > 0 => {
-                            let gbps =
-                                (trace.total_bytes() * 8) as f64 / t as f64 / net.n_tors as f64;
+                            let gbps = (trace.total_bytes() * 8) as f64 / t as f64 / n_tors as f64;
                             RunMetrics::new(Rendered::Cells(vec![format!("{gbps:.0}")]))
                                 .push_extra("goodput_gbps", gbps)
                                 .push_extra("finish_ns", t as f64)
@@ -300,22 +237,26 @@ impl Experiment for Fig7b {
         specs
     }
     fn render(&self, results: &[RunResult]) -> String {
-        let mut table = Table::new(
+        burst_table(
             "Figure 7(b) — all-to-all average goodput (Gbps) vs flow size",
-            &[
-                "flow_kb",
-                "nego/parallel",
-                "nego/thin-clos",
-                "oblivious/thin-clos",
-            ],
-        );
-        for chunk in results.chunks(BURST_SYSTEMS.len()) {
-            let mut cells = vec![format!("{}", chunk[0].param() as u64)];
-            cells.extend(chunk.iter().map(|r| r.cells()[0].clone()));
-            table.row(cells);
-        }
-        table.render()
+            "flow_kb",
+            results,
+        )
     }
+}
+
+/// A burst figure's table: a row per sweep-parameter value, a column per
+/// system of [`three_systems`].
+fn burst_table(title: &str, param: &str, results: &[RunResult]) -> String {
+    let headers = [
+        param,
+        "nego/parallel",
+        "nego/thin-clos",
+        "oblivious/thin-clos",
+    ];
+    matrix_table(title, &headers, results, 0, |_, r| {
+        format!("{}", r.param() as u64)
+    })
 }
 
 /// Figure 8: goodput and mice FCT at 100% load under longer end-to-end
@@ -332,14 +273,7 @@ impl Experiment for Fig8 {
         "Figure 8: reconfiguration-delay sweep at 100% load"
     }
     fn specs(&self, args: &Args) -> Vec<RunSpec> {
-        let net = NetworkConfig::paper_default();
-        let trace = Arc::new(background_seeded(
-            FlowSizeDist::hadoop(),
-            1.0,
-            &net,
-            args.duration,
-            args.seed,
-        ));
+        let (net, trace) = full_load(args);
         let mut specs = Vec::new();
         for kind in [TopologyKind::Parallel, TopologyKind::ThinClos] {
             for guard in FIG8_GUARDS {
@@ -347,20 +281,16 @@ impl Experiment for Fig8 {
                 let trace = Arc::clone(&trace);
                 let duration = args.duration;
                 let workers = args.workers;
-                let meta = RunMeta::new(
-                    self.id(),
-                    specs.len(),
-                    format!("nego/{}", kind.label()),
-                    args,
-                )
-                .load(1.0)
-                .param("reconf_ns", guard as f64);
+                let label = format!("nego/{}", kind.label());
+                let meta = RunMeta::new(self.id(), specs.len(), label, args.seed, duration)
+                    .load(1.0)
+                    .param("reconf_ns", guard as f64);
                 specs.push(RunSpec::new(meta, move || {
-                    let mut cfg = NegotiatorConfig::paper_default(net.clone());
-                    let pre_slots = pre_slots_for(&cfg, kind);
-                    cfg.epoch = cfg.epoch.with_guardband(guard, pre_slots);
-                    let (mut rep, _) =
-                        run_negotiator(cfg, kind, SimOptions::default(), &trace, duration, workers);
+                    let pre_slots = AnyTopology::build(kind, net.clone()).predefined_slots();
+                    let system = nego_with(kind, &net, |cfg, _| {
+                        cfg.epoch = cfg.epoch.with_guardband(guard, pre_slots)
+                    });
+                    let mut rep = system.build(workers).run(&trace, duration);
                     let cells = vec![
                         report::ms(rep.mice.p99_ns()),
                         format!("{:.3}", rep.goodput.normalized()),
@@ -393,14 +323,5 @@ impl Experiment for Fig8 {
             out.push('\n');
         }
         out
-    }
-}
-
-/// Predefined-phase slot count of `kind` at `cfg`'s scale (§3.3.1:
-/// `⌈(N−1)/S⌉` for the parallel network, `W = N/S` for thin-clos).
-pub fn pre_slots_for(cfg: &NegotiatorConfig, kind: TopologyKind) -> usize {
-    match kind {
-        TopologyKind::Parallel => (cfg.net.n_tors - 1).div_ceil(cfg.net.n_ports),
-        TopologyKind::ThinClos => cfg.net.n_tors / cfg.net.n_ports,
     }
 }

@@ -1,6 +1,12 @@
 //! The experiment registry: one [`Experiment`] per table/figure of the
 //! paper, each decomposed into independently schedulable runs so the
 //! sweep engine (`crate::sweep`) can execute any mix of them in parallel.
+//! [`EXPERIMENTS`] is the per-experiment index (`paper list` prints it):
+//! the load sweeps are [`grid::Grid`] values — systems and tables written
+//! down, expanded and rendered by one piece of code — and the experiments
+//! whose runs need code of their own are closures behind the same trait.
+//! Either way an engine is built through [`scenario::System`], the driver
+//! `paper scenario` and the daemon use.
 
 use crate::sweep::{RunResult, RunSpec};
 use sim::time::Nanos;
@@ -8,6 +14,7 @@ use sim::time::Nanos;
 pub mod ablation;
 pub mod appendix;
 pub mod deepdive;
+pub mod grid;
 pub mod main_results;
 pub mod micro;
 pub mod observe;
@@ -52,8 +59,11 @@ pub trait Experiment: Sync {
     fn artifact(&self) -> &'static str;
     /// Expand into independently schedulable runs.
     fn specs(&self, args: &Args) -> Vec<RunSpec>;
-    /// Reassemble executed runs (in spec order) into the text report.
-    fn render(&self, results: &[RunResult]) -> String;
+    /// Reassemble executed runs (in spec order) into the text report:
+    /// unless overridden, the runs' rendered blocks one after the other.
+    fn render(&self, results: &[RunResult]) -> String {
+        results.iter().map(|r| r.block()).collect()
+    }
 }
 
 /// Every experiment of the harness, in the paper's presentation order.
@@ -63,20 +73,20 @@ pub static EXPERIMENTS: &[&dyn Experiment] = &[
     &micro::Fig7a,
     &micro::Fig7b,
     &micro::Fig8,
-    &main_results::Fig9,
+    &main_results::FIG9,
     &main_results::Fig10,
-    &main_results::Fig11,
-    &deepdive::Fig12a,
-    &deepdive::Fig12b,
+    &main_results::FIG11,
+    &deepdive::FIG12A,
+    &deepdive::FIG12B,
     &deepdive::Fig13a,
-    &deepdive::Fig13b,
-    &deepdive::Fig13c,
+    &deepdive::FIG13B,
+    &deepdive::FIG13C,
     &appendix::Fig14,
-    &appendix::Fig15,
-    &appendix::Table3,
-    &appendix::Table4,
-    &appendix::Table5,
-    &appendix::Table6,
+    &appendix::FIG15,
+    &appendix::TABLE3,
+    &appendix::TABLE4,
+    &appendix::TABLE5,
+    &appendix::TABLE6,
     &observe::Fig17,
     &observe::Fig18,
     &observe::Fig19,
@@ -87,12 +97,6 @@ pub static EXPERIMENTS: &[&dyn Experiment] = &[
 /// Look an experiment up by id.
 pub fn find_experiment(id: &str) -> Option<&'static dyn Experiment> {
     EXPERIMENTS.iter().copied().find(|e| e.id() == id)
-}
-
-/// Run one experiment by id on the calling thread, returning its rendered
-/// report (compatibility shim over the sweep engine).
-pub fn run_experiment(id: &str, args: &Args) -> Option<String> {
-    Some(crate::sweep::run_one(find_experiment(id)?, args, 1).rendered)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use super::{Args, Experiment};
 use crate::runs::SEED;
-use crate::sweep::{Rendered, RunMeta, RunMetrics, RunResult, RunSpec};
+use crate::sweep::{Rendered, RunMeta, RunMetrics, RunSpec};
 use metrics::Table;
 use negotiator::{FailureAction, NegotiatorConfig, NegotiatorSim, SimOptions};
 use oblivious::sim::ObliviousRecording;
@@ -39,31 +39,87 @@ fn series_rows(
     }
 }
 
-/// Run a NegotiaToR burst and render destination `dst`'s receiver series.
-#[allow(clippy::too_many_arguments)] // flat run parameters, called twice
-fn nego_rx_block(
-    title: String,
-    net: &NetworkConfig,
-    kind: TopologyKind,
-    trace: &FlowTrace,
+/// What Figures 17 and 18 share: a burst injected at 10 µs and the
+/// bandwidth destination `dst` receives, one run per system — NegotiaToR
+/// on both topologies, then the oblivious baseline, with the transit
+/// (relay) traffic competing at the same receiver beside its final
+/// traffic when `transit`.
+struct RxFigure {
+    figure: &'static str,
+    trace: FlowTrace,
     dst: usize,
+    seed: u64,
     horizon: Nanos,
+    /// The series is printed up to here.
     until: Nanos,
-    workers: usize,
-) -> String {
-    let mut sim = NegotiatorSim::with_options(
-        NegotiatorConfig::paper_default(net.clone()),
-        kind,
-        SimOptions {
-            rx_window: Some(WINDOW),
-            workers,
-            ..SimOptions::default()
-        },
-    );
-    sim.run(trace, horizon);
-    let mut table = Table::new(title, &["time_us", "gbps"]);
-    series_rows(&mut table, sim.rx_series(dst).unwrap(), until, None);
-    table.render()
+    transit: bool,
+}
+
+impl RxFigure {
+    fn specs(self, id: &'static str, workers: usize) -> Vec<RunSpec> {
+        let RxFigure {
+            figure,
+            dst,
+            seed,
+            horizon,
+            until,
+            transit,
+            ..
+        } = self;
+        let net = NetworkConfig::paper_default();
+        let trace = Arc::new(self.trace);
+        let mut specs = Vec::new();
+        for kind in [TopologyKind::Parallel, TopologyKind::ThinClos] {
+            let (net, trace) = (net.clone(), Arc::clone(&trace));
+            let label = format!("nego/{}", kind.label());
+            let meta = RunMeta::new(id, specs.len(), label, seed, horizon);
+            specs.push(RunSpec::new(meta, move || {
+                let mut sim = NegotiatorSim::with_options(
+                    NegotiatorConfig::paper_default(net),
+                    kind,
+                    SimOptions {
+                        rx_window: Some(WINDOW),
+                        workers,
+                        ..SimOptions::default()
+                    },
+                );
+                sim.run(&trace, horizon);
+                let mut table = Table::new(
+                    format!("{figure} — receiver bandwidth, NegotiaToR {}", kind.label()),
+                    &["time_us", "gbps"],
+                );
+                series_rows(&mut table, sim.rx_series(dst).unwrap(), until, None);
+                RunMetrics::new(Rendered::Block(format!("{}\n", table.render())))
+            }));
+        }
+        let meta = RunMeta::new(id, specs.len(), "oblivious/thin-clos", seed, horizon);
+        specs.push(RunSpec::new(meta, move || {
+            let mut sim = ObliviousSim::with_recording(
+                ObliviousConfig::paper_default(net),
+                TopologyKind::ThinClos,
+                ObliviousRecording {
+                    rx_window: Some(WINDOW),
+                    transit_window: transit.then_some(WINDOW),
+                },
+            );
+            sim.run(&trace, horizon);
+            let mut table = if transit {
+                Table::new(
+                    format!("{figure} — receiver bandwidth, traffic-oblivious (final + transit)"),
+                    &["time_us", "final_gbps", "transit_gbps"],
+                )
+            } else {
+                Table::new(
+                    format!("{figure} — receiver bandwidth, traffic-oblivious thin-clos"),
+                    &["time_us", "gbps"],
+                )
+            };
+            let rx = sim.rx_final(dst).unwrap();
+            series_rows(&mut table, rx, until, sim.rx_transit(dst));
+            RunMetrics::new(Rendered::Block(table.render()))
+        }));
+        specs
+    }
 }
 
 /// Figure 17: receiver bandwidth during a degree-15 incast injected at
@@ -78,79 +134,23 @@ impl Experiment for Fig17 {
         "Figure 17 (A.3): receiver bandwidth under incast"
     }
     fn specs(&self, args: &Args) -> Vec<RunSpec> {
-        let net = NetworkConfig::paper_default();
-        let trace = Arc::new(
-            IncastWorkload {
-                degree: 15,
-                flow_bytes: 1_000,
-                n_tors: net.n_tors,
-                start: 10_000,
-            }
-            .generate(SEED),
-        );
-        let dst = trace.flows()[0].dst;
-        let horizon = 60_000;
-        let mut specs = Vec::new();
-        for kind in [TopologyKind::Parallel, TopologyKind::ThinClos] {
-            let net = net.clone();
-            let trace = Arc::clone(&trace);
-            let workers = args.workers;
-            let meta = RunMeta::new(
-                self.id(),
-                specs.len(),
-                format!("nego/{}", kind.label()),
-                args,
-            )
-            .seed(SEED)
-            .duration(horizon);
-            specs.push(RunSpec::new(meta, move || {
-                let block = format!(
-                    "{}\n",
-                    nego_rx_block(
-                        format!(
-                            "Figure 17 — receiver bandwidth, NegotiaToR {}",
-                            kind.label()
-                        ),
-                        &net,
-                        kind,
-                        &trace,
-                        dst,
-                        horizon,
-                        40_000,
-                        workers,
-                    )
-                );
-                RunMetrics::new(Rendered::Block(block))
-            }));
+        let trace = IncastWorkload {
+            degree: 15,
+            flow_bytes: 1_000,
+            n_tors: NetworkConfig::paper_default().n_tors,
+            start: 10_000,
         }
-        {
-            let net = net.clone();
-            let trace = Arc::clone(&trace);
-            let meta = RunMeta::new(self.id(), specs.len(), "oblivious/thin-clos", args)
-                .seed(SEED)
-                .duration(horizon);
-            specs.push(RunSpec::new(meta, move || {
-                let mut sim = ObliviousSim::with_recording(
-                    ObliviousConfig::paper_default(net.clone()),
-                    TopologyKind::ThinClos,
-                    ObliviousRecording {
-                        rx_window: Some(WINDOW),
-                        transit_window: None,
-                    },
-                );
-                sim.run(&trace, horizon);
-                let mut table = Table::new(
-                    "Figure 17 — receiver bandwidth, traffic-oblivious thin-clos",
-                    &["time_us", "gbps"],
-                );
-                series_rows(&mut table, sim.rx_final(dst).unwrap(), 40_000, None);
-                RunMetrics::new(Rendered::Block(table.render()))
-            }));
-        }
-        specs
-    }
-    fn render(&self, results: &[RunResult]) -> String {
-        results.iter().map(|r| r.block()).collect()
+        .generate(SEED);
+        let figure = RxFigure {
+            figure: "Figure 17",
+            dst: trace.flows()[0].dst,
+            trace,
+            seed: SEED,
+            horizon: 60_000,
+            until: 40_000,
+            transit: false,
+        };
+        figure.specs(self.id(), args.workers)
     }
 }
 
@@ -167,82 +167,22 @@ impl Experiment for Fig18 {
         "Figure 18 (A.3): receiver bandwidth under all-to-all"
     }
     fn specs(&self, args: &Args) -> Vec<RunSpec> {
-        let net = NetworkConfig::paper_default();
-        let trace = Arc::new(
-            AllToAllWorkload {
-                flow_bytes: 30_000,
-                n_tors: net.n_tors,
-                start: 10_000,
-            }
-            .generate(),
-        );
-        let dst = 17; // "a randomly chosen destination"
-        let horizon = 600_000;
-        let until = 250_000;
-        let mut specs = Vec::new();
-        for kind in [TopologyKind::Parallel, TopologyKind::ThinClos] {
-            let net = net.clone();
-            let trace = Arc::clone(&trace);
-            let workers = args.workers;
-            let meta = RunMeta::new(
-                self.id(),
-                specs.len(),
-                format!("nego/{}", kind.label()),
-                args,
-            )
-            .duration(horizon);
-            specs.push(RunSpec::new(meta, move || {
-                let block = format!(
-                    "{}\n",
-                    nego_rx_block(
-                        format!(
-                            "Figure 18 — receiver bandwidth, NegotiaToR {}",
-                            kind.label()
-                        ),
-                        &net,
-                        kind,
-                        &trace,
-                        dst,
-                        horizon,
-                        until,
-                        workers,
-                    )
-                );
-                RunMetrics::new(Rendered::Block(block))
-            }));
+        let trace = AllToAllWorkload {
+            flow_bytes: 30_000,
+            n_tors: NetworkConfig::paper_default().n_tors,
+            start: 10_000,
         }
-        {
-            let net = net.clone();
-            let trace = Arc::clone(&trace);
-            let meta =
-                RunMeta::new(self.id(), specs.len(), "oblivious/thin-clos", args).duration(horizon);
-            specs.push(RunSpec::new(meta, move || {
-                let mut sim = ObliviousSim::with_recording(
-                    ObliviousConfig::paper_default(net.clone()),
-                    TopologyKind::ThinClos,
-                    ObliviousRecording {
-                        rx_window: Some(WINDOW),
-                        transit_window: Some(WINDOW),
-                    },
-                );
-                sim.run(&trace, horizon);
-                let mut table = Table::new(
-                    "Figure 18 — receiver bandwidth, traffic-oblivious (final + transit)",
-                    &["time_us", "final_gbps", "transit_gbps"],
-                );
-                series_rows(
-                    &mut table,
-                    sim.rx_final(dst).unwrap(),
-                    until,
-                    sim.rx_transit(dst),
-                );
-                RunMetrics::new(Rendered::Block(table.render()))
-            }));
-        }
-        specs
-    }
-    fn render(&self, results: &[RunResult]) -> String {
-        results.iter().map(|r| r.block()).collect()
+        .generate();
+        let figure = RxFigure {
+            figure: "Figure 18",
+            trace,
+            dst: 17, // "a randomly chosen destination"
+            seed: args.seed,
+            horizon: 600_000,
+            until: 250_000,
+            transit: true,
+        };
+        figure.specs(self.id(), args.workers)
     }
 }
 
@@ -262,9 +202,7 @@ impl Experiment for Fig19 {
     fn specs(&self, args: &Args) -> Vec<RunSpec> {
         let horizon = 400_000;
         let workers = args.workers;
-        let meta = RunMeta::new(self.id(), 0, "nego/parallel", args)
-            .seed(SEED)
-            .duration(horizon);
+        let meta = RunMeta::new(self.id(), 0, "nego/parallel", SEED, horizon);
         vec![RunSpec::new(meta, move || {
             let net = NetworkConfig::paper_default();
             let trace = FlowTrace::new(vec![workload::Flow {
@@ -320,8 +258,5 @@ impl Experiment for Fig19 {
                 .push_extra("zero_epochs", zero_epochs as f64)
                 .push_extra("total_epochs", total_epochs as f64)
         })]
-    }
-    fn render(&self, results: &[RunResult]) -> String {
-        results.iter().map(|r| r.block()).collect()
     }
 }

@@ -16,12 +16,11 @@
 //! them across `--jobs N` worker threads, reassembling outputs in spec
 //! order so parallel reports are byte-identical to serial ones.
 //!
-//! DESIGN.md carries the per-experiment index mapping every id to its
-//! paper artifact, workload and modules; EXPERIMENTS.md records
-//! paper-vs-measured comparisons.
+//! [`experiments::EXPERIMENTS`] is the per-experiment index, mapping every
+//! id to its paper artifact (`paper list` prints it); the reproduced
+//! numbers the CI gates hold are the documents under `results/baseline*/`.
 
 pub mod cache;
-pub mod cli;
 pub mod experiments;
 pub mod profile;
 pub mod results;
@@ -31,4 +30,4 @@ pub mod sweep;
 pub mod tracecmd;
 pub mod traceq;
 
-pub use experiments::{find_experiment, run_experiment, Args, Experiment, EXPERIMENTS};
+pub use experiments::{find_experiment, Args, Experiment, EXPERIMENTS};

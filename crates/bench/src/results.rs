@@ -44,16 +44,16 @@ pub const SCHEMA_VERSION: u64 = 1;
 pub fn experiment_json(report: &SweepReport, timing_jobs: Option<usize>) -> Json {
     let mut root = Json::object();
     root.push("schema_version", SCHEMA_VERSION)
-        .push("experiment", report.id)
-        .push("artifact", report.artifact);
+        .push("experiment", &*report.id)
+        .push("artifact", report.artifact.as_str());
     let mut config = Json::object();
     config
-        .push("duration_ns", report.args.duration)
+        .push("duration_ns", report.duration)
         .push(
             "loads",
-            Json::Arr(report.args.loads.iter().map(|&l| Json::Num(l)).collect()),
+            Json::Arr(report.loads.iter().map(|&l| Json::Num(l)).collect()),
         )
-        .push("seed", report.args.seed);
+        .push("seed", report.seed);
     root.push("config", config);
     root.push(
         "runs",
@@ -128,7 +128,7 @@ pub fn write_reports(
     let mut paths = Vec::with_capacity(reports.len());
     for report in reports {
         let name = if seed_suffix {
-            format!("{}-s{}.json", report.id, report.args.seed)
+            format!("{}-s{}.json", report.id, report.seed)
         } else {
             format!("{}.json", report.id)
         };
@@ -336,22 +336,17 @@ fn render_short(value: Option<&Json>) -> String {
 mod tests {
     use super::*;
     use crate::sweep::{Rendered, RunMeta, RunMetrics};
-    use crate::Args;
 
     fn report() -> SweepReport {
-        let args = Args {
-            duration: 1_000,
-            loads: vec![0.5],
-            seed: 9,
-            workers: 1,
-        };
-        let meta = RunMeta::new("demo", 0, "sys", &args).load(0.5);
+        let meta = RunMeta::new("demo", 0, "sys", 9, 1_000).load(0.5);
         let metrics =
             RunMetrics::new(Rendered::Cells(vec!["1".into()])).push_extra("finish_ns", 1234.0);
         SweepReport {
-            id: "demo",
-            artifact: "Demo artifact",
-            args,
+            id: "demo".into(),
+            artifact: "Demo artifact".into(),
+            duration: 1_000,
+            loads: vec![0.5],
+            seed: 9,
             results: vec![crate::sweep::RunResult {
                 meta,
                 metrics,
@@ -453,7 +448,7 @@ mod tests {
             .any(|f| f.contains("run count")));
         // Config changes make the pair incomparable.
         let mut other = rep.clone();
-        other.args.seed = 10;
+        other.seed = 10;
         let d = experiment_json(&other, None);
         assert!(diff_reports("demo", &a, &d, 100.0)
             .iter()

@@ -17,8 +17,8 @@
 
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::Arc;
 
-use crate::experiments::Args;
 use crate::profile::{self, Stage};
 use crate::sweep::{Rendered, RunMeta, RunMetrics, RunResult, SweepReport};
 use scenario::series::stats_to_json;
@@ -26,8 +26,8 @@ use sim::pool;
 // Re-exported so the `paper` binary reaches the scenario crate's API
 // through this module.
 pub use scenario::{
-    build_runs, build_runs_traced, build_runs_with_progress, compile, parse_scenario,
-    CompiledScenario, PhaseProgress, ProgressSink, ScenarioRunOutput, WorkloadPhase,
+    build_runs, compile, parse_scenario, CompiledScenario, PhaseProgress, ProgressSink,
+    ScenarioRunOutput, WorkloadPhase,
 };
 
 /// Load, parse and validate a scenario file, compiling it to run inputs.
@@ -85,7 +85,7 @@ pub fn run_batch(compiled: &[CompiledScenario], jobs: usize, workers: usize) -> 
     let mut slots: Vec<Vec<(usize, String, bool)>> = Vec::new();
     let mut coalesced = 0usize;
     for c in compiled {
-        let runs = build_runs(c, workers);
+        let runs = build_runs(c, None, workers, None);
         let mut scenario_slots = Vec::with_capacity(runs.len());
         for (engine, run) in c.spec.engines.iter().zip(runs) {
             let hash = c.run_hash(*engine);
@@ -115,23 +115,13 @@ pub fn run_batch(compiled: &[CompiledScenario], jobs: usize, workers: usize) -> 
         .iter()
         .zip(slots)
         .map(|(c, scenario_slots)| {
-            let results = scenario_slots
-                .into_iter()
-                .enumerate()
-                .map(|(index, (task, system, first))| {
-                    let (out, wall_secs) = &outputs[task];
-                    // Duplicates cost nothing on the wall; only the run
-                    // that actually simulated carries its cost.
-                    make_result(
-                        c,
-                        index,
-                        system,
-                        out.clone(),
-                        if first { *wall_secs } else { 0.0 },
-                    )
-                })
-                .collect();
-            assemble(c, results)
+            let runs = scenario_slots.into_iter().map(|(task, system, first)| {
+                let (out, wall_secs) = &outputs[task];
+                // Duplicates cost nothing on the wall; only the run that
+                // actually simulated carries its cost.
+                (system, out.clone(), if first { *wall_secs } else { 0.0 })
+            });
+            assemble(c, runs)
         })
         .collect();
     BatchOutcome { reports, coalesced }
@@ -167,8 +157,7 @@ pub fn execute_traced(
     capacity: Option<usize>,
 ) -> (SweepReport, String) {
     let ring = capacity.unwrap_or(metrics::DEFAULT_TRACE_CAPACITY);
-    let (report, trace) = execute_inner(compiled, progress, workers, Some(ring));
-    (report, trace.expect("traced run produces a trace"))
+    execute_inner(compiled, progress, workers, Some(ring))
 }
 
 fn execute_inner(
@@ -176,22 +165,20 @@ fn execute_inner(
     progress: Option<ProgressSink>,
     workers: usize,
     trace: Option<usize>,
-) -> (SweepReport, Option<String>) {
-    let mut traces = trace.map(|_| String::new());
-    let results = build_runs_traced(compiled, progress, workers, trace)
+) -> (SweepReport, String) {
+    let mut traces = String::new();
+    let runs = build_runs(compiled, progress, workers, trace)
         .into_iter()
-        .enumerate()
-        .map(|(index, run)| {
+        .map(|run| {
             let timer = profile::start(Stage::Execute);
             let mut out = (run.run)();
             let wall_secs = timer.stop();
-            if let (Some(all), Some(one)) = (traces.as_mut(), out.trace.take()) {
-                all.push_str(&one);
+            if let Some(one) = out.trace.take() {
+                traces.push_str(&one);
             }
-            make_result(compiled, index, run.system, out, wall_secs)
-        })
-        .collect();
-    (assemble(compiled, results), traces)
+            (run.system, out, wall_secs)
+        });
+    (assemble(compiled, runs), traces)
 }
 
 /// The deterministic result document for a scenario report: the
@@ -206,40 +193,34 @@ pub fn deterministic_document(report: &SweepReport) -> String {
     text
 }
 
-/// Wrap one engine's output into a sweep [`RunResult`] at `index`.
-fn make_result(
+/// Assemble the scenario's [`SweepReport`] from its engine runs —
+/// `(system label, output, wall seconds)` in spec order.
+fn assemble(
     compiled: &CompiledScenario,
-    index: usize,
-    system: String,
-    out: ScenarioRunOutput,
-    wall_secs: f64,
-) -> RunResult {
-    let args = scenario_args(compiled);
-    let meta = RunMeta::new(leaked_id(compiled), index, system, &args).duration(compiled.duration);
-    let mut metrics = RunMetrics::new(Rendered::Block(out.rendered))
-        .with_series(stats_to_json(&out.series))
-        .with_match_ratio(out.match_ratio);
-    metrics.report = Some(out.summary);
-    RunResult {
-        meta,
-        metrics,
-        wall_secs,
-    }
-}
-
-/// Assemble the scenario's [`SweepReport`] from its ordered run results.
-fn assemble(compiled: &CompiledScenario, results: Vec<RunResult>) -> SweepReport {
+    runs: impl Iterator<Item = (String, ScenarioRunOutput, f64)>,
+) -> SweepReport {
     let spec = &compiled.spec;
-    let artifact: &'static str = intern(format!(
-        "Scenario '{}'{}{}",
-        spec.name,
-        if spec.description.is_empty() {
-            ""
-        } else {
-            ": "
-        },
-        spec.description
-    ));
+    let id: Arc<str> = format!("scenario-{}", spec.name).into();
+    let results: Vec<RunResult> = runs
+        .enumerate()
+        .map(|(index, (system, out, wall_secs))| {
+            let meta = RunMeta::new(id.clone(), index, system, spec.seed, compiled.duration);
+            let mut metrics = RunMetrics::new(Rendered::Block(out.rendered))
+                .with_series(stats_to_json(&out.series))
+                .with_match_ratio(out.match_ratio);
+            metrics.report = Some(out.summary);
+            RunResult {
+                meta,
+                metrics,
+                wall_secs,
+            }
+        })
+        .collect();
+    let mut artifact = format!("Scenario '{}'", spec.name);
+    if !spec.description.is_empty() {
+        artifact.push_str(": ");
+        artifact.push_str(&spec.description);
+    }
     let mut rendered = format!(
         "# Scenario '{}' — {} phases, {} events, {} flows over {} epochs ({:.3} ms)\n",
         spec.name,
@@ -254,49 +235,13 @@ fn assemble(compiled: &CompiledScenario, results: Vec<RunResult>) -> SweepReport
         rendered.push_str(result.block());
     }
     SweepReport {
-        id: leaked_id(compiled),
+        id,
         artifact,
-        args: scenario_args(compiled),
-        results,
-        rendered,
-    }
-}
-
-fn scenario_args(compiled: &CompiledScenario) -> Args {
-    Args {
         duration: compiled.duration,
         loads: Vec::new(),
-        seed: compiled.spec.seed,
-        // Metadata only ever surfaces seed and duration; the shard worker
-        // count must never reach the output bytes.
-        workers: 1,
-    }
-}
-
-/// Sweep metadata wants 'static strs; scenario names are made so by
-/// interning.
-fn leaked_id(compiled: &CompiledScenario) -> &'static str {
-    intern(format!("scenario-{}", compiled.spec.name))
-}
-
-/// Leak-once string interner. The CLI sees a handful of scenario names
-/// per process; the daemon sees the same names over and over — repeat
-/// submissions must not grow the heap without bound.
-fn intern(s: String) -> &'static str {
-    use std::collections::HashSet;
-    use std::sync::{Mutex, OnceLock};
-    static POOL: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let mut pool = POOL
-        .get_or_init(|| Mutex::new(HashSet::new()))
-        .lock()
-        .expect("intern pool");
-    match pool.get(s.as_str()) {
-        Some(&interned) => interned,
-        None => {
-            let leaked: &'static str = Box::leak(s.into_boxed_str());
-            pool.insert(leaked);
-            leaked
-        }
+        seed: spec.seed,
+        results,
+        rendered,
     }
 }
 
@@ -327,7 +272,7 @@ mod tests {
     #[test]
     fn scenario_report_carries_series_json() {
         let report = run(&compiled(), 2, 1);
-        assert_eq!(report.id, "scenario-adapter");
+        assert_eq!(&*report.id, "scenario-adapter");
         assert_eq!(report.results.len(), 2, "negotiator + oblivious");
         let json = results::experiment_json(&report, None);
         let runs = json.get("runs").unwrap().as_array().unwrap();

@@ -10,6 +10,8 @@
 //! flattens *several* experiments into one shared worker pool, which is
 //! what turns `paper all` from hours of serial sweeps into minutes.
 
+use std::sync::Arc;
+
 use crate::experiments::{Args, Experiment};
 use metrics::RunReport;
 use sim::pool;
@@ -20,8 +22,9 @@ use sim::time::Nanos;
 /// that makes it citable and machine-readable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunMeta {
-    /// Experiment id (`fig9`, `table2`, ...).
-    pub experiment: &'static str,
+    /// Experiment id (`fig9`, `table2`, `scenario-<name>`, ...). Owned:
+    /// scenario names arrive over the wire, in any number.
+    pub experiment: Arc<str>,
     /// Position in the experiment's spec order (render relies on it).
     pub index: usize,
     /// System / variant label for this run (e.g. `nego/parallel`).
@@ -38,22 +41,23 @@ pub struct RunMeta {
 }
 
 impl RunMeta {
-    /// Meta for run `index` of `experiment`, inheriting seed and duration
-    /// from `args`.
+    /// Meta for run `index` of `experiment`: workload seed `seed`, played
+    /// for `duration` ns.
     pub fn new(
-        experiment: &'static str,
+        experiment: impl Into<Arc<str>>,
         index: usize,
         system: impl Into<String>,
-        args: &Args,
+        seed: u64,
+        duration: Nanos,
     ) -> Self {
         RunMeta {
-            experiment,
+            experiment: experiment.into(),
             index,
             system: system.into(),
             load: None,
             param: None,
-            seed: args.seed,
-            duration: args.duration,
+            seed,
+            duration,
         }
     }
 
@@ -66,19 +70,6 @@ impl RunMeta {
     /// Set the experiment-specific sweep parameter.
     pub fn param(mut self, name: &'static str, value: f64) -> Self {
         self.param = Some((name, value));
-        self
-    }
-
-    /// Override the simulated horizon (fixed-horizon experiments).
-    pub fn duration(mut self, duration: Nanos) -> Self {
-        self.duration = duration;
-        self
-    }
-
-    /// Override the workload seed (experiments pinned to the default
-    /// harness seed rather than `--seed`).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 }
@@ -262,11 +253,16 @@ pub fn execute_specs(specs: Vec<RunSpec>, jobs: usize) -> Vec<RunResult> {
 #[derive(Debug, Clone)]
 pub struct SweepReport {
     /// Experiment id.
-    pub id: &'static str,
+    pub id: Arc<str>,
     /// Paper artifact description.
-    pub artifact: &'static str,
-    /// The harness parameters the sweep ran with.
-    pub args: Args,
+    pub artifact: String,
+    /// Simulated duration per run in ns (the document's `config`).
+    pub duration: Nanos,
+    /// Load points of the sweep; empty when the experiment has no load
+    /// axis of its own (scenarios).
+    pub loads: Vec<f64>,
+    /// Workload seed.
+    pub seed: u64,
     /// Results in spec order.
     pub results: Vec<RunResult>,
     /// The experiment's text report (same bytes at any `--jobs`).
@@ -306,9 +302,11 @@ pub fn run_sweep(
         let results = std::mem::replace(&mut rest, tail);
         let rendered = exp.render(&results);
         reports.push(SweepReport {
-            id: exp.id(),
-            artifact: exp.artifact(),
-            args: args.clone(),
+            id: exp.id().into(),
+            artifact: exp.artifact().into(),
+            duration: args.duration,
+            loads: args.loads.clone(),
+            seed: args.seed,
             results,
             rendered,
         });
@@ -328,8 +326,7 @@ mod tests {
     use super::*;
 
     fn spec(i: usize, v: f64) -> RunSpec {
-        let args = Args::default();
-        RunSpec::new(RunMeta::new("test", i, "sys", &args), move || {
+        RunSpec::new(RunMeta::new("test", i, "sys", 1, 1), move || {
             RunMetrics::new(Rendered::Cells(vec![format!("{v}")])).push_extra("v", v)
         })
     }
@@ -349,12 +346,9 @@ mod tests {
 
     #[test]
     fn meta_builder() {
-        let args = Args::default();
-        let m = RunMeta::new("fig8", 3, "nego/parallel", &args)
+        let m = RunMeta::new("fig8", 3, "nego/parallel", 9, 123)
             .load(0.5)
-            .param("reconf_ns", 20.0)
-            .duration(123)
-            .seed(9);
+            .param("reconf_ns", 20.0);
         assert_eq!(m.load, Some(0.5));
         assert_eq!(m.param, Some(("reconf_ns", 20.0)));
         assert_eq!(m.duration, 123);
@@ -364,9 +358,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "rendered a block")]
     fn cells_on_block_is_a_bug() {
-        let args = Args::default();
         let r = RunResult {
-            meta: RunMeta::new("x", 0, "s", &args),
+            meta: RunMeta::new("x", 0, "s", 1, 1),
             metrics: RunMetrics::new(Rendered::Block("b".into())),
             wall_secs: 0.0,
         };

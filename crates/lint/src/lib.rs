@@ -227,7 +227,7 @@ mod tests {
     fn zones_follow_the_policy_table() {
         assert_eq!(zone_of("crates/sim/src/time.rs"), Some(Zone::Engine));
         assert_eq!(zone_of("crates/negotiator/src/sim.rs"), Some(Zone::Engine));
-        assert_eq!(zone_of("crates/bench/src/cli.rs"), Some(Zone::Infra));
+        assert_eq!(zone_of("crates/bench/src/sweep.rs"), Some(Zone::Infra));
         assert_eq!(zone_of("crates/service/src/jobs.rs"), Some(Zone::Infra));
         assert_eq!(zone_of("tests/golden_report.rs"), Some(Zone::Engine));
         assert_eq!(zone_of("src/lib.rs"), Some(Zone::Engine));

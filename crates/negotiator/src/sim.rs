@@ -54,11 +54,11 @@
 //! The engine also hosts the Appendix A.2 design variants via
 //! [`SchedulerMode`] and [`SimOptions::selective_relay`] — only the
 //! scheduling logic changes, never the data path, mirroring the paper's
-//! methodology. Two deliberate simulation simplifications, both documented
-//! in DESIGN.md: flows are injected at timeslot granularity (the paper's
-//! packet simulator injects continuously; a timeslot is 60–90 ns), and the
-//! stateful variant's accept-feedback reaches the demand matrix one epoch
-//! early (the revert path is exercised identically).
+//! methodology. Two deliberate simulation simplifications: flows are
+//! injected at timeslot granularity (the paper's packet simulator injects
+//! continuously; a timeslot is 60–90 ns), and the stateful variant's
+//! accept-feedback reaches the demand matrix one epoch early (the revert
+//! path is exercised identically).
 
 use crate::config::NegotiatorConfig;
 use crate::fault::FaultDetector;
@@ -81,8 +81,7 @@ use sim::{BandwidthSeries, Xoshiro256};
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use topology::{
-    AnyTopology, LaneMasks, LaneTable, LinkFailures, PredefinedCache, PredefinedLanes, Topology,
-    TopologyKind,
+    AnyTopology, LaneMasks, LaneTable, LinkFailures, PredefinedLanes, Topology, TopologyKind,
 };
 use workload::{Flow, FlowTrace};
 
@@ -599,11 +598,6 @@ pub struct NegotiatorSim {
     /// phase — what the phase iterates instead of all `n · s` slots.
     active_list: Vec<ActiveTx>,
 
-    /// The predefined schedule as per-slot connection lists, which only
-    /// the observed predefined phase walks: built by the first epoch that
-    /// has a failure, exclusion or gray drop to observe.
-    pre_cache: Option<PredefinedCache>,
-
     // Variant state.
     matrices: Vec<DemandMatrix>, // stateful (empty otherwise)
     reported_total: Vec<u64>,    // stateful: bytes already reported
@@ -756,7 +750,6 @@ impl NegotiatorSim {
             port_granted: vec![false; n * s],
             active: vec![None; n * s],
             active_list: Vec::with_capacity(n * s),
-            pre_cache: None,
             matrices: if stateful {
                 (0..n).map(|_| DemandMatrix::new(n)).collect()
             } else {
@@ -1195,27 +1188,20 @@ impl NegotiatorSim {
         if healthy {
             return self.predefined_healthy(flows, cursor, rot, t0, clock, tracker);
         }
-        // The cached schedule lists each slot's connections in (src, port)
-        // order; take the cache so the phase can borrow `self` mutably.
-        let cache = self
-            .pre_cache
-            .take()
-            .unwrap_or_else(|| PredefinedCache::build(&self.topo));
-        let cursor =
-            self.predefined_observed(flows, cursor, &cache, rot, epoch, t0, clock, tracker);
-        self.pre_cache = Some(cache);
-        cursor
+        self.predefined_observed(flows, cursor, rot, epoch, t0, clock, tracker)
     }
 
     /// The predefined phase of an epoch with failures, exclusions or gray
     /// drops in play: whole-fabric and slot-major, recording what every
-    /// port attempted and achieved for the detector.
+    /// port attempted and achieved for the detector. It looks at every
+    /// connection, in `(slot, src, port)` order, by walking the schedule's
+    /// closed form — a materialized table of all rotations is 100 MB on a
+    /// 1024 × 8 fabric, built for what may be one failure epoch.
     #[allow(clippy::too_many_arguments)] // the epoch's coordinates
     fn predefined_observed(
         &mut self,
         flows: &[Flow],
         mut cursor: usize,
-        cache: &PredefinedCache,
         rot: u64,
         epoch: u64,
         t0: Nanos,
@@ -1230,6 +1216,9 @@ impl NegotiatorSim {
         self.ingress_ok.fill(false);
         let (failures, faults) = (&self.frame.failures, &self.frame.faults);
         let mut rows = self.q.all();
+        let sched = rows.lane_masks.lanes();
+        // Lanes in `port_order` are the ports in ascending order.
+        let port_order = sched.port_order(rot);
         let mut sink = Sink::Apply {
             land: &mut self.land,
             tracker,
@@ -1237,50 +1226,55 @@ impl NegotiatorSim {
         };
         for slot in 0..self.pre_slots {
             cursor = rows.inject(flows, cursor, t0 + slot as Nanos * self.pre_slot_len);
-            let conns = cache.slot_conns(rot, slot);
-            self.stats.predefined_conns_visited += conns.len() as u64;
-            for conn in conns {
-                let (src, port, dst) = (conn.src as usize, conn.port as usize, conn.dst as usize);
-                let idx = src * n + dst;
-                self.egress_attempted[src * s + port] = true;
-                self.ingress_attempted[dst * s + port] = true;
-                let up = failures.link_up(src, dst, port);
-                // Gray failure: the link carries data but loses this
-                // epoch's control traffic. No ok-observation is recorded
-                // (the detector sees a missed dummy and may exclude the
-                // link — an organic false positive) and no scheduling
-                // message crosses; undelivered requests and grants expire
-                // in their buckets at the next epoch start.
-                let gray = up && faults.gray_drops(epoch, src, dst);
-                if up && !gray {
-                    self.egress_ok[src * s + port] = true;
-                    self.ingress_ok[dst * s + port] = true;
-                    if self.msg_flags[idx] != 0 {
-                        self.out
-                            .emit(self.msg_flags[idx], src, dst, slot as u32, &mut sink);
-                        self.msg_flags[idx] &= !REQ_FLAG; // delivered once
+            for src in 0..n {
+                let origin = sched.origin(slot, src);
+                for (port, lane) in port_order.clone().into_iter().flatten().enumerate() {
+                    let dst = sched.dst(origin, lane);
+                    if dst == src {
+                        continue; // the round-robin rule's one unconnected lane
                     }
-                } else if gray {
-                    self.stats.control_dropped +=
-                        self.out.queued(self.msg_flags[idx], src, dst) + 1;
-                }
-                // Piggyback one data packet (§3.4.1) unless the
-                // detector already excluded the link.
-                if piggyback && self.detector.usable(src, dst, port) {
-                    if let Some(pkt) = rows.dequeue_packet(src, dst, pb_payload) {
-                        if up {
-                            self.stats.piggyback_packets += 1;
-                            self.stats.piggyback_bytes += pkt.bytes;
-                            sink.emit(Event::Data {
-                                slot: slot as u32,
-                                dst: dst as u32,
-                                flow: pkt.flow,
-                                bytes: pkt.bytes,
-                            });
-                        } else {
-                            // A ground-truth-down link loses the packet;
-                            // recovery is an upper-layer (TCP) concern.
-                            self.stats.lost_packets += 1;
+                    self.stats.predefined_conns_visited += 1;
+                    let idx = src * n + dst;
+                    self.egress_attempted[src * s + port] = true;
+                    self.ingress_attempted[dst * s + port] = true;
+                    let up = failures.link_up(src, dst, port);
+                    // Gray failure: the link carries data but loses this
+                    // epoch's control traffic. No ok-observation is recorded
+                    // (the detector sees a missed dummy and may exclude the
+                    // link — an organic false positive) and no scheduling
+                    // message crosses; undelivered requests and grants expire
+                    // in their buckets at the next epoch start.
+                    let gray = up && faults.gray_drops(epoch, src, dst);
+                    if up && !gray {
+                        self.egress_ok[src * s + port] = true;
+                        self.ingress_ok[dst * s + port] = true;
+                        if self.msg_flags[idx] != 0 {
+                            self.out
+                                .emit(self.msg_flags[idx], src, dst, slot as u32, &mut sink);
+                            self.msg_flags[idx] &= !REQ_FLAG; // delivered once
+                        }
+                    } else if gray {
+                        self.stats.control_dropped +=
+                            self.out.queued(self.msg_flags[idx], src, dst) + 1;
+                    }
+                    // Piggyback one data packet (§3.4.1) unless the
+                    // detector already excluded the link.
+                    if piggyback && self.detector.usable(src, dst, port) {
+                        if let Some(pkt) = rows.dequeue_packet(src, dst, pb_payload) {
+                            if up {
+                                self.stats.piggyback_packets += 1;
+                                self.stats.piggyback_bytes += pkt.bytes;
+                                sink.emit(Event::Data {
+                                    slot: slot as u32,
+                                    dst: dst as u32,
+                                    flow: pkt.flow,
+                                    bytes: pkt.bytes,
+                                });
+                            } else {
+                                // A ground-truth-down link loses the packet;
+                                // recovery is an upper-layer (TCP) concern.
+                                self.stats.lost_packets += 1;
+                            }
                         }
                     }
                 }

@@ -28,9 +28,11 @@
 //!   become one merged [`workload::FlowTrace`], events become a
 //!   [`topology::FailureSchedule`] input, phase ends become probe
 //!   boundaries.
-//! * [`runner`] — one deferred run closure per engine, ready to be
-//!   wrapped into the sweep machinery's `RunSpec`s and executed across
-//!   `--jobs` workers (the harness side lives in `bench::scenario`).
+//! * [`runner`] — the one engine driver ([`System`] → [`Engine`]) that
+//!   scenarios and the paper experiments in `bench::experiments` both
+//!   construct simulators through, and one deferred run closure per
+//!   scenario engine, ready to be executed across `--jobs` workers (the
+//!   harness side lives in `bench::scenario`).
 //! * [`series`] — turns probe snapshots + the flow tracker into the
 //!   per-phase [`PhaseStat`] rows, their JSON form and the text table.
 //!
@@ -49,8 +51,7 @@ pub mod spec;
 pub use compile::{compile, CompiledScenario};
 pub use hash::StableHasher;
 pub use runner::{
-    build_runs, build_runs_traced, build_runs_with_progress, PhaseProgress, ProgressSink,
-    ScenarioRun, ScenarioRunOutput,
+    build_runs, Engine, PhaseProgress, ProgressSink, ScenarioRun, ScenarioRunOutput, System,
 };
 pub use series::PhaseStat;
 pub use spec::{parse_scenario, EngineKind, InjectSpec, PhaseSpec, ScenarioSpec, WorkloadPhase};

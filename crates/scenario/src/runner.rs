@@ -1,18 +1,140 @@
-//! Deferred scenario runs: one closure per engine, each owning (or
-//! `Arc`-sharing) everything it needs so the harness can wrap it into a
-//! sweep `RunSpec` and execute it on any worker thread. The closure plays
-//! the compiled trace through its engine with the failure schedule and
-//! phase probe attached, then derives the per-phase series — returning
-//! plain data, never touching shared state.
+//! The one engine driver, and the scenario runs built on it.
+//!
+//! A [`System`] describes a run's engine — which one, on which topology,
+//! configured how — and [`System::build`] is the only place either
+//! simulator is constructed for a scenario or a paper experiment. What
+//! follows construction (failure and fault schedules, phase probe, flight
+//! recorder, `run`, tracker, subset reports) is the engines' shared
+//! [`RunFrame`], which the built [`Engine`] derefs to, so that code is
+//! written against the frame, once, whichever engine is inside.
+//!
+//! [`build_runs`] wraps a compiled scenario into one deferred closure per
+//! engine, each owning (or `Arc`-sharing) everything it needs so the
+//! harness can execute it on any worker thread. The closure plays the
+//! compiled trace with the failure schedule and phase probe attached, then
+//! derives the per-phase series — returning plain data, never touching
+//! shared state.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use crate::compile::CompiledScenario;
 use crate::series::{self, PhaseStat};
-use crate::spec::EngineKind;
-use metrics::{trace::FlightRecorder, PhaseProbe, RunSummary};
+use crate::spec::{EngineKind, ScenarioSpec};
+use metrics::{trace::FlightRecorder, PhaseProbe, RunFrame, RunReport, RunSummary};
 use negotiator::{NegotiatorConfig, NegotiatorSim, SimOptions};
 use oblivious::{ObliviousConfig, ObliviousSim};
+use sim::time::Nanos;
+use topology::TopologyKind;
+use workload::FlowTrace;
+
+/// A system under test: one engine on one topology, fully configured.
+#[derive(Debug, Clone)]
+pub enum System {
+    /// NegotiaToR, with its scheduling variant in the options.
+    Negotiator(TopologyKind, NegotiatorConfig, SimOptions),
+    /// The traffic-oblivious rotor baseline.
+    Oblivious(TopologyKind, ObliviousConfig),
+}
+
+impl System {
+    /// Construct the simulator. `workers` is the intra-run shard worker
+    /// count (`--workers`): reports are byte-identical at any value, so it
+    /// is a wall-clock knob and no part of the description. The rotor's
+    /// slot loop is order-semantic (relay credits, one RNG stream) and
+    /// takes none.
+    pub fn build(self, workers: usize) -> Engine {
+        match self {
+            System::Negotiator(kind, cfg, opts) => {
+                let opts = SimOptions {
+                    workers: workers.max(1),
+                    ..opts
+                };
+                Engine::Negotiator(Box::new(NegotiatorSim::with_options(cfg, kind, opts)))
+            }
+            System::Oblivious(kind, cfg) => {
+                Engine::Oblivious(Box::new(ObliviousSim::new(cfg, kind)))
+            }
+        }
+    }
+}
+
+/// A built [`System`]: either simulator behind the run frame they share.
+pub enum Engine {
+    /// A NegotiaToR simulator.
+    Negotiator(Box<NegotiatorSim>),
+    /// A traffic-oblivious simulator.
+    Oblivious(Box<ObliviousSim>),
+}
+
+impl Deref for Engine {
+    type Target = RunFrame;
+    fn deref(&self) -> &RunFrame {
+        match self {
+            Engine::Negotiator(sim) => sim,
+            Engine::Oblivious(sim) => sim,
+        }
+    }
+}
+
+impl DerefMut for Engine {
+    fn deref_mut(&mut self) -> &mut RunFrame {
+        match self {
+            Engine::Negotiator(sim) => sim,
+            Engine::Oblivious(sim) => sim,
+        }
+    }
+}
+
+impl Engine {
+    /// Play `trace` for `duration` ns and report (`metrics::frame::run`).
+    pub fn run(&mut self, trace: &FlowTrace, duration: Nanos) -> RunReport {
+        match self {
+            Engine::Negotiator(sim) => sim.run(trace, duration),
+            Engine::Oblivious(sim) => sim.run(trace, duration),
+        }
+    }
+
+    /// The NegotiaToR simulator, for what only it records (match ratio,
+    /// scheduler statistics, epoch length).
+    pub fn negotiator(&self) -> Option<&NegotiatorSim> {
+        match self {
+            Engine::Negotiator(sim) => Some(sim),
+            Engine::Oblivious(_) => None,
+        }
+    }
+}
+
+impl EngineKind {
+    /// This engine at the paper's defaults on the scenario's fabric and
+    /// topology, in the scenario's scheduling mode. Engine-internal
+    /// randomness (arbiter rings, VLB spray) follows the scenario seed so
+    /// two scenarios differing only in `seed` diverge everywhere, not just
+    /// in the workload.
+    pub fn system(self, spec: &ScenarioSpec) -> System {
+        let seed = spec.seed ^ 0xDC0C_0FFE;
+        match self {
+            EngineKind::Negotiator => System::Negotiator(
+                spec.topology,
+                NegotiatorConfig {
+                    seed,
+                    ..NegotiatorConfig::paper_default(spec.net.clone())
+                },
+                SimOptions {
+                    mode: spec.mode,
+                    ..SimOptions::default()
+                },
+            ),
+            EngineKind::Oblivious => System::Oblivious(
+                spec.topology,
+                ObliviousConfig {
+                    seed,
+                    ..ObliviousConfig::paper_default(spec.net.clone())
+                },
+            ),
+        }
+    }
+}
 
 /// One live progress notification: a phase boundary just passed inside a
 /// running engine. Purely observational — sinks receive no counters and
@@ -57,30 +179,16 @@ pub struct ScenarioRun {
     pub run: Box<dyn FnOnce() -> ScenarioRunOutput + Send + 'static>,
 }
 
-/// Build the scenario's runs, one per engine in spec order. `workers` is
-/// the intra-run shard worker count (`--workers`); output is
-/// byte-identical at any value, so it never enters the run hash.
-pub fn build_runs(compiled: &CompiledScenario, workers: usize) -> Vec<ScenarioRun> {
-    build_runs_traced(compiled, None, workers, None)
-}
-
-/// [`build_runs`] with an optional live progress sink, invoked from the
-/// worker thread as each engine crosses each phase boundary.
-pub fn build_runs_with_progress(
-    compiled: &CompiledScenario,
-    progress: Option<ProgressSink>,
-    workers: usize,
-) -> Vec<ScenarioRun> {
-    build_runs_traced(compiled, progress, workers, None)
-}
-
-/// [`build_runs_with_progress`] with the flight recorder optionally
-/// attached — `trace` is its ring capacity in events (`Some` enables
-/// recording): each run then fills [`ScenarioRunOutput::trace`] with its
-/// NDJSON. Tracing is observational — every other output byte is
-/// identical to an untraced run, and the capacity shapes only the trace
-/// bytes themselves (it never reaches results, hashes or cache keys).
-pub fn build_runs_traced(
+/// Build the scenario's runs, one per engine in spec order.
+///
+/// `progress`, when given, is invoked from the worker thread as each
+/// engine crosses each phase boundary. `workers` is the intra-run shard
+/// worker count (`--workers`). `trace` attaches the flight recorder with
+/// that ring capacity in events: each run then fills
+/// [`ScenarioRunOutput::trace`] with its NDJSON. All three are
+/// observational — every other output byte is the same with or without
+/// them, and none reaches results, hashes or cache keys.
+pub fn build_runs(
     compiled: &CompiledScenario,
     progress: Option<ProgressSink>,
     workers: usize,
@@ -93,12 +201,12 @@ pub fn build_runs_traced(
         .map(|&engine| {
             let system = engine.label(compiled.spec.topology);
             let compiled = compiled.clone(); // Arc-shared trace, cloned spec
-            let sys = system.clone();
+            let label = system.clone();
             let progress = progress.clone();
             ScenarioRun {
                 system,
                 run: Box::new(move || {
-                    run_engine(engine, &compiled, &sys, progress, workers, trace)
+                    run_engine(engine, &compiled, &label, progress, workers, trace)
                 }),
             }
         })
@@ -141,79 +249,32 @@ fn run_engine(
     record: Option<usize>,
 ) -> ScenarioRunOutput {
     let spec = &compiled.spec;
-    let trace = Arc::clone(&compiled.trace);
-    // Engine-internal randomness (arbiter rings, VLB spray) follows the
-    // scenario seed so two scenarios differing only in `seed` diverge
-    // everywhere, not just in the workload.
-    let engine_seed = spec.seed ^ 0xDC0C_0FFE;
-    let (summary, match_ratio, series, flight) = match engine {
-        EngineKind::Negotiator => {
-            let mut cfg = NegotiatorConfig::paper_default(spec.net.clone());
-            cfg.seed = engine_seed;
-            let mut sim = NegotiatorSim::with_options(
-                cfg,
-                spec.topology,
-                SimOptions {
-                    mode: spec.mode,
-                    workers,
-                    ..SimOptions::default()
-                },
-            );
-            for (at, action) in &compiled.failures {
-                sim.schedule_failure(*at, action.clone());
-            }
-            for (at, action) in &compiled.injections {
-                sim.schedule_fault(*at, action.clone());
-            }
-            sim.set_phase_probe(make_probe(compiled, system, progress));
-            if let Some(capacity) = record {
-                sim.set_recorder(FlightRecorder::with_capacity(capacity, spec.net.n_tors));
-            }
-            let mut report = sim.run(&trace, compiled.duration);
-            let stats = series::phase_stats(
-                compiled,
-                &trace,
-                sim.tracker(),
-                sim.phase_probe().expect("probe attached").snapshots(),
-            );
-            (
-                report.summary(),
-                sim.match_recorder().overall_ratio(),
-                stats,
-                sim.take_recorder(),
-            )
-        }
-        EngineKind::Oblivious => {
-            let mut cfg = ObliviousConfig::paper_default(spec.net.clone());
-            cfg.seed = engine_seed;
-            let mut sim = ObliviousSim::new(cfg, spec.topology);
-            for (at, action) in &compiled.failures {
-                sim.schedule_failure(*at, action.clone());
-            }
-            for (at, action) in &compiled.injections {
-                sim.schedule_fault(*at, action.clone());
-            }
-            sim.set_phase_probe(make_probe(compiled, system, progress));
-            if let Some(capacity) = record {
-                sim.set_recorder(FlightRecorder::with_capacity(capacity, spec.net.n_tors));
-            }
-            let mut report = sim.run(&trace, compiled.duration);
-            let stats = series::phase_stats(
-                compiled,
-                &trace,
-                sim.tracker(),
-                sim.phase_probe().expect("probe attached").snapshots(),
-            );
-            (report.summary(), None, stats, sim.take_recorder())
-        }
-    };
-    let rendered = series::render_stats(system, &series);
+    let mut sim = engine.system(spec).build(workers);
+    for (at, action) in &compiled.failures {
+        sim.schedule_failure(*at, action.clone());
+    }
+    for (at, action) in &compiled.injections {
+        sim.schedule_fault(*at, action.clone());
+    }
+    sim.set_phase_probe(make_probe(compiled, system, progress));
+    if let Some(capacity) = record {
+        sim.set_recorder(FlightRecorder::with_capacity(capacity, spec.net.n_tors));
+    }
+    let mut report = sim.run(&compiled.trace, compiled.duration);
+    let series = series::phase_stats(
+        compiled,
+        &compiled.trace,
+        sim.tracker(),
+        sim.phase_probe().expect("probe attached").snapshots(),
+    );
     ScenarioRunOutput {
-        summary,
-        match_ratio,
+        summary: report.summary(),
+        match_ratio: sim
+            .negotiator()
+            .and_then(|nego| nego.match_recorder().overall_ratio()),
+        rendered: series::render_stats(system, &series),
         series,
-        rendered,
-        trace: flight.map(|r| r.render_ndjson(system)),
+        trace: sim.take_recorder().map(|r| r.render_ndjson(system)),
     }
 }
 
@@ -241,7 +302,7 @@ mod tests {
     #[test]
     fn both_engines_run_and_bucket_phases() {
         let c = compiled("");
-        for run in build_runs(&c, 1) {
+        for run in build_runs(&c, None, 1, None) {
             let out = (run.run)();
             assert_eq!(out.series.len(), 2, "{}", run.system);
             assert!(out.series.iter().any(|p| p.completed > 0), "{}", run.system);
@@ -284,7 +345,7 @@ mod tests {
   ]
 }"#;
         let c = compile(parse_scenario(text).unwrap(), Path::new(".")).unwrap();
-        let runs = build_runs(&c, 2);
+        let runs = build_runs(&c, None, 2, None);
         assert_eq!(runs.len(), 1);
         let out = (runs.into_iter().next().unwrap().run)();
         let g: Vec<f64> = out.series.iter().map(|p| p.goodput_normalized).collect();
@@ -311,7 +372,11 @@ mod tests {
   ]
 }"#;
         let c = compile(parse_scenario(text).unwrap(), Path::new(".")).unwrap();
-        let out = (build_runs(&c, 2).into_iter().next().unwrap().run)();
+        let out = (build_runs(&c, None, 2, None)
+            .into_iter()
+            .next()
+            .unwrap()
+            .run)();
         let s = &out.series;
         assert_eq!(s[0].control_dropped, 0, "{s:?}");
         assert!(s[1].control_dropped > 0, "{s:?}");
@@ -328,7 +393,7 @@ mod tests {
     fn progress_sink_sees_every_phase_and_changes_nothing() {
         use std::sync::Mutex;
         let c = compiled("");
-        let plain: Vec<_> = build_runs(&c, 1)
+        let plain: Vec<_> = build_runs(&c, None, 1, None)
             .into_iter()
             .map(|r| (r.run)().rendered)
             .collect();
@@ -337,7 +402,7 @@ mod tests {
             let seen = Arc::clone(&seen);
             Arc::new(move |p: PhaseProgress| seen.lock().unwrap().push(p))
         };
-        let observed: Vec<_> = build_runs_with_progress(&c, Some(sink), 1)
+        let observed: Vec<_> = build_runs(&c, Some(sink), 1, None)
             .into_iter()
             .map(|r| (r.run)().rendered)
             .collect();
@@ -358,7 +423,10 @@ mod tests {
     fn run_output_is_deterministic() {
         let c = compiled("");
         let once = |c: &CompiledScenario| {
-            let out: Vec<_> = build_runs(c, 1).into_iter().map(|r| (r.run)()).collect();
+            let out: Vec<_> = build_runs(c, None, 1, None)
+                .into_iter()
+                .map(|r| (r.run)())
+                .collect();
             out.iter()
                 .map(|o| (o.rendered.clone(), o.series.clone()))
                 .collect::<Vec<_>>()

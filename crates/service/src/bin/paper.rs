@@ -1,19 +1,8 @@
 //! Regenerate the paper's tables and figures — and serve them.
 //!
-//! ```text
-//! paper <experiment-id>... [--duration-ms N] [--loads 10,50,100] [--seed N]
-//!       [--jobs N] [--workers N] [--json] [--no-timing] [--out DIR] [--seeds A,B,C]
-//! paper all --jobs 8 --json --out results/
-//! paper scenario <file.json>... [--jobs N] [--workers N] [--json] [--no-timing] [--no-cache] [--out DIR]
-//! paper scenario <file.json>... --trace out.ndjson [--trace-capacity N] [--workers N] [--json] [--out DIR]
-//! paper serve [--addr HOST:PORT] [--jobs N] [--workers N] [--out DIR] [--log-level error|info|debug] [--trace-capacity N]
-//! paper submit <file.json> [--addr HOST:PORT] [--priority N]
-//! paper trace <file.ndjson> [--strict]
-//! paper trace query <file.ndjson> [--kind NAME] [--tor N] [--flow N] [--epoch A..B] [--top-fct N] [--json]
-//! paper trace diff <a.ndjson> <b.ndjson> [--context N]
-//! paper list [--json]
-//! paper lint [--json]
-//! ```
+//! `paper` with no arguments prints the usage: every subcommand with the
+//! flags that apply to it, generated from the flag table in
+//! [`service::cli`] (README "The `paper` CLI" carries the same text).
 //!
 //! Experiments expand into independent runs executed across `--jobs`
 //! worker threads, and each simulation can shard its per-ToR phase work
@@ -33,92 +22,108 @@ use std::path::{Path, PathBuf};
 
 use bench::cache::{CacheEntry, ResultCache};
 use bench::experiments::{find_experiment, Args, Experiment, EXPERIMENTS};
-use bench::{cli, results, scenario, sweep};
+use bench::{results, scenario, sweep};
 use metrics::Json;
+use service::cli::{self, Command, Output};
 use service::library::library_json;
 
 fn main() {
-    let parsed = cli::parse(std::env::args().skip(1).collect());
-    let cli = match parsed {
-        Ok(cli) => cli,
+    let command = match cli::parse(std::env::args().skip(1).collect()) {
+        Ok(command) => command,
         Err(error) => {
             eprintln!("error: {error}\n");
             usage();
             std::process::exit(2);
         }
     };
-    if cli.list {
-        list(&cli);
-        return;
-    }
-    if cli.lint {
-        run_lint(&cli);
-        return;
-    }
-    if cli.serve {
-        let log_level = match service::LogLevel::parse(&cli.log_level) {
-            Ok(level) => level,
-            Err(error) => {
-                // The CLI parser validates the token; this only fires if
-                // the two lists ever drift apart.
+    match command {
+        Command::Run {
+            ids,
+            args,
+            seeds,
+            jobs,
+            output,
+        } => run_experiments(&ids, &args, &seeds, jobs, &output),
+        Command::Scenario {
+            files,
+            jobs,
+            workers,
+            cache,
+            trace,
+            trace_capacity,
+            output,
+        } => run_scenarios(
+            &files,
+            jobs,
+            workers,
+            cache,
+            trace.as_deref().map(|path| (path, trace_capacity)),
+            &output,
+        ),
+        Command::Serve(config) => {
+            if let Err(error) = service::serve_forever(config) {
                 eprintln!("error: {error}");
-                std::process::exit(2);
+                std::process::exit(1);
             }
-        };
-        let config = service::ServeConfig {
-            addr: cli.addr.clone(),
-            jobs: cli.jobs,
-            workers: cli.workers,
-            out: cli.out.clone(),
-            scenarios_dir: Path::new("scenarios").to_path_buf(),
-            log_level,
-            trace_capacity: cli.trace_capacity,
-        };
-        if let Err(error) = service::serve_forever(config) {
-            eprintln!("error: {error}");
-            std::process::exit(1);
         }
-        return;
+        Command::Submit {
+            file,
+            addr,
+            priority,
+        } => submit(&file, &addr, priority),
+        Command::Trace { file, strict } => trace_summary(&file, strict),
+        Command::TraceQuery { file, opts } => match bench::traceq::query(&read(&file), &opts) {
+            Ok(out) if out.ends_with('\n') => print!("{out}"),
+            Ok(out) => println!("{out}"),
+            Err(error) => {
+                eprintln!("error: {}: {error}", file.display());
+                std::process::exit(1);
+            }
+        },
+        Command::TraceDiff { a, b, context } => {
+            let outcome = bench::traceq::diff(
+                &a.display().to_string(),
+                &read(&a),
+                &b.display().to_string(),
+                &read(&b),
+                context,
+            );
+            print!("{}", outcome.report);
+            if outcome.divergent {
+                std::process::exit(1);
+            }
+        }
+        Command::List { json } => list(json),
+        Command::Lint { json } => run_lint(json),
     }
-    if let Some(cmd) = &cli.trace_cmd {
-        run_trace_cmd(cmd, &cli);
-        return;
-    }
-    if let Some(path) = &cli.submit {
-        submit(path, &cli);
-        return;
-    }
-    if !cli.scenario.is_empty() {
-        run_scenarios(&cli);
-        return;
-    }
-    if cli.ids.is_empty() {
-        usage();
-        std::process::exit(2);
-    }
-    run_experiments(&cli);
 }
 
-fn run_experiments(cli: &cli::Cli) {
-    let exps: Vec<&'static dyn Experiment> = cli
-        .ids
+/// The contents of an input file, or exit 2 naming it.
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|error| {
+        eprintln!("error: {}: {error}", path.display());
+        std::process::exit(2);
+    })
+}
+
+fn run_experiments(ids: &[String], args: &Args, seeds: &[u64], jobs: usize, output: &Output) {
+    let exps: Vec<&'static dyn Experiment> = ids
         .iter()
         .map(|id| find_experiment(id).expect("ids validated by the parser"))
         .collect();
-    let multi_seed = cli.seeds.len() > 1;
-    for &seed in &cli.seeds {
+    for &seed in seeds {
         let args = Args {
             seed,
-            ..cli.args.clone()
+            ..args.clone()
         };
         println!(
             "# NegotiaToR reproduction — duration {} ms per run, loads {:?}, seed {seed}\n",
             args.duration as f64 / 1e6,
             args.loads.iter().map(|l| l * 100.0).collect::<Vec<_>>(),
         );
-        eprintln!("[{} experiments across {} jobs]", exps.len(), cli.jobs);
+        eprintln!("[{} experiments across {jobs} jobs]", exps.len());
         let started = std::time::Instant::now();
-        let reports = sweep::run_sweep(&exps, &args, cli.jobs);
+        let reports = sweep::run_sweep(&exps, &args, jobs);
         for report in &reports {
             println!("{}", report.rendered);
             eprintln!(
@@ -128,8 +133,8 @@ fn run_experiments(cli: &cli::Cli) {
                 report.runs_wall_secs()
             );
         }
-        if cli.json {
-            write_json(cli, &reports, multi_seed);
+        if output.json {
+            write_json(output, jobs, &reports, seeds.len() > 1);
         }
         eprintln!(
             "[sweep of {} experiments done in {:.1?}]",
@@ -143,7 +148,7 @@ fn run_experiments(cli: &cli::Cli) {
 enum Plan {
     /// Served from the content-addressed cache, no simulation.
     Cached(CacheEntry),
-    /// Index into the freshly simulated batch.
+    /// Index into the freshly simulated reports.
     Fresh(usize),
 }
 
@@ -152,27 +157,37 @@ enum Plan {
 /// content-addressed cache already has, dedupe identical runs among the
 /// rest, execute on the shared pool, and populate the cache for next
 /// time (and for the daemon).
-fn run_scenarios(cli: &cli::Cli) {
-    if cli.trace.is_some() {
-        return run_traced_scenario(cli);
-    }
-    let compiled: Vec<_> = cli
-        .scenario
+///
+/// With `trace` (`--trace PATH` and the ring capacity) every scenario
+/// simulates — a cache hit has no recorder — one after the other through
+/// `bench::scenario::execute_traced`, the call the daemon's job executor
+/// makes, so its `GET /jobs/<id>/trace` for the same scenario is
+/// byte-identical. A multi-file batch writes one trace per scenario, the
+/// given path suffixed with each scenario's name (`t.ndjson` →
+/// `t-<name>.ndjson`).
+fn run_scenarios(
+    files: &[PathBuf],
+    jobs: usize,
+    workers: usize,
+    use_cache: bool,
+    trace: Option<(&Path, Option<usize>)>,
+    output: &Output,
+) {
+    let compiled: Vec<_> = files
         .iter()
-        .map(|path| match scenario::load(path) {
-            Ok(compiled) => compiled,
-            Err(error) => {
+        .map(|path| {
+            scenario::load(path).unwrap_or_else(|error| {
                 eprintln!("error: {error}");
                 std::process::exit(2);
-            }
+            })
         })
         .collect();
-    let cache = ResultCache::new(cli.out.join("cache"));
+    let cache = ResultCache::new(output.dir.join("cache"));
     // Cache entries hold the deterministic (timing-free) document, so a
     // hit can only substitute for a run whose output carries no timing —
     // `--json` without `--no-timing` must simulate to measure wall time,
     // or the same command would write different schemas hot vs cold.
-    let lookup = cli.cache && !(cli.json && cli.timing);
+    let lookup = use_cache && trace.is_none() && !(output.json && output.timing);
     let mut plans = Vec::with_capacity(compiled.len());
     let mut to_run = Vec::new();
     for c in &compiled {
@@ -194,144 +209,98 @@ fn run_scenarios(cli: &cli::Cli) {
         }
     }
     let started = std::time::Instant::now();
-    let outcome = if to_run.is_empty() {
-        None
-    } else {
-        let runs: usize = to_run.iter().map(|c| c.spec.engines.len()).sum();
-        eprintln!(
-            "[{} scenario(s), {} runs across {} jobs]",
-            to_run.len(),
-            runs,
-            cli.jobs
-        );
-        let outcome = scenario::run_batch(&to_run, cli.jobs, cli.workers);
-        if outcome.coalesced > 0 {
+    let fresh: Vec<sweep::SweepReport> = match trace {
+        Some((path, capacity)) => to_run
+            .iter()
+            .map(|c| {
+                eprintln!(
+                    "[scenario '{}': tracing {} run(s) — cache lookup bypassed]",
+                    c.spec.name,
+                    c.spec.engines.len()
+                );
+                let (report, ndjson) = scenario::execute_traced(c, None, workers, capacity);
+                let path = match to_run.len() {
+                    1 => path.to_path_buf(),
+                    _ => suffixed_trace_path(path, &c.spec.name),
+                };
+                if let Err(error) = write_creating_parent(&path, ndjson.as_bytes()) {
+                    eprintln!("error: writing {}: {error}", path.display());
+                    std::process::exit(1);
+                }
+                eprintln!(
+                    "[wrote {} ({} bytes of flight-recorder NDJSON)]",
+                    path.display(),
+                    ndjson.len()
+                );
+                report
+            })
+            .collect(),
+        None if to_run.is_empty() => Vec::new(),
+        None => {
+            let runs: usize = to_run.iter().map(|c| c.spec.engines.len()).sum();
             eprintln!(
-                "[coalesced {} duplicate run(s) — identical content hash, simulated once]",
-                outcome.coalesced
+                "[{} scenario(s), {runs} runs across {jobs} jobs]",
+                to_run.len()
             );
+            let outcome = scenario::run_batch(&to_run, jobs, workers);
+            if outcome.coalesced > 0 {
+                eprintln!(
+                    "[coalesced {} duplicate run(s) — identical content hash, simulated once]",
+                    outcome.coalesced
+                );
+            }
+            outcome.reports
         }
-        Some(outcome)
     };
     // Populate the cache from the fresh reports (a batch can contain the
     // same scenario twice; store each hash once).
-    if let Some(outcome) = &outcome {
-        let mut stored = std::collections::HashSet::new();
-        for (c, report) in to_run.iter().zip(&outcome.reports) {
-            let hash = c.content_hash();
-            if cli.cache && stored.insert(hash) {
-                let entry = CacheEntry {
-                    scenario: c.spec.name.clone(),
-                    rendered: report.rendered.clone(),
-                    document: scenario::deterministic_document(report),
-                };
-                if let Err(error) = cache.store(hash, &entry) {
-                    eprintln!(
-                        "error: caching {}: {error}",
-                        cache.entry_path(hash).display()
-                    );
-                }
+    let mut stored = std::collections::HashSet::new();
+    for (c, report) in to_run.iter().zip(&fresh) {
+        let hash = c.content_hash();
+        if use_cache && stored.insert(hash) {
+            let entry = CacheEntry {
+                scenario: c.spec.name.clone(),
+                rendered: report.rendered.clone(),
+                document: scenario::deterministic_document(report),
+            };
+            if let Err(error) = cache.store(hash, &entry) {
+                eprintln!(
+                    "error: caching {}: {error}",
+                    cache.entry_path(hash).display()
+                );
             }
         }
     }
     // Emit in input order: rendered text always, JSON files on --json.
-    let fresh_report = |i: &usize| -> &sweep::SweepReport {
-        &outcome.as_ref().expect("fresh plans imply a batch").reports[*i]
-    };
     for plan in &plans {
         match plan {
             Plan::Cached(entry) => println!("{}", entry.rendered),
-            Plan::Fresh(i) => println!("{}", fresh_report(i).rendered),
+            Plan::Fresh(i) => println!("{}", fresh[*i].rendered),
         }
     }
-    if cli.json {
+    if output.json {
         for plan in &plans {
             match plan {
                 Plan::Cached(entry) => {
-                    let path = cli.out.join(format!("scenario-{}.json", entry.scenario));
-                    if let Err(error) = std::fs::create_dir_all(&cli.out)
-                        .and_then(|()| std::fs::write(&path, entry.document.as_bytes()))
-                    {
+                    let path = output.dir.join(format!("scenario-{}.json", entry.scenario));
+                    if let Err(error) = write_creating_parent(&path, entry.document.as_bytes()) {
                         eprintln!("error: writing {}: {error}", path.display());
                         std::process::exit(1);
                     }
                     eprintln!("[wrote {} (from cache)]", path.display());
                 }
-                Plan::Fresh(i) => {
-                    write_json(cli, std::slice::from_ref(fresh_report(i)), false);
-                }
+                Plan::Fresh(i) => write_json(output, jobs, std::slice::from_ref(&fresh[*i]), false),
             }
         }
     }
     eprintln!("[scenario batch done in {:.1?}]", started.elapsed());
 }
 
-/// `paper scenario <file>... --trace out.ndjson`: the traced scenario
-/// path. Tracing requires simulating (a cache hit has no recorder), so
-/// the cache lookup is bypassed — but the entries are still stored, and
-/// the daemon's `GET /jobs/<id>/trace` for the same scenario is
-/// byte-identical because both call `bench::scenario::execute_traced`.
-/// A multi-file batch writes one trace per scenario, the given path
-/// suffixed with each scenario's name (`t.ndjson` → `t-<name>.ndjson`).
-fn run_traced_scenario(cli: &cli::Cli) {
-    let compiled: Vec<_> = cli
-        .scenario
-        .iter()
-        .map(|path| match scenario::load(path) {
-            Ok(compiled) => compiled,
-            Err(error) => {
-                eprintln!("error: {error}");
-                std::process::exit(2);
-            }
-        })
-        .collect();
-    let trace_path = cli.trace.as_ref().expect("checked by the parser");
-    let multi = compiled.len() > 1;
-    let started = std::time::Instant::now();
-    let write = |path: &Path, bytes: &[u8]| -> std::io::Result<()> {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, bytes)
-    };
-    for c in &compiled {
-        eprintln!(
-            "[scenario '{}': tracing {} run(s) — cache lookup bypassed]",
-            c.spec.name,
-            c.spec.engines.len()
-        );
-        let (report, trace) = scenario::execute_traced(c, None, cli.workers, cli.trace_capacity);
-        let out_path = if multi {
-            suffixed_trace_path(trace_path, &c.spec.name)
-        } else {
-            trace_path.clone()
-        };
-        if let Err(error) = write(&out_path, trace.as_bytes()) {
-            eprintln!("error: writing {}: {error}", out_path.display());
-            std::process::exit(1);
-        }
-        eprintln!(
-            "[wrote {} ({} bytes of flight-recorder NDJSON)]",
-            out_path.display(),
-            trace.len()
-        );
-        if cli.cache {
-            let cache = ResultCache::new(cli.out.join("cache"));
-            let entry = CacheEntry {
-                scenario: c.spec.name.clone(),
-                rendered: report.rendered.clone(),
-                document: scenario::deterministic_document(&report),
-            };
-            if let Err(error) = cache.store(c.content_hash(), &entry) {
-                eprintln!("error: caching {}: {error}", c.spec.name);
-            }
-        }
-        println!("{}", report.rendered);
-        if cli.json {
-            write_json(cli, std::slice::from_ref(&report), false);
-        }
+fn write_creating_parent(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent)?;
     }
-    eprintln!("[traced scenario batch done in {:.1?}]", started.elapsed());
+    std::fs::write(path, bytes)
 }
 
 /// `t.ndjson` + scenario `storm` → `t-storm.ndjson`, so a batch's traces
@@ -345,84 +314,32 @@ fn suffixed_trace_path(base: &Path, name: &str) -> PathBuf {
     base.with_file_name(file)
 }
 
-/// `paper trace …`: summarize, query or diff flight-recorder NDJSON.
-fn run_trace_cmd(cmd: &cli::TraceCmd, cli: &cli::Cli) {
-    let read = |path: &Path| -> String {
-        match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(error) => {
-                eprintln!("error: {}: {error}", path.display());
-                std::process::exit(2);
-            }
+/// `paper trace <file>`: render the section summary; with `--strict`,
+/// fail when the recorder dropped events.
+fn trace_summary(path: &Path, strict: bool) {
+    let text = read(path);
+    match bench::tracecmd::summarize(&text) {
+        Ok(summary) => print!("{summary}"),
+        Err(error) => {
+            eprintln!("error: {}: {error}", path.display());
+            std::process::exit(1);
         }
-    };
-    match cmd {
-        cli::TraceCmd::Summary(path) => {
-            let text = read(path);
-            match bench::tracecmd::summarize(&text) {
-                Ok(summary) => print!("{summary}"),
-                Err(error) => {
-                    eprintln!("error: {}: {error}", path.display());
-                    std::process::exit(1);
-                }
-            }
-            let dropped = bench::traceq::dropped_total(&text);
-            if cli.trace_strict && dropped > 0 {
-                eprintln!(
-                    "error: {}: {dropped} event(s) dropped by ring overflow (--strict)",
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        }
-        cli::TraceCmd::Query(path) => {
-            let text = read(path);
-            let opts = bench::traceq::QueryOpts {
-                kind: cli.trace_kind.clone(),
-                tor: cli.trace_tor,
-                flow: cli.trace_flow,
-                epochs: cli.trace_epochs,
-                top_fct: cli.trace_top_fct,
-                json: cli.json,
-            };
-            match bench::traceq::query(&text, &opts) {
-                Ok(out) if out.ends_with('\n') => print!("{out}"),
-                Ok(out) => println!("{out}"),
-                Err(error) => {
-                    eprintln!("error: {}: {error}", path.display());
-                    std::process::exit(1);
-                }
-            }
-        }
-        cli::TraceCmd::Diff(a, b) => {
-            let (text_a, text_b) = (read(a), read(b));
-            let outcome = bench::traceq::diff(
-                &a.display().to_string(),
-                &text_a,
-                &b.display().to_string(),
-                &text_b,
-                cli.trace_context,
-            );
-            print!("{}", outcome.report);
-            if outcome.divergent {
-                std::process::exit(1);
-            }
-        }
+    }
+    let dropped = bench::traceq::dropped_total(&text);
+    if strict && dropped > 0 {
+        eprintln!(
+            "error: {}: {dropped} event(s) dropped by ring overflow (--strict)",
+            path.display()
+        );
+        std::process::exit(1);
     }
 }
 
 /// `paper submit`: send one scenario file to a daemon, stream progress to
 /// stderr, and print the result document (byte-identical to the offline
 /// `--json --no-timing` form) on stdout.
-fn submit(path: &Path, cli: &cli::Cli) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(error) => {
-            eprintln!("error: {}: {error}", path.display());
-            std::process::exit(2);
-        }
-    };
-    let outcome = service::submit(&cli.addr, &text, cli.priority, |event| {
+fn submit(path: &Path, addr: &str, priority: i64) {
+    let outcome = service::submit(addr, &read(path), priority, |event| {
         let kind = event.get("event").and_then(Json::as_str).unwrap_or("?");
         match kind {
             "phase" => {
@@ -462,7 +379,7 @@ fn submit(path: &Path, cli: &cli::Cli) {
 /// `paper lint`: scan the workspace for determinism-invariant violations
 /// (rules and zones: README "Static analysis"). Exit 0 when clean, 1 on
 /// findings, 2 when the scan itself cannot run.
-fn run_lint(cli: &cli::Cli) {
+fn run_lint(json: bool) {
     let root = Path::new(".");
     if !root.join("crates").is_dir() {
         eprintln!("error: lint: run from the workspace root (no crates/ directory here)");
@@ -475,7 +392,7 @@ fn run_lint(cli: &cli::Cli) {
             std::process::exit(2);
         }
     };
-    if cli.json {
+    if json {
         println!("{}", lint::render_json(&report).render());
     } else {
         print!("{}", lint::render_text(&report));
@@ -485,8 +402,8 @@ fn run_lint(cli: &cli::Cli) {
     }
 }
 
-fn list(cli: &cli::Cli) {
-    if cli.json {
+fn list(json: bool) {
+    if json {
         // Machine-readable: experiments + the scenario library, one
         // document, so clients can discover everything a daemon can run.
         let mut doc = Json::object();
@@ -514,16 +431,16 @@ fn list(cli: &cli::Cli) {
     list_scenarios(Path::new("scenarios"));
 }
 
-fn write_json(cli: &cli::Cli, reports: &[sweep::SweepReport], multi_seed: bool) {
-    let timing_jobs = cli.timing.then_some(cli.jobs);
-    match results::write_reports(&cli.out, reports, timing_jobs, multi_seed) {
+fn write_json(output: &Output, jobs: usize, reports: &[sweep::SweepReport], multi_seed: bool) {
+    let timing_jobs = output.timing.then_some(jobs);
+    match results::write_reports(&output.dir, reports, timing_jobs, multi_seed) {
         Ok(paths) => {
             for path in paths {
                 eprintln!("[wrote {}]", path.display());
             }
         }
         Err(error) => {
-            eprintln!("error: writing {}: {error}", cli.out.display());
+            eprintln!("error: writing {}: {error}", output.dir.display());
             std::process::exit(1);
         }
     }
@@ -560,19 +477,7 @@ fn list_scenarios(dir: &Path) {
 }
 
 fn usage() {
-    eprintln!(
-        "usage: paper <experiment-id>|all|list [--duration-ms N] [--loads 10,50,100]\n\
-         \u{20}      [--seed N | --seeds A,B,C] [--jobs N] [--workers N] [--json] [--no-timing] [--out DIR]\n\
-         \u{20}      paper scenario <file.json>... [--jobs N] [--workers N] [--json] [--no-timing] [--no-cache] [--out DIR]\n\
-         \u{20}      paper scenario <file.json>... --trace out.ndjson [--trace-capacity N] [--workers N] [--json] [--out DIR]\n\
-         \u{20}      paper serve [--addr HOST:PORT] [--jobs N] [--workers N] [--out DIR] [--log-level error|info|debug] [--trace-capacity N]\n\
-         \u{20}      paper submit <file.json> [--addr HOST:PORT] [--priority N]\n\
-         \u{20}      paper trace <file.ndjson> [--strict]\n\
-         \u{20}      paper trace query <file.ndjson> [--kind NAME] [--tor N] [--flow N] [--epoch A..B] [--top-fct N] [--json]\n\
-         \u{20}      paper trace diff <a.ndjson> <b.ndjson> [--context N]\n\
-         \u{20}      paper list [--json]\n\
-         \u{20}      paper lint [--json]"
-    );
+    eprint!("{}", cli::usage());
     eprintln!("experiments:");
     for exp in EXPERIMENTS {
         eprintln!("  {:<8} {}", exp.id(), exp.artifact());

@@ -15,6 +15,8 @@
 //!   result documents **byte-identical** to an offline
 //!   `paper scenario <file> --json --no-timing` run.
 //! * [`client`] — `paper submit`: the matching wire client.
+//! * [`cli`] — the `paper` binary's argument parser: one flag table that
+//!   parsing, the does-not-apply errors and the usage text all read.
 //! * [`jobs`] — the job table: states, progress events, followers, and
 //!   the in-flight index that coalesces duplicate submissions.
 //! * [`http`] — the shared minimal HTTP/1.1 reader/writer pair.
@@ -30,6 +32,7 @@
 //! batch CLI shares, so the daemon and `paper scenario` populate each
 //! other.
 
+pub mod cli;
 pub mod client;
 pub mod http;
 pub mod jobs;

@@ -94,7 +94,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            addr: bench::cli::DEFAULT_ADDR.to_string(),
+            addr: crate::cli::DEFAULT_ADDR.to_string(),
             jobs: sim::pool::default_jobs(),
             workers: 1,
             out: PathBuf::from("results"),

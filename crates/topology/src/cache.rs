@@ -1,21 +1,20 @@
-//! Cached predefined-phase connection tables.
+//! The predefined schedule, materialized.
 //!
 //! The predefined round-robin pattern is a pure function of
-//! `(rotation, slot, tor, port)`, and a phase that has to look at every
-//! connection — the negotiator's observed (failure / gray) predefined
-//! phase — would evaluate it for every ToR × port in every timeslot: at
-//! paper scale ~16 k virtual-dispatched arithmetic calls per epoch, none
-//! of which ever change. The rotation argument cycles too
-//! ([`Topology::rotation_period`]): the parallel network revisits the same
-//! port↔offset mapping every `S` epochs and thin-clos ignores rotation
-//! entirely. So the whole schedule fits in a
-//! table built once: per `(rotation, slot)` a dense, `(src, port)`-ordered
-//! list of the connections that exist in that slot. Iterating the list
-//! visits exactly the pairs `predefined_dst` would return `Some` for, in
-//! exactly the same order. (A phase that looks only at *some* connections
-//! — the negotiator's healthy predefined phase, the oblivious engine's
-//! rotor — goes through the schedule's closed-form inverse instead,
-//! [`crate::PredefinedLanes`] and the [`crate::LaneTable`] over it.)
+//! `(rotation, slot, tor, port)` and the rotation cycles
+//! ([`Topology::rotation_period`]: the parallel network revisits the same
+//! port↔offset mapping every `S` epochs, thin-clos ignores rotation), so
+//! the whole schedule fits a table: per `(rotation, slot)` a dense,
+//! `(src, port)`-ordered list of the connections that exist in that slot.
+//! Iterating a list visits exactly the pairs `predefined_dst` returns
+//! `Some` for, in the same order.
+//!
+//! Neither engine holds this table: it is `rotations × slots × n · s`
+//! entries (100 MB on a 1024 × 8 fabric), and both walk the schedule's
+//! closed-form inverse instead ([`crate::PredefinedLanes`] and the
+//! [`crate::LaneTable`] over it). It stays as the plain-to-read reference
+//! the closed form is tested against (`lanes.rs`) and as the topology
+//! layer's cost probe in the repo benchmark.
 
 use crate::traits::Topology;
 

@@ -31,7 +31,10 @@
 //! [`LaneMasks::is_set`]) visits, in `slot_conns` order, every connection
 //! whose visit would change state — the negotiator's healthy predefined
 //! phase and the oblivious rotor both do — while a phase that looks at
-//! every connection need not maintain the bits at all.
+//! every connection — the negotiator's observed (failure / gray) phase,
+//! which walks [`PredefinedLanes::port_order`] for every source and skips
+//! only the lane that points a ToR at itself — need not maintain the bits
+//! at all.
 
 use crate::config::TopologyKind;
 use crate::traits::Topology;
@@ -450,8 +453,10 @@ mod tests {
         }
     }
 
-    /// Walking a `(slot, src)` group's connected lanes in `port_order` is
-    /// walking `PredefinedCache::slot_conns` — same connections, same order.
+    /// Walking a `(slot, src)` group's lanes in `port_order`, numbering
+    /// the ports as they come and skipping the one lane that points a ToR
+    /// at itself — the negotiator's observed predefined phase — is walking
+    /// `PredefinedCache::slot_conns`: same connections, same order.
     #[test]
     fn port_order_walk_reproduces_the_cached_slot_lists() {
         for topo in fabrics() {
@@ -463,12 +468,16 @@ mod tests {
                     let mut walked = Vec::new();
                     for src in 0..n {
                         let origin = lanes.origin(slot, src);
-                        for lane in lanes.port_order(rot).into_iter().flatten() {
+                        let order = lanes.port_order(rot).into_iter().flatten();
+                        for (port, lane) in order.enumerate() {
+                            assert_eq!(port, lanes.port(lane, rot));
                             let dst = lanes.dst(origin, lane);
-                            if lanes.pair_lanes(src, dst).any(|at| at == (slot, lane)) {
+                            let connected = lanes.pair_lanes(src, dst).any(|at| at == (slot, lane));
+                            assert_eq!(connected, dst != src);
+                            if connected {
                                 walked.push(PredefinedConn {
                                     src: src as u32,
-                                    port: lanes.port(lane, rot) as u32,
+                                    port: port as u32,
                                     dst: dst as u32,
                                 });
                             }

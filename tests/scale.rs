@@ -10,7 +10,10 @@
 //!
 //! Arbiter state is held to the same standard with a byte count: a ring is
 //! its pointer and a closed-form scope, so what a fabric's GRANT and ACCEPT
-//! arbiters allocate per ToR does not depend on the number of ToRs.
+//! arbiters allocate per ToR does not depend on the number of ToRs. So is
+//! the observed predefined phase — the one an epoch with a failure, an
+//! exclusion or a gray drop runs: it walks the schedule's closed form, so
+//! a failure costs a large fabric visits, not a table of its schedule.
 
 use negotiator::matching::{AcceptArbiter, GrantArbiter};
 use negotiator::rings::Ring;
@@ -19,8 +22,8 @@ use oblivious::{ObliviousConfig, ObliviousSim};
 use sim::Xoshiro256;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use topology::{AnyTopology, NetworkConfig, TopologyKind};
-use workload::{FlowSizeDist, FlowTrace, IncastWorkload, PoissonWorkload, WorkloadSpec};
+use topology::{AnyTopology, FailureAction, NetworkConfig, TopologyKind};
+use workload::{Flow, FlowSizeDist, FlowTrace, IncastWorkload, PoissonWorkload, WorkloadSpec};
 
 /// The system allocator, counting the bytes each thread asks it for (the
 /// tests of this binary run on threads of their own, so one test's count
@@ -94,6 +97,53 @@ fn arbiter_bytes_per_tor_are_flat_in_fabric_size() {
             );
         }
     }
+}
+
+/// A nearly idle 1024 × 8 negotiator, built and run for 20 epochs, with
+/// and without 5 % of its links failing at epoch 15. The failure makes the
+/// remaining epochs look at every connection (the visit counter says so),
+/// and costs under 8 MB of allocation on top of the healthy run's: the
+/// per-rotation connection lists those epochs used to build were
+/// 8 × 128 × 8,192 × 12 B = 100 MB.
+#[test]
+fn observed_epochs_allocate_no_schedule_table() {
+    let net = NetworkConfig {
+        n_tors: 1024,
+        ..NetworkConfig::paper_default()
+    };
+    let trace = FlowTrace::new(vec![Flow {
+        id: 0,
+        src: 3,
+        dst: 77,
+        bytes: 1_000_000_000,
+        arrival: 0,
+    }]);
+    let run = |fail: bool| {
+        allocated_by(|| {
+            let cfg = NegotiatorConfig::paper_default(net.clone());
+            let mut sim = NegotiatorSim::new(cfg, TopologyKind::Parallel);
+            let epoch = sim.epoch_len();
+            if fail {
+                let action = FailureAction::FailRandom {
+                    ratio: 0.05,
+                    seed: 9,
+                };
+                sim.schedule_failure(15 * epoch, action);
+            }
+            sim.run(&trace, 20 * epoch);
+            sim.stats().predefined_conns_visited
+        })
+    };
+    let (healthy_visits, healthy_bytes) = run(false);
+    let (failed_visits, failed_bytes) = run(true);
+    let dense_epoch = (net.n_tors * (net.n_tors - 1)) as u64;
+    assert!(healthy_visits < dense_epoch && failed_visits >= 5 * dense_epoch);
+    assert!(
+        failed_bytes < healthy_bytes + (8 << 20),
+        "observing a failure allocated {} MB beyond the healthy run's {} MB",
+        failed_bytes.saturating_sub(healthy_bytes) >> 20,
+        healthy_bytes >> 20
+    );
 }
 
 /// One trace confined to ToRs 0..64, played on a 256- and a 1024-ToR
