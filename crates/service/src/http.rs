@@ -10,7 +10,7 @@
 //! `paper submit` client parse with the same functions, so the wire
 //! format is covered by one set of tests.
 
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 
 /// Largest accepted request body (a scenario file); far above any real
 /// scenario, far below a memory hazard.
@@ -54,19 +54,38 @@ impl Request {
     }
 }
 
+/// A request (or response head) that breaks the protocol, as the
+/// [`io::Error`] the readers below return for it; an error of any other
+/// kind is the transport's own.
+fn malformed(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
+/// Did a read or write give up because the socket's deadline passed? (A
+/// timed-out blocking socket reports `WouldBlock` on unix and `TimedOut`
+/// on windows.)
+pub fn is_timeout(error: &io::Error) -> bool {
+    matches!(
+        error.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
 /// Read one request from `reader`. `Ok(None)` when the peer closed the
-/// connection before sending anything.
-pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, String> {
+/// connection before sending anything. A malformed request is an
+/// `InvalidData` error carrying the reason; a peer that stalls past the
+/// socket's read deadline is the one [`is_timeout`] recognizes.
+pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Request>> {
     let Some(line) = read_line(reader)? else {
         return Ok(None);
     };
     let mut parts = line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
-        _ => return Err(format!("malformed request line {line:?}")),
+        _ => return Err(malformed(format!("malformed request line {line:?}"))),
     };
     if !version.starts_with("HTTP/1.") {
-        return Err(format!("unsupported protocol {version:?}"));
+        return Err(malformed(format!("unsupported protocol {version:?}")));
     }
     let (path, query) = parse_target(target);
     let headers = read_headers(reader)?;
@@ -76,14 +95,19 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, String
             let len: usize = v
                 .trim()
                 .parse()
-                .map_err(|_| format!("bad content-length {v:?}"))?;
+                .map_err(|_| malformed(format!("bad content-length {v:?}")))?;
             if len > MAX_BODY {
-                return Err(format!("body of {len} bytes exceeds the {MAX_BODY} cap"));
+                return Err(malformed(format!(
+                    "body of {len} bytes exceeds the {MAX_BODY} cap"
+                )));
             }
             let mut body = vec![0u8; len];
-            reader
-                .read_exact(&mut body)
-                .map_err(|e| format!("reading {len}-byte body: {e}"))?;
+            reader.read_exact(&mut body).map_err(|e| match e.kind() {
+                io::ErrorKind::UnexpectedEof => {
+                    malformed(format!("connection closed inside the {len}-byte body"))
+                }
+                _ => e,
+            })?;
             body
         }
     };
@@ -100,7 +124,9 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, String
 pub fn read_response_head(
     reader: &mut impl BufRead,
 ) -> Result<(u16, Vec<(String, String)>), String> {
-    let line = read_line(reader)?.ok_or("connection closed before any response")?;
+    let line = read_line(reader)
+        .map_err(|e| e.to_string())?
+        .ok_or("connection closed before any response")?;
     let mut parts = line.splitn(3, ' ');
     let (version, code) = match (parts.next(), parts.next()) {
         (Some(v), Some(c)) => (v, c),
@@ -112,7 +138,8 @@ pub fn read_response_head(
     let status: u16 = code
         .parse()
         .map_err(|_| format!("bad status code {code:?}"))?;
-    Ok((status, read_headers(reader)?))
+    let headers = read_headers(reader).map_err(|e| e.to_string())?;
+    Ok((status, headers))
 }
 
 /// First value of the (lowercased) header `name`.
@@ -173,6 +200,7 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         409 => "Conflict",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
@@ -183,19 +211,17 @@ fn reason(status: u16) -> &'static str {
 /// One CRLF- (or LF-) terminated line, without its terminator. `None` at
 /// EOF before any byte. Reads through a [`MAX_LINE`] window so a peer
 /// that never sends a newline cannot grow the buffer without bound.
-fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, String> {
+fn read_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
     let mut line = String::new();
     // `&mut R` is itself `BufRead`, so the window borrows rather than
     // consumes the caller's reader.
-    let mut limited = std::io::Read::take(&mut *reader, MAX_LINE as u64);
-    let n = limited
-        .read_line(&mut line)
-        .map_err(|e| format!("reading line: {e}"))?;
+    let mut limited = io::Read::take(&mut *reader, MAX_LINE as u64);
+    let n = limited.read_line(&mut line)?;
     if n == 0 {
         return Ok(None);
     }
     if !line.ends_with('\n') && n == MAX_LINE {
-        return Err(format!("line exceeds the {MAX_LINE}-byte cap"));
+        return Err(malformed(format!("line exceeds the {MAX_LINE}-byte cap")));
     }
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
@@ -203,19 +229,20 @@ fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, String> {
     Ok(Some(line))
 }
 
-fn read_headers(reader: &mut impl BufRead) -> Result<Vec<(String, String)>, String> {
+fn read_headers(reader: &mut impl BufRead) -> io::Result<Vec<(String, String)>> {
     let mut headers = Vec::new();
     loop {
-        let line = read_line(reader)?.ok_or("connection closed inside headers")?;
+        let line = read_line(reader)?
+            .ok_or_else(|| malformed("connection closed inside headers".to_string()))?;
         if line.is_empty() {
             return Ok(headers);
         }
         if headers.len() >= 100 {
-            return Err("more than 100 headers".to_string());
+            return Err(malformed("more than 100 headers".to_string()));
         }
         let (name, value) = line
             .split_once(':')
-            .ok_or_else(|| format!("malformed header {line:?}"))?;
+            .ok_or_else(|| malformed(format!("malformed header {line:?}")))?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 }
@@ -242,7 +269,11 @@ mod tests {
     use std::io::{BufReader, Read};
 
     fn parse(raw: &str) -> Result<Option<Request>, String> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+        read_request(&mut BufReader::new(raw.as_bytes())).map_err(|e| {
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+            assert!(!is_timeout(&e));
+            e.to_string()
+        })
     }
 
     #[test]

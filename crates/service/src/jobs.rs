@@ -6,10 +6,13 @@
 //! land. The table also carries the in-flight index keyed by content
 //! hash, which is what lets a duplicate submission coalesce onto a job
 //! that is already queued or running instead of simulating again.
+//! Finished records stay queryable by id until [`MAX_RETAINED_BYTES`] of
+//! them have piled up; then the oldest go first.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use metrics::Json;
 
@@ -62,6 +65,10 @@ struct JobInner {
     /// `GET /jobs/<id>/trace`. Set before the terminal transition so a
     /// follower that observes `Done` always finds the trace present.
     trace: Option<Arc<String>>,
+    /// When a worker took the job (`Queued → Running`).
+    started: Option<Instant>,
+    /// When the job entered its terminal state.
+    ended: Option<Instant>,
 }
 
 /// One submission's shared record.
@@ -72,6 +79,7 @@ pub struct Job {
     pub hash: u64,
     /// Scenario name (diagnostics; the hash is the identity).
     pub name: String,
+    admitted: Instant,
     inner: Mutex<JobInner>,
     changed: Condvar,
 }
@@ -91,10 +99,13 @@ impl Job {
             id,
             hash,
             name,
+            admitted: Instant::now(),
             inner: Mutex::new(JobInner {
                 state: JobState::Queued,
                 events: Vec::new(),
                 trace: None,
+                started: None,
+                ended: None,
             }),
             changed: Condvar::new(),
         })
@@ -137,6 +148,7 @@ impl Job {
             return false;
         }
         inner.state = JobState::Running;
+        inner.started = Some(Instant::now());
         self.changed.notify_all();
         true
     }
@@ -150,6 +162,7 @@ impl Job {
             return;
         }
         inner.state = state;
+        inner.ended = Some(Instant::now());
         self.changed.notify_all();
     }
 
@@ -160,8 +173,35 @@ impl Job {
             return false;
         }
         inner.state = JobState::Cancelled;
+        inner.ended = Some(Instant::now());
         self.changed.notify_all();
         true
+    }
+
+    /// Wall-clock `(wait, run)`: admission until a worker took the job,
+    /// and from then until its terminal state — each up to now while it is
+    /// still going on. `run` is `None` for a job no worker has started.
+    pub fn timing(&self) -> (Duration, Option<Duration>) {
+        let inner = lock_recover(&self.inner);
+        let end = inner.ended.unwrap_or_else(Instant::now);
+        match inner.started {
+            Some(started) => (started - self.admitted, Some(end - started)),
+            None => (end - self.admitted, None),
+        }
+    }
+
+    /// What this record is charged against [`MAX_RETAINED_BYTES`] once it
+    /// is terminal: the result document (or failure message), the trace,
+    /// the progress events as they render, and [`RECORD_OVERHEAD_BYTES`].
+    fn retained_bytes(&self) -> usize {
+        let inner = lock_recover(&self.inner);
+        let payload = match &inner.state {
+            JobState::Done(document) => document.len(),
+            JobState::Failed(message) => message.len(),
+            _ => 0,
+        };
+        let events: usize = inner.events.iter().map(|e| e.render_compact().len()).sum();
+        payload + inner.trace.as_ref().map_or(0, |t| t.len()) + events + RECORD_OVERHEAD_BYTES
     }
 
     /// Block until there is something past `cursor`: either new events
@@ -185,18 +225,42 @@ impl Job {
     }
 }
 
-/// Terminal jobs retained for `GET /jobs/<id>` history before the oldest
-/// are evicted. Results survive eviction anyway — they live in the
-/// content-addressed cache — so this only bounds status history, keeping
-/// a long-lived daemon's memory flat under a stream of submissions.
-pub const MAX_RETAINED_JOBS: usize = 256;
+/// Bytes of terminal job records (result document, trace, events) kept
+/// for `GET /jobs/<id>` and its `/result`, `/trace`, `/flows` before the
+/// oldest are evicted. Results survive eviction anyway — they live in the
+/// content-addressed cache — so this only bounds status and trace history,
+/// keeping a long-lived daemon's memory flat however fast submissions
+/// arrive and however large their traces are.
+pub const MAX_RETAINED_BYTES: usize = 64 * 1024 * 1024;
+
+/// Charged to every terminal record on top of its payload (the `Job`, its
+/// name, map node and locks), so the budget bounds the record count too:
+/// at most 65 536 empty records.
+const RECORD_OVERHEAD_BYTES: usize = 1024;
+
+/// A registered job and, once it is terminal, what it is charged.
+struct Record {
+    job: Arc<Job>,
+    /// `None` while the job is live; live records are never evicted.
+    charged: Option<usize>,
+}
+
+/// The id-ordered registry: ids rise with admission, so iteration order
+/// is age order.
+#[derive(Default)]
+struct Registry {
+    records: BTreeMap<u64, Record>,
+    /// How many records are terminal, and the sum of their charges.
+    terminal: usize,
+    retained_bytes: usize,
+}
 
 /// The daemon's registry of jobs, plus the in-flight (hash → job) index
 /// used to coalesce duplicate submissions.
 #[derive(Default)]
 pub struct JobTable {
     next_id: AtomicU64,
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    registry: Mutex<Registry>,
     in_flight: Mutex<HashMap<u64, Arc<Job>>>,
     coalesced: AtomicUsize,
     served: AtomicUsize,
@@ -209,6 +273,21 @@ pub enum Admission {
     /// An identical job (same content hash) is already in flight; the
     /// caller follows it instead of dispatching anything.
     Coalesced(Arc<Job>),
+}
+
+/// A snapshot of the table's counters.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct TableStats {
+    /// Jobs ever admitted — admissions, not retained records.
+    pub admitted: usize,
+    /// Jobs not yet retired (queued or running).
+    pub active: usize,
+    /// Submissions coalesced onto an in-flight job.
+    pub coalesced: usize,
+    /// Terminal records currently retained.
+    pub retained: usize,
+    /// What those records are charged against [`MAX_RETAINED_BYTES`].
+    pub retained_bytes: usize,
 }
 
 impl JobTable {
@@ -231,54 +310,68 @@ impl JobTable {
         let job = Job::new(id, hash, name.to_string());
         in_flight.insert(hash, Arc::clone(&job));
         self.served.fetch_add(1, Ordering::Relaxed);
-        let mut jobs = lock_recover(&self.jobs);
-        jobs.insert(id, Arc::clone(&job));
-        // Keep the registry bounded: evict the oldest *terminal* jobs
-        // beyond the cap (live jobs are never evicted; followers hold
-        // their own Arc, so an evicted record only leaves the id lookup).
-        if jobs.len() > MAX_RETAINED_JOBS {
-            let mut terminal: Vec<u64> = jobs
-                .iter()
-                .filter(|(_, j)| j.state().is_terminal())
-                .map(|(&id, _)| id)
-                .collect();
-            terminal.sort_unstable();
-            let excess = jobs.len().saturating_sub(MAX_RETAINED_JOBS);
-            for id in terminal.into_iter().take(excess) {
-                jobs.remove(&id);
-            }
-        }
+        let record = Record {
+            job: Arc::clone(&job),
+            charged: None,
+        };
+        lock_recover(&self.registry).records.insert(id, record);
         Admission::New(job)
     }
 
-    /// Drop `job` from the in-flight index (call on any terminal
-    /// transition, so a resubmission starts fresh instead of attaching to
-    /// a finished record).
+    /// Retire a job that has just reached a terminal state: drop it from
+    /// the in-flight index (so a resubmission starts fresh instead of
+    /// attaching to a finished record), charge its record against
+    /// [`MAX_RETAINED_BYTES`], and evict the oldest terminal records until
+    /// the budget holds. Live jobs are never evicted, and neither is `job`
+    /// itself — alone it may exceed the budget, so that its status and
+    /// trace still answer right after completion. Followers hold their own
+    /// `Arc`, so an evicted record only leaves the id lookup. Idempotent.
     pub fn retire(&self, job: &Job) {
-        let mut in_flight = lock_recover(&self.in_flight);
-        if let Some(current) = in_flight.get(&job.hash) {
-            if current.id == job.id {
+        {
+            let mut in_flight = lock_recover(&self.in_flight);
+            if in_flight.get(&job.hash).is_some_and(|j| j.id == job.id) {
                 in_flight.remove(&job.hash);
             }
+        }
+        debug_assert!(job.state().is_terminal(), "retire takes a terminal job");
+        let charge = job.retained_bytes();
+        let mut registry = lock_recover(&self.registry);
+        match registry.records.get_mut(&job.id) {
+            Some(record) if record.charged.is_none() => record.charged = Some(charge),
+            _ => return, // retired before, or already evicted
+        }
+        registry.terminal += 1;
+        registry.retained_bytes += charge;
+        while registry.retained_bytes > MAX_RETAINED_BYTES {
+            let oldest = registry
+                .records
+                .iter()
+                .find_map(|(&id, r)| r.charged.filter(|_| id != job.id).map(|c| (id, c)));
+            let Some((id, charged)) = oldest else {
+                break; // only `job` is left
+            };
+            registry.records.remove(&id);
+            registry.terminal -= 1;
+            registry.retained_bytes -= charged;
         }
     }
 
     /// Look up a job by id.
     pub fn get(&self, id: u64) -> Option<Arc<Job>> {
-        lock_recover(&self.jobs).get(&id).cloned()
+        let registry = lock_recover(&self.registry);
+        registry.records.get(&id).map(|r| Arc::clone(&r.job))
     }
 
-    /// `(total jobs ever admitted, currently non-terminal, coalesced
-    /// submissions)`. The total counts admissions, not retained records —
-    /// old terminal jobs are evicted past [`MAX_RETAINED_JOBS`].
-    pub fn stats(&self) -> (usize, usize, usize) {
-        let jobs = lock_recover(&self.jobs);
-        let active = jobs.values().filter(|j| !j.state().is_terminal()).count();
-        (
-            self.served.load(Ordering::Relaxed),
-            active,
-            self.coalesced.load(Ordering::Relaxed),
-        )
+    /// The table's counters, read under one lock.
+    pub fn stats(&self) -> TableStats {
+        let registry = lock_recover(&self.registry);
+        TableStats {
+            admitted: self.served.load(Ordering::Relaxed),
+            active: registry.records.len() - registry.terminal,
+            coalesced: self.coalesced.load(Ordering::Relaxed),
+            retained: registry.terminal,
+            retained_bytes: registry.retained_bytes,
+        }
     }
 }
 
@@ -325,7 +418,11 @@ mod tests {
             panic!("in-flight twin must coalesce")
         };
         assert_eq!(twin.id, first.id);
-        assert_eq!(table.stats().2, 1, "one coalesced submission counted");
+        assert_eq!(
+            table.stats().coalesced,
+            1,
+            "one coalesced submission counted"
+        );
         // A different hash is its own job.
         let Admission::New(other) = table.admit(8, "b") else {
             panic!("new")
@@ -360,30 +457,119 @@ mod tests {
         assert!(!running.cancel(), "running jobs complete");
     }
 
+    /// Admit a job under `hash`, run it to `Done` with `document` and retire it.
+    fn complete(table: &JobTable, hash: u64, document: &Arc<String>) -> Arc<Job> {
+        let Admission::New(job) = table.admit(hash, "churn") else {
+            panic!("distinct hashes always admit")
+        };
+        job.start();
+        job.finish(JobState::Done(Arc::clone(document)));
+        table.retire(&job);
+        job
+    }
+
     #[test]
-    fn terminal_jobs_are_evicted_past_the_cap_live_ones_never() {
+    fn terminal_jobs_are_evicted_past_the_byte_budget_live_ones_never() {
         let table = JobTable::new();
         let Admission::New(live) = table.admit(0, "live") else {
             panic!("new")
         };
         live.start(); // stays Running for the whole test
-        for i in 1..=(MAX_RETAINED_JOBS as u64 + 50) {
-            let Admission::New(job) = table.admit(i, "churn") else {
-                panic!("distinct hashes always admit")
-            };
-            job.start();
-            job.finish(JobState::Done(Arc::new(String::new())));
-            table.retire(&job);
+
+        // One shared 1 MiB document: every record is charged its length, so
+        // the budget fills after 63 of them without the test holding 64 MiB.
+        let document = Arc::new("x".repeat(1 << 20));
+        let charge = document.len() + RECORD_OVERHEAD_BYTES;
+        let churn = 100u64;
+        for i in 1..=churn {
+            let job = complete(&table, i, &document);
+            let stats = table.stats();
+            assert!(stats.retained_bytes <= MAX_RETAINED_BYTES);
+            assert_eq!(stats.retained_bytes, stats.retained * charge);
+            assert!(table.get(job.id).is_some(), "the record just retired stays");
+            table.retire(&job); // retiring twice charges once
+            assert_eq!(table.stats(), stats);
         }
-        // The registry is bounded; the oldest terminal records are gone,
-        // the newest and the live one remain; totals still count it all.
-        let (served, active, _) = table.stats();
-        assert_eq!(served, MAX_RETAINED_JOBS + 51);
-        assert_eq!(active, 1);
+        let fit = MAX_RETAINED_BYTES / charge;
+        let stats = table.stats();
+        assert_eq!(
+            stats.admitted,
+            churn as usize + 1,
+            "every admission counted"
+        );
+        assert_eq!(stats.active, 1);
+        assert_eq!(stats.retained, fit, "the budget is used, not undershot");
         assert!(table.get(live.id).is_some(), "live jobs are never evicted");
-        assert!(table.get(2).is_none(), "oldest terminal job evicted");
-        let newest = MAX_RETAINED_JOBS as u64 + 50;
-        assert!(table.get(newest + 1).is_some(), "newest job retained");
+        // Ids 2..=churn+1 were the churn; exactly the newest `fit` remain.
+        let oldest_kept = churn + 1 - fit as u64 + 1;
+        assert!(table.get(oldest_kept - 1).is_none(), "oldest evicted first");
+        for id in oldest_kept..=churn + 1 {
+            assert!(table.get(id).is_some(), "job {id} is within the budget");
+        }
+    }
+
+    #[test]
+    fn a_lone_oversized_record_outlives_the_budget_until_the_next_one() {
+        let table = JobTable::new();
+        let small = complete(&table, 1, &Arc::new("{}".to_string()));
+        // Larger than the whole budget: everything older goes, it stays, so
+        // `GET /jobs/<id>/trace` right after completion still answers.
+        let Admission::New(big) = table.admit(2, "big") else {
+            panic!("new")
+        };
+        big.start();
+        big.push_event(Json::Str("progress".into()));
+        big.set_trace(Arc::new("t".repeat(MAX_RETAINED_BYTES)));
+        big.finish(JobState::Done(Arc::new("{}".to_string())));
+        table.retire(&big);
+        assert!(table.get(small.id).is_none());
+        assert!(table.get(big.id).is_some());
+        let stats = table.stats();
+        assert_eq!(stats.retained, 1);
+        let events = "\"progress\"".len();
+        assert_eq!(
+            stats.retained_bytes,
+            MAX_RETAINED_BYTES + 2 + events + RECORD_OVERHEAD_BYTES,
+            "document + trace + events + the fixed overhead"
+        );
+        // The next completion evicts it and the budget holds again.
+        let next = complete(&table, 3, &Arc::new("{}".to_string()));
+        assert!(table.get(big.id).is_none());
+        assert!(table.get(next.id).is_some());
+        assert!(table.stats().retained_bytes <= MAX_RETAINED_BYTES);
+    }
+
+    #[test]
+    fn timing_splits_wait_from_run() {
+        let table = JobTable::new();
+        let Admission::New(job) = table.admit(1, "t") else {
+            panic!("new")
+        };
+        assert_eq!(
+            job.timing().1,
+            None,
+            "no run time before a worker starts it"
+        );
+        job.start();
+        let (wait, run) = job.timing();
+        assert!(run.is_some());
+        job.finish(JobState::Done(Arc::new(String::new())));
+        let (wait_after, run_after) = job.timing();
+        assert_eq!(wait_after, wait, "the wait is fixed once the job starts");
+        assert!(run_after >= run);
+        assert_eq!(
+            job.timing(),
+            (wait_after, run_after),
+            "both fixed once terminal"
+        );
+        // A job cancelled in the queue waited and never ran.
+        let Admission::New(cancelled) = table.admit(2, "c") else {
+            panic!("new")
+        };
+        cancelled.cancel();
+        let timing = cancelled.timing();
+        assert_eq!(timing.1, None);
+        assert_eq!(cancelled.timing(), timing);
     }
 
     #[test]

@@ -21,6 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bench::profile::StageTotals;
 use sim::pool::PoolSnapshot;
 
+use crate::jobs::TableStats;
+
 /// Histogram bucket upper bounds, paired with the exact `le` label text
 /// so rendering never depends on float formatting. Spans sub-millisecond
 /// cache hits through multi-second simulations.
@@ -78,12 +80,11 @@ impl HttpMetrics {
 pub struct MetricsInput<'a> {
     /// Is graceful shutdown underway?
     pub draining: bool,
-    /// Jobs ever admitted by the job table.
-    pub jobs_admitted: usize,
-    /// Jobs currently non-terminal.
-    pub jobs_active: usize,
-    /// Duplicate submissions coalesced onto in-flight jobs.
-    pub jobs_coalesced: usize,
+    /// The job table's counters: admissions, live jobs, coalesced
+    /// submissions, and what is retained of finished jobs.
+    pub jobs: TableStats,
+    /// `accept()` calls that failed.
+    pub accept_errors: u64,
     /// Worker-pool lifecycle counters; `None` once the pool is drained
     /// (rendered as all-zero gauges so scrapes never fail mid-shutdown).
     pub pool: Option<PoolSnapshot>,
@@ -118,7 +119,17 @@ pub fn render_prometheus(input: &MetricsInput<'_>) -> String {
     gauge(
         "paper_jobs_active",
         "Jobs currently queued or running.",
-        input.jobs_active as f64,
+        input.jobs.active as f64,
+    );
+    gauge(
+        "paper_jobs_retained",
+        "Finished job records kept for status, result and trace queries.",
+        input.jobs.retained as f64,
+    );
+    gauge(
+        "paper_jobs_retained_bytes",
+        "Bytes those records are charged against the retention budget.",
+        input.jobs.retained_bytes as f64,
     );
     let pool = input.pool.unwrap_or(PoolSnapshot {
         workers: 0,
@@ -161,12 +172,12 @@ pub fn render_prometheus(input: &MetricsInput<'_>) -> String {
     counter(
         "paper_jobs_admitted_total",
         "Submissions admitted to the job table.",
-        input.jobs_admitted as u64,
+        input.jobs.admitted as u64,
     );
     counter(
         "paper_jobs_coalesced_total",
         "Duplicate submissions coalesced onto an in-flight job.",
-        input.jobs_coalesced as u64,
+        input.jobs.coalesced as u64,
     );
     counter(
         "paper_jobs_submitted_total",
@@ -203,6 +214,11 @@ pub fn render_prometheus(input: &MetricsInput<'_>) -> String {
         "paper_http_requests_total",
         "HTTP requests served.",
         input.http.requests(),
+    );
+    counter(
+        "paper_accept_errors_total",
+        "accept() calls that failed; each backs the accept loop off 20 ms.",
+        input.accept_errors,
     );
     counter(
         "paper_trace_dropped_total",
@@ -302,9 +318,14 @@ mod tests {
     fn render(http: &HttpMetrics, stages: &[StageTotals]) -> String {
         render_prometheus(&MetricsInput {
             draining: false,
-            jobs_admitted: 7,
-            jobs_active: 1,
-            jobs_coalesced: 2,
+            jobs: TableStats {
+                admitted: 7,
+                active: 1,
+                coalesced: 2,
+                retained: 5,
+                retained_bytes: 4096,
+            },
+            accept_errors: 3,
             pool: Some(PoolSnapshot {
                 workers: 4,
                 queued: 3,
@@ -357,6 +378,9 @@ mod tests {
             "paper_jobs_completed_total 5",
             "paper_jobs_cancelled_total 0",
             "paper_jobs_coalesced_total 2",
+            "paper_jobs_retained 5",
+            "paper_jobs_retained_bytes 4096",
+            "paper_accept_errors_total 3",
             "paper_pool_utilization 0.25",
             "paper_cache_hits_total 10",
             "paper_cache_misses_total 4",
@@ -393,9 +417,8 @@ mod tests {
         let http = HttpMetrics::new();
         let text = render_prometheus(&MetricsInput {
             draining: true,
-            jobs_admitted: 0,
-            jobs_active: 0,
-            jobs_coalesced: 0,
+            jobs: TableStats::default(),
+            accept_errors: 0,
             pool: None,
             cache: (0, 0),
             stages: &[],

@@ -1,11 +1,18 @@
 //! The scenario-serving daemon.
 //!
 //! A long-running process built on the blocking `std::net` stack: an
-//! accept loop hands each connection to a short-lived handler thread
-//! (one request per connection), submissions are validated and compiled
-//! with the scenario crate's strict validator **before** anything is
-//! queued, and accepted jobs drain through a [`sim::pool::WorkerPool`] —
-//! the same worker discipline the batch sweep engine uses. Results are
+//! accept loop blocked in `accept()` hands each connection to a
+//! short-lived handler thread (one request per connection) the moment it
+//! arrives — no poll period sits under a request, so a cached result
+//! costs its compile + hash + lookup and nothing else. Every accepted
+//! socket carries a read and a write deadline ([`READ_TIMEOUT`],
+//! [`WRITE_TIMEOUT`]): a peer that stalls mid-request is answered `408`
+//! and dropped, so no handler thread outlives its peer's patience.
+//!
+//! Submissions are validated and compiled with the scenario crate's
+//! strict validator **before** anything is queued, and accepted jobs
+//! drain through a [`sim::pool::WorkerPool`] — the same worker
+//! discipline the batch sweep engine uses. Results are
 //! byte-identical to an offline `paper scenario <file> --json
 //! --no-timing` run because both paths execute the same compiled runs
 //! and assemble through `bench::scenario`.
@@ -21,6 +28,13 @@
 //! `503`, everything already accepted runs to completion, streaming
 //! clients receive their results, and cache entries only ever land via
 //! write-to-temp + rename, so no signal timing can leave a torn file.
+//! Once the pool has drained, [`Server::shutdown`] sets `closed` and
+//! connects once to its own listener: the accept loop, which re-checks
+//! `closed` after every `accept()`, wakes, drops that stream and exits.
+//!
+//! What the daemon keeps of finished jobs (status, events, document,
+//! trace) is bounded by bytes — [`crate::jobs::MAX_RETAINED_BYTES`] —
+//! not by count, so serving faster never means holding more.
 //!
 //! Wire protocol (documented with examples in the README "Service"
 //! section):
@@ -40,7 +54,7 @@
 //! | `POST /shutdown`          | begin graceful shutdown                       |
 
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,7 +68,7 @@ use scenario::hash::hex;
 use scenario::{CompiledScenario, PhaseProgress, ProgressSink};
 use sim::pool::WorkerPool;
 
-use crate::http::{read_request, respond, start_stream, Request};
+use crate::http::{is_timeout, read_request, respond, start_stream, Request};
 use crate::jobs::{lock_recover, Admission, Follow, Job, JobState, JobTable};
 use crate::library::library_json;
 use crate::log::LogLevel;
@@ -66,6 +80,19 @@ use crate::{log_debug, log_error, log_info};
 /// layout changes without sniffing fields. Bumped when a line's shape
 /// changes incompatibly.
 pub const PROGRESS_SCHEMA_VERSION: u64 = 1;
+
+/// How long a handler waits for the next bytes of a request before it
+/// answers `408` and closes. Per read, not per request: a slow but
+/// moving upload is never cut off.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long one write may block on a peer that has stopped reading
+/// before the handler gives the connection up.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Back-off after a failed `accept()` (descriptor exhaustion, typically),
+/// so a persistent error cannot spin the accept thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -113,8 +140,11 @@ struct ServerState {
     /// Submissions are rejected (503) the moment this flips; status and
     /// result queries keep working while accepted jobs drain.
     draining: AtomicBool,
-    /// The accept loop exits only here, after the drain completes.
+    /// The accept loop exits only here, after the drain completes; it
+    /// looks after every `accept()`, and `Server::shutdown` makes one.
     closed: AtomicBool,
+    /// Failed `accept()` calls (`paper_accept_errors_total`).
+    accept_errors: AtomicU64,
     /// Request counter + latency histogram for `/metrics`.
     http: HttpMetrics,
     /// Cumulative flight-recorder ring-overflow drops across every job
@@ -136,9 +166,6 @@ impl Server {
     pub fn start(config: ServeConfig) -> Result<Server, String> {
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| format!("binding {}: {e}", config.addr))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("nonblocking listener: {e}"))?;
         let addr = listener
             .local_addr()
             .map_err(|e| format!("local addr: {e}"))?;
@@ -149,6 +176,7 @@ impl Server {
             table: JobTable::new(),
             draining: AtomicBool::new(false),
             closed: AtomicBool::new(false),
+            accept_errors: AtomicU64::new(0),
             http: HttpMetrics::new(),
             trace_dropped: AtomicU64::new(0),
             config,
@@ -190,6 +218,12 @@ impl Server {
         }
         self.state.closed.store(true, Ordering::SeqCst);
         if let Some(accept) = self.accept.take() {
+            // The loop is blocked in `accept()`: one connection to
+            // ourselves returns it, and it sees `closed`. (In its error
+            // arm instead, it sees `closed` when the back-off ends.)
+            if let Err(error) = TcpStream::connect(wake_addr(self.addr)) {
+                log_error!("[shutdown: could not wake the accept loop: {error}]");
+            }
             let _ = accept.join();
         }
         let handles: Vec<_> = lock_recover(&self.conns).drain(..).collect();
@@ -203,6 +237,18 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Where a listener bound to `addr` can be reached from this host: the
+/// address itself, with the unspecified `0.0.0.0` / `::` (every
+/// interface) replaced by that family's loopback.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 /// Run the daemon in the foreground until SIGTERM/ctrl-c (unix) or
@@ -221,8 +267,12 @@ pub fn serve_forever(config: ServeConfig) -> Result<(), String> {
     }
     log_info!("[shutdown requested — draining in-flight jobs]");
     server.shutdown();
-    let (total, _, coalesced) = server.state.table.stats();
-    log_info!("[drained; {total} jobs served, {coalesced} coalesced]");
+    let stats = server.state.table.stats();
+    log_info!(
+        "[drained; {} jobs served, {} coalesced]",
+        stats.admitted,
+        stats.coalesced
+    );
     Ok(())
 }
 
@@ -268,12 +318,12 @@ fn accept_loop(
     conns: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 ) {
     loop {
+        let accepted = listener.accept();
         if state.closed.load(Ordering::SeqCst) {
-            return;
+            return; // drops the stream: the wake-up connection, or a late peer
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
                 let state = Arc::clone(state);
                 // lint: allow(D003) one thread per connection; simulation work still runs on sim::pool
                 let handle = std::thread::spawn(move || handle_connection(stream, &state));
@@ -281,15 +331,22 @@ fn accept_loop(
                 conns.retain(|h| !h.is_finished());
                 conns.push(handle);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
+            Err(error) => {
+                state.accept_errors.fetch_add(1, Ordering::Relaxed);
+                log_error!("[accept failed: {error}]");
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
 }
 
 fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
+    // Deadlines are the socket's, so the cloned read half shares them.
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+    {
+        return;
+    }
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -299,7 +356,11 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
         Ok(Some(request)) => request,
         Ok(None) => return, // connection opened and closed, nothing sent
         Err(error) => {
-            let _ = error_response(&mut stream, 400, &error);
+            let _ = if is_timeout(&error) {
+                error_response(&mut stream, 408, "timed out waiting for the request")
+            } else {
+                error_response(&mut stream, 400, &error.to_string())
+            };
             return;
         }
     };
@@ -364,7 +425,7 @@ fn route(
 }
 
 fn handle_healthz(stream: &mut TcpStream, state: &Arc<ServerState>) -> std::io::Result<()> {
-    let (total, active, coalesced) = state.table.stats();
+    let stats = state.table.stats();
     let mut body = Json::object();
     body.push(
         "status",
@@ -374,9 +435,9 @@ fn handle_healthz(stream: &mut TcpStream, state: &Arc<ServerState>) -> std::io::
             "ok"
         },
     )
-    .push("jobs", total)
-    .push("active", active)
-    .push("coalesced", coalesced)
+    .push("jobs", stats.admitted)
+    .push("active", stats.active)
+    .push("coalesced", stats.coalesced)
     .push("workers", state.config.jobs)
     .push("cache_dir", state.cache.dir().display().to_string());
     json_response(stream, 200, &body)
@@ -386,14 +447,12 @@ fn handle_healthz(stream: &mut TcpStream, state: &Arc<ServerState>) -> std::io::
 /// from the pool, job table, result cache, stage timers, and the HTTP
 /// tally. Always answers — even mid-drain with the pool already gone.
 fn handle_metrics(stream: &mut TcpStream, state: &Arc<ServerState>) -> std::io::Result<()> {
-    let (admitted, active, coalesced) = state.table.stats();
     let pool = lock_recover(&state.pool).as_ref().map(|p| p.snapshot());
     let stages = bench::profile::snapshot();
     let text = render_prometheus(&MetricsInput {
         draining: state.draining.load(Ordering::SeqCst),
-        jobs_admitted: admitted,
-        jobs_active: active,
-        jobs_coalesced: coalesced,
+        jobs: state.table.stats(),
+        accept_errors: state.accept_errors.load(Ordering::Relaxed),
         pool,
         cache: state.cache.stats(),
         stages: &stages,
@@ -444,8 +503,8 @@ fn handle_submit(
         Admission::Coalesced(job) => (job, "coalesced"),
         Admission::New(job) => {
             if !dispatch(state, Arc::clone(&job), compiled, priority) {
-                state.table.retire(&job);
                 job.finish(JobState::Failed("daemon is shutting down".into()));
+                state.table.retire(&job);
                 return error_response(
                     stream,
                     503,
@@ -676,12 +735,17 @@ fn handle_status(
         return error_response(stream, 404, &format!("no job '{id}'"));
     };
     let job_state = job.state();
+    let (wait, run) = job.timing();
     let mut body = Json::object();
     body.push("job", job.id)
         .push("hash", hex(job.hash))
         .push("scenario", job.name.as_str())
         .push("status", job_state.label())
-        .push("events", Json::Arr(job.events()));
+        .push("wait_ms", wait.as_secs_f64() * 1e3);
+    if let Some(run) = run {
+        body.push("run_ms", run.as_secs_f64() * 1e3);
+    }
+    body.push("events", Json::Arr(job.events()));
     if let JobState::Failed(message) = &job_state {
         body.push("error", message.as_str());
     }
