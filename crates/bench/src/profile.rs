@@ -16,7 +16,8 @@ use std::time::Instant;
 /// A profiled pipeline stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Scenario parse + compile (`scenario::compile`).
+    /// Scenario parse + compile (`scenario::compile`) and, as a call of
+    /// its own before a miss's first engine, the synthesis of its flows.
     Compile,
     /// One engine simulation, including its shard fan-out and merge.
     Execute,

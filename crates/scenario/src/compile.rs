@@ -1,14 +1,33 @@
-//! Scenario compilation: a validated [`ScenarioSpec`] becomes the three
-//! inputs a deterministic run needs — one merged, time-sorted
-//! [`FlowTrace`] covering every phase, a timed [`FailureAction`] list for
-//! the engines' failure schedules, and the phase-boundary times the
-//! [`metrics::PhaseProbe`] snapshots at. Compilation is pure: the same
-//! spec (and trace files) always yields the same inputs, which is what
-//! extends the sweep engine's `--jobs` byte-identity guarantee to
-//! scenarios.
+//! Scenario compilation: a validated [`ScenarioSpec`] becomes the inputs a
+//! deterministic run needs — the flow trace covering every phase, a timed
+//! [`FailureAction`] list for the engines' failure schedules, and the
+//! phase-boundary times the [`metrics::PhaseProbe`] snapshots at.
+//! Compilation is pure: the same spec (and trace files) always yields the
+//! same inputs, which is what extends the sweep engine's `--jobs`
+//! byte-identity guarantee to scenarios.
+//!
+//! **Eager, in [`compile`]:** the epoch length, the horizon, the failure
+//! and injection timelines, the boundaries — and everything a spec does
+//! not determine, which is the contents of replayed trace files. Those are
+//! read, parsed, range-checked against the fabric, filtered to their phase
+//! and offset to its start here, so every error a scenario can raise
+//! (unreadable file, malformed line, out-of-range ToR) surfaces before
+//! anything is queued or simulated.
+//!
+//! **Lazy, on first use of [`CompiledScenario::trace`]:** the synthetic
+//! flows. A poisson / incast / all-to-all phase is a closed form of its
+//! parameters, its seed lane, the fabric and the epoch length, so `compile`
+//! keeps only that recipe ([`LazyTrace`]); the generators run, and the
+//! merged trace is sorted and renumbered, the first time something reads
+//! the flows — an engine run, the per-phase series, the report header —
+//! once, shared by every clone of the compiled scenario. Synthesis cannot
+//! fail: the spec validation already bounded every parameter it takes.
+//! Answering "is this run cached?" ([`CompiledScenario::content_hash`])
+//! reads the recipe, never the flows, so a cache hit costs O(spec).
 
+use std::ops::Deref;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::spec::{EventAction, ScenarioSpec, WorkloadPhase};
 use negotiator::NegotiatorConfig;
@@ -18,7 +37,126 @@ use workload::{
     load_trace, AllToAllWorkload, Flow, FlowTrace, IncastWorkload, PoissonWorkload, WorkloadSpec,
 };
 
-/// A scenario compiled down to simulator inputs.
+/// Where one phase's flows come from: the generator call that makes them
+/// or, for a replayed trace file, the flows themselves.
+#[derive(Debug)]
+enum PhaseSource {
+    /// Poisson arrivals over `[0, len)`, offset to `start`.
+    Poisson {
+        workload: PoissonWorkload,
+        start: Nanos,
+        len: Nanos,
+        seed: u64,
+    },
+    /// A burst at `first.start`, repeated every `step` while before `end`;
+    /// burst `k` draws from `seed + k`.
+    Incast {
+        first: IncastWorkload,
+        step: Option<Nanos>,
+        end: Nanos,
+        seed: u64,
+    },
+    /// One shuffle at the phase start.
+    AllToAll(AllToAllWorkload),
+    /// A trace file's flows: checked, filtered and offset by `compile`.
+    Replayed(Vec<Flow>),
+}
+
+impl PhaseSource {
+    fn flows_into(&self, flows: &mut Vec<Flow>) {
+        match self {
+            PhaseSource::Poisson {
+                workload,
+                start,
+                len,
+                seed,
+            } => flows.extend(workload.generate(*len, *seed).flows().iter().map(|f| Flow {
+                arrival: f.arrival + start,
+                ..*f
+            })),
+            PhaseSource::Incast {
+                first,
+                step,
+                end,
+                seed,
+            } => {
+                let mut burst = first.clone();
+                let mut k = 0u64;
+                loop {
+                    flows.extend_from_slice(burst.generate(seed.wrapping_add(k)).flows());
+                    match step {
+                        Some(step) if burst.start + step < *end => {
+                            burst.start += step;
+                            k += 1;
+                        }
+                        _ => break,
+                    }
+                }
+            }
+            PhaseSource::AllToAll(workload) => flows.extend_from_slice(workload.generate().flows()),
+            PhaseSource::Replayed(replayed) => flows.extend_from_slice(replayed),
+        }
+    }
+}
+
+/// A scenario's flow trace, synthesized on first use.
+///
+/// Holds the per-phase recipe `compile` lowered the spec to and a
+/// once-cell for the merged, time-sorted [`FlowTrace`]; derefs to the
+/// trace, forcing it. Clones share both, so the generators run at most
+/// once per compiled scenario however many engines, clones or threads
+/// read it.
+#[derive(Debug, Clone)]
+pub struct LazyTrace(Arc<TraceCell>);
+
+#[derive(Debug)]
+struct TraceCell {
+    sources: Vec<PhaseSource>,
+    merged: OnceLock<FlowTrace>,
+}
+
+impl LazyTrace {
+    fn new(sources: Vec<PhaseSource>) -> Self {
+        LazyTrace(Arc::new(TraceCell {
+            sources,
+            merged: OnceLock::new(),
+        }))
+    }
+
+    /// The merged trace, synthesizing it if nothing has yet. Callers that
+    /// time what follows (an engine run) call this first so the synthesis
+    /// is not charged to it.
+    pub fn force(&self) -> &FlowTrace {
+        self.0.merged.get_or_init(|| {
+            let mut flows = Vec::new();
+            for source in &self.0.sources {
+                source.flows_into(&mut flows);
+            }
+            FlowTrace::new(flows)
+        })
+    }
+
+    /// Phase `i`'s replayed flows, if it replays a trace file — the one
+    /// part of the trace the content hash has to read.
+    pub(crate) fn replayed(&self, phase: usize) -> Option<&[Flow]> {
+        match &self.0.sources[phase] {
+            PhaseSource::Replayed(flows) => Some(flows),
+            _ => None,
+        }
+    }
+}
+
+impl Deref for LazyTrace {
+    type Target = FlowTrace;
+    fn deref(&self) -> &FlowTrace {
+        self.force()
+    }
+}
+
+/// A scenario compiled down to simulator inputs. A value: the fields are
+/// `compile`'s outputs, and the trace recipe and the memoised digest are
+/// derived from them — build another with [`compile`] rather than editing
+/// one.
 #[derive(Debug, Clone)]
 pub struct CompiledScenario {
     /// The validated spec this was compiled from.
@@ -28,8 +166,9 @@ pub struct CompiledScenario {
     pub epoch_len: Nanos,
     /// Simulated horizon: `total_epochs · epoch_len`.
     pub duration: Nanos,
-    /// Every phase's flows, merged and time-sorted (shared across runs).
-    pub trace: Arc<FlowTrace>,
+    /// Every phase's flows, merged and time-sorted: synthesized on first
+    /// use, shared across clones and runs.
+    pub trace: LazyTrace,
     /// The event timeline as engine failure-schedule entries.
     pub failures: Vec<(Nanos, FailureAction)>,
     /// The adversarial timeline as engine fault-schedule entries: phase
@@ -39,6 +178,8 @@ pub struct CompiledScenario {
     pub injections: Vec<(Nanos, FaultAction)>,
     /// Phase-end times, strictly increasing — the probe's boundaries.
     pub boundaries: Vec<Nanos>,
+    /// [`CompiledScenario::content_hash`], computed once.
+    pub(crate) digest: OnceLock<u64>,
 }
 
 /// Compile `spec`. `base_dir` anchors relative trace paths (the scenario
@@ -52,59 +193,45 @@ pub fn compile(spec: ScenarioSpec, base_dir: &Path) -> Result<CompiledScenario, 
         .epoch_len(topo.predefined_slots());
     let duration = spec.total_epochs() * epoch_len;
 
-    let mut flows: Vec<Flow> = Vec::new();
+    let mut sources = Vec::with_capacity(spec.phases.len());
     for (i, phase) in spec.phases.iter().enumerate() {
         let start_ns = phase.start_epoch * epoch_len;
         let end_ns = phase.end_epoch * epoch_len;
         let phase_len = end_ns - start_ns;
         // Every phase draws from its own deterministic seed lane.
         let seed = spec.seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        match &phase.workload {
-            WorkloadPhase::Poisson { dist, load } => {
-                let trace = PoissonWorkload::new(WorkloadSpec {
+        sources.push(match &phase.workload {
+            WorkloadPhase::Poisson { dist, load } => PhaseSource::Poisson {
+                workload: PoissonWorkload::new(WorkloadSpec {
                     dist: dist.clone(),
                     load: *load,
                     n_tors: spec.net.n_tors,
                     host_bps: spec.net.host_bandwidth.bps(),
-                })
-                .generate(phase_len, seed);
-                flows.extend(offset(trace, start_ns));
-            }
+                }),
+                start: start_ns,
+                len: phase_len,
+                seed,
+            },
             WorkloadPhase::Incast {
                 degree,
                 flow_bytes,
                 every_epochs,
-            } => {
-                let step = every_epochs.map(|e| e * epoch_len);
-                let mut at = start_ns;
-                let mut burst = 0u64;
-                loop {
-                    let trace = IncastWorkload {
-                        degree: *degree,
-                        flow_bytes: *flow_bytes,
-                        n_tors: spec.net.n_tors,
-                        start: at,
-                    }
-                    .generate(seed.wrapping_add(burst));
-                    flows.extend(trace.flows().iter().copied());
-                    match step {
-                        Some(step) if at + step < end_ns => {
-                            at += step;
-                            burst += 1;
-                        }
-                        _ => break,
-                    }
-                }
-            }
-            WorkloadPhase::AllToAll { flow_bytes } => {
-                let trace = AllToAllWorkload {
+            } => PhaseSource::Incast {
+                first: IncastWorkload {
+                    degree: *degree,
                     flow_bytes: *flow_bytes,
                     n_tors: spec.net.n_tors,
                     start: start_ns,
-                }
-                .generate();
-                flows.extend(trace.flows().iter().copied());
-            }
+                },
+                step: every_epochs.map(|e| e * epoch_len),
+                end: end_ns,
+                seed,
+            },
+            WorkloadPhase::AllToAll { flow_bytes } => PhaseSource::AllToAll(AllToAllWorkload {
+                flow_bytes: *flow_bytes,
+                n_tors: spec.net.n_tors,
+                start: start_ns,
+            }),
             WorkloadPhase::Trace { path } => {
                 let full = base_dir.join(path);
                 let trace = load_trace(&full)
@@ -122,7 +249,7 @@ pub fn compile(spec: ScenarioSpec, base_dir: &Path) -> Result<CompiledScenario, 
                 }
                 // Trace arrivals are relative to the phase start; flows
                 // landing past the phase end are dropped.
-                flows.extend(
+                PhaseSource::Replayed(
                     trace
                         .flows()
                         .iter()
@@ -130,10 +257,11 @@ pub fn compile(spec: ScenarioSpec, base_dir: &Path) -> Result<CompiledScenario, 
                         .map(|f| Flow {
                             arrival: f.arrival + start_ns,
                             ..*f
-                        }),
-                );
+                        })
+                        .collect(),
+                )
             }
-        }
+        });
     }
 
     let mut failures = Vec::new();
@@ -181,23 +309,13 @@ pub fn compile(spec: ScenarioSpec, base_dir: &Path) -> Result<CompiledScenario, 
     Ok(CompiledScenario {
         epoch_len,
         duration,
-        trace: Arc::new(FlowTrace::new(flows)),
+        trace: LazyTrace::new(sources),
         failures,
         injections,
         boundaries,
         spec,
+        digest: OnceLock::new(),
     })
-}
-
-fn offset(trace: FlowTrace, start_ns: Nanos) -> Vec<Flow> {
-    trace
-        .flows()
-        .iter()
-        .map(|f| Flow {
-            arrival: f.arrival + start_ns,
-            ..*f
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -6,9 +6,22 @@
 //! byte must change it. Hashing the scenario *file* is not enough —
 //! formatting, key order and comments-by-another-name (defaulted fields)
 //! all change the bytes without changing the run — so the key is computed
-//! over the **compiled** scenario: the merged flow trace, the failure
-//! timeline, the phase boundaries, and every spec field that reaches the
-//! rendered report (name, description, labels, engines, mode, fabric).
+//! over the **canonical recipe** of the compiled scenario: every spec
+//! field that reaches the rendered report (name, description, labels,
+//! engines, mode, fabric), the seed, each phase's span and workload
+//! parameters, the epoch length and boundaries, and the failure and
+//! injection timelines.
+//!
+//! The synthesized flows are *not* hashed: a poisson / incast /
+//! all-to-all phase is a pure function of parameters the key already
+//! holds (workload parameters, seed lane = seed + phase position, fabric,
+//! epoch length), so walking the merged trace would spend 32 bytes per
+//! flow restating them — and would force the trace that
+//! [`crate::compile`] leaves unsynthesized until a run needs it. The one
+//! input a spec does not determine is a replayed trace file; those flows
+//! (as `compile` checked, filtered and offset them) are hashed one by one.
+//! What keeps "same recipe ⇒ same flows" true across code changes is the
+//! version tag: see the rule at [`CONTENT_VERSION`].
 //!
 //! The hash is a fixed FNV-1a/64 over a canonical byte encoding — not
 //! `std::hash::Hasher`, whose output is explicitly unstable across
@@ -79,18 +92,31 @@ pub fn hex(digest: u64) -> String {
     format!("{digest:016x}")
 }
 
+/// Version tag of the content-hash encoding, so a change invalidates old
+/// cache entries instead of colliding with them. **Bump it whenever a
+/// workload generator's output moves** (`workload::{poisson, incast,
+/// alltoall, dist}`, the seed-lane derivation or the merge in
+/// `compile`): the key names flows by their recipe, so a generator that
+/// makes different flows from the same recipe must not reuse the old
+/// names — `tests/generator_pin.rs` fails when that happens. v2: the
+/// injection timeline joined the encoding and the series gained fault
+/// columns. v3: synthesized flows left the encoding (they were the only
+/// thing that noticed a changed generator by itself — hence the rule).
+const CONTENT_VERSION: &str = "scenario-content-v3";
+
 impl CompiledScenario {
     /// Content hash of everything that determines this scenario's output
     /// bytes. Equal hashes ⇒ byte-identical reports (modulo timing
-    /// metadata, which is never cached or compared).
+    /// metadata, which is never cached or compared). Computed from the
+    /// recipe on first call — no generator runs — and remembered.
     pub fn content_hash(&self) -> u64 {
+        *self.digest.get_or_init(|| self.compute_hash())
+    }
+
+    fn compute_hash(&self) -> u64 {
         let spec = &self.spec;
         let mut h = StableHasher::new();
-        // A version tag so a future encoding change invalidates old cache
-        // entries instead of colliding with them. v2: the adversarial
-        // injection timeline joined the encoding, and the per-phase series
-        // gained fault columns — every cached report's bytes changed.
-        h.write_str("scenario-content-v2");
+        h.write_str(CONTENT_VERSION);
         h.write_str(&spec.name).write_str(&spec.description);
         h.write_str(spec.topology.label());
         h.write_u64(spec.net.n_tors as u64)
@@ -104,28 +130,30 @@ impl CompiledScenario {
         for &engine in &spec.engines {
             h.write_str(engine_tag(engine));
         }
-        // Phase labels and spans reach the rendered per-phase table; the
-        // workload parameters themselves are captured by the merged trace
-        // below, but hashing them too costs nothing and guards against a
-        // future workload whose trace under-determines it.
+        // Labels and spans reach the rendered per-phase table; span,
+        // workload parameters and position (the seed lane) are, with the
+        // seed, fabric and epoch length, what the phase's flows are a
+        // function of.
         h.write_u64(spec.phases.len() as u64);
-        for phase in &spec.phases {
+        for (i, phase) in spec.phases.iter().enumerate() {
             h.write_str(&phase.label)
                 .write_u64(phase.start_epoch)
                 .write_u64(phase.end_epoch);
             hash_workload(&mut h, &phase.workload);
+            if let Some(flows) = self.trace.replayed(i) {
+                h.write_u64(flows.len() as u64);
+                for flow in flows {
+                    h.write_u64(flow.src as u64)
+                        .write_u64(flow.dst as u64)
+                        .write_u64(flow.bytes)
+                        .write_u64(flow.arrival);
+                }
+            }
         }
         h.write_u64(self.epoch_len).write_u64(self.duration);
         h.write_u64(self.boundaries.len() as u64);
         for &b in &self.boundaries {
             h.write_u64(b);
-        }
-        h.write_u64(self.trace.len() as u64);
-        for flow in self.trace.flows() {
-            h.write_u64(flow.src as u64)
-                .write_u64(flow.dst as u64)
-                .write_u64(flow.bytes)
-                .write_u64(flow.arrival);
         }
         h.write_u64(self.failures.len() as u64);
         for (at, action) in &self.failures {
@@ -358,6 +386,14 @@ mod tests {
             base("renamed", 3, 50), // name reaches the report header
             base("anchor", 4, 50),  // seed changes the workload + engine RNG
             base("anchor", 3, 60),  // load changes the trace
+            // The fabric and the phase span shape the flows (and nothing
+            // else in the key restates them once the flows are not hashed).
+            base("anchor", 3, 50).replace("\"tors\": 16", "\"tors\": 20"),
+            base("anchor", 3, 50).replace("\"ports\": 4", "\"ports\": 2"),
+            base("anchor", 3, 50).replace("\"seed\"", "\"host_gbps\": 200, \"seed\""),
+            base("anchor", 3, 50).replace("parallel", "thin_clos"),
+            base("anchor", 3, 50).replace("[0, 20]", "[0, 21]"),
+            base("anchor", 3, 50).replace("\"load\"", "\"dist\": \"google\", \"load\""),
         ] {
             assert_ne!(compiled(&other).content_hash(), anchor, "{other}");
         }
@@ -372,6 +408,81 @@ mod tests {
             c.run_hash(EngineKind::Negotiator),
             c.run_hash(EngineKind::Oblivious)
         );
+    }
+
+    #[test]
+    fn every_workload_parameter_moves_the_hash() {
+        let with_phases = |phases: &str| {
+            compiled(&format!(
+                r#"{{"name": "w", "topology": "parallel", "tors": 16, "ports": 4,
+                    "phases": [{phases}]}}"#
+            ))
+            .content_hash()
+        };
+        let incast = with_phases(
+            r#"{"workload": "incast", "degree": 4, "flow_bytes": 1000, "every_epochs": 5,
+                "epochs": [0, 20]}"#,
+        );
+        for phases in [
+            r#"{"workload": "incast", "degree": 5, "flow_bytes": 1000, "every_epochs": 5,
+                "epochs": [0, 20]}"#,
+            r#"{"workload": "incast", "degree": 4, "flow_bytes": 1001, "every_epochs": 5,
+                "epochs": [0, 20]}"#,
+            r#"{"workload": "incast", "degree": 4, "flow_bytes": 1000, "every_epochs": 4,
+                "epochs": [0, 20]}"#,
+            r#"{"workload": "incast", "degree": 4, "flow_bytes": 1000, "epochs": [0, 20]}"#,
+        ] {
+            assert_ne!(with_phases(phases), incast, "{phases}");
+        }
+        assert_ne!(
+            with_phases(r#"{"workload": "all_to_all", "flow_bytes": 1000, "epochs": [0, 20]}"#),
+            with_phases(r#"{"workload": "all_to_all", "flow_bytes": 1001, "epochs": [0, 20]}"#),
+        );
+        // Phase order: the same two workloads over the same two spans,
+        // swapped (labels pinned so only the workloads move).
+        let (a, b) = (
+            r#""workload": "poisson", "load": 50"#,
+            r#""workload": "all_to_all", "flow_bytes": 1000"#,
+        );
+        let two = |first: &str, second: &str| {
+            with_phases(&format!(
+                r#"{{"label": "p0", {first}, "epochs": [0, 10]}},
+                   {{"label": "p1", {second}, "epochs": [10, 20]}}"#
+            ))
+        };
+        assert_ne!(two(a, b), two(b, a));
+    }
+
+    #[test]
+    fn replayed_trace_contents_key_the_hash_not_their_formatting() {
+        let dir = std::env::temp_dir().join(format!("scenario-hash-replay-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let hash_of = |contents: &str| {
+            std::fs::write(dir.join("t.tsv"), contents).unwrap();
+            let spec = parse_scenario(
+                r#"{"name": "r", "topology": "parallel", "tors": 16, "ports": 4,
+                    "phases": [{"workload": "trace", "path": "t.tsv", "epochs": [0, 20]}]}"#,
+            )
+            .unwrap();
+            compile(spec, &dir).unwrap().content_hash()
+        };
+        let anchor = hash_of("0\t1\t1000\t0\n2\t3\t500\t100\n");
+        // Same path, different flows (a size, an endpoint, an arrival, a
+        // dropped line): the file's contents are what is replayed.
+        for other in [
+            "0\t1\t1001\t0\n2\t3\t500\t100\n",
+            "0\t1\t1000\t0\n2\t4\t500\t100\n",
+            "0\t1\t1000\t0\n2\t3\t500\t101\n",
+            "0\t1\t1000\t0\n",
+        ] {
+            assert_ne!(hash_of(other), anchor, "{other:?}");
+        }
+        // Same flows behind a comment, blank lines and spaces for tabs.
+        assert_eq!(
+            hash_of("# src dst bytes arrival_ns\n\n0 1 1000 0\n  2   3   500   100  \n"),
+            anchor
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

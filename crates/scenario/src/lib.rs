@@ -25,9 +25,12 @@
 //!   out-of-range ToR index) points at a `line:column` in the file, and
 //!   everything is rejected before any simulation starts.
 //! * [`compile`] — [`ScenarioSpec`] → [`CompiledScenario`]: phase specs
-//!   become one merged [`workload::FlowTrace`], events become a
-//!   [`topology::FailureSchedule`] input, phase ends become probe
-//!   boundaries.
+//!   become the recipe of one merged [`workload::FlowTrace`]
+//!   ([`LazyTrace`]: replayed files read now, synthetic flows made on
+//!   first use), events become a [`topology::FailureSchedule`] input,
+//!   phase ends become probe boundaries.
+//! * [`hash`] — the content address of a compiled scenario, computed from
+//!   that recipe: what the result cache and run dedup key on.
 //! * [`runner`] — the one engine driver ([`System`] → [`Engine`]) that
 //!   scenarios and the paper experiments in `bench::experiments` both
 //!   construct simulators through, and one deferred run closure per
@@ -48,7 +51,7 @@ pub mod runner;
 pub mod series;
 pub mod spec;
 
-pub use compile::{compile, CompiledScenario};
+pub use compile::{compile, CompiledScenario, LazyTrace};
 pub use hash::StableHasher;
 pub use runner::{
     build_runs, Engine, PhaseProgress, ProgressSink, ScenarioRun, ScenarioRunOutput, System,

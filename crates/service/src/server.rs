@@ -489,7 +489,9 @@ fn handle_submit(
     let stream_mode = request.query_value("stream") == Some("1");
     let wait_mode = request.query_value("wait") == Some("1");
     // Validate + compile before anything queues: a bad scenario costs the
-    // submitter one round trip and the daemon nothing.
+    // submitter one round trip and the daemon nothing. Admission is
+    // O(spec) — a hit or a coalesced submission never makes a flow; the
+    // worker that runs a miss synthesizes them.
     let origin = state.config.scenarios_dir.join("<submission>");
     let compiled = match load_str(text, &origin) {
         Ok(compiled) => compiled,

@@ -115,6 +115,47 @@ fn submit_is_byte_identical_then_cache_hits() {
     let _ = std::fs::remove_dir_all(&out);
 }
 
+/// The hit path on a fabric where the flows are worth not making: a
+/// cached submission is answered from parse → compile → hash → lookup,
+/// with the scenario's trace never synthesized, and the bytes are the
+/// ones the miss produced.
+#[test]
+fn blocking_resubmission_of_a_larger_fabric_is_a_cache_hit() {
+    let (_server, addr, out) = start_server("wait-hit", 1);
+    let text = r#"{
+  "name": "wait-hit", "topology": "parallel", "tors": 64, "ports": 8, "seed": 5,
+  "phases": [
+    {"workload": "poisson", "load": 30, "epochs": [0, 10]},
+    {"workload": "all_to_all", "flow_bytes": 1000, "epochs": [10, 20]}
+  ]
+}"#;
+    let expected = offline_document(text);
+    let submit = || client::request_json(&addr, "POST", "/jobs?wait=1", text.as_bytes()).unwrap();
+    let cache_counters = || {
+        let (_, exposition) = client::request_json(&addr, "GET", "/metrics", b"").unwrap();
+        ["paper_cache_hits_total ", "paper_cache_misses_total "].map(|name| {
+            exposition
+                .lines()
+                .find_map(|l| l.strip_prefix(name))
+                .unwrap_or_else(|| panic!("{name}missing:\n{exposition}"))
+                .to_string()
+        })
+    };
+    let (status, first) = submit();
+    assert_eq!(status, 200, "{first}");
+    assert_eq!(first, expected, "daemon result must be byte-identical");
+    assert_eq!(
+        cache_counters(),
+        ["0", "1"],
+        "[hits, misses] after the miss"
+    );
+    let (status, second) = submit();
+    assert_eq!(status, 200, "{second}");
+    assert_eq!(second, expected, "the hit serves the miss's bytes");
+    assert_eq!(cache_counters(), ["1", "1"], "[hits, misses] after the hit");
+    let _ = std::fs::remove_dir_all(&out);
+}
+
 #[test]
 fn concurrent_distinct_submissions_all_complete_correctly() {
     let (_server, addr, out) = start_server("concurrent", 4);

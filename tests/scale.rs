@@ -14,14 +14,21 @@
 //! the observed predefined phase — the one an epoch with a failure, an
 //! exclusion or a gray drop runs: it walks the schedule's closed form, so
 //! a failure costs a large fabric visits, not a table of its schedule.
+//!
+//! And naming a run is held to it: a compiled scenario and its content
+//! hash are a function of the spec, so asking "is this run cached?" costs
+//! the spec's size, not the traffic's — the flows are made when a run
+//! first reads them, once however many clones share them.
 
 use negotiator::matching::{AcceptArbiter, GrantArbiter};
 use negotiator::rings::Ring;
 use negotiator::{NegotiatorConfig, NegotiatorSim};
 use oblivious::{ObliviousConfig, ObliviousSim};
+use scenario::{compile, parse_scenario};
 use sim::Xoshiro256;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::Path;
 use topology::{AnyTopology, FailureAction, NetworkConfig, TopologyKind};
 use workload::{Flow, FlowSizeDist, FlowTrace, IncastWorkload, PoissonWorkload, WorkloadSpec};
 
@@ -274,4 +281,54 @@ fn rotor_visits_track_packets_not_fabric_size() {
             "{n_tors} ToRs: the bound ({bound}) must separate live-lane visits from a dense walk ({dense})"
         );
     }
+}
+
+/// Compiling and hashing a 1024-ToR scenario of four all-to-all shuffles
+/// (4.2 M flows, ~170 MB as a trace) allocates under 1 MB: the cached path
+/// — parse, compile, hash, look up — never makes a flow. On 64 ToRs the
+/// first read of the trace makes it, once: a clone taken before that read
+/// finds it made and allocates nothing.
+#[test]
+fn naming_a_run_allocates_for_its_spec_not_its_flows() {
+    let all_to_all = |tors: usize, shuffles: usize| {
+        let phases: Vec<String> = (0..shuffles)
+            .map(|i| {
+                format!(
+                    r#"{{"workload": "all_to_all", "flow_bytes": 1000, "epochs": [{}, {}]}}"#,
+                    i * 10,
+                    (i + 1) * 10
+                )
+            })
+            .collect();
+        format!(
+            r#"{{"name": "named", "topology": "parallel", "tors": {tors}, "ports": 8,
+                "engines": ["negotiator"], "phases": [{}]}}"#,
+            phases.join(", ")
+        )
+    };
+    let text = all_to_all(1024, 4);
+    let (hash, bytes) = allocated_by(|| {
+        compile(parse_scenario(&text).unwrap(), Path::new("."))
+            .unwrap()
+            .content_hash()
+    });
+    assert_ne!(hash, 0);
+    assert!(
+        bytes < 1 << 20,
+        "compile + content_hash of a 1024-ToR scenario allocated {bytes} B"
+    );
+
+    let first = compile(parse_scenario(&all_to_all(64, 1)).unwrap(), Path::new(".")).unwrap();
+    let second = first.clone();
+    first.content_hash();
+    let flow_bytes = 64 * 63 * std::mem::size_of::<Flow>();
+    let (flows, made) = allocated_by(|| first.trace.len());
+    assert_eq!(flows, 64 * 63);
+    assert!(
+        made >= flow_bytes,
+        "the first read must make the {flow_bytes} B trace, allocated {made} B"
+    );
+    let (flows, again) = allocated_by(|| second.trace.len() + first.trace.len());
+    assert_eq!(flows, 2 * 64 * 63);
+    assert_eq!(again, 0, "a clone's first read must find the trace made");
 }
