@@ -46,9 +46,15 @@
 //! ([`topology::LaneTable`], over the closed-form schedule inverse
 //! [`topology::PredefinedLanes`]),
 //! ACCEPT builds a dense active-match list the scheduled phase iterates,
-//! and scheduling messages are found through a flags byte per pair. The
-//! hot path is allocation-free in steady state: every per-epoch buffer is
-//! reused.
+//! and scheduling messages are found through a flags byte per pair. So
+//! does its memory: the queues are [`crate::queues::PairQueues`] — per
+//! pair two list heads in zero-initialized tables, the segments in one
+//! arena per source ToR — so a pair that never holds data costs address
+//! space, not pages, and the tables only one mode reads (`enqueued_total`,
+//! `req_port`, the relay tables) exist only in that mode. The hot path is
+//! allocation-free in steady state: every per-epoch buffer is reused, and
+//! an arena grows only when its source's backlog reaches a new high in
+//! segments.
 //! `tests/golden_report.rs` holds the engine to committed golden reports.
 //!
 //! The engine also hosts the Appendix A.2 design variants via
@@ -63,7 +69,7 @@
 use crate::config::NegotiatorConfig;
 use crate::fault::FaultDetector;
 use crate::matching::{Accept, AcceptArbiter, Grant, GrantArbiter};
-use crate::queues::{DestQueue, Packet};
+use crate::queues::{Packet, PairQueues, PairRows};
 use crate::stats::SchedStats;
 use crate::variants::greedy;
 use crate::variants::informative;
@@ -219,18 +225,25 @@ struct SimScratch {
 
 /// The per-source data path: every ToR's per-destination queues with the
 /// mirrors and buffers that move with them. Row-major by source, so a
-/// shard owns a contiguous window of each array ([`SrcRows`]).
+/// shard owns a contiguous window of each array — and its sources' segment
+/// arenas ([`SrcRows`]). Every per-pair table here is zero-initialized:
+/// resident only where a pair has been written.
 struct SrcQueues {
     n: usize,
     s: usize,
     /// PIAS priority queues on, and their demotion thresholds.
     pias: bool,
     pias_th: [u64; 2],
-    queues: Vec<DestQueue>,   // src * n + dst
-    enqueued_total: Vec<u64>, // src * n + dst, lifetime enqueued bytes
+    /// The queues themselves: per-pair list heads (src * n + dst) over one
+    /// segment arena per source ([`crate::queues`]), with the direct
+    /// elephant backlog per pair under selective relay.
+    pairs: PairQueues,
+    /// Lifetime enqueued bytes (src * n + dst): what a `Stateful` request
+    /// reports the growth of. That mode only, else empty.
+    enqueued_total: Vec<u64>,
     /// Dense mirror of every queue's total bytes (src * n + dst), updated
     /// on each enqueue/dequeue: REQUEST and the piggyback probe read this
-    /// contiguous array instead of the queue structs.
+    /// contiguous array instead of the queues' lists, which keep no totals.
     queue_bytes: Vec<u64>,
     /// Words per source in `nonempty`.
     words: usize,
@@ -263,7 +276,7 @@ struct SrcRows<'a> {
     s: usize,
     pias: bool,
     pias_th: [u64; 2],
-    queues: &'a mut [DestQueue],
+    pairs: PairRows<'a>,
     enqueued_total: &'a mut [u64],
     queue_bytes: &'a mut [u64],
     words: usize,
@@ -285,7 +298,7 @@ impl SrcQueues {
             s: self.s,
             pias: self.pias,
             pias_th: self.pias_th,
-            queues: &mut self.queues,
+            pairs: self.pairs.all(),
             enqueued_total: &mut self.enqueued_total,
             queue_bytes: &mut self.queue_bytes,
             words: self.words,
@@ -328,13 +341,11 @@ impl SrcQueues {
 impl<'a> SrcRows<'a> {
     fn split_at(self, rows: usize) -> (SrcRows<'a>, SrcRows<'a>) {
         let mid = self.shard.start + rows;
-        let port_rows = if self.backlog_by_port.is_empty() {
-            0
-        } else {
-            rows * self.s
-        };
-        let (queues, queues_rest) = self.queues.split_at_mut(rows * self.n);
-        let (enqueued, enqueued_rest) = self.enqueued_total.split_at_mut(rows * self.n);
+        // The mode-only tables are empty outside their mode.
+        let port_rows = (rows * self.s).min(self.backlog_by_port.len());
+        let enqueued_rows = (rows * self.n).min(self.enqueued_total.len());
+        let (pairs, pairs_rest) = self.pairs.split_at(rows);
+        let (enqueued, enqueued_rest) = self.enqueued_total.split_at_mut(enqueued_rows);
         let (bytes, bytes_rest) = self.queue_bytes.split_at_mut(rows * self.n);
         let (nonempty, nonempty_rest) = self.nonempty.split_at_mut(rows * self.words);
         let (lanes, lanes_rest) = self.lane_masks.split_at(rows);
@@ -345,7 +356,7 @@ impl<'a> SrcRows<'a> {
                 start: self.shard.start,
                 end: mid,
             },
-            queues,
+            pairs,
             enqueued_total: enqueued,
             queue_bytes: bytes,
             nonempty,
@@ -359,7 +370,7 @@ impl<'a> SrcRows<'a> {
                 start: mid,
                 end: self.shard.end,
             },
-            queues: queues_rest,
+            pairs: pairs_rest,
             enqueued_total: enqueued_rest,
             queue_bytes: bytes_rest,
             nonempty: nonempty_rest,
@@ -396,9 +407,19 @@ impl<'a> SrcRows<'a> {
             if f.src < self.shard.start || f.src >= self.shard.end {
                 continue;
             }
-            let row = self.row(f.src, f.dst);
-            self.queues[row].enqueue_flow(f.id, f.bytes, f.arrival, self.pias, self.pias_th);
-            self.enqueued_total[row] += f.bytes;
+            self.pairs.enqueue_flow(
+                f.src,
+                f.dst,
+                f.id,
+                f.bytes,
+                f.arrival,
+                self.pias,
+                self.pias_th,
+            );
+            if !self.enqueued_total.is_empty() {
+                let row = self.row(f.src, f.dst);
+                self.enqueued_total[row] += f.bytes;
+            }
             self.note_enqueue(f.src, f.dst, f.bytes);
         }
         cursor
@@ -453,13 +474,13 @@ impl<'a> SrcRows<'a> {
     /// highest priority first.
     #[inline]
     fn dequeue_packet(&mut self, src: usize, dst: usize, cap: u64) -> Option<Packet> {
-        let pkt = self.queues[self.row(src, dst)].dequeue_packet(cap);
+        let pkt = self.pairs.dequeue_packet(src, dst, cap);
         self.sent(src, dst, pkt)
     }
 
     /// Dequeue one packet from the lowest priority level (relay traffic).
     fn dequeue_lowest_packet(&mut self, src: usize, dst: usize, cap: u64) -> Option<Packet> {
-        let pkt = self.queues[self.row(src, dst)].dequeue_lowest_packet(cap);
+        let pkt = self.pairs.dequeue_lowest_packet(src, dst, cap);
         self.sent(src, dst, pkt)
     }
 
@@ -474,7 +495,7 @@ impl<'a> SrcRows<'a> {
         out: &mut Vec<Packet>,
     ) {
         out.clear();
-        self.queues[self.row(src, dst)].dequeue_packets_into(cap, max, out);
+        self.pairs.dequeue_packets_into(src, dst, cap, max, out);
         let (mut bytes, mut relayed) = (0, 0);
         for pkt in out.iter() {
             bytes += pkt.bytes;
@@ -489,7 +510,7 @@ impl<'a> SrcRows<'a> {
     /// relay buffer and re-queued for `final_dst` at lowest priority.
     fn enqueue_relay(&mut self, via: usize, final_dst: usize, flow: u64, bytes: u64, at: Nanos) {
         self.relay_buffers[via - self.shard.start].admit(bytes);
-        self.queues[self.row(via, final_dst)].enqueue_relay(flow, bytes, at);
+        self.pairs.enqueue_relay(via, final_dst, flow, bytes, at);
         self.note_enqueue(via, final_dst, bytes);
     }
 
@@ -703,8 +724,8 @@ impl NegotiatorSim {
                 s,
                 pias: cfg.priority_queues,
                 pias_th: cfg.pias_thresholds(),
-                queues: (0..n * n).map(|_| DestQueue::new()).collect(),
-                enqueued_total: vec![0; n * n],
+                pairs: PairQueues::new(n, n, selective_relay),
+                enqueued_total: vec![0; if stateful { n * n } else { 0 }],
                 queue_bytes: vec![0; n * n],
                 words,
                 nonempty: vec![0; n * words],
@@ -856,48 +877,44 @@ impl NegotiatorSim {
     }
 
     /// Debug-build check that the incremental mirrors still equal fresh
-    /// sums over the queues they shadow, and that the live-pair state
-    /// covers every pair with backlog or an outgoing message.
+    /// sums over the queues they shadow — every pair's lists walked, every
+    /// arena node found on exactly one pair list or the free list
+    /// ([`PairQueues::audit`]) — and that the live-pair state covers every
+    /// pair with backlog or an outgoing message.
     #[cfg(debug_assertions)]
     fn debug_verify_mirrors(&self) {
         let n = self.n;
         let q = &self.q;
-        for (idx, queue) in q.queues.iter().enumerate() {
-            let (src, dst) = (idx / n, idx % n);
-            debug_assert_eq!(
-                q.queue_bytes[idx],
-                queue.total_bytes(),
-                "queue-bytes mirror drifted at ({src}, {dst})"
-            );
-            if self.msg_flags[idx] != 0 || q.queue_bytes[idx] > 0 {
-                debug_assert!(
-                    q.lane_masks.is_marked(src, dst),
-                    "live pair ({src}, {dst}) is missing a lane bit"
-                );
-            }
-        }
+        let mut queued = vec![0u64; n];
         for src in 0..n {
+            q.pairs.audit(src, |dst, bytes| queued[dst] = bytes);
+            for (dst, &bytes) in queued.iter().enumerate() {
+                let idx = src * n + dst;
+                debug_assert_eq!(
+                    q.queue_bytes[idx], bytes,
+                    "queue-bytes mirror drifted at ({src}, {dst})"
+                );
+                if self.msg_flags[idx] != 0 || bytes > 0 {
+                    debug_assert!(
+                        q.lane_masks.is_marked(src, dst),
+                        "live pair ({src}, {dst}) is missing a lane bit"
+                    );
+                }
+            }
             debug_assert!(
-                q.live_dsts(src)
-                    .eq((0..n).filter(|dst| q.queue_bytes[src * n + dst] > 0)),
+                q.live_dsts(src).eq((0..n).filter(|&dst| queued[dst] > 0)),
                 "non-empty bitmap drifted at source {src}"
             );
-        }
-        if q.backlog_by_port.is_empty() {
-            return;
-        }
-        for tor in 0..self.n {
+            if q.backlog_by_port.is_empty() {
+                continue;
+            }
             for port in 0..self.s {
-                let mut sum = 0;
-                for dst in 0..self.n {
-                    if dst != tor && self.topo.port_reaches(tor, port, dst) {
-                        sum += q.queues[tor * self.n + dst].total_bytes();
-                    }
-                }
+                let reached =
+                    (0..n).filter(|&dst| dst != src && self.topo.port_reaches(src, port, dst));
                 debug_assert_eq!(
-                    sum,
-                    q.backlog_by_port[tor * self.s + port],
-                    "backlog cache drifted at tor {tor} port {port}"
+                    reached.map(|dst| queued[dst]).sum::<u64>(),
+                    q.backlog_by_port[src * self.s + port],
+                    "backlog cache drifted at tor {src} port {port}"
                 );
             }
         }
@@ -1054,7 +1071,7 @@ impl NegotiatorSim {
                 if dst == src {
                     continue;
                 }
-                if !relay::pair_qualifies(&self.q.queues[src * self.n + dst], &self.relay_policy) {
+                if !relay::pair_qualifies(self.q.pairs.pair(src, dst), &self.relay_policy) {
                     continue;
                 }
                 // Scan a rotating window of intermediates; keep up to two

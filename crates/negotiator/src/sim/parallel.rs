@@ -831,7 +831,7 @@ impl NegotiatorSim {
     /// REQUEST (sharded by source ToR): read the queues, emit this
     /// epoch's requests. Each source walks its non-empty bitmap — the
     /// pairs with any backlog, in ascending destination order — and reads
-    /// the `queue_bytes` mirror of those alone, touching the queue structs
+    /// the `queue_bytes` mirror of those alone, touching the queues
     /// themselves only where the mode's request value needs them;
     /// per-lane dirty indices concatenate to source-ascending order.
     pub(super) fn step_request(&mut self, now: Nanos) {
@@ -881,11 +881,11 @@ impl NegotiatorSim {
                 for src in shard.start..shard.end {
                     let base = (src - shard.start) * n;
                     if matches!(mode, SchedulerMode::Projector) {
-                        let qs = &q.queues[src * n..(src + 1) * n];
                         let live = q
                             .live_dsts(src)
                             .inspect(|_| stats.request_pairs_scanned += 1);
-                        for (dst, preq) in projector::bind_requests(topo, src, qs, live, now) {
+                        for (dst, preq) in projector::bind_requests(topo, src, &q.pairs, live, now)
+                        {
                             req[base + dst] = preq.waiting;
                             req_port[base + dst] = preq.port;
                             msg_flags[base + dst] |= REQ_FLAG;
@@ -903,7 +903,7 @@ impl NegotiatorSim {
                         let value = match mode {
                             SchedulerMode::DataSize => q.queue_bytes[idx] as f64,
                             SchedulerMode::HolDelay { alpha } => {
-                                informative::hol_delay_value(&q.queues[idx], now, alpha)
+                                informative::hol_delay_value(q.pairs.pair(src, dst), now, alpha)
                             }
                             SchedulerMode::Stateful => {
                                 let new = q.enqueued_total[idx] - reported_total[base + dst];

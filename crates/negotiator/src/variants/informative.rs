@@ -11,22 +11,17 @@
 //!   `HoL = (1−α)·(HoL_q0 + HoL_q1)/2 + α·HoL_q2` with a small non-zero
 //!   `α` (the paper found 0.001 best).
 
-use crate::queues::DestQueue;
+use crate::queues::PairView;
 use sim::time::Nanos;
 
 /// The paper's best-performing mice/elephant weighting.
 pub const DEFAULT_ALPHA: f64 = 0.001;
 
-/// Request priority value under the data-size approach.
-pub fn data_size_value(queue: &DestQueue) -> f64 {
-    queue.total_bytes() as f64
-}
-
 /// Request priority value under the weighted HoL-delay approach.
 ///
 /// Queue levels 0 and 1 hold mice-ish bytes (first 10 KB of each flow),
 /// level 2 the elephant remainder. An empty level contributes zero delay.
-pub fn hol_delay_value(queue: &DestQueue, now: Nanos, alpha: f64) -> f64 {
+pub fn hol_delay_value(queue: PairView<'_>, now: Nanos, alpha: f64) -> f64 {
     let wait = |level: usize| -> f64 {
         queue
             .hol_enqueued(level)
@@ -49,30 +44,24 @@ pub fn pick_max_value(candidates: &[(usize, f64)]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queues::PairQueues;
 
     const TH: [u64; 2] = [1_000, 10_000];
 
     #[test]
-    fn data_size_is_queue_total() {
-        let mut q = DestQueue::new();
-        q.enqueue_flow(1, 12_345, 0, true, TH);
-        assert_eq!(data_size_value(&q), 12_345.0);
-    }
-
-    #[test]
     fn hol_weights_mice_levels_heavily() {
-        let mut q = DestQueue::new();
-        // Elephant enqueued long ago: only level 2 has old data after the
-        // mice levels drain.
-        q.enqueue_flow(1, 50_000, 0, true, TH);
-        while q.level_bytes(0) > 0 || q.level_bytes(1) > 0 {
-            q.dequeue_packet(1_115);
+        // Pair 0 → 0: an elephant enqueued long ago, of which only level 2
+        // is left after the mice levels drain. Pair 0 → 1: fresh mice,
+        // waiting only briefly.
+        let mut q = PairQueues::new(1, 2, false);
+        q.all().enqueue_flow(0, 0, 1, 50_000, 0, true, TH);
+        for level in 0..2 {
+            while q.all().dequeue_level_packet(0, 0, level, 1_115).is_some() {}
         }
-        let v_old_elephant = hol_delay_value(&q, 1_000_000, DEFAULT_ALPHA);
-        // Fresh mice in another queue, waiting only briefly.
-        let mut q2 = DestQueue::new();
-        q2.enqueue_flow(2, 500, 995_000, true, TH);
-        let v_recent_mice = hol_delay_value(&q2, 1_000_000, DEFAULT_ALPHA);
+        assert_eq!(q.pair(0, 0).total_bytes(), 40_000);
+        q.all().enqueue_flow(0, 1, 2, 500, 995_000, true, TH);
+        let v_old_elephant = hol_delay_value(q.pair(0, 0), 1_000_000, DEFAULT_ALPHA);
+        let v_recent_mice = hol_delay_value(q.pair(0, 1), 1_000_000, DEFAULT_ALPHA);
         // 5 µs of mice waiting outranks 1 ms of elephant waiting at α=0.001.
         assert!(
             v_recent_mice > v_old_elephant,
@@ -82,8 +71,8 @@ mod tests {
 
     #[test]
     fn hol_zero_for_empty_queue() {
-        let q = DestQueue::new();
-        assert_eq!(hol_delay_value(&q, 12345, DEFAULT_ALPHA), 0.0);
+        let q = PairQueues::new(1, 1, false);
+        assert_eq!(hol_delay_value(q.pair(0, 0), 12345, DEFAULT_ALPHA), 0.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! epoch's data) and finds it loses to NegotiaToR Matching: port
 //! pre-binding wastes flexibility and delay bookkeeping adds complexity.
 
-use crate::queues::DestQueue;
+use crate::queues::{PairQueues, PRIORITY_LEVELS};
 use sim::time::Nanos;
 use topology::Topology;
 
@@ -27,25 +27,25 @@ pub struct PortRequest {
 /// Bind each demanded destination to one egress port of `src`, oldest
 /// bundles first (the per-port REQUEST step).
 ///
-/// `queues[dst]` are the source's per-destination queues, of which only
-/// those `candidates` names (ascending; any superset of the non-empty
-/// ones) are looked at; `now` measures waiting delays. Each port is bound
+/// Of `src`'s per-destination queues in `queues`, only those `candidates`
+/// names (ascending; any superset of the non-empty ones) are looked at;
+/// `now` measures waiting delays. Each port is bound
 /// at most once, and a destination is bound to at most one port —
 /// ProjecToR's unit of scheduling is one bundle.
 pub fn bind_requests<T: Topology>(
     topo: &T,
     src: usize,
-    queues: &[DestQueue],
+    queues: &PairQueues,
     candidates: impl Iterator<Item = usize>,
     now: Nanos,
 ) -> Vec<(usize, PortRequest)> {
     let n_ports = topo.net().n_ports;
     // Collect demanded destinations with their oldest HoL wait.
     let mut demands: Vec<(usize, f64)> = candidates
-        .map(|dst| (dst, &queues[dst]))
-        .filter(|&(dst, q)| dst != src && q.has_data())
+        .map(|dst| (dst, queues.pair(src, dst)))
+        .filter(|&(dst, q)| dst != src && !q.is_empty())
         .map(|(dst, q)| {
-            let oldest = (0..crate::queues::PRIORITY_LEVELS)
+            let oldest = (0..PRIORITY_LEVELS)
                 .filter_map(|l| q.hol_enqueued(l))
                 .min()
                 .unwrap_or(now);
@@ -96,10 +96,12 @@ mod tests {
 
     const TH: [u64; 2] = [1_000, 10_000];
 
-    fn queues_with(n: usize, demands: &[(usize, u64, Nanos)]) -> Vec<DestQueue> {
-        let mut qs: Vec<DestQueue> = (0..n).map(|_| DestQueue::new()).collect();
+    /// Source 0's queues on an `n`-ToR fabric.
+    fn queues_with(n: usize, demands: &[(usize, u64, Nanos)]) -> PairQueues {
+        let mut qs = PairQueues::new(1, n, false);
         for &(dst, bytes, at) in demands {
-            qs[dst].enqueue_flow(dst as u64, bytes, at, true, TH);
+            qs.all()
+                .enqueue_flow(0, dst, dst as u64, bytes, at, true, TH);
         }
         qs
     }

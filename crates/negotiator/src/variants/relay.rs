@@ -14,7 +14,7 @@
 //! step, and sources accept relay grants only for ports that direct traffic
 //! did not claim (direct traffic is prioritized, Appendix A.2.2 step 3).
 
-use crate::queues::DestQueue;
+use crate::queues::PairView;
 
 /// Tuning knobs of the selective relay (the paper reports results "under
 /// the optimal relay setting we found"; these defaults play that role).
@@ -84,8 +84,8 @@ impl RelayBuffer {
 
     /// Release `bytes` forwarded onward to the final destination.
     pub fn release(&mut self, bytes: u64) {
-        debug_assert!(self.in_flight >= bytes, "relay buffer under-run");
-        self.in_flight = self.in_flight.saturating_sub(bytes);
+        assert!(self.in_flight >= bytes, "relay buffer under-run");
+        self.in_flight -= bytes;
     }
 }
 
@@ -93,9 +93,8 @@ impl RelayBuffer {
 /// Only a deep elephant (lowest-priority) backlog qualifies; mice levels
 /// are irrelevant because mice are never relayed, and already-relayed
 /// bytes are subtracted so data never cascades through a second relay.
-pub fn pair_qualifies(queue: &DestQueue, policy: &RelayPolicy) -> bool {
-    let elephant = queue.level_bytes(crate::queues::PRIORITY_LEVELS - 1);
-    elephant.saturating_sub(queue.relayed_bytes()) >= policy.min_elephant_backlog
+pub fn pair_qualifies(queue: PairView<'_>, policy: &RelayPolicy) -> bool {
+    queue.elephant_backlog() >= policy.min_elephant_backlog
 }
 
 /// Is egress `port` of a ToR too busy with direct traffic to lend to a
@@ -108,6 +107,7 @@ pub fn port_busy(direct_backlog_via_port: u64, policy: &RelayPolicy) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queues::PairQueues;
 
     const TH: [u64; 2] = [1_000, 10_000];
 
@@ -118,24 +118,46 @@ mod tests {
     #[test]
     fn only_deep_elephant_backlogs_qualify() {
         let p = policy();
-        let mut q = DestQueue::new();
-        q.enqueue_flow(1, 9_000, 0, true, TH); // pure mice
-        assert!(!pair_qualifies(&q, &p));
-        let mut q2 = DestQueue::new();
-        q2.enqueue_flow(2, 500_000, 0, true, TH); // elephant
-        assert!(pair_qualifies(&q2, &p));
+        // With the O(1) elephant table (as the engine runs it) and without.
+        for tracked in [true, false] {
+            let mut q = PairQueues::new(1, 2, tracked);
+            q.all().enqueue_flow(0, 0, 1, 9_000, 0, true, TH); // pure mice
+            q.all().enqueue_flow(0, 1, 2, 500_000, 0, true, TH); // elephant
+            assert!(!pair_qualifies(q.pair(0, 0), &p));
+            assert!(pair_qualifies(q.pair(0, 1), &p));
+        }
     }
 
     #[test]
     fn mice_levels_do_not_count_toward_qualification() {
         let p = policy();
-        let mut q = DestQueue::new();
+        let mut q = PairQueues::new(1, 1, true);
         // Many distinct mice flows: lots of bytes, all at levels 0/1.
         for f in 0..40 {
-            q.enqueue_flow(f, 9_999, 0, true, TH);
+            q.all().enqueue_flow(0, 0, f, 9_999, 0, true, TH);
         }
-        assert!(q.total_bytes() > p.min_elephant_backlog);
-        assert!(!pair_qualifies(&q, &p));
+        assert!(q.pair(0, 0).total_bytes() > p.min_elephant_backlog);
+        assert!(!pair_qualifies(q.pair(0, 0), &p));
+    }
+
+    #[test]
+    fn relayed_backlog_does_not_qualify_for_a_second_relay() {
+        let p = policy();
+        let mut q = PairQueues::new(1, 1, true);
+        // A deep lowest-level backlog, all of it forwarded for others.
+        for f in 0..200 {
+            q.all().enqueue_relay(0, 0, f, 1_115, 0);
+        }
+        assert!(q.pair(0, 0).level_bytes(2) > p.min_elephant_backlog);
+        assert!(!pair_qualifies(q.pair(0, 0), &p));
+    }
+
+    #[test]
+    #[should_panic(expected = "relay buffer under-run")]
+    fn releasing_more_than_was_admitted_panics() {
+        let mut b = RelayBuffer::default();
+        b.admit(1_000);
+        b.release(1_001);
     }
 
     #[test]

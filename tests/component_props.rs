@@ -3,11 +3,84 @@
 //! flow-size distributions and the bandwidth series.
 
 use negotiator::fault::{FaultDetector, DETECT_EPOCHS};
-use negotiator::queues::DestQueue;
+use negotiator::queues::{Packet, PairQueues, PRIORITY_LEVELS};
 use proptest::prelude::*;
 use sim::{BandwidthSeries, Xoshiro256};
+use std::collections::VecDeque;
 use topology::failures::{LinkDir, LinkFailures};
 use workload::FlowSizeDist;
+
+const TH: [u64; 2] = [1_000, 10_000];
+const ELEPHANT: usize = PRIORITY_LEVELS - 1;
+
+/// The obviously right model of one pair's queue, for
+/// `store_matches_the_vecdeque_model`: a `VecDeque` of `(flow, bytes,
+/// relayed)` segments per level.
+#[derive(Default)]
+struct ModelQueue {
+    levels: [VecDeque<(u64, u64, bool)>; PRIORITY_LEVELS],
+}
+
+impl ModelQueue {
+    fn enqueue_flow(&mut self, flow: u64, bytes: u64, pias: bool) {
+        let bounds = if pias {
+            [TH[0], TH[1], u64::MAX]
+        } else {
+            [u64::MAX; PRIORITY_LEVELS]
+        };
+        let (mut left, mut from) = (bytes, 0);
+        for (level, bound) in bounds.into_iter().enumerate() {
+            let take = left.min(bound - from);
+            if take > 0 {
+                self.levels[level].push_back((flow, take, false));
+                left -= take;
+            }
+            from = bound;
+        }
+    }
+
+    fn dequeue_level(&mut self, level: usize, cap: u64) -> Option<Packet> {
+        let (flow, bytes, relayed) = self.levels[level].front_mut()?;
+        let take = (*bytes).min(cap);
+        *bytes -= take;
+        let packet = Packet {
+            flow: *flow,
+            bytes: take,
+            priority: level,
+            relayed: *relayed,
+        };
+        if *bytes == 0 {
+            self.levels[level].pop_front();
+        }
+        Some(packet)
+    }
+
+    fn dequeue(&mut self, cap: u64) -> Option<Packet> {
+        (0..PRIORITY_LEVELS).find_map(|level| self.dequeue_level(level, cap))
+    }
+
+    fn segments(&self) -> usize {
+        self.levels.iter().map(VecDeque::len).sum()
+    }
+
+    /// The pair of the store holds exactly what the model holds.
+    fn assert_mirrored_by(&self, store: &PairQueues, dst: usize) {
+        let view = store.pair(0, dst);
+        let sum = |level: usize, relayed_only: bool| -> u64 {
+            let segments = self.levels[level].iter();
+            segments.filter(|s| s.2 || !relayed_only).map(|s| s.1).sum()
+        };
+        for level in 0..PRIORITY_LEVELS {
+            assert_eq!(view.level_bytes(level), sum(level, false), "level {level}");
+        }
+        assert_eq!(view.relayed_bytes(), sum(ELEPHANT, true));
+        assert_eq!(
+            view.elephant_backlog(),
+            sum(ELEPHANT, false) - sum(ELEPHANT, true)
+        );
+        assert_eq!(view.is_empty(), self.segments() == 0);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -20,27 +93,27 @@ proptest! {
         payload in 1u64..4096,
         pias in any::<bool>(),
     ) {
-        let mut q = DestQueue::new();
+        let mut q = PairQueues::new(1, 1, false);
         let mut total_in = 0u64;
         for (i, &(bytes, relay)) in flows.iter().enumerate() {
             if relay {
-                q.enqueue_relay(i as u64, bytes, i as u64);
+                q.all().enqueue_relay(0, 0, i as u64, bytes, i as u64);
             } else {
-                q.enqueue_flow(i as u64, bytes, i as u64, pias, [1_000, 10_000]);
+                q.all().enqueue_flow(0, 0, i as u64, bytes, i as u64, pias, TH);
             }
             total_in += bytes;
         }
-        prop_assert_eq!(q.total_bytes(), total_in);
+        prop_assert_eq!(q.pair(0, 0).total_bytes(), total_in);
         let mut per_flow = std::collections::BTreeMap::new();
         let mut total_out = 0u64;
-        while let Some(p) = q.dequeue_packet(payload) {
+        while let Some(p) = q.all().dequeue_packet(0, 0, payload) {
             prop_assert!(p.bytes > 0 && p.bytes <= payload);
             total_out += p.bytes;
             *per_flow.entry(p.flow).or_insert(0u64) += p.bytes;
         }
         prop_assert_eq!(total_out, total_in);
-        prop_assert_eq!(q.total_bytes(), 0);
-        prop_assert_eq!(q.relayed_bytes(), 0);
+        prop_assert_eq!(q.pair(0, 0).total_bytes(), 0);
+        prop_assert_eq!(q.pair(0, 0).relayed_bytes(), 0);
         for (i, &(bytes, _)) in flows.iter().enumerate() {
             prop_assert_eq!(per_flow[&(i as u64)], bytes);
         }
@@ -51,21 +124,84 @@ proptest! {
     fn destqueue_level_dequeues_conserve(
         sizes in prop::collection::vec(1u64..50_000, 1..20),
     ) {
-        let mut q = DestQueue::new();
+        let mut q = PairQueues::new(1, 1, false);
         let mut total = 0;
         for (i, &b) in sizes.iter().enumerate() {
-            q.enqueue_flow(i as u64, b, 0, true, [1_000, 10_000]);
+            q.all().enqueue_flow(0, 0, i as u64, b, 0, true, TH);
             total += b;
         }
         let mut out = 0;
-        for level in 0..negotiator::queues::PRIORITY_LEVELS {
-            while let Some(p) = q.dequeue_level_packet(level, 1_115) {
+        for level in 0..PRIORITY_LEVELS {
+            while let Some(p) = q.all().dequeue_level_packet(0, 0, level, 1_115) {
                 prop_assert_eq!(p.priority, level);
                 out += p.bytes;
             }
-            prop_assert_eq!(q.level_bytes(level), 0);
+            prop_assert_eq!(q.pair(0, 0).level_bytes(level), 0);
         }
         prop_assert_eq!(out, total);
+    }
+
+    /// Random interleavings of the two enqueues and the three dequeues over
+    /// four destinations of one source — so the segment nodes one pair
+    /// frees are reused by another — beside the `VecDeque` model: the same
+    /// packets in the same order, the same per-level and relayed byte sums
+    /// after every step, and once drained an arena no larger than the most
+    /// segments that were ever queued at once (nothing leaks through the
+    /// free list).
+    #[test]
+    fn store_matches_the_vecdeque_model(
+        ops in prop::collection::vec((0u8..6, 0usize..4, 1u64..40_000), 1..200),
+        pias in any::<bool>(),
+        tracked in any::<bool>(),
+    ) {
+        const DSTS: usize = 4;
+        let mut store = PairQueues::new(1, DSTS, tracked);
+        let mut model: Vec<ModelQueue> = (0..DSTS).map(|_| ModelQueue::default()).collect();
+        let mut high_water = 0;
+        for (step, &(op, dst, size)) in ops.iter().enumerate() {
+            let (id, cap) = (step as u64, 1 + size % 2_000);
+            let m = &mut model[dst];
+            match op {
+                0 | 1 => {
+                    store.all().enqueue_flow(0, dst, id, size, id, pias, TH);
+                    m.enqueue_flow(id, size, pias);
+                }
+                2 => {
+                    store.all().enqueue_relay(0, dst, id, size, id);
+                    m.levels[ELEPHANT].push_back((id, size, true));
+                }
+                3 => prop_assert_eq!(store.all().dequeue_packet(0, dst, cap), m.dequeue(cap)),
+                4 => prop_assert_eq!(
+                    store.all().dequeue_lowest_packet(0, dst, cap),
+                    m.dequeue_level(ELEPHANT, cap)
+                ),
+                _ => {
+                    let max = (size % 7) as usize;
+                    let mut got = Vec::new();
+                    store.all().dequeue_packets_into(0, dst, cap, max, &mut got);
+                    let want: Vec<Packet> = (0..max).map_while(|_| m.dequeue(cap)).collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+            high_water = high_water.max(model.iter().map(ModelQueue::segments).sum());
+            for (dst, m) in model.iter().enumerate() {
+                m.assert_mirrored_by(&store, dst);
+            }
+            store.audit(0, |_, _| {});
+        }
+        for (dst, m) in model.iter_mut().enumerate() {
+            while let Some(want) = m.dequeue(1_115) {
+                prop_assert_eq!(store.all().dequeue_packet(0, dst, 1_115), Some(want));
+            }
+            prop_assert_eq!(store.all().dequeue_packet(0, dst, 1_115), None);
+        }
+        store.audit(0, |_, bytes| assert_eq!(bytes, 0));
+        prop_assert!(
+            store.segments_allocated(0) <= high_water,
+            "{} nodes for a high-water mark of {} segments",
+            store.segments_allocated(0),
+            high_water
+        );
     }
 
     /// The fault detector excludes a link only after `DETECT_EPOCHS`

@@ -15,6 +15,11 @@
 //! exclusion or a gray drop runs: it walks the schedule's closed form, so
 //! a failure costs a large fabric visits, not a table of its schedule.
 //!
+//! Queue state is held to it with the same byte count: a pair is two list
+//! heads in zero-initialized tables and its segments live in its source's
+//! arena, so building a fabric allocates tens of bytes per pair and running
+//! a trace allocates for the trace, whatever the fabric around it.
+//!
 //! And naming a run is held to it: a compiled scenario and its content
 //! hash are a function of the spec, so asking "is this run cached?" costs
 //! the spec's size, not the traffic's — the flows are made when a run
@@ -104,6 +109,64 @@ fn arbiter_bytes_per_tor_are_flat_in_fabric_size() {
             );
         }
     }
+}
+
+/// Queue state is held to it as well. Building a 512-ToR simulator
+/// allocates under 64 B per pair, everything included: the per-pair tables
+/// are list heads and tails (24 B), the byte mirror, request values and
+/// flags (17 B) and the stateful variant's report marks (8 B), all
+/// zero-initialized, where a `VecDeque` triple per pair alone was 136 B
+/// that had to be written. And what a run allocates on top is a function of
+/// its traffic: one trace confined to ToRs 0..64 — a 40-to-1 burst of 50 kB
+/// flows every 20 µs over 50 % Poisson load — played on a 256- and a
+/// 512-ToR thin-clos fabric (pair tables 4× apart) costs both the same to
+/// within one doubling of the 64 busy sources' segment arenas.
+#[test]
+fn queue_bytes_track_live_pairs_not_fabric_size() {
+    const DURATION: u64 = 200_000;
+    let background = PoissonWorkload::new(WorkloadSpec {
+        dist: FlowSizeDist::hadoop(),
+        load: 0.5,
+        n_tors: 64,
+        host_bps: 400_000_000_000,
+    })
+    .generate(DURATION, 29);
+    let trace = (0..8u64)
+        .map(|burst| {
+            IncastWorkload {
+                degree: 40,
+                flow_bytes: 50_000,
+                n_tors: 64,
+                start: burst * 20_000,
+            }
+            .generate(31 + burst)
+        })
+        .fold(background, FlowTrace::merge);
+    let play = |n_tors: usize| {
+        let net = NetworkConfig {
+            n_tors,
+            ..NetworkConfig::paper_default()
+        };
+        let cfg = NegotiatorConfig::paper_default(net);
+        let (mut sim, built) = allocated_by(|| NegotiatorSim::new(cfg, TopologyKind::ThinClos));
+        assert!(
+            built <= 64 * n_tors * n_tors,
+            "{n_tors} ToRs: construction allocated {built} B, {} B per pair",
+            built / (n_tors * n_tors)
+        );
+        let (report, ran) = allocated_by(|| sim.run(&trace, DURATION));
+        assert!(
+            report.all.completed > trace.len() / 2,
+            "the trace must exercise the queues"
+        );
+        ran
+    };
+    let (small, large) = (play(256), play(512));
+    assert!(small > 0, "the count must see the queues being filled");
+    assert!(
+        small.max(large) <= 2 * small.min(large),
+        "the same trace allocated {small} B on 256 ToRs and {large} B on 512"
+    );
 }
 
 /// A nearly idle 1024 × 8 negotiator, built and run for 20 epochs, with
