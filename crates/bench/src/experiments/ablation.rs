@@ -17,7 +17,7 @@ use super::{Args, Experiment};
 use crate::runs::{full_load, SEED};
 use crate::sweep::{Rendered, RunMeta, RunMetrics, RunResult, RunSpec};
 use metrics::{report, Table};
-use negotiator::{FailureAction, NegotiatorConfig, NegotiatorSim};
+use negotiator::{FaultAction, NegotiatorConfig, NegotiatorSim};
 use topology::{NetworkConfig, TopologyKind};
 
 /// Threshold ablation: goodput, mice FCT and over-scheduling waste as the
@@ -126,9 +126,9 @@ impl Experiment for AblRotation {
                     }]);
                     let mut sim =
                         NegotiatorSim::new(NegotiatorConfig::paper_default(net.clone()), kind);
-                    sim.schedule_failure(
+                    sim.schedule_fault(
                         50_000,
-                        FailureAction::FailRandom {
+                        FaultAction::FailRandom {
                             ratio: 0.10,
                             seed: SEED,
                         },

@@ -7,7 +7,7 @@ use super::{Args, Experiment};
 use crate::runs::full_load;
 use crate::sweep::{Rendered, RunMeta, RunMetrics, RunResult, RunSpec};
 use metrics::{report, Table};
-use negotiator::{FailureAction, NegotiatorConfig, NegotiatorSim, SimOptions};
+use negotiator::{FaultAction, NegotiatorConfig, NegotiatorSim, SimOptions};
 use topology::{NetworkConfig, TopologyKind};
 use workload::FlowSizeDist;
 
@@ -105,14 +105,14 @@ impl Experiment for Fig10 {
                             ..SimOptions::default()
                         },
                     );
-                    sim.schedule_failure(
+                    sim.schedule_fault(
                         fail_at,
-                        FailureAction::FailRandom {
+                        FaultAction::FailRandom {
                             ratio,
                             seed: crate::runs::SEED ^ (ratio * 1000.0) as u64,
                         },
                     );
-                    sim.schedule_failure(repair_at, FailureAction::RepairAll);
+                    sim.schedule_fault(repair_at, FaultAction::RepairAll);
                     sim.run(&trace, duration);
                     let rx = sim.total_rx().expect("series enabled");
                     let pre = rx.mean_gbps(fail_at - window, fail_at);

@@ -9,7 +9,7 @@ use super::{Args, Experiment};
 use crate::runs::SEED;
 use crate::sweep::{Rendered, RunMeta, RunMetrics, RunSpec};
 use metrics::Table;
-use negotiator::{FailureAction, NegotiatorConfig, NegotiatorSim, SimOptions};
+use negotiator::{FaultAction, NegotiatorConfig, NegotiatorSim, SimOptions};
 use oblivious::sim::ObliviousRecording;
 use oblivious::{ObliviousConfig, ObliviousSim};
 use sim::time::Nanos;
@@ -222,14 +222,14 @@ impl Experiment for Fig19 {
                 },
             );
             let epoch = sim.epoch_len();
-            sim.schedule_failure(
+            sim.schedule_fault(
                 100_000,
-                FailureAction::FailRandom {
+                FaultAction::FailRandom {
                     ratio: 0.10,
                     seed: SEED,
                 },
             );
-            sim.schedule_failure(300_000, FailureAction::RepairAll);
+            sim.schedule_fault(300_000, FaultAction::RepairAll);
             sim.run(&trace, horizon);
             let rx = sim.rx_series(77).unwrap();
             let mut table = Table::new(

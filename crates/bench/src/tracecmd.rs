@@ -4,8 +4,9 @@
 //! histogram (top-K, most frequent first), the per-phase convergence
 //! timeline from the `phase` events, and overflow warnings when the ring
 //! dropped events. Pure text in, text out: unit-testable without files.
+//! The NDJSON section grammar itself is read by [`traceq::parse`].
 
-use metrics::Json;
+use crate::traceq::{self, Section};
 
 /// How many event kinds the histogram lists per section.
 const TOP_K: usize = 8;
@@ -19,88 +20,11 @@ fn fmt_bytes(bytes: u64) -> String {
     }
 }
 
-/// One engine section of a trace.
-struct Section {
-    system: String,
-    /// `(event name, count)` in first-seen order.
-    histogram: Vec<(String, u64)>,
-    /// `(phase, t_ns, delivered, backlog, partitioned)` from `phase` events.
-    phases: Vec<(u64, u64, u64, u64, u64)>,
-    events: u64,
-    dropped: u64,
-}
-
 /// Summarize flight-recorder NDJSON. Errors name the offending line
 /// (1-based) — traces are machine-written, so any parse failure means the
 /// file is not a trace.
 pub fn summarize(text: &str) -> Result<String, String> {
-    let mut sections: Vec<Section> = Vec::new();
-    let mut current: Option<Section> = None;
-    for (i, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let v = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let event = v
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing \"event\" field", i + 1))?;
-        let get = |key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
-        match event {
-            "trace_start" => {
-                if let Some(done) = current.take() {
-                    sections.push(done);
-                }
-                current = Some(Section {
-                    system: v
-                        .get("system")
-                        .and_then(Json::as_str)
-                        .unwrap_or("?")
-                        .to_string(),
-                    histogram: Vec::new(),
-                    phases: Vec::new(),
-                    events: 0,
-                    dropped: 0,
-                });
-            }
-            "trace_end" => {
-                let mut done = current
-                    .take()
-                    .ok_or_else(|| format!("line {}: trace_end without trace_start", i + 1))?;
-                done.events = get("events");
-                done.dropped = get("dropped");
-                sections.push(done);
-            }
-            name => {
-                let section = current
-                    .as_mut()
-                    .ok_or_else(|| format!("line {}: event before trace_start", i + 1))?;
-                match section.histogram.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, count)) => *count += 1,
-                    None => section.histogram.push((name.to_string(), 1)),
-                }
-                if name == "phase" {
-                    section.phases.push((
-                        get("phase"),
-                        get("t_ns"),
-                        get("delivered_bytes"),
-                        get("backlog_bytes"),
-                        get("partitioned_tors"),
-                    ));
-                }
-            }
-        }
-    }
-    if let Some(unterminated) = current {
-        return Err(format!(
-            "trace for '{}' has no trace_end line (truncated file?)",
-            unterminated.system
-        ));
-    }
-    if sections.is_empty() {
-        return Err("no trace sections found (is this a --trace output file?)".to_string());
-    }
-    Ok(render(&sections))
+    Ok(render(&traceq::parse(text)?.sections))
 }
 
 fn render(sections: &[Section]) -> String {
@@ -108,7 +32,7 @@ fn render(sections: &[Section]) -> String {
     for s in sections {
         out.push_str(&format!(
             "## {} — {} events ({} dropped)\n",
-            s.system, s.events, s.dropped
+            s.system, s.recorded, s.dropped
         ));
         if s.dropped > 0 {
             out.push_str(&format!(
@@ -116,8 +40,15 @@ fn render(sections: &[Section]) -> String {
                 s.dropped
             ));
         }
-        let mut ranked: Vec<&(String, u64)> = s.histogram.iter().collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        // `(event name, count)`, sorted most frequent first below.
+        let mut ranked: Vec<(&str, u64)> = Vec::new();
+        for ev in &s.events {
+            match ranked.iter_mut().find(|(name, _)| *name == ev.kind) {
+                Some((_, count)) => *count += 1,
+                None => ranked.push((&ev.kind, 1)),
+            }
+        }
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         out.push_str("   top events:\n");
         if ranked.is_empty() {
             out.push_str("     (none recorded)\n");
@@ -125,11 +56,16 @@ fn render(sections: &[Section]) -> String {
         for (name, count) in ranked.into_iter().take(TOP_K) {
             out.push_str(&format!("     {count:>8}  {name}\n"));
         }
-        if !s.phases.is_empty() {
+        let mut phases = s.events.iter().filter(|ev| ev.kind == "phase").peekable();
+        if phases.peek().is_some() {
             out.push_str("   convergence timeline:\n");
             out.push_str("     phase       t_ms     delivered       backlog  part_tors\n");
             let mut prev_delivered = 0u64;
-            for &(phase, t_ns, delivered, backlog, partitioned) in &s.phases {
+            for ev in phases {
+                let get = |key: &str| ev.field(key).unwrap_or(0);
+                let (phase, t_ns, partitioned) =
+                    (get("phase"), get("t_ns"), get("partitioned_tors"));
+                let (delivered, backlog) = (get("delivered_bytes"), get("backlog_bytes"));
                 let delta = delivered.saturating_sub(prev_delivered);
                 prev_delivered = delivered;
                 out.push_str(&format!(

@@ -34,7 +34,7 @@ pub struct Ev {
 }
 
 impl Ev {
-    fn field(&self, key: &str) -> Option<u64> {
+    pub(crate) fn field(&self, key: &str) -> Option<u64> {
         self.json.get(key).and_then(Json::as_u64)
     }
 
@@ -59,6 +59,8 @@ pub struct Section {
     pub system: String,
     /// Events in file order.
     pub events: Vec<Ev>,
+    /// Event count from the `trace_end` footer.
+    pub recorded: u64,
     /// Ring-overflow count from the `trace_end` footer.
     pub dropped: u64,
 }
@@ -97,6 +99,7 @@ pub fn parse(text: &str) -> Result<Trace, String> {
                         .unwrap_or("?")
                         .to_string(),
                     events: Vec::new(),
+                    recorded: 0,
                     dropped: 0,
                 });
             }
@@ -104,6 +107,7 @@ pub fn parse(text: &str) -> Result<Trace, String> {
                 let mut done = current
                     .take()
                     .ok_or_else(|| format!("line {}: trace_end without trace_start", i + 1))?;
+                done.recorded = v.get("events").and_then(Json::as_u64).unwrap_or(0);
                 done.dropped = v.get("dropped").and_then(Json::as_u64).unwrap_or(0);
                 sections.push(done);
             }

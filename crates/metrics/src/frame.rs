@@ -3,22 +3,20 @@
 //! A run of either engine is the same loop around a different scheduling
 //! policy: advance the clock one tick (an epoch for the negotiator, a
 //! rotor slot for the oblivious baseline), snapshot the phase probe when a
-//! boundary passed, apply the failure and fault schedules, play the tick,
-//! emit the tick's flow spans, stop once everything drained, then close
-//! the probe and build the report. [`run`] is that loop, written once;
-//! [`RunFrame`] is the state it needs (ground-truth links and their
-//! schedules, probe, flight recorder, the finished run's tracker), held by
-//! both engines and reached through `Deref`, so the scheduling and
-//! attachment calls (`schedule_failure`, `set_phase_probe`, `tracker`, …)
+//! boundary passed, apply the fault schedule, play the tick, emit the
+//! tick's flow spans, stop once everything drained, then close the probe
+//! and build the report. [`run`] is that loop, written once; [`RunFrame`]
+//! is the state it needs (ground-truth links and the fault timeline that
+//! changes them, probe, flight recorder, the finished run's tracker), held
+//! by both engines and reached through `Deref`, so the scheduling and
+//! attachment calls (`schedule_fault`, `set_phase_probe`, `tracker`, …)
 //! are defined here and nowhere else. An engine supplies only
 //! [`EpochEngine`]: its tick length, its tick, its side of the counters.
 
 use std::ops::DerefMut;
 
 use sim::time::Nanos;
-use topology::{
-    FailureAction, FailureSchedule, FaultAction, FaultModel, LinkFailures, NetworkConfig,
-};
+use topology::{FaultAction, FaultModel, LinkFailures, NetworkConfig};
 use workload::{Flow, FlowTrace};
 
 use crate::fct::{FlowTracker, RunReport};
@@ -30,12 +28,11 @@ use crate::trace::{FlightRecorder, FlowSpans};
 pub struct RunFrame {
     n_tors: usize,
     host_bps: u64,
-    /// Ground-truth link state, mutated only by the two schedules below.
+    /// Ground-truth link state, mutated only by the timeline below.
     pub failures: LinkFailures,
-    /// Adversarial fault families (flap / partition / gray / greedy)
-    /// layered on top of the clean failure schedule.
+    /// The fault timeline: link failures and repairs, flaps, partitions,
+    /// gray failures, greedy ToRs.
     pub faults: FaultModel,
-    fail_sched: FailureSchedule,
     probe: Option<PhaseProbe>,
     /// Flight recorder (`None` = tracing off: one branch per tick).
     recorder: Option<Box<FlightRecorder>>,
@@ -52,7 +49,6 @@ impl RunFrame {
             host_bps: net.host_bandwidth.bps(),
             failures: LinkFailures::new(net.n_tors, net.n_ports),
             faults: FaultModel::new(),
-            fail_sched: FailureSchedule::new(),
             probe: None,
             recorder: None,
             tracker: None,
@@ -61,13 +57,7 @@ impl RunFrame {
         }
     }
 
-    /// Schedule a link-state change at absolute time `at` (see
-    /// [`topology::FailureSchedule`] for the ordering rules).
-    pub fn schedule_failure(&mut self, at: Nanos, action: FailureAction) {
-        self.fail_sched.schedule(at, action);
-    }
-
-    /// Schedule an adversarial fault action at absolute time `at` (see
+    /// Schedule a fault action at absolute time `at` (see
     /// [`topology::FaultModel`] for the families and ordering rules).
     pub fn schedule_fault(&mut self, at: Nanos, action: FaultAction) {
         self.faults.schedule(at, action);
@@ -124,16 +114,19 @@ impl RunFrame {
         )
     }
 
-    /// Apply every failure and fault action due by `now`.
-    fn apply_schedules(&mut self, now: Nanos, tick: u64) {
-        let mark = (self.fail_sched.applied(), self.faults.applied());
-        self.fail_sched.apply_due(now, &mut self.failures);
+    /// Apply every fault action due by `now`.
+    fn apply_schedule(&mut self, now: Nanos, tick: u64) {
+        let before = self.faults.applied();
         self.faults.epoch_update(now, &mut self.failures);
         if let Some(rec) = self.recorder.as_deref_mut() {
-            let links = (self.fail_sched.applied() - mark.0) as u64;
-            let injected = (self.faults.applied() - mark.1) as u64;
-            let total = (self.fail_sched.applied() + self.faults.applied()) as u64;
-            rec.fault_applied(now, tick, injected, links, total);
+            let (links, injected) = self.faults.applied();
+            rec.fault_applied(
+                now,
+                tick,
+                (injected - before.1) as u64,
+                (links - before.0) as u64,
+                (links + injected) as u64,
+            );
         }
     }
 }
@@ -199,8 +192,8 @@ fn snapshot<E: EpochEngine>(engine: &mut E, tracker: &FlowTracker, now: Option<N
 }
 
 /// Play `trace` through `engine` for `duration` ns of simulated time and
-/// report. The loop may stop early once every flow has completed and both
-/// schedules are drained; goodput is still normalized over `duration`.
+/// report. The loop may stop early once every flow has completed and the
+/// fault schedule is drained; goodput is still normalized over `duration`.
 pub fn run<E: EpochEngine>(engine: &mut E, trace: &FlowTrace, duration: Nanos) -> RunReport {
     assert!(!engine.ran, "a simulator runs once; build a new one");
     engine.ran = true;
@@ -226,7 +219,7 @@ pub fn run<E: EpochEngine>(engine: &mut E, trace: &FlowTrace, duration: Nanos) -
         if engine.probe.as_ref().is_some_and(|p| p.due(now)) {
             snapshot(engine, &tracker, Some(now), tick);
         }
-        engine.apply_schedules(now, tick);
+        engine.apply_schedule(now, tick);
         cursor = engine.tick(tick, now, flows, cursor, &mut tracker);
         // Span emission iterates live flows in flow-id order from merged
         // state, which keeps span bytes identical at any worker count.
@@ -259,7 +252,6 @@ pub fn run<E: EpochEngine>(engine: &mut E, trace: &FlowTrace, duration: Nanos) -
         // Early exit when nothing is left anywhere.
         if cursor >= flows.len()
             && tracker.completed_count() == flows.len()
-            && engine.fail_sched.is_drained()
             && engine.faults.is_drained()
         {
             break;

@@ -42,4 +42,4 @@ pub mod theory;
 pub mod variants;
 
 pub use config::{EpochConfig, NegotiatorConfig};
-pub use sim::{FailureAction, FaultAction, NegotiatorSim, SchedulerMode, SimOptions};
+pub use sim::{FaultAction, NegotiatorSim, SchedulerMode, SimOptions};

@@ -91,7 +91,6 @@ use topology::{
 };
 use workload::{Flow, FlowTrace};
 
-pub use topology::failures::FailureAction;
 pub use topology::inject::FaultAction;
 
 mod parallel;
@@ -1649,14 +1648,14 @@ mod tests {
         let epoch = s.epoch_len();
         let fail_at = 60 * epoch;
         let repair_at = 160 * epoch;
-        s.schedule_failure(
+        s.schedule_fault(
             fail_at,
-            FailureAction::FailRandom {
+            FaultAction::FailRandom {
                 ratio: 0.25,
                 seed: 7,
             },
         );
-        s.schedule_failure(repair_at, FailureAction::RepairAll);
+        s.schedule_fault(repair_at, FaultAction::RepairAll);
         s.run(&trace, 260 * epoch);
         let rx = s.total_rx().unwrap();
         let before = rx.mean_gbps(10 * epoch, fail_at);
@@ -1756,9 +1755,9 @@ mod tests {
     fn lost_packets_counted_under_ground_failures() {
         let mut s = NegotiatorSim::new(small_cfg(), TopologyKind::Parallel);
         let epoch = s.epoch_len();
-        s.schedule_failure(
+        s.schedule_fault(
             0,
-            FailureAction::FailRandom {
+            FaultAction::FailRandom {
                 ratio: 0.3,
                 seed: 2,
             },

@@ -765,7 +765,7 @@ mod dense_oracle_tests {
     use metrics::{PhaseProbe, PhaseSnapshot};
     use proptest::prelude::*;
     use topology::failures::LinkDir;
-    use topology::{FailureAction, FaultAction, FlapTargets, NetworkConfig, PartitionSpec};
+    use topology::{FaultAction, FlapTargets, NetworkConfig, PartitionSpec};
     use workload::{FlowSizeDist, MixedWorkload, WorkloadSpec};
 
     const DURATION: Nanos = 160_000;
@@ -825,13 +825,13 @@ mod dense_oracle_tests {
         sim.dense = dense;
         // A link failed mid-run and repaired, a flap and a partition.
         let at = case.fault_at;
-        let link = FailureAction::FailLink {
+        let link = FaultAction::FailLink {
             tor: case.seed as usize % n_tors,
             port: (case.seed >> 8) as usize % n_ports,
             dir: LinkDir::Egress,
         };
-        sim.schedule_failure(at, link);
-        sim.schedule_failure(at + 30_000, FailureAction::RepairAll);
+        sim.schedule_fault(at, link);
+        sim.schedule_fault(at + 30_000, FaultAction::RepairAll);
         let flap = FaultAction::FlapStart {
             targets: FlapTargets::Random {
                 ratio: 0.2,

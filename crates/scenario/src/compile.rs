@@ -1,13 +1,13 @@
 //! Scenario compilation: a validated [`ScenarioSpec`] becomes the inputs a
-//! deterministic run needs — the flow trace covering every phase, a timed
-//! [`FailureAction`] list for the engines' failure schedules, and the
+//! deterministic run needs — the flow trace covering every phase, one
+//! timed [`FaultAction`] list for the engines' fault schedule, and the
 //! phase-boundary times the [`metrics::PhaseProbe`] snapshots at.
 //! Compilation is pure: the same spec (and trace files) always yields the
 //! same inputs, which is what extends the sweep engine's `--jobs`
 //! byte-identity guarantee to scenarios.
 //!
-//! **Eager, in [`compile`]:** the epoch length, the horizon, the failure
-//! and injection timelines, the boundaries — and everything a spec does
+//! **Eager, in [`compile`]:** the epoch length, the horizon, the fault
+//! timeline, the boundaries — and everything a spec does
 //! not determine, which is the contents of replayed trace files. Those are
 //! read, parsed, range-checked against the fabric, filtered to their phase
 //! and offset to its start here, so every error a scenario can raise
@@ -29,10 +29,10 @@ use std::ops::Deref;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
-use crate::spec::{EventAction, ScenarioSpec, WorkloadPhase};
+use crate::spec::{ScenarioSpec, WorkloadPhase};
 use negotiator::NegotiatorConfig;
 use sim::time::Nanos;
-use topology::{AnyTopology, FailureAction, FaultAction, Topology};
+use topology::{AnyTopology, FaultAction, Topology};
 use workload::{
     load_trace, AllToAllWorkload, Flow, FlowTrace, IncastWorkload, PoissonWorkload, WorkloadSpec,
 };
@@ -169,13 +169,13 @@ pub struct CompiledScenario {
     /// Every phase's flows, merged and time-sorted: synthesized on first
     /// use, shared across clones and runs.
     pub trace: LazyTrace,
-    /// The event timeline as engine failure-schedule entries.
-    pub failures: Vec<(Nanos, FailureAction)>,
-    /// The adversarial timeline as engine fault-schedule entries: phase
-    /// `faults` blocks (start at phase start, stop at phase end) merged
-    /// with `inject` events, stably sorted by time so a phase's stops
-    /// land before the next phase's starts at a shared boundary.
-    pub injections: Vec<(Nanos, FaultAction)>,
+    /// Everything that happens to the fabric, as engine fault-schedule
+    /// entries sorted by time: `action` events, phase `faults` blocks
+    /// (start at phase start, stop at phase end) and `inject` events.
+    /// Among equal-time entries link actions come first, then phase
+    /// faults in phase order (a phase's stops before the next phase's
+    /// starts at a shared boundary), then injects.
+    pub timeline: Vec<(Nanos, FaultAction)>,
     /// Phase-end times, strictly increasing — the probe's boundaries.
     pub boundaries: Vec<Nanos>,
     /// [`CompiledScenario::content_hash`], computed once.
@@ -264,42 +264,29 @@ pub fn compile(spec: ScenarioSpec, base_dir: &Path) -> Result<CompiledScenario, 
         });
     }
 
-    let mut failures = Vec::new();
-    let mut injections: Vec<(Nanos, FaultAction)> = Vec::new();
     // Phase faults first, walking phases in order: a phase's stop entries
     // are pushed before the next phase's starts at the same boundary, and
     // the stable sort below preserves that insertion order (which is the
-    // order `FaultModel::schedule` applies equal-time actions in).
+    // order `FaultModel::schedule` applies equal-time actions in). Link
+    // actions sort ahead of both: a link's state depends on who holds it,
+    // not on arrival order, so "action then inject" and "inject then
+    // action" at one epoch are the same run and get the same key.
+    let mut timeline: Vec<(Nanos, FaultAction)> = Vec::new();
     for phase in &spec.phases {
         let start_ns = phase.start_epoch * epoch_len;
         let end_ns = phase.end_epoch * epoch_len;
         for fault in &phase.faults {
-            injections.push((start_ns, fault.to_action(epoch_len)));
+            timeline.push((start_ns, fault.to_action(epoch_len)));
             if let Some(stop) = fault.stop_action() {
-                injections.push((end_ns, stop));
+                timeline.push((end_ns, stop));
             }
         }
     }
     for event in &spec.events {
         let at = event.at_epoch * epoch_len;
-        match &event.action {
-            EventAction::FailLinks(links) => {
-                for &(tor, port, dir) in links {
-                    failures.push((at, FailureAction::FailLink { tor, port, dir }));
-                }
-            }
-            EventAction::RepairLinks => failures.push((at, FailureAction::RepairAll)),
-            EventAction::FailRandom { ratio, seed } => failures.push((
-                at,
-                FailureAction::FailRandom {
-                    ratio: *ratio,
-                    seed: *seed,
-                },
-            )),
-            EventAction::Inject(inject) => injections.push((at, inject.to_action(epoch_len))),
-        }
+        timeline.push((at, event.inject.to_action(epoch_len)));
     }
-    injections.sort_by_key(|&(at, _)| at);
+    timeline.sort_by_key(|(at, action)| (*at, !action.is_link_action()));
 
     let boundaries = spec
         .phases
@@ -310,8 +297,7 @@ pub fn compile(spec: ScenarioSpec, base_dir: &Path) -> Result<CompiledScenario, 
         epoch_len,
         duration,
         trace: LazyTrace::new(sources),
-        failures,
-        injections,
+        timeline,
         boundaries,
         spec,
         digest: OnceLock::new(),
@@ -384,13 +370,35 @@ mod tests {
   ]"#,
         );
         let c = compile(s, Path::new(".")).unwrap();
-        assert_eq!(c.failures.len(), 4, "two links + random + repair");
-        assert!(c.failures.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert_eq!(c.timeline.len(), 4, "two links + random + repair");
+        assert!(c.timeline.windows(2).all(|w| w[0].0 <= w[1].0));
         assert!(matches!(
-            c.failures[0].1,
-            FailureAction::FailLink { tor: 1, .. }
+            c.timeline[0].1,
+            FaultAction::FailLink { tor: 1, .. }
         ));
-        assert!(matches!(c.failures[3].1, FailureAction::RepairAll));
+        assert!(matches!(c.timeline[3].1, FaultAction::RepairAll));
+    }
+
+    /// The timeline as `(time, short kind)` pairs.
+    fn kinds_of(c: &CompiledScenario) -> Vec<(Nanos, &'static str)> {
+        c.timeline
+            .iter()
+            .map(|(at, a)| {
+                let kind = match a {
+                    FaultAction::FailLink { .. } => "link+",
+                    FaultAction::FailRandom { .. } => "random+",
+                    FaultAction::RepairAll => "link-",
+                    FaultAction::GrayStart { .. } => "gray+",
+                    FaultAction::GrayStop => "gray-",
+                    FaultAction::GreedyStart { .. } => "greedy+",
+                    FaultAction::GreedyStop => "greedy-",
+                    FaultAction::Partition(_) => "part+",
+                    FaultAction::Heal => "part-",
+                    _ => "other",
+                };
+                (*at, kind)
+            })
+            .collect()
     }
 
     #[test]
@@ -411,24 +419,7 @@ mod tests {
         // gray start@0, [gray stop, greedy start, partition]@50·len,
         // heal@75·len, greedy stop@100·len — stops before the next
         // phase's starts at the shared boundary, events after both.
-        let kinds: Vec<(Nanos, &'static str)> = c
-            .injections
-            .iter()
-            .map(|(at, a)| {
-                (
-                    *at,
-                    match a {
-                        FaultAction::GrayStart { .. } => "gray+",
-                        FaultAction::GrayStop => "gray-",
-                        FaultAction::GreedyStart { .. } => "greedy+",
-                        FaultAction::GreedyStop => "greedy-",
-                        FaultAction::Partition(_) => "part+",
-                        FaultAction::Heal => "part-",
-                        _ => "other",
-                    },
-                )
-            })
-            .collect();
+        let kinds = kinds_of(&c);
         let e = c.epoch_len;
         assert_eq!(
             kinds,
@@ -449,10 +440,50 @@ mod tests {
         );
         let c = compile(s, Path::new(".")).unwrap();
         assert!(matches!(
-            c.injections[0],
+            c.timeline[0],
             (at, FaultAction::FlapStart { up, down, .. })
                 if at == 5 * c.epoch_len && up == 3 * c.epoch_len && down == 2 * c.epoch_len
         ));
+    }
+
+    #[test]
+    fn equal_epoch_actions_order_links_then_phase_faults_then_injects() {
+        // At epoch 50: an inject spelled before an action, a phase ending
+        // and the next starting. Link actions come first (both links of
+        // the one event), then the phase stop and start, then the inject
+        // — whichever way round the file lists the events.
+        let phases = r#""phases": [
+    {"workload": "poisson", "load": 50, "epochs": [0, 50],
+     "faults": {"gray": {"drop_prob": 0.5}}},
+    {"workload": "poisson", "load": 50, "epochs": [50, 100],
+     "faults": {"greedy": {"tors": [2]}}}
+  ]"#;
+        let inject = r#"{"at_epoch": 50, "inject": {"kind": "partition", "groups": 2, "seed": 3}}"#;
+        let action = r#"{"at_epoch": 50, "action": "fail_links",
+     "links": [{"tor": 1, "port": 0}, {"tor": 2, "port": 1, "dir": "ingress"}]}"#;
+        let later = r#"{"at_epoch": 60, "action": "repair_links"}"#;
+        let e = compile(spec(phases), Path::new(".")).unwrap().epoch_len;
+        for events in [[inject, action, later], [later, action, inject]] {
+            let s = spec(&format!("{phases},\n  \"events\": [{}]", events.join(", ")));
+            let c = compile(s, Path::new(".")).unwrap();
+            assert_eq!(
+                kinds_of(&c),
+                vec![
+                    (0, "gray+"),
+                    (50 * e, "link+"),
+                    (50 * e, "link+"),
+                    (50 * e, "gray-"),
+                    (50 * e, "greedy+"),
+                    (50 * e, "part+"),
+                    (60 * e, "link-"),
+                    (100 * e, "greedy-"),
+                ]
+            );
+            assert!(matches!(
+                c.timeline[1].1,
+                FaultAction::FailLink { tor: 1, .. }
+            ));
+        }
     }
 
     #[test]

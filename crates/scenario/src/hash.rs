@@ -9,8 +9,7 @@
 //! over the **canonical recipe** of the compiled scenario: every spec
 //! field that reaches the rendered report (name, description, labels,
 //! engines, mode, fabric), the seed, each phase's span and workload
-//! parameters, the epoch length and boundaries, and the failure and
-//! injection timelines.
+//! parameters, the epoch length and boundaries, and the fault timeline.
 //!
 //! The synthesized flows are *not* hashed: a poisson / incast /
 //! all-to-all phase is a pure function of parameters the key already
@@ -32,7 +31,7 @@ use crate::compile::CompiledScenario;
 use crate::spec::{EngineKind, WorkloadPhase};
 use negotiator::SchedulerMode;
 use topology::failures::LinkDir;
-use topology::{FailureAction, FaultAction, FlapTargets, PartitionSpec};
+use topology::{FaultAction, FlapTargets, PartitionSpec};
 
 /// Incremental FNV-1a (64-bit) over a canonical encoding. Deliberately
 /// boring: stability across builds and platforms is the whole point.
@@ -102,7 +101,8 @@ pub fn hex(digest: u64) -> String {
 /// injection timeline joined the encoding and the series gained fault
 /// columns. v3: synthesized flows left the encoding (they were the only
 /// thing that noticed a changed generator by itself — hence the rule).
-const CONTENT_VERSION: &str = "scenario-content-v3";
+/// v4: link actions and injections are one timeline, encoded as one list.
+const CONTENT_VERSION: &str = "scenario-content-v4";
 
 impl CompiledScenario {
     /// Content hash of everything that determines this scenario's output
@@ -155,13 +155,8 @@ impl CompiledScenario {
         for &b in &self.boundaries {
             h.write_u64(b);
         }
-        h.write_u64(self.failures.len() as u64);
-        for (at, action) in &self.failures {
-            h.write_u64(*at);
-            hash_failure(&mut h, action);
-        }
-        h.write_u64(self.injections.len() as u64);
-        for (at, action) in &self.injections {
+        h.write_u64(self.timeline.len() as u64);
+        for (at, action) in &self.timeline {
             h.write_u64(*at);
             hash_fault(&mut h, action);
         }
@@ -235,42 +230,36 @@ fn hash_workload(h: &mut StableHasher, workload: &WorkloadPhase) {
     }
 }
 
-fn hash_failure(h: &mut StableHasher, action: &FailureAction) {
-    match action {
-        FailureAction::FailRandom { ratio, seed } => {
-            h.write_str("fail_random")
-                .write_f64(*ratio)
-                .write_u64(*seed);
-        }
-        FailureAction::RepairAll => {
-            h.write_str("repair_all");
-        }
-        FailureAction::FailLink { tor, port, dir } => {
-            h.write_str("fail_link")
-                .write_u64(*tor as u64)
-                .write_u64(*port as u64)
-                .write_str(match dir {
-                    LinkDir::Egress => "egress",
-                    LinkDir::Ingress => "ingress",
-                });
-        }
-    }
+fn hash_link(h: &mut StableHasher, (tor, port, dir): (usize, usize, LinkDir)) {
+    h.write_u64(tor as u64)
+        .write_u64(port as u64)
+        .write_str(match dir {
+            LinkDir::Egress => "egress",
+            LinkDir::Ingress => "ingress",
+        });
 }
 
 fn hash_fault(h: &mut StableHasher, action: &FaultAction) {
     match action {
+        FaultAction::FailLink { tor, port, dir } => {
+            h.write_str("fail_link");
+            hash_link(h, (*tor, *port, *dir));
+        }
+        FaultAction::FailRandom { ratio, seed } => {
+            h.write_str("fail_random")
+                .write_f64(*ratio)
+                .write_u64(*seed);
+        }
+        FaultAction::RepairAll => {
+            h.write_str("repair_all");
+        }
         FaultAction::FlapStart { targets, up, down } => {
             h.write_str("flap_start");
             match targets {
                 FlapTargets::Links(links) => {
                     h.write_str("links").write_u64(links.len() as u64);
-                    for &(tor, port, dir) in links {
-                        h.write_u64(tor as u64)
-                            .write_u64(port as u64)
-                            .write_str(match dir {
-                                LinkDir::Egress => "egress",
-                                LinkDir::Ingress => "ingress",
-                            });
+                    for &link in links {
+                        hash_link(h, link);
                     }
                 }
                 FlapTargets::Random { ratio, seed } => {
@@ -357,6 +346,14 @@ mod tests {
         )
     }
 
+    /// The anchor scenario (`base("anchor", 3, 50)`) with an event list.
+    fn with_events(events: &str) -> String {
+        base("anchor", 3, 50).replace(
+            "\"seed\": 3,",
+            &format!("\"seed\": 3, \"events\": [{events}],"),
+        )
+    }
+
     #[test]
     fn identical_specs_hash_identically() {
         let a = compiled(&base("same", 3, 50));
@@ -402,6 +399,40 @@ mod tests {
         let described =
             base("anchor", 3, 50).replace("\"seed\": 3,", "\"seed\": 3, \"description\": \"d\",");
         assert_ne!(compiled(&described).content_hash(), anchor);
+        // The fault timeline: a link action's port, a fail_random seed, an
+        // inject moved one epoch, a link action and an inject swapped
+        // across epochs.
+        let link = |at: u64, port: u64| {
+            format!(
+                r#"{{"at_epoch": {at}, "action": "fail_links", "links": [{{"tor": 1, "port": {port}}}]}}"#
+            )
+        };
+        let random = |seed: u64| {
+            format!(r#"{{"at_epoch": 9, "action": "fail_random", "ratio": 0.1, "seed": {seed}}}"#)
+        };
+        let gray = |at: u64| {
+            format!(
+                r#"{{"at_epoch": {at}, "inject": {{"kind": "gray_start", "drop_prob": 0.5, "seed": 7}}}}"#
+            )
+        };
+        let timeline =
+            |events: &[String]| compiled(&with_events(&events.join(", "))).content_hash();
+        let timed = timeline(&[link(5, 0), random(1), gray(7)]);
+        assert_ne!(timed, anchor);
+        for other in [
+            [link(5, 1), random(1), gray(7)],
+            [link(5, 0), random(2), gray(7)],
+            [link(5, 0), random(1), gray(8)],
+            [link(7, 0), random(1), gray(5)],
+        ] {
+            assert_ne!(timeline(&other), timed, "{other:?}");
+        }
+        // An `action` and an `inject` at one epoch run identically
+        // whichever the file spells first, so they share a key.
+        assert_eq!(
+            timeline(&[link(5, 0), gray(5)]),
+            timeline(&[gray(5), link(5, 0)])
+        );
         // Engines differ per run.
         let c = compiled(&base("anchor", 3, 50));
         assert_ne!(
@@ -487,12 +518,6 @@ mod tests {
 
     #[test]
     fn every_injection_parameter_moves_the_hash() {
-        let with_events = |events: &str| {
-            base("anchor", 3, 50).replace(
-                "\"seed\": 3,",
-                &format!("\"seed\": 3, \"events\": [{events}],"),
-            )
-        };
         let anchor = compiled(&with_events(
             r#"{"at_epoch": 5, "inject": {"kind": "gray_start", "drop_prob": 0.5, "seed": 7}}"#,
         ))

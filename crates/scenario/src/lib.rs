@@ -12,8 +12,8 @@
 //! `repair_links`, `fail_random`, plus the adversarial `inject` family —
 //! flapping links, partitions, gray failures, greedy granters — also
 //! available as a per-phase `faults` block); the crate compiles it into
-//! one flow trace, one failure schedule, one fault-injection schedule and
-//! one list of phase boundaries, and runs it through both engines. Each run feeds a
+//! one flow trace, one fault timeline and one list of phase boundaries,
+//! and runs it through both engines. Each run feeds a
 //! [`metrics::PhaseProbe`], so the output carries an epoch-bucketed time
 //! series — goodput, FCT percentiles, match ratio and queue backlog per
 //! phase — next to the usual aggregates.
@@ -27,8 +27,9 @@
 //! * [`compile`] — [`ScenarioSpec`] → [`CompiledScenario`]: phase specs
 //!   become the recipe of one merged [`workload::FlowTrace`]
 //!   ([`LazyTrace`]: replayed files read now, synthetic flows made on
-//!   first use), events become a [`topology::FailureSchedule`] input,
-//!   phase ends become probe boundaries.
+//!   first use), events and phase `faults` blocks become one
+//!   [`topology::FaultModel`] timeline, phase ends become probe
+//!   boundaries.
 //! * [`hash`] — the content address of a compiled scenario, computed from
 //!   that recipe: what the result cache and run dedup key on.
 //! * [`runner`] — the one engine driver ([`System`] → [`Engine`]) that

@@ -250,10 +250,7 @@ fn run_engine(
 ) -> ScenarioRunOutput {
     let spec = &compiled.spec;
     let mut sim = engine.system(spec).build(workers);
-    for (at, action) in &compiled.failures {
-        sim.schedule_failure(*at, action.clone());
-    }
-    for (at, action) in &compiled.injections {
+    for (at, action) in &compiled.timeline {
         sim.schedule_fault(*at, action.clone());
     }
     sim.set_phase_probe(make_probe(compiled, system, progress));

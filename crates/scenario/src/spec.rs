@@ -113,22 +113,30 @@ pub struct PhaseSpec {
     pub faults: Vec<InjectSpec>,
 }
 
-/// One timed link-state event (epochs are absolute).
+/// One timed event (epochs are absolute): a link `action` or an `inject`.
 #[derive(Debug, Clone)]
 pub struct EventSpec {
     /// Epoch the event fires at.
     pub at_epoch: u64,
     /// What happens.
-    pub action: EventAction,
+    pub inject: InjectSpec,
 }
 
-/// The link-state change of an [`EventSpec`].
+/// One fault action at the spec level: durations are measured in epochs
+/// (the scenario's time unit) and converted to nanoseconds by `compile`,
+/// which knows the epoch length.
 #[derive(Debug, Clone)]
-pub enum EventAction {
-    /// Fail the listed directed links.
-    FailLinks(Vec<(usize, usize, LinkDir)>),
-    /// Repair every link failed by earlier events.
-    RepairLinks,
+pub enum InjectSpec {
+    /// Fail one directed link (a `fail_links` action is one event per
+    /// listed link).
+    FailLink {
+        /// ToR index.
+        tor: usize,
+        /// Port index.
+        port: usize,
+        /// Fiber direction.
+        dir: LinkDir,
+    },
     /// Fail a uniform random fraction of all directed links.
     FailRandom {
         /// Fraction of directed links to fail, in (0, 1].
@@ -136,15 +144,8 @@ pub enum EventAction {
         /// Sampling seed.
         seed: u64,
     },
-    /// An adversarial fault injection (`topology::inject` family).
-    Inject(InjectSpec),
-}
-
-/// One adversarial injection at the spec level: durations are measured
-/// in epochs (the scenario's time unit) and converted to nanoseconds by
-/// `compile`, which knows the epoch length.
-#[derive(Debug, Clone)]
-pub enum InjectSpec {
+    /// Repair every link failed by earlier link actions.
+    RepairAll,
     /// Start a duty-cycled link oscillation.
     FlapStart {
         /// Links to oscillate.
@@ -184,6 +185,16 @@ impl InjectSpec {
     /// The engine-level action, epoch durations converted at `epoch_len`.
     pub fn to_action(&self, epoch_len: Nanos) -> FaultAction {
         match self {
+            InjectSpec::FailLink { tor, port, dir } => FaultAction::FailLink {
+                tor: *tor,
+                port: *port,
+                dir: *dir,
+            },
+            InjectSpec::FailRandom { ratio, seed } => FaultAction::FailRandom {
+                ratio: *ratio,
+                seed: *seed,
+            },
+            InjectSpec::RepairAll => FaultAction::RepairAll,
             InjectSpec::FlapStart {
                 targets,
                 up_epochs,
@@ -214,13 +225,11 @@ impl InjectSpec {
     /// The action that ends this fault at a phase's end boundary (used
     /// when the fault comes from a per-phase `faults` block).
     pub fn stop_action(&self) -> Option<FaultAction> {
-        match self {
-            InjectSpec::FlapStart { .. } => Some(FaultAction::FlapStop),
-            InjectSpec::Partition(_) => Some(FaultAction::Heal),
-            InjectSpec::GrayStart { .. } => Some(FaultAction::GrayStop),
-            InjectSpec::GreedyStart { .. } => Some(FaultAction::GreedyStop),
-            _ => None,
-        }
+        FAMILIES
+            .iter()
+            .find(|family| (family.starts)(self))
+            // A stop carries no duration to convert.
+            .map(|family| family.end.to_action(0))
     }
 }
 
@@ -245,7 +254,7 @@ pub struct ScenarioSpec {
     pub engines: Vec<EngineKind>,
     /// Contiguous workload phases starting at epoch 0.
     pub phases: Vec<PhaseSpec>,
-    /// Link-state events, sorted by epoch.
+    /// Timed events, sorted by epoch.
     pub events: Vec<EventSpec>,
 }
 
@@ -684,12 +693,12 @@ fn parse_events(
             let seed = scenario_seed ^ (0x1AF0_5EED + i as u64);
             out.push(EventSpec {
                 at_epoch,
-                action: EventAction::Inject(parse_inject(inject, net, seed)?),
+                inject: parse_inject(inject, net, seed)?,
             });
             continue;
         }
         let action = req_str(item, "action")?;
-        let action = match action.as_str() {
+        let inject = match action.as_str() {
             "fail_links" => {
                 reject_stray(&["ratio", "seed"], "fail_links")?;
                 let links = item
@@ -699,15 +708,18 @@ fn parse_events(
                     .as_array()
                     .filter(|l| !l.is_empty())
                     .ok_or_else(|| SpecError::at(links.pos, "'links' must be a non-empty array"))?;
-                let mut parsed = Vec::new();
                 for entry in entries {
-                    parsed.push(parse_link(entry, net)?);
+                    let (tor, port, dir) = parse_link(entry, net)?;
+                    out.push(EventSpec {
+                        at_epoch,
+                        inject: InjectSpec::FailLink { tor, port, dir },
+                    });
                 }
-                EventAction::FailLinks(parsed)
+                continue;
             }
             "repair_links" => {
                 reject_stray(&["links", "ratio", "seed"], "repair_links")?;
-                EventAction::RepairLinks
+                InjectSpec::RepairAll
             }
             "fail_random" => {
                 reject_stray(&["links"], "fail_random")?;
@@ -717,7 +729,7 @@ fn parse_events(
                 let ratio = num_in_range(ratio_val, "'ratio'", 0.0, 1.0, true)?;
                 let seed = opt_u64_min(item, "seed", 0)?
                     .unwrap_or_else(|| scenario_seed ^ (0x5CE7A810 + i as u64));
-                EventAction::FailRandom { ratio, seed }
+                InjectSpec::FailRandom { ratio, seed }
             }
             other => {
                 return Err(SpecError::at(
@@ -729,7 +741,7 @@ fn parse_events(
                 ))
             }
         };
-        out.push(EventSpec { at_epoch, action });
+        out.push(EventSpec { at_epoch, inject });
     }
     out.sort_by_key(|e| e.at_epoch);
     Ok(out)
@@ -790,20 +802,66 @@ fn parse_link(
 // Adversarial fault injection (`topology::inject` surface)
 // ---------------------------------------------------------------------
 
-const INJECT_KINDS: &[&str] = &[
-    "flap_start",
-    "flap_stop",
-    "partition",
-    "heal",
-    "gray_start",
-    "gray_stop",
-    "greedy_start",
-    "greedy_stop",
+/// One fault family with a start and a stop. Events spell the two as
+/// `inject` kinds; a phase `faults` block names the family by `phase_key`
+/// and implies both (start at the phase start, stop at its end).
+struct Family {
+    start: &'static str,
+    stop: &'static str,
+    phase_key: &'static str,
+    /// The parameter keys a start takes.
+    keys: &'static [&'static str],
+    /// Parse a start's parameters out of the object `what` names.
+    /// `default_seed` feeds a randomized parameter left without an
+    /// explicit seed, so omitting one still yields a reproducible scenario.
+    parse: fn(&SpannedJson, &NetworkConfig, u64, &str) -> Result<InjectSpec, SpecError>,
+    /// Is this spec the family's start?
+    starts: fn(&InjectSpec) -> bool,
+    end: InjectSpec,
+}
+
+/// The four families, in `faults`-block order (which is also their
+/// default-seed lane order).
+static FAMILIES: [Family; 4] = [
+    Family {
+        start: "flap_start",
+        stop: "flap_stop",
+        phase_key: "flap",
+        keys: &["links", "ratio", "seed", "up_epochs", "down_epochs"],
+        parse: parse_flap,
+        starts: |spec| matches!(spec, InjectSpec::FlapStart { .. }),
+        end: InjectSpec::FlapStop,
+    },
+    Family {
+        start: "partition",
+        stop: "heal",
+        phase_key: "partition",
+        keys: &["assign", "groups", "seed"],
+        parse: parse_partition,
+        starts: |spec| matches!(spec, InjectSpec::Partition(_)),
+        end: InjectSpec::Heal,
+    },
+    Family {
+        start: "gray_start",
+        stop: "gray_stop",
+        phase_key: "gray",
+        keys: &["drop_prob", "seed", "tors"],
+        parse: parse_gray,
+        starts: |spec| matches!(spec, InjectSpec::GrayStart { .. }),
+        end: InjectSpec::GrayStop,
+    },
+    Family {
+        start: "greedy_start",
+        stop: "greedy_stop",
+        phase_key: "greedy",
+        keys: &["tors"],
+        parse: parse_greedy,
+        starts: |spec| matches!(spec, InjectSpec::GreedyStart { .. }),
+        end: InjectSpec::GreedyStop,
+    },
 ];
 
 /// Parse an event's `inject` object, dispatching on its `kind`.
-/// `default_seed` feeds any randomized sub-spec left without an explicit
-/// seed, so omitting one still yields a reproducible scenario.
 fn parse_inject(
     v: &SpannedJson,
     net: &NetworkConfig,
@@ -811,81 +869,26 @@ fn parse_inject(
 ) -> Result<InjectSpec, SpecError> {
     expect_obj(v, "an 'inject'")?;
     let kind = req_str(v, "kind")?;
-    match kind.as_str() {
-        "flap_start" => {
-            check_keys(
-                v,
-                &["kind", "links", "ratio", "seed", "up_epochs", "down_epochs"],
-                "a 'flap_start' inject",
-            )?;
-            let targets = parse_flap_targets(v, net, default_seed)?;
-            let up_epochs = need_u64(v, "up_epochs", 1, MAX_EPOCHS, "a 'flap_start' inject")?;
-            let down_epochs = need_u64(v, "down_epochs", 1, MAX_EPOCHS, "a 'flap_start' inject")?;
-            Ok(InjectSpec::FlapStart {
-                targets,
-                up_epochs,
-                down_epochs,
-            })
+    let what = format!("a '{kind}' inject");
+    for family in &FAMILIES {
+        if kind == family.start {
+            check_keys(v, &[&["kind"], family.keys].concat(), &what)?;
+            return (family.parse)(v, net, default_seed, &what);
         }
-        "flap_stop" => {
-            check_keys(v, &["kind"], "a 'flap_stop' inject")?;
-            Ok(InjectSpec::FlapStop)
+        if kind == family.stop {
+            check_keys(v, &["kind"], &what)?;
+            return Ok(family.end.clone());
         }
-        "partition" => {
-            check_keys(
-                v,
-                &["kind", "assign", "groups", "seed"],
-                "a 'partition' inject",
-            )?;
-            Ok(InjectSpec::Partition(parse_partition(
-                v,
-                net,
-                default_seed,
-            )?))
-        }
-        "heal" => {
-            check_keys(v, &["kind"], "a 'heal' inject")?;
-            Ok(InjectSpec::Heal)
-        }
-        "gray_start" => {
-            check_keys(
-                v,
-                &["kind", "drop_prob", "seed", "tors"],
-                "a 'gray_start' inject",
-            )?;
-            let (drop_prob, seed, tors) = parse_gray(v, net, default_seed)?;
-            Ok(InjectSpec::GrayStart {
-                drop_prob,
-                seed,
-                tors,
-            })
-        }
-        "gray_stop" => {
-            check_keys(v, &["kind"], "a 'gray_stop' inject")?;
-            Ok(InjectSpec::GrayStop)
-        }
-        "greedy_start" => {
-            check_keys(v, &["kind", "tors"], "a 'greedy_start' inject")?;
-            let tors_val = v.get("tors").ok_or_else(|| {
-                SpecError::at(v.pos, "a 'greedy_start' inject needs a 'tors' array")
-            })?;
-            Ok(InjectSpec::GreedyStart {
-                tors: parse_tor_list(tors_val, net)?,
-            })
-        }
-        "greedy_stop" => {
-            check_keys(v, &["kind"], "a 'greedy_stop' inject")?;
-            Ok(InjectSpec::GreedyStop)
-        }
-        other => Err(SpecError::at(
-            v.get("kind").expect("required above").pos,
-            format!(
-                "unknown inject kind {other:?} ({}){}",
-                INJECT_KINDS.join(", "),
-                did_you_mean(other, INJECT_KINDS)
-            ),
-        )),
     }
+    let kinds: Vec<&str> = FAMILIES.iter().flat_map(|f| [f.start, f.stop]).collect();
+    Err(SpecError::at(
+        v.get("kind").expect("required above").pos,
+        format!(
+            "unknown inject kind {kind:?} ({}){}",
+            kinds.join(", "),
+            did_you_mean(&kind, &kinds)
+        ),
+    ))
 }
 
 /// Parse a phase's `faults` block: every listed fault starts at the
@@ -898,62 +901,44 @@ fn parse_phase_faults(
     phase_i: u64,
 ) -> Result<Vec<InjectSpec>, SpecError> {
     expect_obj(v, "'faults'")?;
-    check_keys(
-        v,
-        &["flap", "partition", "gray", "greedy"],
-        "a phase 'faults' block",
-    )?;
-    // Distinct default-seed lanes per phase and per fault family.
-    let lane = |family: u64| scenario_seed ^ (0xFA01_7000 + 4 * phase_i + family);
+    let keys: Vec<&str> = FAMILIES.iter().map(|f| f.phase_key).collect();
+    check_keys(v, &keys, "a phase 'faults' block")?;
     let mut out = Vec::new();
-    if let Some(flap) = v.get("flap") {
-        expect_obj(flap, "'faults.flap'")?;
-        check_keys(
-            flap,
-            &["links", "ratio", "seed", "up_epochs", "down_epochs"],
-            "'faults.flap'",
-        )?;
-        let targets = parse_flap_targets(flap, net, lane(0))?;
-        let up_epochs = need_u64(flap, "up_epochs", 1, MAX_EPOCHS, "'faults.flap'")?;
-        let down_epochs = need_u64(flap, "down_epochs", 1, MAX_EPOCHS, "'faults.flap'")?;
-        out.push(InjectSpec::FlapStart {
-            targets,
-            up_epochs,
-            down_epochs,
-        });
-    }
-    if let Some(part) = v.get("partition") {
-        expect_obj(part, "'faults.partition'")?;
-        check_keys(part, &["assign", "groups", "seed"], "'faults.partition'")?;
-        out.push(InjectSpec::Partition(parse_partition(part, net, lane(1))?));
-    }
-    if let Some(gray) = v.get("gray") {
-        expect_obj(gray, "'faults.gray'")?;
-        check_keys(gray, &["drop_prob", "seed", "tors"], "'faults.gray'")?;
-        let (drop_prob, seed, tors) = parse_gray(gray, net, lane(2))?;
-        out.push(InjectSpec::GrayStart {
-            drop_prob,
-            seed,
-            tors,
-        });
-    }
-    if let Some(greedy) = v.get("greedy") {
-        expect_obj(greedy, "'faults.greedy'")?;
-        check_keys(greedy, &["tors"], "'faults.greedy'")?;
-        let tors_val = greedy
-            .get("tors")
-            .ok_or_else(|| SpecError::at(greedy.pos, "'faults.greedy' needs a 'tors' array"))?;
-        out.push(InjectSpec::GreedyStart {
-            tors: parse_tor_list(tors_val, net)?,
-        });
+    for (lane, family) in FAMILIES.iter().enumerate() {
+        let Some(params) = v.get(family.phase_key) else {
+            continue;
+        };
+        let what = format!("'faults.{}'", family.phase_key);
+        expect_obj(params, &what)?;
+        check_keys(params, family.keys, &what)?;
+        // Distinct default-seed lanes per phase and per fault family.
+        let seed = scenario_seed ^ (0xFA01_7000 + 4 * phase_i + lane as u64);
+        out.push((family.parse)(params, net, seed, &what)?);
     }
     if out.is_empty() {
         return Err(SpecError::at(
             v.pos,
-            "a 'faults' block needs at least one of flap, partition, gray, greedy",
+            format!("a 'faults' block needs at least one of {}", keys.join(", ")),
         ));
     }
     Ok(out)
+}
+
+/// A flap's parameters: its targets and the two half-cycle lengths.
+fn parse_flap(
+    v: &SpannedJson,
+    net: &NetworkConfig,
+    default_seed: u64,
+    what: &str,
+) -> Result<InjectSpec, SpecError> {
+    let targets = parse_flap_targets(v, net, default_seed)?;
+    let up_epochs = need_u64(v, "up_epochs", 1, MAX_EPOCHS, what)?;
+    let down_epochs = need_u64(v, "down_epochs", 1, MAX_EPOCHS, what)?;
+    Ok(InjectSpec::FlapStart {
+        targets,
+        up_epochs,
+        down_epochs,
+    })
 }
 
 /// Flap targets: an explicit `links` list XOR a random `ratio` (with an
@@ -997,22 +982,27 @@ fn parse_flap_targets(
     }
 }
 
-/// Partition spec: an explicit per-ToR `assign` array XOR a random
+/// A partition: an explicit per-ToR `assign` array XOR a random
 /// `groups` count (with an optional `seed` for the random form).
 fn parse_partition(
     v: &SpannedJson,
     net: &NetworkConfig,
     default_seed: u64,
-) -> Result<PartitionSpec, SpecError> {
-    match (v.get("assign"), v.get("groups")) {
-        (Some(_), Some(groups)) => Err(SpecError::at(
-            groups.pos,
-            "a partition takes either 'assign' or 'groups', not both",
-        )),
-        (None, None) => Err(SpecError::at(
-            v.pos,
-            "a partition needs a per-ToR 'assign' array or a random 'groups' count",
-        )),
+    _what: &str,
+) -> Result<InjectSpec, SpecError> {
+    let spec = match (v.get("assign"), v.get("groups")) {
+        (Some(_), Some(groups)) => {
+            return Err(SpecError::at(
+                groups.pos,
+                "a partition takes either 'assign' or 'groups', not both",
+            ))
+        }
+        (None, None) => {
+            return Err(SpecError::at(
+                v.pos,
+                "a partition needs a per-ToR 'assign' array or a random 'groups' count",
+            ))
+        }
         (Some(assign), None) => {
             if let Some(seed) = v.get("seed") {
                 return Err(SpecError::at(
@@ -1053,7 +1043,7 @@ fn parse_partition(
                     "'assign' puts every ToR in one group — that is no partition",
                 ));
             }
-            Ok(PartitionSpec::Explicit(groups))
+            PartitionSpec::Explicit(groups)
         }
         (None, Some(groups_val)) => {
             let groups = groups_val
@@ -1066,9 +1056,10 @@ fn parse_partition(
                     )
                 })? as u32;
             let seed = opt_u64_min(v, "seed", 0)?.unwrap_or(default_seed);
-            Ok(PartitionSpec::Random { groups, seed })
+            PartitionSpec::Random { groups, seed }
         }
-    }
+    };
+    Ok(InjectSpec::Partition(spec))
 }
 
 /// Gray-failure parameters: required `drop_prob`, optional `seed` and
@@ -1077,7 +1068,8 @@ fn parse_gray(
     v: &SpannedJson,
     net: &NetworkConfig,
     default_seed: u64,
-) -> Result<(f64, u64, Option<Vec<usize>>), SpecError> {
+    _what: &str,
+) -> Result<InjectSpec, SpecError> {
     let prob_val = v
         .get("drop_prob")
         .ok_or_else(|| SpecError::at(v.pos, "a gray failure needs a 'drop_prob'"))?;
@@ -1087,7 +1079,26 @@ fn parse_gray(
         None => None,
         Some(tors_val) => Some(parse_tor_list(tors_val, net)?),
     };
-    Ok((drop_prob, seed, tors))
+    Ok(InjectSpec::GrayStart {
+        drop_prob,
+        seed,
+        tors,
+    })
+}
+
+/// The greedy granters: a required `tors` list.
+fn parse_greedy(
+    v: &SpannedJson,
+    net: &NetworkConfig,
+    _default_seed: u64,
+    what: &str,
+) -> Result<InjectSpec, SpecError> {
+    let tors_val = v
+        .get("tors")
+        .ok_or_else(|| SpecError::at(v.pos, format!("{what} needs a 'tors' array")))?;
+    Ok(InjectSpec::GreedyStart {
+        tors: parse_tor_list(tors_val, net)?,
+    })
 }
 
 /// A non-empty, duplicate-free list of in-range ToR indices.
@@ -1494,22 +1505,22 @@ mod tests {
         let s = parse_scenario(&text).unwrap();
         assert_eq!(s.events.len(), 6);
         // Sorted by epoch; spot-check the gray event and its derived seed.
-        let EventAction::Inject(InjectSpec::GrayStart {
+        let InjectSpec::GrayStart {
             drop_prob,
             seed,
             tors,
-        }) = &s.events[0].action
+        } = &s.events[0].inject
         else {
             panic!("gray_start first, got {:?}", s.events[0]);
         };
         assert!((drop_prob - 0.5).abs() < 1e-12);
         assert_eq!(*seed, 1 ^ 0x1AF0_5EED); // scenario seed 1, event index 0
         assert_eq!(tors.as_deref(), Some(&[0usize, 1][..]));
-        let EventAction::Inject(InjectSpec::FlapStart {
+        let InjectSpec::FlapStart {
             targets,
             up_epochs,
             down_epochs,
-        }) = &s.events[1].action
+        } = &s.events[1].inject
         else {
             panic!("flap_start second");
         };

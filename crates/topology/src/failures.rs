@@ -6,11 +6,11 @@
 //! and simplify maintenance"), so failures are tracked per direction here.
 //! This struct is ground truth — what is actually broken; the scheduler's
 //! *detected* view lives in `negotiator::fault` and converges to this one
-//! through dummy-message feedback. [`FailureSchedule`] holds a timed list
-//! of [`FailureAction`]s (the §4.3 experiments and scenario timelines) and
-//! applies them to a [`LinkFailures`] as simulated time passes.
+//! through dummy-message feedback. Nothing here knows about time: the one
+//! timeline that fails and repairs links as a run advances (the §4.3
+//! experiments, scenario events, flaps and partitions alike) is
+//! [`FaultModel`](crate::FaultModel).
 
-use sim::time::Nanos;
 use sim::Xoshiro256;
 
 /// Direction of a fiber relative to its ToR.
@@ -221,94 +221,6 @@ impl LinkFailures {
     }
 }
 
-/// A scheduled change to the ground-truth link state (§4.3 experiments,
-/// scenario event timelines).
-#[derive(Debug, Clone)]
-pub enum FailureAction {
-    /// Fail a uniform random fraction of all directed links.
-    FailRandom {
-        /// Fraction of directed links to fail.
-        ratio: f64,
-        /// Sampling seed.
-        seed: u64,
-    },
-    /// Repair everything failed by earlier `FailRandom`/`FailLink` actions.
-    RepairAll,
-    /// Fail one directed link.
-    FailLink {
-        /// ToR index.
-        tor: usize,
-        /// Port index.
-        port: usize,
-        /// Fiber direction.
-        dir: LinkDir,
-    },
-}
-
-/// A once-sorted schedule of [`FailureAction`]s consumed through a cursor
-/// (inserts keep it sorted; equal timestamps preserve scheduling order).
-/// Shared by both engines so scenario timelines drive either one.
-#[derive(Debug, Clone, Default)]
-pub struct FailureSchedule {
-    schedule: Vec<(Nanos, FailureAction)>,
-    cursor: usize,
-    /// Links failed by applied actions, for `RepairAll`.
-    injected: Vec<(usize, usize, LinkDir)>,
-}
-
-impl FailureSchedule {
-    /// An empty schedule.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedule `action` at absolute time `at`. The insertion goes into
-    /// the not-yet-applied suffix; equal timestamps keep their scheduling
-    /// order.
-    pub fn schedule(&mut self, at: Nanos, action: FailureAction) {
-        let pos = self.cursor + self.schedule[self.cursor..].partition_point(|&(t, _)| t <= at);
-        self.schedule.insert(pos, (at, action));
-    }
-
-    /// Apply every action due by `now` to `failures`.
-    pub fn apply_due(&mut self, now: Nanos, failures: &mut LinkFailures) {
-        while let Some(&(at, ref action)) = self.schedule.get(self.cursor) {
-            if at > now {
-                break;
-            }
-            let action = action.clone();
-            self.cursor += 1;
-            match action {
-                FailureAction::FailRandom { ratio, seed } => {
-                    let mut rng = Xoshiro256::new(seed);
-                    let failed = failures.fail_random(ratio, &mut rng);
-                    self.injected.extend(failed);
-                }
-                FailureAction::RepairAll => {
-                    failures.repair_all(&self.injected);
-                    self.injected.clear();
-                }
-                FailureAction::FailLink { tor, port, dir } => {
-                    failures.fail(tor, port, dir);
-                    self.injected.push((tor, port, dir));
-                }
-            }
-        }
-    }
-
-    /// True once every scheduled action has been applied.
-    pub fn is_drained(&self) -> bool {
-        self.cursor >= self.schedule.len()
-    }
-
-    /// How many scheduled actions have been applied so far. Observers
-    /// (the flight recorder) diff this across `apply_due` calls to see
-    /// activations without the schedule exposing its internals.
-    pub fn applied(&self) -> usize {
-        self.cursor
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,37 +327,5 @@ mod tests {
         let fa = a.fail_random(0.25, &mut Xoshiro256::new(9));
         let fb = b.fail_random(0.25, &mut Xoshiro256::new(9));
         assert_eq!(fa, fb);
-    }
-
-    #[test]
-    fn schedule_applies_in_time_order_and_drains() {
-        let mut f = LinkFailures::new(4, 2);
-        let mut s = FailureSchedule::new();
-        // Inserted out of order; repair-all scheduled between the two fails.
-        s.schedule(300, FailureAction::RepairAll);
-        s.schedule(
-            100,
-            FailureAction::FailLink {
-                tor: 0,
-                port: 0,
-                dir: LinkDir::Egress,
-            },
-        );
-        s.schedule(
-            200,
-            FailureAction::FailLink {
-                tor: 1,
-                port: 1,
-                dir: LinkDir::Ingress,
-            },
-        );
-        s.apply_due(50, &mut f);
-        assert_eq!(f.failed_count(), 0);
-        assert!(!s.is_drained());
-        s.apply_due(250, &mut f);
-        assert_eq!(f.failed_count(), 2);
-        s.apply_due(300, &mut f);
-        assert_eq!(f.failed_count(), 0, "repair-all undoes injected failures");
-        assert!(s.is_drained());
     }
 }

@@ -1,8 +1,11 @@
-//! Adversarial fault injection: a composable [`FaultModel`] that
-//! generalizes [`FailureSchedule`](crate::FailureSchedule)'s clean
-//! fail/repair timeline to the fault families the related simulators
-//! treat as first-class (ROADMAP item 3):
+//! The fault timeline: one [`FaultModel`] holds every timed change to a
+//! run's fabric — the clean link failures of the §4.3 experiments and the
+//! adversarial families the related simulators treat as first-class
+//! (ROADMAP item 3) — and applies it to the ground truth in
+//! [`LinkFailures`] as simulated time passes:
 //!
+//! * **Link failures** — fail one directed link or a seeded uniform
+//!   sample of them; `RepairAll` lifts everything such actions failed.
 //! * **Flapping links** — duty-cycled up/down oscillation on a set of
 //!   directed links, either listed explicitly or sampled once (seeded)
 //!   when the flap activates.
@@ -19,6 +22,13 @@
 //! * **Greedy ToRs** — Byzantine-lite granters that ignore requests and
 //!   the debit discipline (the grant logic itself lives in
 //!   `negotiator::variants`; this model only tracks who misbehaves).
+//!
+//! **A link is down while any holder holds it.** A link action's entry
+//! holds its link until `RepairAll`; a flap holds its links through each
+//! dark span. So a flap's connected half-cycle (or `FlapStop`) raises a
+//! link only if no link action and no other dark flap names it, and
+//! `RepairAll` leaves down what a dark flap holds — the link state is a
+//! function of the holders, not of the order their actions arrived in.
 //!
 //! Determinism contract: every random choice is drawn from a seed
 //! carried in the action itself (scenario-compiled, hashed into the
@@ -63,6 +73,26 @@ pub enum PartitionSpec {
 /// One scheduled change to the fault model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultAction {
+    /// Fail one directed link until the next `RepairAll`.
+    FailLink {
+        /// ToR index.
+        tor: usize,
+        /// Port index.
+        port: usize,
+        /// Fiber direction.
+        dir: LinkDir,
+    },
+    /// Fail a uniform random fraction of all directed links (the
+    /// Figure 10 setup) until the next `RepairAll`.
+    FailRandom {
+        /// Fraction of directed links to fail.
+        ratio: f64,
+        /// Sampling seed.
+        seed: u64,
+    },
+    /// Repair everything failed by earlier `FailLink`/`FailRandom`
+    /// actions, except what a dark flap still holds.
+    RepairAll,
     /// Start a duty-cycled oscillation: `up` nanoseconds connected, then
     /// `down` nanoseconds dark, repeating from the activation instant.
     FlapStart {
@@ -73,7 +103,8 @@ pub enum FaultAction {
         /// Dark span of each cycle.
         down: Nanos,
     },
-    /// Stop every flap; links a flap currently holds down come back up.
+    /// Stop every flap; links a flap currently holds down come back up
+    /// unless a link action failed them too.
     FlapStop,
     /// Partition the ToR set; cross-group pairs lose connectivity.
     Partition(PartitionSpec),
@@ -100,6 +131,19 @@ pub enum FaultAction {
     GreedyStop,
 }
 
+impl FaultAction {
+    /// Is this one of the plain link actions (`FailLink`, `FailRandom`,
+    /// `RepairAll`)? The trace counts them apart from the adversarial
+    /// injections, and a compiled scenario orders them first among
+    /// equal-time actions.
+    pub fn is_link_action(&self) -> bool {
+        matches!(
+            self,
+            FaultAction::FailLink { .. } | FaultAction::FailRandom { .. } | FaultAction::RepairAll
+        )
+    }
+}
+
 /// One active flap group.
 #[derive(Debug, Clone)]
 struct Flap {
@@ -122,15 +166,21 @@ struct Gray {
     scope: Option<Vec<bool>>,
 }
 
-/// Composable per-epoch fault model: a timed schedule of
-/// [`FaultAction`]s plus the state of every currently active fault.
-/// Engines call [`Self::epoch_update`] once per epoch (negotiator) or
-/// per slot (oblivious) from their sequential driver loops, then query
-/// [`Self::gray_drops`]/[`Self::greedy`] from the scheduling steps.
+/// Composable per-epoch fault model: a once-sorted schedule of
+/// [`FaultAction`]s consumed through a cursor, plus the state of every
+/// currently active fault. Shared by both engines, so one timeline
+/// drives either: they call [`Self::epoch_update`] once per epoch
+/// (negotiator) or per slot (oblivious) from their sequential driver
+/// loops, then query [`Self::gray_drops`]/[`Self::greedy`] from the
+/// scheduling steps.
 #[derive(Debug, Clone, Default)]
 pub struct FaultModel {
     schedule: Vec<(Nanos, FaultAction)>,
     cursor: usize,
+    /// How many of the `cursor` applied actions were link actions.
+    link_actions: usize,
+    /// Links failed by applied link actions, held down until `RepairAll`.
+    injected: Vec<(usize, usize, LinkDir)>,
     flaps: Vec<Flap>,
     gray: Option<Gray>,
     /// Per-ToR greedy flags, grown on first `GreedyStart`.
@@ -154,27 +204,19 @@ impl FaultModel {
     }
 
     /// True once every scheduled action has been applied. Active faults
-    /// (an unhealed partition, a running flap) do not keep a drained
-    /// model "busy": with no pending actions and no pending flows the
-    /// engines may exit early, exactly as with `FailureSchedule`.
+    /// (an unrepaired link, an unhealed partition, a running flap) do not
+    /// keep a drained model "busy": with no pending actions and no
+    /// pending flows the engines may exit early.
     pub fn is_drained(&self) -> bool {
         self.cursor >= self.schedule.len()
     }
 
-    /// How many scheduled fault actions have been applied so far.
-    /// Observers (the flight recorder) diff this across `epoch_update`
-    /// calls to record injected-fault activations.
-    pub fn applied(&self) -> usize {
-        self.cursor
-    }
-
-    /// Does any fault exist — scheduled or active? Engines that never
-    /// received an injection skip all per-epoch fault bookkeeping.
-    pub fn is_idle(&self) -> bool {
-        self.schedule.is_empty()
-            && self.flaps.is_empty()
-            && self.gray.is_none()
-            && self.greedy_count == 0
+    /// How many scheduled actions have been applied so far, as `(link
+    /// actions, injections)`. Observers (the flight recorder) diff this
+    /// across `epoch_update` calls to record activations without the
+    /// model exposing its internals.
+    pub fn applied(&self) -> (usize, usize) {
+        (self.link_actions, self.cursor - self.link_actions)
     }
 
     /// Apply every action due by `now`, then advance flap duty cycles.
@@ -187,30 +229,60 @@ impl FaultModel {
             }
             let action = action.clone();
             self.cursor += 1;
+            self.link_actions += action.is_link_action() as usize;
             // Anchor on the *scheduled* instant, not the observation
             // instant: a flap's duty cycle starts at its `at` even when
             // the engine's epoch boundary lands a little later.
             self.apply(action, at, failures);
         }
-        for flap in &mut self.flaps {
-            let period = flap.up + flap.down;
-            let phase = (now - flap.start) % period;
+        for i in 0..self.flaps.len() {
+            let flap = &mut self.flaps[i];
+            let phase = (now - flap.start) % (flap.up + flap.down);
             let want_down = phase >= flap.up;
-            if want_down != flap.down_now {
-                flap.down_now = want_down;
+            if want_down == flap.down_now {
+                continue;
+            }
+            flap.down_now = want_down;
+            if want_down {
                 for &(tor, port, dir) in &flap.links {
-                    if want_down {
-                        failures.fail(tor, port, dir);
-                    } else {
-                        failures.repair(tor, port, dir);
-                    }
+                    failures.fail(tor, port, dir);
                 }
+            } else {
+                self.release(&self.flaps[i].links, failures);
+            }
+        }
+    }
+
+    /// Repair each of `links` that nothing holds down any more: neither a
+    /// link action's entry nor a dark flap. The caller has already let go
+    /// of its own hold.
+    fn release(&self, links: &[(usize, usize, LinkDir)], failures: &mut LinkFailures) {
+        for link in links {
+            let held = self.injected.contains(link)
+                || self
+                    .flaps
+                    .iter()
+                    .any(|flap| flap.down_now && flap.links.contains(link));
+            if !held {
+                failures.repair(link.0, link.1, link.2);
             }
         }
     }
 
     fn apply(&mut self, action: FaultAction, at: Nanos, failures: &mut LinkFailures) {
         match action {
+            FaultAction::FailLink { tor, port, dir } => {
+                failures.fail(tor, port, dir);
+                self.injected.push((tor, port, dir));
+            }
+            FaultAction::FailRandom { ratio, seed } => {
+                let failed = failures.fail_random(ratio, &mut Xoshiro256::new(seed));
+                self.injected.extend(failed);
+            }
+            FaultAction::RepairAll => {
+                let injected = std::mem::take(&mut self.injected);
+                self.release(&injected, failures);
+            }
             FaultAction::FlapStart { targets, up, down } => {
                 let links = match targets {
                     FlapTargets::Links(links) => links,
@@ -227,9 +299,9 @@ impl FaultModel {
                 });
             }
             FaultAction::FlapStop => {
-                for flap in self.flaps.drain(..) {
+                for flap in std::mem::take(&mut self.flaps) {
                     if flap.down_now {
-                        failures.repair_all(&flap.links);
+                        self.release(&flap.links, failures);
                     }
                 }
             }
@@ -389,6 +461,115 @@ mod tests {
         m.epoch_update(2, &mut f);
         assert!(!f.egress_down(0, 0), "flapped link comes back up");
         assert!(f.ingress_down(1, 1), "hard failure untouched");
+    }
+
+    #[test]
+    fn schedule_applies_in_time_order_and_drains() {
+        let mut f = LinkFailures::new(4, 2);
+        let mut s = FaultModel::new();
+        // Inserted out of order; repair-all scheduled between the two fails.
+        s.schedule(300, FaultAction::RepairAll);
+        s.schedule(
+            100,
+            FaultAction::FailLink {
+                tor: 0,
+                port: 0,
+                dir: LinkDir::Egress,
+            },
+        );
+        s.schedule(
+            200,
+            FaultAction::FailLink {
+                tor: 1,
+                port: 1,
+                dir: LinkDir::Ingress,
+            },
+        );
+        s.epoch_update(50, &mut f);
+        assert_eq!(f.failed_count(), 0);
+        assert!(!s.is_drained());
+        s.epoch_update(250, &mut f);
+        assert_eq!(f.failed_count(), 2);
+        s.epoch_update(300, &mut f);
+        assert_eq!(f.failed_count(), 0, "repair-all undoes injected failures");
+        assert!(s.is_drained());
+        assert_eq!(s.applied(), (3, 0), "three link actions, no injection");
+    }
+
+    /// A 2 ns up / 2 ns dark flap on link (0, 0, egress) from `start`.
+    fn flap_at(start: Nanos) -> (Nanos, FaultAction) {
+        let action = FaultAction::FlapStart {
+            targets: FlapTargets::Links(vec![(0, 0, LinkDir::Egress)]),
+            up: 2,
+            down: 2,
+        };
+        (start, action)
+    }
+
+    #[test]
+    fn event_failed_link_stays_down_under_a_flap_until_repair_all() {
+        let mut f = LinkFailures::new(4, 2);
+        let link = FaultAction::FailLink {
+            tor: 0,
+            port: 0,
+            dir: LinkDir::Egress,
+        };
+        let mut m = model_with(0, link);
+        let (at, flap) = flap_at(4);
+        m.schedule(at, flap);
+        m.schedule(13, FaultAction::FlapStop);
+        m.schedule(20, FaultAction::RepairAll);
+        // Through the flap's first up half (4, 5), its dark span (6, 7),
+        // the next up transition (8), a stop inside a dark span (13) and
+        // beyond: the link action holds the link the whole time.
+        for now in 0..20 {
+            m.epoch_update(now, &mut f);
+            assert!(f.egress_down(0, 0), "event-failed link read up at t={now}");
+        }
+        m.epoch_update(20, &mut f);
+        assert!(f.healthy(), "repair-all lifts the last holder");
+    }
+
+    #[test]
+    fn repair_all_leaves_down_what_a_dark_flap_holds() {
+        let mut f = LinkFailures::new(4, 2);
+        let (at, flap) = flap_at(0);
+        let mut m = model_with(at, flap);
+        m.schedule(
+            1,
+            FaultAction::FailLink {
+                tor: 0,
+                port: 0,
+                dir: LinkDir::Egress,
+            },
+        );
+        m.schedule(3, FaultAction::RepairAll);
+        m.epoch_update(2, &mut f); // dark span [2, 4)
+        assert!(f.egress_down(0, 0));
+        m.epoch_update(3, &mut f);
+        assert!(f.egress_down(0, 0), "repair-all inside the dark span");
+        m.epoch_update(4, &mut f);
+        assert!(f.healthy(), "the flap's next up transition raises it");
+    }
+
+    #[test]
+    fn overlapping_flaps_hold_a_shared_link_while_either_is_dark() {
+        // Two 2/2 flaps one tick apart: dark over [2, 4) and [3, 5), so the
+        // shared link is down over [2, 5) of every 4-tick period from t=1.
+        let mut f = LinkFailures::new(4, 2);
+        let (at, flap) = flap_at(0);
+        let mut m = model_with(at, flap);
+        let (at, flap) = flap_at(1);
+        m.schedule(at, flap);
+        for now in 0..12 {
+            m.epoch_update(now, &mut f);
+            let dark = |start: Nanos| now >= start && (now - start) % 4 >= 2;
+            assert_eq!(f.egress_down(0, 0), dark(0) || dark(1), "t={now}");
+        }
+        // Stopping both while one is dark raises the link.
+        m.schedule(15, FaultAction::FlapStop);
+        m.epoch_update(15, &mut f);
+        assert!(f.healthy());
     }
 
     #[test]

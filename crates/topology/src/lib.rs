@@ -18,10 +18,10 @@
 //! schedulers need: the predefined-phase round-robin pattern (who talks to
 //! whom in each timeslot), per-port reachability for the scheduled phase,
 //! and the scope of each GRANT and ACCEPT ring in closed form
-//! ([`RingScope`]). [`failures`] models per-direction link
-//! failures for the fault-tolerance experiments (§3.6.1, Figure 10), and
-//! [`inject`] layers the adversarial fault families on top of them
-//! (flapping links, partitions, gray failures, greedy ToRs).
+//! ([`RingScope`]). [`failures`] holds the ground truth of
+//! per-direction link failures (§3.6.1, Figure 10), and [`inject`] is the
+//! one timeline that changes it as a run advances: link failures and
+//! repairs, flapping links, partitions, gray failures, greedy ToRs.
 
 pub mod cache;
 pub mod config;
@@ -35,7 +35,7 @@ pub mod validate;
 
 pub use cache::{PredefinedCache, PredefinedConn};
 pub use config::{NetworkConfig, TopologyKind};
-pub use failures::{FailureAction, FailureSchedule, LinkFailures};
+pub use failures::LinkFailures;
 pub use inject::{FaultAction, FaultModel, FlapTargets, PartitionSpec};
 pub use lanes::{LaneMasks, LaneOrigin, LaneTable, PairLanes, PredefinedLanes};
 pub use parallel::ParallelNet;

@@ -11,7 +11,7 @@
 //! cargo run --release --example failure_drill
 //! ```
 
-use negotiator::FailureAction;
+use negotiator::FaultAction;
 use negotiator::SimOptions;
 use negotiator_dcn::prelude::*;
 
@@ -37,8 +37,8 @@ fn main() {
                 ..SimOptions::default()
             },
         );
-        sim.schedule_failure(fail_at, FailureAction::FailRandom { ratio, seed: 1 });
-        sim.schedule_failure(repair_at, FailureAction::RepairAll);
+        sim.schedule_fault(fail_at, FaultAction::FailRandom { ratio, seed: 1 });
+        sim.schedule_fault(repair_at, FaultAction::RepairAll);
         sim.run(&trace, duration);
 
         let rx = sim.total_rx().expect("recording enabled");

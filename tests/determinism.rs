@@ -193,7 +193,7 @@ fn variant_reports_are_identical_at_any_worker_count() {
 /// whole-fabric observed loop — and must still be worker-independent.
 #[test]
 fn failure_runs_are_identical_at_any_worker_count() {
-    use negotiator::FailureAction;
+    use negotiator::FaultAction;
     let t = trace(44);
     let run = |workers: usize| {
         let cfg = NegotiatorConfig::paper_default(NetworkConfig::small_for_tests());
@@ -203,14 +203,14 @@ fn failure_runs_are_identical_at_any_worker_count() {
         };
         let mut sim = NegotiatorSim::with_options(cfg, TopologyKind::Parallel, opts);
         let epoch = sim.epoch_len();
-        sim.schedule_failure(
+        sim.schedule_fault(
             10 * epoch,
-            FailureAction::FailRandom {
+            FaultAction::FailRandom {
                 ratio: 0.2,
                 seed: 5,
             },
         );
-        sim.schedule_failure(30 * epoch, FailureAction::RepairAll);
+        sim.schedule_fault(30 * epoch, FaultAction::RepairAll);
         let report = sim.run(&t, DURATION);
         (report, *sim.stats())
     };
@@ -230,7 +230,7 @@ fn failure_runs_are_identical_at_any_worker_count() {
 /// the masks against the queues every epoch, `debug_verify_mirrors`).
 #[test]
 fn odd_fabric_reports_are_identical_at_any_worker_count() {
-    use negotiator::{FailureAction, FaultAction};
+    use negotiator::FaultAction;
     let net = NetworkConfig {
         n_tors: 70,
         n_ports: 4,
@@ -260,14 +260,14 @@ fn odd_fabric_reports_are_identical_at_any_worker_count() {
             };
             let mut sim = NegotiatorSim::with_options(cfg, TopologyKind::Parallel, opts);
             let epoch = sim.epoch_len();
-            sim.schedule_failure(
+            sim.schedule_fault(
                 8 * epoch,
-                FailureAction::FailRandom {
+                FaultAction::FailRandom {
                     ratio: 0.1,
                     seed: 5,
                 },
             );
-            sim.schedule_failure(16 * epoch, FailureAction::RepairAll);
+            sim.schedule_fault(16 * epoch, FaultAction::RepairAll);
             sim.schedule_fault(
                 30 * epoch,
                 FaultAction::GrayStart {

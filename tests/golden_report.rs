@@ -14,7 +14,7 @@
 //! ```
 
 use metrics::{Json, RunReport};
-use negotiator::{FailureAction, NegotiatorConfig, NegotiatorSim, SchedulerMode, SimOptions};
+use negotiator::{FaultAction, NegotiatorConfig, NegotiatorSim, SchedulerMode, SimOptions};
 use oblivious::{ObliviousConfig, ObliviousSim};
 use topology::{NetworkConfig, TopologyKind};
 use workload::{FlowSizeDist, FlowTrace, MixedWorkload, WorkloadSpec};
@@ -48,14 +48,14 @@ fn negotiator_report(
     let mut sim = NegotiatorSim::with_options(cfg, kind, opts);
     if failures {
         let epoch = sim.epoch_len();
-        sim.schedule_failure(
+        sim.schedule_fault(
             10 * epoch,
-            FailureAction::FailRandom {
+            FaultAction::FailRandom {
                 ratio: 0.2,
                 seed: 5,
             },
         );
-        sim.schedule_failure(30 * epoch, FailureAction::RepairAll);
+        sim.schedule_fault(30 * epoch, FaultAction::RepairAll);
     }
     sim.run(trace, DURATION)
 }

@@ -34,7 +34,7 @@ use sim::Xoshiro256;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
-use topology::{AnyTopology, FailureAction, NetworkConfig, TopologyKind};
+use topology::{AnyTopology, FaultAction, NetworkConfig, TopologyKind};
 use workload::{Flow, FlowSizeDist, FlowTrace, IncastWorkload, PoissonWorkload, WorkloadSpec};
 
 /// The system allocator, counting the bytes each thread asks it for (the
@@ -194,11 +194,11 @@ fn observed_epochs_allocate_no_schedule_table() {
             let mut sim = NegotiatorSim::new(cfg, TopologyKind::Parallel);
             let epoch = sim.epoch_len();
             if fail {
-                let action = FailureAction::FailRandom {
+                let action = FaultAction::FailRandom {
                     ratio: 0.05,
                     seed: 9,
                 };
-                sim.schedule_failure(15 * epoch, action);
+                sim.schedule_fault(15 * epoch, action);
             }
             sim.run(&trace, 20 * epoch);
             sim.stats().predefined_conns_visited
