@@ -23,7 +23,7 @@
 //!
 //! # Where the code lives
 //!
-//! The run loop — clock, failure and fault schedules, phase probe, flight
+//! The run loop — clock, fault timeline, phase probe, flight
 //! recorder, report — is [`metrics::frame`], shared with the oblivious
 //! engine; this file supplies the epoch ([`EpochEngine::tick`]). Every
 //! phase has exactly one body. The five that are per-ToR work — ACCEPT,

@@ -10,6 +10,8 @@
 //! field that reaches the rendered report (name, description, labels,
 //! engines, mode, fabric), the seed, each phase's span and workload
 //! parameters, the epoch length and boundaries, and the fault timeline.
+//! The mode, engine, workload and link-direction tags are the names
+//! `spec`'s vocabulary tables give them, spelled as a scenario file does.
 //!
 //! The synthesized flows are *not* hashed: a poisson / incast /
 //! all-to-all phase is a pure function of parameters the key already
@@ -28,10 +30,12 @@
 //! mis-share) an on-disk cache.
 
 use crate::compile::CompiledScenario;
-use crate::spec::{EngineKind, WorkloadPhase};
+use crate::spec::{
+    mode_name, name_of, EngineKind, PhaseSpec, ScenarioSpec, WorkloadPhase, DIRS, ENGINES,
+};
 use negotiator::SchedulerMode;
 use topology::failures::LinkDir;
-use topology::{FaultAction, FlapTargets, PartitionSpec};
+use topology::{FaultAction, FlapTargets, NetworkConfig, PartitionSpec};
 
 /// Incremental FNV-1a (64-bit) over a canonical encoding. Deliberately
 /// boring: stability across builds and platforms is the whole point.
@@ -114,32 +118,60 @@ impl CompiledScenario {
     }
 
     fn compute_hash(&self) -> u64 {
-        let spec = &self.spec;
+        // Destructured without `..`: a field added to the spec, the fabric
+        // or a phase is a compile error here until the hasher decides how
+        // it keys the cache, never a stale cache hit.
+        let ScenarioSpec {
+            name,
+            description,
+            topology,
+            net,
+            mode,
+            seed,
+            engines,
+            phases,
+            // Events and phase faults reach the key as `self.timeline`.
+            events: _,
+        } = &self.spec;
+        let NetworkConfig {
+            n_tors,
+            n_ports,
+            port_bandwidth,
+            host_bandwidth,
+            propagation_delay,
+        } = net;
         let mut h = StableHasher::new();
         h.write_str(CONTENT_VERSION);
-        h.write_str(&spec.name).write_str(&spec.description);
-        h.write_str(spec.topology.label());
-        h.write_u64(spec.net.n_tors as u64)
-            .write_u64(spec.net.n_ports as u64)
-            .write_u64(spec.net.port_bandwidth.bps())
-            .write_u64(spec.net.host_bandwidth.bps())
-            .write_u64(spec.net.propagation_delay);
-        hash_mode(&mut h, spec.mode);
-        h.write_u64(spec.seed);
-        h.write_u64(spec.engines.len() as u64);
-        for &engine in &spec.engines {
-            h.write_str(engine_tag(engine));
+        h.write_str(name).write_str(description);
+        h.write_str(topology.label());
+        h.write_u64(*n_tors as u64)
+            .write_u64(*n_ports as u64)
+            .write_u64(port_bandwidth.bps())
+            .write_u64(host_bandwidth.bps())
+            .write_u64(*propagation_delay);
+        hash_mode(&mut h, *mode);
+        h.write_u64(*seed);
+        h.write_u64(engines.len() as u64);
+        for &engine in engines {
+            h.write_str(name_of(&ENGINES, engine));
         }
         // Labels and spans reach the rendered per-phase table; span,
         // workload parameters and position (the seed lane) are, with the
         // seed, fabric and epoch length, what the phase's flows are a
         // function of.
-        h.write_u64(spec.phases.len() as u64);
-        for (i, phase) in spec.phases.iter().enumerate() {
-            h.write_str(&phase.label)
-                .write_u64(phase.start_epoch)
-                .write_u64(phase.end_epoch);
-            hash_workload(&mut h, &phase.workload);
+        h.write_u64(phases.len() as u64);
+        for (i, phase) in phases.iter().enumerate() {
+            let PhaseSpec {
+                label,
+                start_epoch,
+                end_epoch,
+                workload,
+                faults: _,
+            } = phase;
+            h.write_str(label)
+                .write_u64(*start_epoch)
+                .write_u64(*end_epoch);
+            hash_workload(&mut h, workload);
             if let Some(flows) = self.trace.replayed(i) {
                 h.write_u64(flows.len() as u64);
                 for flow in flows {
@@ -169,90 +201,56 @@ impl CompiledScenario {
         let mut h = StableHasher::new();
         h.write_str("scenario-run-v1")
             .write_u64(self.content_hash())
-            .write_str(engine_tag(engine));
+            .write_str(name_of(&ENGINES, engine));
         h.finish()
     }
 }
 
-fn engine_tag(engine: EngineKind) -> &'static str {
-    match engine {
-        EngineKind::Negotiator => "negotiator",
-        EngineKind::Oblivious => "oblivious",
-    }
-}
-
 fn hash_mode(h: &mut StableHasher, mode: SchedulerMode) {
+    h.write_str(mode_name(mode));
     match mode {
-        SchedulerMode::Base => {
-            h.write_str("base");
-        }
-        SchedulerMode::Iterative { rounds } => {
-            h.write_str("iterative").write_u64(rounds as u64);
-        }
-        SchedulerMode::DataSize => {
-            h.write_str("datasize");
-        }
-        SchedulerMode::HolDelay { alpha } => {
-            h.write_str("hol_delay").write_f64(alpha);
-        }
-        SchedulerMode::Stateful => {
-            h.write_str("stateful");
-        }
-        SchedulerMode::Projector => {
-            h.write_str("projector");
-        }
-    }
+        SchedulerMode::Iterative { rounds } => h.write_u64(rounds as u64),
+        SchedulerMode::HolDelay { alpha } => h.write_f64(alpha),
+        SchedulerMode::Base
+        | SchedulerMode::DataSize
+        | SchedulerMode::Stateful
+        | SchedulerMode::Projector => h,
+    };
 }
 
 fn hash_workload(h: &mut StableHasher, workload: &WorkloadPhase) {
+    h.write_str(workload.kind());
     match workload {
-        WorkloadPhase::Poisson { dist, load } => {
-            h.write_str("poisson")
-                .write_str(dist.name())
-                .write_f64(*load);
-        }
+        WorkloadPhase::Poisson { dist, load } => h.write_str(dist.name()).write_f64(*load),
         WorkloadPhase::Incast {
             degree,
             flow_bytes,
             every_epochs,
-        } => {
-            h.write_str("incast")
-                .write_u64(*degree as u64)
-                .write_u64(*flow_bytes)
-                .write_u64(every_epochs.map_or(u64::MAX, |e| e));
-        }
-        WorkloadPhase::AllToAll { flow_bytes } => {
-            h.write_str("all_to_all").write_u64(*flow_bytes);
-        }
-        WorkloadPhase::Trace { path } => {
-            h.write_str("trace").write_str(path);
-        }
-    }
+        } => h
+            .write_u64(*degree as u64)
+            .write_u64(*flow_bytes)
+            .write_u64(every_epochs.unwrap_or(u64::MAX)),
+        WorkloadPhase::AllToAll { flow_bytes } => h.write_u64(*flow_bytes),
+        WorkloadPhase::Trace { path } => h.write_str(path),
+    };
 }
 
-fn hash_link(h: &mut StableHasher, (tor, port, dir): (usize, usize, LinkDir)) {
+fn hash_link(h: &mut StableHasher, (tor, port, dir): (usize, usize, LinkDir)) -> &mut StableHasher {
     h.write_u64(tor as u64)
         .write_u64(port as u64)
-        .write_str(match dir {
-            LinkDir::Egress => "egress",
-            LinkDir::Ingress => "ingress",
-        });
+        .write_str(name_of(&DIRS, dir))
 }
 
 fn hash_fault(h: &mut StableHasher, action: &FaultAction) {
     match action {
         FaultAction::FailLink { tor, port, dir } => {
-            h.write_str("fail_link");
-            hash_link(h, (*tor, *port, *dir));
+            hash_link(h.write_str("fail_link"), (*tor, *port, *dir))
         }
-        FaultAction::FailRandom { ratio, seed } => {
-            h.write_str("fail_random")
-                .write_f64(*ratio)
-                .write_u64(*seed);
-        }
-        FaultAction::RepairAll => {
-            h.write_str("repair_all");
-        }
+        FaultAction::FailRandom { ratio, seed } => h
+            .write_str("fail_random")
+            .write_f64(*ratio)
+            .write_u64(*seed),
+        FaultAction::RepairAll => h.write_str("repair_all"),
         FaultAction::FlapStart { targets, up, down } => {
             h.write_str("flap_start");
             match targets {
@@ -266,63 +264,48 @@ fn hash_fault(h: &mut StableHasher, action: &FaultAction) {
                     h.write_str("random").write_f64(*ratio).write_u64(*seed);
                 }
             }
-            h.write_u64(*up).write_u64(*down);
+            h.write_u64(*up).write_u64(*down)
         }
-        FaultAction::FlapStop => {
-            h.write_str("flap_stop");
-        }
-        FaultAction::Partition(spec) => {
-            h.write_str("partition");
-            match spec {
-                PartitionSpec::Explicit(groups) => {
-                    h.write_str("explicit").write_u64(groups.len() as u64);
-                    for &g in groups {
-                        h.write_u64(g as u64);
-                    }
-                }
-                PartitionSpec::Random { groups, seed } => {
-                    h.write_str("random")
-                        .write_u64(*groups as u64)
-                        .write_u64(*seed);
-                }
+        FaultAction::FlapStop => h.write_str("flap_stop"),
+        FaultAction::Partition(PartitionSpec::Explicit(groups)) => {
+            h.write_str("partition").write_str("explicit");
+            h.write_u64(groups.len() as u64);
+            for &g in groups {
+                h.write_u64(g as u64);
             }
+            h
         }
-        FaultAction::Heal => {
-            h.write_str("heal");
-        }
+        FaultAction::Partition(PartitionSpec::Random { groups, seed }) => h
+            .write_str("partition")
+            .write_str("random")
+            .write_u64(*groups as u64)
+            .write_u64(*seed),
+        FaultAction::Heal => h.write_str("heal"),
         FaultAction::GrayStart {
             drop_prob,
             seed,
             tors,
         } => {
+            // Every ToR (no list) hashes as an impossible list length.
             h.write_str("gray_start")
                 .write_f64(*drop_prob)
                 .write_u64(*seed);
-            match tors {
-                None => {
-                    h.write_u64(u64::MAX);
-                }
-                Some(tors) => {
-                    h.write_u64(tors.len() as u64);
-                    for &t in tors {
-                        h.write_u64(t as u64);
-                    }
-                }
+            h.write_u64(tors.as_ref().map_or(u64::MAX, |t| t.len() as u64));
+            for &t in tors.iter().flatten() {
+                h.write_u64(t as u64);
             }
+            h
         }
-        FaultAction::GrayStop => {
-            h.write_str("gray_stop");
-        }
+        FaultAction::GrayStop => h.write_str("gray_stop"),
         FaultAction::GreedyStart { tors } => {
             h.write_str("greedy_start").write_u64(tors.len() as u64);
             for &t in tors {
                 h.write_u64(t as u64);
             }
+            h
         }
-        FaultAction::GreedyStop => {
-            h.write_str("greedy_stop");
-        }
-    }
+        FaultAction::GreedyStop => h.write_str("greedy_stop"),
+    };
 }
 
 #[cfg(test)]
@@ -378,27 +361,67 @@ mod tests {
 
     #[test]
     fn every_output_relevant_field_moves_the_hash() {
-        let anchor = compiled(&base("anchor", 3, 50)).content_hash();
-        for other in [
-            base("renamed", 3, 50), // name reaches the report header
-            base("anchor", 4, 50),  // seed changes the workload + engine RNG
-            base("anchor", 3, 60),  // load changes the trace
-            // The fabric and the phase span shape the flows (and nothing
-            // else in the key restates them once the flows are not hashed).
-            base("anchor", 3, 50).replace("\"tors\": 16", "\"tors\": 20"),
-            base("anchor", 3, 50).replace("\"ports\": 4", "\"ports\": 2"),
-            base("anchor", 3, 50).replace("\"seed\"", "\"host_gbps\": 200, \"seed\""),
-            base("anchor", 3, 50).replace("parallel", "thin_clos"),
-            base("anchor", 3, 50).replace("[0, 20]", "[0, 21]"),
-            base("anchor", 3, 50).replace("\"load\"", "\"dist\": \"google\", \"load\""),
-        ] {
-            assert_ne!(compiled(&other).content_hash(), anchor, "{other}");
+        let anchor_text = base("anchor", 3, 50);
+        let anchor = compiled(&anchor_text).content_hash();
+        let with = |key_value: &str| {
+            anchor_text.replace("\"seed\": 3,", &format!("\"seed\": 3, {key_value},"))
+        };
+        // Every top-level key reaches the output, so each has a case: a
+        // key added to the schema fails here until it gets one. All the
+        // variants, and the anchor, must hash pairwise apart.
+        let mut variants = vec![anchor_text.clone()];
+        for &key in crate::spec::TOP_KEYS {
+            variants.extend(match key {
+                // The name reaches the report header; a description only
+                // the artifact line, but that line is output surface too.
+                "name" => vec![base("renamed", 3, 50)],
+                "description" => vec![with(r#""description": "d""#)],
+                // The fabric and the phase span shape the flows (and
+                // nothing else in the key restates them once the flows are
+                // not hashed).
+                "topology" => vec![anchor_text.replace("parallel", "thin_clos")],
+                "tors" => vec![anchor_text.replace("\"tors\": 16", "\"tors\": 20")],
+                "ports" => vec![anchor_text.replace("\"ports\": 4", "\"ports\": 2")],
+                "port_gbps" => vec![with(r#""port_gbps": 50"#)],
+                "host_gbps" => vec![with(r#""host_gbps": 200"#)],
+                "propagation_ns" => vec![with(r#""propagation_ns": 1000"#)],
+                // A mode's name and its parameter.
+                "mode" => vec![
+                    with(r#""mode": "iterative""#),
+                    with(r#""mode": {"kind": "iterative", "rounds": 3}"#),
+                    with(r#""mode": "hol_delay""#),
+                    with(r#""mode": {"kind": "hol_delay", "alpha": 0.01}"#),
+                    with(r#""mode": "stateful""#),
+                ],
+                // The seed changes the workload and the engine RNG.
+                "seed" => vec![base("anchor", 4, 50)],
+                // Which engines run, and in which order they report.
+                "engines" => vec![
+                    with(r#""engines": ["negotiator"]"#),
+                    with(r#""engines": ["oblivious", "negotiator"]"#),
+                ],
+                // Load, dist, span and label of a phase.
+                "phases" => vec![
+                    base("anchor", 3, 60),
+                    anchor_text.replace("\"load\"", "\"dist\": \"google\", \"load\""),
+                    anchor_text.replace("[0, 20]", "[0, 21]"),
+                    anchor_text.replace("\"workload\"", "\"label\": \"warm\", \"workload\""),
+                ],
+                "events" => vec![with_events(
+                    r#"{"at_epoch": 5, "action": "fail_random", "ratio": 0.1, "seed": 1}"#,
+                )],
+                key => panic!("top-level key {key:?} has no case that moves the hash"),
+            });
         }
-        // A description only changes the artifact line, but that line is
-        // output surface too.
-        let described =
-            base("anchor", 3, 50).replace("\"seed\": 3,", "\"seed\": 3, \"description\": \"d\",");
-        assert_ne!(compiled(&described).content_hash(), anchor);
+        let hashes: Vec<u64> = variants
+            .iter()
+            .map(|v| compiled(v).content_hash())
+            .collect();
+        for (i, a) in hashes.iter().enumerate() {
+            for (j, b) in hashes.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "{}\n{}", variants[i], variants[j]);
+            }
+        }
         // The fault timeline: a link action's port, a fail_random seed, an
         // inject moved one epoch, a link action and an inject swapped
         // across epochs.

@@ -3,15 +3,15 @@
 //! A [`System`] describes a run's engine — which one, on which topology,
 //! configured how — and [`System::build`] is the only place either
 //! simulator is constructed for a scenario or a paper experiment. What
-//! follows construction (failure and fault schedules, phase probe, flight
-//! recorder, `run`, tracker, subset reports) is the engines' shared
+//! follows construction (fault timeline, phase probe, flight recorder,
+//! `run`, tracker, subset reports) is the engines' shared
 //! [`RunFrame`], which the built [`Engine`] derefs to, so that code is
 //! written against the frame, once, whichever engine is inside.
 //!
 //! [`build_runs`] wraps a compiled scenario into one deferred closure per
 //! engine, each owning (or `Arc`-sharing) everything it needs so the
 //! harness can execute it on any worker thread. The closure plays the
-//! compiled trace with the failure schedule and phase probe attached, then
+//! compiled trace with the fault timeline and phase probe attached, then
 //! derives the per-phase series — returning plain data, never touching
 //! shared state.
 

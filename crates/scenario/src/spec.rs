@@ -2,13 +2,18 @@
 //!
 //! A scenario file is JSON (parsed with `metrics::json` — no external
 //! dependencies) describing the fabric, the scheduler, a contiguous
-//! sequence of workload phases measured in epochs, and a timeline of
-//! link-state events. Validation is deliberately unforgiving: unknown
-//! keys, overlapping or gapped phases, out-of-range ToR/port indices,
-//! loads outside (0, 100] — everything fails with an error pointing at
-//! the `line:column` of the offending token, before any simulation
-//! starts. The schema is documented end-to-end in the README's
-//! "Scenarios" section.
+//! sequence of workload phases measured in epochs, and one timeline of
+//! fault events: link actions and injected faults. Validation is
+//! deliberately unforgiving: unknown keys, overlapping or gapped phases,
+//! out-of-range ToR/port indices, loads outside (0, 100] — everything
+//! fails with an error pointing at the `line:column` of the offending
+//! token, before any simulation starts. The schema is documented
+//! end-to-end in the README's "Scenarios" section.
+//!
+//! Every closed vocabulary of the format is one table below, which the
+//! validator, the content hash and `paper list` all read names from.
+
+use std::fmt::Display;
 
 use metrics::json::{line_col, SpannedJson};
 use negotiator::SchedulerMode;
@@ -18,30 +23,22 @@ use topology::failures::LinkDir;
 use topology::{FaultAction, FlapTargets, NetworkConfig, PartitionSpec, TopologyKind};
 use workload::FlowSizeDist;
 
-/// A validation error carrying the byte offset it points at (when the
-/// offending token has one).
+/// A validation error carrying the byte offset of the offending token.
 #[derive(Debug)]
 struct SpecError {
-    pos: Option<usize>,
+    pos: usize,
     msg: String,
 }
 
 impl SpecError {
     fn at(pos: usize, msg: impl Into<String>) -> SpecError {
-        SpecError {
-            pos: Some(pos),
-            msg: msg.into(),
-        }
+        let msg = msg.into();
+        SpecError { pos, msg }
     }
 
     fn render(&self, text: &str) -> String {
-        match self.pos {
-            Some(pos) => {
-                let (line, col) = line_col(text, pos);
-                format!("line {line}, column {col}: {}", self.msg)
-            }
-            None => self.msg.clone(),
-        }
+        let (line, col) = line_col(text, self.pos);
+        format!("line {line}, column {col}: {}", self.msg)
     }
 }
 
@@ -97,6 +94,17 @@ pub enum WorkloadPhase {
     },
 }
 
+impl WorkloadPhase {
+    /// The `workload` name a scenario file gives this phase's traffic.
+    pub fn kind(&self) -> &'static str {
+        WORKLOADS
+            .iter()
+            .find(|row| (row.is)(self))
+            .expect("every workload has a row")
+            .kind
+    }
+}
+
 /// One workload phase spanning `[start_epoch, end_epoch)`.
 #[derive(Debug, Clone)]
 pub struct PhaseSpec {
@@ -122,30 +130,11 @@ pub struct EventSpec {
     pub inject: InjectSpec,
 }
 
-/// One fault action at the spec level: durations are measured in epochs
-/// (the scenario's time unit) and converted to nanoseconds by `compile`,
-/// which knows the epoch length.
+/// One fault action at the spec level: a [`FaultAction`], except that a
+/// flap's spans are in epochs (the scenario's time unit) until `compile`,
+/// which knows the epoch length, converts them.
 #[derive(Debug, Clone)]
 pub enum InjectSpec {
-    /// Fail one directed link (a `fail_links` action is one event per
-    /// listed link).
-    FailLink {
-        /// ToR index.
-        tor: usize,
-        /// Port index.
-        port: usize,
-        /// Fiber direction.
-        dir: LinkDir,
-    },
-    /// Fail a uniform random fraction of all directed links.
-    FailRandom {
-        /// Fraction of directed links to fail, in (0, 1].
-        ratio: f64,
-        /// Sampling seed.
-        seed: u64,
-    },
-    /// Repair every link failed by earlier link actions.
-    RepairAll,
     /// Start a duty-cycled link oscillation.
     FlapStart {
         /// Links to oscillate.
@@ -155,46 +144,14 @@ pub enum InjectSpec {
         /// Dark epochs per cycle.
         down_epochs: u64,
     },
-    /// Stop every flap.
-    FlapStop,
-    /// Partition the ToR set.
-    Partition(PartitionSpec),
-    /// Heal the partition.
-    Heal,
-    /// Start a gray failure (control-plane drops, data untouched).
-    GrayStart {
-        /// Per-(epoch, src, dst) drop probability in `(0, 1]`.
-        drop_prob: f64,
-        /// Decision seed.
-        seed: u64,
-        /// Affected source ToRs (`None` = every ToR).
-        tors: Option<Vec<usize>>,
-    },
-    /// End the gray failure.
-    GrayStop,
-    /// Mark ToRs as greedy granters.
-    GreedyStart {
-        /// Misbehaving ToRs.
-        tors: Vec<usize>,
-    },
-    /// Every ToR returns to honest granting.
-    GreedyStop,
+    /// Any other action: none carries a duration.
+    Action(FaultAction),
 }
 
 impl InjectSpec {
     /// The engine-level action, epoch durations converted at `epoch_len`.
     pub fn to_action(&self, epoch_len: Nanos) -> FaultAction {
         match self {
-            InjectSpec::FailLink { tor, port, dir } => FaultAction::FailLink {
-                tor: *tor,
-                port: *port,
-                dir: *dir,
-            },
-            InjectSpec::FailRandom { ratio, seed } => FaultAction::FailRandom {
-                ratio: *ratio,
-                seed: *seed,
-            },
-            InjectSpec::RepairAll => FaultAction::RepairAll,
             InjectSpec::FlapStart {
                 targets,
                 up_epochs,
@@ -204,21 +161,7 @@ impl InjectSpec {
                 up: up_epochs * epoch_len,
                 down: down_epochs * epoch_len,
             },
-            InjectSpec::FlapStop => FaultAction::FlapStop,
-            InjectSpec::Partition(spec) => FaultAction::Partition(spec.clone()),
-            InjectSpec::Heal => FaultAction::Heal,
-            InjectSpec::GrayStart {
-                drop_prob,
-                seed,
-                tors,
-            } => FaultAction::GrayStart {
-                drop_prob: *drop_prob,
-                seed: *seed,
-                tors: tors.clone(),
-            },
-            InjectSpec::GrayStop => FaultAction::GrayStop,
-            InjectSpec::GreedyStart { tors } => FaultAction::GreedyStart { tors: tors.clone() },
-            InjectSpec::GreedyStop => FaultAction::GreedyStop,
+            InjectSpec::Action(action) => action.clone(),
         }
     }
 
@@ -228,8 +171,7 @@ impl InjectSpec {
         FAMILIES
             .iter()
             .find(|family| (family.starts)(self))
-            // A stop carries no duration to convert.
-            .map(|family| family.end.to_action(0))
+            .map(|family| family.end.clone())
     }
 }
 
@@ -293,7 +235,12 @@ const MAX_FLOW_BYTES: u64 = 1_000_000_000_000;
 /// Iterative-matching rounds cap (delay state grows with rounds).
 const MAX_ROUNDS: u64 = 64;
 
-const TOP_KEYS: &[&str] = &[
+// ---------------------------------------------------------------------
+// The vocabulary tables
+// ---------------------------------------------------------------------
+
+/// The keys of the scenario document.
+pub(crate) const TOP_KEYS: &[&str] = &[
     "name",
     "description",
     "topology",
@@ -308,10 +255,250 @@ const TOP_KEYS: &[&str] = &[
     "phases",
     "events",
 ];
+/// The keys every phase takes; its workload adds its own.
+const PHASE_KEYS: &[&str] = &["label", "epochs", "workload", "faults"];
+/// The keys every event takes; its link action adds its own.
+const EVENT_KEYS: &[&str] = &["at_epoch", "action", "inject"];
+/// The key naming a `mode` object's or an `inject` object's variant.
+const KIND: &[&str] = &["kind"];
+
+/// The flat topologies, by scenario name.
+static TOPOLOGIES: [(&str, TopologyKind); 2] = [
+    ("parallel", TopologyKind::Parallel),
+    ("thin_clos", TopologyKind::ThinClos),
+];
+
+/// The engines, by scenario name (also each engine's content-hash tag).
+/// A scenario without `engines` runs all of them, in this order.
+pub(crate) static ENGINES: [(&str, EngineKind); 2] = [
+    ("negotiator", EngineKind::Negotiator),
+    ("oblivious", EngineKind::Oblivious),
+];
+
+type MakeDist = fn() -> FlowSizeDist;
+
+/// Poisson flow-size distributions, by scenario name; the first is the
+/// default.
+static DISTS: [(&str, MakeDist); 3] = [
+    ("hadoop", FlowSizeDist::hadoop),
+    ("web_search", FlowSizeDist::web_search),
+    ("google", FlowSizeDist::google),
+];
+
+/// Link directions, by scenario name (also the content-hash tag); the
+/// first is the default.
+pub(crate) static DIRS: [(&str, LinkDir); 2] =
+    [("egress", LinkDir::Egress), ("ingress", LinkDir::Ingress)];
+
+/// A scheduler mode: `(name, parameter, mode)` — its name (also its
+/// content-hash tag), the one parameter its object form takes beside
+/// `kind`, and the mode the name alone means. The string form `"name"` is
+/// the object form `{"kind": "name"}`: the parameter at its default.
+type Mode = (&'static str, Option<&'static str>, SchedulerMode);
+
+/// The scheduler modes; the first is the default.
+static MODES: [Mode; 6] = [
+    ("base", None, SchedulerMode::Base),
+    ("datasize", None, SchedulerMode::DataSize),
+    (
+        "hol_delay",
+        Some("alpha"),
+        SchedulerMode::HolDelay { alpha: 0.001 },
+    ),
+    ("stateful", None, SchedulerMode::Stateful),
+    ("projector", None, SchedulerMode::Projector),
+    (
+        "iterative",
+        Some("rounds"),
+        SchedulerMode::Iterative { rounds: 2 },
+    ),
+];
+
+/// `mode`'s row with its parameter as `v` sets it; the default where `v`
+/// (always, for the string form) does not.
+fn read_mode(&(_, param, mode): &Mode, v: &SpannedJson) -> Result<SchedulerMode, SpecError> {
+    let key = param.unwrap_or_default();
+    Ok(match mode {
+        SchedulerMode::Iterative { rounds } => SchedulerMode::Iterative {
+            rounds: opt_u64_range(v, key, 1, MAX_ROUNDS)?.map_or(rounds, |r| r as usize),
+        },
+        SchedulerMode::HolDelay { alpha } => SchedulerMode::HolDelay {
+            alpha: match v.get(key) {
+                None => alpha,
+                Some(x) => num_in_range(x, key, 0.0, f64::INFINITY, false)?,
+            },
+        },
+        other => other,
+    })
+}
+
+/// The name a scenario file gives `mode` (also its content-hash tag).
+pub(crate) fn mode_name(mode: SchedulerMode) -> &'static str {
+    let variant = std::mem::discriminant(&mode);
+    MODES
+        .iter()
+        .find(|row| std::mem::discriminant(&row.2) == variant)
+        .expect("every mode has a row")
+        .0
+}
+
+/// The name `table` gives `value`.
+pub(crate) fn name_of<T: PartialEq>(table: &[(&'static str, T)], value: T) -> &'static str {
+    table
+        .iter()
+        .find(|row| row.1 == value)
+        .expect("every value has a row")
+        .0
+}
+
+/// A phase's traffic: its `workload` kind, the keys it takes beside
+/// [`PHASE_KEYS`], and its parser (given the phase and its label).
+struct Workload {
+    kind: &'static str,
+    keys: &'static [&'static str],
+    parse: fn(&SpannedJson, &str, &NetworkConfig) -> Result<WorkloadPhase, SpecError>,
+    /// Is this phase traffic of this kind?
+    is: fn(&WorkloadPhase) -> bool,
+}
+
+static WORKLOADS: [Workload; 4] = [
+    Workload {
+        kind: "poisson",
+        keys: &["dist", "load"],
+        parse: parse_poisson,
+        is: |w| matches!(w, WorkloadPhase::Poisson { .. }),
+    },
+    Workload {
+        kind: "incast",
+        keys: &["degree", "flow_bytes", "every_epochs"],
+        parse: parse_incast,
+        is: |w| matches!(w, WorkloadPhase::Incast { .. }),
+    },
+    Workload {
+        kind: "all_to_all",
+        keys: &["flow_bytes"],
+        parse: |v, label, _| {
+            let flow_bytes = flow_bytes(v, label)?;
+            Ok(WorkloadPhase::AllToAll { flow_bytes })
+        },
+        is: |w| matches!(w, WorkloadPhase::AllToAll { .. }),
+    },
+    Workload {
+        kind: "trace",
+        keys: &["path"],
+        parse: |v, _, _| {
+            let path = req_str(v, "path")?.to_string();
+            Ok(WorkloadPhase::Trace { path })
+        },
+        is: |w| matches!(w, WorkloadPhase::Trace { .. }),
+    },
+];
+
+/// A link action: `(name, keys, parser)` — the keys it takes beside
+/// [`EVENT_KEYS`], and a parser that, given the event, the fabric, a
+/// default seed and the action's name, returns the faults it starts.
+type Action = (
+    &'static str,
+    &'static [&'static str],
+    fn(&SpannedJson, &NetworkConfig, u64, &str) -> Result<Vec<InjectSpec>, SpecError>,
+);
+
+static ACTIONS: [Action; 3] = [
+    ("fail_links", &["links"], |v, net, _, name| {
+        let links = need(v, "links", format_args!("'{name}' needs a 'links' array"))?;
+        let links = parse_links(links, net)?.into_iter();
+        Ok(links
+            .map(|(tor, port, dir)| InjectSpec::Action(FaultAction::FailLink { tor, port, dir }))
+            .collect())
+    }),
+    ("repair_links", &[], |_, _, _, _| {
+        Ok(vec![InjectSpec::Action(FaultAction::RepairAll)])
+    }),
+    (
+        "fail_random",
+        &["ratio", "seed"],
+        |v, _, default_seed, name| {
+            let ratio_val = need(v, "ratio", format_args!("'{name}' needs a 'ratio'"))?;
+            let ratio = num_in_range(ratio_val, "ratio", 0.0, 1.0, true)?;
+            let seed = opt_u64_min(v, "seed", 0)?.unwrap_or(default_seed);
+            Ok(vec![InjectSpec::Action(FaultAction::FailRandom {
+                ratio,
+                seed,
+            })])
+        },
+    ),
+];
+
+/// A row of a closed vocabulary: the name a scenario file spells it by.
+trait Named {
+    fn name(&self) -> &'static str;
+}
+
+impl<T> Named for (&'static str, T) {
+    fn name(&self) -> &'static str {
+        self.0
+    }
+}
+
+impl<A, B> Named for (&'static str, A, B) {
+    fn name(&self) -> &'static str {
+        self.0
+    }
+}
+
+impl Named for Workload {
+    fn name(&self) -> &'static str {
+        self.kind
+    }
+}
+
+/// The row of `table` called `name`, or the one vocabulary error, at
+/// `pos`.
+fn lookup<'t, R: Named>(
+    table: &'t [R],
+    name: &str,
+    noun: &str,
+    pos: usize,
+) -> Result<&'t R, SpecError> {
+    table.iter().find(|row| row.name() == name).ok_or_else(|| {
+        let names: Vec<&str> = table.iter().map(Named::name).collect();
+        unknown(pos, noun, name, &names)
+    })
+}
+
+/// The row of `table` that `v`'s string `key` names; `None` when `v` has
+/// no `key`.
+fn pick<'t, R: Named>(
+    table: &'t [R],
+    v: &SpannedJson,
+    key: &str,
+    noun: &str,
+) -> Result<Option<&'t R>, SpecError> {
+    let pos = v.get(key).map_or(v.pos, |name| name.pos);
+    opt_str(v, key)?
+        .map(|name| lookup(table, name, noun, pos))
+        .transpose()
+}
+
+/// `unknown <noun> "<name>" (<names>)`, with a did-you-mean hint.
+fn unknown(pos: usize, noun: &str, name: &str, names: &[&str]) -> SpecError {
+    SpecError::at(
+        pos,
+        format!(
+            "unknown {noun} {name:?} ({}){}",
+            names.join(", "),
+            did_you_mean(name, names)
+        ),
+    )
+}
+
+// ---------------------------------------------------------------------
+// The document, its phases and its events
+// ---------------------------------------------------------------------
 
 fn validate(doc: &SpannedJson) -> Result<ScenarioSpec, SpecError> {
     expect_obj(doc, "the scenario document")?;
-    check_keys(doc, TOP_KEYS, "the scenario")?;
+    check_keys(doc, &[TOP_KEYS], "the scenario")?;
 
     let name = req_str(doc, "name")?;
     if name.is_empty()
@@ -325,16 +512,9 @@ fn validate(doc: &SpannedJson) -> Result<ScenarioSpec, SpecError> {
         ));
     }
     let description = opt_str(doc, "description")?.unwrap_or_default();
-    let topology = match req_str(doc, "topology")?.as_str() {
-        "parallel" => TopologyKind::Parallel,
-        "thin_clos" => TopologyKind::ThinClos,
-        other => {
-            return Err(SpecError::at(
-                doc.get("topology").expect("required above").pos,
-                format!("'topology' must be \"parallel\" or \"thin_clos\", got {other:?}"),
-            ))
-        }
-    };
+    let topology = pick(&TOPOLOGIES, doc, "topology", "topology")?
+        .ok_or_else(|| missing(doc, "topology"))?
+        .1;
 
     let n_tors = opt_u64_range(doc, "tors", 2, MAX_TORS)?.unwrap_or(128) as usize;
     let n_ports = opt_u64_range(doc, "ports", 1, MAX_PORTS)?.unwrap_or(8) as usize;
@@ -366,8 +546,8 @@ fn validate(doc: &SpannedJson) -> Result<ScenarioSpec, SpecError> {
     let events = parse_events(doc, &net, seed, phases.last().expect("non-empty").end_epoch)?;
 
     Ok(ScenarioSpec {
-        name,
-        description,
+        name: name.to_string(),
+        description: description.to_string(),
         topology,
         net,
         mode,
@@ -379,69 +559,35 @@ fn validate(doc: &SpannedJson) -> Result<ScenarioSpec, SpecError> {
 }
 
 fn parse_mode(doc: &SpannedJson) -> Result<SchedulerMode, SpecError> {
+    const NOUN: &str = "scheduler mode";
     let Some(mode) = doc.get("mode") else {
-        return Ok(SchedulerMode::Base);
+        return Ok(MODES[0].2);
     };
-    if let Some(s) = mode.as_str() {
-        return match s {
-            "base" => Ok(SchedulerMode::Base),
-            "datasize" => Ok(SchedulerMode::DataSize),
-            "hol_delay" => Ok(SchedulerMode::HolDelay { alpha: 0.001 }),
-            "stateful" => Ok(SchedulerMode::Stateful),
-            "projector" => Ok(SchedulerMode::Projector),
-            "iterative" => Ok(SchedulerMode::Iterative { rounds: 2 }),
-            other => Err(SpecError::at(
-                mode.pos,
-                format!("unknown scheduler mode {other:?} (base, datasize, hol_delay, stateful, projector, iterative)"),
-            )),
-        };
-    }
-    // Object form for parameterized modes.
-    expect_obj(mode, "'mode'")?;
-    check_keys(mode, &["kind", "rounds", "alpha"], "'mode'")?;
-    match req_str(mode, "kind")?.as_str() {
-        "iterative" => {
-            let rounds = opt_u64_range(mode, "rounds", 1, MAX_ROUNDS)?.unwrap_or(2) as usize;
-            Ok(SchedulerMode::Iterative { rounds })
+    let row = match mode.as_str() {
+        Some(name) => lookup(&MODES, name, NOUN, mode.pos)?,
+        None => {
+            expect_obj(mode, "'mode'")?;
+            let row = pick(&MODES, mode, "kind", NOUN)?.ok_or_else(|| missing(mode, "kind"))?;
+            check_keys(mode, &[KIND, row.1.as_slice()], "'mode'")?;
+            row
         }
-        "hol_delay" => {
-            let alpha = match mode.get("alpha") {
-                None => 0.001,
-                Some(v) => num_in_range(v, "'alpha'", 0.0, f64::INFINITY, false)?,
-            };
-            Ok(SchedulerMode::HolDelay { alpha })
-        }
-        other => Err(SpecError::at(
-            mode.get("kind").expect("required above").pos,
-            format!(
-                "parameterized 'mode.kind' must be \"iterative\" or \"hol_delay\", got {other:?}"
-            ),
-        )),
-    }
+    };
+    read_mode(row, mode)
 }
 
 fn parse_engines(doc: &SpannedJson) -> Result<Vec<EngineKind>, SpecError> {
     let Some(engines) = doc.get("engines") else {
-        return Ok(vec![EngineKind::Negotiator, EngineKind::Oblivious]);
+        return Ok(ENGINES.iter().map(|row| row.1).collect());
     };
-    let items = engines
-        .as_array()
-        .ok_or_else(|| SpecError::at(engines.pos, "'engines' must be an array of strings"))?;
+    let not_strings = |pos| SpecError::at(pos, "'engines' must be an array of strings");
+    let items = engines.as_array().ok_or_else(|| not_strings(engines.pos))?;
     if items.is_empty() {
         return Err(SpecError::at(engines.pos, "'engines' must not be empty"));
     }
     let mut out = Vec::new();
     for item in items {
-        let kind = match item.as_str() {
-            Some("negotiator") => EngineKind::Negotiator,
-            Some("oblivious") => EngineKind::Oblivious,
-            _ => {
-                return Err(SpecError::at(
-                    item.pos,
-                    "engine must be \"negotiator\" or \"oblivious\"",
-                ))
-            }
-        };
+        let name = item.as_str().ok_or_else(|| not_strings(item.pos))?;
+        let kind = lookup(&ENGINES, name, "engine", item.pos)?.1;
         if out.contains(&kind) {
             return Err(SpecError::at(item.pos, "duplicate engine"));
         }
@@ -455,9 +601,7 @@ fn parse_phases(
     net: &NetworkConfig,
     scenario_seed: u64,
 ) -> Result<Vec<PhaseSpec>, SpecError> {
-    let phases = doc
-        .get("phases")
-        .ok_or_else(|| SpecError::at(doc.pos, "the scenario needs a 'phases' array"))?;
+    let phases = need(doc, "phases", "the scenario needs a 'phases' array")?;
     let items = phases
         .as_array()
         .ok_or_else(|| SpecError::at(phases.pos, "'phases' must be an array"))?;
@@ -467,64 +611,42 @@ fn parse_phases(
     let mut out: Vec<PhaseSpec> = Vec::new();
     for (i, item) in items.iter().enumerate() {
         expect_obj(item, "a phase")?;
-        let label = opt_str(item, "label")?.unwrap_or_else(|| format!("phase{i}"));
-        let epochs = item.get("epochs").ok_or_else(|| {
-            SpecError::at(
-                item.pos,
-                format!("phase '{label}' needs an 'epochs' [start, end] pair"),
-            )
-        })?;
-        let pair = epochs.as_array().unwrap_or(&[]);
-        let (start_epoch, end_epoch) = match pair {
-            [s, e] => (
-                s.as_u64()
-                    .ok_or_else(|| SpecError::at(s.pos, "epoch must be a non-negative integer"))?,
-                e.as_u64()
-                    .ok_or_else(|| SpecError::at(e.pos, "epoch must be a non-negative integer"))?,
-            ),
-            _ => {
-                return Err(SpecError::at(
-                    epochs.pos,
-                    "'epochs' must be a [start, end] pair",
-                ))
-            }
+        let label = opt_str(item, "label")?.map_or_else(|| format!("phase{i}"), str::to_string);
+        let epochs = need(
+            item,
+            "epochs",
+            format_args!("phase '{label}' needs an 'epochs' [start, end] pair"),
+        )?;
+        let bad = |msg: String| Err(SpecError::at(epochs.pos, msg));
+        let epoch = |e: &SpannedJson| {
+            e.as_u64()
+                .ok_or_else(|| SpecError::at(e.pos, "epoch must be a non-negative integer"))
+        };
+        let (start_epoch, end_epoch) = match epochs.as_array().unwrap_or(&[]) {
+            [s, e] => (epoch(s)?, epoch(e)?),
+            _ => return bad("'epochs' must be a [start, end] pair".into()),
         };
         if end_epoch <= start_epoch {
-            return Err(SpecError::at(
-                epochs.pos,
-                format!(
-                    "phase '{label}': end epoch {end_epoch} must exceed start epoch {start_epoch}"
-                ),
+            return bad(format!(
+                "phase '{label}': end epoch {end_epoch} must exceed start epoch {start_epoch}"
             ));
         }
         if end_epoch > MAX_EPOCHS {
-            return Err(SpecError::at(
-                epochs.pos,
-                format!(
-                    "phase '{label}': end epoch {end_epoch} exceeds the {MAX_EPOCHS}-epoch cap"
-                ),
+            return bad(format!(
+                "phase '{label}': end epoch {end_epoch} exceeds the {MAX_EPOCHS}-epoch cap"
             ));
         }
         // Phases must tile the timeline: contiguous, in order, from 0.
         let expected_start = out.last().map_or(0, |p: &PhaseSpec| p.end_epoch);
-        match start_epoch.cmp(&expected_start) {
-            std::cmp::Ordering::Less => {
-                return Err(SpecError::at(
-                    epochs.pos,
-                    format!(
-                        "phase '{label}' starts at epoch {start_epoch}, overlapping the previous phase (ends at {expected_start})"
-                    ),
-                ))
-            }
-            std::cmp::Ordering::Greater => {
-                return Err(SpecError::at(
-                    epochs.pos,
-                    format!(
-                        "phase '{label}' starts at epoch {start_epoch}, leaving a gap after epoch {expected_start} — phases must be contiguous"
-                    ),
-                ))
-            }
-            std::cmp::Ordering::Equal => {}
+        if start_epoch < expected_start {
+            return bad(format!(
+                "phase '{label}' starts at epoch {start_epoch}, overlapping the previous phase (ends at {expected_start})"
+            ));
+        }
+        if start_epoch > expected_start {
+            return bad(format!(
+                "phase '{label}' starts at epoch {start_epoch}, leaving a gap after epoch {expected_start} — phases must be contiguous"
+            ));
         }
         let workload = parse_workload(item, &label, net)?;
         let faults = match item.get("faults") {
@@ -547,83 +669,78 @@ fn parse_workload(
     label: &str,
     net: &NetworkConfig,
 ) -> Result<WorkloadPhase, SpecError> {
-    let kind = req_str(phase, "workload")?;
-    let base = ["label", "epochs", "workload", "faults"];
-    match kind.as_str() {
-        "poisson" => {
-            check_keys(
-                phase,
-                &[&base[..], &["dist", "load"]].concat(),
-                "a poisson phase",
-            )?;
-            let load_val = phase.get("load").ok_or_else(|| {
-                SpecError::at(
-                    phase.pos,
-                    format!("phase '{label}' needs a 'load' percentage"),
-                )
-            })?;
-            let load = num_in_range(load_val, "'load'", 0.0, 100.0, true)? / 100.0;
-            let dist = match opt_str(phase, "dist")?.as_deref() {
-                None | Some("hadoop") => FlowSizeDist::hadoop(),
-                Some("web_search") => FlowSizeDist::web_search(),
-                Some("google") => FlowSizeDist::google(),
-                Some(other) => {
-                    return Err(SpecError::at(
-                        phase.get("dist").expect("present").pos,
-                        format!("unknown 'dist' {other:?} (hadoop, web_search, google)"),
-                    ))
-                }
-            };
-            Ok(WorkloadPhase::Poisson { dist, load })
-        }
-        "incast" => {
-            check_keys(
-                phase,
-                &[&base[..], &["degree", "flow_bytes", "every_epochs"]].concat(),
-                "an incast phase",
-            )?;
-            let degree_val = phase.get("degree").ok_or_else(|| {
-                SpecError::at(phase.pos, format!("phase '{label}' needs a 'degree'"))
-            })?;
-            let degree = degree_val.as_u64().filter(|&d| d >= 1).ok_or_else(|| {
-                SpecError::at(degree_val.pos, "'degree' must be a positive integer")
-            })? as usize;
-            if degree >= net.n_tors {
-                return Err(SpecError::at(
-                    degree_val.pos,
-                    format!(
-                        "incast degree {degree} out of range — the fabric has {} ToRs and one must receive",
-                        net.n_tors
-                    ),
-                ));
-            }
-            let flow_bytes = req_u64_range(phase, "flow_bytes", 1, MAX_FLOW_BYTES, label)?;
-            let every_epochs = opt_u64_range(phase, "every_epochs", 1, MAX_EPOCHS)?;
-            Ok(WorkloadPhase::Incast {
-                degree,
-                flow_bytes,
-                every_epochs,
-            })
-        }
-        "all_to_all" => {
-            check_keys(
-                phase,
-                &[&base[..], &["flow_bytes"]].concat(),
-                "an all_to_all phase",
-            )?;
-            let flow_bytes = req_u64_range(phase, "flow_bytes", 1, MAX_FLOW_BYTES, label)?;
-            Ok(WorkloadPhase::AllToAll { flow_bytes })
-        }
-        "trace" => {
-            check_keys(phase, &[&base[..], &["path"]].concat(), "a trace phase")?;
-            let path = req_str(phase, "path")?;
-            Ok(WorkloadPhase::Trace { path })
-        }
-        other => Err(SpecError::at(
-            phase.get("workload").expect("required above").pos,
-            format!("unknown workload {other:?} (poisson, incast, all_to_all, trace)"),
-        )),
+    let row = pick(&WORKLOADS, phase, "workload", "workload")?
+        .ok_or_else(|| missing(phase, "workload"))?;
+    let article = if row.kind.starts_with(['a', 'e', 'i', 'o', 'u']) {
+        "an"
+    } else {
+        "a"
+    };
+    check_keys(
+        phase,
+        &[PHASE_KEYS, row.keys],
+        format_args!("{article} {} phase", row.kind),
+    )?;
+    (row.parse)(phase, label, net)
+}
+
+fn parse_poisson(
+    phase: &SpannedJson,
+    label: &str,
+    _net: &NetworkConfig,
+) -> Result<WorkloadPhase, SpecError> {
+    let load_val = need(
+        phase,
+        "load",
+        format_args!("phase '{label}' needs a 'load' percentage"),
+    )?;
+    let load = num_in_range(load_val, "load", 0.0, 100.0, true)? / 100.0;
+    let dist = (pick(&DISTS, phase, "dist", "'dist'")?
+        .unwrap_or(&DISTS[0])
+        .1)();
+    Ok(WorkloadPhase::Poisson { dist, load })
+}
+
+fn parse_incast(
+    phase: &SpannedJson,
+    label: &str,
+    net: &NetworkConfig,
+) -> Result<WorkloadPhase, SpecError> {
+    let degree_val = need(
+        phase,
+        "degree",
+        format_args!("phase '{label}' needs a 'degree'"),
+    )?;
+    let degree = degree_val
+        .as_u64()
+        .filter(|&d| d >= 1)
+        .ok_or_else(|| SpecError::at(degree_val.pos, "'degree' must be a positive integer"))?
+        as usize;
+    let n_tors = net.n_tors;
+    if degree >= n_tors {
+        return Err(SpecError::at(
+            degree_val.pos,
+            format!("incast degree {degree} out of range — the fabric has {n_tors} ToRs and one must receive"),
+        ));
     }
+    let flow_bytes = flow_bytes(phase, label)?;
+    let every_epochs = opt_u64_range(phase, "every_epochs", 1, MAX_EPOCHS)?;
+    Ok(WorkloadPhase::Incast {
+        degree,
+        flow_bytes,
+        every_epochs,
+    })
+}
+
+/// A phase's required `flow_bytes`.
+fn flow_bytes(phase: &SpannedJson, label: &str) -> Result<u64, SpecError> {
+    req_u64(
+        phase,
+        "flow_bytes",
+        1,
+        MAX_FLOW_BYTES,
+        format_args!("phase '{label}'"),
+    )
 }
 
 fn parse_events(
@@ -638,17 +755,13 @@ fn parse_events(
     let items = events
         .as_array()
         .ok_or_else(|| SpecError::at(events.pos, "'events' must be an array"))?;
+    // Every link action's parameters sit on the event beside `action`.
+    let params: Vec<&str> = ACTIONS.iter().flat_map(|a| a.1).copied().collect();
     let mut out = Vec::new();
     for (i, item) in items.iter().enumerate() {
         expect_obj(item, "an event")?;
-        check_keys(
-            item,
-            &["at_epoch", "action", "inject", "links", "ratio", "seed"],
-            "an event",
-        )?;
-        let at = item
-            .get("at_epoch")
-            .ok_or_else(|| SpecError::at(item.pos, "an event needs an 'at_epoch'"))?;
+        check_keys(item, &[EVENT_KEYS, &params], "an event")?;
+        let at = need(item, "at_epoch", "an event needs an 'at_epoch'")?;
         let at_epoch = at
             .as_u64()
             .ok_or_else(|| SpecError::at(at.pos, "'at_epoch' must be a non-negative integer"))?;
@@ -660,18 +773,14 @@ fn parse_events(
                 ),
             ));
         }
-        // A key belonging to a *different* action must not be silently
-        // dropped (the misplaced-parameter variant of the unknown-key rule).
-        let reject_stray = |keys: &[&str], action: &str| -> Result<(), SpecError> {
-            for &key in keys {
-                if let Some(stray) = item.get(key) {
-                    return Err(SpecError::at(
-                        stray.pos,
-                        format!("'{key}' does not apply to the '{action}' action"),
-                    ));
-                }
-            }
-            Ok(())
+        // A parameter the event's action does not take must not be
+        // silently dropped (the misplaced-parameter variant of the
+        // unknown-key rule): the first one present, if any.
+        let stray = |takes: &[&str]| {
+            params
+                .iter()
+                .filter(|key| !takes.contains(key))
+                .find_map(|&key| item.get(key).map(|v| (key, v.pos)))
         };
         // An event carries either a link-state 'action' or an adversarial
         // 'inject' — exactly one.
@@ -682,13 +791,11 @@ fn parse_events(
                     "an event takes either 'action' or 'inject', not both",
                 ));
             }
-            for &key in &["links", "ratio", "seed"] {
-                if let Some(stray) = item.get(key) {
-                    return Err(SpecError::at(
-                        stray.pos,
-                        format!("'{key}' belongs inside the 'inject' object"),
-                    ));
-                }
+            if let Some((key, pos)) = stray(&[]) {
+                return Err(SpecError::at(
+                    pos,
+                    format!("'{key}' belongs inside the 'inject' object"),
+                ));
             }
             let seed = scenario_seed ^ (0x1AF0_5EED + i as u64);
             out.push(EventSpec {
@@ -697,54 +804,33 @@ fn parse_events(
             });
             continue;
         }
-        let action = req_str(item, "action")?;
-        let inject = match action.as_str() {
-            "fail_links" => {
-                reject_stray(&["ratio", "seed"], "fail_links")?;
-                let links = item
-                    .get("links")
-                    .ok_or_else(|| SpecError::at(item.pos, "'fail_links' needs a 'links' array"))?;
-                let entries = links
-                    .as_array()
-                    .filter(|l| !l.is_empty())
-                    .ok_or_else(|| SpecError::at(links.pos, "'links' must be a non-empty array"))?;
-                for entry in entries {
-                    let (tor, port, dir) = parse_link(entry, net)?;
-                    out.push(EventSpec {
-                        at_epoch,
-                        inject: InjectSpec::FailLink { tor, port, dir },
-                    });
-                }
-                continue;
-            }
-            "repair_links" => {
-                reject_stray(&["links", "ratio", "seed"], "repair_links")?;
-                InjectSpec::RepairAll
-            }
-            "fail_random" => {
-                reject_stray(&["links"], "fail_random")?;
-                let ratio_val = item
-                    .get("ratio")
-                    .ok_or_else(|| SpecError::at(item.pos, "'fail_random' needs a 'ratio'"))?;
-                let ratio = num_in_range(ratio_val, "'ratio'", 0.0, 1.0, true)?;
-                let seed = opt_u64_min(item, "seed", 0)?
-                    .unwrap_or_else(|| scenario_seed ^ (0x5CE7A810 + i as u64));
-                InjectSpec::FailRandom { ratio, seed }
-            }
-            other => {
-                return Err(SpecError::at(
-                    item.get("action").expect("required above").pos,
-                    format!(
-                        "unknown action {other:?} (fail_links, repair_links, fail_random){}",
-                        did_you_mean(other, &["fail_links", "repair_links", "fail_random"])
-                    ),
-                ))
-            }
-        };
-        out.push(EventSpec { at_epoch, inject });
+        let action =
+            pick(&ACTIONS, item, "action", "action")?.ok_or_else(|| missing(item, "action"))?;
+        if let Some((key, pos)) = stray(action.1) {
+            return Err(SpecError::at(
+                pos,
+                format!("'{key}' does not apply to the '{}' action", action.0),
+            ));
+        }
+        let seed = scenario_seed ^ (0x5CE7A810 + i as u64);
+        for inject in (action.2)(item, net, seed, action.0)? {
+            out.push(EventSpec { at_epoch, inject });
+        }
     }
     out.sort_by_key(|e| e.at_epoch);
     Ok(out)
+}
+
+/// A non-empty `links` array of link objects.
+fn parse_links(
+    links: &SpannedJson,
+    net: &NetworkConfig,
+) -> Result<Vec<(usize, usize, LinkDir)>, SpecError> {
+    let entries = links
+        .as_array()
+        .filter(|l| !l.is_empty())
+        .ok_or_else(|| SpecError::at(links.pos, "'links' must be a non-empty array"))?;
+    entries.iter().map(|entry| parse_link(entry, net)).collect()
 }
 
 fn parse_link(
@@ -752,49 +838,25 @@ fn parse_link(
     net: &NetworkConfig,
 ) -> Result<(usize, usize, LinkDir), SpecError> {
     expect_obj(entry, "a link")?;
-    check_keys(entry, &["tor", "port", "dir"], "a link")?;
-    let tor_val = entry
-        .get("tor")
-        .ok_or_else(|| SpecError::at(entry.pos, "a link needs a 'tor' index"))?;
-    let tor = tor_val
-        .as_u64()
-        .ok_or_else(|| SpecError::at(tor_val.pos, "'tor' must be a non-negative integer"))?
-        as usize;
-    if tor >= net.n_tors {
-        return Err(SpecError::at(
-            tor_val.pos,
-            format!(
-                "ToR index {tor} out of range — the fabric has {} ToRs",
-                net.n_tors
-            ),
-        ));
-    }
-    let port_val = entry
-        .get("port")
-        .ok_or_else(|| SpecError::at(entry.pos, "a link needs a 'port' index"))?;
-    let port = port_val
-        .as_u64()
-        .ok_or_else(|| SpecError::at(port_val.pos, "'port' must be a non-negative integer"))?
-        as usize;
-    if port >= net.n_ports {
-        return Err(SpecError::at(
-            port_val.pos,
-            format!(
-                "port index {port} out of range — each ToR has {} uplink ports",
-                net.n_ports
-            ),
-        ));
-    }
-    let dir = match opt_str(entry, "dir")?.as_deref() {
-        None | Some("egress") => LinkDir::Egress,
-        Some("ingress") => LinkDir::Ingress,
-        Some(other) => {
-            return Err(SpecError::at(
-                entry.get("dir").expect("present").pos,
-                format!("'dir' must be \"egress\" or \"ingress\", got {other:?}"),
-            ))
+    check_keys(entry, &[&["tor", "port", "dir"]], "a link")?;
+    // An index below `bound`; `range` words the out-of-range error.
+    let index = |key: &str, bound: usize, range: &dyn Fn(usize) -> String| {
+        let v = need(entry, key, format_args!("a link needs a '{key}' index"))?;
+        let at = |msg| Err(SpecError::at(v.pos, msg));
+        match v.as_u64().map(|i| i as usize) {
+            None => at(format!("'{key}' must be a non-negative integer")),
+            Some(i) if i >= bound => at(range(i)),
+            Some(i) => Ok(i),
         }
     };
+    let (n_tors, n_ports) = (net.n_tors, net.n_ports);
+    let tor = index("tor", n_tors, &|i| {
+        format!("ToR index {i} out of range — the fabric has {n_tors} ToRs")
+    })?;
+    let port = index("port", n_ports, &|i| {
+        format!("port index {i} out of range — each ToR has {n_ports} uplink ports")
+    })?;
+    let dir = pick(&DIRS, entry, "dir", "'dir'")?.unwrap_or(&DIRS[0]).1;
     Ok((tor, port, dir))
 }
 
@@ -817,7 +879,7 @@ struct Family {
     parse: fn(&SpannedJson, &NetworkConfig, u64, &str) -> Result<InjectSpec, SpecError>,
     /// Is this spec the family's start?
     starts: fn(&InjectSpec) -> bool,
-    end: InjectSpec,
+    end: FaultAction,
 }
 
 /// The four families, in `faults`-block order (which is also their
@@ -830,7 +892,7 @@ static FAMILIES: [Family; 4] = [
         keys: &["links", "ratio", "seed", "up_epochs", "down_epochs"],
         parse: parse_flap,
         starts: |spec| matches!(spec, InjectSpec::FlapStart { .. }),
-        end: InjectSpec::FlapStop,
+        end: FaultAction::FlapStop,
     },
     Family {
         start: "partition",
@@ -838,8 +900,8 @@ static FAMILIES: [Family; 4] = [
         phase_key: "partition",
         keys: &["assign", "groups", "seed"],
         parse: parse_partition,
-        starts: |spec| matches!(spec, InjectSpec::Partition(_)),
-        end: InjectSpec::Heal,
+        starts: |spec| matches!(spec, InjectSpec::Action(FaultAction::Partition(_))),
+        end: FaultAction::Heal,
     },
     Family {
         start: "gray_start",
@@ -847,17 +909,21 @@ static FAMILIES: [Family; 4] = [
         phase_key: "gray",
         keys: &["drop_prob", "seed", "tors"],
         parse: parse_gray,
-        starts: |spec| matches!(spec, InjectSpec::GrayStart { .. }),
-        end: InjectSpec::GrayStop,
+        starts: |spec| matches!(spec, InjectSpec::Action(FaultAction::GrayStart { .. })),
+        end: FaultAction::GrayStop,
     },
     Family {
         start: "greedy_start",
         stop: "greedy_stop",
         phase_key: "greedy",
         keys: &["tors"],
-        parse: parse_greedy,
-        starts: |spec| matches!(spec, InjectSpec::GreedyStart { .. }),
-        end: InjectSpec::GreedyStop,
+        parse: |v, net, _, what| {
+            let tors = need(v, "tors", format_args!("{what} needs a 'tors' array"))?;
+            let tors = parse_tor_list(tors, net)?;
+            Ok(InjectSpec::Action(FaultAction::GreedyStart { tors }))
+        },
+        starts: |spec| matches!(spec, InjectSpec::Action(FaultAction::GreedyStart { .. })),
+        end: FaultAction::GreedyStop,
     },
 ];
 
@@ -872,22 +938,20 @@ fn parse_inject(
     let what = format!("a '{kind}' inject");
     for family in &FAMILIES {
         if kind == family.start {
-            check_keys(v, &[&["kind"], family.keys].concat(), &what)?;
+            check_keys(v, &[KIND, family.keys], &what)?;
             return (family.parse)(v, net, default_seed, &what);
         }
         if kind == family.stop {
-            check_keys(v, &["kind"], &what)?;
-            return Ok(family.end.clone());
+            check_keys(v, &[KIND], &what)?;
+            return Ok(InjectSpec::Action(family.end.clone()));
         }
     }
     let kinds: Vec<&str> = FAMILIES.iter().flat_map(|f| [f.start, f.stop]).collect();
-    Err(SpecError::at(
+    Err(unknown(
         v.get("kind").expect("required above").pos,
-        format!(
-            "unknown inject kind {kind:?} ({}){}",
-            kinds.join(", "),
-            did_you_mean(&kind, &kinds)
-        ),
+        "inject kind",
+        kind,
+        &kinds,
     ))
 }
 
@@ -902,7 +966,7 @@ fn parse_phase_faults(
 ) -> Result<Vec<InjectSpec>, SpecError> {
     expect_obj(v, "'faults'")?;
     let keys: Vec<&str> = FAMILIES.iter().map(|f| f.phase_key).collect();
-    check_keys(v, &keys, "a phase 'faults' block")?;
+    check_keys(v, &[&keys], "a phase 'faults' block")?;
     let mut out = Vec::new();
     for (lane, family) in FAMILIES.iter().enumerate() {
         let Some(params) = v.get(family.phase_key) else {
@@ -910,7 +974,7 @@ fn parse_phase_faults(
         };
         let what = format!("'faults.{}'", family.phase_key);
         expect_obj(params, &what)?;
-        check_keys(params, family.keys, &what)?;
+        check_keys(params, &[family.keys], &what)?;
         // Distinct default-seed lanes per phase and per fault family.
         let seed = scenario_seed ^ (0xFA01_7000 + 4 * phase_i + lane as u64);
         out.push((family.parse)(params, net, seed, &what)?);
@@ -924,39 +988,28 @@ fn parse_phase_faults(
     Ok(out)
 }
 
-/// A flap's parameters: its targets and the two half-cycle lengths.
+/// A flap's parameters: its targets — an explicit `links` list XOR a
+/// random `ratio` (with an optional `seed` that only makes sense for the
+/// random form) — and the two half-cycle lengths.
 fn parse_flap(
     v: &SpannedJson,
     net: &NetworkConfig,
     default_seed: u64,
     what: &str,
 ) -> Result<InjectSpec, SpecError> {
-    let targets = parse_flap_targets(v, net, default_seed)?;
-    let up_epochs = need_u64(v, "up_epochs", 1, MAX_EPOCHS, what)?;
-    let down_epochs = need_u64(v, "down_epochs", 1, MAX_EPOCHS, what)?;
-    Ok(InjectSpec::FlapStart {
-        targets,
-        up_epochs,
-        down_epochs,
-    })
-}
-
-/// Flap targets: an explicit `links` list XOR a random `ratio` (with an
-/// optional `seed` that only makes sense for the random form).
-fn parse_flap_targets(
-    v: &SpannedJson,
-    net: &NetworkConfig,
-    default_seed: u64,
-) -> Result<FlapTargets, SpecError> {
-    match (v.get("links"), v.get("ratio")) {
-        (Some(_), Some(ratio)) => Err(SpecError::at(
-            ratio.pos,
-            "a flap takes either 'links' or a 'ratio', not both",
-        )),
-        (None, None) => Err(SpecError::at(
-            v.pos,
-            "a flap needs 'links' or a random 'ratio'",
-        )),
+    let targets = match (v.get("links"), v.get("ratio")) {
+        (Some(_), Some(ratio)) => {
+            return Err(SpecError::at(
+                ratio.pos,
+                "a flap takes either 'links' or a 'ratio', not both",
+            ))
+        }
+        (None, None) => {
+            return Err(SpecError::at(
+                v.pos,
+                "a flap needs 'links' or a random 'ratio'",
+            ))
+        }
         (Some(links), None) => {
             if let Some(seed) = v.get("seed") {
                 return Err(SpecError::at(
@@ -964,22 +1017,19 @@ fn parse_flap_targets(
                     "'seed' only applies to a random ('ratio') flap",
                 ));
             }
-            let entries = links
-                .as_array()
-                .filter(|l| !l.is_empty())
-                .ok_or_else(|| SpecError::at(links.pos, "'links' must be a non-empty array"))?;
-            let mut parsed = Vec::new();
-            for entry in entries {
-                parsed.push(parse_link(entry, net)?);
-            }
-            Ok(FlapTargets::Links(parsed))
+            FlapTargets::Links(parse_links(links, net)?)
         }
         (None, Some(ratio_val)) => {
-            let ratio = num_in_range(ratio_val, "'ratio'", 0.0, 1.0, true)?;
+            let ratio = num_in_range(ratio_val, "ratio", 0.0, 1.0, true)?;
             let seed = opt_u64_min(v, "seed", 0)?.unwrap_or(default_seed);
-            Ok(FlapTargets::Random { ratio, seed })
+            FlapTargets::Random { ratio, seed }
         }
-    }
+    };
+    Ok(InjectSpec::FlapStart {
+        targets,
+        up_epochs: req_u64(v, "up_epochs", 1, MAX_EPOCHS, what)?,
+        down_epochs: req_u64(v, "down_epochs", 1, MAX_EPOCHS, what)?,
+    })
 }
 
 /// A partition: an explicit per-ToR `assign` array XOR a random
@@ -990,6 +1040,7 @@ fn parse_partition(
     default_seed: u64,
     _what: &str,
 ) -> Result<InjectSpec, SpecError> {
+    let n_tors = net.n_tors;
     let spec = match (v.get("assign"), v.get("groups")) {
         (Some(_), Some(groups)) => {
             return Err(SpecError::at(
@@ -1013,27 +1064,21 @@ fn parse_partition(
             let entries = assign
                 .as_array()
                 .ok_or_else(|| SpecError::at(assign.pos, "'assign' must be an array"))?;
-            if entries.len() != net.n_tors {
-                return Err(SpecError::at(
-                    assign.pos,
-                    format!(
-                        "'assign' lists {} groups but the fabric has {} ToRs",
-                        entries.len(),
-                        net.n_tors
-                    ),
-                ));
+            let listed = entries.len();
+            if listed != n_tors {
+                let msg =
+                    format!("'assign' lists {listed} groups but the fabric has {n_tors} ToRs");
+                return Err(SpecError::at(assign.pos, msg));
             }
-            let mut groups = Vec::with_capacity(entries.len());
+            let mut groups = Vec::with_capacity(listed);
             for entry in entries {
-                let g = entry
-                    .as_u64()
-                    .filter(|&g| g < net.n_tors as u64)
-                    .ok_or_else(|| {
-                        SpecError::at(
-                            entry.pos,
-                            format!("a group id must be an integer below {}", net.n_tors),
-                        )
-                    })?;
+                let below = |&g: &u64| g < n_tors as u64;
+                let g = entry.as_u64().filter(below).ok_or_else(|| {
+                    SpecError::at(
+                        entry.pos,
+                        format!("a group id must be an integer below {n_tors}"),
+                    )
+                })?;
                 groups.push(g as u32);
             }
             let first = groups[0];
@@ -1048,18 +1093,16 @@ fn parse_partition(
         (None, Some(groups_val)) => {
             let groups = groups_val
                 .as_u64()
-                .filter(|&g| (2..=net.n_tors as u64).contains(&g))
+                .filter(|&g| (2..=n_tors as u64).contains(&g))
                 .ok_or_else(|| {
-                    SpecError::at(
-                        groups_val.pos,
-                        format!("'groups' must be an integer in [2, {}]", net.n_tors),
-                    )
+                    let msg = format!("'groups' must be an integer in [2, {n_tors}]");
+                    SpecError::at(groups_val.pos, msg)
                 })? as u32;
             let seed = opt_u64_min(v, "seed", 0)?.unwrap_or(default_seed);
             PartitionSpec::Random { groups, seed }
         }
     };
-    Ok(InjectSpec::Partition(spec))
+    Ok(InjectSpec::Action(FaultAction::Partition(spec)))
 }
 
 /// Gray-failure parameters: required `drop_prob`, optional `seed` and
@@ -1070,35 +1113,15 @@ fn parse_gray(
     default_seed: u64,
     _what: &str,
 ) -> Result<InjectSpec, SpecError> {
-    let prob_val = v
-        .get("drop_prob")
-        .ok_or_else(|| SpecError::at(v.pos, "a gray failure needs a 'drop_prob'"))?;
-    let drop_prob = num_in_range(prob_val, "'drop_prob'", 0.0, 1.0, true)?;
+    let prob_val = need(v, "drop_prob", "a gray failure needs a 'drop_prob'")?;
+    let drop_prob = num_in_range(prob_val, "drop_prob", 0.0, 1.0, true)?;
     let seed = opt_u64_min(v, "seed", 0)?.unwrap_or(default_seed);
-    let tors = match v.get("tors") {
-        None => None,
-        Some(tors_val) => Some(parse_tor_list(tors_val, net)?),
-    };
-    Ok(InjectSpec::GrayStart {
+    let tors = v.get("tors").map(|t| parse_tor_list(t, net)).transpose()?;
+    Ok(InjectSpec::Action(FaultAction::GrayStart {
         drop_prob,
         seed,
         tors,
-    })
-}
-
-/// The greedy granters: a required `tors` list.
-fn parse_greedy(
-    v: &SpannedJson,
-    net: &NetworkConfig,
-    _default_seed: u64,
-    what: &str,
-) -> Result<InjectSpec, SpecError> {
-    let tors_val = v
-        .get("tors")
-        .ok_or_else(|| SpecError::at(v.pos, format!("{what} needs a 'tors' array")))?;
-    Ok(InjectSpec::GreedyStart {
-        tors: parse_tor_list(tors_val, net)?,
-    })
+    }))
 }
 
 /// A non-empty, duplicate-free list of in-range ToR indices.
@@ -1107,19 +1130,15 @@ fn parse_tor_list(v: &SpannedJson, net: &NetworkConfig) -> Result<Vec<usize>, Sp
         .as_array()
         .filter(|t| !t.is_empty())
         .ok_or_else(|| SpecError::at(v.pos, "'tors' must be a non-empty array"))?;
+    let n_tors = net.n_tors;
     let mut out = Vec::with_capacity(entries.len());
     for entry in entries {
         let tor = entry
             .as_u64()
-            .filter(|&t| t < net.n_tors as u64)
+            .filter(|&t| t < n_tors as u64)
             .ok_or_else(|| {
-                SpecError::at(
-                    entry.pos,
-                    format!(
-                        "ToR index out of range — the fabric has {} ToRs",
-                        net.n_tors
-                    ),
-                )
+                let msg = format!("ToR index out of range — the fabric has {n_tors} ToRs");
+                SpecError::at(entry.pos, msg)
             })? as usize;
         if out.contains(&tor) {
             return Err(SpecError::at(
@@ -1147,11 +1166,11 @@ fn expect_obj(v: &SpannedJson, what: &str) -> Result<(), SpecError> {
     }
 }
 
-/// Reject members outside `allowed` (typo protection — a misspelled key
-/// must not silently fall back to a default) and duplicate keys (lookups
-/// return the first occurrence, so a repeated key's later value would be
-/// silently dropped).
-fn check_keys(v: &SpannedJson, allowed: &[&str], what: &str) -> Result<(), SpecError> {
+/// Reject members outside the `allowed` lists (typo protection — a
+/// misspelled key must not silently fall back to a default) and duplicate
+/// keys (lookups return the first occurrence, so a repeated key's later
+/// value would be silently dropped).
+fn check_keys(v: &SpannedJson, allowed: &[&[&str]], what: impl Display) -> Result<(), SpecError> {
     let mut seen: Vec<&str> = Vec::new();
     for (key_pos, key, _) in v.members().into_iter().flatten() {
         if seen.contains(&key.as_str()) {
@@ -1161,13 +1180,14 @@ fn check_keys(v: &SpannedJson, allowed: &[&str], what: &str) -> Result<(), SpecE
             ));
         }
         seen.push(key);
-        if !allowed.contains(&key.as_str()) {
+        if !allowed.iter().any(|keys| keys.contains(&key.as_str())) {
+            let allowed = allowed.concat();
             return Err(SpecError::at(
                 *key_pos,
                 format!(
                     "unknown key {key:?} in {what} (allowed: {}){}",
                     allowed.join(", "),
-                    did_you_mean(key, allowed)
+                    did_you_mean(key, &allowed)
                 ),
             ));
         }
@@ -1176,19 +1196,13 @@ fn check_keys(v: &SpannedJson, allowed: &[&str], what: &str) -> Result<(), SpecE
 }
 
 /// ` — did you mean "x"?` when a candidate sits within a small edit
-/// distance of the input, else empty. Candidates are scanned in sorted
-/// order (mirroring the lint module's sorted-rule lookup) so ties break
-/// the same way on every platform.
+/// distance of the input, else empty. A tie goes to the candidate first in
+/// sorted order, so the hint is the same on every platform.
 fn did_you_mean(input: &str, candidates: &[&str]) -> String {
-    let mut sorted: Vec<&str> = candidates.to_vec();
-    sorted.sort_unstable();
-    let mut best: Option<(usize, &str)> = None;
-    for cand in sorted {
-        let d = edit_distance(input, cand);
-        if best.is_none_or(|(bd, _)| d < bd) {
-            best = Some((d, cand));
-        }
-    }
+    let best = candidates
+        .iter()
+        .map(|&cand| (edit_distance(input, cand), cand))
+        .min();
     match best {
         // One edit is always plausible; two only on longer names, so
         // short keys like "at" never suggest an unrelated "al".
@@ -1216,22 +1230,28 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-fn req_str(v: &SpannedJson, key: &str) -> Result<String, SpecError> {
-    match v.get(key) {
-        None => Err(SpecError::at(
-            v.pos,
-            format!("missing required key '{key}'"),
-        )),
-        Some(s) => s.as_str().map(str::to_string).ok_or_else(|| {
-            SpecError::at(s.pos, format!("'{key}' must be a string, got {}", s.kind()))
-        }),
-    }
+fn missing(v: &SpannedJson, key: &str) -> SpecError {
+    SpecError::at(v.pos, format!("missing required key '{key}'"))
 }
 
-fn opt_str(v: &SpannedJson, key: &str) -> Result<Option<String>, SpecError> {
+/// `v`'s member `key`, else the error `needs` (which names the key).
+fn need<'v>(
+    v: &'v SpannedJson,
+    key: &str,
+    needs: impl Display,
+) -> Result<&'v SpannedJson, SpecError> {
+    v.get(key)
+        .ok_or_else(|| SpecError::at(v.pos, needs.to_string()))
+}
+
+fn req_str<'v>(v: &'v SpannedJson, key: &str) -> Result<&'v str, SpecError> {
+    opt_str(v, key)?.ok_or_else(|| missing(v, key))
+}
+
+fn opt_str<'v>(v: &'v SpannedJson, key: &str) -> Result<Option<&'v str>, SpecError> {
     match v.get(key) {
         None => Ok(None),
-        Some(s) => s.as_str().map(|s| Some(s.to_string())).ok_or_else(|| {
+        Some(s) => s.as_str().map(Some).ok_or_else(|| {
             SpecError::at(s.pos, format!("'{key}' must be a string, got {}", s.kind()))
         }),
     }
@@ -1258,34 +1278,31 @@ fn opt_u64_range(v: &SpannedJson, key: &str, min: u64, max: u64) -> Result<Optio
     }
 }
 
-fn req_u64_range(
+/// [`opt_u64_range`] for a key the object — `what`, as the error names
+/// it — needs.
+fn req_u64(
     v: &SpannedJson,
     key: &str,
     min: u64,
     max: u64,
-    label: &str,
+    what: impl Display,
 ) -> Result<u64, SpecError> {
-    opt_u64_range(v, key, min, max)?
-        .ok_or_else(|| SpecError::at(v.pos, format!("phase '{label}' needs a '{key}'")))
-}
-
-/// Like [`req_u64_range`] but phrased for non-phase containers.
-fn need_u64(v: &SpannedJson, key: &str, min: u64, max: u64, what: &str) -> Result<u64, SpecError> {
     opt_u64_range(v, key, min, max)?
         .ok_or_else(|| SpecError::at(v.pos, format!("{what} needs a '{key}'")))
 }
 
-/// A number in `(lo, hi]` (exclusive low — loads and ratios of zero are
-/// meaningless; `closed_hi` includes the upper bound).
+/// The number `v` (the value of `key`) in `(lo, hi]` (exclusive low —
+/// loads and ratios of zero are meaningless; `closed_hi` includes the
+/// upper bound).
 fn num_in_range(
     v: &SpannedJson,
-    what: &str,
+    key: &str,
     lo: f64,
     hi: f64,
     closed_hi: bool,
 ) -> Result<f64, SpecError> {
     let x = v.as_f64().ok_or_else(|| {
-        SpecError::at(v.pos, format!("{what} must be a number, got {}", v.kind()))
+        SpecError::at(v.pos, format!("'{key}' must be a number, got {}", v.kind()))
     })?;
     let in_range = x.is_finite() && x > lo && if closed_hi { x <= hi } else { x < hi };
     if in_range {
@@ -1294,7 +1311,7 @@ fn num_in_range(
         Err(SpecError::at(
             v.pos,
             format!(
-                "{what} = {x} is out of range ({lo}, {hi}{}",
+                "'{key}' = {x} is out of range ({lo}, {hi}{}",
                 if closed_hi { "]" } else { ")" }
             ),
         ))
@@ -1489,6 +1506,105 @@ mod tests {
     }
 
     #[test]
+    fn mode_string_is_the_object_form_at_its_default() {
+        let mode = |m: &str| {
+            parse_scenario(&minimal(&format!(",\n  \"mode\": {m}")))
+                .unwrap()
+                .mode
+        };
+        for &(name, _, default) in &MODES {
+            assert_eq!(mode(&format!("\"{name}\"")), default, "{name}");
+            assert_eq!(
+                mode(&format!("{{\"kind\": \"{name}\"}}")),
+                default,
+                "{name}"
+            );
+        }
+        assert_eq!(
+            mode(r#"{"kind": "hol_delay", "alpha": 0.01}"#),
+            SchedulerMode::HolDelay { alpha: 0.01 }
+        );
+    }
+
+    #[test]
+    fn iterative_mode_rejects_alpha() {
+        let text = minimal(
+            r#",
+  "mode": {"kind": "iterative", "alpha": 0.5}"#,
+        );
+        let err = parse_scenario(&text).unwrap_err();
+        assert_eq!(
+            err,
+            "line 9, column 33: unknown key \"alpha\" in 'mode' (allowed: kind, rounds)"
+        );
+    }
+
+    #[test]
+    fn hol_delay_mode_rejects_rounds() {
+        let text = minimal(
+            r#",
+  "mode": {"kind": "hol_delay", "rounds": 9}"#,
+        );
+        let err = parse_scenario(&text).unwrap_err();
+        assert_eq!(
+            err,
+            "line 9, column 33: unknown key \"rounds\" in 'mode' (allowed: kind, alpha)"
+        );
+    }
+
+    /// README § "Scenario file schema" and § "Fault injection" name every
+    /// key and every name the tables accept.
+    #[test]
+    fn readme_documents_every_key_and_name() {
+        let readme = include_str!("../../../README.md");
+        let section = |heading: &str| {
+            let start = readme.find(heading).expect(heading) + heading.len();
+            let rest = &readme[start..];
+            &rest[..rest.find("\n#").unwrap_or(rest.len())]
+        };
+        let documented = [
+            section("\n### Scenario file schema\n"),
+            section("\n### Fault injection\n"),
+        ]
+        .concat();
+        // As a whole word: `flap` does not count as mentioned by `flap_start`.
+        let mentions = |word: &str| {
+            documented.match_indices(word).any(|(at, _)| {
+                let ident =
+                    |c: Option<char>| c.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
+                !ident(documented[..at].chars().next_back())
+                    && !ident(documented[at + word.len()..].chars().next())
+            })
+        };
+        let mut words: Vec<&str> = [TOP_KEYS, PHASE_KEYS, EVENT_KEYS, KIND].concat();
+        words.extend(TOPOLOGIES.iter().map(Named::name));
+        words.extend(ENGINES.iter().map(Named::name));
+        words.extend(DISTS.iter().map(Named::name));
+        words.extend(DIRS.iter().map(Named::name));
+        for &(name, param, _) in &MODES {
+            words.push(name);
+            words.extend(param);
+        }
+        for row in &WORKLOADS {
+            words.push(row.kind);
+            words.extend(row.keys);
+        }
+        for &(name, keys, _) in &ACTIONS {
+            words.push(name);
+            words.extend(keys);
+        }
+        for row in &FAMILIES {
+            words.extend([row.start, row.stop, row.phase_key]);
+            words.extend(row.keys);
+        }
+        let undocumented: Vec<&str> = words.into_iter().filter(|w| !mentions(w)).collect();
+        assert!(
+            undocumented.is_empty(),
+            "README's scenario schema never mentions {undocumented:?}"
+        );
+    }
+
+    #[test]
     fn inject_events_parse_and_default_seeds_derive() {
         let text = minimal(
             r#",
@@ -1505,11 +1621,11 @@ mod tests {
         let s = parse_scenario(&text).unwrap();
         assert_eq!(s.events.len(), 6);
         // Sorted by epoch; spot-check the gray event and its derived seed.
-        let InjectSpec::GrayStart {
+        let InjectSpec::Action(FaultAction::GrayStart {
             drop_prob,
             seed,
             tors,
-        } = &s.events[0].inject
+        }) = &s.events[0].inject
         else {
             panic!("gray_start first, got {:?}", s.events[0]);
         };
@@ -1597,11 +1713,11 @@ mod tests {
         assert_eq!(s.phases[0].faults.len(), 2);
         assert!(matches!(
             s.phases[0].faults[0],
-            InjectSpec::GrayStart { .. }
+            InjectSpec::Action(FaultAction::GrayStart { .. })
         ));
         assert!(matches!(
             &s.phases[0].faults[1],
-            InjectSpec::GreedyStart { tors } if tors == &[1, 2]
+            InjectSpec::Action(FaultAction::GreedyStart { tors }) if tors == &[1, 2]
         ));
         let empty = text.replace(
             r#""faults": {"gray": {"drop_prob": 0.3}, "greedy": {"tors": [1, 2]}}"#,

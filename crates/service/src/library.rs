@@ -82,15 +82,7 @@ fn phase_json(phase: &scenario::PhaseSpec) -> Json {
                 Json::UInt(phase.end_epoch),
             ]),
         )
-        .push(
-            "workload",
-            match &phase.workload {
-                WorkloadPhase::Poisson { .. } => "poisson",
-                WorkloadPhase::Incast { .. } => "incast",
-                WorkloadPhase::AllToAll { .. } => "all_to_all",
-                WorkloadPhase::Trace { .. } => "trace",
-            },
-        );
+        .push("workload", phase.workload.kind());
     p
 }
 
