@@ -1,6 +1,8 @@
 //! The daemon's job table: every submission becomes a [`Job`] that moves
 //! `Queued → Running → Done/Failed` (or `Cancelled` while still queued),
-//! accumulating progress events along the way. Any number of followers —
+//! accumulating progress events along the way. That record is the only
+//! job state machine in the daemon: each move also moves the table's
+//! [`Lifecycle`] counts, which `/metrics` reads. Any number of followers —
 //! the submitting connection in stream mode, later `GET /jobs/<id>`
 //! polls — observe the same record; a condvar wakes streamers as events
 //! land. The table also carries the in-flight index keyed by content
@@ -82,6 +84,43 @@ pub struct Job {
     admitted: Instant,
     inner: Mutex<JobInner>,
     changed: Condvar,
+    /// The table's counts, moved by every transition of this job.
+    lifecycle: Arc<Mutex<Lifecycle>>,
+}
+
+/// Where every job the table admitted stands: how many are queued or
+/// running now, and how many reached each terminal state.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Lifecycle {
+    /// Jobs waiting for a worker (gauge).
+    pub queued: usize,
+    /// Jobs a worker is simulating (gauge).
+    pub running: usize,
+    /// Jobs that reached `Done`.
+    pub completed: usize,
+    /// Jobs that reached `Failed`: the scenario panicked, or the daemon
+    /// refused the job because it was draining.
+    pub failed: usize,
+    /// Jobs that reached `Cancelled`: a `DELETE` won while they were queued.
+    pub cancelled: usize,
+}
+
+impl Lifecycle {
+    /// Jobs ever admitted: each is in exactly one count.
+    pub fn admitted(&self) -> usize {
+        self.queued + self.running + self.completed + self.failed + self.cancelled
+    }
+
+    /// The count a job in `state` is held in.
+    fn count(&mut self, state: &JobState) -> &mut usize {
+        match state {
+            JobState::Queued => &mut self.queued,
+            JobState::Running => &mut self.running,
+            JobState::Done(_) => &mut self.completed,
+            JobState::Failed(_) => &mut self.failed,
+            JobState::Cancelled => &mut self.cancelled,
+        }
+    }
 }
 
 /// What a blocking follower gets next.
@@ -94,7 +133,9 @@ pub enum Follow {
 }
 
 impl Job {
-    fn new(id: u64, hash: u64, name: String) -> Arc<Job> {
+    /// A fresh `Queued` job, counted as queued from the start.
+    fn new(id: u64, hash: u64, name: String, lifecycle: Arc<Mutex<Lifecycle>>) -> Arc<Job> {
+        lock_recover(&lifecycle).queued += 1;
         Arc::new(Job {
             id,
             hash,
@@ -108,6 +149,7 @@ impl Job {
                 ended: None,
             }),
             changed: Condvar::new(),
+            lifecycle,
         })
     }
 
@@ -147,9 +189,7 @@ impl Job {
         if inner.state != JobState::Queued {
             return false;
         }
-        inner.state = JobState::Running;
-        inner.started = Some(Instant::now());
-        self.changed.notify_all();
+        self.transition(&mut inner, JobState::Running);
         true
     }
 
@@ -158,12 +198,9 @@ impl Job {
     pub fn finish(&self, state: JobState) {
         assert!(state.is_terminal(), "finish takes a terminal state");
         let mut inner = lock_recover(&self.inner);
-        if inner.state.is_terminal() {
-            return;
+        if !inner.state.is_terminal() {
+            self.transition(&mut inner, state);
         }
-        inner.state = state;
-        inner.ended = Some(Instant::now());
-        self.changed.notify_all();
     }
 
     /// Cancel if still queued. `true` when the cancellation won.
@@ -172,10 +209,29 @@ impl Job {
         if inner.state != JobState::Queued {
             return false;
         }
-        inner.state = JobState::Cancelled;
-        inner.ended = Some(Instant::now());
-        self.changed.notify_all();
+        self.transition(&mut inner, JobState::Cancelled);
         true
+    }
+
+    /// The one place a job's state changes, from `Queued` or `Running` to
+    /// `to`: stamp the start or end time, move the job from one lifecycle
+    /// count to the next, and only then wake the followers — so anyone
+    /// who has seen the new state (a `?wait=1` client, say) finds it
+    /// already counted.
+    fn transition(&self, inner: &mut JobInner, to: JobState) {
+        let now = Some(Instant::now());
+        if to.is_terminal() {
+            inner.ended = now;
+        } else {
+            inner.started = now;
+        }
+        {
+            let mut lifecycle = lock_recover(&self.lifecycle);
+            *lifecycle.count(&inner.state) -= 1;
+            *lifecycle.count(&to) += 1;
+        }
+        inner.state = to;
+        self.changed.notify_all();
     }
 
     /// Wall-clock `(wait, run)`: admission until a worker took the job,
@@ -263,7 +319,7 @@ pub struct JobTable {
     registry: Mutex<Registry>,
     in_flight: Mutex<HashMap<u64, Arc<Job>>>,
     coalesced: AtomicUsize,
-    served: AtomicUsize,
+    lifecycle: Arc<Mutex<Lifecycle>>,
 }
 
 /// How a submission was admitted.
@@ -278,10 +334,8 @@ pub enum Admission {
 /// A snapshot of the table's counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TableStats {
-    /// Jobs ever admitted — admissions, not retained records.
-    pub admitted: usize,
-    /// Jobs not yet retired (queued or running).
-    pub active: usize,
+    /// The queued and running gauges and the terminal totals.
+    pub lifecycle: Lifecycle,
     /// Submissions coalesced onto an in-flight job.
     pub coalesced: usize,
     /// Terminal records currently retained.
@@ -307,9 +361,8 @@ impl JobTable {
             }
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let job = Job::new(id, hash, name.to_string());
+        let job = Job::new(id, hash, name.to_string(), Arc::clone(&self.lifecycle));
         in_flight.insert(hash, Arc::clone(&job));
-        self.served.fetch_add(1, Ordering::Relaxed);
         let record = Record {
             job: Arc::clone(&job),
             charged: None,
@@ -362,12 +415,13 @@ impl JobTable {
         registry.records.get(&id).map(|r| Arc::clone(&r.job))
     }
 
-    /// The table's counters, read under one lock.
+    /// The table's counters. The lifecycle counts are one consistent
+    /// snapshot, as are the retention pair.
     pub fn stats(&self) -> TableStats {
+        let lifecycle = *lock_recover(&self.lifecycle);
         let registry = lock_recover(&self.registry);
         TableStats {
-            admitted: self.served.load(Ordering::Relaxed),
-            active: registry.records.len() - registry.terminal,
+            lifecycle,
             coalesced: self.coalesced.load(Ordering::Relaxed),
             retained: registry.terminal,
             retained_bytes: registry.retained_bytes,
@@ -457,6 +511,68 @@ mod tests {
         assert!(!running.cancel(), "running jobs complete");
     }
 
+    fn admit_new(table: &JobTable, hash: u64) -> Arc<Job> {
+        let Admission::New(job) = table.admit(hash, "counted") else {
+            panic!("distinct hashes always admit")
+        };
+        job
+    }
+
+    fn done() -> JobState {
+        JobState::Done(Arc::new(String::new()))
+    }
+
+    #[test]
+    fn each_terminal_transition_is_counted_once() {
+        let table = JobTable::new();
+        let cancelled = admit_new(&table, 1);
+        assert!(cancelled.cancel());
+        cancelled.finish(done()); // finish after a cancel
+        let finished = admit_new(&table, 2);
+        finished.start();
+        finished.finish(done());
+        assert!(!finished.cancel()); // cancel after a finish
+        finished.finish(JobState::Failed("late".into())); // a second finish
+        assert_eq!(cancelled.state(), JobState::Cancelled);
+        assert_eq!(finished.state(), done());
+        let expected = Lifecycle {
+            completed: 1,
+            cancelled: 1,
+            ..Lifecycle::default()
+        };
+        assert_eq!(table.stats().lifecycle, expected);
+
+        // `handle_submit`'s refusal while draining: `Failed` straight
+        // from `Queued`, never started.
+        let refused = admit_new(&table, 3);
+        assert_eq!(table.stats().lifecycle.queued, 1);
+        refused.finish(JobState::Failed("daemon is shutting down".into()));
+        let expected = Lifecycle {
+            failed: 1,
+            ..expected
+        };
+        assert_eq!(table.stats().lifecycle, expected);
+    }
+
+    #[test]
+    fn gauges_return_to_zero_once_every_job_is_terminal() {
+        let table = JobTable::new();
+        let jobs: Vec<_> = (0..4).map(|hash| admit_new(&table, hash)).collect();
+        jobs[0].start();
+        jobs[1].start();
+        let live = table.stats().lifecycle;
+        assert_eq!((live.queued, live.running), (2, 2));
+        jobs[0].finish(done());
+        jobs[1].finish(JobState::Failed("boom".into()));
+        assert!(jobs[2].cancel());
+        jobs[3].start();
+        jobs[3].finish(done());
+        let end = table.stats().lifecycle;
+        assert_eq!((end.queued, end.running), (0, 0));
+        assert_eq!((end.completed, end.failed, end.cancelled), (2, 1, 1));
+        assert_eq!(end.admitted(), jobs.len());
+    }
+
     /// Admit a job under `hash`, run it to `Done` with `document` and retire it.
     fn complete(table: &JobTable, hash: u64, document: &Arc<String>) -> Arc<Job> {
         let Admission::New(job) = table.admit(hash, "churn") else {
@@ -493,11 +609,11 @@ mod tests {
         let fit = MAX_RETAINED_BYTES / charge;
         let stats = table.stats();
         assert_eq!(
-            stats.admitted,
+            stats.lifecycle.admitted(),
             churn as usize + 1,
             "every admission counted"
         );
-        assert_eq!(stats.active, 1);
+        assert_eq!(stats.lifecycle.running, 1);
         assert_eq!(stats.retained, fit, "the budget is used, not undershot");
         assert!(table.get(live.id).is_some(), "live jobs are never evicted");
         // Ids 2..=churn+1 were the churn; exactly the newest `fit` remain.

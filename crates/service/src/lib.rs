@@ -17,8 +17,9 @@
 //! * [`client`] — `paper submit`: the matching wire client.
 //! * [`cli`] — the `paper` binary's argument parser: one flag table that
 //!   parsing, the does-not-apply errors and the usage text all read.
-//! * [`jobs`] — the job table: states, progress events, followers, and
-//!   the in-flight index that coalesces duplicate submissions.
+//! * [`jobs`] — the job table: the one job state machine and its
+//!   lifecycle counters, progress events, followers, and the in-flight
+//!   index that coalesces duplicate submissions.
 //! * [`http`] — the shared minimal HTTP/1.1 reader/writer pair.
 //! * [`library`] — the machine-readable scenario-library listing behind
 //!   `paper list --json` and `GET /scenarios`.

@@ -3,8 +3,9 @@
 //! worth a dependency.
 //!
 //! Everything exported here is *service-side wall-clock observability*:
-//! job lifecycle counters from the worker pool, queue depth and
-//! utilization gauges, result-cache hit/miss totals, the per-stage
+//! the job table's lifecycle counts (`crate::jobs::Lifecycle` — queue
+//! depth, running jobs, and how many reached each terminal state), pool
+//! utilization, result-cache hit/miss totals, the per-stage
 //! timers from `bench::profile`, and an HTTP request-latency histogram.
 //! None of it touches engine state — the deterministic flight recorder
 //! (`metrics::trace` in the workspace `metrics` crate) is the engine's
@@ -19,7 +20,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bench::profile::StageTotals;
-use sim::pool::PoolSnapshot;
 
 use crate::jobs::TableStats;
 
@@ -80,14 +80,13 @@ impl HttpMetrics {
 pub struct MetricsInput<'a> {
     /// Is graceful shutdown underway?
     pub draining: bool,
-    /// The job table's counters: admissions, live jobs, coalesced
+    /// The job table's counters: the job lifecycle, coalesced
     /// submissions, and what is retained of finished jobs.
     pub jobs: TableStats,
+    /// Worker threads draining the job queue (`--jobs`).
+    pub workers: usize,
     /// `accept()` calls that failed.
     pub accept_errors: u64,
-    /// Worker-pool lifecycle counters; `None` once the pool is drained
-    /// (rendered as all-zero gauges so scrapes never fail mid-shutdown).
-    pub pool: Option<PoolSnapshot>,
     /// Result-cache lifetime `(hits, misses)`.
     pub cache: (u64, u64),
     /// Per-stage wall-clock totals from `bench::profile`.
@@ -116,10 +115,11 @@ pub fn render_prometheus(input: &MetricsInput<'_>) -> String {
         "1 once graceful shutdown has begun.",
         input.draining as u64 as f64,
     );
+    let lifecycle = &input.jobs.lifecycle;
     gauge(
         "paper_jobs_active",
         "Jobs currently queued or running.",
-        input.jobs.active as f64,
+        (lifecycle.queued + lifecycle.running) as f64,
     );
     gauge(
         "paper_jobs_retained",
@@ -131,33 +131,24 @@ pub fn render_prometheus(input: &MetricsInput<'_>) -> String {
         "Bytes those records are charged against the retention budget.",
         input.jobs.retained_bytes as f64,
     );
-    let pool = input.pool.unwrap_or(PoolSnapshot {
-        workers: 0,
-        queued: 0,
-        running: 0,
-        submitted: 0,
-        completed: 0,
-        failed: 0,
-        cancelled: 0,
-    });
     gauge(
         "paper_jobs_queued",
-        "Jobs waiting in the worker-pool queue.",
-        pool.queued as f64,
+        "Jobs admitted and waiting for a worker.",
+        lifecycle.queued as f64,
     );
     gauge(
         "paper_jobs_running",
-        "Jobs executing on pool workers right now.",
-        pool.running as f64,
+        "Jobs a worker is simulating right now.",
+        lifecycle.running as f64,
     );
     gauge(
         "paper_pool_workers",
         "Worker threads draining the job queue.",
-        pool.workers as f64,
+        input.workers as f64,
     );
-    let utilization = match pool.workers {
+    let utilization = match input.workers {
         0 => 0.0,
-        w => pool.running as f64 / w as f64,
+        w => lifecycle.running as f64 / w as f64,
     };
     gauge(
         "paper_pool_utilization",
@@ -172,7 +163,7 @@ pub fn render_prometheus(input: &MetricsInput<'_>) -> String {
     counter(
         "paper_jobs_admitted_total",
         "Submissions admitted to the job table.",
-        input.jobs.admitted as u64,
+        lifecycle.admitted() as u64,
     );
     counter(
         "paper_jobs_coalesced_total",
@@ -180,24 +171,19 @@ pub fn render_prometheus(input: &MetricsInput<'_>) -> String {
         input.jobs.coalesced as u64,
     );
     counter(
-        "paper_jobs_submitted_total",
-        "Jobs accepted by the worker pool.",
-        pool.submitted,
-    );
-    counter(
         "paper_jobs_completed_total",
-        "Jobs that ran to completion.",
-        pool.completed,
+        "Jobs that reached done.",
+        lifecycle.completed as u64,
     );
     counter(
         "paper_jobs_failed_total",
-        "Jobs whose scenario panicked.",
-        pool.failed,
+        "Jobs that reached failed: the scenario panicked, or the daemon was draining.",
+        lifecycle.failed as u64,
     );
     counter(
         "paper_jobs_cancelled_total",
-        "Jobs cancelled while still queued.",
-        pool.cancelled,
+        "Jobs that reached cancelled: a DELETE won while they were queued.",
+        lifecycle.cancelled as u64,
     );
     let (hits, misses) = input.cache;
     counter(
@@ -293,6 +279,7 @@ fn num(value: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::Lifecycle;
 
     fn sample() -> (HttpMetrics, Vec<StageTotals>) {
         let http = HttpMetrics::new();
@@ -319,22 +306,19 @@ mod tests {
         render_prometheus(&MetricsInput {
             draining: false,
             jobs: TableStats {
-                admitted: 7,
-                active: 1,
+                lifecycle: Lifecycle {
+                    queued: 3,
+                    running: 1,
+                    completed: 5,
+                    failed: 1,
+                    cancelled: 0,
+                },
                 coalesced: 2,
                 retained: 5,
                 retained_bytes: 4096,
             },
+            workers: 4,
             accept_errors: 3,
-            pool: Some(PoolSnapshot {
-                workers: 4,
-                queued: 3,
-                running: 1,
-                submitted: 7,
-                completed: 5,
-                failed: 1,
-                cancelled: 0,
-            }),
             cache: (10, 4),
             stages,
             http,
@@ -373,9 +357,13 @@ mod tests {
         let (http, stages) = sample();
         let text = render(&http, &stages);
         for family in [
+            "paper_jobs_active 4",
             "paper_jobs_queued 3",
             "paper_jobs_running 1",
+            "paper_pool_workers 4",
+            "paper_jobs_admitted_total 10",
             "paper_jobs_completed_total 5",
+            "paper_jobs_failed_total 1",
             "paper_jobs_cancelled_total 0",
             "paper_jobs_coalesced_total 2",
             "paper_jobs_retained 5",
@@ -418,8 +406,8 @@ mod tests {
         let text = render_prometheus(&MetricsInput {
             draining: true,
             jobs: TableStats::default(),
+            workers: 2,
             accept_errors: 0,
-            pool: None,
             cache: (0, 0),
             stages: &[],
             http: &http,

@@ -11,8 +11,11 @@
 //!
 //! Submissions are validated and compiled with the scenario crate's
 //! strict validator **before** anything is queued, and accepted jobs
-//! drain through a [`sim::pool::WorkerPool`] — the same worker
-//! discipline the batch sweep engine uses. Results are
+//! drain through a [`sim::pool::WorkerPool`], which is only a prioritized
+//! run queue: a job's state — queued, running, done, failed, cancelled —
+//! and the `/metrics` lifecycle counters live in its [`crate::jobs::Job`]
+//! record, and the worker-side body (`execute_job`) is where a
+//! scenario panic is caught and named. Results are
 //! byte-identical to an offline `paper scenario <file> --json
 //! --no-timing` run because both paths execute the same compiled runs
 //! and assemble through `bench::scenario`.
@@ -270,7 +273,7 @@ pub fn serve_forever(config: ServeConfig) -> Result<(), String> {
     let stats = server.state.table.stats();
     log_info!(
         "[drained; {} jobs served, {} coalesced]",
-        stats.admitted,
+        stats.lifecycle.admitted(),
         stats.coalesced
     );
     Ok(())
@@ -435,8 +438,8 @@ fn handle_healthz(stream: &mut TcpStream, state: &Arc<ServerState>) -> std::io::
             "ok"
         },
     )
-    .push("jobs", stats.admitted)
-    .push("active", stats.active)
+    .push("jobs", stats.lifecycle.admitted())
+    .push("active", stats.lifecycle.queued + stats.lifecycle.running)
     .push("coalesced", stats.coalesced)
     .push("workers", state.config.jobs)
     .push("cache_dir", state.cache.dir().display().to_string());
@@ -444,16 +447,14 @@ fn handle_healthz(stream: &mut TcpStream, state: &Arc<ServerState>) -> std::io::
 }
 
 /// `GET /metrics`: Prometheus text exposition, gathered at scrape time
-/// from the pool, job table, result cache, stage timers, and the HTTP
-/// tally. Always answers — even mid-drain with the pool already gone.
+/// from the job table, result cache, stage timers, and the HTTP tally.
 fn handle_metrics(stream: &mut TcpStream, state: &Arc<ServerState>) -> std::io::Result<()> {
-    let pool = lock_recover(&state.pool).as_ref().map(|p| p.snapshot());
     let stages = bench::profile::snapshot();
     let text = render_prometheus(&MetricsInput {
         draining: state.draining.load(Ordering::SeqCst),
         jobs: state.table.stats(),
+        workers: state.config.jobs,
         accept_errors: state.accept_errors.load(Ordering::Relaxed),
-        pool,
         cache: state.cache.stats(),
         stages: &stages,
         http: &state.http,
@@ -558,7 +559,8 @@ fn dispatch(
 }
 
 /// The worker-side job body: run the scenario with a progress sink wired
-/// to the job record, store the cache entry atomically, finish the job.
+/// to the job record, store the cache entry atomically, finish the job —
+/// `Failed` with the panic's message if the scenario panicked.
 fn execute_job(state: &Arc<ServerState>, job: &Arc<Job>, compiled: &CompiledScenario) {
     if !job.start() {
         // Cancelled while queued: never simulate, never cache.

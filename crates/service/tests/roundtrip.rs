@@ -7,12 +7,15 @@
 //! * concurrent submissions of distinct scenarios all complete with
 //!   correct, uncorrupted results;
 //! * identical in-flight submissions coalesce onto one job;
+//! * `/metrics` counts each job by the terminal state it reached — a
+//!   cancelled job as cancelled — before its client has the answer;
 //! * graceful shutdown rejects new submissions with a clear error while
 //!   draining everything already accepted.
 
 use std::path::{Path, PathBuf};
 // lint: allow(D003) tests drive the daemon with real concurrent clients by design
 use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use service::{client, Disposition, ServeConfig, Server};
 
@@ -278,6 +281,103 @@ fn status_result_and_cancel_endpoints() {
         .join()
         .expect("no panic")
         .expect("heavy submission");
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+/// An unlabelled family's value in one `/metrics` exposition.
+fn metric(exposition: &str, name: &str) -> f64 {
+    exposition
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("{name} missing:\n{exposition}"))
+        .parse()
+        .expect("a number")
+}
+
+#[test]
+fn metrics_count_a_cancelled_job_as_cancelled() {
+    let (_server, addr, out) = start_server("cancel-count", 1);
+    // ~0.25 s in release, far longer than the victim's admission and
+    // `DELETE` take, so the cancellation finds the victim still queued.
+    let blocker = r#"{"name": "blocker", "topology": "parallel", "tors": 128, "ports": 8,
+      "seed": 1, "phases": [{"workload": "poisson", "load": 100, "epochs": [0, 100]}]}"#;
+    // lint: allow(D003) channel sequences the blocker ahead of the victim
+    let (queued_tx, queued_rx) = mpsc::channel::<()>();
+    let background = {
+        let addr = addr.clone();
+        // lint: allow(D003) concurrent submitters are the scenario under test
+        std::thread::spawn(move || {
+            let mut first_event = Some(queued_tx);
+            client::submit(&addr, blocker, 0, |_| {
+                if let Some(tx) = first_event.take() {
+                    let _ = tx.send(());
+                }
+            })
+        })
+    };
+    queued_rx.recv().expect("blocker queued");
+    let victim = scenario_text("victim", 2);
+    let (status, body) =
+        client::request_json(&addr, "POST", "/jobs", victim.as_bytes()).expect("submit victim");
+    assert_eq!(status, 202, "{body}");
+    let location = metrics::Json::parse(body.trim())
+        .ok()
+        .and_then(|doc| doc.get("job").and_then(metrics::Json::as_u64))
+        .map(|id| format!("/jobs/{id}"))
+        .expect("job id");
+    let (cancel, body) = client::request_json(&addr, "DELETE", &location, b"").unwrap();
+    let expected = match cancel {
+        200 => (1.0, 1.0),
+        409 => (0.0, 2.0),
+        other => panic!("unexpected cancel status {other}: {body}"),
+    };
+    let blocked = background.join().expect("no panic").expect("blocker");
+    assert_eq!(blocked.disposition, Disposition::Simulated);
+    if cancel == 409 {
+        // The `DELETE` missed, so the victim runs after the blocker.
+        let deadline = Instant::now() + Duration::from_secs(120);
+        loop {
+            let (_, body) = client::request_json(&addr, "GET", &location, b"").unwrap();
+            if body.contains("\"done\"") {
+                break;
+            }
+            assert!(Instant::now() < deadline, "victim never finished: {body}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+    let (_, exposition) = client::request_json(&addr, "GET", "/metrics", b"").unwrap();
+    let value = |name: &str| metric(&exposition, name);
+    assert_eq!(
+        (
+            value("paper_jobs_cancelled_total"),
+            value("paper_jobs_completed_total")
+        ),
+        expected,
+        "[cancelled, completed] after a {cancel} to the DELETE:\n{exposition}"
+    );
+    let terminal = value("paper_jobs_completed_total")
+        + value("paper_jobs_failed_total")
+        + value("paper_jobs_cancelled_total");
+    assert_eq!(terminal, value("paper_jobs_admitted_total"));
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
+fn a_waited_job_is_counted_before_its_client_has_the_answer() {
+    let (_server, addr, out) = start_server("wait-count", 1);
+    let text = scenario_text("counted", 4);
+    let (status, body) =
+        client::request_json(&addr, "POST", "/jobs?wait=1", text.as_bytes()).unwrap();
+    assert_eq!(status, 200, "{body}");
+    // One scrape, no retry: the job was counted before its follower woke.
+    let (_, exposition) = client::request_json(&addr, "GET", "/metrics", b"").unwrap();
+    for (name, expected) in [
+        ("paper_jobs_completed_total", 1.0),
+        ("paper_jobs_running", 0.0),
+        ("paper_jobs_queued", 0.0),
+    ] {
+        assert_eq!(metric(&exposition, name), expected, "{name}:\n{exposition}");
+    }
     let _ = std::fs::remove_dir_all(&out);
 }
 

@@ -12,16 +12,18 @@
 //!
 //! * [`run_ordered`] — the batch path: a fixed task list in, outputs in
 //!   submission order out (the sweep engine's byte-identity rests on it).
-//! * [`WorkerPool`] — the serving path: a long-lived pool that accepts
-//!   prioritized jobs over time, hands back a typed [`JobHandle`] per
-//!   submission (wait/poll/cancel), and drains everything already accepted
-//!   on shutdown. The scenario-serving daemon enqueues submissions here.
+//! * [`WorkerPool`] — the serving path: a long-lived, prioritized run
+//!   queue that accepts jobs over time, hands back a [`JobHandle`] to
+//!   wait on per submission, and drains everything already accepted on
+//!   shutdown. It keeps no job lifecycle of its own: the scenario-serving
+//!   daemon's job record (`service::jobs`) is where a served job's state
+//!   and counters live.
 //!
 //! The simulators themselves stay single-threaded — reproducibility of a
 //! single run is untouched; only the layer above them fans out.
 
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -100,102 +102,27 @@ pub fn run_ordered<'a, T: Send + 'a>(jobs: usize, tasks: Vec<Task<'a, T>>) -> Ve
 // The long-lived, prioritized pool behind the serving daemon
 // ---------------------------------------------------------------------
 
-/// Where a submitted job currently stands.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Waiting in the priority queue.
-    Queued,
-    /// A worker is executing it.
-    Running,
-    /// Finished; the output is (or was) available on the handle.
-    Done,
-    /// Cancelled while still queued — it never ran.
-    Cancelled,
-    /// The job panicked; the payload's message.
-    Failed(String),
-}
+/// A submitted job, type-erased for the queue.
+type Work = Box<dyn FnOnce() + Send>;
 
-struct HandleShared<T> {
-    state: Mutex<(JobStatus, Option<T>)>,
-    done: Condvar,
-}
-
-/// Typed handle to one submitted job: poll its status, block for its
-/// output, or cancel it while it is still queued.
+/// Handle to one submitted job: block for its output.
 pub struct JobHandle<T> {
-    shared: Arc<HandleShared<T>>,
+    output: mpsc::Receiver<T>,
 }
 
 impl<T> JobHandle<T> {
-    /// Current status, without blocking.
-    pub fn status(&self) -> JobStatus {
-        self.shared.state.lock().expect("job state").0.clone()
-    }
-
-    /// Cancel the job if it has not started. Returns `true` when the
-    /// cancellation won (the job will never run); `false` when the job is
-    /// already running or finished — running jobs always complete, so a
-    /// partially-computed result can never be observed.
-    ///
-    /// Atomic with the worker's own `Queued → Running` transition: both
-    /// happen under the handle's state lock, so `true` really does mean
-    /// the job cannot run anymore.
-    pub fn cancel(&self) -> bool {
-        let mut state = self.shared.state.lock().expect("job state");
-        match state.0 {
-            JobStatus::Queued => {
-                state.0 = JobStatus::Cancelled;
-                self.shared.done.notify_all();
-                true
-            }
-            JobStatus::Cancelled => true,
-            _ => false,
-        }
-    }
-
-    /// Block until the job leaves the queue-or-running states, then take
-    /// its output: `Some(value)` for a completed job, `None` when it was
-    /// cancelled, failed, or the output was already taken.
+    /// Block until the job has run, then take its output: `Some(value)`
+    /// when it returned, `None` when it panicked or the output was
+    /// already taken.
     pub fn wait(&self) -> Option<T> {
-        let mut state = self.shared.state.lock().expect("job state");
-        while matches!(state.0, JobStatus::Queued | JobStatus::Running) {
-            state = self.shared.done.wait(state).expect("job state");
-        }
-        state.1.take()
-    }
-}
-
-/// One queued unit of work, ordered by `(priority desc, sequence asc)` —
-/// higher priority first, FIFO within a priority level.
-struct Pending {
-    priority: i64,
-    seq: u64,
-    work: Box<dyn FnOnce() + Send>,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap: greatest = highest priority, and among
-        // equals the *lowest* sequence number (earliest submission).
-        self.priority
-            .cmp(&other.priority)
-            .then(other.seq.cmp(&self.seq))
+        self.output.recv().ok()
     }
 }
 
 struct PoolState {
-    heap: BinaryHeap<Pending>,
+    /// Keyed `(priority desc, submission order)`, so the first entry is
+    /// the next to run: highest priority first, FIFO within a level.
+    queue: BTreeMap<(Reverse<i64>, u64), Work>,
     next_seq: u64,
     shutting_down: bool,
 }
@@ -203,38 +130,6 @@ struct PoolState {
 struct PoolShared {
     state: Mutex<PoolState>,
     available: Condvar,
-    counters: PoolCounters,
-}
-
-/// Count-based lifecycle totals (no wall clock — `sim` is a
-/// deterministic zone; utilization and rates are derived by the
-/// observer, e.g. the daemon's `/metrics` endpoint).
-#[derive(Debug, Default)]
-struct PoolCounters {
-    submitted: AtomicU64,
-    running: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
-}
-
-/// A point-in-time view of a [`WorkerPool`]'s queue and lifetime totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolSnapshot {
-    /// Worker threads the pool was built with.
-    pub workers: usize,
-    /// Jobs waiting in the priority queue right now.
-    pub queued: usize,
-    /// Jobs executing right now (gauge, `<= workers`).
-    pub running: u64,
-    /// Jobs accepted since the pool started.
-    pub submitted: u64,
-    /// Jobs that ran to completion.
-    pub completed: u64,
-    /// Jobs that panicked.
-    pub failed: u64,
-    /// Jobs cancelled while still queued (they never ran).
-    pub cancelled: u64,
 }
 
 /// A long-lived pool of `jobs` workers draining a prioritized queue.
@@ -246,7 +141,6 @@ pub struct PoolSnapshot {
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    worker_count: usize,
 }
 
 impl WorkerPool {
@@ -254,25 +148,19 @@ impl WorkerPool {
     pub fn new(jobs: usize) -> Self {
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
-                heap: BinaryHeap::new(),
+                queue: BTreeMap::new(),
                 next_seq: 0,
                 shutting_down: false,
             }),
             available: Condvar::new(),
-            counters: PoolCounters::default(),
         });
-        let worker_count = jobs.max(1);
-        let workers = (0..worker_count)
+        let workers = (0..jobs.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        WorkerPool {
-            shared,
-            workers,
-            worker_count,
-        }
+        WorkerPool { shared, workers }
     }
 
     /// Submit a job at `priority` (higher runs earlier; FIFO within a
@@ -283,45 +171,11 @@ impl WorkerPool {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let handle_shared = Arc::new(HandleShared {
-            state: Mutex::new((JobStatus::Queued, None)),
-            done: Condvar::new(),
+        let (output_tx, output) = mpsc::channel();
+        // A job that panics drops `output_tx` unsent: `wait` reads `None`.
+        let work: Work = Box::new(move || {
+            let _ = output_tx.send(job());
         });
-        let work = {
-            let shared = Arc::clone(&handle_shared);
-            let pool = Arc::clone(&self.shared);
-            Box::new(move || {
-                {
-                    // The cancel check and the Queued → Running move are
-                    // one critical section — a cancel that returned true
-                    // can never race this into running anyway.
-                    let mut state = shared.state.lock().expect("job state");
-                    if state.0 != JobStatus::Queued {
-                        // Cancelled while waiting in the heap.
-                        pool.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    state.0 = JobStatus::Running;
-                }
-                pool.counters.running.fetch_add(1, Ordering::Relaxed);
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                pool.counters.running.fetch_sub(1, Ordering::Relaxed);
-                match outcome {
-                    Ok(value) => {
-                        pool.counters.completed.fetch_add(1, Ordering::Relaxed);
-                        finish(&shared, JobStatus::Done, Some(value))
-                    }
-                    Err(payload) => {
-                        pool.counters.failed.fetch_add(1, Ordering::Relaxed);
-                        finish(
-                            &shared,
-                            JobStatus::Failed(panic_msg(payload.as_ref())),
-                            None,
-                        )
-                    }
-                }
-            })
-        };
         {
             let mut state = self.shared.state.lock().expect("pool state");
             if state.shutting_down {
@@ -329,42 +183,10 @@ impl WorkerPool {
             }
             let seq = state.next_seq;
             state.next_seq += 1;
-            state.heap.push(Pending {
-                priority,
-                seq,
-                work,
-            });
+            state.queue.insert((Reverse(priority), seq), work);
         }
-        self.shared
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
         self.shared.available.notify_one();
-        Some(JobHandle {
-            shared: handle_shared,
-        })
-    }
-
-    /// Number of jobs still waiting in the queue (not running).
-    pub fn queued(&self) -> usize {
-        self.shared.state.lock().expect("pool state").heap.len()
-    }
-
-    /// Point-in-time queue depth and lifetime totals, for observers (the
-    /// daemon's `/metrics` plane). Counters are relaxed atomics: a
-    /// snapshot taken mid-transition may momentarily disagree by one
-    /// between fields, which is fine for monitoring.
-    pub fn snapshot(&self) -> PoolSnapshot {
-        let c = &self.shared.counters;
-        PoolSnapshot {
-            workers: self.worker_count,
-            queued: self.queued(),
-            running: c.running.load(Ordering::Relaxed),
-            submitted: c.submitted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-        }
+        Some(JobHandle { output })
     }
 
     /// Stop accepting submissions, drain every job already accepted, and
@@ -389,11 +211,11 @@ impl Drop for WorkerPool {
 
 fn worker_loop(shared: &PoolShared) {
     loop {
-        let pending = {
+        let work = {
             let mut state = shared.state.lock().expect("pool state");
             loop {
-                if let Some(pending) = state.heap.pop() {
-                    break pending;
+                if let Some((_, work)) = state.queue.pop_first() {
+                    break work;
                 }
                 if state.shutting_down {
                     return;
@@ -401,26 +223,10 @@ fn worker_loop(shared: &PoolShared) {
                 state = shared.available.wait(state).expect("pool state");
             }
         };
-        // Cancelled-in-queue jobs mark their handle and return without
-        // running; everything else runs to completion even during
-        // shutdown (the drain guarantee).
-        (pending.work)();
-    }
-}
-
-fn finish<T>(shared: &HandleShared<T>, status: JobStatus, value: Option<T>) {
-    let mut state = shared.state.lock().expect("job state");
-    *state = (status, value);
-    shared.done.notify_all();
-}
-
-fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "job panicked".to_string()
+        // Everything accepted runs to completion, even during shutdown
+        // (the drain guarantee); a job that panics cannot take its worker
+        // with it.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work));
     }
 }
 
@@ -505,18 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_runs_jobs_and_reports_done() {
-        let pool = WorkerPool::new(2);
-        let handles: Vec<_> = (0..8u64)
-            .map(|i| pool.submit(0, move || i * 3).expect("accepting"))
-            .collect();
-        for (i, h) in handles.iter().enumerate() {
-            assert_eq!(h.wait(), Some(i as u64 * 3));
-            assert_eq!(h.status(), JobStatus::Done);
-        }
-    }
-
-    #[test]
     fn worker_pool_priorities_order_the_queue() {
         use std::sync::mpsc;
         // One worker, blocked on a gate so the queue builds up; then the
@@ -547,36 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_cancel_skips_queued_jobs() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::mpsc;
-        let pool = WorkerPool::new(1);
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let blocker = pool
-            .submit(0, move || {
-                gate_rx.recv().expect("gate");
-            })
-            .expect("accepting");
-        let ran = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&ran);
-        let victim = pool
-            .submit(0, move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            })
-            .expect("accepting");
-        assert!(victim.cancel(), "still queued, so cancellation wins");
-        gate_tx.send(()).expect("worker waiting");
-        assert_eq!(victim.wait(), None);
-        assert_eq!(victim.status(), JobStatus::Cancelled);
-        blocker.wait();
-        assert_eq!(ran.load(Ordering::SeqCst), 0, "cancelled job never ran");
-        // A finished job can no longer be cancelled.
-        let done = pool.submit(0, || 1u8).expect("accepting");
-        assert_eq!(done.wait(), Some(1));
-        assert!(!done.cancel());
-    }
-
-    #[test]
     fn worker_pool_shutdown_drains_and_rejects() {
         let mut pool = WorkerPool::new(2);
         let handles: Vec<_> = (0..6u64)
@@ -591,56 +355,10 @@ mod tests {
         pool.shutdown();
         // Every job accepted before shutdown completed (the drain).
         for (i, h) in handles.iter().enumerate() {
-            assert_eq!(h.status(), JobStatus::Done);
             assert_eq!(h.wait(), Some(i as u64));
         }
         // New submissions are refused, not silently dropped.
         assert!(pool.submit(0, || 7u64).is_none());
-    }
-
-    #[test]
-    fn worker_pool_snapshot_tracks_lifecycle() {
-        let mut pool = WorkerPool::new(2);
-        let fresh = pool.snapshot();
-        assert_eq!(fresh.workers, 2);
-        assert_eq!((fresh.submitted, fresh.completed, fresh.running), (0, 0, 0));
-        let handles: Vec<_> = (0..4u64)
-            .map(|i| pool.submit(0, move || i).expect("accepting"))
-            .collect();
-        for h in &handles {
-            h.wait();
-        }
-        let bad = pool
-            .submit(0, || -> u64 { panic!("boom") })
-            .expect("accepting");
-        bad.wait();
-        pool.shutdown();
-        let snap = pool.snapshot();
-        assert_eq!(snap.submitted, 5);
-        assert_eq!(snap.completed, 4);
-        assert_eq!(snap.failed, 1);
-        assert_eq!(snap.running, 0);
-        assert_eq!(snap.queued, 0);
-    }
-
-    #[test]
-    fn worker_pool_snapshot_counts_cancellations() {
-        use std::sync::mpsc;
-        let mut pool = WorkerPool::new(1);
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let blocker = pool
-            .submit(10, move || {
-                gate_rx.recv().expect("gate");
-            })
-            .expect("accepting");
-        let victim = pool.submit(0, || ()).expect("accepting");
-        assert!(victim.cancel());
-        gate_tx.send(()).expect("worker waiting");
-        blocker.wait();
-        pool.shutdown();
-        let snap = pool.snapshot();
-        assert_eq!(snap.cancelled, 1);
-        assert_eq!(snap.completed, 1, "only the blocker ran");
     }
 
     #[test]
@@ -650,10 +368,6 @@ mod tests {
             .submit(0, || -> u64 { panic!("scenario exploded") })
             .expect("accepting");
         assert_eq!(bad.wait(), None);
-        assert_eq!(
-            bad.status(),
-            JobStatus::Failed("scenario exploded".to_string())
-        );
         // The worker survives the panic and keeps serving.
         let ok = pool.submit(0, || 9u64).expect("accepting");
         assert_eq!(ok.wait(), Some(9));
