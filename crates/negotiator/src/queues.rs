@@ -12,39 +12,14 @@
 //! With priority queues disabled everything lands on one level, giving the
 //! plain FIFO of the "w/o PQ" configurations.
 //!
-//! # Layout
+//! # Storage
 //!
-//! A fabric has `n²` pairs and, at any moment, far fewer queued segments
-//! than that (a 1024-ToR fabric at 10 % load: ~44 k live pairs of 1 M), so
-//! [`PairQueues`] stores the two apart:
-//!
-//! * **Per pair, two dense tables** of `[u32; 3]` — the head and the tail of
-//!   the pair's FIFO at each level, as *index + 1* into the source's arena,
-//!   so all-zero is "empty" and `vec![[0; 3]; n * n]` is one `alloc_zeroed`:
-//!   24 B of address space per pair, and resident pages only where a pair
-//!   has ever held data. (The `VecDeque` triple this replaces was 136 B per
-//!   pair whose dangling-but-non-null pointers had to be *written* for every
-//!   pair: 142 MB at 1024 ToRs before the first flow.) A tail is meaningful
-//!   only while its head is non-zero, so dequeues never touch the tail table.
-//! * **Per source ToR, one arena** of 32-byte segment nodes `{ flow, bytes,
-//!   enqueued, next, relayed }`, linked per `(pair, level)` and recycled
-//!   through an intrusive free list (`next` of a free node is the next free
-//!   node). A source's pairs share its arena, so nodes one destination frees
-//!   are reused by another and the arena's size tracks the source's
-//!   high-water backlog in segments, not the fabric. Arenas are per source
-//!   because sources are what shards own: a [`PairRows`] window splits the
-//!   tables and the arenas at the same row, and no index ever crosses it.
-//!
-//! **The two-load rule.** A dequeue is `heads[src · n + dst]` — an address
-//! computed from the pair — then the node it names: two dependent loads,
-//! what `VecDeque::front_mut` cost. The arena's base pointer is a third
-//! load but not a dependent one (it is indexed by `src`, known up front).
-//! Two earlier prototypes of sparse pair state kept the queue *body* behind
-//! a stored handle instead — a slab with a `u32` index per pair, and
-//! `Vec<Option<Box<_>>>` — which made the chain pair → handle → body →
-//! segment, and that one extra dependent load cost the all-to-all predefined
-//! phase +50 %. Whatever replaces this layout must keep the head at a
-//! computed address.
+//! The queues are one [`sim::pairs::PairLists`] — per pair a `[u32; 3]` head
+//! and tail table, per source ToR one arena of segment slots (the layout,
+//! and the two-load rule it keeps, are documented there) — with one list
+//! per priority level. A slot is 32 B: the `Node` payload `{ flow, bytes,
+//! enqueued, relayed }` is packed to 4-byte alignment so the store's 4-byte
+//! link fits in what would otherwise be its padding.
 //!
 //! What the store does not keep is per-pair byte totals: the engine's
 //! `queue_bytes` mirror already holds the sum, and the per-level sums are a
@@ -53,6 +28,7 @@
 //! epoch — a pair's direct elephant backlog, for selective relay — has a
 //! table of its own, allocated only when asked for.
 
+use sim::pairs::{Front, Pair, PairLists, Rows};
 use sim::time::Nanos;
 
 /// Number of PIAS levels (§4.1 uses three).
@@ -76,12 +52,12 @@ pub struct Packet {
     pub relayed: bool,
 }
 
-/// Per-level list links of one pair: arena index + 1, `0` = none.
-type Links = [u32; PRIORITY_LEVELS];
-
-/// A contiguous run of one flow's bytes at one priority level, and the
-/// link to the segment behind it (or, on the free list, the next free node).
+/// A contiguous run of one flow's bytes at one priority level. Packed to
+/// 4-byte alignment: 28 B, so that with the store's link a slot is 32 B.
+/// (Its fields are read and written by value; a reference to one would be
+/// unaligned.)
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 struct Node {
     flow: u64,
     /// Bytes still queued; never zero while the node is on a pair's list.
@@ -89,56 +65,29 @@ struct Node {
     /// When the segment was enqueued (HoL waiting-delay measurements for
     /// the informative-requests variant, Appendix A.2.3).
     enqueued: Nanos,
-    next: u32,
     relayed: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<Node>() == 32);
+type Store = PairLists<Node, PRIORITY_LEVELS>;
 
-/// One source ToR's segment nodes.
-#[derive(Debug, Default)]
-struct Arena {
-    nodes: Vec<Node>,
-    /// Head of the free list (link form).
-    free: u32,
-}
+const _: () = assert!(Store::SLOT_BYTES == 32);
 
-impl Arena {
-    /// Store `node`, reusing a freed slot when there is one; its link.
-    #[inline]
-    fn alloc(&mut self, node: Node) -> u32 {
-        let link = self.free;
-        if link != 0 {
-            let slot = &mut self.nodes[link as usize - 1];
-            self.free = slot.next;
-            *slot = node;
-            return link;
-        }
-        self.nodes.push(node);
-        u32::try_from(self.nodes.len()).expect("one source queues at most u32::MAX segments")
+/// Take up to `cap` bytes off the head segment of `level` as one packet; a
+/// segment that empties is unlinked and freed.
+#[inline]
+fn take(mut head: Front<'_, Node>, level: usize, cap: u64) -> Packet {
+    let bytes = head.bytes.min(cap);
+    head.bytes -= bytes;
+    let packet = Packet {
+        flow: head.flow,
+        bytes,
+        priority: level,
+        relayed: head.relayed,
+    };
+    if head.bytes == 0 {
+        head.pop();
     }
-
-    /// Take up to `cap` bytes off the segment at `*head` (non-zero) as one
-    /// packet; a segment that empties is unlinked and freed.
-    #[inline]
-    fn take(&mut self, head: &mut u32, level: usize, cap: u64) -> Packet {
-        let link = *head;
-        let node = &mut self.nodes[link as usize - 1];
-        let bytes = node.bytes.min(cap);
-        node.bytes -= bytes;
-        let packet = Packet {
-            flow: node.flow,
-            bytes,
-            priority: level,
-            relayed: node.relayed,
-        };
-        if node.bytes == 0 {
-            *head = node.next;
-            node.next = self.free;
-            self.free = link;
-        }
-        packet
-    }
+    packet
 }
 
 /// The per-destination queues of every source ToR of a fabric (see the
@@ -146,11 +95,7 @@ impl Arena {
 /// everything that moves bytes through a row window ([`PairQueues::all`]).
 #[derive(Debug)]
 pub struct PairQueues {
-    /// Destinations per source (the row width of the pair tables).
-    n: usize,
-    heads: Vec<Links>, // src * n + dst
-    tails: Vec<Links>, // likewise; meaningful while the head is non-zero
-    arenas: Vec<Arena>,
+    lists: Store,
     /// Lowest-level bytes of each pair that were *not* relay-forwarded —
     /// what selective relay's qualification reads for every pair every
     /// epoch. Empty unless asked for at construction.
@@ -162,19 +107,14 @@ pub struct PairQueues {
 /// source outside the window is an out-of-bounds panic.
 #[derive(Debug)]
 pub struct PairRows<'a> {
-    start: usize,
-    n: usize,
-    heads: &'a mut [Links],
-    tails: &'a mut [Links],
-    arenas: &'a mut [Arena],
+    lists: Rows<'a, Node, PRIORITY_LEVELS>,
     elephants: &'a mut [u64],
 }
 
 /// Read-only view of one pair's queue.
 #[derive(Debug, Clone, Copy)]
 pub struct PairView<'a> {
-    heads: Links,
-    nodes: &'a [Node],
+    lists: Pair<'a, Node, PRIORITY_LEVELS>,
     elephant: Option<u64>,
 }
 
@@ -185,10 +125,7 @@ impl PairQueues {
     pub fn new(sources: usize, dests: usize, track_elephants: bool) -> Self {
         let pairs = sources * dests;
         PairQueues {
-            n: dests,
-            heads: vec![[0; PRIORITY_LEVELS]; pairs],
-            tails: vec![[0; PRIORITY_LEVELS]; pairs],
-            arenas: (0..sources).map(|_| Arena::default()).collect(),
+            lists: Store::new(sources, dests),
             elephants: vec![0; if track_elephants { pairs } else { 0 }],
         }
     }
@@ -196,11 +133,7 @@ impl PairQueues {
     /// The window over every source.
     pub fn all(&mut self) -> PairRows<'_> {
         PairRows {
-            start: 0,
-            n: self.n,
-            heads: &mut self.heads,
-            tails: &mut self.tails,
-            arenas: &mut self.arenas,
+            lists: self.lists.all(),
             elephants: &mut self.elephants,
         }
     }
@@ -208,18 +141,16 @@ impl PairQueues {
     /// The queue of pair `src → dst`.
     #[inline]
     pub fn pair(&self, src: usize, dst: usize) -> PairView<'_> {
-        let row = src * self.n + dst;
         PairView {
-            heads: self.heads[row],
-            nodes: &self.arenas[src].nodes,
-            elephant: self.elephants.get(row).copied(),
+            lists: self.lists.pair(src, dst),
+            elephant: self.elephants.get(src * self.lists.width() + dst).copied(),
         }
     }
 
     /// Segment nodes `src`'s arena holds, queued and free together: the
     /// high-water count of segments the source has had queued at once.
     pub fn segments_allocated(&self, src: usize) -> usize {
-        self.arenas[src].nodes.len()
+        self.lists.slots_allocated(src)
     }
 
     /// Check `src`'s arena and lists against each other and report every
@@ -228,45 +159,21 @@ impl PairQueues {
     /// are non-empty, each tail names its list's last node and the elephant
     /// table (when kept) agrees with the lists.
     pub fn audit(&self, src: usize, mut pair_bytes: impl FnMut(usize, u64)) {
-        let arena = &self.arenas[src];
-        let mut seen = vec![false; arena.nodes.len()];
-        let mut visit = |link: u32| {
-            let was = std::mem::replace(&mut seen[link as usize - 1], true);
-            assert!(!was, "source {src}: segment {} is linked twice", link - 1);
-            &arena.nodes[link as usize - 1]
-        };
-        for dst in 0..self.n {
-            let row = src * self.n + dst;
-            let (mut bytes, mut direct_elephant) = (0, 0);
-            for level in 0..PRIORITY_LEVELS {
-                let (mut link, mut last) = (self.heads[row][level], 0);
-                while link != 0 {
-                    let node = visit(link);
-                    assert!(node.bytes > 0, "({src}, {dst}): empty segment queued");
-                    bytes += node.bytes;
-                    if level == ELEPHANT && !node.relayed {
-                        direct_elephant += node.bytes;
-                    }
-                    (last, link) = (link, node.next);
-                }
-                assert!(
-                    last == 0 || self.tails[row][level] == last,
-                    "({src}, {dst}): level {level} tail is not the list's last segment"
-                );
-            }
-            if let Some(&tracked) = self.elephants.get(row) {
-                assert_eq!(tracked, direct_elephant, "({src}, {dst}): elephant table");
+        self.lists.audit(src);
+        for dst in 0..self.lists.width() {
+            let view = self.pair(src, dst);
+            let mut bytes = 0;
+            for node in (0..PRIORITY_LEVELS).flat_map(|level| view.segments(level)) {
+                let queued = node.bytes;
+                assert!(queued > 0, "({src}, {dst}): empty segment queued");
+                bytes += queued;
             }
             pair_bytes(dst, bytes);
+            if let Some(tracked) = view.elephant {
+                let direct = view.level_bytes(ELEPHANT) - view.relayed_bytes();
+                assert_eq!(tracked, direct, "({src}, {dst}): elephant table");
+            }
         }
-        let mut link = arena.free;
-        while link != 0 {
-            link = visit(link).next;
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "source {src}: a segment is on no list (leaked)"
-        );
     }
 }
 
@@ -282,51 +189,25 @@ fn note_taken(elephants: &mut [u64], row: usize, packet: &Packet) {
 impl<'a> PairRows<'a> {
     /// Split into the first `rows` sources and the rest.
     pub fn split_at(self, rows: usize) -> (PairRows<'a>, PairRows<'a>) {
-        let pairs = rows * self.n;
-        let (heads, heads_rest) = self.heads.split_at_mut(pairs);
-        let (tails, tails_rest) = self.tails.split_at_mut(pairs);
-        let (arenas, arenas_rest) = self.arenas.split_at_mut(rows);
+        let pairs = rows * self.lists.width();
+        let (lists, lists_rest) = self.lists.split_at(rows);
         let (elephants, elephants_rest) =
             self.elephants.split_at_mut(pairs.min(self.elephants.len()));
         (
+            PairRows { lists, elephants },
             PairRows {
-                heads,
-                tails,
-                arenas,
-                elephants,
-                ..self
-            },
-            PairRows {
-                start: self.start + rows,
-                heads: heads_rest,
-                tails: tails_rest,
-                arenas: arenas_rest,
+                lists: lists_rest,
                 elephants: elephants_rest,
-                ..self
             },
         )
     }
 
-    /// Window-local source index and pair row.
-    #[inline]
-    fn locate(&self, src: usize, dst: usize) -> (usize, usize) {
-        let local = src - self.start;
-        (local, local * self.n + dst)
-    }
-
     /// Append one segment to the pair's FIFO at `level`.
     #[inline]
-    fn push(&mut self, local: usize, row: usize, level: usize, node: Node) {
-        let arena = &mut self.arenas[local];
-        let link = arena.alloc(node);
-        if self.heads[row][level] == 0 {
-            self.heads[row][level] = link;
-        } else {
-            arena.nodes[self.tails[row][level] as usize - 1].next = link;
-        }
-        self.tails[row][level] = link;
+    fn push(&mut self, src: usize, dst: usize, level: usize, node: Node) {
+        self.lists.push_back(src, dst, level, node);
         if !self.elephants.is_empty() && level == ELEPHANT && !node.relayed {
-            self.elephants[row] += node.bytes;
+            self.elephants[self.lists.index(src, dst)] += node.bytes;
         }
     }
 
@@ -346,16 +227,14 @@ impl<'a> PairRows<'a> {
         thresholds: [u64; PRIORITY_LEVELS - 1],
     ) {
         debug_assert!(bytes > 0, "flows carry at least one byte");
-        let (local, row) = self.locate(src, dst);
         let segment = |bytes| Node {
             flow,
             bytes,
             enqueued: now,
-            next: 0,
             relayed: false,
         };
         if !pias {
-            self.push(local, row, 0, segment(bytes));
+            self.push(src, dst, 0, segment(bytes));
             return;
         }
         let mut remaining = bytes;
@@ -363,13 +242,13 @@ impl<'a> PairRows<'a> {
         for (level, &boundary) in thresholds.iter().enumerate() {
             let take = remaining.min(boundary - prev_boundary);
             if take > 0 {
-                self.push(local, row, level, segment(take));
+                self.push(src, dst, level, segment(take));
                 remaining -= take;
             }
             prev_boundary = boundary;
         }
         if remaining > 0 {
-            self.push(local, row, ELEPHANT, segment(remaining));
+            self.push(src, dst, ELEPHANT, segment(remaining));
         }
     }
 
@@ -385,28 +264,13 @@ impl<'a> PairRows<'a> {
         now: Nanos,
     ) {
         debug_assert!(bytes > 0);
-        let (local, row) = self.locate(via, final_dst);
         let node = Node {
             flow,
             bytes,
             enqueued: now,
-            next: 0,
             relayed: true,
         };
-        self.push(local, row, ELEPHANT, node);
-    }
-
-    /// One packet off the head of `level`, if the level holds anything.
-    #[inline]
-    fn take(&mut self, local: usize, row: usize, level: usize, cap: u64) -> Option<Packet> {
-        debug_assert!(cap > 0);
-        let head = &mut self.heads[row][level];
-        if *head == 0 {
-            return None;
-        }
-        let packet = self.arenas[local].take(head, level, cap);
-        note_taken(self.elephants, row, &packet);
-        Some(packet)
+        self.push(via, final_dst, ELEPHANT, node);
     }
 
     /// Dequeue one packet of at most `max_payload` bytes from a specific
@@ -419,8 +283,11 @@ impl<'a> PairRows<'a> {
         level: usize,
         max_payload: u64,
     ) -> Option<Packet> {
-        let (local, row) = self.locate(src, dst);
-        self.take(local, row, level, max_payload)
+        debug_assert!(max_payload > 0);
+        let row = self.lists.index(src, dst);
+        let packet = take(self.lists.front_mut(src, dst, level)?, level, max_payload);
+        note_taken(self.elephants, row, &packet);
+        Some(packet)
     }
 
     /// Dequeue one packet of at most `max_payload` bytes from the highest
@@ -429,9 +296,8 @@ impl<'a> PairRows<'a> {
     /// slot time, as on the wire).
     #[inline]
     pub fn dequeue_packet(&mut self, src: usize, dst: usize, max_payload: u64) -> Option<Packet> {
-        let (local, row) = self.locate(src, dst);
-        let level = self.heads[row].iter().position(|&head| head != 0)?;
-        self.take(local, row, level, max_payload)
+        let level = self.lists.pair(src, dst).first_nonempty()?;
+        self.dequeue_level_packet(src, dst, level, max_payload)
     }
 
     /// Dequeue one packet from the *lowest* priority level only — used by
@@ -461,15 +327,16 @@ impl<'a> PairRows<'a> {
         out: &mut Vec<Packet>,
     ) {
         debug_assert!(max_payload > 0);
-        let (local, row) = self.locate(src, dst);
-        let arena = &mut self.arenas[local];
+        let row = self.lists.index(src, dst);
         let end = out.len() + max_packets;
         // Nothing is enqueued meanwhile, so "highest non-empty level
         // first" is the levels drained in order.
         for level in 0..PRIORITY_LEVELS {
-            let head = &mut self.heads[row][level];
-            while *head != 0 && out.len() < end {
-                let packet = arena.take(head, level, max_payload);
+            while out.len() < end {
+                let Some(head) = self.lists.front_mut(src, dst, level) else {
+                    break;
+                };
+                let packet = take(head, level, max_payload);
                 note_taken(self.elephants, row, &packet);
                 out.push(packet);
             }
@@ -477,26 +344,21 @@ impl<'a> PairRows<'a> {
     }
 }
 
-impl PairView<'_> {
+impl<'a> PairView<'a> {
     /// The segments queued at `level`, head first.
-    fn segments(&self, level: usize) -> impl Iterator<Item = &Node> {
-        let mut link = self.heads[level];
-        std::iter::from_fn(move || {
-            let node = &self.nodes[(link as usize).checked_sub(1)?];
-            link = node.next;
-            Some(node)
-        })
+    fn segments(&self, level: usize) -> impl Iterator<Item = &'a Node> + 'a {
+        self.lists.iter(level)
     }
 
     /// Nothing queued at any level?
     pub fn is_empty(&self) -> bool {
-        self.heads == [0; PRIORITY_LEVELS]
+        self.lists.is_empty()
     }
 
     /// Enqueue time of the head-of-line segment at `level`, if any
     /// (Appendix A.2.3's weighted HoL waiting delay).
     pub fn hol_enqueued(&self, level: usize) -> Option<Nanos> {
-        self.segments(level).next().map(|s| s.enqueued)
+        self.lists.front(level).map(|s| s.enqueued)
     }
 
     /// Bytes queued at one priority level (a walk of the level's list).

@@ -38,17 +38,31 @@
 //! empty. The walk keeps the `(src, port)` order of a pass over every
 //! connection, so credits taken and returned within a slot interleave as
 //! they always did; [`RotorStats`] counts the visits.
+//!
+//! The data path is one [`sim::pairs::PairLists`] with four lists per pair,
+//! the store the negotiator's queues use: at pair `(src, via)`, lists 0–2
+//! are the bound PIAS levels a source holds for intermediate `via`, and
+//! list 3 is the relay FIFO intermediate `src` holds for final destination
+//! `via`. A visit to connection `src → via` reads all four at one computed
+//! pair index, so row `src` owns them and their 24-byte segment slots in
+//! one arena. A pair that never queues anything costs 32 B of zeroed
+//! heads and tails; queue memory follows the segments actually queued.
+//! In-flight relay credits (`relay_claim`) stay a dense table, and the
+//! debug builds check at every phase snapshot that each equals its relay
+//! FIFO's bytes plus the first hops still in flight toward it, and that
+//! the running backlog count equals what the lists hold.
 
 use crate::config::ObliviousConfig;
 use metrics::{EpochEngine, FlowTracker, PhaseCounters, RunFrame, RunReport};
+use sim::pairs::PairLists;
 use sim::time::Nanos;
 use sim::{BandwidthSeries, Xoshiro256};
-use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use topology::{AnyTopology, LaneTable, PredefinedLanes, Topology, TopologyKind};
 use workload::{Flow, FlowTrace};
 
-/// A data unit bound to a VLB intermediate, waiting at the source.
+/// A data unit bound to a VLB intermediate, waiting at the source — or,
+/// landed there, waiting in the intermediate's relay FIFO.
 #[derive(Debug, Clone, Copy)]
 struct BoundSeg {
     flow: u64,
@@ -56,13 +70,19 @@ struct BoundSeg {
     bytes: u32,
 }
 
-/// A chunk in flight on its first hop.
+/// Lists per pair: PIAS levels 0/1 (mice, sprayed per packet) and 2 (bulk,
+/// per bundle; without PQ only it is used), then the relay FIFO.
+const LISTS: usize = 4;
+const BULK: usize = 2;
+const RELAY: usize = 3;
+
+const _: () = assert!(PairLists::<BoundSeg, LISTS>::SLOT_BYTES == 24);
+
+/// A chunk in flight on its first hop, to intermediate `to`.
 #[derive(Debug, Clone, Copy)]
 struct Inflight {
     to: u32,
-    final_dst: u32,
-    flow: u64,
-    bytes: u32,
+    seg: BoundSeg,
 }
 
 /// Recording options for the baseline.
@@ -112,12 +132,15 @@ enum Visit {
 struct RotorQueues {
     n: usize,
     payload: u64,
-    /// Per (src, via): three priority FIFOs of bound segments
-    /// (levels 0/1 mice spray, level 2 bulk bundles; without PQ only
-    /// level 2 is used).
-    bound: Vec<[VecDeque<BoundSeg>; 3]>,
-    /// Per (intermediate, final): relay forwarding FIFO of (flow, bytes).
-    relay: Vec<VecDeque<(u64, u32)>>,
+    /// Per (src, via): the three priority FIFOs of segments bound at `src`
+    /// to intermediate `via`, and the relay FIFO `src` forwards to final
+    /// destination `via` (see the module docs).
+    lists: PairLists<BoundSeg, LISTS>,
+    /// Bytes on every pair's lists: the backlog a phase snapshot reports,
+    /// kept as segments come and go (a walk of the lists at each of 24
+    /// snapshots cost a saturated 128-ToR run 12 % of its epochs per second
+    /// on a 2-core host).
+    queued: u64,
     /// Per (intermediate, final): queued + in-flight relay bytes, checked
     /// by the sender-side admission control (credits).
     relay_claim: Vec<u64>,
@@ -137,7 +160,7 @@ pub struct ObliviousSim {
 
     q: RotorQueues,
     /// Lane masks of the rotor connections whose pair `(src, via)` may
-    /// have something queued in `bound` or `relay` — a superset, cleared
+    /// have something queued on one of its lists — a superset, cleared
     /// lazily — which is all the slot walk visits.
     live: LaneTable,
     /// The live connections of the slot being played: `n · S` entries,
@@ -213,8 +236,8 @@ impl ObliviousSim {
             q: RotorQueues {
                 n,
                 payload,
-                bound: (0..n * n).map(|_| Default::default()).collect(),
-                relay: vec![VecDeque::new(); n * n],
+                lists: PairLists::new(n, n),
+                queued: 0,
                 relay_claim: vec![0; n * n],
                 alt: vec![false; n * n],
                 inflight: vec![Vec::new(); depth],
@@ -272,16 +295,15 @@ impl ObliviousSim {
     /// intermediate.
     fn bind(&mut self, src: usize, level: usize, flow: u64, dst: usize, bytes: u64) {
         let via = self.pick_via(src);
-        let queue = &mut self.q.bound[src * self.n + via][level];
-        if queue.is_empty() {
-            self.live.all().mark(src, via);
-        }
-        queue.push_back(BoundSeg {
+        let seg = BoundSeg {
             flow,
             final_dst: dst as u32,
             // At most a bundle: fits, checked at construction.
             bytes: bytes as u32,
-        });
+        };
+        if self.q.push(src, via, level, seg) {
+            self.live.all().mark(src, via);
+        }
     }
 
     fn enqueue_flow(&mut self, flow: u64, src: usize, dst: usize, bytes: u64) {
@@ -314,19 +336,45 @@ impl ObliviousSim {
         metrics::frame::run(self, trace, duration)
     }
 
-    /// Debug-build check that the lane masks cover every pair with
-    /// anything queued.
+    /// Debug-build check of the data path at a phase snapshot: every
+    /// ToR's arena holds each slot on exactly one list or the free list
+    /// ([`PairLists::audit`]), the lane masks cover every pair with
+    /// anything queued, the backlog mirror is what the lists hold, and each
+    /// relay credit equals the bytes in its relay FIFO plus the first hops
+    /// in flight toward it.
     #[cfg(debug_assertions)]
     fn debug_verify_mirrors(&self) {
-        for (pair, (levels, relay)) in self.q.bound.iter().zip(&self.q.relay).enumerate() {
-            if levels.iter().any(|q| !q.is_empty()) || !relay.is_empty() {
-                let (src, via) = (pair / self.n, pair % self.n);
-                debug_assert!(
-                    self.live.is_marked(src, via),
-                    "queued pair ({src}, {via}) is missing a lane bit"
+        let n = self.n;
+        let bytes = |seg: &BoundSeg| seg.bytes as u64;
+        let mut queued = 0;
+        let mut claimed = vec![0u64; n * n];
+        for c in self.q.inflight.iter().flatten() {
+            claimed[c.to as usize * n + c.seg.final_dst as usize] += c.seg.bytes as u64;
+        }
+        for src in 0..n {
+            self.q.lists.audit(src);
+            for via in 0..n {
+                let lists = self.q.lists.pair(src, via);
+                if !lists.is_empty() {
+                    debug_assert!(
+                        self.live.is_marked(src, via),
+                        "queued pair ({src}, {via}) is missing a lane bit"
+                    );
+                }
+                queued += (0..LISTS)
+                    .flat_map(|l| lists.iter(l))
+                    .map(bytes)
+                    .sum::<u64>();
+                let pair = src * n + via;
+                let relay: u64 = lists.iter(RELAY).map(bytes).sum();
+                debug_assert_eq!(
+                    self.q.relay_claim[pair],
+                    claimed[pair] + relay,
+                    "relay credit of ({src}, {via}) is not its queued + in-flight bytes"
                 );
             }
         }
+        debug_assert_eq!(self.q.queued, queued, "backlog mirror drifted");
     }
 
     #[cfg(test)]
@@ -341,6 +389,22 @@ impl ObliviousSim {
 }
 
 impl RotorQueues {
+    /// Append `seg` to `list` of pair `(src, via)`; true when the list
+    /// turned non-empty.
+    #[inline]
+    fn push(&mut self, src: usize, via: usize, list: usize, seg: BoundSeg) -> bool {
+        self.queued += seg.bytes as u64;
+        self.lists.all().push_back(src, via, list, seg)
+    }
+
+    /// Unlink the head of `list` of pair `(src, via)`.
+    #[inline]
+    fn pop(&mut self, src: usize, via: usize, list: usize) -> Option<BoundSeg> {
+        let seg = self.lists.all().pop_front(src, via, list)?;
+        self.queued -= seg.bytes as u64;
+        Some(seg)
+    }
+
     /// Transmit at most one packet on the rotor connection `src → via`.
     fn serve_slot(
         &mut self,
@@ -354,10 +418,9 @@ impl RotorQueues {
         let pair = src * self.n + via;
         // 1. Bound mice packets for this neighbor (levels 0, then 1).
         for level in 0..2 {
-            if let Some(&seg) = self.bound[pair][level].front() {
-                // Mice ignore the relay cap: their volume is negligible and
-                // Sirius-style flow control reserves headroom for them.
-                self.bound[pair][level].pop_front();
+            // Mice ignore the relay cap: their volume is negligible and
+            // Sirius-style flow control reserves headroom for them.
+            if let Some(seg) = self.pop(src, via, level) {
                 self.send_hop1(via, seg, arrive, arrive_slot, tracker);
                 return Visit::Sent;
             }
@@ -367,37 +430,32 @@ impl RotorQueues {
         for attempt in 0..2 {
             let do_relay = relay_first ^ (attempt == 1);
             if do_relay {
-                if let Some((flow, bytes)) = self.relay[pair].pop_front() {
-                    debug_assert!(
-                        self.relay_claim[pair] >= bytes as u64,
-                        "relay credit of ({src}, {via}) leaked"
-                    );
-                    self.relay_claim[pair] -= bytes as u64;
-                    self.deliver_final(via, flow, bytes as u64, arrive, tracker);
+                if let Some(seg) = self.pop(src, via, RELAY) {
+                    let bytes = seg.bytes as u64;
+                    let claim = &mut self.relay_claim[pair];
+                    assert!(*claim >= bytes, "relay credit of ({src}, {via}) under-run");
+                    *claim -= bytes;
+                    self.deliver_final(via, seg.flow, bytes, arrive, tracker);
                     self.alt[pair] = false; // injection's turn next
                     return Visit::Sent;
                 }
             } else {
                 // First-hop bulk injection, subject to the relay credit of
                 // the (via, final) buffer.
-                if let Some(&seg) = self.bound[pair][2].front() {
+                let mut lists = self.lists.all();
+                if let Some(mut head) = lists.front_mut(src, via, BULK) {
+                    let seg = *head;
                     let rc = via * self.n + seg.final_dst as usize;
                     let direct = seg.final_dst as usize == via;
                     if direct || self.relay_claim[rc] + self.payload <= per_pair_cap {
                         // Send one packet off the head segment.
                         let take = (seg.bytes as u64).min(self.payload) as u32;
-                        {
-                            let head = self.bound[pair][2].front_mut().unwrap();
-                            head.bytes -= take;
-                            if head.bytes == 0 {
-                                self.bound[pair][2].pop_front();
-                            }
+                        head.bytes -= take;
+                        if head.bytes == 0 {
+                            head.pop();
                         }
-                        let chunk = BoundSeg {
-                            flow: seg.flow,
-                            final_dst: seg.final_dst,
-                            bytes: take,
-                        };
+                        self.queued -= take as u64;
+                        let chunk = BoundSeg { bytes: take, ..seg };
                         self.send_hop1(via, chunk, arrive, arrive_slot, tracker);
                         self.alt[pair] = true; // relay's turn next
                         return Visit::Sent;
@@ -408,8 +466,9 @@ impl RotorQueues {
             }
         }
         // Slot wasted — rotor quantization at work. The mice levels and
-        // the relay FIFO had nothing, or a packet would have left.
-        if self.bound[pair][2].is_empty() {
+        // the relay FIFO had nothing, or a packet would have left, so the
+        // pair is idle unless bulk waits.
+        if self.lists.pair(src, via).is_empty() {
             Visit::Idle
         } else {
             Visit::Blocked
@@ -433,9 +492,7 @@ impl RotorQueues {
         self.relay_claim[via * self.n + seg.final_dst as usize] += seg.bytes as u64;
         self.inflight[arrive_slot].push(Inflight {
             to: via as u32,
-            final_dst: seg.final_dst,
-            flow: seg.flow,
-            bytes: seg.bytes,
+            seg,
         });
     }
 
@@ -466,23 +523,8 @@ impl EpochEngine for ObliviousSim {
     fn phase_counters(&self) -> PhaseCounters {
         #[cfg(debug_assertions)]
         self.debug_verify_mirrors();
-        let bound: u64 = self
-            .q
-            .bound
-            .iter()
-            .flat_map(|levels| levels.iter())
-            .flat_map(|q| q.iter())
-            .map(|seg| seg.bytes as u64)
-            .sum();
-        let relay: u64 = self
-            .q
-            .relay
-            .iter()
-            .flat_map(|q| q.iter())
-            .map(|&(_, bytes)| bytes as u64)
-            .sum();
         PhaseCounters {
-            backlog_bytes: bound + relay,
+            backlog_bytes: self.q.queued,
             ..PhaseCounters::default()
         }
     }
@@ -519,14 +561,13 @@ impl EpochEngine for ObliviousSim {
         landing.clear();
         std::mem::swap(&mut landing, &mut self.q.inflight[(t as usize) % depth]);
         for c in &landing {
-            let (to, d) = (c.to as usize, c.final_dst as usize);
-            let fifo = &mut self.q.relay[to * n + d];
-            if fifo.is_empty() {
+            let (to, d) = (c.to as usize, c.seg.final_dst as usize);
+            // lint: allow(H001) reuses a freed arena slot; the arena grows only at a new backlog high
+            if self.q.push(to, d, RELAY, c.seg) {
                 masks.mark(to, d);
             }
-            fifo.push_back((c.flow, c.bytes));
             if let Some(series) = self.rx_transit.get_mut(to) {
-                series.record(now, c.bytes as u64);
+                series.record(now, c.seg.bytes as u64);
             }
         }
         landing.clear();
@@ -709,7 +750,8 @@ mod tests {
         s.run(&trace, 50_000_000);
         assert_eq!(s.tracker().completed_count(), 1);
         assert!(s.q.relay_claim.iter().all(|&c| c == 0), "claims leaked");
-        assert!(s.q.relay.iter().all(|q| q.is_empty()));
+        let n = s.n;
+        assert!((0..n * n).all(|pair| s.q.lists.pair(pair / n, pair % n).is_empty()));
     }
 
     /// A segment's length is 32 bits; a bundle that cannot fit is refused

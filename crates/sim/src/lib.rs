@@ -17,6 +17,9 @@
 //!   fan independent runs across cores.
 //! * [`shard`] — contiguous row partitions + scoped fork/join for
 //!   deterministic intra-run parallelism (the epoch engines' `--workers`).
+//! * [`pairs`] — per-pair FIFO lists over one node arena per ToR: the
+//!   queue store of both engines, sized by what is queued rather than by
+//!   the fabric's `n²` pairs.
 //!
 //! Design notes: the simulators built on top of this crate are
 //! *slot-synchronous* (both architectures in the paper transmit in fixed,
@@ -28,6 +31,7 @@
 //! reassembles their outputs in order, and [`shard`] lets one run fan its
 //! per-ToR phase work across workers with an order-preserving merge.
 
+pub mod pairs;
 pub mod pool;
 pub mod rng;
 pub mod series;

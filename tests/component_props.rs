@@ -1,10 +1,12 @@
 //! Property tests for the stateful components below the engines: the
-//! PIAS queue, the fault detector, the link-failure ground truth, the
-//! flow-size distributions and the bandwidth series.
+//! PIAS queue, the pair-list store as the rotor uses it, the fault
+//! detector, the link-failure ground truth, the flow-size distributions and
+//! the bandwidth series.
 
 use negotiator::fault::{FaultDetector, DETECT_EPOCHS};
 use negotiator::queues::{Packet, PairQueues, PRIORITY_LEVELS};
 use proptest::prelude::*;
+use sim::pairs::PairLists;
 use sim::{BandwidthSeries, Xoshiro256};
 use std::collections::VecDeque;
 use topology::failures::{LinkDir, LinkFailures};
@@ -81,6 +83,19 @@ impl ModelQueue {
         assert_eq!(view.is_empty(), self.segments() == 0);
     }
 }
+
+/// A segment as the oblivious rotor queues it (24 B a slot).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RotorSeg {
+    flow: u64,
+    final_dst: u32,
+    bytes: u32,
+}
+
+/// The rotor's lists per pair: bound levels 0–2, then the relay FIFO.
+const ROTOR_LISTS: usize = 4;
+const BULK: usize = 2;
+const RELAY: usize = 3;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -202,6 +217,90 @@ proptest! {
             store.segments_allocated(0),
             high_water
         );
+    }
+
+    /// The oblivious rotor's use of the pair store — bind pushes at levels
+    /// 0–2, landing pushes to the relay list, mice pops, bulk partial takes
+    /// (`front_mut`, `bytes -= take`, popped at zero) and relay pops —
+    /// interleaved over the four lists of four pairs on each of two ToRs,
+    /// beside one `VecDeque` per list. After every step: the same lists
+    /// front to back, every push reporting whether its list was empty, a
+    /// clean audit of both arenas, and no arena holding more slots than its
+    /// row ever had segments queued at once.
+    #[test]
+    fn rotor_store_matches_the_vecdeque_model(
+        ops in prop::collection::vec((0u8..6, 0usize..2, 0usize..4, 1u32..5_000), 1..300),
+    ) {
+        const ROWS: usize = 2;
+        const COLS: usize = 4;
+        let mut store = PairLists::<RotorSeg, ROTOR_LISTS>::new(ROWS, COLS);
+        let mut model: Vec<[VecDeque<RotorSeg>; ROTOR_LISTS]> =
+            (0..ROWS * COLS).map(|_| Default::default()).collect();
+        let mut high_water = [0; ROWS];
+        for (step, &(op, row, col, size)) in ops.iter().enumerate() {
+            let m = &mut model[row * COLS + col];
+            let seg = RotorSeg { flow: step as u64, final_dst: size % 7, bytes: size };
+            let mut rows = store.all();
+            match op {
+                0 | 1 => {
+                    let level = size as usize % 3;
+                    prop_assert_eq!(rows.push_back(row, col, level, seg), m[level].is_empty());
+                    m[level].push_back(seg);
+                }
+                2 => {
+                    prop_assert_eq!(rows.push_back(row, col, RELAY, seg), m[RELAY].is_empty());
+                    m[RELAY].push_back(seg);
+                }
+                3 => {
+                    let level = size as usize % 2;
+                    prop_assert_eq!(rows.pop_front(row, col, level), m[level].pop_front());
+                }
+                4 => {
+                    let take = 1 + size % 1_500;
+                    let emptied = match (rows.front_mut(row, col, BULK), m[BULK].front_mut()) {
+                        (Some(mut head), Some(want)) => {
+                            prop_assert_eq!(*head, *want);
+                            let take = head.bytes.min(take);
+                            head.bytes -= take;
+                            want.bytes -= take;
+                            if head.bytes == 0 {
+                                head.pop();
+                            }
+                            want.bytes == 0
+                        }
+                        (None, None) => false,
+                        (head, want) => {
+                            panic!("bulk fronts differ: {:?} vs {want:?}", head.map(|h| *h))
+                        }
+                    };
+                    if emptied {
+                        m[BULK].pop_front();
+                    }
+                }
+                _ => prop_assert_eq!(rows.pop_front(row, col, RELAY), m[RELAY].pop_front()),
+            }
+            for (r, water) in high_water.iter_mut().enumerate() {
+                let pairs = &model[r * COLS..(r + 1) * COLS];
+                let live = pairs.iter().flatten().map(VecDeque::len).sum::<usize>();
+                *water = live.max(*water);
+                for (c, lists) in pairs.iter().enumerate() {
+                    let pair = store.pair(r, c);
+                    for (list, want) in lists.iter().enumerate() {
+                        let same = pair.iter(list).eq(want.iter());
+                        prop_assert!(same, "({}, {}) list {}", r, c, list);
+                    }
+                    prop_assert_eq!(pair.is_empty(), lists.iter().all(VecDeque::is_empty));
+                }
+                store.audit(r);
+                prop_assert!(
+                    store.slots_allocated(r) <= *water,
+                    "row {}: {} slots for a high-water mark of {} segments",
+                    r,
+                    store.slots_allocated(r),
+                    *water
+                );
+            }
+        }
     }
 
     /// The fault detector excludes a link only after `DETECT_EPOCHS`

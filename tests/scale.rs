@@ -15,10 +15,11 @@
 //! exclusion or a gray drop runs: it walks the schedule's closed form, so
 //! a failure costs a large fabric visits, not a table of its schedule.
 //!
-//! Queue state is held to it with the same byte count: a pair is two list
-//! heads in zero-initialized tables and its segments live in its source's
-//! arena, so building a fabric allocates tens of bytes per pair and running
-//! a trace allocates for the trace, whatever the fabric around it.
+//! Queue state is held to it with the same byte count, in both engines: a
+//! pair is list heads and tails in zero-initialized tables and its segments
+//! live in its source's arena, so building a fabric allocates tens of bytes
+//! per pair and running a trace allocates for the trace, whatever the
+//! fabric around it.
 //!
 //! And naming a run is held to it: a compiled scenario and its content
 //! hash are a function of the spec, so asking "is this run cached?" costs
@@ -167,6 +168,31 @@ fn queue_bytes_track_live_pairs_not_fabric_size() {
         small.max(large) <= 2 * small.min(large),
         "the same trace allocated {small} B on 256 ToRs and {large} B on 512"
     );
+}
+
+/// The rotor's pair state is held to it too. Building the oblivious
+/// simulator on a 256- and a 1024-ToR thin-clos fabric allocates at most
+/// 48 B per pair, everything included: per pair the four lists' heads and
+/// tails (32 B, zero-initialized), the relay credit (8 B) and the
+/// alternation bit (1 B). A `VecDeque` triple of bound levels and a relay
+/// `VecDeque` per pair were 128 B on their own, every one of them written.
+#[test]
+fn rotor_pair_bytes_are_flat_in_fabric_size() {
+    for n_tors in [256usize, 1024] {
+        let net = NetworkConfig {
+            n_tors,
+            ..NetworkConfig::paper_default()
+        };
+        let cfg = ObliviousConfig::paper_default(net);
+        let (sim, built) = allocated_by(|| ObliviousSim::new(cfg, TopologyKind::ThinClos));
+        assert!(sim.slot_len() > 0);
+        let pairs = n_tors * n_tors;
+        assert!(
+            built <= 48 * pairs,
+            "{n_tors} ToRs: construction allocated {built} B, {} B per pair",
+            built / pairs
+        );
+    }
 }
 
 /// A nearly idle 1024 × 8 negotiator, built and run for 20 epochs, with
