@@ -10,15 +10,17 @@
 //!
 //! Each experiment prints the same rows/series the paper reports, as
 //! aligned text tables; `--json` additionally writes one machine-readable
-//! `results/<id>.json` per experiment (see [`results`] for the schema and
-//! the `bench-diff` binary for the CI regression gate). The sweep layer
-//! ([`sweep`]) expands every experiment into independent runs and executes
-//! them across `--jobs N` worker threads, reassembling outputs in spec
-//! order so parallel reports are byte-identical to serial ones.
+//! `results/<id>.json` per experiment (see [`results`] for the schema).
+//! The sweep layer ([`sweep`]) expands every experiment into independent
+//! runs and executes them across `--jobs N` worker threads, reassembling
+//! outputs in spec order so parallel reports are byte-identical to serial
+//! ones.
 //!
 //! [`experiments::EXPERIMENTS`] is the per-experiment index, mapping every
-//! id to its paper artifact (`paper list` prints it); the reproduced
-//! numbers the CI gates hold are the documents under `results/baseline*/`.
+//! id to its paper artifact (`paper list` prints it). The reproduced
+//! numbers are pinned byte for byte: `tests/experiment_digests.rs` holds
+//! every experiment's text and document, and every scenario's document and
+//! trace, to the digests in `tests/fixtures/experiment_digests.txt`.
 
 pub mod cache;
 pub mod experiments;

@@ -1,5 +1,4 @@
-//! Machine-readable sweep results: `results/<id>.json` emission and the
-//! comparison logic behind the `bench-diff` regression gate.
+//! Machine-readable sweep results: `results/<id>.json` emission.
 //!
 //! ## Schema (version 1)
 //!
@@ -26,8 +25,8 @@
 //!
 //! Everything outside `wall_secs`/`timing` is a pure function of
 //! (config, seed) — the determinism suite asserts the timing-free
-//! rendering is byte-identical at any `--jobs`, and `bench-diff` ignores
-//! the timing fields when gating.
+//! rendering is byte-identical at any `--jobs`, and the digest fixture
+//! (`tests/experiment_digests.rs`) pins its bytes.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -141,197 +140,6 @@ pub fn write_reports(
     Ok(paths)
 }
 
-/// Wall-time ratio `current / baseline` from the two documents' optional
-/// `timing.total_run_secs` fields. Purely informational — wall time varies
-/// with hardware and load, so it never participates in gating — but it is
-/// how the CI log shows a hot-path change's speedup (or regression) next
-/// to the metric diff.
-pub fn wall_time_ratio(baseline: &Json, current: &Json) -> Option<f64> {
-    let secs = |doc: &Json| {
-        doc.get("timing")
-            .and_then(|t| t.get("total_run_secs"))
-            .and_then(Json::as_f64)
-            .filter(|&s| s > 0.0)
-    };
-    Some(secs(current)? / secs(baseline)?)
-}
-
-/// Compare two parsed result documents (baseline vs current) and return
-/// the regressions: every numeric metric that moved more than
-/// `tolerance_pct` percent, plus any structural mismatch. Empty means the
-/// gate passes. Timing fields (`wall_secs`, `timing`) never participate.
-pub fn diff_reports(id: &str, baseline: &Json, current: &Json, tolerance_pct: f64) -> Vec<String> {
-    let mut failures = Vec::new();
-    for key in ["schema_version", "experiment"] {
-        if baseline.get(key) != current.get(key) {
-            failures.push(format!(
-                "{id}: '{key}' differs ({} vs {})",
-                render_short(baseline.get(key)),
-                render_short(current.get(key)),
-            ));
-        }
-    }
-    if baseline.get("config") != current.get("config") {
-        failures.push(format!(
-            "{id}: config differs — baseline and current are not comparable"
-        ));
-        return failures;
-    }
-    let empty: &[Json] = &[];
-    let base_runs = baseline
-        .get("runs")
-        .and_then(Json::as_array)
-        .unwrap_or(empty);
-    let cur_runs = current
-        .get("runs")
-        .and_then(Json::as_array)
-        .unwrap_or(empty);
-    if base_runs.len() != cur_runs.len() {
-        failures.push(format!(
-            "{id}: run count changed {} -> {}",
-            base_runs.len(),
-            cur_runs.len()
-        ));
-        return failures;
-    }
-    for (b, c) in base_runs.iter().zip(cur_runs) {
-        let label = run_label(b);
-        let b_metrics = b.get("metrics");
-        let c_metrics = c.get("metrics");
-        diff_metrics(
-            id,
-            &label,
-            "",
-            b_metrics,
-            c_metrics,
-            tolerance_pct,
-            &mut failures,
-        );
-    }
-    failures
-}
-
-/// Recursively compare two metric objects, flagging relative moves beyond
-/// the tolerance.
-fn diff_metrics(
-    id: &str,
-    run: &str,
-    prefix: &str,
-    baseline: Option<&Json>,
-    current: Option<&Json>,
-    tolerance_pct: f64,
-    failures: &mut Vec<String>,
-) {
-    let (Some(baseline), Some(current)) = (baseline, current) else {
-        if baseline.map(Json::is_null) != current.map(Json::is_null) {
-            failures.push(format!("{id} {run}: metric set changed at '{prefix}'"));
-        }
-        return;
-    };
-    match (baseline, current) {
-        (Json::Obj(b_members), Json::Obj(_)) => {
-            // Keys present in either side are compared; a key that appears
-            // or disappears is itself a failure (schema drift).
-            let mut keys: Vec<&str> = b_members.iter().map(|(k, _)| k.as_str()).collect();
-            for (k, _) in current.members().expect("object") {
-                if !keys.contains(&k.as_str()) {
-                    keys.push(k);
-                }
-            }
-            for key in keys {
-                let path = if prefix.is_empty() {
-                    key.to_string()
-                } else {
-                    format!("{prefix}.{key}")
-                };
-                match (baseline.get(key), current.get(key)) {
-                    (Some(b), Some(c)) => {
-                        diff_metrics(id, run, &path, Some(b), Some(c), tolerance_pct, failures)
-                    }
-                    _ => failures.push(format!("{id} {run}: metric '{path}' appeared/vanished")),
-                }
-            }
-        }
-        (Json::Arr(b_items), Json::Arr(c_items)) => {
-            // Time series and other metric arrays gate element by element.
-            if b_items.len() != c_items.len() {
-                failures.push(format!(
-                    "{id} {run}: '{prefix}' length changed {} -> {}",
-                    b_items.len(),
-                    c_items.len()
-                ));
-                return;
-            }
-            for (i, (b, c)) in b_items.iter().zip(c_items).enumerate() {
-                diff_metrics(
-                    id,
-                    run,
-                    &format!("{prefix}[{i}]"),
-                    Some(b),
-                    Some(c),
-                    tolerance_pct,
-                    failures,
-                );
-            }
-        }
-        (b_val, c_val) if b_val.as_f64().is_some() && c_val.as_f64().is_some() => {
-            let (b, c) = (
-                b_val.as_f64().expect("number"),
-                c_val.as_f64().expect("number"),
-            );
-            let moved = if b == 0.0 {
-                if c == 0.0 {
-                    0.0
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                ((c - b) / b).abs() * 100.0
-            };
-            if moved > tolerance_pct {
-                failures.push(format!(
-                    "{id} {run}: {prefix} {b} -> {c} ({moved:+.1}% > {tolerance_pct}%)",
-                ));
-            }
-        }
-        (b, c) if b == c => {}
-        (b, c) => failures.push(format!(
-            "{id} {run}: {prefix} changed {} -> {}",
-            render_short(Some(b)),
-            render_short(Some(c)),
-        )),
-    }
-}
-
-fn run_label(run: &Json) -> String {
-    let index = run
-        .get("index")
-        .and_then(Json::as_f64)
-        .map_or_else(|| "?".to_string(), |i| format!("{}", i as u64));
-    let system = run
-        .get("system")
-        .and_then(Json::as_str)
-        .unwrap_or("?")
-        .to_string();
-    match run.get("load").and_then(Json::as_f64) {
-        Some(load) => format!("run {index} ({system} @ {:.0}%)", load * 100.0),
-        None => format!("run {index} ({system})"),
-    }
-}
-
-fn render_short(value: Option<&Json>) -> String {
-    value.map_or_else(
-        || "<absent>".to_string(),
-        |v| {
-            let text = v.render();
-            match text.char_indices().nth(40) {
-                Some((cut, _)) => format!("{}…", &text[..cut]),
-                None => text,
-            }
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,76 +190,5 @@ mod tests {
         assert!(run.get("wall_secs").is_none());
         // The timing-free form parses back to itself.
         assert_eq!(Json::parse(&bare.render()).unwrap(), bare);
-    }
-
-    #[test]
-    fn wall_time_ratio_reads_timing_or_abstains() {
-        let rep = report();
-        let a = experiment_json(&rep, Some(1));
-        let mut faster = rep.clone();
-        faster.results[0].wall_secs = 0.125; // half of the baseline's 0.25
-        let b = experiment_json(&faster, Some(1));
-        let ratio = wall_time_ratio(&a, &b).expect("both sides carry timing");
-        assert!((ratio - 0.5).abs() < 1e-9, "ratio {ratio}");
-        // Timing-free documents yield no ratio instead of a division blowup.
-        let bare = experiment_json(&rep, None);
-        assert_eq!(wall_time_ratio(&bare, &b), None);
-        assert_eq!(wall_time_ratio(&a, &bare), None);
-    }
-
-    #[test]
-    fn diff_passes_identical_and_ignores_timing() {
-        let rep = report();
-        let a = experiment_json(&rep, Some(1));
-        let mut faster = rep.clone();
-        faster.results[0].wall_secs = 99.0;
-        let b = experiment_json(&faster, Some(8));
-        // Different jobs and wall times: still a clean pass.
-        assert_eq!(diff_reports("demo", &a, &b, 0.0), Vec::<String>::new());
-    }
-
-    #[test]
-    fn diff_flags_regressions_beyond_tolerance() {
-        let rep = report();
-        let a = experiment_json(&rep, None);
-        let mut worse = rep.clone();
-        worse.results[0].metrics.extra = vec![("finish_ns", 1400.0)]; // +13.5%
-        let b = experiment_json(&worse, None);
-        assert!(diff_reports("demo", &a, &b, 20.0).is_empty());
-        let failures = diff_reports("demo", &a, &b, 10.0);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("finish_ns"), "{failures:?}");
-        // Zero baseline to non-zero is always a failure.
-        let mut from_zero = rep.clone();
-        from_zero.results[0].metrics.extra = vec![("finish_ns", 0.0)];
-        let z = experiment_json(&from_zero, None);
-        assert!(!diff_reports("demo", &z, &b, 50.0).is_empty());
-    }
-
-    #[test]
-    fn diff_flags_structural_drift() {
-        let rep = report();
-        let a = experiment_json(&rep, None);
-        // Metric disappears.
-        let mut dropped = rep.clone();
-        dropped.results[0].metrics.extra = vec![];
-        let b = experiment_json(&dropped, None);
-        assert!(diff_reports("demo", &a, &b, 100.0)
-            .iter()
-            .any(|f| f.contains("appeared/vanished")));
-        // Run count changes.
-        let mut fewer = rep.clone();
-        fewer.results.clear();
-        let c = experiment_json(&fewer, None);
-        assert!(diff_reports("demo", &a, &c, 100.0)
-            .iter()
-            .any(|f| f.contains("run count")));
-        // Config changes make the pair incomparable.
-        let mut other = rep.clone();
-        other.seed = 10;
-        let d = experiment_json(&other, None);
-        assert!(diff_reports("demo", &a, &d, 100.0)
-            .iter()
-            .any(|f| f.contains("config differs")));
     }
 }

@@ -86,7 +86,7 @@ pub enum Rendered {
 }
 
 /// Everything one run measured: its rendered contribution plus the
-/// machine-readable scalars the JSON emit and `bench-diff` gate on.
+/// machine-readable scalars the JSON emit carries.
 ///
 /// Only the scalar [`RunSummary`] digest of a run's report is kept — a
 /// full [`RunReport`] holds one FCT sample per flow, and a sweep retains
@@ -103,8 +103,7 @@ pub struct RunMetrics {
     /// over-scheduling counters, ...).
     pub extra: Vec<(&'static str, f64)>,
     /// Per-phase time series (scenario runs): a JSON array emitted under
-    /// `metrics.series` in the results schema, gated element-wise by
-    /// `bench-diff` like every other metric.
+    /// `metrics.series` in the results schema.
     pub series: Option<metrics::Json>,
 }
 

@@ -436,13 +436,10 @@ mod tests {
         assert_eq!(gp.get("delivered_bytes").unwrap().as_f64(), Some(51_000.0));
         // Empty classes serialize as nulls, not NaNs.
         let mut empty = RunReport::build(&t, &FlowTracker::new(&t), 20_000, 2, 1, None);
-        assert!(empty
-            .to_json()
-            .get("mice")
-            .unwrap()
-            .get("p99_ns")
-            .unwrap()
-            .is_null());
+        assert_eq!(
+            empty.to_json().get("mice").unwrap().get("p99_ns"),
+            Some(&crate::Json::Null)
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! files (scenario specs) can point semantic errors — unknown key, value
 //! out of range — at an exact `line:column`; parse errors themselves are
 //! reported the same way. [`Json::parse`] strips the spans for consumers
-//! that only care about the data (`bench-diff`).
+//! that only care about the data (trace forensics, the result cache).
 
 use std::fmt::Write as _;
 
@@ -141,11 +141,6 @@ impl Json {
             Json::Obj(members) => Some(members),
             _ => None,
         }
-    }
-
-    /// True for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
     }
 
     /// Render as pretty-printed JSON (two-space indent, no trailing
@@ -733,10 +728,10 @@ mod tests {
         assert_eq!(j.get("a").unwrap().as_array().unwrap().len(), 3);
         assert_eq!(j.get("c").unwrap().as_str(), Some("x"));
         assert_eq!(j.get("d"), Some(&Json::Bool(false)));
-        assert!(j.get("a").unwrap().as_array().unwrap()[2]
-            .get("b")
-            .unwrap()
-            .is_null());
+        assert_eq!(
+            j.get("a").unwrap().as_array().unwrap()[2].get("b"),
+            Some(&Json::Null)
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`matchratio::MatchRatioRecorder`] — accepts/grants per epoch.
 //! * [`report`] — plain-text table rendering for the experiment harness.
 //! * [`json`] — a dependency-free JSON writer/parser so sweep results are
-//!   machine-readable (`results/<id>.json`, consumed by `bench-diff`) and
+//!   machine-readable (`results/<id>.json`, pinned byte for byte) and
 //!   scenario files are loadable with `line:column` error reporting.
 //! * [`frame`] — the run loop and per-run state both engines share.
 //! * [`phase`] — phase-boundary counter snapshots feeding the scenario

@@ -59,7 +59,7 @@ fn json_strategy(depth: u32) -> BoxedStrategy<Json> {
 
 /// A document shaped like a real `results/scenario-<name>.json`: runs
 /// with a `metrics` object carrying scalars and a per-phase `series`
-/// array — the shape `bench-diff` gates element-wise.
+/// array — the shape whose rendered lines a digest drift names.
 fn results_doc_strategy() -> BoxedStrategy<Json> {
     let phase_row =
         (0.0f64..2.0, 1u64..5_000_000, string_strategy()).prop_map(|(goodput, fct, label)| {

@@ -9,8 +9,7 @@
 //! across `--workers` intra-run threads; output is byte-identical at any
 //! job or worker count. `--json`
 //! writes one machine-readable `results/<id>.json` per experiment
-//! (schema: see `bench::results`), which `bench-diff` compares across
-//! revisions to gate CI on regressions. `paper scenario` runs declarative
+//! (schema: see `bench::results`). `paper scenario` runs declarative
 //! scenario files through the same machinery, deduping identical runs in
 //! a batch and sharing the content-addressed result cache in `<out>/cache`
 //! with the daemon. `paper serve` / `paper submit` are the serving pair:
