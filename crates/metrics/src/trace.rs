@@ -429,16 +429,27 @@ pub struct FlowSpans {
     dst: Vec<u32>,
     bytes: Vec<u64>,
     arrival: Vec<u64>,
-    /// Per-pair (src * n_tors + dst) epoch of the most recent REQUEST /
-    /// GRANT / ACCEPT; `u64::MAX` = never.
-    pair_req: Vec<u64>,
-    pair_grant: Vec<u64>,
-    pair_accept: Vec<u64>,
+    /// Per pair (src * n_tors + dst), the most recent REQUEST, GRANT and
+    /// ACCEPT epoch as its [`stamp`], `0` = never: one zero-initialized
+    /// table of 12 B per pair, written only where a pair negotiates.
+    pair_stamps: Vec<[u32; 3]>,
     /// Born-but-incomplete flow ids, maintained in ascending id order.
     live: Vec<u32>,
     /// Next flow id to be born (flows are born in ascending id order, the
     /// injection order, so this is also the born count).
     born_next: usize,
+}
+
+/// Columns of [`FlowSpans::pair_stamps`].
+const REQUEST: usize = 0;
+const GRANT: usize = 1;
+const ACCEPT: usize = 2;
+
+/// The pair stamp of `epoch`: `epoch + 1`, so that `0` can mean "never".
+/// Panics past `u32::MAX - 1` epochs rather than wrap.
+#[inline]
+fn stamp(epoch: u64) -> u32 {
+    u32::try_from(epoch + 1).expect("pair stamps hold epochs below u32::MAX")
 }
 
 impl FlowSpans {
@@ -452,9 +463,7 @@ impl FlowSpans {
             dst: vec![0; n_flows],
             bytes: vec![0; n_flows],
             arrival: vec![0; n_flows],
-            pair_req: vec![u64::MAX; n_tors * n_tors],
-            pair_grant: vec![u64::MAX; n_tors * n_tors],
-            pair_accept: vec![u64::MAX; n_tors * n_tors],
+            pair_stamps: vec![[0; 3]; n_tors * n_tors],
             live: Vec::with_capacity(n_flows),
             born_next: 0,
         }
@@ -513,21 +522,26 @@ impl FlowSpans {
     /// and order-independent; events are emitted later by [`Self::sweep`].
     #[inline]
     pub fn mark_request(&mut self, src: u32, dst: u32, epoch: u64) {
-        self.pair_req[src as usize * self.n_tors + dst as usize] = epoch;
+        self.mark(src, dst, REQUEST, epoch);
     }
 
     // lint: hot-path
     /// Stamp a GRANT issued for pair `src → dst` at `epoch`.
     #[inline]
     pub fn mark_grant(&mut self, src: u32, dst: u32, epoch: u64) {
-        self.pair_grant[src as usize * self.n_tors + dst as usize] = epoch;
+        self.mark(src, dst, GRANT, epoch);
     }
 
     // lint: hot-path
     /// Stamp an ACCEPT (scheduled slot) for pair `src → dst` at `epoch`.
     #[inline]
     pub fn mark_accept(&mut self, src: u32, dst: u32, epoch: u64) {
-        self.pair_accept[src as usize * self.n_tors + dst as usize] = epoch;
+        self.mark(src, dst, ACCEPT, epoch);
+    }
+
+    #[inline]
+    fn mark(&mut self, src: u32, dst: u32, step: usize, epoch: u64) {
+        self.pair_stamps[src as usize * self.n_tors + dst as usize][step] = stamp(epoch);
     }
 
     // lint: hot-path
@@ -544,31 +558,28 @@ impl FlowSpans {
         epoch: u64,
         mut flow_state: impl FnMut(u32) -> (u64, Option<Nanos>),
     ) {
+        let now = stamp(epoch);
         let mut w = 0usize;
         for r in 0..self.live.len() {
             let id = self.live[r];
             let i = id as usize;
             let (src, dst) = (self.src[i], self.dst[i]);
-            let pair = src as usize * self.n_tors + dst as usize;
-            let steps: [(u8, u64, TraceEventKind); 3] = [
+            let stamps = self.pair_stamps[src as usize * self.n_tors + dst as usize];
+            let steps: [(u8, u32, TraceEventKind); 3] = [
                 (
                     milestone::REQUESTED,
-                    self.pair_req[pair],
+                    stamps[REQUEST],
                     TraceEventKind::FlowRequest,
                 ),
-                (
-                    milestone::GRANTED,
-                    self.pair_grant[pair],
-                    TraceEventKind::FlowGrant,
-                ),
+                (milestone::GRANTED, stamps[GRANT], TraceEventKind::FlowGrant),
                 (
                     milestone::ACCEPTED,
-                    self.pair_accept[pair],
+                    stamps[ACCEPT],
                     TraceEventKind::FlowAccept,
                 ),
             ];
-            for (bit, stamp, kind) in steps {
-                if self.flags[i] & bit == 0 && stamp == epoch {
+            for (bit, stamped, kind) in steps {
+                if self.flags[i] & bit == 0 && stamped == now {
                     self.flags[i] |= bit;
                     rec.record(TraceEvent {
                         at,

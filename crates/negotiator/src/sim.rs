@@ -46,16 +46,41 @@
 //! ([`topology::LaneTable`], over the closed-form schedule inverse
 //! [`topology::PredefinedLanes`]),
 //! ACCEPT builds a dense active-match list the scheduled phase iterates,
-//! and scheduling messages are found through a flags byte per pair. So
-//! does its memory: the queues are [`crate::queues::PairQueues`] — per
-//! pair two list heads in zero-initialized tables, the segments in one
-//! arena per source ToR — so a pair that never holds data costs address
-//! space, not pages, and the tables only one mode reads (`enqueued_total`,
-//! `req_port`, the relay tables) exist only in that mode. The hot path is
-//! allocation-free in steady state: every per-epoch buffer is reused, and
-//! an arena grows only when its source's backlog reaches a new high in
-//! segments.
+//! and scheduling messages are found through a flags byte per pair. The
+//! queues are [`crate::queues::PairQueues`] — per pair list heads in
+//! zero-initialized tables, the segments in one arena per source ToR — so
+//! a queued segment costs an arena slot, reused once it drains. The hot
+//! path is allocation-free in steady state: every per-epoch buffer is
+//! reused, and an arena grows only when its source's backlog reaches a
+//! new high in segments.
 //! `tests/golden_report.rs` holds the engine to committed golden reports.
+//!
+//! # Per-pair bytes
+//!
+//! What a pair costs whether or not it ever holds data is one budget, and
+//! a table no reader in the configured mode uses is not built. Per
+//! ordered ToR pair, construction allocates:
+//!
+//! * in every mode, 33 B: the queue list heads and tails (24), the
+//!   `queue_bytes` mirror (8) and `msg_flags` (1) — a request in `Base`
+//!   and `Iterative` is the `REQ_FLAG` bit alone;
+//! * in `DataSize`, `HolDelay`, `Stateful` and `Projector`, the modes
+//!   whose GRANT reads a request's value, `Outbox::req` (8);
+//! * in `Projector`, `Outbox::req_port` (2, a `u16` port binding);
+//! * in `Stateful`, `enqueued_total` and `reported_total` (8 + 8) and a
+//!   `DemandMatrix` row entry (8);
+//! * under selective relay, the per-pair elephant backlog (8). Its relay
+//!   messages are per-ToR lists and its per-port backlog is per port.
+//!
+//! A traced run adds `metrics::trace::FlowSpans`' 12 B. Everything else
+//! is per ToR or per port. `tests/scale.rs`
+//! (`pair_tables_fit_one_budget_per_mode`) holds each configuration to
+//! its sum. The budget is on allocated bytes, not resident memory: the
+//! tables are zero-initialized, and whether an untouched zero page is
+//! resident is up to the allocator. Fresh pages cost nothing until
+//! written, but a process that builds engines more than once (the
+//! benchmark's warm passes, `paper serve`, sweeps) gets reused memory
+//! back, zeroes it, and so makes every page of every table resident.
 //!
 //! The engine also hosts the Appendix A.2 design variants via
 //! [`SchedulerMode`] and [`SimOptions::selective_relay`] — only the
@@ -87,7 +112,8 @@ use sim::{BandwidthSeries, Xoshiro256};
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use topology::{
-    AnyTopology, LaneMasks, LaneTable, LinkFailures, PredefinedLanes, Topology, TopologyKind,
+    AnyTopology, LaneMasks, LaneTable, LinkFailures, PredefinedLanes, ThinClos, Topology,
+    TopologyKind,
 };
 use workload::{Flow, FlowTrace};
 
@@ -118,6 +144,15 @@ pub enum SchedulerMode {
     Stateful,
     /// Appendix A.2.5: ProjecToR-style per-port, delay-prioritized requests.
     Projector,
+}
+
+impl SchedulerMode {
+    /// Whether GRANT reads a value off each request. NegotiaToR Matching
+    /// computes from binary demand (§3.2), so `Base` and `Iterative`
+    /// requests are a presence bit alone.
+    fn requests_carry_values(self) -> bool {
+        !matches!(self, SchedulerMode::Base | SchedulerMode::Iterative { .. })
+    }
 }
 
 /// Engine options beyond the paper-default configuration.
@@ -226,7 +261,7 @@ struct SimScratch {
 /// mirrors and buffers that move with them. Row-major by source, so a
 /// shard owns a contiguous window of each array — and its sources' segment
 /// arenas ([`SrcRows`]). Every per-pair table here is zero-initialized:
-/// resident only where a pair has been written.
+/// nothing is written to it at construction.
 struct SrcQueues {
     n: usize,
     s: usize,
@@ -261,7 +296,9 @@ struct SrcQueues {
     /// tor * s + port, maintained incrementally so the relay steps'
     /// busy-port checks are O(1) instead of O(n).
     backlog_by_port: Vec<u64>,
-    pair_port_tbl: Vec<u8>, // src * n + dst -> thin-clos pair port
+    /// The thin-clos fabric whose closed-form pair port indexes
+    /// `backlog_by_port` (selective relay only).
+    relay_fabric: Option<ThinClos>,
     relay_buffers: Vec<RelayBuffer>,
 }
 
@@ -282,7 +319,7 @@ struct SrcRows<'a> {
     nonempty: &'a mut [u64],
     lane_masks: LaneMasks<'a>,
     backlog_by_port: &'a mut [u64],
-    pair_port_tbl: &'a [u8],
+    relay_fabric: Option<&'a ThinClos>,
     relay_buffers: &'a mut [RelayBuffer],
 }
 
@@ -304,7 +341,7 @@ impl SrcQueues {
             nonempty: &mut self.nonempty,
             lane_masks: self.lane_masks.all(),
             backlog_by_port: &mut self.backlog_by_port,
-            pair_port_tbl: &self.pair_port_tbl,
+            relay_fabric: self.relay_fabric.as_ref(),
             relay_buffers: &mut self.relay_buffers,
         }
     }
@@ -436,10 +473,18 @@ impl<'a> SrcRows<'a> {
             self.lane_masks.mark(src, dst);
         }
         self.queue_bytes[row] += bytes;
-        if !self.backlog_by_port.is_empty() {
-            let port = self.pair_port_tbl[src * self.n + dst] as usize;
-            self.backlog_by_port[(src - self.shard.start) * self.s + port] += bytes;
+        if let Some(i) = self.backlog_slot(src, dst) {
+            self.backlog_by_port[i] += bytes;
         }
+    }
+
+    /// The `backlog_by_port` entry that pair `src → dst`'s direct backlog
+    /// counts toward (selective relay only): its closed-form thin-clos
+    /// port. A self pair has no port and counts toward port 0.
+    #[inline]
+    fn backlog_slot(&self, src: usize, dst: usize) -> Option<usize> {
+        let port = self.relay_fabric?.pair_port(src, dst).unwrap_or(0);
+        Some((src - self.shard.start) * self.s + port)
     }
 
     /// Account `bytes` that left queue `src → dst`; `relayed` of them came
@@ -453,9 +498,8 @@ impl<'a> SrcRows<'a> {
             let (word, bit) = self.nonempty_bit(src, dst);
             self.nonempty[word] &= !bit;
         }
-        if !self.backlog_by_port.is_empty() {
-            let port = self.pair_port_tbl[src * self.n + dst] as usize;
-            self.backlog_by_port[(src - self.shard.start) * self.s + port] -= bytes;
+        if let Some(i) = self.backlog_slot(src, dst) {
+            self.backlog_by_port[i] -= bytes;
         }
         if relayed > 0 {
             self.relay_buffers[src - self.shard.start].release(relayed);
@@ -550,17 +594,20 @@ impl<'a> SrcRows<'a> {
 /// Pipeline outboxes: the scheduling messages each ToR computed at epoch
 /// start, waiting for their predefined connection. Presence is a bit in
 /// `NegotiatorSim::msg_flags`, so a connection looks only at what its pair
-/// has: the request value, the granter's short grant list (a ToR grants at
-/// most one source per ingress port), the pair's relay buckets. Nothing
-/// here costs `n²` to build: the request values are zero pages until
-/// written, and the per-pair tables exist only in the modes that use them.
+/// has: the request value, and its share of the sender's short message
+/// lists — a ToR grants at most one source per ingress port, an
+/// intermediate at most one relay per port, and a source asks at most two
+/// intermediates per qualifying destination. Each list is per ToR in push
+/// order and read filtered by peer. The per-pair tables are built only in
+/// the modes whose GRANT reads them (the module doc's budget); elsewhere
+/// they are empty and a request carries the `REQ_FLAG` bit alone.
 struct Outbox {
     n: usize,
-    req: Vec<f64>,                           // src * n + dst (live iff REQ_FLAG set)
-    req_port: Vec<usize>,                    // likewise; `Projector` only, else empty
-    grants: Vec<Vec<(u32, u32, u64)>>,       // per granter, push order: (requester, port, debit)
-    relay_reqs: Vec<Vec<RelayRequest>>,      // src * n + via (selective relay only)
-    relay_grants: Vec<Vec<(u32, u32, u64)>>, // via * n + src: (port, final, vol)
+    req: Vec<f64>,      // src * n + dst (live iff REQ_FLAG set); valued modes only
+    req_port: Vec<u16>, // likewise; `Projector` only, `u16::MAX` = unbound
+    grants: Vec<Vec<(u32, u32, u64)>>, // per granter, push order: (requester, port, debit)
+    relay_reqs: Vec<Vec<RelayRequest>>, // per source, push order (selective relay only)
+    relay_grants: Vec<Vec<(u32, u32, u32, u64)>>, // per via: (requester, port, final, vol)
 }
 
 /// Where cross-ToR effects arrive: the inboxes the next epoch start
@@ -620,7 +667,7 @@ pub struct NegotiatorSim {
 
     // Variant state.
     matrices: Vec<DemandMatrix>, // stateful (empty otherwise)
-    reported_total: Vec<u64>,    // stateful: bytes already reported
+    reported_total: Vec<u64>,    // src * n + dst: bytes already reported (stateful only)
     iter_pending: VecDeque<Vec<Vec<Accept>>>, // iterative activation queue
     relay_policy: RelayPolicy,
     relay_reqs_in: Vec<RelayRequest>, // swapped against `inbox_relay_req[via]`
@@ -692,21 +739,17 @@ impl NegotiatorSim {
         let epoch_len = cfg.epoch.epoch_len(pre_slots);
         let stateful = matches!(opts.mode, SchedulerMode::Stateful);
         let selective_relay = opts.selective_relay;
-        let pair_port_tbl = if selective_relay {
-            let mut tbl = vec![0u8; n * n];
-            for src in 0..n {
-                for dst in 0..n {
-                    if let Some(p) = topo.pair_port(src, dst) {
-                        tbl[src * n + dst] = p as u8;
-                    }
-                }
-            }
-            tbl
-        } else {
-            Vec::new()
+        let relay_fabric = match &topo {
+            AnyTopology::ThinClos(fabric) if selective_relay => Some(fabric.clone()),
+            _ => None,
         };
-        let relay_pairs = if selective_relay { n * n } else { 0 };
+        let relay_tors = if selective_relay { n } else { 0 };
         let projector = matches!(opts.mode, SchedulerMode::Projector);
+        assert!(
+            !projector || s < u16::MAX as usize,
+            "Projector binds ports as u16: {s} ports"
+        );
+        let pairs_if = |built: bool| if built { n * n } else { 0 };
         let words = n.div_ceil(64);
         NegotiatorSim {
             frame: RunFrame::new(&cfg.net),
@@ -724,24 +767,24 @@ impl NegotiatorSim {
                 pias: cfg.priority_queues,
                 pias_th: cfg.pias_thresholds(),
                 pairs: PairQueues::new(n, n, selective_relay),
-                enqueued_total: vec![0; if stateful { n * n } else { 0 }],
+                enqueued_total: vec![0; pairs_if(stateful)],
                 queue_bytes: vec![0; n * n],
                 words,
                 nonempty: vec![0; n * words],
                 lane_masks: LaneTable::new(PredefinedLanes::new(&topo), n),
                 backlog_by_port: vec![0; if selective_relay { n * s } else { 0 }],
-                pair_port_tbl,
+                relay_fabric,
                 relay_buffers: (0..n).map(|_| RelayBuffer::default()).collect(),
             },
             grant_arbs,
             accept_arbs,
             out: Outbox {
                 n,
-                req: vec![0.0; n * n],
-                req_port: vec![usize::MAX; if projector { n * n } else { 0 }],
+                req: vec![0.0; pairs_if(opts.mode.requests_carry_values())],
+                req_port: vec![u16::MAX; pairs_if(projector)],
                 grants: vec![Vec::new(); n],
-                relay_reqs: vec![Vec::new(); relay_pairs],
-                relay_grants: vec![Vec::new(); relay_pairs],
+                relay_reqs: vec![Vec::new(); relay_tors],
+                relay_grants: vec![Vec::new(); relay_tors],
             },
             land: Landing {
                 inbox_requests: vec![Vec::new(); n],
@@ -775,7 +818,7 @@ impl NegotiatorSim {
             } else {
                 Vec::new()
             },
-            reported_total: vec![0; n * n],
+            reported_total: vec![0; pairs_if(stateful)],
             iter_pending: VecDeque::new(),
             relay_policy: RelayPolicy::default_for(epoch_capacity),
             relay_reqs_in: Vec::new(),
@@ -1061,7 +1104,7 @@ impl NegotiatorSim {
 
     fn relay_request_step(&mut self, epoch: u64) {
         for &i in &self.relay_req_dirty {
-            self.out.relay_reqs[i as usize].clear();
+            self.out.relay_reqs[i as usize / self.n].clear();
             self.msg_flags[i as usize] &= !RELAY_REQ_FLAG;
         }
         self.relay_req_dirty.clear();
@@ -1089,12 +1132,12 @@ impl NegotiatorSim {
                         continue;
                     }
                     let idx = src * self.n + via;
-                    if self.out.relay_reqs[idx].is_empty() {
+                    if self.msg_flags[idx] & RELAY_REQ_FLAG == 0 {
                         self.relay_req_dirty.push(idx as u32);
                         self.msg_flags[idx] |= RELAY_REQ_FLAG;
                         self.q.lane_masks.all().mark(src, via);
                     }
-                    self.out.relay_reqs[idx].push(RelayRequest {
+                    self.out.relay_reqs[src].push(RelayRequest {
                         src,
                         via,
                         final_dst: dst,
@@ -1113,7 +1156,7 @@ impl NegotiatorSim {
     /// the same per-epoch map.
     fn relay_grant_step(&mut self) {
         for &i in &self.relay_grant_dirty {
-            self.out.relay_grants[i as usize].clear();
+            self.out.relay_grants[i as usize / self.n].clear();
             self.msg_flags[i as usize] &= !RELAY_GRANT_FLAG;
         }
         self.relay_grant_dirty.clear();
@@ -1149,12 +1192,12 @@ impl NegotiatorSim {
                 space -= vol;
                 self.port_granted[via * self.s + p] = true;
                 let idx = via * self.n + r.src;
-                if self.out.relay_grants[idx].is_empty() {
+                if self.msg_flags[idx] & RELAY_GRANT_FLAG == 0 {
                     self.relay_grant_dirty.push(idx as u32);
                     self.msg_flags[idx] |= RELAY_GRANT_FLAG;
                     self.q.lane_masks.all().mark(via, r.src);
                 }
-                self.out.relay_grants[idx].push((p as u32, r.final_dst as u32, vol));
+                self.out.relay_grants[via].push((r.src as u32, p as u32, r.final_dst as u32, vol));
             }
         }
         reqs.clear();
@@ -1685,6 +1728,40 @@ mod tests {
         let epoch = s.epoch_len();
         let report = s.run(&single_flow(2_000_000, 0), 3000 * epoch);
         assert_eq!(report.all.completed, 1, "elephant must fully arrive");
+    }
+
+    #[test]
+    fn selective_relay_charges_ports_past_255() {
+        // Two ToRs per group on 260 ports: pair 0 → 514 (group 257) leaves
+        // by port 257, past a byte's range. Charging it to any other port
+        // fails the debug mirror check ("backlog cache drifted") and the
+        // asserts below.
+        let net = NetworkConfig {
+            n_tors: 520,
+            n_ports: 260,
+            ..NetworkConfig::small_for_tests()
+        };
+        let mut s = NegotiatorSim::with_options(
+            NegotiatorConfig::paper_default(net),
+            TopologyKind::ThinClos,
+            SimOptions {
+                selective_relay: true,
+                ..SimOptions::default()
+            },
+        );
+        let trace = FlowTrace::new(vec![Flow {
+            id: 0,
+            src: 0,
+            dst: 514,
+            bytes: 100_000_000,
+            arrival: 0,
+        }]);
+        let epoch = s.epoch_len();
+        s.run(&trace, 2 * epoch);
+        let queued = s.q.backlog_of(0);
+        assert!(queued > 0, "the flow must still be queued");
+        assert_eq!(s.direct_backlog_via_port(0, 257), queued);
+        assert_eq!(s.direct_backlog_via_port(0, 1), 0);
     }
 
     #[test]

@@ -165,13 +165,14 @@ impl Event {
     }
 }
 
-/// Projector port bindings use `usize::MAX` as "unbound"; events store
-/// ports in 32 bits (fabrics are ≤ `u32` ToRs × ports).
-fn port_to_u32(p: usize) -> u32 {
-    if p == usize::MAX {
+/// Projector port bindings are stored as `u16` with `u16::MAX` as
+/// "unbound"; events carry ports in 32 bits, `ReqIn` as `usize`, each with
+/// its type's maximum as "unbound".
+fn port_to_u32(p: u16) -> u32 {
+    if p == u16::MAX {
         u32::MAX
     } else {
-        p as u32
+        u32::from(p)
     }
 }
 
@@ -315,10 +316,11 @@ impl Landing {
 impl Outbox {
     /// Move this epoch's outgoing scheduling messages across the
     /// predefined connection `src → dst` in timeslot `slot`: the request
-    /// value, `src`'s grants to `dst` (picked, in push order, from the ≤ S
-    /// grants `src` issued), the pair's relay buckets. `flags` is the
-    /// pair's `msg_flags` byte; the caller clears its `REQ_FLAG`
-    /// afterwards (a request is delivered once; grants and buckets are
+    /// (its value and port binding where the mode has them, else `0.0`
+    /// and unbound), and `src`'s grants, relay requests and relay grants
+    /// to `dst` (each picked, in push order, from `src`'s short list).
+    /// `flags` is the pair's `msg_flags` byte; the caller clears its
+    /// `REQ_FLAG` afterwards (a request is delivered once; the lists are
     /// cleared at epoch start).
     #[inline]
     pub(super) fn emit(&self, flags: u8, src: usize, dst: usize, slot: u32, sink: &mut Sink<'_>) {
@@ -329,7 +331,7 @@ impl Outbox {
                 slot,
                 dst: to,
                 src: from,
-                value: self.req[idx],
+                value: self.req.get(idx).copied().unwrap_or(0.0),
                 port: self.req_port.get(idx).map_or(u32::MAX, |&p| port_to_u32(p)),
             });
         }
@@ -346,7 +348,7 @@ impl Outbox {
             }
         }
         if flags & RELAY_REQ_FLAG != 0 {
-            for r in &self.relay_reqs[idx] {
+            for r in self.relay_reqs_via(src, dst) {
                 sink.emit(Event::RelayReq {
                     slot,
                     via: to,
@@ -356,7 +358,7 @@ impl Outbox {
             }
         }
         if flags & RELAY_GRANT_FLAG != 0 {
-            for &(port, final_dst, vol) in &self.relay_grants[idx] {
+            for &(_, port, final_dst, vol) in self.relay_grants_to(src, dst) {
                 sink.emit(Event::RelayGrant {
                     slot,
                     dst: to,
@@ -380,11 +382,28 @@ impl Outbox {
             .filter(move |g| g.0 as usize == requester)
     }
 
+    /// The relay requests `src` asks intermediate `via` this epoch, in
+    /// push order.
+    fn relay_reqs_via(&self, src: usize, via: usize) -> impl Iterator<Item = &RelayRequest> + '_ {
+        self.relay_reqs[src].iter().filter(move |r| r.via == via)
+    }
+
+    /// The relay grants intermediate `via` issued to `requester` this
+    /// epoch, in push order.
+    fn relay_grants_to(
+        &self,
+        via: usize,
+        requester: usize,
+    ) -> impl Iterator<Item = &(u32, u32, u32, u64)> + '_ {
+        self.relay_grants[via]
+            .iter()
+            .filter(move |g| g.0 as usize == requester)
+    }
+
     /// Control messages queued on the pair `src → dst` whose flags byte is
     /// `flags`: sizes [`SchedStats::control_dropped`] when a gray failure
     /// eats the connection's control traffic.
     pub(super) fn queued(&self, flags: u8, src: usize, dst: usize) -> u64 {
-        let idx = src * self.n + dst;
         let mut count = 0;
         if flags & REQ_FLAG != 0 {
             count += 1;
@@ -393,10 +412,10 @@ impl Outbox {
             count += self.grants_to(src, dst).count() as u64;
         }
         if flags & RELAY_REQ_FLAG != 0 {
-            count += self.relay_reqs[idx].len() as u64;
+            count += self.relay_reqs_via(src, dst).count() as u64;
         }
         if flags & RELAY_GRANT_FLAG != 0 {
-            count += self.relay_grants[idx].len() as u64;
+            count += self.relay_grants_to(src, dst).count() as u64;
         }
         count
     }
@@ -459,7 +478,7 @@ impl GrantOut<'_> {
 struct RequestCtx<'a> {
     shard: Shard,
     req: &'a mut [f64],
-    req_port: &'a mut [usize],
+    req_port: &'a mut [u16],
     msg_flags: &'a mut [u8],
     reported_total: &'a mut [u64],
     lane: &'a mut Lane,
@@ -843,12 +862,18 @@ impl NegotiatorSim {
         let topo = &self.topo;
         let q = &self.q;
         {
-            let outs = shard::split_rows(&mut self.out.req, n, &shards);
-            // Port bindings exist in `Projector` mode only.
-            let port_row = self.out.req_port.len() / n;
+            // The per-pair value tables exist only in the modes that read
+            // them (empty rows otherwise): values outside `Base` and
+            // `Iterative`, port bindings in `Projector`, reported totals
+            // in `Stateful`.
+            let row_of = |table_len: usize| table_len / n;
+            let req_row = row_of(self.out.req.len());
+            let outs = shard::split_rows(&mut self.out.req, req_row, &shards);
+            let port_row = row_of(self.out.req_port.len());
             let ports = shard::split_rows(&mut self.out.req_port, port_row, &shards);
             let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
-            let reported = shard::split_rows(&mut self.reported_total, n, &shards);
+            let reported_row = row_of(self.reported_total.len());
+            let reported = shard::split_rows(&mut self.reported_total, reported_row, &shards);
             let mut ctxs = Vec::with_capacity(shards.len());
             for (((((&shard, req), req_port), msg_flags), reported_total), lane) in shards
                 .iter()
@@ -887,7 +912,9 @@ impl NegotiatorSim {
                         for (dst, preq) in projector::bind_requests(topo, src, &q.pairs, live, now)
                         {
                             req[base + dst] = preq.waiting;
-                            req_port[base + dst] = preq.port;
+                            // Construction holds Projector fabrics under
+                            // `u16::MAX` ports.
+                            req_port[base + dst] = preq.port as u16;
                             msg_flags[base + dst] |= REQ_FLAG;
                             // lint: allow(H001) lane vecs keep their capacity across epochs
                             dirty.push((src * n + dst) as u32);
@@ -901,18 +928,21 @@ impl NegotiatorSim {
                             continue;
                         }
                         let value = match mode {
-                            SchedulerMode::DataSize => q.queue_bytes[idx] as f64,
-                            SchedulerMode::HolDelay { alpha } => {
-                                informative::hol_delay_value(q.pairs.pair(src, dst), now, alpha)
-                            }
+                            SchedulerMode::DataSize => Some(q.queue_bytes[idx] as f64),
+                            SchedulerMode::HolDelay { alpha } => Some(
+                                informative::hol_delay_value(q.pairs.pair(src, dst), now, alpha),
+                            ),
                             SchedulerMode::Stateful => {
                                 let new = q.enqueued_total[idx] - reported_total[base + dst];
                                 reported_total[base + dst] = q.enqueued_total[idx];
-                                new as f64
+                                Some(new as f64)
                             }
-                            _ => 0.0,
+                            // Binary demand: the flag is the request.
+                            _ => None,
                         };
-                        req[base + dst] = value;
+                        if let Some(value) = value {
+                            req[base + dst] = value;
+                        }
                         msg_flags[base + dst] |= REQ_FLAG;
                         // lint: allow(H001) lane vecs keep their capacity across epochs
                         dirty.push(idx as u32);

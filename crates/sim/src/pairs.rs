@@ -8,12 +8,15 @@
 //! * **Per pair, two dense tables** of `[u32; L]` — the head and the tail of
 //!   each of the pair's `L` FIFO lists, as *index + 1* into the row's arena,
 //!   so all-zero is "empty" and `vec![[0; L]; n * n]` is one
-//!   `alloc_zeroed`: `8 · L` B of address space per pair, and resident pages
-//!   only where a pair has ever held data. (A `VecDeque` per list was 32 B
-//!   per list whose dangling-but-non-null pointers had to be *written* for
-//!   every pair: 142 MB for the negotiator's three at 1024 ToRs before the
-//!   first flow.) A tail is meaningful only while its head is non-zero, so
-//!   pops never touch the tail table.
+//!   `alloc_zeroed`: `8 · L` B allocated per pair and nothing written at
+//!   construction. Whether the untouched pages are resident is up to the
+//!   allocator — fresh pages are not, but memory a process gets back from
+//!   an engine it dropped is zeroed and so resident in full — which is why
+//!   the engines budget allocated bytes per pair. (A `VecDeque` per list
+//!   was 32 B per list whose dangling-but-non-null pointers had to be
+//!   *written* for every pair: 142 MB for the negotiator's three at 1024
+//!   ToRs before the first flow.) A tail is meaningful only while its head
+//!   is non-zero, so pops never touch the tail table.
 //! * **Per row (the owning ToR), one arena** of `(item, next)` slots, linked
 //!   per `(pair, list)` and recycled through an intrusive free list (`next`
 //!   of a free slot is the next free slot). A row's pairs share its arena,

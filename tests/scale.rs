@@ -19,16 +19,21 @@
 //! pair is list heads and tails in zero-initialized tables and its segments
 //! live in its source's arena, so building a fabric allocates tens of bytes
 //! per pair and running a trace allocates for the trace, whatever the
-//! fabric around it.
+//! fabric around it. Every per-pair table has one budget per configuration:
+//! a table no reader in the configured mode uses is not built. The budgets
+//! are on allocated bytes, because whether an untouched zero page is
+//! resident is up to the allocator — a process that builds engines more
+//! than once gets reused memory back and zeroes it, every page.
 //!
 //! And naming a run is held to it: a compiled scenario and its content
 //! hash are a function of the spec, so asking "is this run cached?" costs
 //! the spec's size, not the traffic's — the flows are made when a run
 //! first reads them, once however many clones share them.
 
+use metrics::trace::FlowSpans;
 use negotiator::matching::{AcceptArbiter, GrantArbiter};
 use negotiator::rings::Ring;
-use negotiator::{NegotiatorConfig, NegotiatorSim};
+use negotiator::{NegotiatorConfig, NegotiatorSim, SchedulerMode, SimOptions};
 use oblivious::{ObliviousConfig, ObliviousSim};
 use scenario::{compile, parse_scenario};
 use sim::Xoshiro256;
@@ -47,20 +52,31 @@ thread_local! {
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
 }
 
+fn count(layout: Layout) {
+    let _ = ALLOCATED.try_with(|bytes| bytes.set(bytes.get() + layout.size()));
+}
+
 // SAFETY: every request is passed to `System` unchanged, which upholds the
 // `GlobalAlloc` contract; the counter is a plain thread-local `Cell` with no
 // destructor and no allocation of its own, and `try_with` skips the count
-// once a thread's locals are gone. `alloc_zeroed` and `realloc` keep their
-// default forms, which go through `alloc`.
+// once a thread's locals are gone. `alloc_zeroed` goes to the system's own
+// (so a zero table is no more resident here than in production); `realloc`
+// keeps its default form, which goes through `alloc`.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATED.try_with(|bytes| bytes.set(bytes.get() + layout.size()));
+        count(layout);
         // SAFETY: the caller's obligations are exactly `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout);
+        // SAFETY: the caller's obligations are exactly `System::alloc_zeroed`'s.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -113,12 +129,12 @@ fn arbiter_bytes_per_tor_are_flat_in_fabric_size() {
 }
 
 /// Queue state is held to it as well. Building a 512-ToR simulator
-/// allocates under 64 B per pair, everything included: the per-pair tables
-/// are list heads and tails (24 B), the byte mirror, request values and
-/// flags (17 B) and the stateful variant's report marks (8 B), all
-/// zero-initialized, where a `VecDeque` triple per pair alone was 136 B
-/// that had to be written. And what a run allocates on top is a function of
-/// its traffic: one trace confined to ToRs 0..64 — a 40-to-1 burst of 50 kB
+/// allocates under 64 B per pair, everything included: the base mode's
+/// per-pair tables are list heads and tails (24 B), the byte mirror and
+/// flags (9 B), where a `VecDeque` triple per pair alone was 136 B
+/// (`pair_tables_fit_one_budget_per_mode` holds every mode to its own,
+/// tighter budget). And what a run allocates on top is a function of its
+/// traffic: one trace confined to ToRs 0..64 — a 40-to-1 burst of 50 kB
 /// flows every 20 µs over 50 % Poisson load — played on a 256- and a
 /// 512-ToR thin-clos fabric (pair tables 4× apart) costs both the same to
 /// within one doubling of the 64 busy sources' segment arenas.
@@ -193,6 +209,104 @@ fn rotor_pair_bytes_are_flat_in_fabric_size() {
             built / pairs
         );
     }
+}
+
+/// One budget over every per-pair table, in every mode: building the
+/// negotiator on a 256- and a 1024-ToR thin-clos fabric allocates no more
+/// per pair than the tables its configuration reads (the list is the
+/// `negotiator::sim` module doc's), and the flight recorder's pair stamps
+/// are 12 B per pair. Beside its pair tables every configuration allocates
+/// ~1.2–1.3 kB per ToR at 8 ports — arbiters, match, observation and
+/// detector tables, inboxes — which the bound allows as 1.5 kB a ToR: 6 B
+/// a pair at 256 ToRs, 1.5 B at 1024.
+#[test]
+fn pair_tables_fit_one_budget_per_mode() {
+    const PER_TOR: usize = 1536;
+    let configs = [
+        // list heads + tails 24, queue_bytes 8, msg_flags 1, two bitmaps 1/4
+        (SchedulerMode::Base, false, 36),
+        // as Base: iterative matching keeps no per-pair state of its own
+        (SchedulerMode::Iterative { rounds: 3 }, false, 36),
+        // Base's 33 + request values 8
+        (SchedulerMode::DataSize, false, 44),
+        // Base's 33 + request values 8
+        (SchedulerMode::HolDelay { alpha: 0.001 }, false, 44),
+        // Base's 33 + request values 8 + u16 port bindings 2
+        (SchedulerMode::Projector, false, 46),
+        // Base's 33 + request values 8 + enqueued / reported totals 16 + demand matrix 8
+        (SchedulerMode::Stateful, false, 68),
+        // Base's 33 + per-pair elephant backlog 8
+        (SchedulerMode::Base, true, 44),
+    ];
+    for n_tors in [256usize, 1024] {
+        let net = NetworkConfig {
+            n_tors,
+            ..NetworkConfig::paper_default()
+        };
+        let pairs = n_tors * n_tors;
+        for (mode, selective_relay, per_pair) in configs {
+            let opts = SimOptions {
+                mode,
+                selective_relay,
+                ..SimOptions::default()
+            };
+            let cfg = NegotiatorConfig::paper_default(net.clone());
+            let (sim, built) =
+                allocated_by(|| NegotiatorSim::with_options(cfg, TopologyKind::ThinClos, opts));
+            assert!(sim.epoch_len() > 0);
+            assert!(
+                built <= per_pair * pairs + PER_TOR * n_tors,
+                "{mode:?} (relay {selective_relay}) on {n_tors} ToRs: construction allocated \
+                 {built} B, {} B per pair, over its {per_pair} B budget",
+                built / pairs
+            );
+        }
+        let (spans, built) = allocated_by(|| FlowSpans::new(n_tors, 0));
+        assert_eq!(spans.live_count(), 0);
+        assert!(
+            built <= 12 * pairs,
+            "{n_tors} ToRs: flow spans allocated {built} B, {} B per pair",
+            built / pairs
+        );
+    }
+}
+
+/// The stretch bar: an idle 4096 × 8 base negotiator — one elephant in a
+/// fabric of 16.7 M pairs — builds within the base mode's 36 B per pair
+/// and runs 20 epochs. Ignored by default: a debug build audits every pair
+/// at every epoch start. Run it with
+/// `cargo test --release --test scale -- --include-ignored`.
+#[test]
+#[ignore = "16.7 M pairs: run in release"]
+fn idle_4096_tor_negotiator_builds_in_budget_and_runs() {
+    let n_tors = 4096usize;
+    let net = NetworkConfig {
+        n_tors,
+        ..NetworkConfig::paper_default()
+    };
+    let trace = FlowTrace::new(vec![Flow {
+        id: 0,
+        src: 3,
+        dst: 77,
+        bytes: 1_000_000_000,
+        arrival: 0,
+    }]);
+    let cfg = NegotiatorConfig::paper_default(net);
+    let (mut sim, built) = allocated_by(|| NegotiatorSim::new(cfg, TopologyKind::Parallel));
+    let pairs = n_tors * n_tors;
+    assert!(
+        built <= 36 * pairs,
+        "construction allocated {built} B, {} B per pair",
+        built / pairs
+    );
+    let epoch = sim.epoch_len();
+    sim.run(&trace, 20 * epoch);
+    assert_eq!(
+        sim.match_recorder().len(),
+        20,
+        "the run must play 20 epochs"
+    );
+    assert!(sim.stats().piggyback_packets > 0, "the elephant must move");
 }
 
 /// A nearly idle 1024 × 8 negotiator, built and run for 20 epochs, with
