@@ -104,7 +104,7 @@ fn content_hash(text: &str, dir: &Path) -> String {
 fn content_hash_is_pinned_per_library_file_mode_engine_list_and_link_dir() {
     let library = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios"));
     let files: [(&str, &str); 10] = [
-        ("ci_smoke", "4ff8b34e1bbf426f"),
+        ("ci_smoke", "9c2f231de91c72d6"),
         ("diurnal_ramp", "6f6c2c58e458ae18"),
         ("flapping_links", "e446865ffaca81ca"),
         ("gray_control_plane", "1b674ea4bd04c3df"),

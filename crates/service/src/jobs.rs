@@ -9,9 +9,15 @@
 //! hash, which is what lets a duplicate submission coalesce onto a job
 //! that is already queued or running instead of simulating again.
 //! Finished records stay queryable by id until [`MAX_RETAINED_BYTES`] of
-//! them have piled up; then the oldest go first.
+//! them have piled up; then the oldest go first. A record's trace is not
+//! held in RAM: the executor spools it to a file ([`Job::spool_trace`]),
+//! the budget charges the file's length as it charges the document, and
+//! eviction unlinks the file. What a retained record keeps in memory is
+//! its document, its events and 1 KiB.
 
 use std::collections::{BTreeMap, HashMap};
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -60,13 +66,21 @@ impl JobState {
     }
 }
 
+/// Where a job's flight-recorder NDJSON went once it had simulated.
+enum Trace {
+    /// A file of `len` bytes in the daemon's spool.
+    Spooled { path: PathBuf, len: usize },
+    /// The spool write failed: why, as `/trace` and `/flows` answer it.
+    Lost(String),
+}
+
 struct JobInner {
     state: JobState,
     events: Vec<Json>,
-    /// Flight-recorder NDJSON captured while the job simulated; served by
+    /// The trace captured while the job simulated, served by
     /// `GET /jobs/<id>/trace`. Set before the terminal transition so a
-    /// follower that observes `Done` always finds the trace present.
-    trace: Option<Arc<String>>,
+    /// follower that observes `Done` always finds the file written.
+    trace: Option<Trace>,
     /// When a worker took the job (`Queued → Running`).
     started: Option<Instant>,
     /// When the job entered its terminal state.
@@ -170,16 +184,37 @@ impl Job {
         self.changed.notify_all();
     }
 
-    /// Attach the flight-recorder NDJSON. Called by the executor before
-    /// `finish(Done)`, so the trace is visible to anyone who sees the job
-    /// as done.
-    pub fn set_trace(&self, trace: Arc<String>) {
-        lock_recover(&self.inner).trace = Some(trace);
+    /// Write the flight-recorder NDJSON to `<spool>/<id>.ndjson` and attach
+    /// the file. Called by the executor before `finish(Done)`, so the file
+    /// is there for anyone who sees the job as done. A failed write leaves
+    /// no file behind; the job keeps the reason in its place, and the
+    /// error is returned for the caller to log.
+    pub fn spool_trace(&self, spool: &Path, trace: &str) -> io::Result<()> {
+        let path = spool.join(format!("{}.ndjson", self.id));
+        let written = std::fs::write(&path, trace);
+        let kept = match &written {
+            Ok(()) => Trace::Spooled {
+                path,
+                len: trace.len(),
+            },
+            Err(error) => {
+                let _ = std::fs::remove_file(&path);
+                Trace::Lost(format!(
+                    "the job's trace could not be written to the spool: {error}"
+                ))
+            }
+        };
+        lock_recover(&self.inner).trace = Some(kept);
+        written
     }
 
-    /// The flight-recorder NDJSON, once the job has simulated.
-    pub fn trace(&self) -> Option<Arc<String>> {
-        lock_recover(&self.inner).trace.clone()
+    /// The spooled trace's file, or why the job has none.
+    pub fn trace_file(&self) -> Result<PathBuf, String> {
+        match &lock_recover(&self.inner).trace {
+            Some(Trace::Spooled { path, .. }) => Ok(path.clone()),
+            Some(Trace::Lost(reason)) => Err(reason.clone()),
+            None => Err("job finished without recording a trace".to_string()),
+        }
     }
 
     /// Move `Queued → Running`. Returns `false` (a no-op) if the job was
@@ -247,8 +282,9 @@ impl Job {
     }
 
     /// What this record is charged against [`MAX_RETAINED_BYTES`] once it
-    /// is terminal: the result document (or failure message), the trace,
-    /// the progress events as they render, and [`RECORD_OVERHEAD_BYTES`].
+    /// is terminal: the result document (or failure message), the spooled
+    /// trace's length, the progress events as they render, and
+    /// [`RECORD_OVERHEAD_BYTES`].
     fn retained_bytes(&self) -> usize {
         let inner = lock_recover(&self.inner);
         let payload = match &inner.state {
@@ -257,7 +293,11 @@ impl Job {
             _ => 0,
         };
         let events: usize = inner.events.iter().map(|e| e.render_compact().len()).sum();
-        payload + inner.trace.as_ref().map_or(0, |t| t.len()) + events + RECORD_OVERHEAD_BYTES
+        let trace = match &inner.trace {
+            Some(Trace::Spooled { len, .. }) => *len,
+            _ => 0,
+        };
+        payload + trace + events + RECORD_OVERHEAD_BYTES
     }
 
     /// Block until there is something past `cursor`: either new events
@@ -285,8 +325,11 @@ impl Job {
 /// for `GET /jobs/<id>` and its `/result`, `/trace`, `/flows` before the
 /// oldest are evicted. Results survive eviction anyway — they live in the
 /// content-addressed cache — so this only bounds status and trace history,
-/// keeping a long-lived daemon's memory flat however fast submissions
-/// arrive and however large their traces are.
+/// keeping a long-lived daemon's footprint flat however fast submissions
+/// arrive and however large their traces are. The traces are charged here
+/// but live in the spool on disk, so what it bounds in RAM is the
+/// documents, the events and the per-record overhead; the spool's bytes
+/// stay under it plus the newest record's trace.
 pub const MAX_RETAINED_BYTES: usize = 64 * 1024 * 1024;
 
 /// Charged to every terminal record on top of its payload (the `Job`, its
@@ -378,7 +421,8 @@ impl JobTable {
     /// the budget holds. Live jobs are never evicted, and neither is `job`
     /// itself — alone it may exceed the budget, so that its status and
     /// trace still answer right after completion. Followers hold their own
-    /// `Arc`, so an evicted record only leaves the id lookup. Idempotent.
+    /// `Arc`, so an evicted record leaves the id lookup and its spooled
+    /// trace is unlinked, after the registry lock is released. Idempotent.
     pub fn retire(&self, job: &Job) {
         {
             let mut in_flight = lock_recover(&self.in_flight);
@@ -395,6 +439,7 @@ impl JobTable {
         }
         registry.terminal += 1;
         registry.retained_bytes += charge;
+        let mut evicted = Vec::new();
         while registry.retained_bytes > MAX_RETAINED_BYTES {
             let oldest = registry
                 .records
@@ -403,9 +448,18 @@ impl JobTable {
             let Some((id, charged)) = oldest else {
                 break; // only `job` is left
             };
-            registry.records.remove(&id);
+            evicted.extend(registry.records.remove(&id).map(|r| r.job));
             registry.terminal -= 1;
             registry.retained_bytes -= charged;
+        }
+        drop(registry);
+        for path in evicted.iter().filter_map(|job| job.trace_file().ok()) {
+            match std::fs::remove_file(&path) {
+                Err(error) if error.kind() != io::ErrorKind::NotFound => {
+                    crate::log_error!("[spool: could not remove {}: {error}]", path.display());
+                }
+                _ => {}
+            }
         }
     }
 
@@ -433,6 +487,37 @@ impl JobTable {
 mod tests {
     use super::*;
 
+    /// A fresh spool directory for one test, removed when it drops.
+    struct TestSpool(PathBuf);
+
+    impl TestSpool {
+        fn new(tag: &str) -> TestSpool {
+            let dir =
+                std::env::temp_dir().join(format!("nego-jobs-spool-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("create the spool");
+            TestSpool(dir)
+        }
+
+        /// Every file in the spool, by name, with its length.
+        fn files(&self) -> BTreeMap<String, usize> {
+            std::fs::read_dir(&self.0)
+                .expect("list the spool")
+                .map(|entry| {
+                    let entry = entry.expect("spool entry");
+                    let len = entry.metadata().expect("metadata").len() as usize;
+                    (entry.file_name().to_string_lossy().into_owned(), len)
+                })
+                .collect()
+        }
+    }
+
+    impl Drop for TestSpool {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn lifecycle_and_follow() {
         let table = JobTable::new();
@@ -448,11 +533,18 @@ mod tests {
             job.follow(&mut cursor),
             Follow::Events(vec![Json::Str("e0".into()), Json::Str("e1".into())])
         );
-        assert!(job.trace().is_none(), "no trace until the run records one");
-        job.set_trace(Arc::new("{\"event\":\"trace_start\"}\n".to_string()));
+        assert!(
+            job.trace_file().is_err(),
+            "no trace until the run records one"
+        );
+        let spool = TestSpool::new("lifecycle");
+        let trace = "{\"event\":\"trace_start\"}\n";
+        job.spool_trace(&spool.0, trace).expect("spool write");
         let doc = Arc::new("{}\n".to_string());
         job.finish(JobState::Done(Arc::clone(&doc)));
-        assert!(job.trace().is_some());
+        let file = job.trace_file().expect("spooled");
+        assert_eq!(file, spool.0.join(format!("{}.ndjson", job.id)));
+        assert_eq!(std::fs::read_to_string(file).unwrap(), trace);
         table.retire(&job);
         assert_eq!(
             job.follow(&mut cursor),
@@ -625,7 +717,56 @@ mod tests {
     }
 
     #[test]
+    fn the_spool_holds_exactly_the_retained_records_traces() {
+        let spool = TestSpool::new("evict");
+        let table = JobTable::new();
+        // A shared 1 MiB document fills the budget after 63 records; the
+        // traces are small files of varying length, and every third
+        // record's spool write fails (its directory does not exist).
+        let document = Arc::new("x".repeat(1 << 20));
+        let unwritable = spool.0.join("missing");
+        let mut traced = BTreeMap::new();
+        for i in 1..=100u64 {
+            let Admission::New(job) = table.admit(i, "spooled") else {
+                panic!("distinct hashes always admit")
+            };
+            job.start();
+            let trace = "t".repeat(100 + (i as usize * 37) % 1000);
+            if i % 3 == 0 {
+                assert!(job.spool_trace(&unwritable, &trace).is_err());
+                let reason = job.trace_file().expect_err("nothing spooled");
+                assert!(
+                    reason.contains("could not be written to the spool"),
+                    "{reason}"
+                );
+            } else {
+                job.spool_trace(&spool.0, &trace).expect("spool write");
+                traced.insert(job.id, trace.len());
+            }
+            job.finish(JobState::Done(Arc::clone(&document)));
+            table.retire(&job);
+            let expected: BTreeMap<String, usize> = traced
+                .iter()
+                .filter(|(&id, _)| table.get(id).is_some())
+                .map(|(id, &len)| (format!("{id}.ndjson"), len))
+                .collect();
+            assert_eq!(spool.files(), expected, "after retiring job {i}");
+            let stats = table.stats();
+            let rest = stats.retained * (document.len() + RECORD_OVERHEAD_BYTES);
+            assert_eq!(
+                stats.retained_bytes - rest,
+                expected.values().sum::<usize>(),
+                "the traces' share of the charge is the spool's bytes"
+            );
+            assert!(stats.retained_bytes <= MAX_RETAINED_BYTES);
+        }
+        assert!(table.get(1).is_none(), "the budget evicted the oldest");
+        assert!(!spool.0.join("1.ndjson").exists());
+    }
+
+    #[test]
     fn a_lone_oversized_record_outlives_the_budget_until_the_next_one() {
+        let spool = TestSpool::new("oversized");
         let table = JobTable::new();
         let small = complete(&table, 1, &Arc::new("{}".to_string()));
         // Larger than the whole budget: everything older goes, it stays, so
@@ -635,8 +776,8 @@ mod tests {
         };
         big.start();
         big.push_event(Json::Str("progress".into()));
-        big.set_trace(Arc::new("t".repeat(MAX_RETAINED_BYTES)));
-        big.finish(JobState::Done(Arc::new("{}".to_string())));
+        big.spool_trace(&spool.0, "t\n").expect("spool write");
+        big.finish(JobState::Done(Arc::new("d".repeat(MAX_RETAINED_BYTES))));
         table.retire(&big);
         assert!(table.get(small.id).is_none());
         assert!(table.get(big.id).is_some());
@@ -648,9 +789,11 @@ mod tests {
             MAX_RETAINED_BYTES + 2 + events + RECORD_OVERHEAD_BYTES,
             "document + trace + events + the fixed overhead"
         );
-        // The next completion evicts it and the budget holds again.
+        // The next completion evicts it, unlinks its trace, and the budget
+        // holds again.
         let next = complete(&table, 3, &Arc::new("{}".to_string()));
         assert!(table.get(big.id).is_none());
+        assert!(spool.files().is_empty());
         assert!(table.get(next.id).is_some());
         assert!(table.stats().retained_bytes <= MAX_RETAINED_BYTES);
     }

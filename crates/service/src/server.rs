@@ -37,7 +37,14 @@
 //!
 //! What the daemon keeps of finished jobs (status, events, document,
 //! trace) is bounded by bytes — [`crate::jobs::MAX_RETAINED_BYTES`] —
-//! not by count, so serving faster never means holding more.
+//! not by count, so serving faster never means holding more. Traces, by
+//! far the largest part, do not stay in RAM: each finished job's NDJSON
+//! is written to `<id>.ndjson` in the server's spool directory under
+//! `--out`, still charged against that budget and unlinked when its
+//! record is evicted, and `/trace` and `/flows` read the file. A retained
+//! record keeps its document, its events and 1 KiB in memory. The spool
+//! is unique to one running [`Server`] (job ids restart at 1 in every
+//! server), created empty at start and removed once shutdown has drained.
 //!
 //! Wire protocol (documented with examples in the README "Service"
 //! section):
@@ -59,7 +66,7 @@
 use std::io::{BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -108,7 +115,9 @@ pub struct ServeConfig {
     /// wall-clock knob: served documents are byte-identical at any value,
     /// so the cache coalesces across worker counts.
     pub workers: usize,
-    /// Results directory; the shared cache lives at `<out>/cache`.
+    /// Results directory; the shared cache lives at `<out>/cache`, and
+    /// each running server spools its jobs' traces in a directory of its
+    /// own beside it.
     pub out: PathBuf,
     /// Scenario library directory (`GET /scenarios`); also anchors
     /// relative trace paths inside submitted scenarios.
@@ -138,6 +147,8 @@ impl Default for ServeConfig {
 struct ServerState {
     config: ServeConfig,
     cache: ResultCache,
+    /// This server's trace spool: `<out>/spool-<pid>-<n>`.
+    spool: PathBuf,
     table: JobTable,
     pool: Mutex<Option<WorkerPool>>,
     /// Submissions are rejected (503) the moment this flips; status and
@@ -173,8 +184,10 @@ impl Server {
             .local_addr()
             .map_err(|e| format!("local addr: {e}"))?;
         crate::log::set_level(config.log_level);
+        let spool = fresh_spool(&config.out);
         let state = Arc::new(ServerState {
             cache: ResultCache::new(config.out.join("cache")),
+            spool,
             pool: Mutex::new(Some(WorkerPool::new(config.jobs))),
             table: JobTable::new(),
             draining: AtomicBool::new(false),
@@ -204,6 +217,12 @@ impl Server {
         self.addr
     }
 
+    /// The directory this server spools finished jobs' traces in; gone
+    /// once [`Server::shutdown`] returns.
+    pub fn spool_dir(&self) -> &Path {
+        &self.state.spool
+    }
+
     /// Has graceful shutdown begun (signal, `POST /shutdown`, or
     /// [`Server::shutdown`])?
     pub fn draining(&self) -> bool {
@@ -212,8 +231,8 @@ impl Server {
 
     /// Drain gracefully: reject new submissions with a clear 503 (status
     /// and result queries keep answering), run every accepted job to
-    /// completion, flush streaming clients, then stop accepting and join
-    /// all threads. Idempotent.
+    /// completion, flush streaming clients, then stop accepting, join
+    /// all threads and remove the trace spool. Idempotent.
     pub fn shutdown(&mut self) {
         self.state.draining.store(true, Ordering::SeqCst);
         if let Some(mut pool) = lock_recover(&self.state.pool).take() {
@@ -233,7 +252,30 @@ impl Server {
         for handle in handles {
             let _ = handle.join();
         }
+        match std::fs::remove_dir_all(&self.state.spool) {
+            Err(error) if error.kind() != std::io::ErrorKind::NotFound => log_error!(
+                "[shutdown: could not remove the trace spool {}: {error}]",
+                self.state.spool.display()
+            ),
+            _ => {}
+        }
     }
+}
+
+/// Create an empty trace spool under `out`, named for this process and a
+/// per-process count, so servers that run at once never share one. A
+/// directory of that name left by a dead process goes first. If it cannot
+/// be made, the daemon still serves: each job's spool write fails, is
+/// logged, and only its trace is missing.
+fn fresh_spool(out: &Path) -> PathBuf {
+    static SPOOLS: AtomicU64 = AtomicU64::new(0);
+    let n = SPOOLS.fetch_add(1, Ordering::Relaxed);
+    let spool = out.join(format!("spool-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&spool);
+    if let Err(error) = std::fs::create_dir_all(&spool) {
+        log_error!("[spool: could not create {}: {error}]", spool.display());
+    }
+    spool
 }
 
 impl Drop for Server {
@@ -605,8 +647,12 @@ fn execute_job(state: &Arc<ServerState>, job: &Arc<Job>, compiled: &CompiledScen
                 .trace_dropped
                 .fetch_add(bench::traceq::dropped_total(&trace), Ordering::Relaxed);
             // Trace first, then the terminal transition: a follower that
-            // observes Done must find the trace already attached.
-            job.set_trace(Arc::new(trace));
+            // observes Done must find the file already written. Like a
+            // dead cache disk, a failed write costs the trace, never the
+            // job or its document.
+            if let Err(error) = job.spool_trace(&state.spool, &trace) {
+                log_error!("[spool: could not write job {}'s trace: {error}]", job.id);
+            }
             job.finish(JobState::Done(Arc::new(document)));
         }
         Err(payload) => {
@@ -778,26 +824,20 @@ fn handle_result(
 }
 
 /// `GET /jobs/<id>/trace`: the flight-recorder NDJSON captured while the
-/// job simulated. Only jobs that actually ran have one — cache hits never
-/// create a job, and failed/cancelled jobs never attached a trace.
+/// job simulated, read back from the spool.
 fn handle_trace(stream: &mut TcpStream, id: &str, state: &Arc<ServerState>) -> std::io::Result<()> {
     let Some(job) = lookup(id, state) else {
         return error_response(stream, 404, &format!("no job '{id}'"));
     };
-    match job.state() {
-        JobState::Done(_) => match job.trace() {
-            Some(trace) => respond(
-                stream,
-                200,
-                "application/x-ndjson",
-                &[("X-Content-Hash", hex(job.hash).as_str())],
-                trace.as_bytes(),
-            ),
-            None => error_response(stream, 404, "job finished without recording a trace"),
-        },
-        JobState::Failed(message) => error_response(stream, 500, &message),
-        JobState::Cancelled => error_response(stream, 404, "job was cancelled before running"),
-        pending => error_response(stream, 409, &format!("job is {}", pending.label())),
+    match spooled_trace(id, &job) {
+        Ok(trace) => respond(
+            stream,
+            200,
+            "application/x-ndjson",
+            &[("X-Content-Hash", hex(job.hash).as_str())],
+            trace.as_bytes(),
+        ),
+        Err((status, message)) => error_response(stream, status, &message),
     }
 }
 
@@ -822,18 +862,31 @@ fn handle_flows(
             _ => return error_response(stream, 400, &format!("bad top '{v}'")),
         },
     };
-    match job.state() {
-        JobState::Done(_) => match job.trace() {
-            Some(trace) => match bench::traceq::flows_json(&trace, top) {
-                Ok(body) => json_response(stream, 200, &body),
-                Err(error) => error_response(stream, 500, &error),
-            },
-            None => error_response(stream, 404, "job finished without recording a trace"),
-        },
-        JobState::Failed(message) => error_response(stream, 500, &message),
-        JobState::Cancelled => error_response(stream, 404, "job was cancelled before running"),
-        pending => error_response(stream, 409, &format!("job is {}", pending.label())),
+    let flows = spooled_trace(id, &job)
+        .and_then(|trace| bench::traceq::flows_json(&trace, top).map_err(|e| (500, e)));
+    match flows {
+        Ok(body) => json_response(stream, 200, &body),
+        Err((status, message)) => error_response(stream, status, &message),
     }
+}
+
+/// The trace of job `id`, read from the spool, or the status and message
+/// that say why there is none. Only jobs that ran to `Done` have one:
+/// cache hits never create a job, and failed or cancelled jobs never
+/// simulated to the end. A record evicted since the lookup has lost its
+/// file, and answers as an evicted id does.
+fn spooled_trace(id: &str, job: &Job) -> Result<String, (u16, String)> {
+    match job.state() {
+        JobState::Done(_) => {}
+        JobState::Failed(message) => return Err((500, message)),
+        JobState::Cancelled => return Err((404, "job was cancelled before running".into())),
+        pending => return Err((409, format!("job is {}", pending.label()))),
+    }
+    let path = job.trace_file().map_err(|reason| (404, reason))?;
+    std::fs::read_to_string(&path).map_err(|error| match error.kind() {
+        std::io::ErrorKind::NotFound => (404, format!("no job '{id}'")),
+        _ => (500, format!("reading the spooled trace: {error}")),
+    })
 }
 
 fn handle_cancel(

@@ -57,6 +57,8 @@ fn a_request_with_no_job_behind_it_has_no_floor() {
         median < Duration::from_millis(5),
         "median /healthz round trip {median:?} — is the accept loop polling again?"
     );
+    drop(server);
+    let _ = std::fs::remove_dir_all(out_dir("floor"));
 }
 
 #[test]
@@ -71,6 +73,7 @@ fn shutdown_with_no_traffic_is_prompt_and_idempotent() {
         again < Duration::from_secs(1),
         "second shutdown took {again:?}"
     );
+    let _ = std::fs::remove_dir_all(out_dir("idle"));
 }
 
 #[test]
@@ -82,6 +85,7 @@ fn shutdown_wakes_a_listener_bound_to_every_interface() {
     assert_eq!(status, 200);
     let ((), took) = timed(|| server.shutdown());
     assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    let _ = std::fs::remove_dir_all(out_dir("any"));
 }
 
 #[test]
@@ -105,6 +109,7 @@ fn a_silent_connection_gets_408_and_does_not_wedge_shutdown() {
         .unwrap();
     silent.read_to_string(&mut answer).expect("read the answer");
     assert!(answer.starts_with("HTTP/1.1 408 "), "{answer:?}");
+    let _ = std::fs::remove_dir_all(out_dir("silent"));
 }
 
 #[test]

@@ -9,6 +9,10 @@
 //! * identical in-flight submissions coalesce onto one job;
 //! * `/metrics` counts each job by the terminal state it reached — a
 //!   cancelled job as cancelled — before its client has the answer;
+//! * a job's `/trace` is byte-identical to the offline traced run and its
+//!   `/flows` to `paper trace query`'s rows, read back from a spool that
+//!   is each server's own and is gone after shutdown; a failed spool
+//!   write costs the trace, never the job;
 //! * graceful shutdown rejects new submissions with a clear error while
 //!   draining everything already accepted.
 
@@ -47,20 +51,40 @@ fn offline_document(text: &str) -> String {
     bench::scenario::deterministic_document(&report)
 }
 
+/// The offline traced run's NDJSON: what `paper scenario <file> --trace`
+/// writes for this text.
+fn offline_trace(text: &str) -> String {
+    let compiled =
+        bench::scenario::load_str(text, Path::new("<test>")).expect("test scenario is valid");
+    bench::scenario::execute_traced(&compiled, None, 1, None).1
+}
+
 fn start_server(tag: &str, jobs: usize) -> (Server, String, PathBuf) {
     let out = std::env::temp_dir().join(format!("nego-service-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out);
-    let server = Server::start(ServeConfig {
+    let server = start_on(&out, jobs);
+    let addr = server.addr().to_string();
+    (server, addr, out)
+}
+
+fn start_on(out: &Path, jobs: usize) -> Server {
+    Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         jobs,
         workers: 2,
-        out: out.clone(),
+        out: out.to_path_buf(),
         scenarios_dir: out.join("scenarios"),
         ..ServeConfig::default()
     })
-    .expect("bind ephemeral port");
-    let addr = server.addr().to_string();
-    (server, addr, out)
+    .expect("bind ephemeral port")
+}
+
+/// `POST /jobs?wait=1` with `text`; the result document.
+fn submit_and_wait(addr: &str, text: &str) -> String {
+    let (status, body) =
+        client::request_json(addr, "POST", "/jobs?wait=1", text.as_bytes()).unwrap();
+    assert_eq!(status, 200, "{body}");
+    body
 }
 
 #[test]
@@ -156,6 +180,97 @@ fn blocking_resubmission_of_a_larger_fabric_is_a_cache_hit() {
     assert_eq!(status, 200, "{second}");
     assert_eq!(second, expected, "the hit serves the miss's bytes");
     assert_eq!(cache_counters(), ["1", "1"], "[hits, misses] after the hit");
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+/// The daemon's trace contract: a served job's `/trace` is the offline
+/// traced run's bytes and its `/flows` is `paper trace query --top-fct N
+/// --json` over them, both read back from the spool.
+#[test]
+fn served_trace_and_flows_equal_the_offline_ones() {
+    let (server, addr, out) = start_server("trace", 1);
+    let text = scenario_text("traced", 21);
+    let trace = offline_trace(&text);
+    assert_eq!(submit_and_wait(&addr, &text), offline_document(&text));
+    let (status, served) = client::request_json(&addr, "GET", "/jobs/1/trace", b"").unwrap();
+    assert_eq!(status, 200, "{served}");
+    assert_eq!(served, trace, "daemon trace must be byte-identical");
+    let (status, flows) = client::request_json(&addr, "GET", "/jobs/1/flows?top=5", b"").unwrap();
+    assert_eq!(status, 200, "{flows}");
+    let expected = bench::traceq::flows_json(&trace, 5).expect("offline forensics");
+    assert_eq!(flows, format!("{}\n", expected.render()));
+    // A record whose file went (evicted between the lookup and the read)
+    // answers as an evicted id does.
+    std::fs::remove_file(server.spool_dir().join("1.ndjson")).expect("spooled file");
+    for path in ["/jobs/1/trace", "/jobs/1/flows"] {
+        let (status, body) = client::request_json(&addr, "GET", path, b"").unwrap();
+        assert_eq!((status, body.contains("no job '1'")), (404, true), "{body}");
+    }
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
+fn servers_sharing_an_out_directory_keep_their_own_spools() {
+    let out = std::env::temp_dir().join(format!("nego-service-test-spools-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    let mut servers = [start_on(&out, 1), start_on(&out, 1)];
+    let texts = [scenario_text("left", 31), scenario_text("right", 32)];
+    assert_ne!(servers[0].spool_dir(), servers[1].spool_dir());
+    for (server, text) in servers.iter().zip(&texts) {
+        assert!(server.spool_dir().starts_with(&out));
+        submit_and_wait(&server.addr().to_string(), text);
+    }
+    // Both jobs are id 1, each in its own server's spool.
+    for (server, text) in servers.iter().zip(&texts) {
+        let addr = server.addr().to_string();
+        let (status, served) = client::request_json(&addr, "GET", "/jobs/1/trace", b"").unwrap();
+        assert_eq!(status, 200, "{served}");
+        assert_eq!(served, offline_trace(text));
+    }
+    let spools: Vec<PathBuf> = servers
+        .iter()
+        .map(|s| s.spool_dir().to_path_buf())
+        .collect();
+    for server in &mut servers {
+        server.shutdown();
+    }
+    for spool in &spools {
+        assert!(!spool.exists(), "{} outlived shutdown", spool.display());
+    }
+    let left: Vec<_> = std::fs::read_dir(&out)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    assert_eq!(left, ["cache"], "only the shared cache stays in --out");
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+/// Like a dead cache disk, a spool that cannot be written degrades: the
+/// job is done, its document served and cached, and only `/trace` and
+/// `/flows` answer a 404 that says why.
+#[test]
+fn a_failed_spool_write_costs_the_trace_never_the_job() {
+    let (server, addr, out) = start_server("spool-fail", 1);
+    std::fs::remove_dir_all(server.spool_dir()).expect("remove the spool");
+    let text = scenario_text("unspooled", 41);
+    let expected = offline_document(&text);
+    assert_eq!(submit_and_wait(&addr, &text), expected);
+    let (_, status) = client::request_json(&addr, "GET", "/jobs/1", b"").unwrap();
+    assert!(status.contains("\"done\""), "{status}");
+    for path in ["/jobs/1/trace", "/jobs/1/flows"] {
+        let (status, body) = client::request_json(&addr, "GET", path, b"").unwrap();
+        assert_eq!(status, 404, "{path}: {body}");
+        assert!(
+            body.contains("could not be written to the spool"),
+            "{path}: {body}"
+        );
+    }
+    let (_, exposition) = client::request_json(&addr, "GET", "/metrics", b"").unwrap();
+    assert_eq!(metric(&exposition, "paper_jobs_completed_total"), 1.0);
+    assert_eq!(metric(&exposition, "paper_jobs_failed_total"), 0.0);
+    let again = client::submit(&addr, &text, 0, |_| {}).expect("resubmission");
+    assert_eq!(again.disposition, Disposition::CacheHit);
+    assert_eq!(again.document, expected);
     let _ = std::fs::remove_dir_all(&out);
 }
 
@@ -365,10 +480,7 @@ fn metrics_count_a_cancelled_job_as_cancelled() {
 #[test]
 fn a_waited_job_is_counted_before_its_client_has_the_answer() {
     let (_server, addr, out) = start_server("wait-count", 1);
-    let text = scenario_text("counted", 4);
-    let (status, body) =
-        client::request_json(&addr, "POST", "/jobs?wait=1", text.as_bytes()).unwrap();
-    assert_eq!(status, 200, "{body}");
+    submit_and_wait(&addr, &scenario_text("counted", 4));
     // One scrape, no retry: the job was counted before its follower woke.
     let (_, exposition) = client::request_json(&addr, "GET", "/metrics", b"").unwrap();
     for (name, expected) in [
