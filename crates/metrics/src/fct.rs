@@ -2,7 +2,7 @@
 
 use sim::stats::Cdf;
 use sim::time::Nanos;
-use workload::FlowTrace;
+use workload::{Flow, FlowTrace};
 
 /// Tracks outstanding bytes and completion times for every flow in a trace.
 ///
@@ -10,31 +10,29 @@ use workload::FlowTrace;
 /// flow arrive at the destination ToR; completion is the delivery time of
 /// the flow's last byte, and FCT is measured from the flow's arrival at the
 /// source ToR (§4.1: "marking the start and end of flows at the ToRs").
+///
+/// It keeps 16 B a flow: the bytes still to deliver and the completion
+/// time (`Nanos::MAX` until the last byte lands). A flow's arrival and size
+/// are the trace's, which every caller holds: [`FlowTracker::fct`] takes
+/// the [`Flow`] to read its arrival.
 #[derive(Debug, Clone)]
 pub struct FlowTracker {
-    arrivals: Vec<Nanos>,
-    sizes: Vec<u64>,
     remaining: Vec<u64>,
-    completions: Vec<Option<Nanos>>,
+    completions: Vec<Nanos>,
     delivered_payload: u64,
     n_completed: usize,
 }
 
+/// A flow's completion slot before its last byte is delivered. Not 0: a
+/// flow can complete at t = 0.
+const NOT_DONE: Nanos = Nanos::MAX;
+
 impl FlowTracker {
     /// Tracker for every flow in `trace`.
     pub fn new(trace: &FlowTrace) -> Self {
-        let n = trace.len();
-        let mut arrivals = Vec::with_capacity(n);
-        let mut sizes = Vec::with_capacity(n);
-        for f in trace.flows() {
-            arrivals.push(f.arrival);
-            sizes.push(f.bytes);
-        }
         FlowTracker {
-            arrivals,
-            remaining: sizes.clone(),
-            sizes,
-            completions: vec![None; n],
+            remaining: trace.flows().iter().map(|f| f.bytes).collect(),
+            completions: vec![NOT_DONE; trace.len()],
             delivered_payload: 0,
             n_completed: 0,
         }
@@ -52,8 +50,8 @@ impl FlowTracker {
         );
         self.remaining[i] -= bytes;
         self.delivered_payload += bytes;
-        if self.remaining[i] == 0 && self.completions[i].is_none() {
-            self.completions[i] = Some(now);
+        if self.remaining[i] == 0 && self.completions[i] == NOT_DONE {
+            self.completions[i] = now;
             self.n_completed += 1;
             true
         } else {
@@ -63,12 +61,13 @@ impl FlowTracker {
 
     /// Completion time of flow `id`, if it finished.
     pub fn completion(&self, id: u64) -> Option<Nanos> {
-        self.completions[id as usize]
+        let done = self.completions[id as usize];
+        (done != NOT_DONE).then_some(done)
     }
 
-    /// FCT of flow `id`, if it finished.
-    pub fn fct(&self, id: u64) -> Option<Nanos> {
-        self.completions[id as usize].map(|c| c - self.arrivals[id as usize])
+    /// FCT of `flow`, if it finished.
+    pub fn fct(&self, flow: &Flow) -> Option<Nanos> {
+        self.completion(flow.id).map(|c| c - flow.arrival)
     }
 
     /// Bytes of flow `id` not yet delivered.
@@ -88,12 +87,12 @@ impl FlowTracker {
 
     /// Number of tracked flows.
     pub fn len(&self) -> usize {
-        self.sizes.len()
+        self.remaining.len()
     }
 
     /// True when the tracker has no flows.
     pub fn is_empty(&self) -> bool {
-        self.sizes.is_empty()
+        self.remaining.is_empty()
     }
 }
 
@@ -263,7 +262,7 @@ impl RunReport {
             if f.is_mice() {
                 mice.total += 1;
             }
-            if let Some(fct) = tracker.fct(f.id) {
+            if let Some(fct) = tracker.fct(f) {
                 all.completed += 1;
                 all.cdf.record(fct as f64);
                 if f.is_mice() {
@@ -340,7 +339,6 @@ impl RunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workload::Flow;
 
     fn trace() -> FlowTrace {
         FlowTrace::new(vec![
@@ -367,10 +365,32 @@ mod tests {
         let mut tr = FlowTracker::new(&t);
         assert!(!tr.deliver(0, 500, 150));
         assert!(tr.deliver(0, 500, 300));
-        assert_eq!(tr.fct(0), Some(200));
+        assert_eq!(tr.fct(&t.flows()[0]), Some(200));
         assert_eq!(tr.completed_count(), 1);
         assert_eq!(tr.remaining(1), 50_000);
         assert_eq!(tr.delivered_payload(), 1_000);
+    }
+
+    #[test]
+    fn completion_at_time_zero_is_a_completion() {
+        let t = FlowTrace::new(vec![Flow {
+            id: 0,
+            src: 0,
+            dst: 1,
+            bytes: 1_000,
+            arrival: 0,
+        }]);
+        let mut tr = FlowTracker::new(&t);
+        assert_eq!(
+            tr.completion(0),
+            None,
+            "an unfinished flow has no completion"
+        );
+        assert_eq!(tr.fct(&t.flows()[0]), None);
+        assert!(tr.deliver(0, 1_000, 0));
+        assert_eq!(tr.completion(0), Some(0));
+        assert_eq!(tr.fct(&t.flows()[0]), Some(0));
+        assert_eq!(tr.completed_count(), 1);
     }
 
     #[test]

@@ -229,6 +229,8 @@ pub fn run<E: EpochEngine>(engine: &mut E, trace: &FlowTrace, duration: Nanos) -
                 .take()
                 .expect("spans exist only when tracing");
             for f in &flows[spans.next_born()..cursor] {
+                // `f.id as u32` is lossless: a trace's ids are below
+                // `workload::MAX_FLOWS`.
                 spans.born(
                     &mut rec,
                     now,

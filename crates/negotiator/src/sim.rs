@@ -1573,8 +1573,12 @@ mod tests {
         // roughly one epoch + propagation, far below the 2-epoch delay.
         let mut s = NegotiatorSim::new(small_cfg(), TopologyKind::Parallel);
         let epoch = s.epoch_len();
-        let report = s.run(&single_flow(500, 0), 50 * epoch);
-        let fct = s.tracker().fct(0).expect("flow must complete");
+        let trace = single_flow(500, 0);
+        let report = s.run(&trace, 50 * epoch);
+        let fct = s
+            .tracker()
+            .fct(&trace.flows()[0])
+            .expect("flow must complete");
         assert!(
             fct < 2 * epoch,
             "piggybacked mice FCT {fct} should beat the 2-epoch delay ({})",
@@ -1589,8 +1593,12 @@ mod tests {
         cfg.piggyback = false;
         let mut s = NegotiatorSim::new(cfg, TopologyKind::Parallel);
         let epoch = s.epoch_len();
-        s.run(&single_flow(500, 0), 50 * epoch);
-        let fct = s.tracker().fct(0).expect("flow must complete");
+        let trace = single_flow(500, 0);
+        s.run(&trace, 50 * epoch);
+        let fct = s
+            .tracker()
+            .fct(&trace.flows()[0])
+            .expect("flow must complete");
         assert!(
             fct >= 2 * epoch,
             "without PB the flow waits for the pipeline: fct {fct}"
@@ -1648,7 +1656,7 @@ mod tests {
             cfg.seed = seed;
             let mut s = NegotiatorSim::new(cfg, TopologyKind::Parallel);
             s.run(&trace, 500_000);
-            s.tracker().fct(0)
+            s.tracker().fct(&trace.flows()[0])
         };
         assert_eq!(run(1), run(1));
     }

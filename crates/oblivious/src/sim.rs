@@ -44,9 +44,13 @@
 //! are the bound PIAS levels a source holds for intermediate `via`, and
 //! list 3 is the relay FIFO intermediate `src` holds for final destination
 //! `via`. A visit to connection `src → via` reads all four at one computed
-//! pair index, so row `src` owns them and their 24-byte segment slots in
-//! one arena. A pair that never queues anything costs 32 B of zeroed
-//! heads and tails; queue memory follows the segments actually queued.
+//! pair index, so row `src` owns them and their 16-byte segment slots in
+//! one arena: a segment is its flow id, final destination and length, 32
+//! bits each, plus the arena's link. A flow id is 32 bits because
+//! [`FlowTrace::new`] refuses a trace whose dense ids would not fit; it is
+//! widened only where a delivery reaches the tracker. A pair that never
+//! queues anything costs 32 B of zeroed heads and tails; queue memory
+//! follows the segments actually queued.
 //! In-flight relay credits (`relay_claim`) stay a dense table, and the
 //! debug builds check at every phase snapshot that each equals its relay
 //! FIFO's bytes plus the first hops still in flight toward it, and that
@@ -65,7 +69,7 @@ use workload::{Flow, FlowTrace};
 /// landed there, waiting in the intermediate's relay FIFO.
 #[derive(Debug, Clone, Copy)]
 struct BoundSeg {
-    flow: u64,
+    flow: u32,
     final_dst: u32,
     bytes: u32,
 }
@@ -76,7 +80,7 @@ const LISTS: usize = 4;
 const BULK: usize = 2;
 const RELAY: usize = 3;
 
-const _: () = assert!(PairLists::<BoundSeg, LISTS>::SLOT_BYTES == 24);
+const _: () = assert!(PairLists::<BoundSeg, LISTS>::SLOT_BYTES == 16);
 
 /// A chunk in flight on its first hop, to intermediate `to`.
 #[derive(Debug, Clone, Copy)]
@@ -84,6 +88,8 @@ struct Inflight {
     to: u32,
     seg: BoundSeg,
 }
+
+const _: () = assert!(std::mem::size_of::<Inflight>() == 16);
 
 /// Recording options for the baseline.
 #[derive(Debug, Clone, Default)]
@@ -142,7 +148,9 @@ struct RotorQueues {
     /// on a 2-core host).
     queued: u64,
     /// Per (intermediate, final): queued + in-flight relay bytes, checked
-    /// by the sender-side admission control (credits).
+    /// by the sender-side admission control (credits). Only bulk waits for
+    /// credit; mice are sent regardless, so a claim can exceed the relay
+    /// buffer (`relay_pair_packets × payload`) and is kept as 64 bits.
     relay_claim: Vec<u64>,
     /// Alternation bit per (src, via): relay-first vs inject-first.
     alt: Vec<bool>,
@@ -281,6 +289,16 @@ impl ObliviousSim {
         self.stats
     }
 
+    /// Segment slots the ToRs' arenas hold, queued and free together — the
+    /// high-water count of segments each ToR has had queued at once, summed
+    /// — and the bytes those slots take.
+    pub fn segment_arenas(&self) -> (usize, usize) {
+        let lists = &self.q.lists;
+        let slots = (0..self.n).map(|row| lists.slots_allocated(row)).sum();
+        let bytes = (0..self.n).map(|row| lists.arena_bytes(row)).sum();
+        (slots, bytes)
+    }
+
     /// Pick a uniform random intermediate other than `src` (the final
     /// destination is allowed — that fraction is effectively direct).
     fn pick_via(&mut self, src: usize) -> usize {
@@ -293,7 +311,7 @@ impl ObliviousSim {
 
     /// Queue `bytes` of `flow` at priority `level`, bound to a random
     /// intermediate.
-    fn bind(&mut self, src: usize, level: usize, flow: u64, dst: usize, bytes: u64) {
+    fn bind(&mut self, src: usize, level: usize, flow: u32, dst: usize, bytes: u64) {
         let via = self.pick_via(src);
         let seg = BoundSeg {
             flow,
@@ -306,7 +324,7 @@ impl ObliviousSim {
         }
     }
 
-    fn enqueue_flow(&mut self, flow: u64, src: usize, dst: usize, bytes: u64) {
+    fn enqueue_flow(&mut self, flow: u32, src: usize, dst: usize, bytes: u64) {
         let payload = self.q.payload;
         let bundle = payload * self.cfg.bundle_chunks as u64;
         // Bytes of the flow at each level, and the unit they are sprayed
@@ -499,12 +517,12 @@ impl RotorQueues {
     fn deliver_final(
         &mut self,
         dst: usize,
-        flow: u64,
+        flow: u32,
         bytes: u64,
         at: Nanos,
         tracker: &mut FlowTracker,
     ) {
-        tracker.deliver(flow, bytes, at);
+        tracker.deliver(u64::from(flow), bytes, at);
         if let Some(series) = self.rx_final.get_mut(dst) {
             series.record(at, bytes);
         }
@@ -549,7 +567,8 @@ impl EpochEngine for ObliviousSim {
         // Inject flows due by this slot.
         while cursor < flows.len() && flows[cursor].arrival <= now {
             let f = flows[cursor];
-            self.enqueue_flow(f.id, f.src, f.dst, f.bytes);
+            // Lossless: a trace's ids are below `workload::MAX_FLOWS`.
+            self.enqueue_flow(f.id as u32, f.src, f.dst, f.bytes);
             cursor += 1;
         }
         let mut masks = self.live.all();
@@ -659,8 +678,9 @@ mod tests {
         let mut s = ObliviousSim::new(small_cfg(), TopologyKind::ThinClos);
         let round = s.round_len();
         let prop = 2_000;
-        s.run(&single_flow(500), 1_000_000);
-        let fct = s.tracker().fct(0).expect("must complete");
+        let trace = single_flow(500);
+        s.run(&trace, 1_000_000);
+        let fct = s.tracker().fct(&trace.flows()[0]).expect("must complete");
         // Two propagation delays are unavoidable; two round waits bound it.
         assert!(fct >= 2 * prop, "fct {fct} must include two hops");
         assert!(fct <= 2 * (round + prop) + 10_000, "fct {fct} too slow");
@@ -702,7 +722,7 @@ mod tests {
             cfg.seed = seed;
             let mut s = ObliviousSim::new(cfg, TopologyKind::ThinClos);
             s.run(&trace, 5_000_000);
-            s.tracker().fct(0)
+            s.tracker().fct(&trace.flows()[0])
         };
         assert_eq!(fct(4), fct(4));
     }
@@ -732,7 +752,9 @@ mod tests {
             cfg.priority_queues = pq;
             let mut s = ObliviousSim::new(cfg, TopologyKind::ThinClos);
             s.run(&trace, 100_000_000);
-            s.tracker().fct(1).expect("mice must finish")
+            s.tracker()
+                .fct(&trace.flows()[1])
+                .expect("mice must finish")
         };
         let with_pq = run(true);
         let without_pq = run(false);
@@ -752,6 +774,53 @@ mod tests {
         assert!(s.q.relay_claim.iter().all(|&c| c == 0), "claims leaked");
         let n = s.n;
         assert!((0..n * n).all(|pair| s.q.lists.pair(pair / n, pair % n).is_empty()));
+    }
+
+    /// Mice are sent without the credit check, so a relay claim is not
+    /// bounded by the relay buffer: a mice incast piles more first hops on
+    /// a `(via, final)` pair than `relay_pair_packets` packets. The credit
+    /// law holds all the same — every claim is its relay FIFO's bytes plus
+    /// the first hops in flight toward it.
+    #[test]
+    fn mice_overrun_the_relay_buffer_but_keep_the_credit_law() {
+        let mut cfg = small_cfg();
+        cfg.relay_pair_packets = 4;
+        let cap = cfg.relay_pair_packets as u64 * cfg.payload();
+        let trace = IncastWorkload {
+            degree: 15,
+            flow_bytes: 9_000,
+            n_tors: 16,
+            start: 0,
+        }
+        .generate(7);
+        assert_eq!(trace.mice_count(), 15);
+        let mut s = ObliviousSim::new(cfg, TopologyKind::ThinClos);
+        let horizon = 3 * s.round_len();
+        s.run(&trace, horizon);
+        let n = s.n;
+        let final_dst = trace.flows()[0].dst;
+        let (pair, claim) = (0..n * n)
+            .map(|pair| (pair, s.q.relay_claim[pair]))
+            .max_by_key(|&(_, claim)| claim)
+            .unwrap();
+        assert_eq!(
+            pair % n,
+            final_dst,
+            "only the incast's destination is relayed to"
+        );
+        assert!(
+            claim > cap,
+            "the burst must overrun the {cap} B relay buffer; the largest claim is {claim} B"
+        );
+        let mut law = vec![0u64; n * n];
+        for c in s.q.inflight.iter().flatten() {
+            law[c.to as usize * n + c.seg.final_dst as usize] += c.seg.bytes as u64;
+        }
+        for (pair, owed) in law.iter_mut().enumerate() {
+            let relay = s.q.lists.pair(pair / n, pair % n);
+            *owed += relay.iter(RELAY).map(|seg| seg.bytes as u64).sum::<u64>();
+            assert_eq!(s.q.relay_claim[pair], *owed, "relay credit of pair {pair}");
+        }
     }
 
     /// A segment's length is 32 bits; a bundle that cannot fit is refused

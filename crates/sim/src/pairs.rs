@@ -172,6 +172,11 @@ impl<T: Copy, const L: usize> PairLists<T, L> {
         self.arenas[row].slots.len()
     }
 
+    /// Bytes the slots of `row`'s arena take, links included.
+    pub fn arena_bytes(&self, row: usize) -> usize {
+        std::mem::size_of_val(self.arenas[row].slots.as_slice())
+    }
+
     /// Check `row`'s arena and lists against each other: panics unless
     /// each slot is on exactly one list or the free list and each tail
     /// names its list's last slot. What the items hold is the caller's to

@@ -6,11 +6,17 @@ use sim::time::Nanos;
 /// 10 KB are regarded as mice flows").
 pub const MICE_THRESHOLD_BYTES: u64 = 10_000;
 
+/// Most flows one trace may hold. [`FlowTrace::new`] numbers flows densely
+/// from 0 and refuses a longer trace, so every id fits in a `u32` — the
+/// width the rotor's segments and the flight recorder's spans store.
+pub const MAX_FLOWS: usize = u32::MAX as usize;
+
 /// One ToR-to-ToR flow. ToRs are the endpoints of the simulated network
 /// (§4.1), so there is no host addressing below the ToR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flow {
     /// Dense id; doubles as the index into per-flow bookkeeping arrays.
+    /// Within a [`FlowTrace`] it is below [`MAX_FLOWS`].
     pub id: u64,
     /// Source ToR.
     pub src: usize,
@@ -37,8 +43,10 @@ pub struct FlowTrace {
 
 impl FlowTrace {
     /// Build from flows in any order; sorts by `(arrival, id)` and
-    /// re-numbers ids densely so they index recorder arrays.
+    /// re-numbers ids densely so they index recorder arrays. Panics on more
+    /// than [`MAX_FLOWS`] flows.
     pub fn new(mut flows: Vec<Flow>) -> Self {
+        check_flow_count(flows.len());
         flows.sort_by_key(|f| (f.arrival, f.id));
         for (i, f) in flows.iter_mut().enumerate() {
             f.id = i as u64;
@@ -80,6 +88,14 @@ impl FlowTrace {
     }
 }
 
+/// Refuse a trace whose dense ids would not all fit in 32 bits.
+fn check_flow_count(n: usize) {
+    assert!(
+        n <= MAX_FLOWS,
+        "a trace of {n} flows is over the {MAX_FLOWS}-flow bound: flow ids are 32-bit"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,6 +117,22 @@ mod tests {
         assert_eq!(arrivals, vec![100, 200, 300]);
         let ids: Vec<u64> = t.flows().iter().map(|x| x.id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn flow_count_bound_is_the_32_bit_id_range() {
+        check_flow_count(0);
+        check_flow_count(MAX_FLOWS);
+        assert!(
+            u32::try_from(MAX_FLOWS - 1).is_ok(),
+            "the last id of a full trace fits"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "flow ids are 32-bit")]
+    fn one_flow_over_the_bound_is_refused() {
+        check_flow_count(MAX_FLOWS + 1);
     }
 
     #[test]

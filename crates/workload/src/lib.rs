@@ -29,7 +29,7 @@ pub mod trace_io;
 
 pub use alltoall::AllToAllWorkload;
 pub use dist::FlowSizeDist;
-pub use flow::{Flow, FlowTrace, MICE_THRESHOLD_BYTES};
+pub use flow::{Flow, FlowTrace, MAX_FLOWS, MICE_THRESHOLD_BYTES};
 pub use incast::IncastWorkload;
 pub use mixed::MixedWorkload;
 pub use poisson::{PoissonWorkload, WorkloadSpec};

@@ -25,12 +25,17 @@
 //! resident is up to the allocator — a process that builds engines more
 //! than once gets reused memory back and zeroes it, every page.
 //!
+//! Per-item records are held to a byte budget too: the flow tracker's
+//! bytes per flow and the rotor's bytes per queued segment are fixed, so
+//! what a run allocates for them is its flows and its backlog times those.
+//!
 //! And naming a run is held to it: a compiled scenario and its content
 //! hash are a function of the spec, so asking "is this run cached?" costs
 //! the spec's size, not the traffic's — the flows are made when a run
 //! first reads them, once however many clones share them.
 
 use metrics::trace::FlowSpans;
+use metrics::FlowTracker;
 use negotiator::matching::{AcceptArbiter, GrantArbiter};
 use negotiator::rings::Ring;
 use negotiator::{NegotiatorConfig, NegotiatorSim, SchedulerMode, SimOptions};
@@ -269,6 +274,44 @@ fn pair_tables_fit_one_budget_per_mode() {
             built / pairs
         );
     }
+}
+
+/// One budget per flow and per queued segment: the flow tracker keeps
+/// 16 B a flow — bytes still owed and the completion time; a flow's
+/// arrival and size are the trace's — and a rotor segment slot is 16 B,
+/// flow id, final destination and length at 32 bits each plus the arena
+/// link (the in-flight chunk record is pinned to 16 B beside the slot in
+/// `oblivious::sim`). The tracker was 40 B a flow and the slot 24 B.
+#[test]
+fn per_flow_bytes_fit_one_budget() {
+    const DURATION: u64 = 200_000;
+    let trace = PoissonWorkload::new(WorkloadSpec {
+        dist: FlowSizeDist::hadoop(),
+        load: 1.0,
+        n_tors: 16,
+        host_bps: 200_000_000_000,
+    })
+    .generate(DURATION, 41);
+    assert!(trace.len() > 100, "the trace must exercise the fabric");
+    let (tracker, built) = allocated_by(|| FlowTracker::new(&trace));
+    assert_eq!(tracker.len(), trace.len());
+    assert_eq!(
+        built,
+        16 * trace.len(),
+        "the tracker allocated {built} B for {} flows",
+        trace.len()
+    );
+
+    let cfg = ObliviousConfig::paper_default(NetworkConfig::small_for_tests());
+    let mut sim = ObliviousSim::new(cfg, TopologyKind::ThinClos);
+    sim.run(&trace, DURATION);
+    let (slots, bytes) = sim.segment_arenas();
+    assert!(
+        sim.stats().credit_blocked > 0 && slots > 16,
+        "the run must saturate the rotor: {slots} slots, {:?}",
+        sim.stats()
+    );
+    assert_eq!(bytes, 16 * slots, "{slots} segment slots take {bytes} B");
 }
 
 /// The stretch bar: an idle 4096 × 8 base negotiator — one elephant in a
