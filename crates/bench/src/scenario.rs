@@ -1,5 +1,5 @@
 //! Harness side of the scenario engine: load a scenario file, compile it
-//! (`scenario::compile`), wrap its engine runs into sweep [`RunSpec`]-shaped
+//! (`scenario::compile`), wrap its engine runs into sweep [`RunSpec`](crate::sweep::RunSpec)-shaped
 //! work, and execute them on the shared `--jobs` pool — the same machinery
 //! (and therefore the same byte-identical-at-any-jobs guarantee) every
 //! hard-coded experiment uses. The resulting [`SweepReport`] flows through
@@ -134,7 +134,7 @@ pub fn run_batch(compiled: &[CompiledScenario], jobs: usize, workers: usize) -> 
 /// boundary. This is the daemon's job executor: one pool worker owns the
 /// whole scenario; intra-scenario parallelism would fight the pool's own.
 /// Output is byte-identical to [`run`] at any `jobs` — both go through
-/// the same run closures and [`assemble`].
+/// the same run closures and `assemble`.
 pub fn execute_with_progress(
     compiled: &CompiledScenario,
     progress: Option<ProgressSink>,

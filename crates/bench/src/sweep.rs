@@ -88,7 +88,7 @@ pub enum Rendered {
 /// Everything one run measured: its rendered contribution plus the
 /// machine-readable scalars the JSON emit carries.
 ///
-/// Only the scalar [`RunSummary`] digest of a run's report is kept — a
+/// Only the scalar [`metrics::RunSummary`] digest of a run's report is kept — a
 /// full [`RunReport`] holds one FCT sample per flow, and a sweep retains
 /// hundreds of run metrics until its reports are rendered.
 #[derive(Debug, Clone, PartialEq)]

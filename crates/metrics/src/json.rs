@@ -359,14 +359,6 @@ impl SpannedJson {
         self.to_json().as_u64()
     }
 
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match &self.node {
-            SpannedNode::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// A short label for the value's type, for error messages.
     pub fn kind(&self) -> &'static str {
         match &self.node {

@@ -19,8 +19,10 @@ use sim::time::Nanos;
 pub struct PhaseCounters {
     /// Payload bytes delivered to destination ToRs since the run started.
     pub delivered_bytes: u64,
-    /// Bytes still queued at sources (and, for relaying engines, at
-    /// intermediates) — the backlog the fabric has yet to move.
+    /// Bytes on the engine's queues: the negotiator's per-destination
+    /// queues, relayed bytes included, and the rotor's source-bound lists
+    /// plus its relay FIFOs. Not counted: first hops in the rotor's
+    /// in-flight ring, and flows the frame has not yet injected.
     pub backlog_bytes: u64,
     /// Grants issued so far (negotiator only; 0 for schedule-free engines).
     pub grants: u64,

@@ -2,7 +2,7 @@
 //!
 //! Every ToR keeps one queue per destination ToR. Arriving flow data is
 //! split across three priority levels by cumulative byte count — the
-//! information-agnostic PIAS scheme [3]: the first 1 KB of a flow is
+//! information-agnostic PIAS scheme \[3\]: the first 1 KB of a flow is
 //! highest priority, the next 9 KB middle, the remainder lowest (§4.1).
 //! Dequeueing always serves the highest non-empty level; within a level,
 //! FIFO. A flow's bytes therefore leave in order (its priority only ever

@@ -27,21 +27,25 @@
 //! recorder, report — is [`metrics::frame`], shared with the oblivious
 //! engine; this file supplies the epoch ([`EpochEngine::tick`]). Every
 //! phase has exactly one body. The five that are per-ToR work — ACCEPT,
-//! GRANT, REQUEST, the healthy predefined phase and the quiet scheduled
-//! phase — are written in row-window form in `sim/parallel.rs` and run at
+//! GRANT, REQUEST, the predefined phase and the quiet scheduled phase —
+//! are written in row-window form in `sim/parallel.rs` and run at
 //! whatever shard count `SimOptions::workers` asks for, one shard included.
-//! What stays here is what is whole-fabric by nature: the observed
-//! (failure / gray) predefined phase, the slot-major scheduled phase that
-//! flow arrivals and relay transmissions force, the selective-relay steps
-//! and iterative matching.
+//! What stays here is what is whole-fabric by nature: the slot-major
+//! scheduled phase that flow arrivals and relay transmissions force, the
+//! selective-relay steps, iterative matching, and the detector's reading
+//! of the dummies (`observe_epoch`).
+//!
+//! Failures change what the predefined phase's dummies report (§3.6.1),
+//! not which connections carry messages and data: one predefined phase
+//! runs in every epoch, and the dummies are a pass of their own.
 //!
 //! The state is grouped by who touches it, which is what lets a phase
-//! borrow exactly its share: [`SrcQueues`] (the per-source data path, a
-//! shard owns its rows), [`Outbox`] (scheduling messages written at epoch
-//! start, read-only during the predefined phase) and [`Landing`] (where
+//! borrow exactly its share: `SrcQueues` (the per-source data path, a
+//! shard owns its rows), `Outbox` (scheduling messages written at epoch
+//! start, read-only during the predefined phase) and `Landing` (where
 //! cross-ToR effects arrive). An epoch's work tracks its traffic, not the
 //! fabric's `n²` pairs: REQUEST walks a per-source bitmap of non-empty
-//! queues, the healthy predefined phase walks per-`(src, slot)` masks of
+//! queues, the predefined phase walks per-`(src, slot)` masks of
 //! the connections whose pair has backlog or messages
 //! ([`topology::LaneTable`], over the closed-form schedule inverse
 //! [`topology::PredefinedLanes`]),
@@ -96,6 +100,7 @@ use crate::fault::FaultDetector;
 use crate::matching::{Accept, AcceptArbiter, Grant, GrantArbiter};
 use crate::queues::{Packet, PairQueues, PairRows};
 use crate::stats::SchedStats;
+use crate::theory::PIPELINE_DELAY_EPOCHS;
 use crate::variants::greedy;
 use crate::variants::informative;
 use crate::variants::iterative::IterativeMatcher;
@@ -286,11 +291,11 @@ struct SrcQueues {
     /// backlog counters walk instead of all `n²` mirrors.
     nonempty: Vec<u64>,
     /// Lane masks of the connections whose pair has backlog or outgoing
-    /// messages — what the healthy predefined phase walks. A pair is
-    /// marked when its queue turns non-empty or a `msg_flags` bit is
-    /// raised, and a lane cleared only by the healthy visit that finds
-    /// nothing left, so the observed predefined phase need not maintain
-    /// the bits and healthy and observed epochs may interleave.
+    /// messages — what the predefined phase walks. A pair is marked when
+    /// its queue turns non-empty or a `msg_flags` bit is raised, and a
+    /// lane cleared only by the visit that finds nothing left — in a
+    /// failure epoch too, where a down or gray link leaves the pair its
+    /// backlog and flags and so its bit.
     lane_masks: LaneTable,
     /// Per-port direct-backlog sums (selective relay only, else empty):
     /// tor * s + port, maintained incrementally so the relay steps'
@@ -494,7 +499,7 @@ impl<'a> SrcRows<'a> {
         let row = self.row(src, dst);
         self.queue_bytes[row] -= bytes;
         if self.queue_bytes[row] == 0 {
-            // The lane masks clear lazily, at the pair's next healthy visit.
+            // The lane masks clear lazily, at the pair's next visit.
             let (word, bit) = self.nonempty_bit(src, dst);
             self.nonempty[word] &= !bit;
         }
@@ -674,15 +679,7 @@ pub struct NegotiatorSim {
     relay_grants_in: Vec<(usize, usize, usize, u64)>, // against `inbox_relay_grant[src]`
     active_relay: Vec<Option<(usize, usize, u64)>>, // src*s+port -> (via, final, vol left)
 
-    /// False after the predefined phase took the healthy-fabric fast path
-    /// (skipping observation is a detector no-op then).
-    observe_pending: bool,
     detector: FaultDetector,
-    // Per-epoch observation scratch.
-    egress_attempted: Vec<bool>,
-    egress_ok: Vec<bool>,
-    ingress_attempted: Vec<bool>,
-    ingress_ok: Vec<bool>,
 
     host_drain_per_epoch: u64,
 
@@ -693,6 +690,10 @@ pub struct NegotiatorSim {
     /// Per-shard lanes (scratch, merge queues, counters) of the phase
     /// bodies, retained across epochs.
     par: parallel::ParState,
+    /// Test oracle: mark every lane at each epoch start, which makes the
+    /// predefined phase visit every connection of the round.
+    #[cfg(test)]
+    dense: bool,
 }
 
 impl Deref for NegotiatorSim {
@@ -824,16 +825,13 @@ impl NegotiatorSim {
             relay_reqs_in: Vec::new(),
             relay_grants_in: Vec::new(),
             active_relay: vec![None; n * s],
-            observe_pending: true,
             detector: FaultDetector::new(n, s),
-            egress_attempted: vec![false; n * s],
-            egress_ok: vec![false; n * s],
-            ingress_attempted: vec![false; n * s],
-            ingress_ok: vec![false; n * s],
             host_drain_per_epoch: cfg.net.host_bandwidth.bytes_in(epoch_len),
             match_rec: MatchRatioRecorder::new(),
             stats: SchedStats::default(),
             par: parallel::ParState::default(),
+            #[cfg(test)]
+            dense: false,
             cfg,
             topo,
             opts,
@@ -973,6 +971,11 @@ impl NegotiatorSim {
         }
         #[cfg(debug_assertions)]
         self.debug_verify_mirrors();
+        #[cfg(test)]
+        if self.dense {
+            let mut masks = self.q.lane_masks.all();
+            (0..self.n).for_each(|src| (0..self.n).for_each(|dst| masks.mark(src, dst)));
+        }
         if let SchedulerMode::Iterative { rounds } = self.opts.mode {
             self.epoch_start_iterative(rounds);
         } else {
@@ -1054,7 +1057,7 @@ impl NegotiatorSim {
             rounds,
         );
         self.iter_pending.push_back(matches);
-        let delay = 2 + IterativeMatcher::extra_delay_epochs(rounds) as usize;
+        let delay = (PIPELINE_DELAY_EPOCHS + IterativeMatcher::extra_delay_epochs(rounds)) as usize;
         self.active.fill(None);
         if self.iter_pending.len() > delay {
             let matches = self.iter_pending.pop_front().unwrap();
@@ -1208,140 +1211,6 @@ impl NegotiatorSim {
     // The two phases
     // ------------------------------------------------------------------
 
-    /// Rotation of the predefined round-robin rule (§3.6.1): the parallel
-    /// network shifts the port↔offset mapping every epoch.
-    fn rotation(&self, epoch: u64) -> u64 {
-        match self.topo.kind() {
-            TopologyKind::Parallel => epoch,
-            TopologyKind::ThinClos => 0,
-        }
-    }
-
-    fn predefined_phase(
-        &mut self,
-        flows: &[Flow],
-        cursor: usize,
-        epoch: u64,
-        t0: Nanos,
-        tracker: &mut FlowTracker,
-    ) -> usize {
-        let rot = self.rotation(epoch);
-        // Arrival time of predefined slot `k`'s transmissions.
-        let clock = SlotClock {
-            first: t0 + self.pre_slot_len + self.cfg.net.propagation_delay,
-            slot_len: self.pre_slot_len,
-        };
-        // Healthy-fabric fast path: with zero ground failures (including
-        // partitions), a quiescent detector and no active gray failure,
-        // every connection is up and usable, and a round of all-success
-        // observations would change no detector state — so the
-        // per-connection bookkeeping and the end-of-epoch observation pass
-        // can be skipped wholesale. Bit-exact: the only skipped work is
-        // writes of values already in place. Gray epochs must be observed
-        // even though no link is down: drops are decided per-connection
-        // and the detector has to see the misses.
-        let healthy = self.frame.failures.healthy()
-            && self.detector.is_quiescent()
-            && !self.frame.faults.gray_active();
-        self.observe_pending = !healthy;
-        if healthy {
-            return self.predefined_healthy(flows, cursor, rot, t0, clock, tracker);
-        }
-        self.predefined_observed(flows, cursor, rot, epoch, t0, clock, tracker)
-    }
-
-    /// The predefined phase of an epoch with failures, exclusions or gray
-    /// drops in play: whole-fabric and slot-major, recording what every
-    /// port attempted and achieved for the detector. It looks at every
-    /// connection, in `(slot, src, port)` order, by walking the schedule's
-    /// closed form — a materialized table of all rotations is 100 MB on a
-    /// 1024 × 8 fabric, built for what may be one failure epoch.
-    #[allow(clippy::too_many_arguments)] // the epoch's coordinates
-    fn predefined_observed(
-        &mut self,
-        flows: &[Flow],
-        mut cursor: usize,
-        rot: u64,
-        epoch: u64,
-        t0: Nanos,
-        clock: SlotClock,
-        tracker: &mut FlowTracker,
-    ) -> usize {
-        let (n, s) = (self.n, self.s);
-        let (piggyback, pb_payload) = (self.cfg.piggyback, self.pb_payload);
-        self.egress_attempted.fill(false);
-        self.egress_ok.fill(false);
-        self.ingress_attempted.fill(false);
-        self.ingress_ok.fill(false);
-        let (failures, faults) = (&self.frame.failures, &self.frame.faults);
-        let mut rows = self.q.all();
-        let sched = rows.lane_masks.lanes();
-        // Lanes in `port_order` are the ports in ascending order.
-        let port_order = sched.port_order(rot);
-        let mut sink = Sink::Apply {
-            land: &mut self.land,
-            tracker,
-            clock,
-        };
-        for slot in 0..self.pre_slots {
-            cursor = rows.inject(flows, cursor, t0 + slot as Nanos * self.pre_slot_len);
-            for src in 0..n {
-                let origin = sched.origin(slot, src);
-                for (port, lane) in port_order.clone().into_iter().flatten().enumerate() {
-                    let dst = sched.dst(origin, lane);
-                    if dst == src {
-                        continue; // the round-robin rule's one unconnected lane
-                    }
-                    self.stats.predefined_conns_visited += 1;
-                    let idx = src * n + dst;
-                    self.egress_attempted[src * s + port] = true;
-                    self.ingress_attempted[dst * s + port] = true;
-                    let up = failures.link_up(src, dst, port);
-                    // Gray failure: the link carries data but loses this
-                    // epoch's control traffic. No ok-observation is recorded
-                    // (the detector sees a missed dummy and may exclude the
-                    // link — an organic false positive) and no scheduling
-                    // message crosses; undelivered requests and grants expire
-                    // in their buckets at the next epoch start.
-                    let gray = up && faults.gray_drops(epoch, src, dst);
-                    if up && !gray {
-                        self.egress_ok[src * s + port] = true;
-                        self.ingress_ok[dst * s + port] = true;
-                        if self.msg_flags[idx] != 0 {
-                            self.out
-                                .emit(self.msg_flags[idx], src, dst, slot as u32, &mut sink);
-                            self.msg_flags[idx] &= !REQ_FLAG; // delivered once
-                        }
-                    } else if gray {
-                        self.stats.control_dropped +=
-                            self.out.queued(self.msg_flags[idx], src, dst) + 1;
-                    }
-                    // Piggyback one data packet (§3.4.1) unless the
-                    // detector already excluded the link.
-                    if piggyback && self.detector.usable(src, dst, port) {
-                        if let Some(pkt) = rows.dequeue_packet(src, dst, pb_payload) {
-                            if up {
-                                self.stats.piggyback_packets += 1;
-                                self.stats.piggyback_bytes += pkt.bytes;
-                                sink.emit(Event::Data {
-                                    slot: slot as u32,
-                                    dst: dst as u32,
-                                    flow: pkt.flow,
-                                    bytes: pkt.bytes,
-                                });
-                            } else {
-                                // A ground-truth-down link loses the packet;
-                                // recovery is an upper-layer (TCP) concern.
-                                self.stats.lost_packets += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        cursor
-    }
-
     fn scheduled_phase(
         &mut self,
         flows: &[Flow],
@@ -1434,21 +1303,43 @@ impl NegotiatorSim {
         cursor
     }
 
-    /// Feed the epoch's predefined-phase observations to the detector.
-    /// A no-op after healthy-fast-path epochs (all-success observations on
-    /// a quiescent detector change nothing).
-    fn observe_epoch(&mut self) {
-        if !self.observe_pending {
-            return;
-        }
+    /// What this epoch's dummies told the detector (§3.6.1). Every
+    /// connection of the round carries one, and a port's observation is
+    /// whether any dummy over it got through: its link up and not gray (a
+    /// gray link drops it, [`SchedStats::control_dropped`]). One
+    /// closed-form walk of the round, each port seen from both of its
+    /// ends, that reads link state and nothing else.
+    fn observe_epoch(&mut self, epoch: u64) {
+        let sched = self.q.lane_masks.lanes();
+        let (failures, faults) = (&self.frame.failures, &self.frame.faults);
         for tor in 0..self.n {
-            for port in 0..self.s {
-                let i = tor * self.s + port;
-                if self.egress_attempted[i] {
-                    self.detector.observe_egress(tor, port, self.egress_ok[i]);
+            for lane in 0..self.s {
+                let port = sched.port(lane, epoch);
+                let (mut sent, mut delivered) = (false, false);
+                let (mut listened, mut heard) = (false, false);
+                for slot in 0..sched.slots() {
+                    let dst = sched.dst(sched.origin(slot, tor), lane);
+                    if dst != tor {
+                        self.stats.predefined_conns_visited += 1;
+                        let up = failures.link_up(tor, dst, port);
+                        let gray = up && faults.gray_drops(epoch, tor, dst);
+                        self.stats.control_dropped += u64::from(gray);
+                        sent = true;
+                        delivered |= up && !gray;
+                    }
+                    let src = sched.src(slot, tor, lane);
+                    if src != tor {
+                        listened = true;
+                        heard = heard
+                            || failures.link_up(src, tor, port)
+                                && !faults.gray_drops(epoch, src, tor);
+                    }
                 }
-                if self.ingress_attempted[i] {
-                    self.detector.observe_ingress(tor, port, self.ingress_ok[i]);
+                if sent {
+                    self.detector.observe_egress(tor, port, delivered);
+                }
+                if listened {
+                    self.detector.observe_ingress(tor, port, heard);
                 }
             }
         }
@@ -1485,9 +1376,17 @@ impl EpochEngine for NegotiatorSim {
     ) -> usize {
         cursor = self.q.all().inject(flows, cursor, t0);
         self.epoch_start(epoch, t0);
-        cursor = self.predefined_phase(flows, cursor, epoch, t0, tracker);
+        // No link down, no partition, a quiescent detector, no gray
+        // window: every connection is up and usable, and all-success
+        // observations would change no detector state.
+        let healthy = self.frame.failures.healthy()
+            && self.detector.is_quiescent()
+            && !self.frame.faults.gray_active();
+        cursor = self.predefined_phase(flows, cursor, epoch, t0, healthy, tracker);
         cursor = self.scheduled_phase(flows, cursor, t0, tracker);
-        self.observe_epoch();
+        if !healthy {
+            self.observe_epoch(epoch);
+        }
         cursor
     }
 
@@ -1550,8 +1449,8 @@ impl EpochEngine for NegotiatorSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use topology::NetworkConfig;
-    use workload::{Flow, FlowTrace, IncastWorkload};
+    use topology::{failures::LinkDir, FlapTargets, NetworkConfig, PartitionSpec};
+    use workload::{Flow, FlowSizeDist, FlowTrace, IncastWorkload, PoissonWorkload, WorkloadSpec};
 
     fn small_cfg() -> NegotiatorConfig {
         NegotiatorConfig::paper_default(NetworkConfig::small_for_tests())
@@ -1926,5 +1825,139 @@ mod tests {
             "normalized goodput {}",
             report.goodput.normalized()
         );
+    }
+
+    /// Parallel 16 × 4 and 70 × 4 (pairs at offsets 1 and 2 meet twice a
+    /// round), thin-clos 16 × 4, and thin-clos with selective relay.
+    const FAULT_FABRICS: [(TopologyKind, usize, bool); 4] = [
+        (TopologyKind::Parallel, 16, false),
+        (TopologyKind::Parallel, 70, false),
+        (TopologyKind::ThinClos, 16, false),
+        (TopologyKind::ThinClos, 16, true),
+    ];
+
+    fn fault_sim((kind, n_tors, relay): (TopologyKind, usize, bool)) -> NegotiatorSim {
+        let net = NetworkConfig {
+            n_tors,
+            n_ports: 4,
+            ..NetworkConfig::small_for_tests()
+        };
+        let opts = SimOptions {
+            selective_relay: relay,
+            ..SimOptions::default()
+        };
+        NegotiatorSim::with_options(NegotiatorConfig::paper_default(net), kind, opts)
+    }
+
+    /// The live-lane walk against the pass over every connection, which
+    /// `dense` makes of it by marking every lane at each epoch start: a
+    /// loaded fabric through a random failure and its repair, a flap, a
+    /// partition and a gray window, healthy epochs between them. Same
+    /// report, same completion of every flow, same counters but visits.
+    #[test]
+    fn live_walk_matches_the_dense_walk_under_faults() {
+        for fabric in FAULT_FABRICS {
+            let play = |dense: bool| {
+                let mut sim = fault_sim(fabric);
+                sim.dense = dense;
+                let epoch = sim.epoch_len();
+                let flap = FlapTargets::Random {
+                    ratio: 0.1,
+                    seed: 4,
+                };
+                let actions = [
+                    FaultAction::FailRandom {
+                        ratio: 0.1,
+                        seed: 3,
+                    },
+                    FaultAction::RepairAll,
+                    FaultAction::FlapStart {
+                        targets: flap,
+                        up: 2 * epoch,
+                        down: epoch,
+                    },
+                    FaultAction::FlapStop,
+                    FaultAction::Partition(PartitionSpec::Random { groups: 2, seed: 5 }),
+                    FaultAction::Heal,
+                    FaultAction::GrayStart {
+                        drop_prob: 0.5,
+                        seed: 6,
+                        tors: None,
+                    },
+                    FaultAction::GrayStop,
+                ];
+                for (i, action) in actions.into_iter().enumerate() {
+                    sim.schedule_fault((5 + 6 * i as u64) * epoch, action);
+                }
+                let trace = PoissonWorkload::new(WorkloadSpec {
+                    dist: FlowSizeDist::hadoop(),
+                    load: 0.6,
+                    n_tors: fabric.1,
+                    host_bps: sim.cfg.net.host_bandwidth.bps(),
+                })
+                .generate(56 * epoch, 5);
+                let report = sim.run(&trace, 56 * epoch);
+                let done: Vec<_> = (0..trace.len() as u64)
+                    .map(|id| sim.tracker().completion(id))
+                    .collect();
+                (report, done, *sim.stats())
+            };
+            let ((live, live_done, l), (dense, dense_done, d)) = (play(false), play(true));
+            assert!(
+                l.lost_packets > 0 && l.control_dropped > 0,
+                "{fabric:?}: no fault bit"
+            );
+            assert!(
+                live == dense && live_done == dense_done,
+                "{fabric:?}: runs differ"
+            );
+            assert!(l.predefined_conns_visited < d.predefined_conns_visited);
+            let visits = |st| SchedStats {
+                predefined_conns_visited: 0,
+                ..st
+            };
+            assert_eq!(visits(l), visits(d), "{fabric:?}: counters differ");
+        }
+    }
+
+    /// An idle fabric, one gray epoch that drops every dummy, and one link
+    /// down during it: `control_dropped` is the round's connections whose
+    /// link is up, counted here from `Topology::predefined_dst`.
+    #[test]
+    fn a_gray_epoch_drops_one_dummy_per_up_connection() {
+        for fabric in FAULT_FABRICS {
+            let mut sim = fault_sim(fabric);
+            let (epoch, gray_epoch, (tor, port)) = (sim.epoch_len(), 3, (1, 2));
+            let down = FaultAction::FailLink {
+                tor,
+                port,
+                dir: LinkDir::Egress,
+            };
+            let gray = FaultAction::GrayStart {
+                drop_prob: 1.0,
+                seed: 1,
+                tors: None,
+            };
+            sim.schedule_fault(gray_epoch * epoch, down);
+            sim.schedule_fault(gray_epoch * epoch, gray);
+            sim.schedule_fault((gray_epoch + 1) * epoch, FaultAction::GrayStop);
+            sim.schedule_fault((gray_epoch + 1) * epoch, FaultAction::RepairAll);
+            sim.run(&FlowTrace::new(Vec::new()), 10 * epoch);
+            let mut failures = LinkFailures::new(sim.n, sim.s);
+            failures.fail(tor, port, LinkDir::Egress);
+            let (mut conns, mut up) = (0, 0);
+            for slot in 0..sim.pre_slots {
+                for src in 0..sim.n {
+                    for p in 0..sim.s {
+                        if let Some(dst) = sim.topo.predefined_dst(gray_epoch, slot, src, p) {
+                            conns += 1;
+                            up += u64::from(failures.link_up(src, dst, p));
+                        }
+                    }
+                }
+            }
+            assert!(up < conns, "{fabric:?}: a link is down");
+            assert_eq!(sim.stats().control_dropped, up, "{fabric:?}");
+        }
     }
 }

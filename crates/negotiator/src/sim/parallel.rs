@@ -1,6 +1,6 @@
 //! The epoch kernel: the one body of each per-ToR phase — ACCEPT, GRANT,
-//! REQUEST, the healthy predefined phase, the quiet scheduled phase —
-//! written over contiguous ToR shards, byte-identical at any shard count.
+//! REQUEST, the predefined phase, the quiet scheduled phase — written
+//! over contiguous ToR shards, byte-identical at any shard count.
 //!
 //! # One body, any shard count
 //!
@@ -39,7 +39,7 @@
 //! ACCEPT's stateful matrix reverts, the dirty-index lists and the
 //! counters are lane state at every shard count (a handful of entries
 //! per epoch), merged by concatenation in shard order.
-//! (A [`Lane`] is a shard's merge queue. The *lane masks* the healthy
+//! (A [`Lane`] is a shard's merge queue. The *lane masks* the
 //! predefined phase walks are something else — bits over the predefined
 //! schedule's rotation-invariant connection indices,
 //! [`topology::LaneTable`].)
@@ -51,10 +51,10 @@
 //!   packets are enqueued at *another* source's queues mid-phase.
 //! * **Iterative mode's epoch start**: `IterativeMatcher` is a global
 //!   fixed point over all ToRs, not per-ToR work.
-//! * **The observed predefined phase and the slot-major scheduled
-//!   phase** (`sim.rs`): observation arrays are cheap but cross-indexed
-//!   and failure epochs rare by construction; a scheduled phase with
-//!   mid-phase arrivals interleaves injection with every slot.
+//! * **The slot-major scheduled phase** (`sim.rs`): a scheduled phase
+//!   with mid-phase arrivals interleaves injection with every slot.
+//! * **The detector's reading of the dummies** (`observe_epoch`): it sees
+//!   each port from both ends, so no row split owns it.
 //! * **`rebuild_active_list` and the flag-clearing prologues**: memset-
 //!   class scans that cost less than a fork/join.
 
@@ -209,6 +209,8 @@ pub(super) enum Sink<'a> {
     },
     /// Several shards: append to the shard's lane for the ordered replay.
     Record(&'a mut Vec<Event>),
+    /// A gray link: count the messages it drops.
+    Count(&'a mut u64),
 }
 
 impl Sink<'_> {
@@ -223,6 +225,7 @@ impl Sink<'_> {
             } => land.apply(ev, clock.arrive(ev.slot()), tracker),
             // lint: allow(H001) lane vecs keep their capacity across epochs
             Sink::Record(events) => events.push(ev),
+            Sink::Count(dropped) => **dropped += 1,
         }
     }
 }
@@ -398,26 +401,6 @@ impl Outbox {
         self.relay_grants[via]
             .iter()
             .filter(move |g| g.0 as usize == requester)
-    }
-
-    /// Control messages queued on the pair `src → dst` whose flags byte is
-    /// `flags`: sizes [`SchedStats::control_dropped`] when a gray failure
-    /// eats the connection's control traffic.
-    pub(super) fn queued(&self, flags: u8, src: usize, dst: usize) -> u64 {
-        let mut count = 0;
-        if flags & REQ_FLAG != 0 {
-            count += 1;
-        }
-        if flags & GRANT_FLAG != 0 {
-            count += self.grants_to(src, dst).count() as u64;
-        }
-        if flags & RELAY_REQ_FLAG != 0 {
-            count += self.relay_reqs_via(src, dst).count() as u64;
-        }
-        if flags & RELAY_GRANT_FLAG != 0 {
-            count += self.relay_grants_to(src, dst).count() as u64;
-        }
-        count
     }
 }
 
@@ -957,28 +940,38 @@ impl NegotiatorSim {
         }
     }
 
-    /// The healthy-fabric predefined phase (sharded by source ToR): every
-    /// connection is up and usable, so a shard injects its own sources'
-    /// flows at slot boundaries and then looks only at the connections
-    /// whose lane bit is set — those whose pair has backlog or scheduling
-    /// messages ([`topology::LaneTable`]) — moving the messages and
-    /// piggybacking one packet per connected pair. Per slot it walks its
-    /// sources in ascending order and each source's set lanes in ascending
-    /// port order, which is the `(slot, src, port)` order of a pass over
-    /// every connection; every cross-ToR effect goes to the shard's sink,
-    /// slot-tagged. The replay is slot-major, lanes in shard order within
-    /// a slot: exactly the order of a single pass.
-    pub(super) fn predefined_healthy(
+    /// The predefined phase of every epoch (sharded by source ToR): a shard
+    /// injects its own sources' flows at slot boundaries and then looks
+    /// only at the connections whose lane bit is set — those whose pair
+    /// has backlog or scheduling messages ([`topology::LaneTable`]) —
+    /// moving the messages and piggybacking one packet per connected pair.
+    /// Per slot it walks its sources in ascending order and each source's
+    /// set lanes in ascending port order, which is the `(slot, src, port)`
+    /// order of a pass over every connection; every cross-ToR effect goes
+    /// to the shard's sink, slot-tagged. The replay is slot-major, lanes in
+    /// shard order within a slot: exactly the order of a single pass.
+    /// Outside a `healthy` epoch a visit checks its link: messages cross
+    /// only one up and not gray (a gray one drops them, the pair keeps its
+    /// flags), a packet only one the detector has not excluded, lost if
+    /// it is down.
+    pub(super) fn predefined_phase(
         &mut self,
         flows: &[Flow],
         cursor: usize,
-        rot: u64,
+        epoch: u64,
         t0: Nanos,
-        clock: SlotClock,
+        healthy: bool,
         tracker: &mut FlowTracker,
     ) -> usize {
         let (n, pre_slots, pre_slot_len) = (self.n, self.pre_slots, self.pre_slot_len);
         let (piggyback, pb_payload) = (self.cfg.piggyback, self.pb_payload);
+        // Arrival time of predefined slot `k`'s transmissions.
+        let clock = SlotClock {
+            first: t0 + pre_slot_len + self.cfg.net.propagation_delay,
+            slot_len: pre_slot_len,
+        };
+        let (failures, faults, detector) =
+            (&self.frame.failures, &self.frame.faults, &self.detector);
         // Flows that arrive during this phase, shared read-only: each
         // shard walks the slice once and enqueues only its own sources.
         let last_start = t0 + (pre_slots as Nanos - 1) * pre_slot_len;
@@ -1022,7 +1015,7 @@ impl NegotiatorSim {
                             continue;
                         }
                         let origin = sched.origin(slot, src);
-                        for ports in sched.port_order(rot) {
+                        for ports in sched.port_order(epoch) {
                             let mut from = ports.start;
                             while let Some(lane) = rows.lane_masks.next_lane(group, from..ports.end)
                             {
@@ -1030,29 +1023,48 @@ impl NegotiatorSim {
                                 let dst = sched.dst(origin, lane);
                                 let row = rows.row(src, dst);
                                 let (flags, mut backlog) = (msg_flags[row], rows.queue_bytes[row]);
-                                let kept = flags & !REQ_FLAG; // a request is delivered once
+                                let (mut up, mut gray, mut usable) = (true, false, true);
+                                if !healthy {
+                                    let port = sched.port(lane, epoch);
+                                    up = failures.link_up(src, dst, port);
+                                    gray = up && faults.gray_drops(epoch, src, dst);
+                                    usable = detector.usable(src, dst, port);
+                                }
                                 stats.predefined_conns_visited += 1;
                                 if flags != 0 {
-                                    out.emit(flags, src, dst, slot as u32, &mut sink);
-                                    msg_flags[row] = kept;
+                                    if up && !gray {
+                                        out.emit(flags, src, dst, slot as u32, &mut sink);
+                                        msg_flags[row] = flags & !REQ_FLAG; // delivered once
+                                    } else if gray {
+                                        // Undelivered messages expire at the
+                                        // next epoch start.
+                                        let dropped = &mut stats.control_dropped;
+                                        out.emit(flags, src, dst, 0, &mut Sink::Count(dropped));
+                                    }
                                 }
-                                if piggyback && backlog > 0 {
+                                if piggyback && backlog > 0 && usable {
                                     let pkt = rows
                                         .dequeue_packet(src, dst, pb_payload)
                                         .expect("non-zero mirror implies a packet");
                                     backlog -= pkt.bytes;
-                                    stats.piggyback_packets += 1;
-                                    stats.piggyback_bytes += pkt.bytes;
-                                    sink.emit(Event::Data {
-                                        slot: slot as u32,
-                                        dst: dst as u32,
-                                        flow: pkt.flow,
-                                        bytes: pkt.bytes,
-                                    });
+                                    if up {
+                                        stats.piggyback_packets += 1;
+                                        stats.piggyback_bytes += pkt.bytes;
+                                        sink.emit(Event::Data {
+                                            slot: slot as u32,
+                                            dst: dst as u32,
+                                            flow: pkt.flow,
+                                            bytes: pkt.bytes,
+                                        });
+                                    } else {
+                                        // Recovery is an upper-layer (TCP)
+                                        // concern.
+                                        stats.lost_packets += 1;
+                                    }
                                 }
                                 // Nothing left to say: the pair's other
                                 // connection, if any, clears its own bit.
-                                if kept as u64 | backlog == 0 {
+                                if msg_flags[row] as u64 | backlog == 0 {
                                     rows.lane_masks.clear(group, lane);
                                 }
                             }

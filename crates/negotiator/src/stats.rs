@@ -40,9 +40,10 @@ pub struct SchedStats {
     /// Work counter: pairs REQUEST looked at (one per non-empty queue per
     /// epoch). Tracks demand, not fabric size.
     pub request_pairs_scanned: u64,
-    /// Work counter: predefined connections the predefined phase visited —
-    /// on a healthy fabric those whose pair had backlog or a scheduling
-    /// message, every connection of the round in an observed epoch.
+    /// Work counter: predefined connections looked at — in every epoch
+    /// those whose lane bit is set (a superset of the pairs with backlog or
+    /// a scheduling message); an epoch that was not healthy adds every
+    /// connection of its round once more, for the detector's dummies.
     pub predefined_conns_visited: u64,
 }
 

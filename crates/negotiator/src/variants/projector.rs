@@ -1,6 +1,6 @@
 //! ProjecToR-style scheduling (Appendix A.2.5).
 //!
-//! ProjecToR [21] schedules optical links with per-*port* requests: when a
+//! ProjecToR \[21\] schedules optical links with per-*port* requests: when a
 //! source requests, it has already bound the data bundle to a specific
 //! egress port, and requests carry the bundle's measured waiting delay;
 //! destinations grant each port to the longest-waiting request. The paper

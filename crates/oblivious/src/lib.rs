@@ -2,7 +2,7 @@
 
 //! Traffic-oblivious reconfigurable DCN baseline (§2, §4.1).
 //!
-//! The state of the art NegotiaToR compares against: a Sirius-like [4]
+//! The state of the art NegotiaToR compares against: a Sirius-like \[4\]
 //! design in which the network reconfigures itself on a fixed round-robin
 //! schedule — every timeslot, regardless of traffic — and adapts the
 //! *traffic* to the network with Valiant Load Balancing: data is spread
@@ -13,7 +13,7 @@
 //! §4 measures.
 //!
 //! Implementation notes, matching the paper's own re-implementation
-//! (§4.1 "following Sirius [4] to implement the state-of-the-art benchmark
+//! (§4.1 "following Sirius \[4\] to implement the state-of-the-art benchmark
 //! on the same simulator"):
 //!
 //! * Same fabric model and 2× uplink speedup as NegotiaToR; every 100 ns

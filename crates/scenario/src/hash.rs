@@ -18,11 +18,11 @@
 //! holds (workload parameters, seed lane = seed + phase position, fabric,
 //! epoch length), so walking the merged trace would spend 32 bytes per
 //! flow restating them — and would force the trace that
-//! [`crate::compile`] leaves unsynthesized until a run needs it. The one
+//! [`crate::compile()`] leaves unsynthesized until a run needs it. The one
 //! input a spec does not determine is a replayed trace file; those flows
 //! (as `compile` checked, filtered and offset them) are hashed one by one.
 //! What keeps "same recipe ⇒ same flows" true across code changes is the
-//! version tag: see the rule at [`CONTENT_VERSION`].
+//! version tag: see the rule at `CONTENT_VERSION`.
 //!
 //! The hash is a fixed FNV-1a/64 over a canonical byte encoding — not
 //! `std::hash::Hasher`, whose output is explicitly unstable across

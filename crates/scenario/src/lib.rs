@@ -24,7 +24,7 @@
 //!   user-authored, so every error (unknown key, overlapping phases,
 //!   out-of-range ToR index) points at a `line:column` in the file, and
 //!   everything is rejected before any simulation starts.
-//! * [`compile`] — [`ScenarioSpec`] → [`CompiledScenario`]: phase specs
+//! * [`compile`](mod@compile) — [`ScenarioSpec`] → [`CompiledScenario`]: phase specs
 //!   become the recipe of one merged [`workload::FlowTrace`]
 //!   ([`LazyTrace`]: replayed files read now, synthetic flows made on
 //!   first use), events and phase `faults` blocks become one

@@ -11,12 +11,6 @@
 /// Simulated time in nanoseconds since the start of the run.
 pub type Nanos = u64;
 
-/// One microsecond in [`Nanos`].
-pub const MICROS: Nanos = 1_000;
-
-/// One millisecond in [`Nanos`].
-pub const MILLIS: Nanos = 1_000_000;
-
 /// Link or aggregate bandwidth. Stored in bits per second to keep the
 /// paper's numbers (100 Gbps per port, 400 Gbps per ToR) exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -33,11 +27,6 @@ impl Bandwidth {
         Bandwidth {
             bits_per_sec: gbps * 1_000_000_000,
         }
-    }
-
-    /// Bandwidth from bits per second.
-    pub const fn from_bps(bits_per_sec: u64) -> Self {
-        Bandwidth { bits_per_sec }
     }
 
     /// Raw bits per second.

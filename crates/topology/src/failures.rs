@@ -157,8 +157,8 @@ impl LinkFailures {
         self.partition.len() - counts.iter().copied().max().unwrap_or(0)
     }
 
-    /// Number of currently failed directed links (O(1) — the engines ask
-    /// every epoch/timeslot to take their healthy-fabric fast paths).
+    /// Number of currently failed directed links (O(1), kept as a
+    /// counter beside the per-direction state).
     pub fn failed_count(&self) -> usize {
         debug_assert_eq!(
             self.down_count,
@@ -170,8 +170,9 @@ impl LinkFailures {
     }
 
     /// Fully healthy fabric: no failed fibers and no partition. The
-    /// engines' fast paths gate on this, not on [`Self::failed_count`],
-    /// because a partition breaks pairs without touching any fiber.
+    /// engines ask this once per epoch/timeslot, not
+    /// [`Self::failed_count`], to decide whether a visit must check its
+    /// link, because a partition breaks pairs without touching any fiber.
     pub fn healthy(&self) -> bool {
         self.down_count == 0 && self.partition.is_empty()
     }

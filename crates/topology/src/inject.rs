@@ -352,9 +352,10 @@ impl FaultModel {
         }
     }
 
-    /// Is a gray failure active? While true, the negotiator must take
-    /// its observing (non-fast) predefined path so drops feed the fault
-    /// detector.
+    /// Is a gray failure active? A gray window makes the negotiator's
+    /// epoch not healthy: its predefined phase checks each link it
+    /// visits, and its end-of-epoch observation pass feeds the dropped
+    /// dummies to the fault detector.
     pub fn gray_active(&self) -> bool {
         self.gray.is_some()
     }

@@ -29,12 +29,13 @@
 //! non-empty and clears a lane only on the visit that finds nothing left,
 //! so a phase walking the set bits ([`LaneMasks::next_lane`],
 //! [`LaneMasks::is_set`]) visits, in `slot_conns` order, every connection
-//! whose visit would change state — the negotiator's healthy predefined
-//! phase and the oblivious rotor both do — while a phase that looks at
-//! every connection — the negotiator's observed (failure / gray) phase,
-//! which walks [`PredefinedLanes::port_order`] for every source and skips
-//! only the lane that points a ToR at itself — need not maintain the bits
-//! at all.
+//! whose visit would change state. The negotiator's predefined phase and
+//! the oblivious rotor both do, in every epoch and slot, failures
+//! included: a down or gray link changes what a visit does, not which
+//! connections hold something. A pass that must look at every connection
+//! whatever it holds — the negotiator's detector reading its dummies —
+//! walks the closed form instead: [`PredefinedLanes::dst`] from a port's
+//! egress end, [`PredefinedLanes::src`] from its ingress end.
 
 use crate::config::TopologyKind;
 use crate::traits::Topology;
@@ -178,6 +179,25 @@ impl PredefinedLanes {
         }
     }
 
+    /// Source of the connection that `lane` of `slot` lands at `dst`:
+    /// the inverse of [`Self::dst`], and `dst` itself for the unconnected
+    /// lane. What a pass needs that looks at each port from its ingress
+    /// end.
+    #[inline]
+    pub fn src(&self, slot: usize, dst: usize, lane: usize) -> usize {
+        match self.kind {
+            TopologyKind::Parallel => {
+                let offset = wrap(slot * self.s + lane + 1, self.n);
+                wrap(dst + self.n - offset, self.n)
+            }
+            TopologyKind::ThinClos => {
+                let (group, member) = (dst / self.group, dst % self.group);
+                wrap(group + self.s - lane, self.s) * self.group
+                    + wrap(member + self.group - slot, self.group)
+            }
+        }
+    }
+
     /// Split a parallel-network offset index into `(slot, lane)`. GRANT
     /// calls this once per granted pair and epoch, so the division is done
     /// in 32 bits (several times cheaper than 64 on most cores; offsets
@@ -272,6 +292,12 @@ impl LaneTable {
             lanes,
             bits: vec![0; n * lanes.slots() * lanes.stride()],
         }
+    }
+
+    /// The schedule inverse the lanes are numbered by.
+    #[inline]
+    pub fn lanes(&self) -> PredefinedLanes {
+        self.lanes
     }
 
     /// Every lane of the pair `src → dst` is set.
@@ -455,8 +481,10 @@ mod tests {
 
     /// Walking a `(slot, src)` group's lanes in `port_order`, numbering
     /// the ports as they come and skipping the one lane that points a ToR
-    /// at itself — the negotiator's observed predefined phase — is walking
-    /// `PredefinedCache::slot_conns`: same connections, same order.
+    /// at itself, is walking `PredefinedCache::slot_conns`: same
+    /// connections, same order — the order the negotiator's predefined
+    /// phase and the rotor visit their set lanes in. `src` inverts every
+    /// lane's `dst`, the unconnected one included.
     #[test]
     fn port_order_walk_reproduces_the_cached_slot_lists() {
         for topo in fabrics() {
@@ -472,6 +500,7 @@ mod tests {
                         for (port, lane) in order.enumerate() {
                             assert_eq!(port, lanes.port(lane, rot));
                             let dst = lanes.dst(origin, lane);
+                            assert_eq!(lanes.src(slot, dst, lane), src);
                             let connected = lanes.pair_lanes(src, dst).any(|at| at == (slot, lane));
                             assert_eq!(connected, dst != src);
                             if connected {

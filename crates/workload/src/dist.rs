@@ -5,13 +5,13 @@
 //! CDFs; we encode piecewise-linear CDFs that preserve the statistics the
 //! NegotiaToR paper itself relies on:
 //!
-//! * **Hadoop** (Meta [41], §4.1): "60% of the flows are less than 1 KB,
+//! * **Hadoop** (Meta \[41\], §4.1): "60% of the flows are less than 1 KB,
 //!   while more than 80% of the bits are from elephant flows larger than
 //!   100 KB" — a heavily tailed mix; mice dominate the flow count,
 //!   elephants the byte count.
-//! * **Web search** (DCTCP [1], §4.4): "more than 80% flows exceed 10 KB" —
+//! * **Web search** (DCTCP \[1\], §4.4): "more than 80% flows exceed 10 KB" —
 //!   the heavy workload.
-//! * **Google** ([34, 46], §4.4): "more than 80% flows are less than 1 KB"
+//! * **Google** (\[34, 46\], §4.4): "more than 80% flows are less than 1 KB"
 //!   — the light, mice-dominated workload.
 //!
 //! Sampling inverts the CDF with linear interpolation inside each segment,
@@ -47,7 +47,7 @@ impl FlowSizeDist {
         FlowSizeDist { name, points }
     }
 
-    /// Meta Hadoop-cluster trace [41] (the paper's default workload).
+    /// Meta Hadoop-cluster trace \[41\] (the paper's default workload).
     pub fn hadoop() -> Self {
         Self::from_points(
             "hadoop",
@@ -68,7 +68,7 @@ impl FlowSizeDist {
         )
     }
 
-    /// DCTCP web-search trace [1] (heavy: most flows exceed 10 KB).
+    /// DCTCP web-search trace \[1\] (heavy: most flows exceed 10 KB).
     pub fn web_search() -> Self {
         Self::from_points(
             "web-search",
@@ -89,7 +89,7 @@ impl FlowSizeDist {
         )
     }
 
-    /// Aggregated Google-datacenter traffic [34, 46] (light: mice-dominated).
+    /// Aggregated Google-datacenter traffic \[34, 46\] (light: mice-dominated).
     pub fn google() -> Self {
         Self::from_points(
             "google",

@@ -43,9 +43,10 @@ fn finish(mut s: NegotiatorSim, t: &FlowTrace) -> (RunReport, SchedStats) {
 }
 
 /// Satellite property: gray-failure drop decisions are identical across
-/// `--workers 1/8`. The gray window forces the whole-fabric observed
-/// predefined phase, but the epoch-start steps stay sharded, so the whole
-/// report — including the control-drop counter — must match byte for byte.
+/// `--workers 1/8`. Gray epochs run the same sharded predefined phase as
+/// healthy ones, with each visited connection checked, plus the
+/// detector's pass over the dummies, so the whole report — including the
+/// control-drop counter — must match byte for byte.
 #[test]
 fn gray_runs_are_identical_at_any_worker_count() {
     let t = trace(61);
@@ -181,9 +182,10 @@ fn flap_and_partition_runs_are_identical_at_any_worker_count() {
 /// The fault families on the 70-ToR × 4-port parallel fabric, whose pairs
 /// at distance 1 and 2 meet twice a round (two lanes per pair) and whose
 /// non-empty bitmap ends in a partial word: flapping links, a partition,
-/// a gray window and a greedy granter, staggered so that observed and
-/// healthy predefined phases alternate over the same lane masks. Report
-/// and counters must match at every shard count.
+/// a gray window and a greedy granter, staggered so that fault epochs,
+/// where the predefined phase checks each connection it visits, and
+/// healthy ones alternate over the same lane masks. Report and counters
+/// must match at every shard count.
 #[test]
 fn odd_fabric_fault_runs_are_identical_at_any_worker_count() {
     let net = NetworkConfig {

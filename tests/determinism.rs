@@ -188,9 +188,9 @@ fn variant_reports_are_identical_at_any_worker_count() {
     }
 }
 
-/// A run that crosses failure epochs mixes engine paths — epoch-start
-/// steps stay sharded while the predefined phase falls back to the
-/// whole-fabric observed loop — and must still be worker-independent.
+/// A run that crosses failure epochs — the sharded predefined phase
+/// checking each connection it visits, the detector reading the dummies
+/// after each of those epochs — must still be worker-independent.
 #[test]
 fn failure_runs_are_identical_at_any_worker_count() {
     use negotiator::FaultAction;
@@ -223,9 +223,9 @@ fn failure_runs_are_identical_at_any_worker_count() {
 /// 4 ports on the parallel network: 70 bits leave the non-empty bitmap's
 /// second word partial, and `⌈69/4⌉·4 = 72` offsets wrap past 70, so the
 /// pairs at distance 1 and 2 meet twice a round and own two lanes each. A
-/// link failure and, later, a gray window force observed predefined
-/// phases between healthy ones: both kinds of epoch run over the same
-/// lane masks, which only the healthy ones maintain. Every scheduler mode
+/// link failure and, later, a gray window put fault epochs between
+/// healthy ones: both kinds of epoch walk and maintain the same lane
+/// masks. Every scheduler mode
 /// must stay byte-identical at any shard count (debug builds also check
 /// the masks against the queues every epoch, `debug_verify_mirrors`).
 #[test]

@@ -11,9 +11,9 @@
 //! Arbiter state is held to the same standard with a byte count: a ring is
 //! its pointer and a closed-form scope, so what a fabric's GRANT and ACCEPT
 //! arbiters allocate per ToR does not depend on the number of ToRs. So is
-//! the observed predefined phase — the one an epoch with a failure, an
-//! exclusion or a gray drop runs: it walks the schedule's closed form, so
-//! a failure costs a large fabric visits, not a table of its schedule.
+//! the detector's pass over the dummies — the one an epoch with a failure,
+//! an exclusion or a gray drop adds: it walks the schedule's closed form,
+//! so a failure costs a large fabric visits, not a table of its schedule.
 //!
 //! Queue state is held to it with the same byte count, in both engines: a
 //! pair is list heads and tails in zero-initialized tables and its segments
