@@ -37,6 +37,9 @@ pub struct RunFrame {
     /// Flight recorder (`None` = tracing off: one branch per tick).
     recorder: Option<Box<FlightRecorder>>,
     tracker: Option<FlowTracker>,
+    /// Flows the finished run never injected: those arriving after the
+    /// last tick it played.
+    not_injected: usize,
     ran_duration: Nanos,
     ran: bool,
 }
@@ -52,6 +55,7 @@ impl RunFrame {
             probe: None,
             recorder: None,
             tracker: None,
+            not_injected: 0,
             ran_duration: 0,
             ran: false,
         }
@@ -95,6 +99,14 @@ impl RunFrame {
     /// Per-flow tracker of the completed run.
     pub fn tracker(&self) -> &FlowTracker {
         self.tracker.as_ref().expect("call run() first")
+    }
+
+    /// How many of the trace's flows the finished run never injected: the
+    /// last ones, arriving after the last tick it played. Their bytes are
+    /// offered but neither delivered nor queued — the term that closes
+    /// `offered = delivered + backlog + in flight + not injected + lost`.
+    pub fn not_injected(&self) -> usize {
+        self.not_injected
     }
 
     /// Build a report restricted to flows where `tags[id]` is true
@@ -262,6 +274,7 @@ pub fn run<E: EpochEngine>(engine: &mut E, trace: &FlowTrace, duration: Nanos) -
     if engine.probe.is_some() {
         snapshot(engine, &tracker, None, tick);
     }
+    engine.not_injected = flows.len() - cursor;
     engine.tracker = Some(tracker);
     engine.report(trace, None)
 }

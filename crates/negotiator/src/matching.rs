@@ -36,12 +36,17 @@ pub struct Accept {
 /// Parallel network: a single ring shared by all ports (Figure 3(b)).
 /// Thin-clos: one ring per ingress port over that port's source group
 /// (Figure 3(c)).
+///
+/// Each port goes to the usable requester nearest its ring's pointer,
+/// ports in ascending order — what one [`Ring::pick`] per port over the
+/// requesters usable on it gives, and what [`GrantArbiter::grant_into`]
+/// gives bit for bit in one [`Ring::sweep`] per ring.
 #[derive(Debug, Clone)]
 pub struct GrantArbiter {
     shared: bool,
     /// One ring when `shared`, else one per port.
     rings: Vec<Ring>,
-    /// Reused per-port candidate buffer (no per-call allocation).
+    /// Reused per-port candidate buffer of the fallback scan.
     filtered: Vec<usize>,
 }
 
@@ -69,40 +74,88 @@ impl GrantArbiter {
         requests: &[usize],
         usable: impl FnMut(usize, usize) -> bool,
     ) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        self.grant_into(n_ports, requests, usable, &mut out);
+        let (mut marks, mut out) = (Vec::new(), Vec::new());
+        self.grant_into(n_ports, requests, usable, &mut marks, &mut out);
         out
     }
 
-    /// [`GrantArbiter::grant`] writing into a caller-owned buffer, so the
-    /// epoch hot path can reuse one allocation across every destination
-    /// (`out` is cleared first).
+    /// [`GrantArbiter::grant`] writing into caller-owned buffers, so the
+    /// epoch hot path can reuse them across every destination: `out` is
+    /// cleared first, and `marks` is a ToR-id bitmap, clear on entry and
+    /// on return, grown to the largest requester id.
+    ///
+    /// Each requester is marked once (duplicates are harmless). Each ring
+    /// then sweeps its members once, clockwise from its pointer, for the
+    /// picks of the ports it serves — all of them for the shared ring,
+    /// cycling through the requesters when there are fewer than ports;
+    /// its own port for a thin-clos one. The first pick `usable` refuses
+    /// hands that port and the ring's later ones to the per-port scan:
+    /// one [`Ring::pick`] over the requests usable on the port. Returns
+    /// the candidates looked at: every request marked, plus every request
+    /// each fallback port filtered.
+    // lint: hot-path
     pub fn grant_into(
         &mut self,
         n_ports: usize,
         requests: &[usize],
         mut usable: impl FnMut(usize, usize) -> bool,
+        marks: &mut Vec<u64>,
         out: &mut Vec<(usize, usize)>,
-    ) {
+    ) -> u64 {
         out.clear();
         if requests.is_empty() {
-            return;
+            return 0;
         }
-        self.filtered.clear();
+        for &src in requests {
+            if src / 64 >= marks.len() {
+                marks.resize(src / 64 + 1, 0);
+            }
+            marks[src / 64] |= 1 << (src % 64);
+        }
+        let mut scanned = requests.len() as u64;
+        let per_ring = if self.shared { n_ports } else { 1 };
         let mut filtered = std::mem::take(&mut self.filtered);
-        for port in 0..n_ports {
-            filtered.clear();
-            filtered.extend(requests.iter().copied().filter(|&s| usable(s, port)));
-            let ring = if self.shared {
-                &mut self.rings[0]
-            } else {
-                &mut self.rings[port]
-            };
-            if let Some(src) = ring.pick(&filtered) {
-                out.push((src, port));
+        for (first, ring) in (0..n_ports).step_by(per_ring.max(1)).zip(&mut self.rings) {
+            let want = per_ring.min(n_ports - first);
+            let base = out.len();
+            // lint: allow(H001) `out` is the caller's scratch; it keeps its capacity
+            let found = ring.sweep(marks, want, |src| out.push((src, first)));
+            if found == 0 {
+                continue; // no requester in this ring: no port of it is granted
+            }
+            let mut taken = 0;
+            while taken < want {
+                let (src, port) = (out[base + taken % found].0, first + taken);
+                if !usable(src, port) {
+                    break;
+                }
+                if taken < found {
+                    out[base + taken].1 = port;
+                } else {
+                    // lint: allow(H001) `out` is the caller's scratch; it keeps its capacity
+                    out.push((src, port));
+                }
+                taken += 1;
+            }
+            out.truncate(base + taken);
+            if taken > 0 {
+                ring.advance_past(out[base + taken - 1].0);
+            }
+            for port in first + taken..first + want {
+                filtered.clear();
+                filtered.extend(requests.iter().copied().filter(|&s| usable(s, port)));
+                scanned += requests.len() as u64;
+                if let Some(src) = ring.pick(&filtered) {
+                    // lint: allow(H001) `out` is the caller's scratch; it keeps its capacity
+                    out.push((src, port));
+                }
             }
         }
         self.filtered = filtered;
+        for &src in requests {
+            marks[src / 64] = 0;
+        }
+        scanned
     }
 }
 

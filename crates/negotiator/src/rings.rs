@@ -6,7 +6,8 @@
 //! candidate subset selects the candidate closest clockwise from the
 //! pointer, then advances the pointer to just past the winner — RRM's
 //! "least recently granted first" rule, which the paper adopts for fairness
-//! and starvation freedom.
+//! and starvation freedom. [`Ring::sweep`] makes a run of picks over one
+//! candidate set in a single pass, which is how GRANT fills a ToR's ports.
 
 use sim::Xoshiro256;
 use topology::RingScope;
@@ -111,6 +112,76 @@ impl Ring {
         self.pointer = if slot + 1 == len { 0 } else { slot + 1 };
         Some(self.member_at(slot))
     }
+
+    /// The members marked in `marks` — a ToR-id bitmap, bit `id % 64` of
+    /// word `id / 64`, ids past its end unmarked — clockwise from the
+    /// pointer: `found` gets each in turn until `want` are found or the
+    /// ring has been swept once. Returns how many were found.
+    ///
+    /// These are the picks successive [`Ring::pick`] calls over the marked
+    /// set would make until they start over: with `k` members marked, pick
+    /// `i` is the `i % k`-th found. The pointer stays put;
+    /// [`Ring::advance_past`] the last pick taken moves it where those
+    /// picks would have left it. One pass over the ring's id window,
+    /// O(span / 64 + found), however many picks it stands for.
+    pub fn sweep(&self, marks: &[u64], want: usize, mut found: impl FnMut(usize)) -> usize {
+        let first = self.pointer_member();
+        let end = (self.start + self.span) as usize;
+        let mut count = 0;
+        for (lo, hi) in [(first, end), (self.start as usize, first)] {
+            if count == want {
+                break;
+            }
+            count = self.sweep_ids(marks, lo, hi, want, count, &mut found);
+        }
+        count
+    }
+
+    /// [`Ring::sweep`] over the ids `lo..hi`, `count` of `want` found so far.
+    fn sweep_ids(
+        &self,
+        marks: &[u64],
+        lo: usize,
+        hi: usize,
+        want: usize,
+        mut count: usize,
+        found: &mut impl FnMut(usize),
+    ) -> usize {
+        if lo >= hi {
+            return count;
+        }
+        let last = (hi - 1) / 64;
+        let mut w = lo / 64;
+        let mut word = marks.get(w).copied().unwrap_or(0) & (!0u64 << (lo % 64));
+        loop {
+            if w == last {
+                word &= !0u64 >> (63 - (hi - 1) % 64);
+            }
+            while word != 0 {
+                let id = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if id != self.skip as usize {
+                    found(id);
+                    count += 1;
+                    if count == want {
+                        return count;
+                    }
+                }
+            }
+            if w == last {
+                return count;
+            }
+            w += 1;
+            word = marks.get(w).copied().unwrap_or(0);
+        }
+    }
+
+    /// Move the pointer as a [`Ring::pick`] of `member` would: to just past
+    /// it.
+    pub fn advance_past(&mut self, member: usize) {
+        let slot = self.slot_of(member).expect("advance past a ring member");
+        self.pointer = if slot + 1 == self.len { 0 } else { slot + 1 };
+    }
 }
 
 #[cfg(test)]
@@ -214,6 +285,51 @@ mod tests {
                 );
                 assert_eq!(ring.pointer_member(), oracle.pointer_member());
             }
+        }
+    }
+
+    #[test]
+    fn a_sweep_finds_the_picks_successive_picks_make() {
+        let mut gen = Xoshiro256::new(0x5eed);
+        for case in 0..300 {
+            let start = gen.index(140);
+            let span = 1 + gen.index(150);
+            let skip = gen.index(start + span + 8);
+            let scope = RingScope { start, span, skip };
+            if scope.is_empty() {
+                continue;
+            }
+            let mut ring = Ring::new(scope, &mut Xoshiro256::new(gen.next_u64()));
+            // Marks inside and beyond the window, the skipped id included.
+            let limit = start + span + 70;
+            let marked: Vec<usize> = (0..gen.index(20)).map(|_| gen.index(limit)).collect();
+            let mut marks = vec![0u64; limit.div_ceil(64) - gen.index(2)];
+            for &id in &marked {
+                if let Some(word) = marks.get_mut(id / 64) {
+                    *word |= 1 << (id % 64);
+                }
+            }
+            let want = gen.index(12);
+            let mut found = Vec::new();
+            let k = ring.sweep(&marks, want, |m| found.push(m));
+            assert_eq!(k, found.len());
+            let candidates: Vec<usize> = marked
+                .into_iter()
+                .filter(|&id| marks.get(id / 64).is_some())
+                .collect();
+            let mut oracle = ring.clone();
+            for i in 0..want {
+                let pick = oracle.pick(&candidates);
+                assert_eq!(pick, (k > 0).then(|| found[i % k]), "case {case} pick {i}");
+            }
+            if want > 0 && k > 0 {
+                ring.advance_past(found[(want - 1) % k]);
+            }
+            assert_eq!(
+                ring.pointer_member(),
+                oracle.pointer_member(),
+                "case {case}"
+            );
         }
     }
 

@@ -252,6 +252,9 @@ struct SimScratch {
     srcs: Vec<usize>,
     /// GRANT output pairs.
     grant_pairs: Vec<(usize, usize)>,
+    /// GRANT's requester bitmap over ToR ids, clear between destinations
+    /// ([`GrantArbiter::grant_into`]).
+    grant_marks: Vec<u64>,
     /// Mutable request values (informative GRANT).
     vals: Vec<(usize, f64)>,
     /// Per-port usable subset of `vals`.
@@ -589,6 +592,7 @@ impl<'a> SrcRows<'a> {
                 });
             } else {
                 stats.lost_packets += 1;
+                stats.lost_bytes += pkt.bytes;
             }
         } else {
             stats.overscheduled_slots += 1;

@@ -421,6 +421,7 @@ struct GrantCtx<'a> {
     grant_arbs: &'a mut [GrantArbiter],
     matrices: &'a mut [DemandMatrix],
     scratch: &'a mut SimScratch,
+    stats: &'a mut SchedStats,
     out: GrantOut<'a>,
 }
 
@@ -623,6 +624,9 @@ impl NegotiatorSim {
     /// demand matrices, outgoing grant lists and the lane masks of the
     /// granter's connections are all granter-row state; the dirty-index
     /// merge concatenates lanes in shard order, i.e. granter-ascending.
+    /// The ring modes arbitrate a destination in one pass over its
+    /// requests ([`GrantArbiter::grant_into`]) through the shard's
+    /// requester bitmap, which every destination leaves clear.
     pub(super) fn step_grant(&mut self, epoch: u64) {
         self.clear_grant_buckets();
         let shards = shard::partition(self.n, self.par_workers());
@@ -670,6 +674,7 @@ impl NegotiatorSim {
                     grant_arbs,
                     matrices,
                     scratch: &mut lane.scratch,
+                    stats: &mut lane.stats,
                     out: GrantOut {
                         shard,
                         n,
@@ -689,18 +694,21 @@ impl NegotiatorSim {
                     grant_arbs,
                     matrices,
                     scratch,
+                    stats,
                     mut out,
                 } = ctx;
                 let SimScratch {
                     reqs,
                     srcs,
                     grant_pairs,
+                    grant_marks,
                     vals,
                     usable_vals,
                     preqs,
                     ..
                 } = scratch;
                 #[allow(clippy::needless_range_loop)] // dst drives several arrays
+                // lint: hot-path
                 for dst in shard.start..shard.end {
                     let row = dst - shard.start;
                     reqs.clear();
@@ -712,6 +720,7 @@ impl NegotiatorSim {
                         // round-robin.
                         for port in 0..s {
                             if let Some(src) = greedy::greedy_source(topo, n, epoch, dst, port) {
+                                // lint: allow(H001) grant lists keep their capacity across epochs
                                 out.push(dst, src, port, 0);
                             }
                         }
@@ -737,13 +746,15 @@ impl NegotiatorSim {
                         SchedulerMode::Base | SchedulerMode::Iterative { .. } => {
                             srcs.clear();
                             srcs.extend(reqs.iter().map(|r| r.src));
-                            grant_arbs[row].grant_into(
+                            stats.grant_candidates_scanned += grant_arbs[row].grant_into(
                                 s,
                                 srcs,
                                 |src, port| detector.usable(src, dst, port),
+                                grant_marks,
                                 grant_pairs,
                             );
                             for &(src, port) in grant_pairs.iter() {
+                                // lint: allow(H001) grant lists keep their capacity across epochs
                                 out.push(dst, src, port, 0);
                             }
                         }
@@ -757,14 +768,16 @@ impl NegotiatorSim {
                             if srcs.is_empty() {
                                 continue;
                             }
-                            grant_arbs[row].grant_into(
+                            stats.grant_candidates_scanned += grant_arbs[row].grant_into(
                                 s,
                                 srcs,
                                 |src, port| detector.usable(src, dst, port),
+                                grant_marks,
                                 grant_pairs,
                             );
                             for &(src, port) in grant_pairs.iter() {
                                 let debit = matrices[row].debit(src, epoch_capacity);
+                                // lint: allow(H001) grant lists keep their capacity across epochs
                                 out.push(dst, src, port, debit);
                             }
                         }
@@ -798,6 +811,7 @@ impl NegotiatorSim {
                                     } else {
                                         -1.0 - v.1.abs() // strictly below fresh requests
                                     };
+                                    // lint: allow(H001) grant lists keep their capacity across epochs
                                     out.push(dst, src, port, 0);
                                 }
                             }
@@ -815,6 +829,7 @@ impl NegotiatorSim {
                                     }),
                             );
                             for (src, port) in projector::grant_by_waiting(s, preqs) {
+                                // lint: allow(H001) grant lists keep their capacity across epochs
                                 out.push(dst, src, port, 0);
                             }
                         }
@@ -824,6 +839,7 @@ impl NegotiatorSim {
         }
         for lane in lanes.iter() {
             self.grant_dirty.extend_from_slice(&lane.dirty);
+            self.stats += lane.stats;
         }
         if self.opts.selective_relay {
             self.relay_grant_step();
@@ -1060,6 +1076,7 @@ impl NegotiatorSim {
                                         // Recovery is an upper-layer (TCP)
                                         // concern.
                                         stats.lost_packets += 1;
+                                        stats.lost_bytes += pkt.bytes;
                                     }
                                 }
                                 // Nothing left to say: the pair's other
@@ -1221,6 +1238,7 @@ impl NegotiatorSim {
                             stats.overscheduled_slots += (k_slots - packets.len()) as u64;
                             if !failures.link_up(src, dst, port) {
                                 stats.lost_packets += packets.len() as u64;
+                                stats.lost_bytes += packets.iter().map(|p| p.bytes).sum::<u64>();
                                 continue;
                             }
                             for (k, pkt) in packets.iter().enumerate() {

@@ -33,6 +33,8 @@ pub struct SchedStats {
     pub unmatched_slots: u64,
     /// Packets transmitted into a ground-truth-failed link and lost.
     pub lost_packets: u64,
+    /// Payload bytes of the packets in `lost_packets`.
+    pub lost_bytes: u64,
     /// Control messages (requests, grants, relay traffic and the per-
     /// connection dummy) dropped by an active gray failure. Data packets
     /// are never in this count — a gray link stays up for data.
@@ -45,6 +47,11 @@ pub struct SchedStats {
     /// a scheduling message); an epoch that was not healthy adds every
     /// connection of its round once more, for the detector's dummies.
     pub predefined_conns_visited: u64,
+    /// Work counter: requesters GRANT looked at — each request it marks in
+    /// its bitmap, plus each request a port's fallback scan filters (a
+    /// port whose sweep pick the detector or an earlier iterative round
+    /// refused). At most `requests_sent` on a healthy fabric.
+    pub grant_candidates_scanned: u64,
 }
 
 impl std::ops::AddAssign for SchedStats {
@@ -61,9 +68,11 @@ impl std::ops::AddAssign for SchedStats {
         self.overscheduled_slots += o.overscheduled_slots;
         self.unmatched_slots += o.unmatched_slots;
         self.lost_packets += o.lost_packets;
+        self.lost_bytes += o.lost_bytes;
         self.control_dropped += o.control_dropped;
         self.request_pairs_scanned += o.request_pairs_scanned;
         self.predefined_conns_visited += o.predefined_conns_visited;
+        self.grant_candidates_scanned += o.grant_candidates_scanned;
     }
 }
 

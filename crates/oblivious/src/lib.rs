@@ -23,13 +23,17 @@
 //!   queue based prioritization does not apply to data at intermediate
 //!   nodes"; relay queues are plain FIFO, which is exactly why elephants
 //!   block mice at intermediates.
-//! * First-KB (mice) chunks are bound to a uniformly random intermediate at
-//!   arrival, as in per-packet VLB; bulk data is spread lazily across
-//!   whatever intermediate the rotor offers next, which realizes the same
-//!   uniform spreading without materializing per-chunk state.
-//! * Congestion control for relay buffers: a source does not inject
-//!   first-hop traffic toward an intermediate whose relay backlog exceeds
-//!   the buffer cap (standing in for Sirius's credit-based flow control).
+//! * Every byte is bound at arrival to a uniformly random intermediate, as
+//!   in VLB. The mice levels — PIAS levels 0 and 1, a flow's first 10 KB —
+//!   are bound per packet; bulk (level 2) per bundle of
+//!   [`ObliviousConfig::bundle_chunks`] packets, which spreads it as
+//!   uniformly with far fewer segments to keep. Without priority queues
+//!   every byte is bulk.
+//! * Congestion control for relay buffers: a source does not inject bulk
+//!   toward an intermediate whose relay buffer for the final destination
+//!   has no credit left (standing in for Sirius's credit-based flow
+//!   control). Mice are sent regardless: their volume is small, and the
+//!   flow control keeps headroom for them.
 
 pub mod config;
 pub mod sim;

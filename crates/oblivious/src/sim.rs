@@ -284,6 +284,13 @@ impl ObliviousSim {
         self.rx_transit.get(dst)
     }
 
+    /// Bytes of the first hops in flight: sent by a source, not yet landed
+    /// at their intermediate. Neither delivered nor in any queue's backlog.
+    pub fn inflight_bytes(&self) -> u64 {
+        let chunks = self.q.inflight.iter().flatten();
+        chunks.map(|c| c.seg.bytes as u64).sum()
+    }
+
     /// The run's work counters so far.
     pub fn stats(&self) -> RotorStats {
         self.stats

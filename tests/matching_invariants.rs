@@ -80,8 +80,98 @@ fn one_cycle(
     out
 }
 
+/// GRANT as one [`Ring::pick`] per port over the requests usable on it:
+/// the reference [`GrantArbiter::grant_into`]'s sweep must match. `rings`
+/// are built like the arbiter's: one shared ring, or one per port.
+fn grant_per_port(
+    rings: &mut [Ring],
+    n_ports: usize,
+    requests: &[usize],
+    usable: impl Fn(usize, usize) -> bool,
+) -> Vec<(usize, usize)> {
+    let shared = rings.len() == 1;
+    let mut out = Vec::new();
+    for port in 0..n_ports {
+        let filtered: Vec<usize> = requests
+            .iter()
+            .copied()
+            .filter(|&src| usable(src, port))
+            .collect();
+        let ring = if shared {
+            &mut rings[0]
+        } else {
+            &mut rings[port]
+        };
+        if let Some(src) = ring.pick(&filtered) {
+            out.push((src, port));
+        }
+    }
+    out
+}
+
+/// The 70-ToR × 4-port parallel fabric, whose pairs at distance 1 and 2
+/// meet twice a round and whose ToR ids end in a partial bitmap word.
+fn odd_fabric() -> NetworkConfig {
+    NetworkConfig {
+        n_tors: 70,
+        n_ports: 4,
+        ..NetworkConfig::small_for_tests()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one-pass GRANT picks what the per-port scan picks, call after
+    /// call, so its ring pointers move alike too: on both topologies and
+    /// the 70 × 4 fabric, over random request subsets with duplicates
+    /// (and the destination itself, no ring member), with random `usable`
+    /// masks that send ports to the fallback scan. The work it reports is
+    /// one candidate per request unless a port fell back.
+    #[test]
+    fn one_pass_grant_matches_the_per_port_scan(
+        net in arb_net(),
+        kind in arb_kind(),
+        odd in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (kind, net) = if odd { (TopologyKind::Parallel, odd_fabric()) } else { (kind, net) };
+        let topo = AnyTopology::build(kind, net.clone());
+        let (n, s) = (net.n_tors, net.n_ports);
+        let mut gen = Xoshiro256::new(seed);
+        let dst = gen.index(n);
+        let ring_seed = gen.next_u64();
+        let mut arb = GrantArbiter::new(&topo, dst, &mut Xoshiro256::new(ring_seed));
+        let mut rng = Xoshiro256::new(ring_seed);
+        let n_rings = if topo.shared_grant_ring() { 1 } else { s };
+        let mut rings: Vec<Ring> = (0..n_rings)
+            .map(|p| Ring::new(topo.grant_scope(dst, p), &mut rng))
+            .collect();
+        let (mut marks, mut out) = (Vec::new(), Vec::new());
+        for call in 0..24 {
+            let requests: Vec<usize> = (0..gen.index(2 * n + 1)).map(|_| gen.index(n)).collect();
+            // All usable, a random (src, port) mask, or whole ports refused.
+            let mask_kind = gen.index(3);
+            let reject = gen.next_f64() * 0.6;
+            let refused: Vec<bool> = (0..n * s)
+                .map(|i| match mask_kind {
+                    0 => false,
+                    1 => gen.next_f64() < reject,
+                    _ => i % s == gen.index(s) && gen.index(2) == 0,
+                })
+                .collect();
+            let usable = |src: usize, port: usize| !refused[src * s + port];
+            let want = grant_per_port(&mut rings, s, &requests, usable);
+            let scanned = arb.grant_into(s, &requests, usable, &mut marks, &mut out);
+            prop_assert_eq!(&out, &want, "call {} requests {:?}", call, requests);
+            prop_assert!(marks.iter().all(|&w| w == 0), "marks left set");
+            let fallbacks = (scanned as usize - requests.len()) / requests.len().max(1);
+            prop_assert_eq!(scanned as usize, requests.len() * (1 + fallbacks));
+            if mask_kind == 0 {
+                prop_assert_eq!(fallbacks, 0);
+            }
+        }
+    }
 
     /// Any request pattern on any topology yields a collision-free matching.
     #[test]

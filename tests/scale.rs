@@ -1,8 +1,9 @@
 //! Epoch work tracks traffic, not fabric size: REQUEST and the healthy
 //! predefined phase look only at pairs that have backlog or scheduling
 //! messages (`negotiator`'s live-pair state), so the same traffic costs
-//! the same pair visits on a fabric four times the size. The two work
-//! counters in `SchedStats` make that checkable without a clock.
+//! the same pair visits on a fabric four times the size, and GRANT looks
+//! at each request once, not once per port. The work counters in
+//! `SchedStats` make that checkable without a clock.
 //!
 //! The oblivious rotor is held to the same standard: a slot visits the
 //! connections whose pair has something queued, not all `n · S`, and
@@ -45,6 +46,7 @@ use sim::Xoshiro256;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
+use topology::failures::LinkDir;
 use topology::{AnyTopology, FaultAction, NetworkConfig, TopologyKind};
 use workload::{Flow, FlowSizeDist, FlowTrace, IncastWorkload, PoissonWorkload, WorkloadSpec};
 
@@ -459,6 +461,73 @@ fn pair_visits_track_activity_not_fabric_size() {
             );
         }
     }
+}
+
+/// GRANT looks at each request once: a dense all-to-all, every pair
+/// backlogged so that every pair requests every epoch, on 32 × 8 parallel
+/// and thin-clos. On a healthy fabric the candidates GRANT scans are the
+/// requests sent but the last epoch's, which are still in flight; a scan
+/// of the requests per port was `S ×` that. With one egress link excluded
+/// by the detector, every sweep pick that lands on it sends the shared
+/// ring's remaining ports to the per-port scan, and the counter shows it.
+/// (On thin-clos the exclusion covers the one port its pairs' requests
+/// ride, so no request it could refuse arrives.)
+#[test]
+fn grant_scans_each_request_once() {
+    let net = NetworkConfig {
+        n_tors: 32,
+        ..NetworkConfig::paper_default()
+    };
+    let n = net.n_tors;
+    let flows: Vec<Flow> = (0..n * n)
+        .filter(|i| i / n != i % n)
+        .enumerate()
+        .map(|(id, i)| Flow {
+            id: id as u64,
+            src: i / n,
+            dst: i % n,
+            bytes: 1_000_000_000,
+            arrival: 0,
+        })
+        .collect();
+    let trace = FlowTrace::new(flows);
+    let pairs = (n * (n - 1)) as u64;
+    let run = |kind: TopologyKind, fail: bool| {
+        let mut sim = NegotiatorSim::new(NegotiatorConfig::paper_default(net.clone()), kind);
+        let epoch = sim.epoch_len();
+        if fail {
+            let action = FaultAction::FailLink {
+                tor: 5,
+                port: 3,
+                dir: LinkDir::Egress,
+            };
+            sim.schedule_fault(0, action);
+        }
+        sim.run(&trace, 100 * epoch);
+        *sim.stats()
+    };
+    for kind in [TopologyKind::Parallel, TopologyKind::ThinClos] {
+        let st = run(kind, false);
+        assert_eq!(
+            st.requests_sent,
+            100 * pairs,
+            "{kind:?}: every pair requests"
+        );
+        assert!(
+            st.grant_candidates_scanned <= st.requests_sent
+                && st.grant_candidates_scanned + pairs >= st.requests_sent,
+            "{kind:?}: GRANT scanned {} candidates for {} requests",
+            st.grant_candidates_scanned,
+            st.requests_sent
+        );
+    }
+    let st = run(TopologyKind::Parallel, true);
+    assert!(
+        st.grant_candidates_scanned > st.requests_sent,
+        "the fallback scans must count ({} candidates, {} requests)",
+        st.grant_candidates_scanned,
+        st.requests_sent
+    );
 }
 
 /// One incast trace confined to ToRs 0..64 — a 40-to-1 burst of 50 kB
