@@ -32,12 +32,6 @@ impl MatchRatioRecorder {
         self.per_epoch.is_empty()
     }
 
-    /// Match ratio of epoch `i` (`None` when that epoch issued no grants).
-    pub fn epoch_ratio(&self, i: usize) -> Option<f64> {
-        let (g, a) = self.per_epoch[i];
-        (g > 0).then(|| a as f64 / g as f64)
-    }
-
     /// Overall accepts/grants across all epochs with activity.
     pub fn overall_ratio(&self) -> Option<f64> {
         let (g, a) = self
@@ -76,8 +70,6 @@ mod tests {
         r.record_epoch(10, 6);
         r.record_epoch(0, 0);
         r.record_epoch(10, 8);
-        assert_eq!(r.epoch_ratio(0), Some(0.6));
-        assert_eq!(r.epoch_ratio(1), None);
         assert_eq!(r.overall_ratio(), Some(0.7));
         assert_eq!(r.series(), vec![(0, 0.6), (2, 0.8)]);
         assert_eq!(r.len(), 3);

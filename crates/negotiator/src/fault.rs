@@ -102,12 +102,6 @@ impl FaultDetector {
             && !self.egress_excluded.iter().any(|&x| x)
             && !self.ingress_excluded.iter().any(|&x| x)
     }
-
-    /// Number of currently excluded directed links.
-    pub fn excluded_count(&self) -> usize {
-        self.egress_excluded.iter().filter(|&&x| x).count()
-            + self.ingress_excluded.iter().filter(|&&x| x).count()
-    }
 }
 
 #[cfg(test)]
@@ -156,6 +150,5 @@ mod tests {
         assert!(!d.usable(0, 1, 0), "src egress excluded");
         assert!(!d.usable(1, 3, 0), "dst ingress excluded");
         assert!(d.usable(1, 2, 0));
-        assert_eq!(d.excluded_count(), 2);
     }
 }

@@ -223,18 +223,6 @@ impl AcceptArbiter {
     }
 }
 
-/// ToR-level REQUEST (§3.2.1 + the §3.4.1 threshold): a source requests
-/// every destination whose per-destination queue holds more than
-/// `threshold_bytes` (strictly; zero threshold means "any pending data").
-pub fn compute_requests(
-    queue_bytes: impl Iterator<Item = (usize, u64)>,
-    threshold_bytes: u64,
-) -> Vec<usize> {
-    queue_bytes
-        .filter_map(|(dst, bytes)| (bytes > threshold_bytes).then_some(dst))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,13 +234,6 @@ mod tests {
 
     fn thin() -> AnyTopology {
         AnyTopology::build(TopologyKind::ThinClos, NetworkConfig::small_for_tests())
-    }
-
-    #[test]
-    fn requests_respect_threshold() {
-        let q = [(1usize, 0u64), (2, 100), (3, 1_785), (4, 1_786)];
-        assert_eq!(compute_requests(q.iter().copied(), 1_785), vec![4]);
-        assert_eq!(compute_requests(q.iter().copied(), 0), vec![2, 3, 4]);
     }
 
     #[test]

@@ -27,13 +27,15 @@
 //! recorder, report — is [`metrics::frame`], shared with the oblivious
 //! engine; this file supplies the epoch ([`EpochEngine::tick`]). Every
 //! phase has exactly one body. The five that are per-ToR work — ACCEPT,
-//! GRANT, REQUEST, the predefined phase and the quiet scheduled phase —
-//! are written in row-window form in `sim/parallel.rs` and run at
-//! whatever shard count `SimOptions::workers` asks for, one shard included.
-//! What stays here is what is whole-fabric by nature: the slot-major
-//! scheduled phase that flow arrivals and relay transmissions force, the
-//! selective-relay steps, iterative matching, and the detector's reading
-//! of the dummies (`observe_epoch`).
+//! GRANT, REQUEST, the predefined phase and the scheduled phase — are
+//! written in row-window form in `sim/parallel.rs` and run at whatever
+//! shard count `SimOptions::workers` asks for, one shard included. In the
+//! scheduled phase each matched queue drains as one batch, split only at
+//! its own pair's arrivals. What stays here is what is whole-fabric by
+//! nature: the selective-relay steps and their slot-major scheduled
+//! phase (a relayed packet lands mid-phase in another ToR's queue),
+//! iterative matching, and the detector's reading of the dummies
+//! (`observe_epoch`).
 //!
 //! Failures change what the predefined phase's dummies report (§3.6.1),
 //! not which connections carry messages and data: one predefined phase
@@ -74,7 +76,9 @@
 //! * in `Stateful`, `enqueued_total` and `reported_total` (8 + 8) and a
 //!   `DemandMatrix` row entry (8);
 //! * under selective relay, the per-pair elephant backlog (8). Its relay
-//!   messages are per-ToR lists and its per-port backlog is per port.
+//!   messages are per-ToR lists, and its per-port tables — the backlog
+//!   sums (8), `active_relay` (32) and `port_granted` (1) — are built
+//!   under relay alone.
 //!
 //! A traced run adds `metrics::trace::FlowSpans`' 12 B. Everything else
 //! is per ToR or per port. `tests/scale.rs`
@@ -261,8 +265,13 @@ struct SimScratch {
     usable_vals: Vec<(usize, f64)>,
     /// Projector port requests.
     preqs: Vec<projector::PortRequest>,
-    /// Batched scheduled-phase packets of one matched port.
+    /// Scheduled-phase packets of one batch of a matched queue.
     packets: Vec<Packet>,
+    /// The ports that serve that queue, ascending.
+    ports: Vec<usize>,
+    /// Mid-phase arrivals of the matched pairs: `(src, dst, index)` into
+    /// the phase's flows, sorted.
+    arrivals: Vec<(u32, u32, u32)>,
 }
 
 /// The per-source data path: every ToR's per-destination queues with the
@@ -448,25 +457,29 @@ impl<'a> SrcRows<'a> {
         while cursor < flows.len() && flows[cursor].arrival <= now {
             let f = &flows[cursor];
             cursor += 1;
-            if f.src < self.shard.start || f.src >= self.shard.end {
-                continue;
+            if (self.shard.start..self.shard.end).contains(&f.src) {
+                self.enqueue(f);
             }
-            self.pairs.enqueue_flow(
-                f.src,
-                f.dst,
-                f.id,
-                f.bytes,
-                f.arrival,
-                self.pias,
-                self.pias_th,
-            );
-            if !self.enqueued_total.is_empty() {
-                let row = self.row(f.src, f.dst);
-                self.enqueued_total[row] += f.bytes;
-            }
-            self.note_enqueue(f.src, f.dst, f.bytes);
         }
         cursor
+    }
+
+    /// Enqueue flow `f`, whose source lies in this window.
+    fn enqueue(&mut self, f: &Flow) {
+        self.pairs.enqueue_flow(
+            f.src,
+            f.dst,
+            f.id,
+            f.bytes,
+            f.arrival,
+            self.pias,
+            self.pias_th,
+        );
+        if !self.enqueued_total.is_empty() {
+            let row = self.row(f.src, f.dst);
+            self.enqueued_total[row] += f.bytes;
+        }
+        self.note_enqueue(f.src, f.dst, f.bytes);
     }
 
     /// Mirror an enqueue into the dense byte counts, the live-pair state
@@ -668,7 +681,7 @@ pub struct NegotiatorSim {
     grant_dirty: Vec<u32>,     // non-empty grant buckets, cleared per epoch
     relay_req_dirty: Vec<u32>, // likewise for the relay buckets
     relay_grant_dirty: Vec<u32>,
-    port_granted: Vec<bool>, // granter * s + port (relay leftover-port check)
+    port_granted: Vec<bool>, // granter * s + port (relay leftover-port check); relay only
     active: Vec<Option<usize>>, // src * s + port -> dst
     /// Dense (src, port)-ordered transmissions of this epoch's scheduled
     /// phase — what the phase iterates instead of all `n · s` slots.
@@ -681,7 +694,7 @@ pub struct NegotiatorSim {
     relay_policy: RelayPolicy,
     relay_reqs_in: Vec<RelayRequest>, // swapped against `inbox_relay_req[via]`
     relay_grants_in: Vec<(usize, usize, usize, u64)>, // against `inbox_relay_grant[src]`
-    active_relay: Vec<Option<(usize, usize, u64)>>, // src*s+port -> (via, final, vol left)
+    active_relay: Vec<Option<(usize, usize, u64)>>, // src*s+port -> (via, final, vol left); relay only
 
     detector: FaultDetector,
 
@@ -698,6 +711,10 @@ pub struct NegotiatorSim {
     /// predefined phase visit every connection of the round.
     #[cfg(test)]
     dense: bool,
+    /// Test oracle: run every scheduled phase through the slot-major walk
+    /// that selective relay uses, instead of the batched body.
+    #[cfg(test)]
+    slot_major: bool,
 }
 
 impl Deref for NegotiatorSim {
@@ -749,6 +766,7 @@ impl NegotiatorSim {
             _ => None,
         };
         let relay_tors = if selective_relay { n } else { 0 };
+        let relay_ports = relay_tors * s;
         let projector = matches!(opts.mode, SchedulerMode::Projector);
         assert!(
             !projector || s < u16::MAX as usize,
@@ -777,7 +795,7 @@ impl NegotiatorSim {
                 words,
                 nonempty: vec![0; n * words],
                 lane_masks: LaneTable::new(PredefinedLanes::new(&topo), n),
-                backlog_by_port: vec![0; if selective_relay { n * s } else { 0 }],
+                backlog_by_port: vec![0; relay_ports],
                 relay_fabric,
                 relay_buffers: (0..n).map(|_| RelayBuffer::default()).collect(),
             },
@@ -815,7 +833,7 @@ impl NegotiatorSim {
             grant_dirty: Vec::new(),
             relay_req_dirty: Vec::new(),
             relay_grant_dirty: Vec::new(),
-            port_granted: vec![false; n * s],
+            port_granted: vec![false; relay_ports],
             active: vec![None; n * s],
             active_list: Vec::with_capacity(n * s),
             matrices: if stateful {
@@ -828,7 +846,7 @@ impl NegotiatorSim {
             relay_policy: RelayPolicy::default_for(epoch_capacity),
             relay_reqs_in: Vec::new(),
             relay_grants_in: Vec::new(),
-            active_relay: vec![None; n * s],
+            active_relay: vec![None; relay_ports],
             detector: FaultDetector::new(n, s),
             host_drain_per_epoch: cfg.net.host_bandwidth.bytes_in(epoch_len),
             match_rec: MatchRatioRecorder::new(),
@@ -836,6 +854,8 @@ impl NegotiatorSim {
             par: parallel::ParState::default(),
             #[cfg(test)]
             dense: false,
+            #[cfg(test)]
+            slot_major: false,
             cfg,
             topo,
             opts,
@@ -993,12 +1013,14 @@ impl NegotiatorSim {
         self.rebuild_active_list();
     }
 
-    /// Collapse `active`/`active_relay` into the dense, (src, port)-ordered
-    /// transmission list the scheduled phase iterates — matched slots only,
-    /// in exactly the order the old full `n · s` sweep visited them.
+    /// Collapse `active` (and, under selective relay, `active_relay`) into
+    /// the dense, (src, port)-ordered transmission list the scheduled
+    /// phase iterates — matched slots only, in exactly the order the old
+    /// full `n · s` sweep visited them.
     // lint: hot-path
     fn rebuild_active_list(&mut self) {
         self.active_list.clear();
+        let relay = self.opts.selective_relay;
         for slot in 0..self.n * self.s {
             if let Some(dst) = self.active[slot] {
                 // lint: allow(H001) pushes into retained capacity — active_list is cleared, never shrunk
@@ -1007,7 +1029,7 @@ impl NegotiatorSim {
                     dst: dst as u32,
                     relay: false,
                 });
-            } else if self.active_relay[slot].is_some() {
+            } else if relay && self.active_relay[slot].is_some() {
                 // lint: allow(H001) pushes into retained capacity — active_list is cleared, never shrunk
                 self.active_list.push(ActiveTx {
                     slot: slot as u32,
@@ -1035,9 +1057,7 @@ impl NegotiatorSim {
             self.msg_flags[i as usize] &= !GRANT_FLAG;
         }
         self.grant_dirty.clear();
-        if self.opts.selective_relay {
-            self.port_granted.fill(false);
-        }
+        self.port_granted.fill(false); // empty outside selective relay
     }
 
     /// Iterative mode: compute the whole multi-round match now, activate it
@@ -1215,6 +1235,15 @@ impl NegotiatorSim {
     // The two phases
     // ------------------------------------------------------------------
 
+    /// The scheduled phase (§3.3): each accepted match sends from its
+    /// per-destination queue until the phase ends. Outside selective relay
+    /// each matched queue drains as one batch ([`Self::scheduled_batched`]).
+    /// Relay runs the slot-major walk below, every matched slot once per
+    /// scheduled slot with that slot's arrivals injected first: a relayed
+    /// packet lands mid-phase in another ToR's queue, which may forward it
+    /// later in the same phase. Slots outside the active list are
+    /// unmatched for the whole phase (arithmetic, not iteration); relay
+    /// slots that drain mid-phase count from then on.
     fn scheduled_phase(
         &mut self,
         flows: &[Flow],
@@ -1228,33 +1257,19 @@ impl NegotiatorSim {
         if k_slots == 0 {
             return cursor;
         }
-        let total_slots = (self.n * self.s) as u64;
         // Arrival time of scheduled slot `k`'s transmissions.
         let clock = SlotClock {
             first: sched_start + slot_len + self.cfg.net.propagation_delay,
             slot_len,
         };
-        cursor = self.q.all().inject(flows, cursor, sched_start);
-
-        // Fast path: no flow arrives during the remaining slots and no
-        // relay transmissions are live, so every matched port can drain its
-        // whole phase in one batch. This is bit-exact, not approximate:
-        // without relays a flow lives in exactly one queue, each queue's
-        // dequeue sequence is preserved (single server batches; multi-port
-        // servers of one queue replay slot order), and the tracker /
-        // bandwidth series accumulate order-insensitively across queues.
-        let quiet = cursor >= flows.len()
-            || flows[cursor].arrival > sched_start + (k_slots as Nanos - 1) * slot_len;
-        if quiet && !self.opts.selective_relay {
-            self.stats.unmatched_slots +=
-                (total_slots - self.active_list.len() as u64) * k_slots as u64;
-            self.scheduled_quiet(clock, tracker);
-            return cursor;
+        #[cfg(test)]
+        let slot_major = self.opts.selective_relay || self.slot_major;
+        #[cfg(not(test))]
+        let slot_major = self.opts.selective_relay;
+        if !slot_major {
+            return self.scheduled_batched(flows, cursor, sched_start, clock, tracker);
         }
-
-        // General path: slot-major over the active list only; slots outside
-        // the list are unmatched for the whole phase (arithmetic, not
-        // iteration), relay slots that drain mid-phase count from then on.
+        let total_slots = (self.n * self.s) as u64;
         let failures = &self.frame.failures;
         let mut rows = self.q.all();
         let mut sink = Sink::Apply {
@@ -1453,6 +1468,7 @@ impl EpochEngine for NegotiatorSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metrics::trace::FlightRecorder;
     use topology::{failures::LinkDir, FlapTargets, NetworkConfig, PartitionSpec};
     use workload::{Flow, FlowSizeDist, FlowTrace, IncastWorkload, PoissonWorkload, WorkloadSpec};
 
@@ -1962,6 +1978,107 @@ mod tests {
             }
             assert!(up < conns, "{fabric:?}: a link is down");
             assert_eq!(sim.stats().control_dropped, up, "{fabric:?}");
+        }
+    }
+
+    /// The batched scheduled phase against the slot-major walk, which
+    /// `slot_major` makes every phase take: Hadoop at 90–100 % load
+    /// (mid-phase arrivals, queues that several ports serve), PIAS on and
+    /// off, a failed-link window that loses scheduled packets, host
+    /// backpressure, one shard and three. Same report, completion of every
+    /// flow, counters and trace.
+    #[test]
+    fn batched_phase_matches_the_slot_major_walk() {
+        let inputs = [
+            (true, 1.0, 1),
+            (false, 0.9, 3),
+            (true, 0.95, 3),
+            (false, 1.0, 1),
+        ];
+        for (kind, n_tors, relay) in FAULT_FABRICS {
+            for (pias, load, workers) in inputs {
+                let play = |slot_major: bool| {
+                    let net = NetworkConfig {
+                        n_tors,
+                        n_ports: 4,
+                        ..NetworkConfig::small_for_tests()
+                    };
+                    let mut cfg = NegotiatorConfig::paper_default(net);
+                    cfg.priority_queues = pias;
+                    let opts = SimOptions {
+                        selective_relay: relay,
+                        host_buffer_bytes: Some(100_000),
+                        workers,
+                        ..SimOptions::default()
+                    };
+                    let mut sim = NegotiatorSim::with_options(cfg, kind, opts);
+                    sim.slot_major = slot_major;
+                    sim.set_recorder(FlightRecorder::with_capacity(1 << 20, n_tors));
+                    let epoch = sim.epoch_len();
+                    let fail = FaultAction::FailRandom {
+                        ratio: 0.1,
+                        seed: 3,
+                    };
+                    sim.schedule_fault(8 * epoch, fail);
+                    sim.schedule_fault(16 * epoch, FaultAction::RepairAll);
+                    let trace = PoissonWorkload::new(WorkloadSpec {
+                        dist: FlowSizeDist::hadoop(),
+                        load,
+                        n_tors,
+                        host_bps: sim.cfg.net.host_bandwidth.bps(),
+                    })
+                    .generate(30 * epoch, 7);
+                    let report = sim.run(&trace, 30 * epoch);
+                    let done: Vec<_> = (0..trace.len() as u64)
+                        .map(|id| sim.tracker().completion(id))
+                        .collect();
+                    let ndjson = sim.take_recorder().unwrap().render_ndjson("negotiator");
+                    (report, done, *sim.stats(), ndjson)
+                };
+                let (batched, walked) = (play(false), play(true));
+                let case = format!("{kind:?} {n_tors} relay {relay} pias {pias} load {load}");
+                assert!(batched.2.lost_packets > 0, "{case}: nothing lost");
+                assert!(batched.0 == walked.0, "{case}: reports differ");
+                assert!(batched.1 == walked.1, "{case}: completions differ");
+                assert_eq!(batched.2, walked.2, "{case}: counters differ");
+                assert!(batched.3 == walked.3, "{case}: traces differ");
+            }
+        }
+    }
+
+    /// PIAS inside a scheduled phase: one elephant pair holds every port of
+    /// its destination, and a 1 KB flow of the same pair arriving after
+    /// scheduled slot `j − 1` starts, and no later than slot `j` starts,
+    /// leaves first, on the run's first port in slot `j`.
+    #[test]
+    fn a_mid_phase_mouse_on_a_multi_port_queue_leaves_at_its_own_slot() {
+        let (epoch_no, j) = (6, 7);
+        for slot_major in [false, true] {
+            let probe = NegotiatorSim::new(small_cfg(), TopologyKind::Parallel);
+            let slot_len = probe.cfg.epoch.scheduled_slot;
+            let sched_start =
+                epoch_no * probe.epoch_len() + probe.pre_slots as Nanos * probe.pre_slot_len;
+            let slot_start = |k: u64| sched_start + k * slot_len;
+            for arrival in [slot_start(j - 1) + 1, slot_start(j)] {
+                let mut sim = NegotiatorSim::new(small_cfg(), TopologyKind::Parallel);
+                sim.slot_major = slot_major;
+                let flow = |bytes, arrival| Flow {
+                    id: 0,
+                    src: 0,
+                    dst: 5,
+                    bytes,
+                    arrival,
+                };
+                let trace = FlowTrace::new(vec![flow(10_000_000, 0), flow(1_000, arrival)]);
+                sim.run(&trace, (epoch_no + 2) * sim.epoch_len());
+                let matched = &sim.active[..sim.s];
+                assert!(matched.iter().all(|&d| d == Some(5)), "{matched:?}");
+                assert_eq!(
+                    sim.tracker().completion(1),
+                    Some(slot_start(j + 1) + sim.cfg.net.propagation_delay),
+                    "slot-major {slot_major}, arrival {arrival}"
+                );
+            }
         }
     }
 }

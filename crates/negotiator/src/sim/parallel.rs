@@ -1,6 +1,7 @@
 //! The epoch kernel: the one body of each per-ToR phase — ACCEPT, GRANT,
-//! REQUEST, the predefined phase, the quiet scheduled phase — written
-//! over contiguous ToR shards, byte-identical at any shard count.
+//! REQUEST, the predefined phase, the scheduled phase outside selective
+//! relay — written over contiguous ToR shards, byte-identical at any shard
+//! count.
 //!
 //! # One body, any shard count
 //!
@@ -51,8 +52,11 @@
 //!   packets are enqueued at *another* source's queues mid-phase.
 //! * **Iterative mode's epoch start**: `IterativeMatcher` is a global
 //!   fixed point over all ToRs, not per-ToR work.
-//! * **The slot-major scheduled phase** (`sim.rs`): a scheduled phase
-//!   with mid-phase arrivals interleaves injection with every slot.
+//! * **Selective relay's scheduled phase** (`sim.rs`): it walks slot by
+//!   slot, because a relayed packet lands mid-phase in another ToR's
+//!   queue, which may forward it later in the same phase. Without relay a
+//!   flow lives in one queue, and each matched queue drains as one batch
+//!   split only at its own pair's arrivals ([`NegotiatorSim::scheduled_batched`]).
 //! * **The detector's reading of the dummies** (`observe_epoch`): it sees
 //!   each port from both ends, so no row split owns it.
 //! * **`rebuild_active_list` and the flag-clearing prologues**: memset-
@@ -60,6 +64,7 @@
 
 use super::*;
 use sim::shard;
+use std::ops::Range;
 
 /// Per-shard lane: scratch buffers, merge queues and counters. Retained
 /// across epochs so steady-state phases allocate nothing once lane
@@ -86,8 +91,6 @@ pub(super) struct ParState {
     lanes: Vec<Lane>,
     /// Per-lane replay cursors (slot-major merges).
     ptrs: Vec<usize>,
-    /// Scheduled-phase chunk starts into `active_list`.
-    cuts: Vec<usize>,
 }
 
 impl ParState {
@@ -435,8 +438,8 @@ struct GrantOut<'a> {
     msg_flags: &'a mut [u8],
     lane_masks: LaneMasks<'a>,
     /// `granter * s + port` marks for the relay grant step's leftover-port
-    /// check; `None` unless selective relay is on.
-    port_granted: Option<&'a mut [bool]>,
+    /// check; empty unless selective relay is on.
+    port_granted: &'a mut [bool],
     dirty: &'a mut Vec<u32>,
 }
 
@@ -453,8 +456,8 @@ impl GrantOut<'_> {
             self.lane_masks.mark(granter, requester);
         }
         self.grants[row].push((requester as u32, port as u32, debit));
-        if let Some(port_granted) = self.port_granted.as_deref_mut() {
-            port_granted[row * self.s + port] = true;
+        if let Some(mark) = self.port_granted.get_mut(row * self.s + port) {
+            *mark = true;
         }
     }
 }
@@ -478,9 +481,55 @@ struct PredefCtx<'a> {
 struct SchedCtx<'a> {
     rows: SrcRows<'a>,
     entries: &'a [ActiveTx],
-    packets: &'a mut Vec<Packet>,
+    scratch: &'a mut SimScratch,
     stats: &'a mut SchedStats,
     sink: Sink<'a>,
+}
+
+impl SchedCtx<'_> {
+    /// Send queue `src → dst`'s packets of scheduled `slots` on the ports
+    /// in `scratch.ports` (ascending): one batch dequeue of up to `m`
+    /// packets a slot, packet `i` on port `ports[i % m]` in slot
+    /// `slots.start + i / m` — the order in which a slot-major walk serves
+    /// each slot's ports. A port whose link is down loses its packets.
+    fn send(
+        &mut self,
+        failures: &LinkFailures,
+        src: usize,
+        dst: usize,
+        slots: Range<usize>,
+        cap: u64,
+    ) {
+        let SchedCtx {
+            rows,
+            scratch,
+            stats,
+            sink,
+            ..
+        } = self;
+        let m = scratch.ports.len();
+        let max = m * slots.len();
+        if max == 0 {
+            return;
+        }
+        rows.dequeue_packets_into(src, dst, cap, max, &mut scratch.packets);
+        stats.overscheduled_slots += (max - scratch.packets.len()) as u64;
+        for (i, pkt) in scratch.packets.iter().enumerate() {
+            if failures.link_up(src, dst, scratch.ports[i % m]) {
+                stats.scheduled_packets += 1;
+                stats.scheduled_bytes += pkt.bytes;
+                sink.emit(Event::Data {
+                    slot: (slots.start + i / m) as u32,
+                    dst: dst as u32,
+                    flow: pkt.flow,
+                    bytes: pkt.bytes,
+                });
+            } else {
+                stats.lost_packets += 1;
+                stats.lost_bytes += pkt.bytes;
+            }
+        }
+    }
 }
 
 /// One sink per lane: apply-now for a single lane, record otherwise.
@@ -645,16 +694,17 @@ impl NegotiatorSim {
             let grants = shard::split_rows(&mut self.out.grants, 1, &shards);
             let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
             let masks = self.q.lane_masks.split(&shards);
-            let mut marks = self
-                .opts
-                .selective_relay
-                .then(|| shard::split_rows(&mut self.port_granted, s, &shards).into_iter());
+            let marks_row = self.port_granted.len() / n; // empty outside selective relay
+            let marks = shard::split_rows(&mut self.port_granted, marks_row, &shards);
             // `matrices` is empty outside stateful mode: hand out empty
             // windows instead of row ranges then.
             let mut mat_rest: &mut [DemandMatrix] = &mut self.matrices;
             let mut ctxs = Vec::with_capacity(shards.len());
             for (
-                (((((&shard, inbox_requests), grant_arbs), grants), msg_flags), lane_masks),
+                (
+                    (((((&shard, inbox_requests), grant_arbs), grants), msg_flags), lane_masks),
+                    port_granted,
+                ),
                 lane,
             ) in shards
                 .iter()
@@ -663,6 +713,7 @@ impl NegotiatorSim {
                 .zip(grants)
                 .zip(flags)
                 .zip(masks)
+                .zip(marks)
                 .zip(lanes.iter_mut())
             {
                 let take = if stateful { shard.len() } else { 0 };
@@ -682,7 +733,7 @@ impl NegotiatorSim {
                         grants,
                         msg_flags,
                         lane_masks,
-                        port_granted: marks.as_mut().and_then(Iterator::next),
+                        port_granted,
                         dirty: &mut lane.dirty,
                     },
                 });
@@ -1123,147 +1174,125 @@ impl NegotiatorSim {
         end
     }
 
-    /// The quiet scheduled phase (no arrival mid-phase, no relay): each
-    /// matched port pulls its whole phase's packets in one batch dequeue.
-    /// `active_list` is split at source-run boundaries into per-shard
-    /// chunks (the list is slot-ordered, so chunks cover disjoint,
-    /// ascending source ranges); each shard drains its own queues and
-    /// emits `Data` events tagged with the scheduled slot `k`, replayed
-    /// in lane order = list order.
-    pub(super) fn scheduled_quiet(&mut self, clock: SlotClock, tracker: &mut FlowTracker) {
-        let list = &self.active_list[..];
-        if list.is_empty() {
-            return;
-        }
+    /// The scheduled phase outside selective relay (sharded by source
+    /// ToR). Each source drains each matched destination, served by `m`
+    /// of its ports, as one run of up to `m·K` dequeues — packet `i` on
+    /// the run's `i mod m`-th port in slot `i / m` — split only at the
+    /// slots where that pair's own flows arrive and are injected. The
+    /// shard's other arrivals touch no matched queue and go in first, in
+    /// arrival order. This is the slot-major walk's outcome, not an
+    /// approximation of it: without relay a flow lives in one queue, a
+    /// queue's dequeues and injections keep their walk order, and each
+    /// flow's packets still land in slot order, while deliveries fold into
+    /// the tracker, the receive buffers and the bandwidth series as sums.
+    /// `Data` events carry their slot and replay in lane order. Returns
+    /// the cursor past the phase's arrivals.
+    pub(super) fn scheduled_batched(
+        &mut self,
+        flows: &[Flow],
+        cursor: usize,
+        sched_start: Nanos,
+        clock: SlotClock,
+        tracker: &mut FlowTracker,
+    ) -> usize {
         let (n, s) = (self.n, self.s);
-        let k_slots = self.cfg.epoch.scheduled_slots;
-        let sched_payload = self.sched_payload;
-        let workers = self.par_workers();
-        // Chunk starts, aligned so no source's run spans two chunks.
-        let cuts = &mut self.par.cuts;
-        cuts.clear();
-        cuts.push(0);
-        for c in 1..workers {
-            let mut i = (list.len() * c) / workers;
-            if i > 0 {
-                let prev = list[i - 1].slot as usize / s;
-                while i < list.len() && list[i].slot as usize / s == prev {
-                    i += 1;
-                }
-            }
-            if i > *cuts.last().unwrap() && i < list.len() {
-                cuts.push(i);
-            }
-        }
-        cuts.push(list.len());
-        // Source ranges covered by each chunk tile [0, n).
-        let mut shards = Vec::with_capacity(cuts.len() - 1);
-        for (ci, w) in cuts.windows(2).enumerate() {
-            let start = if ci == 0 {
-                0
-            } else {
-                list[w[0]].slot as usize / s
-            };
-            let end = if ci == cuts.len() - 2 {
-                n
-            } else {
-                list[w[1]].slot as usize / s
-            };
-            shards.push(Shard { start, end });
-        }
-        self.par.lanes(shards.len());
-        let ParState { lanes, cuts, .. } = &mut self.par;
-        let lanes = &mut lanes[..shards.len()];
-        let failures = &self.frame.failures;
+        let (k_slots, slot_len) = (self.cfg.epoch.scheduled_slots, clock.slot_len);
+        let cap = self.sched_payload;
+        // Flows that arrive by the last slot's start, shared read-only;
+        // the first slot whose start injects `arrival`.
+        let last_start = sched_start + (k_slots as Nanos - 1) * slot_len;
+        let end = cursor + flows[cursor..].partition_point(|f| f.arrival <= last_start);
+        let phase_flows = &flows[cursor..end];
+        let inject_slot = |arrival: Nanos| arrival.saturating_sub(sched_start).div_ceil(slot_len);
+        let list = &self.active_list[..];
+        self.stats.unmatched_slots += (n * s - list.len()) as u64 * k_slots as u64;
+        let shards = shard::partition(n, self.par_workers());
+        let lanes = self.par.lanes(shards.len());
+        let (failures, active) = (&self.frame.failures, &self.active[..]);
         {
             let rows = self.q.split(&shards);
             let sinks = sinks(lanes, &mut self.land, tracker, clock);
+            // The list is (src, port)-ordered: a shard's entries are one
+            // slice of it.
+            let first = |src: usize| list.partition_point(|e| (e.slot as usize) < src * s);
             let mut ctxs = Vec::with_capacity(shards.len());
-            for ((rows, w), (scratch, stats, sink)) in
-                rows.into_iter().zip(cuts.windows(2)).zip(sinks)
-            {
+            for (rows, (scratch, stats, sink)) in rows.into_iter().zip(sinks) {
+                let entries = &list[first(rows.shard.start)..first(rows.shard.end)];
                 ctxs.push(SchedCtx {
                     rows,
-                    entries: &list[w[0]..w[1]],
-                    packets: &mut scratch.packets,
+                    entries,
+                    scratch,
                     stats,
                     sink,
                 });
             }
-            shard::map_shards(ctxs, |_, ctx| {
-                let SchedCtx {
-                    mut rows,
-                    entries,
-                    packets,
-                    stats,
-                    mut sink,
-                } = ctx;
-                let mut i = 0;
-                while i < entries.len() {
-                    // One source's run of entries (same src ⇒ contiguous,
-                    // ≤ s long).
-                    let src = entries[i].slot as usize / s;
-                    let mut run_end = i + 1;
-                    while run_end < entries.len() && entries[run_end].slot as usize / s == src {
-                        run_end += 1;
+            shard::map_shards(ctxs, |_, mut ctx| {
+                let shard = ctx.rows.shard;
+                ctx.scratch.arrivals.clear();
+                // lint: hot-path
+                for (i, f) in phase_flows.iter().enumerate() {
+                    if !(shard.start..shard.end).contains(&f.src) {
+                        continue;
                     }
-                    let run = &entries[i..run_end];
-                    let shared_queue = run
-                        .iter()
-                        .enumerate()
-                        .any(|(a, e)| run[..a].iter().any(|f| f.dst == e.dst));
-                    if shared_queue {
-                        // Rare: one queue feeds several ports, and their
-                        // interleaving determines which packet each port
-                        // carries; replay slot order.
-                        for k in 0..k_slots {
-                            for e in run {
-                                let (port, dst) = (e.slot as usize % s, e.dst as usize);
-                                rows.serve_direct_slot(
-                                    failures,
-                                    src,
-                                    port,
-                                    dst,
-                                    k,
-                                    sched_payload,
-                                    stats,
-                                    &mut sink,
-                                );
-                            }
-                        }
+                    if active[f.src * s..(f.src + 1) * s].contains(&Some(f.dst)) {
+                        let arrival = (f.src as u32, f.dst as u32, i as u32);
+                        // lint: allow(H001) retained scratch, cleared each phase, never shrunk
+                        ctx.scratch.arrivals.push(arrival);
                     } else {
-                        for e in run {
-                            let (port, dst) = (e.slot as usize % s, e.dst as usize);
-                            rows.dequeue_packets_into(src, dst, sched_payload, k_slots, packets);
-                            stats.overscheduled_slots += (k_slots - packets.len()) as u64;
-                            if !failures.link_up(src, dst, port) {
-                                stats.lost_packets += packets.len() as u64;
-                                stats.lost_bytes += packets.iter().map(|p| p.bytes).sum::<u64>();
-                                continue;
-                            }
-                            for (k, pkt) in packets.iter().enumerate() {
-                                stats.scheduled_packets += 1;
-                                stats.scheduled_bytes += pkt.bytes;
-                                sink.emit(Event::Data {
-                                    slot: k as u32,
-                                    dst: e.dst,
-                                    flow: pkt.flow,
-                                    bytes: pkt.bytes,
-                                });
-                            }
-                        }
+                        ctx.rows.enqueue(f);
                     }
-                    i = run_end;
+                }
+                ctx.scratch.arrivals.sort_unstable();
+                let entries = ctx.entries;
+                let mut i = 0;
+                // lint: hot-path
+                while i < entries.len() {
+                    let src = entries[i].slot as usize / s;
+                    let run_len = entries[i..]
+                        .iter()
+                        .take_while(|e| e.slot as usize / s == src)
+                        .count();
+                    let run = &entries[i..i + run_len];
+                    i += run_len;
+                    for (a, e) in run.iter().enumerate() {
+                        // A queue several ports serve drains with its first.
+                        if run[..a].iter().any(|f| f.dst == e.dst) {
+                            continue;
+                        }
+                        let ports = &mut ctx.scratch.ports;
+                        ports.clear();
+                        ports.extend(
+                            run[a..]
+                                .iter()
+                                .filter(|f| f.dst == e.dst)
+                                .map(|f| f.slot as usize % s),
+                        );
+                        // The pair's own arrivals, one range of the sorted
+                        // scratch; each splits the run at its slot.
+                        let (dst, pair) = (e.dst as usize, (src as u32, e.dst));
+                        let arrivals = &ctx.scratch.arrivals;
+                        let lo = arrivals.partition_point(|&(x, y, _)| (x, y) < pair);
+                        let hi = arrivals.partition_point(|&(x, y, _)| (x, y) <= pair);
+                        let mut k0 = 0;
+                        for j in lo..hi {
+                            let f = &phase_flows[ctx.scratch.arrivals[j].2 as usize];
+                            let k = inject_slot(f.arrival) as usize;
+                            ctx.send(failures, src, dst, k0..k, cap);
+                            ctx.rows.enqueue(f);
+                            k0 = k;
+                        }
+                        ctx.send(failures, src, dst, k0..k_slots, cap);
+                    }
                 }
             });
         }
-        // Replay deliveries in lane order = active-list order (a single
-        // lane recorded none).
+        // Replay deliveries in lane order (a single lane recorded none).
         for lane in lanes.iter() {
             for ev in &lane.events {
                 self.land.apply(*ev, clock.arrive(ev.slot()), tracker);
             }
             self.stats += lane.stats;
         }
+        end
     }
 }

@@ -67,11 +67,6 @@ pub struct RelayBuffer {
 }
 
 impl RelayBuffer {
-    /// Bytes currently occupying the relay buffer.
-    pub fn occupancy(&self) -> u64 {
-        self.in_flight
-    }
-
     /// Space left under `policy`.
     pub fn space(&self, policy: &RelayPolicy) -> u64 {
         policy.buffer_capacity.saturating_sub(self.in_flight)
@@ -166,10 +161,8 @@ mod tests {
         let mut b = RelayBuffer::default();
         assert_eq!(b.space(&p), p.buffer_capacity);
         b.admit(100_000);
-        assert_eq!(b.occupancy(), 100_000);
         assert_eq!(b.space(&p), p.buffer_capacity - 100_000);
         b.release(40_000);
-        assert_eq!(b.occupancy(), 60_000);
     }
 
     #[test]

@@ -83,12 +83,6 @@ impl NetworkConfig {
         self.uplink_aggregate().bps() as f64 / self.host_bandwidth.bps() as f64
     }
 
-    /// Directed optical links in the fabric: one egress and one ingress
-    /// fiber per (ToR, port).
-    pub fn directed_links(&self) -> usize {
-        2 * self.n_tors * self.n_ports
-    }
-
     /// Panics unless the dimensions are usable by both topologies
     /// (thin-clos needs `n_tors` divisible by `n_ports`).
     pub fn validate(&self) {
@@ -116,7 +110,6 @@ mod tests {
         assert_eq!(net.uplink_aggregate().gbps(), 800.0);
         assert_eq!(net.speedup(), 2.0);
         assert_eq!(net.propagation_delay, 2_000);
-        assert_eq!(net.directed_links(), 2048);
     }
 
     #[test]

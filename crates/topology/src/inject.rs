@@ -185,7 +185,6 @@ pub struct FaultModel {
     gray: Option<Gray>,
     /// Per-ToR greedy flags, grown on first `GreedyStart`.
     greedy: Vec<bool>,
-    greedy_count: usize,
 }
 
 impl FaultModel {
@@ -339,16 +338,10 @@ impl FaultModel {
                     self.greedy.resize(failures.n_tors(), false);
                 }
                 for tor in tors {
-                    if !self.greedy[tor] {
-                        self.greedy[tor] = true;
-                        self.greedy_count += 1;
-                    }
+                    self.greedy[tor] = true;
                 }
             }
-            FaultAction::GreedyStop => {
-                self.greedy.fill(false);
-                self.greedy_count = 0;
-            }
+            FaultAction::GreedyStop => self.greedy.fill(false),
         }
     }
 
@@ -384,11 +377,6 @@ impl FaultModel {
     /// Is `tor` currently granting greedily?
     pub fn greedy(&self, tor: usize) -> bool {
         self.greedy.get(tor).copied().unwrap_or(false)
-    }
-
-    /// Any greedy ToR active?
-    pub fn any_greedy(&self) -> bool {
-        self.greedy_count > 0
     }
 }
 
@@ -673,11 +661,9 @@ mod tests {
         let mut m = model_with(0, FaultAction::GreedyStart { tors: vec![1, 5] });
         m.schedule(10, FaultAction::GreedyStop);
         m.epoch_update(0, &mut f);
-        assert!(m.any_greedy());
         assert!(m.greedy(1) && m.greedy(5));
         assert!(!m.greedy(0) && !m.greedy(7));
         m.epoch_update(10, &mut f);
-        assert!(!m.any_greedy());
         assert!(!m.greedy(1));
     }
 

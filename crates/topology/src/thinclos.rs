@@ -45,11 +45,6 @@ impl ThinClos {
         ThinClos { net, group }
     }
 
-    /// Group size `G` (= AWGR port count `W`).
-    pub fn group_size(&self) -> usize {
-        self.group
-    }
-
     /// Group index of `tor`.
     pub fn group_of(&self, tor: usize) -> usize {
         tor / self.group
@@ -58,11 +53,6 @@ impl ThinClos {
     /// Member index of `tor` within its group.
     pub fn member_of(&self, tor: usize) -> usize {
         tor % self.group
-    }
-
-    /// Total AWGR count (`S²`).
-    pub fn n_awgrs(&self) -> usize {
-        self.net.n_ports * self.net.n_ports
     }
 
     /// The members of `group`, without `tor` (a port of `tor`'s own group
@@ -149,8 +139,6 @@ mod tests {
     #[test]
     fn paper_scale_dimensions() {
         let t = paper();
-        assert_eq!(t.group_size(), 16, "16-port AWGRs");
-        assert_eq!(t.n_awgrs(), 64, "64 AWGRs as in §4.1");
         assert_eq!(t.predefined_slots(), 16, "W = 16 timeslots per round");
     }
 
