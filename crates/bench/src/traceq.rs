@@ -139,14 +139,24 @@ pub fn parse(text: &str) -> Result<Trace, String> {
 
 /// Sum of ring-overflow drop counts across every `trace_end` footer.
 /// Lenient — lines that do not parse count zero — so the daemon can call
-/// it on any stored trace without a second error path.
+/// it on any stored trace without a second error path. One substring
+/// search finds the footers; only their lines are parsed.
 pub fn dropped_total(text: &str) -> u64 {
-    text.lines()
-        .filter(|l| l.contains("\"event\":\"trace_end\""))
-        .filter_map(|l| Json::parse(l).ok())
-        .filter(|v| v.get("event").and_then(Json::as_str) == Some("trace_end"))
-        .filter_map(|v| v.get("dropped").and_then(Json::as_u64))
-        .sum()
+    let mut total = 0;
+    let mut next_line = 0;
+    for (at, _) in text.match_indices("\"event\":\"trace_end\"") {
+        if at < next_line {
+            continue; // a second hit on a line already counted
+        }
+        let start = text[..at].rfind('\n').map_or(0, |i| i + 1);
+        next_line = text[at..].find('\n').map_or(text.len(), |i| at + i + 1);
+        total += Json::parse(&text[start..next_line])
+            .ok()
+            .filter(|v| v.get("event").and_then(Json::as_str) == Some("trace_end"))
+            .and_then(|v| v.get("dropped").and_then(Json::as_u64))
+            .unwrap_or(0);
+    }
+    total
 }
 
 // ---------------------------------------------------------------------

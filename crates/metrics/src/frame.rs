@@ -179,6 +179,16 @@ pub trait EpochEngine: DerefMut<Target = RunFrame> {
 
     /// Traced runs: emit the tick's closing samples, after the span sweep.
     fn trace_backlog(&self, _rec: &mut FlightRecorder, _tick: u64, _now: Nanos) {}
+
+    /// Test oracle hook: `true` makes every traced tick walk every live
+    /// flow ([`FlowSpans::sweep`]) even when no pair was stamped and no
+    /// flow completed, the ticks [`run`] otherwise gives the quiet walk
+    /// ([`FlowSpans::sweep_waiting`]). Engines override it only in their
+    /// own `#[cfg(test)]` builds, to compare the two walks.
+    #[doc(hidden)]
+    fn full_span_walk(&self) -> bool {
+        false
+    }
 }
 
 /// Snapshot the engine's cumulative counters into the probe and the trace:
@@ -219,6 +229,8 @@ pub fn run<E: EpochEngine>(engine: &mut E, trace: &FlowTrace, duration: Nanos) -
         .recorder
         .is_some()
         .then(|| FlowSpans::new(engine.n_tors, flows.len()));
+    // Completed flows as of the last span sweep.
+    let mut swept_completed = 0usize;
     let tick_len = engine.tick_len();
 
     let mut tick: u64 = 0;
@@ -255,9 +267,18 @@ pub fn run<E: EpochEngine>(engine: &mut E, trace: &FlowTrace, duration: Nanos) -
                 );
             }
             engine.trace_control(&mut rec, spans, tick, now);
-            spans.sweep(&mut rec, now, tick, |id| {
-                (tracker.remaining(id as u64), tracker.completion(id as u64))
-            });
+            // With no pair stamped and no flow completed since the last
+            // sweep, only first transmissions can be new: walk only the
+            // flows still waiting for theirs.
+            let completed = tracker.completed_count();
+            if spans.stamped() || completed != swept_completed || engine.full_span_walk() {
+                spans.sweep(&mut rec, now, tick, |id| {
+                    (tracker.remaining(id as u64), tracker.completion(id as u64))
+                });
+            } else {
+                spans.sweep_waiting(&mut rec, now, tick, |id| tracker.remaining(id as u64));
+            }
+            swept_completed = completed;
             engine.trace_backlog(&mut rec, tick, now);
             engine.recorder = Some(rec);
         }
@@ -277,4 +298,129 @@ pub fn run<E: EpochEngine>(engine: &mut E, trace: &FlowTrace, duration: Nanos) -
     engine.not_injected = flows.len() - cursor;
     engine.tracker = Some(tracker);
     engine.report(trace, None)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::ops::Deref;
+
+    use super::*;
+    use crate::trace::TraceEventKind;
+
+    /// A scripted engine: flows arrive at their arrival tick, and each
+    /// tick delivers the listed `(flow, bytes)` and stamps the listed
+    /// REQUEST pairs.
+    struct Scripted {
+        frame: RunFrame,
+        deliveries: Vec<(u64, u64, u64)>,
+        requests: Vec<(u64, u32, u32)>,
+        full_walk: bool,
+    }
+
+    impl Deref for Scripted {
+        type Target = RunFrame;
+        fn deref(&self) -> &RunFrame {
+            &self.frame
+        }
+    }
+
+    impl DerefMut for Scripted {
+        fn deref_mut(&mut self) -> &mut RunFrame {
+            &mut self.frame
+        }
+    }
+
+    impl EpochEngine for Scripted {
+        fn tick_len(&self) -> Nanos {
+            100
+        }
+
+        fn phase_counters(&self) -> PhaseCounters {
+            PhaseCounters::default()
+        }
+
+        fn tick(
+            &mut self,
+            tick: u64,
+            now: Nanos,
+            flows: &[Flow],
+            mut cursor: usize,
+            tracker: &mut FlowTracker,
+        ) -> usize {
+            while cursor < flows.len() && flows[cursor].arrival <= now {
+                cursor += 1;
+            }
+            for &(at, flow, bytes) in &self.deliveries {
+                if at == tick {
+                    tracker.deliver(flow, bytes, now);
+                }
+            }
+            cursor
+        }
+
+        fn trace_control(
+            &mut self,
+            _rec: &mut FlightRecorder,
+            spans: &mut FlowSpans,
+            tick: u64,
+            _now: Nanos,
+        ) {
+            for &(at, src, dst) in &self.requests {
+                if at == tick {
+                    spans.mark_request(src, dst, tick);
+                }
+            }
+        }
+
+        fn full_span_walk(&self) -> bool {
+            self.full_walk
+        }
+    }
+
+    /// Tick 1 is quiet (flow 0's first bytes only), tick 2 stamps flow 1's
+    /// pair, and on tick 3 low-id flow 0 completes while high-id flow 1
+    /// first transmits: its events come out in id order, and both walks
+    /// render the same trace.
+    #[test]
+    fn a_tick_with_a_completion_walks_every_live_flow_in_id_order() {
+        let play = |full_walk: bool| {
+            let net = NetworkConfig::small_for_tests();
+            let flow = |id, src, dst| Flow {
+                id,
+                src,
+                dst,
+                bytes: 1_000,
+                arrival: 0,
+            };
+            let trace = FlowTrace::new(vec![flow(0, 0, 1), flow(1, 2, 3)]);
+            let mut engine = Scripted {
+                frame: RunFrame::new(&net),
+                deliveries: vec![(1, 0, 500), (3, 0, 500), (3, 1, 300), (4, 1, 700)],
+                requests: vec![(2, 2, 3)],
+                full_walk,
+            };
+            engine.set_recorder(FlightRecorder::with_capacity(64, net.n_tors));
+            run(&mut engine, &trace, 10_000);
+            engine.take_recorder().expect("attached")
+        };
+        let quiet = play(false);
+        let spans: Vec<(TraceEventKind, u64, u64)> =
+            quiet.events().map(|e| (e.kind, e.epoch, e.a)).collect();
+        assert_eq!(
+            spans,
+            vec![
+                (TraceEventKind::FlowBorn, 0, 0),
+                (TraceEventKind::FlowBorn, 0, 1),
+                (TraceEventKind::FlowFirstTx, 1, 0),
+                (TraceEventKind::FlowRequest, 2, 1),
+                (TraceEventKind::FlowComplete, 3, 0),
+                (TraceEventKind::FlowFirstTx, 3, 1),
+                (TraceEventKind::FlowComplete, 4, 1),
+            ]
+        );
+        assert_eq!(
+            quiet.render_ndjson("scripted"),
+            play(true).render_ndjson("scripted")
+        );
+    }
 }

@@ -12,9 +12,11 @@
 //! counted in `dropped`, so a trace always holds the most recent window.
 //!
 //! Rendering to NDJSON ([`FlightRecorder::render_ndjson`]) happens once,
-//! after the run, where allocation is fine. The text form is consumed by
-//! `paper scenario --trace`, the daemon's `GET /jobs/{id}/trace` and the
-//! `paper trace` summarizer; its field layout is documented in the README
+//! after the run, and costs a write per event: each line's fixed key text
+//! and decimal digits go straight into one buffer reserved from the event
+//! count, with no JSON tree per line. The text form is consumed by `paper
+//! scenario --trace`, the daemon's `GET /jobs/{id}/trace` and the `paper
+//! trace` summarizer; its field layout is documented in the README
 //! "Observability" section and stamped with [`TRACE_SCHEMA_VERSION`].
 
 use crate::json::Json;
@@ -27,9 +29,12 @@ use sim::time::Nanos;
 pub const TRACE_SCHEMA_VERSION: u64 = 2;
 
 /// Default ring capacity (events). Chosen so a daemon retaining traces for
-/// its full job table stays bounded: 16 Ki events × 48 B ≈ 768 KiB per
+/// its full job table stays bounded: 16 Ki events × 56 B = 896 KiB per
 /// trace before rendering.
 pub const DEFAULT_TRACE_CAPACITY: usize = 16_384;
+
+// The 56 B a ring slot takes, which the figure above rests on.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 56);
 
 /// What a [`TraceEvent`] records. The three payload words `a`/`b`/`c` (and
 /// `d`) are interpreted per kind — see each variant.
@@ -95,6 +100,30 @@ impl TraceEventKind {
             TraceEventKind::FlowAccept => "flow_accept",
             TraceEventKind::FlowFirstTx => "flow_first_tx",
             TraceEventKind::FlowComplete => "flow_complete",
+        }
+    }
+
+    /// The NDJSON keys of the payload words, in `a`, `b`, `c`, `d` order;
+    /// a kind renders as many words as it has keys.
+    fn fields(self) -> &'static [&'static str] {
+        match self {
+            TraceEventKind::Sched => &["requests", "grants", "accepts"],
+            TraceEventKind::ControlDrop => &["dropped", "total"],
+            TraceEventKind::Detector => &["fp_links", "fn_links"],
+            TraceEventKind::Fault => &["injected", "link_events", "total"],
+            TraceEventKind::Backlog => &["tor", "bytes"],
+            TraceEventKind::Phase => &[
+                "phase",
+                "delivered_bytes",
+                "backlog_bytes",
+                "partitioned_tors",
+            ],
+            TraceEventKind::FlowBorn => &["flow", "src", "dst", "bytes"],
+            TraceEventKind::FlowRequest
+            | TraceEventKind::FlowGrant
+            | TraceEventKind::FlowAccept => &["flow", "src", "dst"],
+            TraceEventKind::FlowFirstTx => &["flow", "sent_bytes"],
+            TraceEventKind::FlowComplete => &["flow", "fct_ns", "src", "dst"],
         }
     }
 }
@@ -319,10 +348,12 @@ impl FlightRecorder {
 
     /// Render the trace as NDJSON: a `trace_start` header, one line per
     /// event oldest-first, and a `trace_end` footer carrying the held and
-    /// dropped counts. Called once after the run — allocation is fine
-    /// here.
+    /// dropped counts. Event lines are written straight into one buffer
+    /// reserved up front (`write_event_line`); only the header and
+    /// footer, which carry the caller's `system` label and so need
+    /// escaping, go through [`Json`].
     pub fn render_ndjson(&self, system: &str) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity((self.events.len() + 2) * LINE_BYTES_HINT);
         let mut start = Json::object();
         start
             .push("event", "trace_start")
@@ -332,59 +363,7 @@ impl FlightRecorder {
         out.push_str(&start.render_compact());
         out.push('\n');
         for ev in self.events() {
-            let mut line = Json::object();
-            line.push("event", ev.kind.name())
-                .push("epoch", ev.epoch)
-                .push("t_ns", ev.at);
-            match ev.kind {
-                TraceEventKind::Sched => {
-                    line.push("requests", ev.a)
-                        .push("grants", ev.b)
-                        .push("accepts", ev.c);
-                }
-                TraceEventKind::ControlDrop => {
-                    line.push("dropped", ev.a).push("total", ev.b);
-                }
-                TraceEventKind::Detector => {
-                    line.push("fp_links", ev.a).push("fn_links", ev.b);
-                }
-                TraceEventKind::Fault => {
-                    line.push("injected", ev.a)
-                        .push("link_events", ev.b)
-                        .push("total", ev.c);
-                }
-                TraceEventKind::Backlog => {
-                    line.push("tor", ev.a).push("bytes", ev.b);
-                }
-                TraceEventKind::Phase => {
-                    line.push("phase", ev.a)
-                        .push("delivered_bytes", ev.b)
-                        .push("backlog_bytes", ev.c)
-                        .push("partitioned_tors", ev.d);
-                }
-                TraceEventKind::FlowBorn => {
-                    line.push("flow", ev.a)
-                        .push("src", ev.b)
-                        .push("dst", ev.c)
-                        .push("bytes", ev.d);
-                }
-                TraceEventKind::FlowRequest
-                | TraceEventKind::FlowGrant
-                | TraceEventKind::FlowAccept => {
-                    line.push("flow", ev.a).push("src", ev.b).push("dst", ev.c);
-                }
-                TraceEventKind::FlowFirstTx => {
-                    line.push("flow", ev.a).push("sent_bytes", ev.b);
-                }
-                TraceEventKind::FlowComplete => {
-                    line.push("flow", ev.a)
-                        .push("fct_ns", ev.b)
-                        .push("src", ev.c)
-                        .push("dst", ev.d);
-                }
-            }
-            out.push_str(&line.render_compact());
-            out.push('\n');
+            write_event_line(&mut out, ev);
         }
         let mut end = Json::object();
         end.push("event", "trace_end")
@@ -395,6 +374,51 @@ impl FlightRecorder {
         out.push('\n');
         out
     }
+}
+
+/// Bytes [`FlightRecorder::render_ndjson`] reserves per line: a little
+/// above the mean event line of the curated scenarios (~85 B), so one
+/// reservation usually holds the whole trace.
+const LINE_BYTES_HINT: usize = 96;
+
+// lint: hot-path
+/// Append one event as a compact JSON object and a newline:
+/// `{"event":…,"epoch":…,"t_ns":…` then the kind's
+/// [`TraceEventKind::fields`] over the payload words `a`, `b`, `c`, `d`,
+/// in that order. Keys and event names are plain ASCII identifiers that
+/// JSON needs no escape for, so they are pushed as they are.
+fn write_event_line(out: &mut String, ev: &TraceEvent) {
+    out.push_str("{\"event\":\"");
+    out.push_str(ev.kind.name());
+    out.push_str("\",\"epoch\":");
+    push_u64(out, ev.epoch);
+    out.push_str(",\"t_ns\":");
+    push_u64(out, ev.at);
+    for (key, value) in ev.kind.fields().iter().zip([ev.a, ev.b, ev.c, ev.d]) {
+        out.push_str(",\"");
+        out.push_str(key);
+        out.push_str("\":");
+        push_u64(out, value);
+    }
+    out.push_str("}\n");
+}
+
+// lint: hot-path
+/// Append `v` in decimal, as [`Json::UInt`] renders it, without going
+/// through `core::fmt`.
+#[inline]
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
 }
 
 /// Milestone bits a flow passes through, in causal order.
@@ -417,7 +441,11 @@ mod milestone {
 /// parallel shard merge delivers the same pair set in a different order.
 /// [`FlowSpans::sweep`] then walks the live flows in flow-id order (the
 /// one deterministic order) and emits each flow's first crossing of each
-/// milestone. All state is preallocated at construction
+/// milestone. On a tick where no pair was stamped and no flow completed,
+/// such a walk can emit only `flow_first_tx` events, so the run frame
+/// calls [`FlowSpans::sweep_waiting`] instead, which walks only the flows
+/// still awaiting their first transmission and emits the same events in
+/// the same order. All state is preallocated at construction
 /// ([`FlowSpans::new`]); recording is allocation-free and reads no clock,
 /// same discipline as the recorder itself.
 #[derive(Debug, Clone)]
@@ -435,6 +463,11 @@ pub struct FlowSpans {
     pair_stamps: Vec<[u32; 3]>,
     /// Born-but-incomplete flow ids, maintained in ascending id order.
     live: Vec<u32>,
+    /// The ids of `live` without [`milestone::FIRST_TX`], in ascending id
+    /// order: what [`FlowSpans::sweep_waiting`] walks.
+    waiting: Vec<u32>,
+    /// Whether a pair was stamped since the last sweep.
+    stamped: bool,
     /// Next flow id to be born (flows are born in ascending id order, the
     /// injection order, so this is also the born count).
     born_next: usize,
@@ -465,6 +498,8 @@ impl FlowSpans {
             arrival: vec![0; n_flows],
             pair_stamps: vec![[0; 3]; n_tors * n_tors],
             live: Vec::with_capacity(n_flows),
+            waiting: Vec::with_capacity(n_flows),
+            stamped: false,
             born_next: 0,
         }
     }
@@ -472,6 +507,16 @@ impl FlowSpans {
     /// Flows currently born but not yet complete.
     pub fn live_count(&self) -> usize {
         self.live.len()
+    }
+
+    /// Whether a pair was stamped since the last sweep. When none was and
+    /// no flow completed since then either, a [`Self::sweep`] would emit
+    /// only `flow_first_tx` events, and [`Self::sweep_waiting`] emits the
+    /// same ones: a pair's stamp equals this tick's only if it was marked
+    /// this tick, and a flow completes only through a delivery, which
+    /// moves [`crate::FlowTracker::completed_count`].
+    pub fn stamped(&self) -> bool {
+        self.stamped
     }
 
     /// The next flow id awaiting birth — engines birth `flows[next_born()
@@ -506,6 +551,8 @@ impl FlowSpans {
         self.arrival[i] = arrival;
         // lint: allow(H001) push into capacity preallocated for every flow
         self.live.push(id);
+        // lint: allow(H001) push into capacity preallocated for every flow
+        self.waiting.push(id);
         rec.record(TraceEvent {
             at,
             epoch,
@@ -542,6 +589,7 @@ impl FlowSpans {
     #[inline]
     fn mark(&mut self, src: u32, dst: u32, step: usize, epoch: u64) {
         self.pair_stamps[src as usize * self.n_tors + dst as usize][step] = stamp(epoch);
+        self.stamped = true;
     }
 
     // lint: hot-path
@@ -549,7 +597,8 @@ impl FlowSpans {
     /// this `epoch`, and retire completed flows. `flow_state` reports a
     /// flow's `(remaining_bytes, completion_time)` — completion is
     /// last-byte delivery, so `flow_complete` doubles as the last-packet
-    /// dequeue span end. Compacts `live` in place; no allocation.
+    /// dequeue span end. Compacts `live` and rebuilds `waiting` in place;
+    /// no allocation.
     #[inline]
     pub fn sweep(
         &mut self,
@@ -559,6 +608,8 @@ impl FlowSpans {
         mut flow_state: impl FnMut(u32) -> (u64, Option<Nanos>),
     ) {
         let now = stamp(epoch);
+        self.stamped = false;
+        self.waiting.clear();
         let mut w = 0usize;
         for r in 0..self.live.len() {
             let id = self.live[r];
@@ -619,8 +670,50 @@ impl FlowSpans {
             }
             self.live[w] = id;
             w += 1;
+            if self.flags[i] & milestone::FIRST_TX == 0 {
+                // lint: allow(H001) push into capacity preallocated for every flow
+                self.waiting.push(id);
+            }
         }
         self.live.truncate(w);
+    }
+
+    // lint: hot-path
+    /// The quiet-tick form of [`Self::sweep`], for a tick on which no pair
+    /// was stamped ([`Self::stamped`]) and no flow completed: walk only the
+    /// flows awaiting their first transmission, in flow-id order, and emit
+    /// `flow_first_tx` for each that `remaining` (its undelivered bytes)
+    /// shows has sent. Compacts `waiting` in place; no allocation.
+    #[inline]
+    pub fn sweep_waiting(
+        &mut self,
+        rec: &mut FlightRecorder,
+        at: Nanos,
+        epoch: u64,
+        mut remaining: impl FnMut(u32) -> u64,
+    ) {
+        let mut w = 0usize;
+        for r in 0..self.waiting.len() {
+            let id = self.waiting[r];
+            let i = id as usize;
+            let left = remaining(id);
+            if left < self.bytes[i] {
+                self.flags[i] |= milestone::FIRST_TX;
+                rec.record(TraceEvent {
+                    at,
+                    epoch,
+                    kind: TraceEventKind::FlowFirstTx,
+                    a: id as u64,
+                    b: self.bytes[i] - left,
+                    c: 0,
+                    d: 0,
+                });
+                continue; // sent: no longer waiting
+            }
+            self.waiting[w] = id;
+            w += 1;
+        }
+        self.waiting.truncate(w);
     }
 }
 
@@ -831,6 +924,149 @@ mod tests {
         ));
         for line in text.lines() {
             Json::parse(line).expect("every span line parses");
+        }
+    }
+
+    /// The per-line rendering `render_ndjson` used before it wrote lines
+    /// directly: a [`Json`] object per event, rendered compact.
+    fn oracle_line(ev: &TraceEvent) -> String {
+        let mut line = Json::object();
+        line.push("event", ev.kind.name())
+            .push("epoch", ev.epoch)
+            .push("t_ns", ev.at);
+        match ev.kind {
+            TraceEventKind::Sched => {
+                line.push("requests", ev.a)
+                    .push("grants", ev.b)
+                    .push("accepts", ev.c);
+            }
+            TraceEventKind::ControlDrop => {
+                line.push("dropped", ev.a).push("total", ev.b);
+            }
+            TraceEventKind::Detector => {
+                line.push("fp_links", ev.a).push("fn_links", ev.b);
+            }
+            TraceEventKind::Fault => {
+                line.push("injected", ev.a)
+                    .push("link_events", ev.b)
+                    .push("total", ev.c);
+            }
+            TraceEventKind::Backlog => {
+                line.push("tor", ev.a).push("bytes", ev.b);
+            }
+            TraceEventKind::Phase => {
+                line.push("phase", ev.a)
+                    .push("delivered_bytes", ev.b)
+                    .push("backlog_bytes", ev.c)
+                    .push("partitioned_tors", ev.d);
+            }
+            TraceEventKind::FlowBorn => {
+                line.push("flow", ev.a)
+                    .push("src", ev.b)
+                    .push("dst", ev.c)
+                    .push("bytes", ev.d);
+            }
+            TraceEventKind::FlowRequest
+            | TraceEventKind::FlowGrant
+            | TraceEventKind::FlowAccept => {
+                line.push("flow", ev.a).push("src", ev.b).push("dst", ev.c);
+            }
+            TraceEventKind::FlowFirstTx => {
+                line.push("flow", ev.a).push("sent_bytes", ev.b);
+            }
+            TraceEventKind::FlowComplete => {
+                line.push("flow", ev.a)
+                    .push("fct_ns", ev.b)
+                    .push("src", ev.c)
+                    .push("dst", ev.d);
+            }
+        }
+        let mut text = line.render_compact();
+        text.push('\n');
+        text
+    }
+
+    const KINDS: [TraceEventKind; 12] = [
+        TraceEventKind::Sched,
+        TraceEventKind::ControlDrop,
+        TraceEventKind::Detector,
+        TraceEventKind::Fault,
+        TraceEventKind::Backlog,
+        TraceEventKind::Phase,
+        TraceEventKind::FlowBorn,
+        TraceEventKind::FlowRequest,
+        TraceEventKind::FlowGrant,
+        TraceEventKind::FlowAccept,
+        TraceEventKind::FlowFirstTx,
+        TraceEventKind::FlowComplete,
+    ];
+
+    /// Every kind, with `at`, `epoch` and each payload word at 0, 1 and
+    /// `u64::MAX`: the direct line equals the JSON tree's byte for byte
+    /// and parses back to the same numbers.
+    #[test]
+    fn event_lines_equal_the_json_tree_rendering() {
+        let values = [0, 1, u64::MAX];
+        for kind in KINDS {
+            for i in 0..values.len().pow(6) {
+                let pick = |k: u32| values[i / values.len().pow(k) % values.len()];
+                let ev = TraceEvent {
+                    at: pick(0),
+                    epoch: pick(1),
+                    kind,
+                    a: pick(2),
+                    b: pick(3),
+                    c: pick(4),
+                    d: pick(5),
+                };
+                let mut line = String::new();
+                write_event_line(&mut line, &ev);
+                assert_eq!(line, oracle_line(&ev), "{ev:?}");
+                let parsed = Json::parse(line.trim_end()).expect("the line parses");
+                assert_eq!(
+                    parsed.get("event").and_then(Json::as_str),
+                    Some(kind.name())
+                );
+                assert_eq!(parsed.get("epoch").and_then(Json::as_u64), Some(ev.epoch));
+                assert_eq!(parsed.get("t_ns").and_then(Json::as_u64), Some(ev.at));
+                for (key, word) in kind.fields().iter().zip([ev.a, ev.b, ev.c, ev.d]) {
+                    assert_eq!(parsed.get(key).and_then(Json::as_u64), Some(word), "{key}");
+                }
+            }
+        }
+    }
+
+    /// A `system` label JSON must escape reaches the header and footer
+    /// escaped, and the whole trace equals the tree rendering.
+    #[test]
+    fn header_and_footer_escape_the_system_label() {
+        let system = "nego \"quoted\" \\ path";
+        let mut r = FlightRecorder::with_capacity(4, 0);
+        for i in 0..6 {
+            r.record(ev(i, i * 3));
+        }
+        let text = r.render_ndjson(system);
+        let mut start = Json::object();
+        start
+            .push("event", "trace_start")
+            .push("schema_version", TRACE_SCHEMA_VERSION)
+            .push("system", system)
+            .push("capacity", 4u64);
+        let mut want = start.render_compact() + "\n";
+        for e in r.events() {
+            want.push_str(&oracle_line(e));
+        }
+        let mut end = Json::object();
+        end.push("event", "trace_end")
+            .push("system", system)
+            .push("events", 4u64)
+            .push("dropped", 2u64);
+        want.push_str(&(end.render_compact() + "\n"));
+        assert_eq!(text, want);
+        let lines: Vec<&str> = text.lines().collect();
+        for line in [lines[0], lines[lines.len() - 1]] {
+            let v = Json::parse(line).expect("header and footer parse");
+            assert_eq!(v.get("system").and_then(Json::as_str), Some(system));
         }
     }
 

@@ -715,6 +715,10 @@ pub struct NegotiatorSim {
     /// that selective relay uses, instead of the batched body.
     #[cfg(test)]
     slot_major: bool,
+    /// Test oracle: walk every live flow's spans at every traced epoch,
+    /// the quiet ones included (`EpochEngine::full_span_walk`).
+    #[cfg(test)]
+    full_walk: bool,
 }
 
 impl Deref for NegotiatorSim {
@@ -856,6 +860,8 @@ impl NegotiatorSim {
             dense: false,
             #[cfg(test)]
             slot_major: false,
+            #[cfg(test)]
+            full_walk: false,
             cfg,
             topo,
             opts,
@@ -1463,6 +1469,11 @@ impl EpochEngine for NegotiatorSim {
             rec.backlog_sample(t0, epoch, tor, self.q.backlog_of(tor));
         }
     }
+
+    #[cfg(test)]
+    fn full_span_walk(&self) -> bool {
+        self.full_walk
+    }
 }
 
 #[cfg(test)]
@@ -2042,6 +2053,63 @@ mod tests {
                 assert!(batched.1 == walked.1, "{case}: completions differ");
                 assert_eq!(batched.2, walked.2, "{case}: counters differ");
                 assert!(batched.3 == walked.3, "{case}: traces differ");
+            }
+        }
+    }
+
+    /// The quiet-epoch span walk against the full walk, which `full_walk`
+    /// makes every traced epoch take: both topologies, Hadoop at 90 % and
+    /// 20 % load (where epochs stamp pairs but complete no flow) plus an
+    /// incast burst, a failed-link window, PIAS on and off, and a
+    /// 1 024-event ring that overwrites. Same trace bytes.
+    #[test]
+    fn quiet_span_walk_matches_the_full_walk() {
+        for kind in [TopologyKind::Parallel, TopologyKind::ThinClos] {
+            for (pias, load, capacity) in [
+                (true, 0.9, 1 << 20),
+                (false, 0.2, 1 << 20),
+                (true, 0.9, 1_024),
+            ] {
+                let play = |full_walk: bool| {
+                    let net = NetworkConfig {
+                        n_tors: 16,
+                        n_ports: 4,
+                        ..NetworkConfig::small_for_tests()
+                    };
+                    let mut cfg = NegotiatorConfig::paper_default(net);
+                    cfg.priority_queues = pias;
+                    let mut sim = NegotiatorSim::new(cfg, kind);
+                    sim.full_walk = full_walk;
+                    sim.set_recorder(FlightRecorder::with_capacity(capacity, 16));
+                    let epoch = sim.epoch_len();
+                    let fail = FaultAction::FailRandom {
+                        ratio: 0.1,
+                        seed: 3,
+                    };
+                    sim.schedule_fault(8 * epoch, fail);
+                    sim.schedule_fault(16 * epoch, FaultAction::RepairAll);
+                    let hadoop = PoissonWorkload::new(WorkloadSpec {
+                        dist: FlowSizeDist::hadoop(),
+                        load,
+                        n_tors: 16,
+                        host_bps: sim.cfg.net.host_bandwidth.bps(),
+                    })
+                    .generate(60 * epoch, 7);
+                    let incast = IncastWorkload {
+                        degree: 12,
+                        flow_bytes: 1_000,
+                        n_tors: 16,
+                        start: 12 * epoch,
+                    }
+                    .generate(5);
+                    sim.run(&hadoop.merge(incast), 80 * epoch);
+                    let rec = sim.take_recorder().unwrap();
+                    (rec.dropped(), rec.render_ndjson("negotiator"))
+                };
+                let (quiet, full) = (play(false), play(true));
+                let case = format!("{kind:?} pias {pias} load {load} capacity {capacity}");
+                assert_eq!(quiet.0 > 0, capacity == 1_024, "{case}: drops");
+                assert!(quiet == full, "{case}: traces differ");
             }
         }
     }

@@ -193,6 +193,10 @@ pub struct ObliviousSim {
     /// slot walk the pass over every connection.
     #[cfg(test)]
     dense: bool,
+    /// Test oracle: walk every live flow's spans at every traced slot, the
+    /// quiet ones included (`EpochEngine::full_span_walk`).
+    #[cfg(test)]
+    full_walk: bool,
 }
 
 impl Deref for ObliviousSim {
@@ -261,6 +265,8 @@ impl ObliviousSim {
             cfg,
             #[cfg(test)]
             dense: false,
+            #[cfg(test)]
+            full_walk: false,
         }
     }
 
@@ -554,6 +560,11 @@ impl EpochEngine for ObliviousSim {
         }
     }
 
+    #[cfg(test)]
+    fn full_span_walk(&self) -> bool {
+        self.full_walk
+    }
+
     // lint: hot-path
     fn tick(
         &mut self,
@@ -678,6 +689,65 @@ mod tests {
             bytes,
             arrival: 0,
         }])
+    }
+
+    /// The quiet-slot span walk against the full walk, which `full_walk`
+    /// makes every traced slot take: both topologies, Hadoop at 90 % and
+    /// 20 % load plus an incast burst, a failed-link window, PIAS on and off, and a
+    /// 1 024-event ring that overwrites. Same trace bytes.
+    #[test]
+    fn quiet_span_walk_matches_the_full_walk() {
+        use metrics::trace::FlightRecorder;
+        use topology::FaultAction;
+        use workload::{FlowSizeDist, PoissonWorkload, WorkloadSpec};
+
+        for kind in [TopologyKind::Parallel, TopologyKind::ThinClos] {
+            for (pias, load, capacity) in [
+                (true, 0.9, 1 << 20),
+                (false, 0.2, 1 << 20),
+                (true, 0.9, 1_024),
+            ] {
+                let play = |full_walk: bool| {
+                    let net = NetworkConfig {
+                        n_tors: 16,
+                        n_ports: 4,
+                        ..NetworkConfig::small_for_tests()
+                    };
+                    let mut cfg = ObliviousConfig::paper_default(net);
+                    cfg.priority_queues = pias;
+                    let mut sim = ObliviousSim::new(cfg, kind);
+                    sim.full_walk = full_walk;
+                    sim.set_recorder(FlightRecorder::with_capacity(capacity, 16));
+                    let fail = FaultAction::FailRandom {
+                        ratio: 0.1,
+                        seed: 3,
+                    };
+                    sim.schedule_fault(40_000, fail);
+                    sim.schedule_fault(100_000, FaultAction::RepairAll);
+                    let hadoop = PoissonWorkload::new(WorkloadSpec {
+                        dist: FlowSizeDist::hadoop(),
+                        load,
+                        n_tors: 16,
+                        host_bps: sim.cfg.net.host_bandwidth.bps(),
+                    })
+                    .generate(400_000, 7);
+                    let incast = IncastWorkload {
+                        degree: 12,
+                        flow_bytes: 1_000,
+                        n_tors: 16,
+                        start: 50_000,
+                    }
+                    .generate(5);
+                    sim.run(&hadoop.merge(incast), 500_000);
+                    let rec = sim.take_recorder().unwrap();
+                    (rec.dropped(), rec.render_ndjson("oblivious"))
+                };
+                let (quiet, full) = (play(false), play(true));
+                let case = format!("{kind:?} pias {pias} load {load} capacity {capacity}");
+                assert_eq!(quiet.0 > 0, capacity == 1_024, "{case}: drops");
+                assert!(quiet == full, "{case}: traces differ");
+            }
+        }
     }
 
     #[test]
