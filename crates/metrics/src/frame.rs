@@ -148,9 +148,9 @@ pub trait EpochEngine: DerefMut<Target = RunFrame> {
     /// Simulated length of one loop tick.
     fn tick_len(&self) -> Nanos;
 
-    /// The engine's side of the cumulative phase counters: backlog,
-    /// control plane, detector. The frame fills in `delivered_bytes` and
-    /// `partitioned_tors`.
+    /// The engine's side of the cumulative phase counters: backlog, in
+    /// flight, lost, control plane, detector. The frame fills in
+    /// `delivered_bytes` and `partitioned_tors`.
     fn phase_counters(&self) -> PhaseCounters;
 
     /// Play tick number `tick`, starting at `now`: inject the flows of
@@ -194,11 +194,29 @@ pub trait EpochEngine: DerefMut<Target = RunFrame> {
 /// Snapshot the engine's cumulative counters into the probe and the trace:
 /// for every boundary at or before `now`, or — `None`, once the run is
 /// over — for every boundary the (possibly early) exit left unvisited,
-/// each stamped at its nominal time.
-fn snapshot<E: EpochEngine>(engine: &mut E, tracker: &FlowTracker, now: Option<Nanos>, tick: u64) {
+/// each stamped at its nominal time. Debug builds check the byte law on
+/// the way: every byte of the `injected` flows is delivered, queued, in
+/// flight or lost.
+fn snapshot<E: EpochEngine>(
+    engine: &mut E,
+    tracker: &FlowTracker,
+    injected: &[Flow],
+    now: Option<Nanos>,
+    tick: u64,
+) {
     let mut counters = engine.phase_counters();
     counters.delivered_bytes = tracker.delivered_payload();
     counters.partitioned_tors = engine.failures.partitioned_tors() as u64;
+    let c = &counters;
+    debug_assert_eq!(
+        injected.iter().map(|f| f.bytes).sum::<u64>(),
+        c.delivered_bytes + c.backlog_bytes + c.in_flight_bytes + c.lost_bytes,
+        "byte law at tick {tick}: injected = delivered {} + backlog {} + in flight {} + lost {}",
+        c.delivered_bytes,
+        c.backlog_bytes,
+        c.in_flight_bytes,
+        c.lost_bytes
+    );
     let frame: &mut RunFrame = engine;
     let probe = frame.probe.as_mut().expect("caller checked the probe");
     let before = probe.snapshots().len();
@@ -241,7 +259,7 @@ pub fn run<E: EpochEngine>(engine: &mut E, trace: &FlowTrace, duration: Nanos) -
             break;
         }
         if engine.probe.as_ref().is_some_and(|p| p.due(now)) {
-            snapshot(engine, &tracker, Some(now), tick);
+            snapshot(engine, &tracker, &flows[..cursor], Some(now), tick);
         }
         engine.apply_schedule(now, tick);
         cursor = engine.tick(tick, now, flows, cursor, &mut tracker);
@@ -293,7 +311,7 @@ pub fn run<E: EpochEngine>(engine: &mut E, trace: &FlowTrace, duration: Nanos) -
         }
     }
     if engine.probe.is_some() {
-        snapshot(engine, &tracker, None, tick);
+        snapshot(engine, &tracker, &flows[..cursor], None, tick);
     }
     engine.not_injected = flows.len() - cursor;
     engine.tracker = Some(tracker);
@@ -309,12 +327,15 @@ mod tests {
 
     /// A scripted engine: flows arrive at their arrival tick, and each
     /// tick delivers the listed `(flow, bytes)` and stamps the listed
-    /// REQUEST pairs.
+    /// REQUEST pairs. It reports as backlog what it injected and has not
+    /// delivered, plus `skew`.
     struct Scripted {
         frame: RunFrame,
         deliveries: Vec<(u64, u64, u64)>,
         requests: Vec<(u64, u32, u32)>,
         full_walk: bool,
+        queued: u64,
+        skew: u64,
     }
 
     impl Deref for Scripted {
@@ -336,7 +357,10 @@ mod tests {
         }
 
         fn phase_counters(&self) -> PhaseCounters {
-            PhaseCounters::default()
+            PhaseCounters {
+                backlog_bytes: self.queued + self.skew,
+                ..PhaseCounters::default()
+            }
         }
 
         fn tick(
@@ -348,11 +372,13 @@ mod tests {
             tracker: &mut FlowTracker,
         ) -> usize {
             while cursor < flows.len() && flows[cursor].arrival <= now {
+                self.queued += flows[cursor].bytes;
                 cursor += 1;
             }
             for &(at, flow, bytes) in &self.deliveries {
                 if at == tick {
                     tracker.deliver(flow, bytes, now);
+                    self.queued -= bytes;
                 }
             }
             cursor
@@ -398,6 +424,8 @@ mod tests {
                 deliveries: vec![(1, 0, 500), (3, 0, 500), (3, 1, 300), (4, 1, 700)],
                 requests: vec![(2, 2, 3)],
                 full_walk,
+                queued: 0,
+                skew: 0,
             };
             engine.set_recorder(FlightRecorder::with_capacity(64, net.n_tors));
             run(&mut engine, &trace, 10_000);
@@ -422,5 +450,44 @@ mod tests {
             quiet.render_ndjson("scripted"),
             play(true).render_ndjson("scripted")
         );
+    }
+
+    /// The byte law at the phase boundaries: a run whose backlog accounts
+    /// for every injected byte passes, one byte too many trips the check.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn an_unbalanced_counter_trips_the_byte_law() {
+        let play = |skew: u64| {
+            let net = NetworkConfig::small_for_tests();
+            let flow = |id, arrival| Flow {
+                id,
+                src: 0,
+                dst: 1,
+                bytes: 1_000,
+                arrival,
+            };
+            let trace = FlowTrace::new(vec![flow(0, 0), flow(1, 250)]);
+            let mut engine = Scripted {
+                frame: RunFrame::new(&net),
+                deliveries: vec![(1, 0, 400), (4, 0, 600), (5, 1, 1_000)],
+                requests: Vec::new(),
+                full_walk: false,
+                queued: 0,
+                skew,
+            };
+            engine.set_phase_probe(PhaseProbe::new(vec![200, 400, 10_000]));
+            run(&mut engine, &trace, 10_000);
+            let snaps = engine.phase_probe().expect("attached").snapshots().to_vec();
+            snaps
+                .iter()
+                .map(|s| s.counters.backlog_bytes)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(play(0), [600, 1_600, 0]);
+        let tripped = std::panic::catch_unwind(|| play(1)).expect_err("skew 1 must trip");
+        let message = tripped
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(message.contains("byte law at tick 2"), "{message}");
     }
 }

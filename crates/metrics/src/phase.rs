@@ -22,7 +22,8 @@ pub struct PhaseCounters {
     /// Bytes on the engine's queues: the negotiator's per-destination
     /// queues, relayed bytes included, and the rotor's source-bound lists
     /// plus its relay FIFOs. Not counted: first hops in the rotor's
-    /// in-flight ring, and flows the frame has not yet injected.
+    /// in-flight ring (`in_flight_bytes`), and flows the frame has not yet
+    /// injected.
     pub backlog_bytes: u64,
     /// Grants issued so far (negotiator only; 0 for schedule-free engines).
     pub grants: u64,
@@ -40,6 +41,16 @@ pub struct PhaseCounters {
     /// ToRs currently cut off from the largest partition group (0 when the
     /// fabric is whole).
     pub partitioned_tors: u64,
+    /// Bytes sent but not yet landed: the rotor's first hops in its
+    /// in-flight ring (0 for the negotiator, whose sends land at once).
+    /// Checked, never rendered: like `lost_bytes` it closes the byte law
+    /// the run loop asserts at every boundary in debug builds, and enters
+    /// no document, series column, trace field or hash.
+    pub in_flight_bytes: u64,
+    /// Bytes sent into a ground-truth-failed link and lost (the
+    /// negotiator's `SchedStats::lost_bytes`; 0 for the rotor, which holds
+    /// data back from a down link). Checked, never rendered.
+    pub lost_bytes: u64,
 }
 
 /// One recorded boundary: when it was (nominally) due and the counters the

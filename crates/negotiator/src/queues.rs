@@ -52,7 +52,47 @@ pub struct Packet {
     pub relayed: bool,
 }
 
-/// A contiguous run of one flow's bytes at one priority level. Packed to
+/// One segment's bytes dequeued for consecutive packets
+/// ([`PairRows::dequeue_run`]): `count` packets, every one `max_payload`
+/// bytes but the last, which carries the rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// Owning flow.
+    pub flow: u64,
+    /// Payload bytes of the whole run.
+    pub bytes: u64,
+    /// Packets the run fills.
+    pub count: usize,
+    /// Priority level the bytes came from (0 = highest).
+    pub priority: usize,
+    /// True when the bytes arrived over a relay hop (see [`Packet::relayed`]).
+    pub relayed: bool,
+}
+
+impl Run {
+    /// Payload of the run's last packet, in `1..=max_payload`.
+    #[inline]
+    pub fn last_bytes(&self, max_payload: u64) -> u64 {
+        self.bytes - (self.count as u64 - 1) * max_payload
+    }
+
+    /// The run as the packets `count` single dequeues would have taken,
+    /// in order.
+    pub fn packets(self, max_payload: u64) -> impl Iterator<Item = Packet> {
+        (0..self.count).map(move |i| Packet {
+            flow: self.flow,
+            bytes: if i + 1 == self.count {
+                self.last_bytes(max_payload)
+            } else {
+                max_payload
+            },
+            priority: self.priority,
+            relayed: self.relayed,
+        })
+    }
+}
+
+/// A segment: contiguous bytes of one flow at one priority level. Packed to
 /// 4-byte alignment: 28 B, so that with the store's link a slot is 32 B.
 /// (Its fields are read and written by value; a reference to one would be
 /// unaligned.)
@@ -177,12 +217,12 @@ impl PairQueues {
     }
 }
 
-/// Account a packet that left pair `row` in the elephant table (a no-op
-/// where the table is not kept).
+/// Account `bytes` of priority `level` that left pair `row` in the
+/// elephant table (a no-op where the table is not kept).
 #[inline]
-fn note_taken(elephants: &mut [u64], row: usize, packet: &Packet) {
-    if !elephants.is_empty() && packet.priority == ELEPHANT && !packet.relayed {
-        elephants[row] -= packet.bytes;
+fn note_taken(elephants: &mut [u64], row: usize, level: usize, relayed: bool, bytes: u64) {
+    if !elephants.is_empty() && level == ELEPHANT && !relayed {
+        elephants[row] -= bytes;
     }
 }
 
@@ -286,7 +326,7 @@ impl<'a> PairRows<'a> {
         debug_assert!(max_payload > 0);
         let row = self.lists.index(src, dst);
         let packet = take(self.lists.front_mut(src, dst, level)?, level, max_payload);
-        note_taken(self.elephants, row, &packet);
+        note_taken(self.elephants, row, level, packet.relayed, packet.bytes);
         Some(packet)
     }
 
@@ -312,35 +352,40 @@ impl<'a> PairRows<'a> {
         self.dequeue_level_packet(src, dst, ELEPHANT, max_payload)
     }
 
-    /// Dequeue up to `max_packets` packets of at most `max_payload` bytes
-    /// each, appending to `out` (not cleared): one call pulls a full
-    /// scheduled phase's worth of packets for a matched port, amortizing
-    /// the per-packet dispatch the epoch engine used to pay slot by slot.
-    /// Equivalent to calling [`PairRows::dequeue_packet`] `max_packets`
-    /// times and stopping at the first `None`.
-    pub fn dequeue_packets_into(
+    /// Dequeue the head segment of the highest non-empty priority level as
+    /// one run of at most `room` packets of at most `max_payload` bytes:
+    /// the whole segment when it fits, else its first `room` full packets.
+    /// The run holds exactly what that many calls of
+    /// [`PairRows::dequeue_packet`] would take ([`Run::packets`]), so the
+    /// scheduled phase drains a matched queue one segment at a time
+    /// instead of one packet at a time.
+    #[inline]
+    pub fn dequeue_run(
         &mut self,
         src: usize,
         dst: usize,
         max_payload: u64,
-        max_packets: usize,
-        out: &mut Vec<Packet>,
-    ) {
-        debug_assert!(max_payload > 0);
+        room: usize,
+    ) -> Option<Run> {
+        debug_assert!(max_payload > 0 && room > 0);
+        let level = self.lists.pair(src, dst).first_nonempty()?;
         let row = self.lists.index(src, dst);
-        let end = out.len() + max_packets;
-        // Nothing is enqueued meanwhile, so "highest non-empty level
-        // first" is the levels drained in order.
-        for level in 0..PRIORITY_LEVELS {
-            while out.len() < end {
-                let Some(head) = self.lists.front_mut(src, dst, level) else {
-                    break;
-                };
-                let packet = take(head, level, max_payload);
-                note_taken(self.elephants, row, &packet);
-                out.push(packet);
-            }
+        let mut head = self.lists.front_mut(src, dst, level)?;
+        let count = head.bytes.div_ceil(max_payload).min(room as u64);
+        let bytes = head.bytes.min(count * max_payload);
+        head.bytes -= bytes;
+        let run = Run {
+            flow: head.flow,
+            bytes,
+            count: count as usize,
+            priority: level,
+            relayed: head.relayed,
+        };
+        if head.bytes == 0 {
+            head.pop();
         }
+        note_taken(self.elephants, row, level, run.relayed, bytes);
+        Some(run)
     }
 }
 
@@ -513,8 +558,11 @@ mod tests {
         assert_eq!(q.view().hol_enqueued(0), Some(77));
     }
 
+    /// Runs taken until `limit` packets' room is used up, expanded into
+    /// packets, against `limit` single dequeues: the same packets, and the
+    /// same bytes left at every level.
     #[test]
-    fn batch_dequeue_equals_repeated_single_dequeues() {
+    fn runs_equal_repeated_single_dequeues() {
         let build = || {
             let mut q = One::new();
             q.flow(1, 12_000, 0, true);
@@ -523,12 +571,18 @@ mod tests {
             q.flow(4, 27, 3, true);
             q
         };
-        for limit in [0usize, 1, 5, 100] {
+        for limit in [1usize, 5, 9, 100] {
             let mut a = build();
             let mut b = build();
-            let mut batch = Vec::new();
-            a.0.all()
-                .dequeue_packets_into(0, 0, 1_115, limit, &mut batch);
+            let (mut runs, mut taken) = (Vec::new(), 0);
+            while taken < limit {
+                let Some(run) = a.0.all().dequeue_run(0, 0, 1_115, limit - taken) else {
+                    break;
+                };
+                taken += run.count;
+                runs.push(run);
+            }
+            let batch: Vec<Packet> = runs.iter().flat_map(|r| r.packets(1_115)).collect();
             let mut single = Vec::new();
             for _ in 0..limit {
                 match b.dequeue(1_115) {
@@ -542,6 +596,13 @@ mod tests {
                 assert_eq!(a.view().level_bytes(level), b.view().level_bytes(level));
             }
         }
+        // One run per segment: level 0's three flows, then flow 1's level 1.
+        let mut q = build();
+        let counts: Vec<(u64, usize)> = (0..4)
+            .map(|_| q.0.all().dequeue_run(0, 0, 1_115, 100).unwrap())
+            .map(|r| (r.flow, r.count))
+            .collect();
+        assert_eq!(counts, [(1, 1), (2, 1), (4, 1), (1, 9)]);
     }
 
     #[test]
@@ -566,9 +627,10 @@ mod tests {
             assert_eq!(view.relayed_bytes(), 1_815);
             assert_eq!(view.elephant_backlog(), 20_000);
             // Drain the elephant remainder, then the first relayed segment.
-            let mut out = Vec::new();
-            store.all().dequeue_packets_into(0, 1, 1_115, 28, &mut out);
-            assert_eq!(out.iter().map(|p| p.bytes).sum::<u64>(), 30_000);
+            let drained: u64 = (0..3)
+                .map(|_| store.all().dequeue_run(0, 1, 1_115, 28).unwrap().bytes)
+                .sum();
+            assert_eq!(drained, 30_000);
             let p = store.all().dequeue_lowest_packet(0, 1, 1_115).unwrap();
             assert_eq!((p.flow, p.bytes, p.relayed), (2, 1_115, true));
             let view = store.pair(0, 1);

@@ -31,7 +31,10 @@
 //! written in row-window form in `sim/parallel.rs` and run at whatever
 //! shard count `SimOptions::workers` asks for, one shard included. In the
 //! scheduled phase each matched queue drains as one batch, split only at
-//! its own pair's arrivals. What stays here is what is whole-fabric by
+//! its own pair's arrivals, and the batch leaves as segment runs — a
+//! queue's head segment, or as much of it as the batch has room for —
+//! each landed as one delivery instead of one per packet. What stays here
+//! is what is whole-fabric by
 //! nature: the selective-relay steps and their slot-major scheduled
 //! phase (a relayed packet lands mid-phase in another ToR's queue),
 //! iterative matching, and the detector's reading of the dummies
@@ -102,7 +105,7 @@
 use crate::config::NegotiatorConfig;
 use crate::fault::FaultDetector;
 use crate::matching::{Accept, AcceptArbiter, Grant, GrantArbiter};
-use crate::queues::{Packet, PairQueues, PairRows};
+use crate::queues::{Packet, PairQueues, PairRows, Run};
 use crate::stats::SchedStats;
 use crate::theory::PIPELINE_DELAY_EPOCHS;
 use crate::variants::greedy;
@@ -265,10 +268,12 @@ struct SimScratch {
     usable_vals: Vec<(usize, f64)>,
     /// Projector port requests.
     preqs: Vec<projector::PortRequest>,
-    /// Scheduled-phase packets of one batch of a matched queue.
-    packets: Vec<Packet>,
-    /// The ports that serve that queue, ascending.
+    /// The ports that serve a matched queue in the scheduled phase,
+    /// ascending.
     ports: Vec<usize>,
+    /// `up[q]`: how many of `ports[..q]` have their link up (`m + 1`
+    /// entries).
+    up: Vec<usize>,
     /// Mid-phase arrivals of the matched pairs: `(src, dst, index)` into
     /// the phase's flows, sorted.
     arrivals: Vec<(u32, u32, u32)>,
@@ -548,26 +553,14 @@ impl<'a> SrcRows<'a> {
         self.sent(src, dst, pkt)
     }
 
-    /// Batch form of [`Self::dequeue_packet`]: up to `max` packets into
-    /// `out` (cleared first).
-    fn dequeue_packets_into(
-        &mut self,
-        src: usize,
-        dst: usize,
-        cap: u64,
-        max: usize,
-        out: &mut Vec<Packet>,
-    ) {
-        out.clear();
-        self.pairs.dequeue_packets_into(src, dst, cap, max, out);
-        let (mut bytes, mut relayed) = (0, 0);
-        for pkt in out.iter() {
-            bytes += pkt.bytes;
-            if pkt.relayed {
-                relayed += pkt.bytes;
-            }
-        }
-        self.note_dequeue(src, dst, bytes, relayed);
+    /// Dequeue the head segment of `src → dst`'s highest non-empty level
+    /// as one run of at most `room` packets of at most `cap` payload bytes
+    /// ([`PairRows::dequeue_run`]).
+    #[inline]
+    fn dequeue_run(&mut self, src: usize, dst: usize, cap: u64, room: usize) -> Option<Run> {
+        let run = self.pairs.dequeue_run(src, dst, cap, room)?;
+        self.note_dequeue(src, dst, run.bytes, if run.relayed { run.bytes } else { 0 });
+        Some(run)
     }
 
     /// A relayed packet arrives at intermediate `via`: admitted to its
@@ -597,6 +590,7 @@ impl<'a> SrcRows<'a> {
             if failures.link_up(src, dst, port) {
                 stats.scheduled_packets += 1;
                 stats.scheduled_bytes += pkt.bytes;
+                stats.scheduled_deliveries += 1;
                 sink.emit(Event::Data {
                     slot: k as u32,
                     dst: dst as u32,
@@ -1316,6 +1310,9 @@ impl NegotiatorSim {
                                 pkt.bytes,
                                 clock.arrive(k as u32),
                             );
+                        } else {
+                            self.stats.lost_packets += 1;
+                            self.stats.lost_bytes += pkt.bytes;
                         }
                     } else {
                         self.active_relay[slot] = None; // drained
@@ -1385,6 +1382,7 @@ impl EpochEngine for NegotiatorSim {
             control_dropped: self.stats.control_dropped,
             detector_fp_links: fp,
             detector_fn_links: fn_,
+            lost_bytes: self.stats.lost_bytes,
             ..PhaseCounters::default()
         }
     }
@@ -1996,18 +1994,21 @@ mod tests {
     /// `slot_major` makes every phase take: Hadoop at 90–100 % load
     /// (mid-phase arrivals, queues that several ports serve), PIAS on and
     /// off, a failed-link window that loses scheduled packets, host
-    /// backpressure, one shard and three. Same report, completion of every
-    /// flow, counters and trace.
+    /// backpressure, one shard and three, and bandwidth series attached.
+    /// Same report, completion of every flow, counters, series windows and
+    /// trace — the batch landing one delivery per run where the walk lands
+    /// one per packet.
     #[test]
     fn batched_phase_matches_the_slot_major_walk() {
         let inputs = [
-            (true, 1.0, 1),
-            (false, 0.9, 3),
-            (true, 0.95, 3),
-            (false, 1.0, 1),
+            (true, 1.0, 1, false),
+            (false, 0.9, 3, false),
+            (true, 0.95, 3, false),
+            (false, 1.0, 1, false),
+            (true, 0.95, 1, true),
         ];
         for (kind, n_tors, relay) in FAULT_FABRICS {
-            for (pias, load, workers) in inputs {
+            for (pias, load, workers, series) in inputs {
                 let play = |slot_major: bool| {
                     let net = NetworkConfig {
                         n_tors,
@@ -2016,10 +2017,13 @@ mod tests {
                     };
                     let mut cfg = NegotiatorConfig::paper_default(net);
                     cfg.priority_queues = pias;
+                    let window = series.then_some(1_000);
                     let opts = SimOptions {
                         selective_relay: relay,
                         host_buffer_bytes: Some(100_000),
                         workers,
+                        rx_window: window,
+                        total_rx_window: window,
                         ..SimOptions::default()
                     };
                     let mut sim = NegotiatorSim::with_options(cfg, kind, opts);
@@ -2043,17 +2047,83 @@ mod tests {
                     let done: Vec<_> = (0..trace.len() as u64)
                         .map(|id| sim.tracker().completion(id))
                         .collect();
+                    let windows: Vec<Vec<u64>> = (0..n_tors)
+                        .filter_map(|dst| sim.rx_series(dst))
+                        .chain(sim.total_rx())
+                        .map(|w| w.bytes_per_window().to_vec())
+                        .collect();
                     let ndjson = sim.take_recorder().unwrap().render_ndjson("negotiator");
-                    (report, done, *sim.stats(), ndjson)
+                    (report, done, *sim.stats(), windows, ndjson)
                 };
                 let (batched, walked) = (play(false), play(true));
-                let case = format!("{kind:?} {n_tors} relay {relay} pias {pias} load {load}");
+                let case = format!(
+                    "{kind:?} {n_tors} relay {relay} pias {pias} load {load} series {series}"
+                );
                 assert!(batched.2.lost_packets > 0, "{case}: nothing lost");
                 assert!(batched.0 == walked.0, "{case}: reports differ");
                 assert!(batched.1 == walked.1, "{case}: completions differ");
-                assert_eq!(batched.2, walked.2, "{case}: counters differ");
-                assert!(batched.3 == walked.3, "{case}: traces differ");
+                assert_eq!(
+                    without_deliveries(batched.2),
+                    without_deliveries(walked.2),
+                    "{case}: counters differ"
+                );
+                let (runs, packets) = (batched.2.scheduled_deliveries, walked.2.scheduled_packets);
+                assert!(runs > 0 && runs <= packets, "{case}: {runs} deliveries");
+                if !relay {
+                    assert_eq!(walked.2.scheduled_deliveries, packets, "{case}");
+                    assert!(series || runs < packets, "{case}: one delivery per packet");
+                }
+                assert_eq!(batched.3.len(), if series { n_tors + 1 } else { 0 });
+                assert!(batched.3 == walked.3, "{case}: series differ");
+                assert!(batched.4 == walked.4, "{case}: traces differ");
             }
+        }
+        // A multi-port queue whose runs ride one failed port: the elephant
+        // of `a_mid_phase_mouse_on_a_multi_port_queue_leaves_at_its_own_slot`
+        // holds all four ports of its source when one of them fails,
+        // undetected, and a mouse arrives mid-phase. Failing the first
+        // port loses the mouse too.
+        for port in [0, 2] {
+            let play = |slot_major: bool| {
+                let mut sim = NegotiatorSim::new(small_cfg(), TopologyKind::Parallel);
+                sim.slot_major = slot_major;
+                let epoch = sim.epoch_len();
+                let down = FaultAction::FailLink {
+                    tor: 0,
+                    port,
+                    dir: LinkDir::Egress,
+                };
+                sim.schedule_fault(6 * epoch, down);
+                let mouse = 6 * epoch + sim.pre_slots as Nanos * sim.pre_slot_len + 3_000;
+                let flow = |bytes, arrival| Flow {
+                    id: 0,
+                    src: 0,
+                    dst: 5,
+                    bytes,
+                    arrival,
+                };
+                let trace = FlowTrace::new(vec![flow(10_000_000, 0), flow(1_000, mouse)]);
+                let report = sim.run(&trace, 8 * epoch);
+                let done = [0, 1].map(|id| sim.tracker().completion(id));
+                (report, done, without_deliveries(*sim.stats()))
+            };
+            let (batched, walked) = (play(false), play(true));
+            // At least one phase's worth of the failed port's slots.
+            let k = small_cfg().epoch.scheduled_slots as u64;
+            assert!(batched.2.lost_packets >= k, "port {port}: too little lost");
+            assert_eq!(batched.1[1].is_some(), port != 0, "port {port}: the mouse");
+            assert!(batched.0 == walked.0, "port {port}: reports differ");
+            assert_eq!(batched.1, walked.1, "port {port}: completions differ");
+            assert_eq!(batched.2, walked.2, "port {port}: counters differ");
+        }
+    }
+
+    /// `st` with the one counter the batched phase and the slot-major walk
+    /// count differently zeroed.
+    fn without_deliveries(st: SchedStats) -> SchedStats {
+        SchedStats {
+            scheduled_deliveries: 0,
+            ..st
         }
     }
 

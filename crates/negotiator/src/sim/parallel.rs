@@ -56,7 +56,8 @@
 //!   slot, because a relayed packet lands mid-phase in another ToR's
 //!   queue, which may forward it later in the same phase. Without relay a
 //!   flow lives in one queue, and each matched queue drains as one batch
-//!   split only at its own pair's arrivals ([`NegotiatorSim::scheduled_batched`]).
+//!   split only at its own pair's arrivals ([`NegotiatorSim::scheduled_batched`]),
+//!   dequeued and landed a segment run at a time ([`SchedCtx::send`]).
 //! * **The detector's reading of the dummies** (`observe_epoch`): it sees
 //!   each port from both ends, so no row split owns it.
 //! * **`rebuild_active_list` and the flag-clearing prologues**: memset-
@@ -147,7 +148,12 @@ pub(super) enum Event {
         final_dst: u32,
         vol: u64,
     },
-    /// A data packet delivered to `dst` (tracker + series + rx buffer).
+    /// Data of `flow` delivered to `dst` (tracker + series + rx buffer),
+    /// arriving with the transmissions of `slot`: one packet in the
+    /// predefined phase and the slot-major walk; in the batched scheduled
+    /// phase a whole run of one segment's packets, landed at its last
+    /// delivered packet's slot — or, with a bandwidth series attached,
+    /// one event per slot the run occupies ([`Batch::land`]).
     Data {
         slot: u32,
         dst: u32,
@@ -484,14 +490,17 @@ struct SchedCtx<'a> {
     scratch: &'a mut SimScratch,
     stats: &'a mut SchedStats,
     sink: Sink<'a>,
+    /// A bandwidth series is attached: runs land slot by slot.
+    series: bool,
 }
 
 impl SchedCtx<'_> {
     /// Send queue `src → dst`'s packets of scheduled `slots` on the ports
-    /// in `scratch.ports` (ascending): one batch dequeue of up to `m`
-    /// packets a slot, packet `i` on port `ports[i % m]` in slot
-    /// `slots.start + i / m` — the order in which a slot-major walk serves
-    /// each slot's ports. A port whose link is down loses its packets.
+    /// in `scratch.ports` (ascending): up to `m` packets a slot, packet `i`
+    /// on port `ports[i % m]` in slot `slots.start + i / m` — the order in
+    /// which a slot-major walk serves each slot's ports. The queue leaves
+    /// as runs ([`SrcRows::dequeue_run`]), each landed whole
+    /// ([`Batch::land`]); a port whose link is down loses its packets.
     fn send(
         &mut self,
         failures: &LinkFailures,
@@ -505,29 +514,125 @@ impl SchedCtx<'_> {
             scratch,
             stats,
             sink,
+            series,
             ..
         } = self;
-        let m = scratch.ports.len();
-        let max = m * slots.len();
-        if max == 0 {
+        let room = scratch.ports.len() * slots.len();
+        if room == 0 {
             return;
         }
-        rows.dequeue_packets_into(src, dst, cap, max, &mut scratch.packets);
-        stats.overscheduled_slots += (max - scratch.packets.len()) as u64;
-        for (i, pkt) in scratch.packets.iter().enumerate() {
-            if failures.link_up(src, dst, scratch.ports[i % m]) {
-                stats.scheduled_packets += 1;
-                stats.scheduled_bytes += pkt.bytes;
-                sink.emit(Event::Data {
-                    slot: (slots.start + i / m) as u32,
-                    dst: dst as u32,
-                    flow: pkt.flow,
-                    bytes: pkt.bytes,
-                });
-            } else {
-                stats.lost_packets += 1;
-                stats.lost_bytes += pkt.bytes;
+        scratch.up.clear();
+        scratch.up.push(0);
+        let mut up = 0;
+        for &port in &scratch.ports {
+            up += usize::from(failures.link_up(src, dst, port));
+            scratch.up.push(up);
+        }
+        let batch = Batch {
+            dst: dst as u32,
+            k0: slots.start,
+            cap,
+            up: &scratch.up,
+            series: *series,
+        };
+        let mut at = 0;
+        while at < room {
+            let Some(run) = rows.dequeue_run(src, dst, cap, room - at) else {
+                break;
+            };
+            batch.land(at, run, stats, sink);
+            at += run.count;
+        }
+        stats.overscheduled_slots += (room - at) as u64;
+    }
+}
+
+/// One matched queue's batch of scheduled packets toward `dst`: packet
+/// `i` rides the `i mod m`-th of the queue's `m` ports in slot
+/// `k0 + i / m`, and carries `cap` bytes unless it ends a run.
+struct Batch<'a> {
+    dst: u32,
+    k0: usize,
+    cap: u64,
+    /// `up[q]`: how many of the first `q` ports have their link up
+    /// (`m + 1` entries).
+    up: &'a [usize],
+    /// A bandwidth series is attached.
+    series: bool,
+}
+
+impl Batch<'_> {
+    #[inline]
+    fn m(&self) -> usize {
+        self.up.len() - 1
+    }
+
+    /// How many of packets `0..i` ride a port whose link is up.
+    #[inline]
+    fn up_before(&self, i: usize) -> usize {
+        let m = self.m();
+        i / m * self.up[m] + self.up[i % m]
+    }
+
+    #[inline]
+    fn is_up(&self, i: usize) -> bool {
+        let q = i % self.m();
+        self.up[q + 1] > self.up[q]
+    }
+
+    #[inline]
+    fn slot(&self, i: usize) -> u32 {
+        (self.k0 + i / self.m()) as u32
+    }
+
+    /// Land `run`, which fills packets `at..at + run.count`: the packets
+    /// on down ports are lost, the rest delivered as one `Data` event at
+    /// the slot of the last of them — or, with a series attached, one per
+    /// slot the run occupies, so each window sees its slots' bytes at
+    /// their arrival. The run's last packet is short
+    /// ([`Run::last_bytes`]).
+    #[inline]
+    fn land(&self, at: usize, run: Run, stats: &mut SchedStats, sink: &mut Sink<'_>) {
+        let end = at + run.count;
+        let delivered = self.up_before(end) - self.up_before(at);
+        // The last packet is `short` bytes below a full one.
+        let (last_up, short) = (self.is_up(end - 1), self.cap - run.last_bytes(self.cap));
+        let bytes = delivered as u64 * self.cap - if last_up { short } else { 0 };
+        stats.scheduled_packets += delivered as u64;
+        stats.scheduled_bytes += bytes;
+        stats.lost_packets += (run.count - delivered) as u64;
+        stats.lost_bytes += run.bytes - bytes;
+        if delivered == 0 {
+            return;
+        }
+        let mut emit = |slot: u32, bytes: u64| {
+            stats.scheduled_deliveries += 1;
+            sink.emit(Event::Data {
+                slot,
+                dst: self.dst,
+                flow: run.flow,
+                bytes,
+            });
+        };
+        if !self.series {
+            // Some port is up, so the walk back stops within `m` packets.
+            let mut last = end - 1;
+            while !self.is_up(last) {
+                last -= 1;
             }
+            emit(self.slot(last), bytes);
+            return;
+        }
+        let m = self.m();
+        let mut from = at;
+        while from < end {
+            let to = end.min((from / m + 1) * m);
+            let landed = self.up_before(to) - self.up_before(from);
+            if landed > 0 {
+                let tail = if to == end && last_up { short } else { 0 };
+                emit(self.slot(from), landed as u64 * self.cap - tail);
+            }
+            from = to;
         }
     }
 }
@@ -1185,8 +1290,10 @@ impl NegotiatorSim {
     /// queue's dequeues and injections keep their walk order, and each
     /// flow's packets still land in slot order, while deliveries fold into
     /// the tracker, the receive buffers and the bandwidth series as sums.
-    /// `Data` events carry their slot and replay in lane order. Returns
-    /// the cursor past the phase's arrivals.
+    /// So a batch leaves as segment runs, each one `Data` event at the
+    /// slot of its last delivered packet — the arrival that completes the
+    /// flow when the run ends it. Events carry their slot and replay in
+    /// lane order. Returns the cursor past the phase's arrivals.
     pub(super) fn scheduled_batched(
         &mut self,
         flows: &[Flow],
@@ -1209,6 +1316,7 @@ impl NegotiatorSim {
         let shards = shard::partition(n, self.par_workers());
         let lanes = self.par.lanes(shards.len());
         let (failures, active) = (&self.frame.failures, &self.active[..]);
+        let series = !self.land.rx_series.is_empty() || self.land.total_rx.is_some();
         {
             let rows = self.q.split(&shards);
             let sinks = sinks(lanes, &mut self.land, tracker, clock);
@@ -1224,6 +1332,7 @@ impl NegotiatorSim {
                     scratch,
                     stats,
                     sink,
+                    series,
                 });
             }
             shard::map_shards(ctxs, |_, mut ctx| {

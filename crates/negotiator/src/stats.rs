@@ -52,6 +52,12 @@ pub struct SchedStats {
     /// port whose sweep pick the detector or an earlier iterative round
     /// refused). At most `requests_sent` on a healthy fabric.
     pub grant_candidates_scanned: u64,
+    /// Work counter: `Data` deliveries the scheduled phase applies — one
+    /// per run a matched queue sends (a segment, or what of it the batch
+    /// has room for), or one per slot the run occupies when a bandwidth
+    /// series is attached; one per packet in selective relay's slot-major
+    /// walk. Tracks segments, not packets.
+    pub scheduled_deliveries: u64,
 }
 
 impl std::ops::AddAssign for SchedStats {
@@ -73,6 +79,7 @@ impl std::ops::AddAssign for SchedStats {
         self.request_pairs_scanned += o.request_pairs_scanned;
         self.predefined_conns_visited += o.predefined_conns_visited;
         self.grant_candidates_scanned += o.grant_candidates_scanned;
+        self.scheduled_deliveries += o.scheduled_deliveries;
     }
 }
 

@@ -549,13 +549,14 @@ impl EpochEngine for ObliviousSim {
     }
 
     /// Backlog covers bound segments at sources and relay FIFOs at
-    /// intermediates; grants and accepts stay zero — the rotor never
-    /// negotiates.
+    /// intermediates, in flight the first hops of the in-flight ring;
+    /// grants and accepts stay zero — the rotor never negotiates.
     fn phase_counters(&self) -> PhaseCounters {
         #[cfg(debug_assertions)]
         self.debug_verify_mirrors();
         PhaseCounters {
             backlog_bytes: self.q.queued,
+            in_flight_bytes: self.inflight_bytes(),
             ..PhaseCounters::default()
         }
     }

@@ -61,6 +61,18 @@ impl ModelQueue {
         (0..PRIORITY_LEVELS).find_map(|level| self.dequeue_level(level, cap))
     }
 
+    /// The packets of the head segment of the highest non-empty level,
+    /// `room` at most: what one run dequeue takes.
+    fn dequeue_run(&mut self, cap: u64, room: usize) -> Option<Vec<Packet>> {
+        let level = (0..PRIORITY_LEVELS).find(|&l| !self.levels[l].is_empty())?;
+        let segments = self.levels[level].len();
+        let mut run = Vec::new();
+        while run.len() < room && self.levels[level].len() == segments {
+            run.extend(self.dequeue_level(level, cap));
+        }
+        Some(run)
+    }
+
     fn segments(&self) -> usize {
         self.levels.iter().map(VecDeque::len).sum()
     }
@@ -191,11 +203,10 @@ proptest! {
                     m.dequeue_level(ELEPHANT, cap)
                 ),
                 _ => {
-                    let max = (size % 7) as usize;
-                    let mut got = Vec::new();
-                    store.all().dequeue_packets_into(0, dst, cap, max, &mut got);
-                    let want: Vec<Packet> = (0..max).map_while(|_| m.dequeue(cap)).collect();
-                    prop_assert_eq!(got, want);
+                    let room = 1 + (size % 7) as usize;
+                    let got = store.all().dequeue_run(0, dst, cap, room);
+                    let got: Option<Vec<Packet>> = got.map(|run| run.packets(cap).collect());
+                    prop_assert_eq!(got, m.dequeue_run(cap, room));
                 }
             }
             high_water = high_water.max(model.iter().map(ModelQueue::segments).sum());

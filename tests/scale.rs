@@ -5,6 +5,10 @@
 //! at each request once, not once per port. The work counters in
 //! `SchedStats` make that checkable without a clock.
 //!
+//! The scheduled phase is held to it too: a matched queue leaves as
+//! segment runs, and `SchedStats::scheduled_deliveries` counts one landing
+//! per run where a packet-by-packet phase would count one per packet.
+//!
 //! The oblivious rotor is held to the same standard: a slot visits the
 //! connections whose pair has something queued, not all `n · S`, and
 //! `RotorStats` counts the visits.
@@ -38,6 +42,7 @@
 use metrics::trace::FlowSpans;
 use metrics::FlowTracker;
 use negotiator::matching::{AcceptArbiter, GrantArbiter};
+use negotiator::queues::PRIORITY_LEVELS;
 use negotiator::rings::Ring;
 use negotiator::{NegotiatorConfig, NegotiatorSim, SchedulerMode, SimOptions};
 use oblivious::{ObliviousConfig, ObliviousSim};
@@ -528,6 +533,58 @@ fn grant_scans_each_request_once() {
         st.grant_candidates_scanned,
         st.requests_sent
     );
+}
+
+/// A dense all-to-all of 100 kB flows on 32 ToRs × 8 ports, every flow
+/// arriving at 0, played 60 epochs on both topologies: the scheduled phase
+/// lands one delivery per run, not one per packet.
+///
+/// Why the bound holds: a matched queue's batch leaves as runs, and a run
+/// ends where its segment ends or where the batch runs out of room. The
+/// batch splits only at the pair's own mid-phase arrivals, and there are
+/// none here, so a run that fills the room is the batch's last. A pair
+/// holds one flow, three PIAS segments, so a matched queue lands at most
+/// `PRIORITY_LEVELS` runs a phase; and the queues matched in an epoch are
+/// at most the ports accepted in it. A packet-by-packet landing needs one
+/// delivery per packet — here at least 8× more.
+#[test]
+fn scheduled_deliveries_track_segments_not_packets() {
+    let net = NetworkConfig {
+        n_tors: 32,
+        n_ports: 8,
+        ..NetworkConfig::paper_default()
+    };
+    let n = net.n_tors;
+    let flows: Vec<Flow> = (0..n * n)
+        .filter(|i| i / n != i % n)
+        .enumerate()
+        .map(|(id, i)| Flow {
+            id: id as u64,
+            src: i / n,
+            dst: i % n,
+            bytes: 100_000,
+            arrival: 0,
+        })
+        .collect();
+    let trace = FlowTrace::new(flows);
+    for kind in [TopologyKind::Parallel, TopologyKind::ThinClos] {
+        let mut sim = NegotiatorSim::new(NegotiatorConfig::paper_default(net.clone()), kind);
+        let epoch = sim.epoch_len();
+        sim.run(&trace, 60 * epoch);
+        let st = *sim.stats();
+        let bound = st.accepts_made * PRIORITY_LEVELS as u64;
+        assert!(
+            st.scheduled_deliveries > 0 && st.scheduled_deliveries <= bound,
+            "{kind:?}: {} deliveries over the bound {bound}",
+            st.scheduled_deliveries
+        );
+        assert!(
+            8 * st.scheduled_deliveries <= st.scheduled_packets,
+            "{kind:?}: {} deliveries for {} packets",
+            st.scheduled_deliveries,
+            st.scheduled_packets
+        );
+    }
 }
 
 /// One incast trace confined to ToRs 0..64 — a 40-to-1 burst of 50 kB
