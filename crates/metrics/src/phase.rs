@@ -20,9 +20,9 @@ pub struct PhaseCounters {
     /// Payload bytes delivered to destination ToRs since the run started.
     pub delivered_bytes: u64,
     /// Bytes on the engine's queues: the negotiator's per-destination
-    /// queues, relayed bytes included, and the rotor's source-bound lists
-    /// plus its relay FIFOs. Not counted: first hops in the rotor's
-    /// in-flight ring (`in_flight_bytes`), and flows the frame has not yet
+    /// queues, relayed bytes that have landed included, and the rotor's
+    /// source-bound lists plus its relay FIFOs. Not counted: first hops
+    /// still in flight (`in_flight_bytes`), and flows the frame has not yet
     /// injected.
     pub backlog_bytes: u64,
     /// Grants issued so far (negotiator only; 0 for schedule-free engines).
@@ -42,7 +42,8 @@ pub struct PhaseCounters {
     /// fabric is whole).
     pub partitioned_tors: u64,
     /// Bytes sent but not yet landed: the rotor's first hops in its
-    /// in-flight ring (0 for the negotiator, whose sends land at once).
+    /// in-flight ring, and the negotiator's selective-relay first hops on
+    /// their way to the intermediate (0 without relay).
     /// Checked, never rendered: like `lost_bytes` it closes the byte law
     /// the run loop asserts at every boundary in debug builds, and enters
     /// no document, series column, trace field or hash.

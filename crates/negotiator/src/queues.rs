@@ -352,6 +352,32 @@ impl<'a> PairRows<'a> {
         self.dequeue_level_packet(src, dst, ELEPHANT, max_payload)
     }
 
+    /// Dequeue one packet of at most `max_payload` bytes for a selective
+    /// relay first hop: from the lowest priority level, the only one relayed
+    /// (Appendix A.2.2), while that level's head is the source's own data.
+    /// A head that was itself relayed here yields `None` — a packet takes
+    /// two hops at most.
+    pub fn dequeue_relay_packet(
+        &mut self,
+        src: usize,
+        dst: usize,
+        max_payload: u64,
+    ) -> Option<Packet> {
+        if self.lists.pair(src, dst).front(ELEPHANT)?.relayed {
+            return None;
+        }
+        self.dequeue_lowest_packet(src, dst, max_payload)
+    }
+
+    /// The queue of pair `src → dst`, read-only.
+    #[inline]
+    pub fn pair(&self, src: usize, dst: usize) -> PairView<'_> {
+        PairView {
+            lists: self.lists.pair(src, dst),
+            elephant: self.elephants.get(self.lists.index(src, dst)).copied(),
+        }
+    }
+
     /// Dequeue the head segment of the highest non-empty priority level as
     /// one run of at most `room` packets of at most `max_payload` bytes:
     /// the whole segment when it fits, else its first `room` full packets.
@@ -398,6 +424,12 @@ impl<'a> PairView<'a> {
     /// Nothing queued at any level?
     pub fn is_empty(&self) -> bool {
         self.lists.is_empty()
+    }
+
+    /// The highest non-empty priority level: the one the next
+    /// [`PairRows::dequeue_packet`] takes from.
+    pub fn first_level(&self) -> Option<usize> {
+        self.lists.first_nonempty()
     }
 
     /// Enqueue time of the head-of-line segment at `level`, if any

@@ -26,19 +26,18 @@
 //! The run loop — clock, fault timeline, phase probe, flight
 //! recorder, report — is [`metrics::frame`], shared with the oblivious
 //! engine; this file supplies the epoch ([`EpochEngine::tick`]). Every
-//! phase has exactly one body. The five that are per-ToR work — ACCEPT,
-//! GRANT, REQUEST, the predefined phase and the scheduled phase — are
-//! written in row-window form in `sim/parallel.rs` and run at whatever
-//! shard count `SimOptions::workers` asks for, one shard included. In the
-//! scheduled phase each matched queue drains as one batch, split only at
-//! its own pair's arrivals, and the batch leaves as segment runs — a
-//! queue's head segment, or as much of it as the batch has room for —
-//! each landed as one delivery instead of one per packet. What stays here
-//! is what is whole-fabric by
-//! nature: the selective-relay steps and their slot-major scheduled
-//! phase (a relayed packet lands mid-phase in another ToR's queue),
-//! iterative matching, and the detector's reading of the dummies
-//! (`observe_epoch`).
+//! phase has exactly one body. The per-ToR ones live in `sim/parallel.rs`:
+//! ACCEPT, GRANT, REQUEST and the batched scheduled phase as single passes
+//! over the fabric, and the predefined phase in row-window form, run at
+//! whatever shard count `SimOptions::workers` asks for, one shard
+//! included. In the scheduled phase each matched queue drains as one
+//! batch, split only at its own pair's arrivals, and the batch leaves as
+//! segment runs — a queue's head segment, or as much of it as the batch
+//! has room for — each landed as one delivery instead of one per packet.
+//! What stays here is the selective-relay steps and their slot-major
+//! scheduled phase (a relayed packet joins another ToR's queue mid-phase,
+//! once it has landed there), iterative matching, and the detector's
+//! reading of the dummies (`observe_epoch`).
 //!
 //! Failures change what the predefined phase's dummies report (§3.6.1),
 //! not which connections carry messages and data: one predefined phase
@@ -60,8 +59,10 @@
 //! zero-initialized tables, the segments in one arena per source ToR — so
 //! a queued segment costs an arena slot, reused once it drains. The hot
 //! path is allocation-free in steady state: every per-epoch buffer is
-//! reused, and an arena grows only when its source's backlog reaches a
-//! new high in segments.
+//! reused, the predefined phase's shards are fixed at construction, and an
+//! arena grows only when its source's backlog reaches a new high in
+//! segments. `tests/scale.rs` (`steady_state_epochs_allocate_nothing`)
+//! holds a saturated run of 400 epochs to the bytes of one of 200.
 //! `tests/golden_report.rs` holds the engine to committed golden reports.
 //!
 //! # Per-pair bytes
@@ -105,7 +106,7 @@
 use crate::config::NegotiatorConfig;
 use crate::fault::FaultDetector;
 use crate::matching::{Accept, AcceptArbiter, Grant, GrantArbiter};
-use crate::queues::{Packet, PairQueues, PairRows, Run};
+use crate::queues::{Packet, PairQueues, PairRows, Run, PRIORITY_LEVELS};
 use crate::stats::SchedStats;
 use crate::theory::PIPELINE_DELAY_EPOCHS;
 use crate::variants::greedy;
@@ -187,13 +188,14 @@ pub struct SimOptions {
     /// speedup cannot overrun ToR memory. `None` (the paper's evaluation
     /// setting) treats ToRs as sinks.
     pub host_buffer_bytes: Option<u64>,
-    /// Intra-run worker threads for the per-ToR phase work (`--workers`).
-    /// ToRs are partitioned into contiguous shards (`sim::shard`), every
-    /// phase body runs once per shard and shard results merge in fixed
-    /// shard order, so any value — including the default `1`, one shard
-    /// on the caller's thread — produces byte-identical reports.
-    /// Selective-relay runs ignore the knob and stay on one shard (see
-    /// `sim/parallel.rs`).
+    /// Intra-run worker threads for the predefined phase (`--workers`).
+    /// ToRs are partitioned into contiguous shards (`sim::shard`), the
+    /// phase body runs once per shard and the shards' effects replay in
+    /// the order of one pass, so any value — including the default `1`,
+    /// one shard on the caller's thread — produces byte-identical reports,
+    /// selective relay included. A determinism check, not a speed-up: two
+    /// workers have mostly been measured slower than one
+    /// (`sim/parallel.rs`).
     pub workers: usize,
 }
 
@@ -242,9 +244,22 @@ struct ActiveTx {
     relay: bool,
 }
 
+/// A selective-relay first hop on its way to the intermediate `via`: sent
+/// in a scheduled slot, it lands at `at` — the slot's end plus propagation
+/// — and joins `via`'s queue toward `final_dst` at the first injection
+/// point at or after that.
+#[derive(Debug, Clone, Copy)]
+struct FirstHop {
+    at: Nanos,
+    via: u32,
+    final_dst: u32,
+    flow: u64,
+    bytes: u64,
+}
+
 /// Reusable per-epoch buffers: every `Vec` the scheduling steps used to
-/// allocate afresh each epoch lives here instead (one set per shard lane),
-/// cleared and reused so steady-state epochs perform no heap allocation.
+/// allocate afresh each epoch lives here instead, cleared and reused so
+/// steady-state epochs perform no heap allocation.
 #[derive(Debug, Default)]
 struct SimScratch {
     /// Swapped against `inbox_grants[src]` in ACCEPT.
@@ -380,19 +395,22 @@ impl SrcQueues {
             .sum()
     }
 
-    /// One window per shard, in shard order. `shards` must tile `[0, n)`
-    /// contiguously ascending, as `sim::shard::partition` guarantees.
-    fn split(&mut self, shards: &[Shard]) -> Vec<SrcRows<'_>> {
-        let mut rest = self.all();
-        let mut out = Vec::with_capacity(shards.len());
-        for shard in shards {
-            assert_eq!(shard.start, rest.shard.start, "shards must be contiguous");
-            let (head, tail) = rest.split_at(shard.len());
-            out.push(head);
-            rest = tail;
-        }
-        assert!(rest.shard.is_empty(), "shards must cover every source");
-        out
+    /// One window per shard, in shard order, each split off as it is
+    /// taken. `shards` must tile `[0, n)` contiguously ascending, as
+    /// `sim::shard::partition` guarantees.
+    fn windows<'a>(&'a mut self, shards: &'a [Shard]) -> impl Iterator<Item = SrcRows<'a>> + 'a {
+        assert_eq!(
+            shards.last().map_or(0, |s| s.end),
+            self.n,
+            "shards must cover every source"
+        );
+        shards.iter().scan(Some(self.all()), |rest, shard| {
+            let rows = rest.take()?;
+            assert_eq!(shard.start, rows.shard.start, "shards must be contiguous");
+            let (head, tail) = rows.split_at(shard.len());
+            *rest = Some(tail);
+            Some(head)
+        })
     }
 }
 
@@ -469,6 +487,23 @@ impl<'a> SrcRows<'a> {
         cursor
     }
 
+    /// Queue every first hop of `hops[cursor..]` that has landed by `now`
+    /// at its intermediate, when that lies in this window; other shards'
+    /// intermediates are skipped (their shard queues them). `hops` is in
+    /// landing order. Returns the advanced cursor.
+    fn land(&mut self, hops: &[FirstHop], mut cursor: usize, now: Nanos) -> usize {
+        while let Some(h) = hops.get(cursor).filter(|h| h.at <= now) {
+            cursor += 1;
+            let (via, final_dst) = (h.via as usize, h.final_dst as usize);
+            if (self.shard.start..self.shard.end).contains(&via) {
+                self.pairs
+                    .enqueue_relay(via, final_dst, h.flow, h.bytes, h.at);
+                self.note_enqueue(via, final_dst, h.bytes);
+            }
+        }
+        cursor
+    }
+
     /// Enqueue flow `f`, whose source lies in this window.
     fn enqueue(&mut self, f: &Flow) {
         self.pairs.enqueue_flow(
@@ -539,17 +574,45 @@ impl<'a> SrcRows<'a> {
         Some(pkt)
     }
 
-    /// Dequeue one packet of at most `cap` payload bytes from `src → dst`,
-    /// highest priority first.
+    /// Debug and test builds: the segment `src → dst` sends next from
+    /// `level` (its highest non-empty one for `None`) was enqueued by `now`,
+    /// the start of the slot it leaves in. A relayed packet joins its
+    /// intermediate's queue when it lands, so it cannot leave before.
     #[inline]
-    fn dequeue_packet(&mut self, src: usize, dst: usize, cap: u64) -> Option<Packet> {
+    fn check_departure(&self, src: usize, dst: usize, level: Option<usize>, now: Nanos) {
+        if cfg!(any(test, debug_assertions)) {
+            let pair = self.pairs.pair(src, dst);
+            let head = level.or_else(|| pair.first_level());
+            if let Some(at) = head.and_then(|l| pair.hol_enqueued(l)) {
+                assert!(
+                    at <= now,
+                    "a segment of {src} → {dst} enqueued at {at} ns leaves in a slot starting at {now} ns"
+                );
+            }
+        }
+    }
+
+    /// Dequeue one packet of at most `cap` payload bytes from `src → dst`,
+    /// highest priority first, in a slot that starts at `now`.
+    #[inline]
+    fn dequeue_packet(&mut self, src: usize, dst: usize, cap: u64, now: Nanos) -> Option<Packet> {
+        self.check_departure(src, dst, None, now);
         let pkt = self.pairs.dequeue_packet(src, dst, cap);
         self.sent(src, dst, pkt)
     }
 
-    /// Dequeue one packet from the lowest priority level (relay traffic).
-    fn dequeue_lowest_packet(&mut self, src: usize, dst: usize, cap: u64) -> Option<Packet> {
-        let pkt = self.pairs.dequeue_lowest_packet(src, dst, cap);
+    /// Dequeue one packet of the source's own lowest-priority data for a
+    /// relay first hop, in a slot that starts at `now`
+    /// ([`PairRows::dequeue_relay_packet`]).
+    fn dequeue_relay_packet(
+        &mut self,
+        src: usize,
+        dst: usize,
+        cap: u64,
+        now: Nanos,
+    ) -> Option<Packet> {
+        self.check_departure(src, dst, Some(PRIORITY_LEVELS - 1), now);
+        let pkt = self.pairs.dequeue_relay_packet(src, dst, cap);
         self.sent(src, dst, pkt)
     }
 
@@ -563,16 +626,14 @@ impl<'a> SrcRows<'a> {
         Some(run)
     }
 
-    /// A relayed packet arrives at intermediate `via`: admitted to its
-    /// relay buffer and re-queued for `final_dst` at lowest priority.
-    fn enqueue_relay(&mut self, via: usize, final_dst: usize, flow: u64, bytes: u64, at: Nanos) {
+    /// A first hop toward intermediate `via` is sent: its bytes hold room
+    /// in `via`'s relay buffer from now until they are forwarded.
+    fn admit_relay(&mut self, via: usize, bytes: u64) {
         self.relay_buffers[via - self.shard.start].admit(bytes);
-        self.pairs.enqueue_relay(via, final_dst, flow, bytes, at);
-        self.note_enqueue(via, final_dst, bytes);
     }
 
     /// One scheduled-slot transmission of the direct match `src → dst` on
-    /// `port` in scheduled slot `k`.
+    /// `port` in scheduled slot `k`, which starts at `now`.
     #[inline]
     #[allow(clippy::too_many_arguments)] // one packet's full coordinates
     fn serve_direct_slot(
@@ -582,11 +643,12 @@ impl<'a> SrcRows<'a> {
         port: usize,
         dst: usize,
         k: usize,
+        now: Nanos,
         cap: u64,
         stats: &mut SchedStats,
         sink: &mut Sink<'_>,
     ) {
-        if let Some(pkt) = self.dequeue_packet(src, dst, cap) {
+        if let Some(pkt) = self.dequeue_packet(src, dst, cap, now) {
             if failures.link_up(src, dst, port) {
                 stats.scheduled_packets += 1;
                 stats.scheduled_bytes += pkt.bytes;
@@ -689,6 +751,9 @@ pub struct NegotiatorSim {
     relay_reqs_in: Vec<RelayRequest>, // swapped against `inbox_relay_req[via]`
     relay_grants_in: Vec<(usize, usize, usize, u64)>, // against `inbox_relay_grant[src]`
     active_relay: Vec<Option<(usize, usize, u64)>>, // src*s+port -> (via, final, vol left); relay only
+    /// Relay first hops sent but not yet queued at their intermediate, in
+    /// landing order; their bytes are the run's `in_flight_bytes`.
+    first_hops: Vec<FirstHop>,
 
     detector: FaultDetector,
 
@@ -698,8 +763,10 @@ pub struct NegotiatorSim {
     match_rec: MatchRatioRecorder,
     stats: SchedStats,
 
-    /// Per-shard lanes (scratch, merge queues, counters) of the phase
-    /// bodies, retained across epochs.
+    /// The per-epoch buffers of the whole-fabric phases.
+    scratch: SimScratch,
+    /// The predefined phase's shards and their lanes (merge queues,
+    /// counters), fixed at construction and retained across epochs.
     par: parallel::ParState,
     /// Test oracle: mark every lane at each epoch start, which makes the
     /// predefined phase visit every connection of the round.
@@ -845,11 +912,13 @@ impl NegotiatorSim {
             relay_reqs_in: Vec::new(),
             relay_grants_in: Vec::new(),
             active_relay: vec![None; relay_ports],
+            first_hops: Vec::new(),
             detector: FaultDetector::new(n, s),
             host_drain_per_epoch: cfg.net.host_bandwidth.bytes_in(epoch_len),
             match_rec: MatchRatioRecorder::new(),
             stats: SchedStats::default(),
-            par: parallel::ParState::default(),
+            scratch: SimScratch::default(),
+            par: parallel::ParState::new(n, opts.workers),
             #[cfg(test)]
             dense: false,
             #[cfg(test)]
@@ -865,20 +934,6 @@ impl NegotiatorSim {
     /// Epoch length in ns for this configuration/topology.
     pub fn epoch_len(&self) -> Nanos {
         self.epoch_len
-    }
-
-    /// Shard count of the phase bodies. Selective relay pins the run to
-    /// one shard: its admission steps are whole-fabric passes written
-    /// against claims earlier ToRs left in the same step. The clamp
-    /// depends only on options fixed at construction, never on data, so
-    /// which form runs cannot vary within or between runs of one
-    /// configuration.
-    fn par_workers(&self) -> usize {
-        if self.opts.selective_relay {
-            1
-        } else {
-            self.opts.workers.max(1)
-        }
     }
 
     /// Directed links where the detector's exclusion set disagrees with
@@ -1239,9 +1294,11 @@ impl NegotiatorSim {
     /// per-destination queue until the phase ends. Outside selective relay
     /// each matched queue drains as one batch ([`Self::scheduled_batched`]).
     /// Relay runs the slot-major walk below, every matched slot once per
-    /// scheduled slot with that slot's arrivals injected first: a relayed
-    /// packet lands mid-phase in another ToR's queue, which may forward it
-    /// later in the same phase. Slots outside the active list are
+    /// scheduled slot with that slot's arrivals injected first — the flows,
+    /// then the first hops that have landed: a relayed packet joins another
+    /// ToR's queue mid-phase, which may forward it later in the same phase.
+    /// A first hop lands at its slot's end plus propagation, 20-odd slots
+    /// later at paper defaults. Slots outside the active list are
     /// unmatched for the whole phase (arithmetic, not iteration); relay
     /// slots that drain mid-phase count from then on.
     fn scheduled_phase(
@@ -1277,9 +1334,11 @@ impl NegotiatorSim {
             tracker,
             clock,
         };
+        let mut landed = 0;
         for k in 0..k_slots {
             let slot_start = sched_start + k as Nanos * slot_len;
             cursor = rows.inject(flows, cursor, slot_start);
+            landed = rows.land(&self.first_hops, landed, slot_start);
             self.stats.unmatched_slots += total_slots - self.active_list.len() as u64;
             for e in &self.active_list {
                 let slot = e.slot as usize;
@@ -1291,6 +1350,7 @@ impl NegotiatorSim {
                         port,
                         e.dst as usize,
                         k,
+                        slot_start,
                         self.sched_payload,
                         &mut self.stats,
                         &mut sink,
@@ -1300,28 +1360,35 @@ impl NegotiatorSim {
                         continue;
                     }
                     let cap = self.sched_payload.min(vol);
-                    if let Some(pkt) = rows.dequeue_lowest_packet(src, final_dst, cap) {
-                        self.active_relay[slot] = Some((via, final_dst, vol - pkt.bytes));
-                        if failures.link_up(src, via, port) {
-                            rows.enqueue_relay(
-                                via,
-                                final_dst,
-                                pkt.flow,
-                                pkt.bytes,
-                                clock.arrive(k as u32),
-                            );
-                        } else {
-                            self.stats.lost_packets += 1;
-                            self.stats.lost_bytes += pkt.bytes;
-                        }
+                    // Drained once the lowest level is empty or its head
+                    // was itself relayed here: two hops at most.
+                    let Some(pkt) = rows.dequeue_relay_packet(src, final_dst, cap, slot_start)
+                    else {
+                        self.active_relay[slot] = None;
+                        continue;
+                    };
+                    self.active_relay[slot] = Some((via, final_dst, vol - pkt.bytes));
+                    if failures.link_up(src, via, port) {
+                        rows.admit_relay(via, pkt.bytes);
+                        let hop = FirstHop {
+                            at: clock.arrive(k as u32),
+                            via: via as u32,
+                            final_dst: final_dst as u32,
+                            flow: pkt.flow,
+                            bytes: pkt.bytes,
+                        };
+                        debug_assert!(self.first_hops.last().is_none_or(|h| h.at <= hop.at));
+                        self.first_hops.push(hop);
                     } else {
-                        self.active_relay[slot] = None; // drained
+                        self.stats.lost_packets += 1;
+                        self.stats.lost_bytes += pkt.bytes;
                     }
                 } else {
                     self.stats.unmatched_slots += 1;
                 }
             }
         }
+        self.first_hops.drain(..landed);
         cursor
     }
 
@@ -1382,6 +1449,7 @@ impl EpochEngine for NegotiatorSim {
             control_dropped: self.stats.control_dropped,
             detector_fp_links: fp,
             detector_fn_links: fn_,
+            in_flight_bytes: self.first_hops.iter().map(|h| h.bytes).sum(),
             lost_bytes: self.stats.lost_bytes,
             ..PhaseCounters::default()
         }
@@ -1397,7 +1465,10 @@ impl EpochEngine for NegotiatorSim {
         mut cursor: usize,
         tracker: &mut FlowTracker,
     ) -> usize {
-        cursor = self.q.all().inject(flows, cursor, t0);
+        let mut rows = self.q.all();
+        cursor = rows.inject(flows, cursor, t0);
+        let landed = rows.land(&self.first_hops, 0, t0);
+        self.first_hops.drain(..landed);
         self.epoch_start(epoch, t0);
         // No link down, no partition, a quiescent detector, no gray
         // window: every connection is up and usable, and all-success
@@ -2182,6 +2253,113 @@ mod tests {
                 assert!(quiet == full, "{case}: traces differ");
             }
         }
+    }
+
+    /// A thin-clos selective-relay fabric before its first epoch: source 0
+    /// holds a 10 MB elephant toward `fin` — behind `relayed` bytes
+    /// relayed through 0 toward `fin`, when non-zero — and a relay slot on
+    /// 0's port toward `via` carries it on. With `direct`, `via`'s port
+    /// toward `fin` is matched to `fin` as well. Returns the sim, its
+    /// trace, `via`, `fin` and the relay slot.
+    fn relay_triangle(
+        direct: bool,
+        relayed: u64,
+    ) -> (NegotiatorSim, FlowTrace, usize, usize, usize) {
+        let mut sim = NegotiatorSim::with_options(
+            small_cfg(),
+            TopologyKind::ThinClos,
+            SimOptions {
+                selective_relay: true,
+                ..SimOptions::default()
+            },
+        );
+        let (n, s) = (sim.n, sim.s);
+        let port = |a, b| sim.topo.pair_port(a, b);
+        let (via, fin) = (1..n)
+            .flat_map(|via| (1..n).map(move |fin| (via, fin)))
+            .find(|&(via, fin)| {
+                via != fin
+                    && port(0, via).is_some()
+                    && port(via, fin).is_some()
+                    && port(0, fin).is_some()
+            })
+            .expect("thin-clos has relay triangles");
+        let (p1, p2) = (port(0, via).unwrap(), port(via, fin).unwrap());
+        let trace = FlowTrace::new(vec![Flow {
+            id: 0,
+            src: 0,
+            dst: fin,
+            bytes: 10_000_000,
+            arrival: 0,
+        }]);
+        let mut rows = sim.q.all();
+        if relayed > 0 {
+            let hop = FirstHop {
+                at: 0,
+                via: 0,
+                final_dst: fin as u32,
+                flow: 0,
+                bytes: relayed,
+            };
+            rows.land(&[hop], 0, 0);
+        }
+        rows.enqueue(&trace.flows()[0]);
+        let slot = p1;
+        sim.active_relay[slot] = Some((via, fin, u64::MAX));
+        if direct {
+            sim.active[via * s + p2] = Some(fin);
+        }
+        sim.rebuild_active_list();
+        (sim, trace, via, fin, slot)
+    }
+
+    /// A relay first hop joins its intermediate's queue when it lands — the
+    /// end of its slot plus 2 µs of propagation, 23 scheduled slots later
+    /// here — so an intermediate matched to the final destination forwards
+    /// only the hops sent in a phase's first few slots within that phase,
+    /// one a slot, and the rest are still in flight when it ends. Queued
+    /// at once, every hop was forwarded in the slot it was sent in, before
+    /// it had arrived; debug and test builds also assert that no segment
+    /// leaves in a slot that starts before it was enqueued.
+    #[test]
+    fn a_relayed_packet_leaves_its_intermediate_after_it_lands() {
+        let (mut sim, trace, via, fin, _) = relay_triangle(true, 0);
+        let mut tracker = FlowTracker::new(&trace);
+        sim.scheduled_phase(trace.flows(), 1, 0, &mut tracker);
+        let (k_slots, slot_len) = (sim.cfg.epoch.scheduled_slots, sim.cfg.epoch.scheduled_slot);
+        let sched_start = sim.pre_slots as Nanos * sim.pre_slot_len;
+        let last_start = sched_start + (k_slots as Nanos - 1) * slot_len;
+        let lands = |k: usize| sched_start + (k as Nanos + 1) * slot_len + 2_000;
+        let landed = (0..k_slots).filter(|&k| lands(k) <= last_start).count();
+        assert!(landed > 0 && landed < k_slots, "{landed} of {k_slots} land");
+        let st = sim.stats;
+        assert_eq!(
+            st.scheduled_packets, landed as u64,
+            "{via} → {fin} forwarded"
+        );
+        assert_eq!(tracker.delivered_payload(), st.scheduled_bytes);
+        assert_eq!(sim.first_hops.len(), k_slots - landed, "hops in flight");
+        let in_flight = sim.phase_counters().in_flight_bytes;
+        assert_eq!(in_flight, (k_slots - landed) as u64 * sim.sched_payload);
+    }
+
+    /// A packet takes two hops at most: a source whose lowest level starts
+    /// with bytes relayed through it sends nothing on its relay slot, which
+    /// counts as drained, and the relayed bytes wait for a direct match.
+    #[test]
+    fn a_relayed_segment_is_not_relayed_again() {
+        let (mut sim, trace, _, fin, slot) = relay_triangle(false, 5_000);
+        let queued = |sim: &NegotiatorSim| {
+            let pair = sim.q.pairs.pair(0, fin);
+            (pair.total_bytes(), pair.relayed_bytes())
+        };
+        let before = queued(&sim);
+        assert_eq!(before.1, 5_000);
+        let mut tracker = FlowTracker::new(&trace);
+        sim.scheduled_phase(trace.flows(), 1, 0, &mut tracker);
+        assert_eq!(queued(&sim), before, "the relayed head stays put");
+        assert!(sim.first_hops.is_empty(), "nothing was relayed");
+        assert_eq!(sim.active_relay[slot], None, "the relay slot drained");
     }
 
     /// PIAS inside a scheduled phase: one elephant pair holds every port of

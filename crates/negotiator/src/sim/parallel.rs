@@ -1,18 +1,31 @@
-//! The epoch kernel: the one body of each per-ToR phase — ACCEPT, GRANT,
-//! REQUEST, the predefined phase, the scheduled phase outside selective
-//! relay — written over contiguous ToR shards, byte-identical at any shard
-//! count.
+//! The epoch kernel: ACCEPT, GRANT, REQUEST and the scheduled phase
+//! outside selective relay as single passes over the fabric, and the
+//! predefined phase, the one body written over contiguous ToR shards and
+//! byte-identical at any shard count.
 //!
-//! # One body, any shard count
+//! # Single passes
 //!
-//! Every phase below follows one recipe:
+//! In NegotiaToR each ToR computes its GRANT and its ACCEPT from the
+//! messages it received (§3.2), and its REQUEST from its own queues. Each
+//! step is one loop over the ToRs in id order: a ToR's inbox is swapped
+//! out, its arbiter run, and its decisions written straight into the
+//! engine's tables. The scheduled phase outside relay is one loop over the
+//! active-match list ([`NegotiatorSim::scheduled_batched`]). Their
+//! buffers are the engine's one [`SimScratch`], reused every epoch.
+//!
+//! # The sharded predefined phase
+//!
+//! The predefined phase follows one recipe at any shard count:
 //!
 //! 1. **Ownership by row.** ToRs are partitioned into contiguous shards
-//!    ([`sim::shard::partition`]). Each shard receives disjoint `&mut`
-//!    windows of the row-major state it owns ([`sim::shard::split_rows`],
-//!    [`SrcQueues::split`]): REQUEST, ACCEPT and the two data phases shard
-//!    by *source* row, GRANT by *granter* row. The type system — not a
-//!    convention — rules out cross-shard writes.
+//!    once, at construction ([`sim::shard::partition`]). Each shard
+//!    receives disjoint `&mut` windows of the source rows it owns
+//!    ([`sim::shard::split_rows`], `SrcQueues::windows`), handed out as
+//!    they are taken, so that one shard allocates nothing. The type
+//!    system — not a convention — rules out cross-shard writes. Each
+//!    shard injects the flows of its own sources, and queues the relay
+//!    first hops that land at its own intermediates, from slices every
+//!    shard reads.
 //! 2. **Effects for everything else.** A write that lands on another
 //!    ToR's state — an inbox push, a data delivery — is an [`Event`]
 //!    handed to the shard's [`Sink`], in exactly the order a single pass
@@ -20,94 +33,95 @@
 //!    it, so the sink applies the effect on the spot; with several it
 //!    appends the event to the shard's lane. Either way what the effect
 //!    *does* is [`Landing::apply`], and nothing else.
-//! 3. **Ordered replay.** After a fork/join of several shards the merge
-//!    replays lane events on the caller's thread in *single-pass visit
-//!    order*: shard concatenation where the pass is row-major (rows
-//!    ascend across shards), slot-major interleaving where it is
-//!    slot-major (the predefined phase; events carry their slot). The
-//!    replayed write sequence is therefore *identical* to the one-shard
-//!    one — no commutativity assumptions, no floating-point
-//!    reassociation.
+//! 3. **Ordered replay.** After the fork/join of several shards the merge
+//!    replays lane events on the caller's thread slot-major (events carry
+//!    their slot), lanes in shard order within a slot: the visit order of
+//!    a single pass. The replayed write sequence is therefore *identical*
+//!    to the one-shard one — no commutativity assumptions, no
+//!    floating-point reassociation.
 //!
 //! Shard count moves shard boundaries, never row order, so any
-//! `--workers` value produces the same bytes; `tests/determinism.rs`,
-//! `tests/adversarial.rs` and the CI `determinism-matrix` job hold the
-//! engine to it at 1, 2 and 8, and the golden-report gate pins the bytes.
-//! Shard count alone decides apply-now versus lane-and-replay: one shard
-//! runs inline on the caller's thread ([`sim::shard::map_shards`]),
-//! records nothing and replays nothing.
-//!
-//! ACCEPT's stateful matrix reverts, the dirty-index lists and the
-//! counters are lane state at every shard count (a handful of entries
-//! per epoch), merged by concatenation in shard order.
-//! (A [`Lane`] is a shard's merge queue. The *lane masks* the
-//! predefined phase walks are something else — bits over the predefined
+//! `--workers` value produces the same bytes, selective relay included;
+//! `tests/determinism.rs`, `tests/adversarial.rs` and the CI
+//! `determinism-matrix` job hold the engine to it at 1, 2 and 8, and the
+//! golden-report gate pins the bytes. Shard count alone decides
+//! apply-now versus lane-and-replay: one shard runs inline on the
+//! caller's thread ([`sim::shard::map_shards`]), records nothing and
+//! replays nothing. (A [`Lane`] is a shard's merge queue. The *lane
+//! masks* the phase walks are something else — bits over the predefined
 //! schedule's rotation-invariant connection indices,
 //! [`topology::LaneTable`].)
 //!
 //! # What is not sharded, and why
 //!
-//! * **Selective relay** (`par_workers() == 1`): its three steps are
-//!   whole-fabric epilogues of ACCEPT, GRANT and REQUEST, and relayed
-//!   packets are enqueued at *another* source's queues mid-phase.
+//! Every per-ToR phase once ran the recipe above, and two workers never
+//! beat one. Per-phase wall time of the negotiator runs of
+//! `benchmark/workloads/*.json` on a 2-core host, in ms, median of five
+//! runs, one worker → two, when every phase sharded:
+//!
+//! | workload | ACCEPT + GRANT + REQUEST | scheduled | predefined |
+//! |---|---|---|---|
+//! | `paper_heavy` | 80.8 → 199.0 | 54.3 → 107.5 | 117.2 → 201.5 |
+//! | `fabric_light` | 63.1 → 69.2 | 29.0 → 31.6 | 149.0 → 111.8 |
+//! | `alltoall_dense` | 276.5 → 559.5 | 82.6 → 244.3 | 831.4 → 1 044.1 |
+//! | `incast_storm` | 87.3 → 480.3 | 25.0 → 171.0 | 193.5 → 369.5 |
+//!
+//! A fork/join per step, plus the plumbing that split the state into
+//! windows (28 allocations an epoch at one shard), cost more than a
+//! second core returned; only the predefined phase ever broke even. So:
+//!
+//! * **ACCEPT, GRANT, REQUEST and the batched scheduled phase** run as
+//!   the single passes above, at any `--workers`.
+//! * **Selective relay's steps** (`sim.rs`): whole-fabric epilogues of
+//!   ACCEPT, GRANT and REQUEST, written against claims earlier ToRs left
+//!   in the same step. Its scheduled phase walks slot by slot, because a
+//!   relayed packet joins another ToR's queue mid-phase, once it has
+//!   landed there, and may be forwarded later in the same phase.
 //! * **Iterative mode's epoch start**: `IterativeMatcher` is a global
 //!   fixed point over all ToRs, not per-ToR work.
-//! * **Selective relay's scheduled phase** (`sim.rs`): it walks slot by
-//!   slot, because a relayed packet lands mid-phase in another ToR's
-//!   queue, which may forward it later in the same phase. Without relay a
-//!   flow lives in one queue, and each matched queue drains as one batch
-//!   split only at its own pair's arrivals ([`NegotiatorSim::scheduled_batched`]),
-//!   dequeued and landed a segment run at a time ([`SchedCtx::send`]).
 //! * **The detector's reading of the dummies** (`observe_epoch`): it sees
 //!   each port from both ends, so no row split owns it.
 //! * **`rebuild_active_list` and the flag-clearing prologues**: memset-
 //!   class scans that cost less than a fork/join.
+//!
+//! The predefined phase keeps the recipe: it is the phase `--workers`
+//! checks, a determinism oracle for the effect replay rather than a
+//! speed-up.
 
 use super::*;
 use sim::shard;
 use std::ops::Range;
 
-/// Per-shard lane: scratch buffers, merge queues and counters. Retained
-/// across epochs so steady-state phases allocate nothing once lane
-/// capacities have warmed up.
+/// Per-shard lane of the predefined phase: merge queue and counters.
+/// Retained across epochs, so the phase allocates nothing once the merge
+/// queues' capacities have warmed up.
 #[derive(Debug, Default)]
 struct Lane {
-    scratch: SimScratch,
-    /// `req_dirty`/`grant_dirty` contributions, concatenated in shard
-    /// order by the merge (= row-ascending order).
-    dirty: Vec<u32>,
-    /// Stateful-mode `(granter, src, debit)` matrix reverts, replayed in
-    /// shard order after ACCEPT.
-    reverts: Vec<(u32, u32, u64)>,
-    /// Cross-ToR effects of the data phases awaiting the ordered replay
-    /// (filled only when several shards run).
+    /// Cross-ToR effects awaiting the ordered replay (filled only when
+    /// several shards run).
     events: Vec<Event>,
     /// The phase's counters, added into the run's by the merge.
     stats: SchedStats,
 }
 
-/// Retained lane state hanging off the sim.
-#[derive(Debug, Default)]
+/// The predefined phase's shards and their lanes, fixed at construction.
+#[derive(Debug)]
 pub(super) struct ParState {
+    shards: Vec<Shard>,
     lanes: Vec<Lane>,
-    /// Per-lane replay cursors (slot-major merges).
+    /// Per-lane replay cursors (the slot-major merge).
     ptrs: Vec<usize>,
 }
 
 impl ParState {
-    /// `k` lanes with empty merge queues and zeroed counters, growing the
-    /// pool on first use.
-    fn lanes(&mut self, k: usize) -> &mut [Lane] {
-        if self.lanes.len() < k {
-            self.lanes.resize_with(k, Lane::default);
+    /// `workers` contiguous shards of `n` ToRs (at least one, at most `n`).
+    pub(super) fn new(n: usize, workers: usize) -> Self {
+        let shards = shard::partition(n, workers);
+        ParState {
+            lanes: shards.iter().map(|_| Lane::default()).collect(),
+            ptrs: vec![0; shards.len()],
+            shards,
         }
-        for lane in &mut self.lanes[..k] {
-            lane.dirty.clear();
-            lane.reverts.clear();
-            lane.events.clear();
-            lane.stats = SchedStats::default();
-        }
-        &mut self.lanes[..k]
     }
 }
 
@@ -413,138 +427,13 @@ impl Outbox {
     }
 }
 
-// Shard-side borrow bundles. One struct per phase keeps the closure a
-// single argument and documents exactly which rows a shard may touch.
-
-struct AcceptCtx<'a> {
-    shard: Shard,
-    inbox_grants: &'a mut [Vec<(Grant, u64)>],
-    accept_arbs: &'a mut [AcceptArbiter],
-    active: &'a mut [Option<usize>],
-    lane: &'a mut Lane,
-}
-
-struct GrantCtx<'a> {
-    shard: Shard,
-    inbox_requests: &'a mut [Vec<ReqIn>],
-    grant_arbs: &'a mut [GrantArbiter],
-    matrices: &'a mut [DemandMatrix],
-    scratch: &'a mut SimScratch,
-    stats: &'a mut SchedStats,
-    out: GrantOut<'a>,
-}
-
-/// The granter rows a GRANT shard writes its decisions to.
-struct GrantOut<'a> {
-    shard: Shard,
-    n: usize,
-    s: usize,
-    /// Per granter: `(requester, port, debit)` in push order.
-    grants: &'a mut [Vec<(u32, u32, u64)>],
-    msg_flags: &'a mut [u8],
-    lane_masks: LaneMasks<'a>,
-    /// `granter * s + port` marks for the relay grant step's leftover-port
-    /// check; empty unless selective relay is on.
-    port_granted: &'a mut [bool],
-    dirty: &'a mut Vec<u32>,
-}
-
-impl GrantOut<'_> {
-    /// List one grant from `granter` to `requester` for delivery over
-    /// their predefined connection(s).
-    #[inline]
-    fn push(&mut self, granter: usize, requester: usize, port: usize, debit: u64) {
-        let row = granter - self.shard.start;
-        let local = row * self.n + requester;
-        if self.msg_flags[local] & GRANT_FLAG == 0 {
-            self.dirty.push((granter * self.n + requester) as u32);
-            self.msg_flags[local] |= GRANT_FLAG;
-            self.lane_masks.mark(granter, requester);
-        }
-        self.grants[row].push((requester as u32, port as u32, debit));
-        if let Some(mark) = self.port_granted.get_mut(row * self.s + port) {
-            *mark = true;
-        }
-    }
-}
-
-struct RequestCtx<'a> {
-    shard: Shard,
-    req: &'a mut [f64],
-    req_port: &'a mut [u16],
-    msg_flags: &'a mut [u8],
-    reported_total: &'a mut [u64],
-    lane: &'a mut Lane,
-}
-
+/// A predefined-phase shard's borrows: its source rows and their message
+/// flags, its counters and where its cross-ToR effects go.
 struct PredefCtx<'a> {
     rows: SrcRows<'a>,
     msg_flags: &'a mut [u8],
     stats: &'a mut SchedStats,
     sink: Sink<'a>,
-}
-
-struct SchedCtx<'a> {
-    rows: SrcRows<'a>,
-    entries: &'a [ActiveTx],
-    scratch: &'a mut SimScratch,
-    stats: &'a mut SchedStats,
-    sink: Sink<'a>,
-    /// A bandwidth series is attached: runs land slot by slot.
-    series: bool,
-}
-
-impl SchedCtx<'_> {
-    /// Send queue `src → dst`'s packets of scheduled `slots` on the ports
-    /// in `scratch.ports` (ascending): up to `m` packets a slot, packet `i`
-    /// on port `ports[i % m]` in slot `slots.start + i / m` — the order in
-    /// which a slot-major walk serves each slot's ports. The queue leaves
-    /// as runs ([`SrcRows::dequeue_run`]), each landed whole
-    /// ([`Batch::land`]); a port whose link is down loses its packets.
-    fn send(
-        &mut self,
-        failures: &LinkFailures,
-        src: usize,
-        dst: usize,
-        slots: Range<usize>,
-        cap: u64,
-    ) {
-        let SchedCtx {
-            rows,
-            scratch,
-            stats,
-            sink,
-            series,
-            ..
-        } = self;
-        let room = scratch.ports.len() * slots.len();
-        if room == 0 {
-            return;
-        }
-        scratch.up.clear();
-        scratch.up.push(0);
-        let mut up = 0;
-        for &port in &scratch.ports {
-            up += usize::from(failures.link_up(src, dst, port));
-            scratch.up.push(up);
-        }
-        let batch = Batch {
-            dst: dst as u32,
-            k0: slots.start,
-            cap,
-            up: &scratch.up,
-            series: *series,
-        };
-        let mut at = 0;
-        while at < room {
-            let Some(run) = rows.dequeue_run(src, dst, cap, room - at) else {
-                break;
-            };
-            batch.land(at, run, stats, sink);
-            at += run.count;
-        }
-        stats.overscheduled_slots += (room - at) as u64;
-    }
 }
 
 /// One matched queue's batch of scheduled packets toward `dst`: packet
@@ -637,488 +526,329 @@ impl Batch<'_> {
     }
 }
 
-/// One sink per lane: apply-now for a single lane, record otherwise.
+/// One sink per lane, in lane order: apply-now for a single lane, record
+/// otherwise.
 fn sinks<'a>(
     lanes: &'a mut [Lane],
     land: &'a mut Landing,
     tracker: &'a mut FlowTracker,
     clock: SlotClock,
-) -> Vec<(&'a mut SimScratch, &'a mut SchedStats, Sink<'a>)> {
-    match lanes {
-        [lane] => vec![(
-            &mut lane.scratch,
-            &mut lane.stats,
-            Sink::Apply {
+) -> impl Iterator<Item = (&'a mut SchedStats, Sink<'a>)> {
+    let mut apply = (lanes.len() == 1).then_some((land, tracker));
+    lanes.iter_mut().map(move |lane| {
+        let sink = match apply.take() {
+            Some((land, tracker)) => Sink::Apply {
                 land,
                 tracker,
                 clock,
             },
-        )],
-        lanes => lanes
-            .iter_mut()
-            .map(|lane| {
-                (
-                    &mut lane.scratch,
-                    &mut lane.stats,
-                    Sink::Record(&mut lane.events),
-                )
-            })
-            .collect(),
-    }
+            None => Sink::Record(&mut lane.events),
+        };
+        (&mut lane.stats, sink)
+    })
 }
 
 impl NegotiatorSim {
-    /// ACCEPT (sharded by source ToR): consume the grants delivered last
-    /// epoch, fix this epoch's matching, and (stateful) revert the debits
-    /// of rejected grants. Arbitration and the `active` match table are
-    /// source-owned; the matrix reverts — the one cross-ToR write — are
-    /// buffered per lane and replayed in shard order, which is exactly
-    /// src-ascending order.
+    /// ACCEPT: each source consumes the grants delivered to it last epoch
+    /// and fixes its share of this epoch's matching, and (stateful)
+    /// reverts the debits of the grants it rejected, in source order.
     pub(super) fn step_accept(&mut self) {
         self.active.fill(None);
-        let shards = shard::partition(self.n, self.par_workers());
-        let lanes = self.par.lanes(shards.len());
         let (s, mode) = (self.s, self.opts.mode);
         let detector = &self.detector;
-        {
-            let inboxes = shard::split_rows(&mut self.land.inbox_grants, 1, &shards);
-            let arbs = shard::split_rows(&mut self.accept_arbs, 1, &shards);
-            let actives = shard::split_rows(&mut self.active, s, &shards);
-            let mut ctxs = Vec::with_capacity(shards.len());
-            for ((((&shard, inbox_grants), accept_arbs), active), lane) in shards
-                .iter()
-                .zip(inboxes)
-                .zip(arbs)
-                .zip(actives)
-                .zip(lanes.iter_mut())
-            {
-                ctxs.push(AcceptCtx {
-                    shard,
-                    inbox_grants,
-                    accept_arbs,
-                    active,
-                    lane,
-                });
-            }
-            shard::map_shards(ctxs, |_, ctx| {
-                let AcceptCtx {
-                    shard,
-                    inbox_grants,
-                    accept_arbs,
-                    active,
-                    lane,
-                } = ctx;
-                let SimScratch {
-                    grants_in,
+        let SimScratch {
+            grants_in,
+            grants,
+            accepts,
+            ..
+        } = &mut self.scratch;
+        let (mut issued, mut made) = (0, 0);
+        // lint: hot-path
+        for src in 0..self.n {
+            grants_in.clear();
+            std::mem::swap(grants_in, &mut self.land.inbox_grants[src]);
+            issued += grants_in.len() as u64;
+            grants.clear();
+            grants.extend(grants_in.iter().map(|&(g, _)| g));
+            if matches!(mode, SchedulerMode::Projector) {
+                // Port pre-binding means at most one grant per port:
+                // accept everything usable.
+                accepts.clear();
+                accepts.extend(
+                    grants
+                        .iter()
+                        .filter(|g| detector.usable(src, g.dst, g.port))
+                        .map(|g| Accept {
+                            dst: g.dst,
+                            port: g.port,
+                        }),
+                );
+            } else {
+                self.accept_arbs[src].accept_into(
+                    s,
                     grants,
+                    |dst, port| detector.usable(src, dst, port),
                     accepts,
-                    ..
-                } = &mut lane.scratch;
-                for src in shard.start..shard.end {
-                    let row = src - shard.start;
-                    grants_in.clear();
-                    std::mem::swap(grants_in, &mut inbox_grants[row]);
-                    lane.stats.grants_issued += grants_in.len() as u64;
-                    grants.clear();
-                    grants.extend(grants_in.iter().map(|&(g, _)| g));
-                    if matches!(mode, SchedulerMode::Projector) {
-                        // Port pre-binding means at most one grant per
-                        // port: accept everything usable.
-                        accepts.clear();
-                        accepts.extend(
-                            grants
-                                .iter()
-                                .filter(|g| detector.usable(src, g.dst, g.port))
-                                .map(|g| Accept {
-                                    dst: g.dst,
-                                    port: g.port,
-                                }),
-                        );
-                    } else {
-                        accept_arbs[row].accept_into(
-                            s,
-                            grants,
-                            |dst, port| detector.usable(src, dst, port),
-                            accepts,
-                        );
-                    }
-                    lane.stats.accepts_made += accepts.len() as u64;
-                    for a in accepts.iter() {
-                        active[row * s + a.port] = Some(a.dst);
-                    }
-                    // Stateful: revert matrix debits for grants not accepted.
-                    if matches!(mode, SchedulerMode::Stateful) {
-                        for (g, debit) in grants_in.iter() {
-                            let kept = accepts.iter().any(|a| a.dst == g.dst && a.port == g.port);
-                            if !kept && *debit > 0 {
-                                lane.reverts.push((g.dst as u32, src as u32, *debit));
-                            }
-                        }
+                );
+            }
+            made += accepts.len() as u64;
+            for a in accepts.iter() {
+                self.active[src * s + a.port] = Some(a.dst);
+            }
+            // Stateful: revert matrix debits for grants not accepted.
+            if matches!(mode, SchedulerMode::Stateful) {
+                for &(g, debit) in grants_in.iter() {
+                    let kept = accepts.iter().any(|a| a.dst == g.dst && a.port == g.port);
+                    if !kept && debit > 0 {
+                        self.matrices[g.dst].revert(src, debit);
                     }
                 }
-            });
-        }
-        let mut epoch = SchedStats::default();
-        for lane in lanes.iter() {
-            epoch += lane.stats;
-            for &(granter, src, debit) in &lane.reverts {
-                self.matrices[granter as usize].revert(src as usize, debit);
             }
         }
-        self.match_rec
-            .record_epoch(epoch.grants_issued, epoch.accepts_made);
-        self.stats += epoch;
+        self.match_rec.record_epoch(issued, made);
+        self.stats.grants_issued += issued;
+        self.stats.accepts_made += made;
         if self.opts.selective_relay {
             self.relay_accept_step();
         }
     }
 
-    /// GRANT (sharded by granter ToR): consume the requests delivered
-    /// last epoch and allocate ports. Request inboxes, grant arbiters,
-    /// demand matrices, outgoing grant lists and the lane masks of the
-    /// granter's connections are all granter-row state; the dirty-index
-    /// merge concatenates lanes in shard order, i.e. granter-ascending.
-    /// The ring modes arbitrate a destination in one pass over its
-    /// requests ([`GrantArbiter::grant_into`]) through the shard's
+    /// GRANT: each destination consumes the requests delivered to it last
+    /// epoch and allocates its ingress ports, in destination order; each
+    /// grant is listed for delivery over the pair's predefined
+    /// connection(s). The ring modes arbitrate a destination in one pass
+    /// over its requests ([`GrantArbiter::grant_into`]) through the
     /// requester bitmap, which every destination leaves clear.
     pub(super) fn step_grant(&mut self, epoch: u64) {
         self.clear_grant_buckets();
-        let shards = shard::partition(self.n, self.par_workers());
-        let lanes = self.par.lanes(shards.len());
         let (n, s, mode) = (self.n, self.s, self.opts.mode);
         let stateful = matches!(mode, SchedulerMode::Stateful);
         let epoch_capacity = self.epoch_capacity;
         let host_buffer = self.opts.host_buffer_bytes;
-        let detector = &self.detector;
-        let topo = &self.topo;
-        let faults = &self.frame.faults;
+        let (detector, topo, faults) = (&self.detector, &self.topo, &self.frame.faults);
         let rx_buffer = &self.land.rx_buffer[..];
-        {
-            let inboxes = shard::split_rows(&mut self.land.inbox_requests, 1, &shards);
-            let arbs = shard::split_rows(&mut self.grant_arbs, 1, &shards);
-            let grants = shard::split_rows(&mut self.out.grants, 1, &shards);
-            let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
-            let masks = self.q.lane_masks.split(&shards);
-            let marks_row = self.port_granted.len() / n; // empty outside selective relay
-            let marks = shard::split_rows(&mut self.port_granted, marks_row, &shards);
-            // `matrices` is empty outside stateful mode: hand out empty
-            // windows instead of row ranges then.
-            let mut mat_rest: &mut [DemandMatrix] = &mut self.matrices;
-            let mut ctxs = Vec::with_capacity(shards.len());
-            for (
-                (
-                    (((((&shard, inbox_requests), grant_arbs), grants), msg_flags), lane_masks),
-                    port_granted,
-                ),
-                lane,
-            ) in shards
-                .iter()
-                .zip(inboxes)
-                .zip(arbs)
-                .zip(grants)
-                .zip(flags)
-                .zip(masks)
-                .zip(marks)
-                .zip(lanes.iter_mut())
-            {
-                let take = if stateful { shard.len() } else { 0 };
-                let (matrices, rest) = mat_rest.split_at_mut(take);
-                mat_rest = rest;
-                ctxs.push(GrantCtx {
-                    shard,
-                    inbox_requests,
-                    grant_arbs,
-                    matrices,
-                    scratch: &mut lane.scratch,
-                    stats: &mut lane.stats,
-                    out: GrantOut {
-                        shard,
-                        n,
-                        s,
-                        grants,
-                        msg_flags,
-                        lane_masks,
-                        port_granted,
-                        dirty: &mut lane.dirty,
-                    },
-                });
+        let SimScratch {
+            reqs,
+            srcs,
+            grant_pairs,
+            grant_marks,
+            vals,
+            usable_vals,
+            preqs,
+            ..
+        } = &mut self.scratch;
+        let (grants, msg_flags) = (&mut self.out.grants, &mut self.msg_flags);
+        let (grant_dirty, port_granted) = (&mut self.grant_dirty, &mut self.port_granted);
+        let mut lane_masks = self.q.lane_masks.all();
+        let mut push = |granter: usize, requester: usize, port: usize, debit: u64| {
+            let idx = granter * n + requester;
+            if msg_flags[idx] & GRANT_FLAG == 0 {
+                grant_dirty.push(idx as u32);
+                msg_flags[idx] |= GRANT_FLAG;
+                lane_masks.mark(granter, requester);
             }
-            shard::map_shards(ctxs, |_, ctx| {
-                let GrantCtx {
-                    shard,
-                    inbox_requests,
-                    grant_arbs,
-                    matrices,
-                    scratch,
-                    stats,
-                    mut out,
-                } = ctx;
-                let SimScratch {
-                    reqs,
-                    srcs,
-                    grant_pairs,
-                    grant_marks,
-                    vals,
-                    usable_vals,
-                    preqs,
-                    ..
-                } = scratch;
-                #[allow(clippy::needless_range_loop)] // dst drives several arrays
-                // lint: hot-path
-                for dst in shard.start..shard.end {
-                    let row = dst - shard.start;
-                    reqs.clear();
-                    std::mem::swap(reqs, &mut inbox_requests[row]);
-                    if faults.greedy(dst) {
-                        // Byzantine-lite misbehavior: the requests just
-                        // swapped in are discarded, backpressure and debits
-                        // are ignored, and every ingress port is granted
-                        // round-robin.
-                        for port in 0..s {
-                            if let Some(src) = greedy::greedy_source(topo, n, epoch, dst, port) {
-                                // lint: allow(H001) grant lists keep their capacity across epochs
-                                out.push(dst, src, port, 0);
-                            }
-                        }
+            grants[granter].push((requester as u32, port as u32, debit));
+            // Empty outside selective relay.
+            if let Some(mark) = port_granted.get_mut(granter * s + port) {
+                *mark = true;
+            }
+        };
+        #[allow(clippy::needless_range_loop)] // dst drives several arrays
+        // lint: hot-path
+        for dst in 0..n {
+            reqs.clear();
+            std::mem::swap(reqs, &mut self.land.inbox_requests[dst]);
+            if faults.greedy(dst) {
+                // Byzantine-lite misbehavior: the requests just swapped in
+                // are discarded, backpressure and debits are ignored, and
+                // every ingress port is granted round-robin.
+                for port in 0..s {
+                    if let Some(src) = greedy::greedy_source(topo, n, epoch, dst, port) {
+                        push(dst, src, port, 0);
+                    }
+                }
+                continue;
+            }
+            // §3.6.5 backpressure: a destination whose receive buffer is
+            // more than half full grants nothing this epoch.
+            if let Some(cap) = host_buffer {
+                if rx_buffer[dst] > cap / 2 {
+                    continue;
+                }
+            }
+            if stateful {
+                for r in reqs.iter() {
+                    self.matrices[dst].report(r.src, r.value as u64);
+                }
+            }
+            if reqs.is_empty() && !stateful {
+                continue;
+            }
+            let arbiter = &mut self.grant_arbs[dst];
+            match mode {
+                SchedulerMode::Base | SchedulerMode::Iterative { .. } => {
+                    srcs.clear();
+                    srcs.extend(reqs.iter().map(|r| r.src));
+                    self.stats.grant_candidates_scanned += arbiter.grant_into(
+                        s,
+                        srcs,
+                        |src, port| detector.usable(src, dst, port),
+                        grant_marks,
+                        grant_pairs,
+                    );
+                    for &(src, port) in grant_pairs.iter() {
+                        push(dst, src, port, 0);
+                    }
+                }
+                SchedulerMode::Stateful => {
+                    // Candidates: sources whose matrix entry shows pending
+                    // data (requests above already refreshed the matrix).
+                    let matrix = &mut self.matrices[dst];
+                    srcs.clear();
+                    srcs.extend((0..n).filter(|&src| matrix.has_pending(src)));
+                    if srcs.is_empty() {
                         continue;
                     }
-                    // §3.6.5 backpressure: a destination whose receive
-                    // buffer is more than half full grants nothing this
-                    // epoch.
-                    if let Some(cap) = host_buffer {
-                        if rx_buffer[dst] > cap / 2 {
-                            continue;
-                        }
+                    self.stats.grant_candidates_scanned += arbiter.grant_into(
+                        s,
+                        srcs,
+                        |src, port| detector.usable(src, dst, port),
+                        grant_marks,
+                        grant_pairs,
+                    );
+                    for &(src, port) in grant_pairs.iter() {
+                        let debit = matrix.debit(src, epoch_capacity);
+                        push(dst, src, port, debit);
                     }
-                    if stateful {
-                        for r in reqs.iter() {
-                            matrices[row].report(r.src, r.value as u64);
-                        }
-                    }
-                    if reqs.is_empty() && !stateful {
-                        continue;
-                    }
-                    match mode {
-                        SchedulerMode::Base | SchedulerMode::Iterative { .. } => {
-                            srcs.clear();
-                            srcs.extend(reqs.iter().map(|r| r.src));
-                            stats.grant_candidates_scanned += grant_arbs[row].grant_into(
-                                s,
-                                srcs,
-                                |src, port| detector.usable(src, dst, port),
-                                grant_marks,
-                                grant_pairs,
-                            );
-                            for &(src, port) in grant_pairs.iter() {
-                                // lint: allow(H001) grant lists keep their capacity across epochs
-                                out.push(dst, src, port, 0);
-                            }
-                        }
-                        SchedulerMode::Stateful => {
-                            // Candidates: sources whose matrix entry shows
-                            // pending data (requests above already
-                            // refreshed the matrix).
-                            let matrix = &matrices[row];
-                            srcs.clear();
-                            srcs.extend((0..n).filter(|&src| matrix.has_pending(src)));
-                            if srcs.is_empty() {
-                                continue;
-                            }
-                            stats.grant_candidates_scanned += grant_arbs[row].grant_into(
-                                s,
-                                srcs,
-                                |src, port| detector.usable(src, dst, port),
-                                grant_marks,
-                                grant_pairs,
-                            );
-                            for &(src, port) in grant_pairs.iter() {
-                                let debit = matrices[row].debit(src, epoch_capacity);
-                                // lint: allow(H001) grant lists keep their capacity across epochs
-                                out.push(dst, src, port, debit);
-                            }
-                        }
-                        SchedulerMode::DataSize | SchedulerMode::HolDelay { .. } => {
-                            // Highest-value requester first. A served
-                            // pair's value drops so ports spread across
-                            // pairs: DataSize debits one epoch of service
-                            // and stops granting at zero remaining backlog;
-                            // HolDelay demotes the served pair below every
-                            // still-waiting one but keeps it eligible for
-                            // leftover ports (a deep-backlog pair may use
-                            // several ports, as the base algorithm allows).
-                            let datasize = matches!(mode, SchedulerMode::DataSize);
-                            vals.clear();
-                            vals.extend(reqs.iter().map(|r| (r.src, r.value)));
-                            for port in 0..s {
-                                usable_vals.clear();
-                                usable_vals.extend(
-                                    vals.iter()
-                                        .copied()
-                                        .filter(|&(src, v)| {
-                                            (!datasize || v > 0.0)
-                                                && detector.usable(src, dst, port)
-                                        })
-                                        .filter(|&(src, _)| topo.port_reaches(src, port, dst)),
-                                );
-                                if let Some(src) = informative::pick_max_value(usable_vals) {
-                                    let v = vals.iter_mut().find(|(x, _)| *x == src).unwrap();
-                                    v.1 = if datasize {
-                                        (v.1 - epoch_capacity as f64).max(0.0)
-                                    } else {
-                                        -1.0 - v.1.abs() // strictly below fresh requests
-                                    };
-                                    // lint: allow(H001) grant lists keep their capacity across epochs
-                                    out.push(dst, src, port, 0);
-                                }
-                            }
-                        }
-                        SchedulerMode::Projector => {
-                            preqs.clear();
-                            preqs.extend(
-                                reqs.iter()
-                                    .filter(|r| r.port != usize::MAX)
-                                    .filter(|r| detector.usable(r.src, dst, r.port))
-                                    .map(|r| projector::PortRequest {
-                                        src: r.src,
-                                        port: r.port,
-                                        waiting: r.value,
-                                    }),
-                            );
-                            for (src, port) in projector::grant_by_waiting(s, preqs) {
-                                // lint: allow(H001) grant lists keep their capacity across epochs
-                                out.push(dst, src, port, 0);
-                            }
+                }
+                SchedulerMode::DataSize | SchedulerMode::HolDelay { .. } => {
+                    // Highest-value requester first. A served pair's value
+                    // drops so ports spread across pairs: DataSize debits
+                    // one epoch of service and stops granting at zero
+                    // remaining backlog; HolDelay demotes the served pair
+                    // below every still-waiting one but keeps it eligible
+                    // for leftover ports (a deep-backlog pair may use
+                    // several ports, as the base algorithm allows).
+                    let datasize = matches!(mode, SchedulerMode::DataSize);
+                    vals.clear();
+                    vals.extend(reqs.iter().map(|r| (r.src, r.value)));
+                    for port in 0..s {
+                        usable_vals.clear();
+                        usable_vals.extend(
+                            vals.iter()
+                                .copied()
+                                .filter(|&(src, v)| {
+                                    (!datasize || v > 0.0) && detector.usable(src, dst, port)
+                                })
+                                .filter(|&(src, _)| topo.port_reaches(src, port, dst)),
+                        );
+                        if let Some(src) = informative::pick_max_value(usable_vals) {
+                            let v = vals.iter_mut().find(|(x, _)| *x == src).unwrap();
+                            v.1 = if datasize {
+                                (v.1 - epoch_capacity as f64).max(0.0)
+                            } else {
+                                -1.0 - v.1.abs() // strictly below fresh requests
+                            };
+                            push(dst, src, port, 0);
                         }
                     }
                 }
-            });
-        }
-        for lane in lanes.iter() {
-            self.grant_dirty.extend_from_slice(&lane.dirty);
-            self.stats += lane.stats;
+                SchedulerMode::Projector => {
+                    preqs.clear();
+                    preqs.extend(
+                        reqs.iter()
+                            .filter(|r| r.port != usize::MAX)
+                            .filter(|r| detector.usable(r.src, dst, r.port))
+                            .map(|r| projector::PortRequest {
+                                src: r.src,
+                                port: r.port,
+                                waiting: r.value,
+                            }),
+                    );
+                    for (src, port) in projector::grant_by_waiting(s, preqs) {
+                        push(dst, src, port, 0);
+                    }
+                }
+            }
         }
         if self.opts.selective_relay {
             self.relay_grant_step();
         }
     }
 
-    /// REQUEST (sharded by source ToR): read the queues, emit this
-    /// epoch's requests. Each source walks its non-empty bitmap — the
-    /// pairs with any backlog, in ascending destination order — and reads
-    /// the `queue_bytes` mirror of those alone, touching the queues
-    /// themselves only where the mode's request value needs them;
-    /// per-lane dirty indices concatenate to source-ascending order.
+    /// REQUEST: read the queues and emit this epoch's requests, in source
+    /// order. Each source walks its non-empty bitmap — the pairs with any
+    /// backlog, in ascending destination order — and reads the
+    /// `queue_bytes` mirror of those alone, touching the queues themselves
+    /// only where the mode's request value needs them.
     pub(super) fn step_request(&mut self, now: Nanos) {
         self.clear_requests();
-        let shards = shard::partition(self.n, self.par_workers());
-        let lanes = self.par.lanes(shards.len());
         let (n, mode) = (self.n, self.opts.mode);
         let threshold = self.cfg.request_threshold_bytes();
-        let topo = &self.topo;
-        let q = &self.q;
-        {
-            // The per-pair value tables exist only in the modes that read
-            // them (empty rows otherwise): values outside `Base` and
-            // `Iterative`, port bindings in `Projector`, reported totals
-            // in `Stateful`.
-            let row_of = |table_len: usize| table_len / n;
-            let req_row = row_of(self.out.req.len());
-            let outs = shard::split_rows(&mut self.out.req, req_row, &shards);
-            let port_row = row_of(self.out.req_port.len());
-            let ports = shard::split_rows(&mut self.out.req_port, port_row, &shards);
-            let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
-            let reported_row = row_of(self.reported_total.len());
-            let reported = shard::split_rows(&mut self.reported_total, reported_row, &shards);
-            let mut ctxs = Vec::with_capacity(shards.len());
-            for (((((&shard, req), req_port), msg_flags), reported_total), lane) in shards
-                .iter()
-                .zip(outs)
-                .zip(ports)
-                .zip(flags)
-                .zip(reported)
-                .zip(lanes.iter_mut())
-            {
-                ctxs.push(RequestCtx {
-                    shard,
-                    req,
-                    req_port,
-                    msg_flags,
-                    reported_total,
-                    lane,
-                });
-            }
-            shard::map_shards(ctxs, |_, ctx| {
-                let RequestCtx {
-                    shard,
-                    req,
-                    req_port,
-                    msg_flags,
-                    reported_total,
-                    lane,
-                } = ctx;
-                let Lane { dirty, stats, .. } = lane;
-                // lint: hot-path
-                for src in shard.start..shard.end {
-                    let base = (src - shard.start) * n;
-                    if matches!(mode, SchedulerMode::Projector) {
-                        let live = q
-                            .live_dsts(src)
-                            .inspect(|_| stats.request_pairs_scanned += 1);
-                        for (dst, preq) in projector::bind_requests(topo, src, &q.pairs, live, now)
-                        {
-                            req[base + dst] = preq.waiting;
-                            // Construction holds Projector fabrics under
-                            // `u16::MAX` ports.
-                            req_port[base + dst] = preq.port as u16;
-                            msg_flags[base + dst] |= REQ_FLAG;
-                            // lint: allow(H001) lane vecs keep their capacity across epochs
-                            dirty.push((src * n + dst) as u32);
-                        }
-                        continue;
-                    }
-                    for dst in q.live_dsts(src) {
-                        stats.request_pairs_scanned += 1;
-                        let idx = src * n + dst;
-                        if dst == src || q.queue_bytes[idx] <= threshold {
-                            continue;
-                        }
-                        let value = match mode {
-                            SchedulerMode::DataSize => Some(q.queue_bytes[idx] as f64),
-                            SchedulerMode::HolDelay { alpha } => Some(
-                                informative::hol_delay_value(q.pairs.pair(src, dst), now, alpha),
-                            ),
-                            SchedulerMode::Stateful => {
-                                let new = q.enqueued_total[idx] - reported_total[base + dst];
-                                reported_total[base + dst] = q.enqueued_total[idx];
-                                Some(new as f64)
-                            }
-                            // Binary demand: the flag is the request.
-                            _ => None,
-                        };
-                        if let Some(value) = value {
-                            req[base + dst] = value;
-                        }
-                        msg_flags[base + dst] |= REQ_FLAG;
-                        // lint: allow(H001) lane vecs keep their capacity across epochs
-                        dirty.push(idx as u32);
-                        stats.requests_sent += 1;
-                    }
+        let (topo, q) = (&self.topo, &self.q);
+        // The per-pair value tables exist only in the modes that read them
+        // (empty otherwise): values outside `Base` and `Iterative`, port
+        // bindings in `Projector`, reported totals in `Stateful`.
+        let (req, req_port) = (&mut self.out.req, &mut self.out.req_port);
+        let stats = &mut self.stats;
+        // lint: hot-path
+        for src in 0..n {
+            if matches!(mode, SchedulerMode::Projector) {
+                let live = q
+                    .live_dsts(src)
+                    .inspect(|_| stats.request_pairs_scanned += 1);
+                for (dst, preq) in projector::bind_requests(topo, src, &q.pairs, live, now) {
+                    let idx = src * n + dst;
+                    req[idx] = preq.waiting;
+                    // Construction holds Projector fabrics under
+                    // `u16::MAX` ports.
+                    req_port[idx] = preq.port as u16;
+                    self.msg_flags[idx] |= REQ_FLAG;
+                    // lint: allow(H001) the dirty list keeps its capacity across epochs
+                    self.req_dirty.push(idx as u32);
                 }
-            });
-        }
-        for lane in lanes.iter() {
-            self.req_dirty.extend_from_slice(&lane.dirty);
-            self.stats += lane.stats;
+                continue;
+            }
+            for dst in q.live_dsts(src) {
+                stats.request_pairs_scanned += 1;
+                let idx = src * n + dst;
+                if dst == src || q.queue_bytes[idx] <= threshold {
+                    continue;
+                }
+                let value = match mode {
+                    SchedulerMode::DataSize => Some(q.queue_bytes[idx] as f64),
+                    SchedulerMode::HolDelay { alpha } => Some(informative::hol_delay_value(
+                        q.pairs.pair(src, dst),
+                        now,
+                        alpha,
+                    )),
+                    SchedulerMode::Stateful => {
+                        let new = q.enqueued_total[idx] - self.reported_total[idx];
+                        self.reported_total[idx] = q.enqueued_total[idx];
+                        Some(new as f64)
+                    }
+                    // Binary demand: the flag is the request.
+                    _ => None,
+                };
+                if let Some(value) = value {
+                    req[idx] = value;
+                }
+                self.msg_flags[idx] |= REQ_FLAG;
+                // lint: allow(H001) the dirty list keeps its capacity across epochs
+                self.req_dirty.push(idx as u32);
+                stats.requests_sent += 1;
+            }
         }
     }
 
     /// The predefined phase of every epoch (sharded by source ToR): a shard
-    /// injects its own sources' flows at slot boundaries and then looks
-    /// only at the connections whose lane bit is set — those whose pair
-    /// has backlog or scheduling messages ([`topology::LaneTable`]) —
-    /// moving the messages and piggybacking one packet per connected pair.
-    /// Per slot it walks its sources in ascending order and each source's
-    /// set lanes in ascending port order, which is the `(slot, src, port)`
+    /// injects its own sources' flows, then the relay first hops landed at
+    /// its own intermediates, at slot boundaries, and then looks only at
+    /// the connections whose lane bit is set — those whose pair has
+    /// backlog or scheduling messages ([`topology::LaneTable`]) — moving
+    /// the messages and piggybacking one packet per connected pair. Per
+    /// slot it walks its sources in ascending order and each source's set
+    /// lanes in ascending port order, which is the `(slot, src, port)`
     /// order of a pass over every connection; every cross-ToR effect goes
     /// to the shard's sink, slot-tagged. The replay is slot-major, lanes in
     /// shard order within a slot: exactly the order of a single pass.
@@ -1144,115 +874,120 @@ impl NegotiatorSim {
         };
         let (failures, faults, detector) =
             (&self.frame.failures, &self.frame.faults, &self.detector);
-        // Flows that arrive during this phase, shared read-only: each
-        // shard walks the slice once and enqueues only its own sources.
+        // Flows that arrive during this phase and first hops that land in
+        // it, shared read-only: each shard walks both slices once and
+        // enqueues only at its own sources.
         let last_start = t0 + (pre_slots as Nanos - 1) * pre_slot_len;
         let end = cursor + flows[cursor..].partition_point(|f| f.arrival <= last_start);
         let phase_flows = &flows[cursor..end];
-        let shards = shard::partition(n, self.par_workers());
-        self.par.lanes(shards.len());
-        let ParState { lanes, ptrs, .. } = &mut self.par;
-        let lanes = &mut lanes[..shards.len()];
+        let landed = self.first_hops.partition_point(|h| h.at <= last_start);
+        let phase_hops = &self.first_hops[..landed];
+        let ParState {
+            shards,
+            lanes,
+            ptrs,
+        } = &mut self.par;
+        for lane in lanes.iter_mut() {
+            lane.events.clear();
+            lane.stats = SchedStats::default();
+        }
         let out = &self.out;
-        {
-            let rows = self.q.split(&shards);
-            let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
-            let sinks = sinks(lanes, &mut self.land, tracker, clock);
-            let mut ctxs = Vec::with_capacity(shards.len());
-            for ((rows, msg_flags), (_, stats, sink)) in rows.into_iter().zip(flags).zip(sinks) {
-                ctxs.push(PredefCtx {
-                    rows,
-                    msg_flags,
-                    stats,
-                    sink,
-                });
-            }
-            shard::map_shards(ctxs, |_, ctx| {
-                let PredefCtx {
-                    mut rows,
-                    msg_flags,
-                    stats,
-                    mut sink,
-                } = ctx;
-                let shard = rows.shard;
-                let sched = rows.lane_masks.lanes();
-                let mut next = 0usize;
-                // lint: hot-path
-                for slot in 0..pre_slots {
-                    next = rows.inject(phase_flows, next, t0 + slot as Nanos * pre_slot_len);
-                    for src in shard.start..shard.end {
-                        let group = rows.lane_masks.group(src, slot);
-                        // Most groups of a lightly loaded fabric are idle.
-                        if rows.lane_masks.is_idle(group) {
-                            continue;
-                        }
-                        let origin = sched.origin(slot, src);
-                        for ports in sched.port_order(epoch) {
-                            let mut from = ports.start;
-                            while let Some(lane) = rows.lane_masks.next_lane(group, from..ports.end)
-                            {
-                                from = lane + 1;
-                                let dst = sched.dst(origin, lane);
-                                let row = rows.row(src, dst);
-                                let (flags, mut backlog) = (msg_flags[row], rows.queue_bytes[row]);
-                                let (mut up, mut gray, mut usable) = (true, false, true);
-                                if !healthy {
-                                    let port = sched.port(lane, epoch);
-                                    up = failures.link_up(src, dst, port);
-                                    gray = up && faults.gray_drops(epoch, src, dst);
-                                    usable = detector.usable(src, dst, port);
+        let ctxs = self
+            .q
+            .windows(shards)
+            .zip(shard::split_rows(&mut self.msg_flags, n, shards))
+            .zip(sinks(lanes, &mut self.land, tracker, clock))
+            .map(|((rows, msg_flags), (stats, sink))| PredefCtx {
+                rows,
+                msg_flags,
+                stats,
+                sink,
+            });
+        shard::map_shards(ctxs, |_, ctx| {
+            let PredefCtx {
+                mut rows,
+                msg_flags,
+                stats,
+                mut sink,
+            } = ctx;
+            let shard = rows.shard;
+            let sched = rows.lane_masks.lanes();
+            let (mut next, mut next_hop) = (0usize, 0usize);
+            // lint: hot-path
+            for slot in 0..pre_slots {
+                let now = t0 + slot as Nanos * pre_slot_len;
+                next = rows.inject(phase_flows, next, now);
+                next_hop = rows.land(phase_hops, next_hop, now);
+                for src in shard.start..shard.end {
+                    let group = rows.lane_masks.group(src, slot);
+                    // Most groups of a lightly loaded fabric are idle.
+                    if rows.lane_masks.is_idle(group) {
+                        continue;
+                    }
+                    let origin = sched.origin(slot, src);
+                    for ports in sched.port_order(epoch) {
+                        let mut from = ports.start;
+                        while let Some(lane) = rows.lane_masks.next_lane(group, from..ports.end) {
+                            from = lane + 1;
+                            let dst = sched.dst(origin, lane);
+                            let row = rows.row(src, dst);
+                            let (flags, mut backlog) = (msg_flags[row], rows.queue_bytes[row]);
+                            let (mut up, mut gray, mut usable) = (true, false, true);
+                            if !healthy {
+                                let port = sched.port(lane, epoch);
+                                up = failures.link_up(src, dst, port);
+                                gray = up && faults.gray_drops(epoch, src, dst);
+                                usable = detector.usable(src, dst, port);
+                            }
+                            stats.predefined_conns_visited += 1;
+                            if flags != 0 {
+                                if up && !gray {
+                                    out.emit(flags, src, dst, slot as u32, &mut sink);
+                                    msg_flags[row] = flags & !REQ_FLAG; // delivered once
+                                } else if gray {
+                                    // Undelivered messages expire at the
+                                    // next epoch start.
+                                    let dropped = &mut stats.control_dropped;
+                                    out.emit(flags, src, dst, 0, &mut Sink::Count(dropped));
                                 }
-                                stats.predefined_conns_visited += 1;
-                                if flags != 0 {
-                                    if up && !gray {
-                                        out.emit(flags, src, dst, slot as u32, &mut sink);
-                                        msg_flags[row] = flags & !REQ_FLAG; // delivered once
-                                    } else if gray {
-                                        // Undelivered messages expire at the
-                                        // next epoch start.
-                                        let dropped = &mut stats.control_dropped;
-                                        out.emit(flags, src, dst, 0, &mut Sink::Count(dropped));
-                                    }
+                            }
+                            if piggyback && backlog > 0 && usable {
+                                let pkt = rows
+                                    .dequeue_packet(src, dst, pb_payload, now)
+                                    .expect("non-zero mirror implies a packet");
+                                backlog -= pkt.bytes;
+                                if up {
+                                    stats.piggyback_packets += 1;
+                                    stats.piggyback_bytes += pkt.bytes;
+                                    sink.emit(Event::Data {
+                                        slot: slot as u32,
+                                        dst: dst as u32,
+                                        flow: pkt.flow,
+                                        bytes: pkt.bytes,
+                                    });
+                                } else {
+                                    // Recovery is an upper-layer (TCP)
+                                    // concern.
+                                    stats.lost_packets += 1;
+                                    stats.lost_bytes += pkt.bytes;
                                 }
-                                if piggyback && backlog > 0 && usable {
-                                    let pkt = rows
-                                        .dequeue_packet(src, dst, pb_payload)
-                                        .expect("non-zero mirror implies a packet");
-                                    backlog -= pkt.bytes;
-                                    if up {
-                                        stats.piggyback_packets += 1;
-                                        stats.piggyback_bytes += pkt.bytes;
-                                        sink.emit(Event::Data {
-                                            slot: slot as u32,
-                                            dst: dst as u32,
-                                            flow: pkt.flow,
-                                            bytes: pkt.bytes,
-                                        });
-                                    } else {
-                                        // Recovery is an upper-layer (TCP)
-                                        // concern.
-                                        stats.lost_packets += 1;
-                                        stats.lost_bytes += pkt.bytes;
-                                    }
-                                }
-                                // Nothing left to say: the pair's other
-                                // connection, if any, clears its own bit.
-                                if msg_flags[row] as u64 | backlog == 0 {
-                                    rows.lane_masks.clear(group, lane);
-                                }
+                            }
+                            // Nothing left to say: the pair's other
+                            // connection, if any, clears its own bit.
+                            if msg_flags[row] as u64 | backlog == 0 {
+                                rows.lane_masks.clear(group, lane);
                             }
                         }
                     }
                 }
-            });
-        }
+            }
+        });
         // Replay slot-major: all lanes' slot-`k` events (lanes in shard
         // order, each lane's events in emission order) before any
         // slot-`k+1` event. Per-lane streams are slot-sorted by
         // construction, so one cursor per lane suffices. A single lane
         // applied its effects as it went and recorded none.
-        ptrs.clear();
-        ptrs.resize(lanes.len(), 0);
+        ptrs.fill(0);
         // lint: hot-path
         for slot in 0..pre_slots as u32 {
             let arrive = clock.arrive(slot);
@@ -1276,24 +1011,24 @@ impl NegotiatorSim {
         for lane in lanes.iter() {
             self.stats += lane.stats;
         }
+        self.first_hops.drain(..landed);
         end
     }
 
-    /// The scheduled phase outside selective relay (sharded by source
-    /// ToR). Each source drains each matched destination, served by `m`
-    /// of its ports, as one run of up to `m·K` dequeues — packet `i` on
-    /// the run's `i mod m`-th port in slot `i / m` — split only at the
-    /// slots where that pair's own flows arrive and are injected. The
-    /// shard's other arrivals touch no matched queue and go in first, in
-    /// arrival order. This is the slot-major walk's outcome, not an
-    /// approximation of it: without relay a flow lives in one queue, a
-    /// queue's dequeues and injections keep their walk order, and each
-    /// flow's packets still land in slot order, while deliveries fold into
-    /// the tracker, the receive buffers and the bandwidth series as sums.
-    /// So a batch leaves as segment runs, each one `Data` event at the
-    /// slot of its last delivered packet — the arrival that completes the
-    /// flow when the run ends it. Events carry their slot and replay in
-    /// lane order. Returns the cursor past the phase's arrivals.
+    /// The scheduled phase outside selective relay. Each source drains
+    /// each matched destination, served by `m` of its ports, as one run of
+    /// up to `m·K` dequeues — packet `i` on the run's `i mod m`-th port in
+    /// slot `i / m` — split only at the slots where that pair's own flows
+    /// arrive and are injected. The other arrivals touch no matched queue
+    /// and go in first, in arrival order. This is the slot-major walk's
+    /// outcome, not an approximation of it: without relay a flow lives in
+    /// one queue, a queue's dequeues and injections keep their walk order,
+    /// and each flow's packets still land in slot order, while deliveries
+    /// fold into the tracker, the receive buffers and the bandwidth series
+    /// as sums. So a batch leaves as segment runs ([`Batch::land`]), each
+    /// one `Data` event at the slot of its last delivered packet — the
+    /// arrival that completes the flow when the run ends it. Returns the
+    /// cursor past the phase's arrivals.
     pub(super) fn scheduled_batched(
         &mut self,
         flows: &[Flow],
@@ -1305,102 +1040,112 @@ impl NegotiatorSim {
         let (n, s) = (self.n, self.s);
         let (k_slots, slot_len) = (self.cfg.epoch.scheduled_slots, clock.slot_len);
         let cap = self.sched_payload;
-        // Flows that arrive by the last slot's start, shared read-only;
-        // the first slot whose start injects `arrival`.
+        // Flows that arrive by the last slot's start; the first slot whose
+        // start injects `arrival`.
         let last_start = sched_start + (k_slots as Nanos - 1) * slot_len;
         let end = cursor + flows[cursor..].partition_point(|f| f.arrival <= last_start);
         let phase_flows = &flows[cursor..end];
         let inject_slot = |arrival: Nanos| arrival.saturating_sub(sched_start).div_ceil(slot_len);
-        let list = &self.active_list[..];
-        self.stats.unmatched_slots += (n * s - list.len()) as u64 * k_slots as u64;
-        let shards = shard::partition(n, self.par_workers());
-        let lanes = self.par.lanes(shards.len());
+        let entries = &self.active_list[..];
+        self.stats.unmatched_slots += (n * s - entries.len()) as u64 * k_slots as u64;
         let (failures, active) = (&self.frame.failures, &self.active[..]);
         let series = !self.land.rx_series.is_empty() || self.land.total_rx.is_some();
-        {
-            let rows = self.q.split(&shards);
-            let sinks = sinks(lanes, &mut self.land, tracker, clock);
-            // The list is (src, port)-ordered: a shard's entries are one
-            // slice of it.
-            let first = |src: usize| list.partition_point(|e| (e.slot as usize) < src * s);
-            let mut ctxs = Vec::with_capacity(shards.len());
-            for (rows, (scratch, stats, sink)) in rows.into_iter().zip(sinks) {
-                let entries = &list[first(rows.shard.start)..first(rows.shard.end)];
-                ctxs.push(SchedCtx {
-                    rows,
-                    entries,
-                    scratch,
-                    stats,
-                    sink,
-                    series,
-                });
+        let SimScratch {
+            ports,
+            up,
+            arrivals,
+            ..
+        } = &mut self.scratch;
+        let stats = &mut self.stats;
+        let mut rows = self.q.all();
+        let mut sink = Sink::Apply {
+            land: &mut self.land,
+            tracker,
+            clock,
+        };
+        // Send queue `src → dst`'s packets of scheduled `slots` on `ports`
+        // (ascending): up to `m` packets a slot, packet `i` on port
+        // `ports[i % m]` in slot `slots.start + i / m` — the order in which
+        // a slot-major walk serves each slot's ports. The queue leaves as
+        // runs, each landed whole; a port whose link is down loses its
+        // packets.
+        let mut send = |rows: &mut SrcRows<'_>, ports: &[usize], src, dst, slots: Range<usize>| {
+            let room = ports.len() * slots.len();
+            if room == 0 {
+                return;
             }
-            shard::map_shards(ctxs, |_, mut ctx| {
-                let shard = ctx.rows.shard;
-                ctx.scratch.arrivals.clear();
-                // lint: hot-path
-                for (i, f) in phase_flows.iter().enumerate() {
-                    if !(shard.start..shard.end).contains(&f.src) {
-                        continue;
-                    }
-                    if active[f.src * s..(f.src + 1) * s].contains(&Some(f.dst)) {
-                        let arrival = (f.src as u32, f.dst as u32, i as u32);
-                        // lint: allow(H001) retained scratch, cleared each phase, never shrunk
-                        ctx.scratch.arrivals.push(arrival);
-                    } else {
-                        ctx.rows.enqueue(f);
-                    }
-                }
-                ctx.scratch.arrivals.sort_unstable();
-                let entries = ctx.entries;
-                let mut i = 0;
-                // lint: hot-path
-                while i < entries.len() {
-                    let src = entries[i].slot as usize / s;
-                    let run_len = entries[i..]
-                        .iter()
-                        .take_while(|e| e.slot as usize / s == src)
-                        .count();
-                    let run = &entries[i..i + run_len];
-                    i += run_len;
-                    for (a, e) in run.iter().enumerate() {
-                        // A queue several ports serve drains with its first.
-                        if run[..a].iter().any(|f| f.dst == e.dst) {
-                            continue;
-                        }
-                        let ports = &mut ctx.scratch.ports;
-                        ports.clear();
-                        ports.extend(
-                            run[a..]
-                                .iter()
-                                .filter(|f| f.dst == e.dst)
-                                .map(|f| f.slot as usize % s),
-                        );
-                        // The pair's own arrivals, one range of the sorted
-                        // scratch; each splits the run at its slot.
-                        let (dst, pair) = (e.dst as usize, (src as u32, e.dst));
-                        let arrivals = &ctx.scratch.arrivals;
-                        let lo = arrivals.partition_point(|&(x, y, _)| (x, y) < pair);
-                        let hi = arrivals.partition_point(|&(x, y, _)| (x, y) <= pair);
-                        let mut k0 = 0;
-                        for j in lo..hi {
-                            let f = &phase_flows[ctx.scratch.arrivals[j].2 as usize];
-                            let k = inject_slot(f.arrival) as usize;
-                            ctx.send(failures, src, dst, k0..k, cap);
-                            ctx.rows.enqueue(f);
-                            k0 = k;
-                        }
-                        ctx.send(failures, src, dst, k0..k_slots, cap);
-                    }
-                }
-            });
+            up.clear();
+            up.push(0);
+            let mut live = 0;
+            for &port in ports {
+                live += usize::from(failures.link_up(src, dst, port));
+                up.push(live);
+            }
+            let batch = Batch {
+                dst: dst as u32,
+                k0: slots.start,
+                cap,
+                up,
+                series,
+            };
+            let mut at = 0;
+            while at < room {
+                let Some(run) = rows.dequeue_run(src, dst, cap, room - at) else {
+                    break;
+                };
+                batch.land(at, run, stats, &mut sink);
+                at += run.count;
+            }
+            stats.overscheduled_slots += (room - at) as u64;
+        };
+        arrivals.clear();
+        // lint: hot-path
+        for (i, f) in phase_flows.iter().enumerate() {
+            if active[f.src * s..(f.src + 1) * s].contains(&Some(f.dst)) {
+                // lint: allow(H001) retained scratch, cleared each phase, never shrunk
+                arrivals.push((f.src as u32, f.dst as u32, i as u32));
+            } else {
+                rows.enqueue(f);
+            }
         }
-        // Replay deliveries in lane order (a single lane recorded none).
-        for lane in lanes.iter() {
-            for ev in &lane.events {
-                self.land.apply(*ev, clock.arrive(ev.slot()), tracker);
+        arrivals.sort_unstable();
+        let mut i = 0;
+        // lint: hot-path
+        while i < entries.len() {
+            let src = entries[i].slot as usize / s;
+            let run_len = entries[i..]
+                .iter()
+                .take_while(|e| e.slot as usize / s == src)
+                .count();
+            let run = &entries[i..i + run_len];
+            i += run_len;
+            for (a, e) in run.iter().enumerate() {
+                // A queue several ports serve drains with its first.
+                if run[..a].iter().any(|f| f.dst == e.dst) {
+                    continue;
+                }
+                ports.clear();
+                ports.extend(
+                    run[a..]
+                        .iter()
+                        .filter(|f| f.dst == e.dst)
+                        .map(|f| f.slot as usize % s),
+                );
+                // The pair's own arrivals, one range of the sorted list;
+                // each splits the run at its slot.
+                let (dst, pair) = (e.dst as usize, (src as u32, e.dst));
+                let lo = arrivals.partition_point(|&(x, y, _)| (x, y) < pair);
+                let hi = arrivals.partition_point(|&(x, y, _)| (x, y) <= pair);
+                let mut k0 = 0;
+                for &(_, _, j) in &arrivals[lo..hi] {
+                    let f = &phase_flows[j as usize];
+                    let k = inject_slot(f.arrival) as usize;
+                    send(&mut rows, ports, src, dst, k0..k);
+                    rows.enqueue(f);
+                    k0 = k;
+                }
+                send(&mut rows, ports, src, dst, k0..k_slots);
             }
-            self.stats += lane.stats;
         }
         end
     }

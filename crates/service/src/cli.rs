@@ -97,7 +97,7 @@ const FLAGS: &[Flag] = &[
     flag("--seed", Some("N"), &[Run], "workload seed"),
     flag("--seeds", Some("A,B,C"), &[Run], "one full sweep per seed (<id>-s<seed>.json)"),
     flag("--jobs", Some("N"), &[Run, Scenario, Serve], "worker threads (default: available parallelism)"),
-    flag("--workers", Some("N"), &[Run, Scenario, Serve], "shard workers inside each simulation (default 1); output bytes never change"),
+    flag("--workers", Some("N"), &[Run, Scenario, Serve], "predefined-phase shards per simulation (default 1): a determinism check, mostly measured slower; output bytes never change"),
     flag("--json", None, &[Run, Scenario, TraceQuery, List, Lint], "machine-readable output (results/<id>.json for runs)"),
     flag("--no-timing", None, &[Run, Scenario], "omit wall-clock fields from written JSON: the deterministic document"),
     flag("--no-cache", None, &[Scenario], "skip the content-addressed result cache in both directions"),

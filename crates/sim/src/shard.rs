@@ -1,11 +1,10 @@
 //! Deterministic intra-run sharding: contiguous row partitions plus a
-//! scoped fork/join helper for the negotiator engine's per-ToR phase
-//! bodies.
+//! scoped fork/join helper for the negotiator engine's predefined phase.
 //!
 //! [`pool`](crate::pool) parallelizes *across* independent runs; this
-//! module shards *within* one run. Each phase has a single body written
-//! over a window of rows; the shard count only decides how many windows
-//! there are. The contract that keeps a run byte-identical at any count
+//! module shards *within* one run. A sharded phase has a single body
+//! written over a window of rows; the shard count only decides how many
+//! windows there are. The contract that keeps a run byte-identical at any count
 //! is structural, not statistical:
 //!
 //! * [`partition`] splits `n` rows (ToRs) into at most `workers`
@@ -14,7 +13,8 @@
 //!   only on the row order, which is the same at any count.
 //! * [`map_shards`] runs one closure per shard and returns the results
 //!   **in shard order**. One shard — the default — runs inline on the
-//!   caller's thread, with no thread, no join and nothing to merge;
+//!   caller's thread, with no thread, no join, nothing to merge and,
+//!   since the windows are handed out as they are taken, no allocation;
 //!   several run on scoped threads (panics are propagated, lowest shard
 //!   first, like `pool::run_ordered`). Callers merge per-shard outputs
 //!   by concatenation or ordered replay, which makes the merged stream
@@ -74,25 +74,30 @@ pub fn partition(n: usize, workers: usize) -> Vec<Shard> {
 /// mutable windows, one per entry of `shards`, in shard order. The
 /// windows are disjoint by construction; the caller keeps no access to
 /// `slice` while they live, so each shard may mutate its rows freely.
+/// The windows are handed out as they are asked for, so splitting
+/// allocates nothing.
 ///
-/// Panics if the shards are not contiguous ascending or do not cover
-/// `slice` exactly — partitions from [`partition`] always do.
+/// Panics if the shards do not cover `slice` exactly, or (as the windows
+/// are taken) are not contiguous ascending — partitions from
+/// [`partition`] always are both.
 pub fn split_rows<'a, T>(
-    mut slice: &'a mut [T],
+    slice: &'a mut [T],
     row_len: usize,
-    shards: &[Shard],
-) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(shards.len());
-    let mut row = 0;
-    for s in shards {
-        assert_eq!(s.start, row, "shards must be contiguous ascending");
-        let (head, tail) = slice.split_at_mut(s.len() * row_len);
-        out.push(head);
-        slice = tail;
-        row = s.end;
-    }
-    assert!(slice.is_empty(), "shards must cover the whole slice");
-    out
+    shards: &'a [Shard],
+) -> impl Iterator<Item = &'a mut [T]> + 'a {
+    let rows = shards.last().map_or(0, |s| s.end);
+    assert_eq!(
+        rows * row_len,
+        slice.len(),
+        "shards must cover the whole slice"
+    );
+    shards.iter().scan((slice, 0), move |(rest, row), s| {
+        assert_eq!(s.start, *row, "shards must be contiguous ascending");
+        let (head, tail) = std::mem::take(rest).split_at_mut(s.len() * row_len);
+        *rest = tail;
+        *row = s.end;
+        Some(head)
+    })
 }
 
 /// Run `f` once per shard context on scoped worker threads and return
@@ -100,20 +105,27 @@ pub fn split_rows<'a, T>(
 ///
 /// With one context everything runs inline on the caller's thread — "1
 /// worker" is this same entry point, not a separate code path at call
-/// sites. A panicking shard is re-raised on the caller, lowest shard
+/// sites — and nothing is allocated beyond what the results need (none
+/// for `()`). A panicking shard is re-raised on the caller, lowest shard
 /// index first, after every sibling finished (no detached threads).
-pub fn map_shards<C, T, F>(ctxs: Vec<C>, f: F) -> Vec<T>
+pub fn map_shards<I, T, F>(ctxs: I, f: F) -> Vec<T>
 where
-    C: Send,
+    I: IntoIterator,
+    I::Item: Send,
     T: Send,
-    F: Fn(usize, C) -> T + Sync,
+    F: Fn(usize, I::Item) -> T + Sync,
 {
-    if ctxs.len() <= 1 {
-        return ctxs.into_iter().enumerate().map(|(i, c)| f(i, c)).collect();
-    }
+    let mut ctxs = ctxs.into_iter();
+    let Some(first) = ctxs.next() else {
+        return Vec::new();
+    };
+    let Some(second) = ctxs.next() else {
+        return vec![f(0, first)];
+    };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = ctxs
+        let handles: Vec<_> = [first, second]
             .into_iter()
+            .chain(ctxs)
             .enumerate()
             .map(|(i, c)| {
                 let f = &f;
@@ -162,7 +174,7 @@ mod tests {
     fn split_rows_is_disjoint_and_complete() {
         let mut data: Vec<u32> = (0..24).collect();
         let shards = partition(6, 4); // 6 rows of 4 items
-        let views = split_rows(&mut data, 4, &shards);
+        let views: Vec<_> = split_rows(&mut data, 4, &shards).collect();
         assert_eq!(views.len(), shards.len());
         let mut flat = Vec::new();
         for (view, s) in views.into_iter().zip(&shards) {

@@ -39,7 +39,6 @@
 
 use crate::config::TopologyKind;
 use crate::traits::Topology;
-use sim::shard::Shard;
 use std::ops::Range;
 
 /// Closed-form inverse of one topology's predefined schedule.
@@ -318,18 +317,6 @@ impl LaneTable {
             bits: &mut self.bits,
         }
     }
-
-    /// One window per shard, in shard order (`shards` tile `[0, n)`).
-    pub fn split(&mut self, shards: &[Shard]) -> Vec<LaneMasks<'_>> {
-        let mut rest = self.all();
-        let mut out = Vec::with_capacity(shards.len());
-        for shard in shards {
-            let (head, tail) = rest.split_at(shard.len());
-            out.push(head);
-            rest = tail;
-        }
-        out
-    }
 }
 
 impl<'a> LaneMasks<'a> {
@@ -543,9 +530,8 @@ mod tests {
         let topo = AnyTopology::build(TopologyKind::ThinClos, net);
         let lanes = PredefinedLanes::new(&topo);
         let mut table = LaneTable::new(lanes, 24);
-        let shards = [Shard { start: 0, end: 5 }, Shard { start: 5, end: 24 }];
-        let mut windows = table.split(&shards);
-        let masks = &mut windows[1];
+        let (_, mut window) = table.all().split_at(5);
+        let masks = &mut window;
         // Thin-clos: lane = destination group − source group, slot =
         // member difference; ToR 7 = (3, 1).
         for dst in [9, 23, 1] {
@@ -570,7 +556,6 @@ mod tests {
         assert_eq!(set, walk(masks, 0..12));
         masks.clear(at, 8);
         assert_eq!(walk(masks, 0..12), vec![1, 9]);
-        drop(windows);
         assert!(table.is_marked(7, 9) && table.is_marked(7, 1) && !table.is_marked(7, 23));
     }
 }

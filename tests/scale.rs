@@ -40,7 +40,7 @@
 //! first reads them, once however many clones share them.
 
 use metrics::trace::FlowSpans;
-use metrics::FlowTracker;
+use metrics::{FlowTracker, MatchRatioRecorder};
 use negotiator::matching::{AcceptArbiter, GrantArbiter};
 use negotiator::queues::PRIORITY_LEVELS;
 use negotiator::rings::Ring;
@@ -585,6 +585,70 @@ fn scheduled_deliveries_track_segments_not_packets() {
             st.scheduled_packets
         );
     }
+}
+
+/// A saturated base-mode all-to-all — every pair of 32 × 8 parallel holds
+/// a 1 GB flow from time 0 — at one worker, played for 200 and for 400
+/// epochs: once its buffers have warmed up an epoch allocates nothing, so
+/// both runs allocate the same bytes but for the match-ratio record's one
+/// entry an epoch (measured by recording as many into a recorder of the
+/// test's own). Handing each phase's shards their windows in `Vec`s made
+/// 28 allocations an epoch.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds audit every queue at each epoch start, and the audit allocates"
+)]
+fn steady_state_epochs_allocate_nothing() {
+    let net = NetworkConfig {
+        n_tors: 32,
+        ..NetworkConfig::paper_default()
+    };
+    let n = net.n_tors;
+    let flows: Vec<Flow> = (0..n * n)
+        .filter(|i| i / n != i % n)
+        .enumerate()
+        .map(|(id, i)| Flow {
+            id: id as u64,
+            src: i / n,
+            dst: i % n,
+            bytes: 1_000_000_000,
+            arrival: 0,
+        })
+        .collect();
+    let trace = FlowTrace::new(flows);
+    let run = |epochs: u64| {
+        let (ticks, bytes) = allocated_by(|| {
+            let opts = SimOptions {
+                workers: 1,
+                ..SimOptions::default()
+            };
+            let cfg = NegotiatorConfig::paper_default(net.clone());
+            let mut sim = NegotiatorSim::with_options(cfg, TopologyKind::Parallel, opts);
+            let epoch = sim.epoch_len();
+            sim.run(&trace, epochs * epoch);
+            assert_eq!(
+                sim.tracker().completed_count(),
+                0,
+                "the fabric stays saturated"
+            );
+            sim.match_recorder().len()
+        });
+        let ((), record) = allocated_by(|| {
+            let mut rec = MatchRatioRecorder::new();
+            (0..ticks).for_each(|_| rec.record_epoch(0, 0));
+        });
+        (ticks, bytes - record)
+    };
+    let ((short, short_bytes), (long, long_bytes)) = (run(200), run(400));
+    assert!(long >= short + 200, "{short} and {long} epochs");
+    assert_eq!(
+        long_bytes,
+        short_bytes,
+        "{} more epochs allocated {} more bytes",
+        long - short,
+        long_bytes as i64 - short_bytes as i64
+    );
 }
 
 /// One incast trace confined to ToRs 0..64 — a 40-to-1 burst of 50 kB
