@@ -148,8 +148,8 @@ pub fn execute_with_progress(
 /// spec order. `capacity` overrides the per-engine ring size
 /// (`--trace-capacity`; `None` = [`metrics::DEFAULT_TRACE_CAPACITY`]) and
 /// shapes only the trace bytes — never the report, hashes or cache keys.
-/// Both the CLI's `--trace` flag and the daemon's job executor call this,
-/// so an offline trace file and a served `GET /jobs/{id}/trace` body are
+/// Both the CLI's `--trace` flag and the daemon's `GET /jobs/{id}/trace`
+/// re-run call this, so an offline trace file and a served trace body are
 /// byte-identical by construction. The report itself is byte-identical to
 /// an untraced run.
 pub fn execute_traced(

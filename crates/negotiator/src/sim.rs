@@ -292,6 +292,10 @@ struct SimScratch {
     /// Mid-phase arrivals of the matched pairs: `(src, dst, index)` into
     /// the phase's flows, sorted.
     arrivals: Vec<(u32, u32, u32)>,
+    /// One source's queued bytes per destination, as
+    /// `debug_verify_mirrors` walks them.
+    #[cfg(debug_assertions)]
+    audit_queued: Vec<u64>,
 }
 
 /// The per-source data path: every ToR's per-destination queues with the
@@ -1001,10 +1005,12 @@ impl NegotiatorSim {
     /// ([`PairQueues::audit`]) — and that the live-pair state covers every
     /// pair with backlog or an outgoing message.
     #[cfg(debug_assertions)]
-    fn debug_verify_mirrors(&self) {
+    fn debug_verify_mirrors(&mut self) {
         let n = self.n;
         let q = &self.q;
-        let mut queued = vec![0u64; n];
+        let mut queued = std::mem::take(&mut self.scratch.audit_queued);
+        queued.clear();
+        queued.resize(n, 0);
         for src in 0..n {
             q.pairs.audit(src, |dst, bytes| queued[dst] = bytes);
             for (dst, &bytes) in queued.iter().enumerate() {
@@ -1037,6 +1043,7 @@ impl NegotiatorSim {
                 );
             }
         }
+        self.scratch.audit_queued = queued;
     }
 
     // ------------------------------------------------------------------

@@ -189,6 +189,10 @@ pub struct ObliviousSim {
 
     rx_transit: Vec<BandwidthSeries>,
     rng: Xoshiro256,
+    /// Each pair's in-flight first hops, as `debug_verify_mirrors` sums
+    /// them: kept between snapshots so the check allocates nothing.
+    #[cfg(debug_assertions)]
+    audit_claimed: std::cell::Cell<Vec<u64>>,
     /// Test oracle: mark every lane before each tick, which makes the
     /// slot walk the pass over every connection.
     #[cfg(test)]
@@ -263,6 +267,8 @@ impl ObliviousSim {
             rx_transit: series(rec.transit_window),
             rng: Xoshiro256::new(cfg.seed),
             cfg,
+            #[cfg(debug_assertions)]
+            audit_claimed: Default::default(),
             #[cfg(test)]
             dense: false,
             #[cfg(test)]
@@ -378,7 +384,9 @@ impl ObliviousSim {
         let n = self.n;
         let bytes = |seg: &BoundSeg| seg.bytes as u64;
         let mut queued = 0;
-        let mut claimed = vec![0u64; n * n];
+        let mut claimed = self.audit_claimed.take();
+        claimed.clear();
+        claimed.resize(n * n, 0);
         for c in self.q.inflight.iter().flatten() {
             claimed[c.to as usize * n + c.seg.final_dst as usize] += c.seg.bytes as u64;
         }
@@ -406,6 +414,7 @@ impl ObliviousSim {
             }
         }
         debug_assert_eq!(self.q.queued, queued, "backlog mirror drifted");
+        self.audit_claimed.set(claimed);
     }
 
     #[cfg(test)]

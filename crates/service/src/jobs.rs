@@ -9,15 +9,12 @@
 //! hash, which is what lets a duplicate submission coalesce onto a job
 //! that is already queued or running instead of simulating again.
 //! Finished records stay queryable by id until [`MAX_RETAINED_BYTES`] of
-//! them have piled up; then the oldest go first. A record's trace is not
-//! held in RAM: the executor spools it to a file ([`Job::spool_trace`]),
-//! the budget charges the file's length as it charges the document, and
-//! eviction unlinks the file. What a retained record keeps in memory is
-//! its document, its events and 1 KiB.
+//! them have piled up; then the oldest go first. A record keeps no trace:
+//! it keeps the submission text ([`Job::text`]) that `/trace` re-runs
+//! instead, and is charged its document, that text, its events and
+//! [`RECORD_OVERHEAD_BYTES`].
 
 use std::collections::{BTreeMap, HashMap};
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -66,21 +63,9 @@ impl JobState {
     }
 }
 
-/// Where a job's flight-recorder NDJSON went once it had simulated.
-enum Trace {
-    /// A file of `len` bytes in the daemon's spool.
-    Spooled { path: PathBuf, len: usize },
-    /// The spool write failed: why, as `/trace` and `/flows` answer it.
-    Lost(String),
-}
-
 struct JobInner {
     state: JobState,
     events: Vec<Json>,
-    /// The trace captured while the job simulated, served by
-    /// `GET /jobs/<id>/trace`. Set before the terminal transition so a
-    /// follower that observes `Done` always finds the file written.
-    trace: Option<Trace>,
     /// When a worker took the job (`Queued → Running`).
     started: Option<Instant>,
     /// When the job entered its terminal state.
@@ -95,6 +80,9 @@ pub struct Job {
     pub hash: u64,
     /// Scenario name (diagnostics; the hash is the identity).
     pub name: String,
+    /// The submitted scenario text: the recipe `/trace` and `/flows`
+    /// compile and run again.
+    pub text: String,
     admitted: Instant,
     inner: Mutex<JobInner>,
     changed: Condvar,
@@ -148,17 +136,23 @@ pub enum Follow {
 
 impl Job {
     /// A fresh `Queued` job, counted as queued from the start.
-    fn new(id: u64, hash: u64, name: String, lifecycle: Arc<Mutex<Lifecycle>>) -> Arc<Job> {
+    fn new(
+        id: u64,
+        hash: u64,
+        name: String,
+        text: String,
+        lifecycle: Arc<Mutex<Lifecycle>>,
+    ) -> Arc<Job> {
         lock_recover(&lifecycle).queued += 1;
         Arc::new(Job {
             id,
             hash,
             name,
+            text,
             admitted: Instant::now(),
             inner: Mutex::new(JobInner {
                 state: JobState::Queued,
                 events: Vec::new(),
-                trace: None,
                 started: None,
                 ended: None,
             }),
@@ -182,39 +176,6 @@ impl Job {
         let mut inner = lock_recover(&self.inner);
         inner.events.push(event);
         self.changed.notify_all();
-    }
-
-    /// Write the flight-recorder NDJSON to `<spool>/<id>.ndjson` and attach
-    /// the file. Called by the executor before `finish(Done)`, so the file
-    /// is there for anyone who sees the job as done. A failed write leaves
-    /// no file behind; the job keeps the reason in its place, and the
-    /// error is returned for the caller to log.
-    pub fn spool_trace(&self, spool: &Path, trace: &str) -> io::Result<()> {
-        let path = spool.join(format!("{}.ndjson", self.id));
-        let written = std::fs::write(&path, trace);
-        let kept = match &written {
-            Ok(()) => Trace::Spooled {
-                path,
-                len: trace.len(),
-            },
-            Err(error) => {
-                let _ = std::fs::remove_file(&path);
-                Trace::Lost(format!(
-                    "the job's trace could not be written to the spool: {error}"
-                ))
-            }
-        };
-        lock_recover(&self.inner).trace = Some(kept);
-        written
-    }
-
-    /// The spooled trace's file, or why the job has none.
-    pub fn trace_file(&self) -> Result<PathBuf, String> {
-        match &lock_recover(&self.inner).trace {
-            Some(Trace::Spooled { path, .. }) => Ok(path.clone()),
-            Some(Trace::Lost(reason)) => Err(reason.clone()),
-            None => Err("job finished without recording a trace".to_string()),
-        }
     }
 
     /// Move `Queued → Running`. Returns `false` (a no-op) if the job was
@@ -282,8 +243,8 @@ impl Job {
     }
 
     /// What this record is charged against [`MAX_RETAINED_BYTES`] once it
-    /// is terminal: the result document (or failure message), the spooled
-    /// trace's length, the progress events as they render, and
+    /// is terminal: the result document (or failure message), the
+    /// submission text, the progress events as they render, and
     /// [`RECORD_OVERHEAD_BYTES`].
     fn retained_bytes(&self) -> usize {
         let inner = lock_recover(&self.inner);
@@ -293,11 +254,7 @@ impl Job {
             _ => 0,
         };
         let events: usize = inner.events.iter().map(|e| e.render_compact().len()).sum();
-        let trace = match &inner.trace {
-            Some(Trace::Spooled { len, .. }) => *len,
-            _ => 0,
-        };
-        payload + trace + events + RECORD_OVERHEAD_BYTES
+        payload + self.text.len() + events + RECORD_OVERHEAD_BYTES
     }
 
     /// Block until there is something past `cursor`: either new events
@@ -321,15 +278,12 @@ impl Job {
     }
 }
 
-/// Bytes of terminal job records (result document, trace, events) kept
-/// for `GET /jobs/<id>` and its `/result`, `/trace`, `/flows` before the
-/// oldest are evicted. Results survive eviction anyway — they live in the
-/// content-addressed cache — so this only bounds status and trace history,
-/// keeping a long-lived daemon's footprint flat however fast submissions
-/// arrive and however large their traces are. The traces are charged here
-/// but live in the spool on disk, so what it bounds in RAM is the
-/// documents, the events and the per-record overhead; the spool's bytes
-/// stay under it plus the newest record's trace.
+/// Bytes of terminal job records (result document, submission text,
+/// events) kept for `GET /jobs/<id>` and its `/result`, `/trace`, `/flows`
+/// before the oldest are evicted. Results survive eviction anyway — they
+/// live in the content-addressed cache — so this only bounds status and
+/// trace history, keeping a long-lived daemon's footprint flat however
+/// fast submissions arrive.
 pub const MAX_RETAINED_BYTES: usize = 64 * 1024 * 1024;
 
 /// Charged to every terminal record on top of its payload (the `Job`, its
@@ -393,9 +347,9 @@ impl JobTable {
         JobTable::default()
     }
 
-    /// Admit a submission for `hash`: attach to an in-flight twin when
-    /// one exists, otherwise register a new queued job.
-    pub fn admit(&self, hash: u64, name: &str) -> Admission {
+    /// Admit a submission of scenario `text` for `hash`: attach to an
+    /// in-flight twin when one exists, otherwise register a new queued job.
+    pub fn admit(&self, hash: u64, name: &str, text: &str) -> Admission {
         let mut in_flight = lock_recover(&self.in_flight);
         if let Some(job) = in_flight.get(&hash) {
             if !job.state().is_terminal() {
@@ -404,7 +358,13 @@ impl JobTable {
             }
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let job = Job::new(id, hash, name.to_string(), Arc::clone(&self.lifecycle));
+        let job = Job::new(
+            id,
+            hash,
+            name.to_string(),
+            text.to_string(),
+            Arc::clone(&self.lifecycle),
+        );
         in_flight.insert(hash, Arc::clone(&job));
         let record = Record {
             job: Arc::clone(&job),
@@ -421,8 +381,7 @@ impl JobTable {
     /// the budget holds. Live jobs are never evicted, and neither is `job`
     /// itself — alone it may exceed the budget, so that its status and
     /// trace still answer right after completion. Followers hold their own
-    /// `Arc`, so an evicted record leaves the id lookup and its spooled
-    /// trace is unlinked, after the registry lock is released. Idempotent.
+    /// `Arc`, so an evicted record only leaves the id lookup. Idempotent.
     pub fn retire(&self, job: &Job) {
         {
             let mut in_flight = lock_recover(&self.in_flight);
@@ -439,7 +398,6 @@ impl JobTable {
         }
         registry.terminal += 1;
         registry.retained_bytes += charge;
-        let mut evicted = Vec::new();
         while registry.retained_bytes > MAX_RETAINED_BYTES {
             let oldest = registry
                 .records
@@ -448,18 +406,9 @@ impl JobTable {
             let Some((id, charged)) = oldest else {
                 break; // only `job` is left
             };
-            evicted.extend(registry.records.remove(&id).map(|r| r.job));
+            registry.records.remove(&id);
             registry.terminal -= 1;
             registry.retained_bytes -= charged;
-        }
-        drop(registry);
-        for path in evicted.iter().filter_map(|job| job.trace_file().ok()) {
-            match std::fs::remove_file(&path) {
-                Err(error) if error.kind() != io::ErrorKind::NotFound => {
-                    crate::log_error!("[spool: could not remove {}: {error}]", path.display());
-                }
-                _ => {}
-            }
         }
     }
 
@@ -487,41 +436,10 @@ impl JobTable {
 mod tests {
     use super::*;
 
-    /// A fresh spool directory for one test, removed when it drops.
-    struct TestSpool(PathBuf);
-
-    impl TestSpool {
-        fn new(tag: &str) -> TestSpool {
-            let dir =
-                std::env::temp_dir().join(format!("nego-jobs-spool-{tag}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).expect("create the spool");
-            TestSpool(dir)
-        }
-
-        /// Every file in the spool, by name, with its length.
-        fn files(&self) -> BTreeMap<String, usize> {
-            std::fs::read_dir(&self.0)
-                .expect("list the spool")
-                .map(|entry| {
-                    let entry = entry.expect("spool entry");
-                    let len = entry.metadata().expect("metadata").len() as usize;
-                    (entry.file_name().to_string_lossy().into_owned(), len)
-                })
-                .collect()
-        }
-    }
-
-    impl Drop for TestSpool {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
     #[test]
     fn lifecycle_and_follow() {
         let table = JobTable::new();
-        let Admission::New(job) = table.admit(42, "s") else {
+        let Admission::New(job) = table.admit(42, "s", "") else {
             panic!("fresh hash must admit a new job")
         };
         assert_eq!(job.state(), JobState::Queued);
@@ -533,18 +451,8 @@ mod tests {
             job.follow(&mut cursor),
             Follow::Events(vec![Json::Str("e0".into()), Json::Str("e1".into())])
         );
-        assert!(
-            job.trace_file().is_err(),
-            "no trace until the run records one"
-        );
-        let spool = TestSpool::new("lifecycle");
-        let trace = "{\"event\":\"trace_start\"}\n";
-        job.spool_trace(&spool.0, trace).expect("spool write");
         let doc = Arc::new("{}\n".to_string());
         job.finish(JobState::Done(Arc::clone(&doc)));
-        let file = job.trace_file().expect("spooled");
-        assert_eq!(file, spool.0.join(format!("{}.ndjson", job.id)));
-        assert_eq!(std::fs::read_to_string(file).unwrap(), trace);
         table.retire(&job);
         assert_eq!(
             job.follow(&mut cursor),
@@ -557,10 +465,10 @@ mod tests {
     #[test]
     fn duplicate_hash_coalesces_until_retired() {
         let table = JobTable::new();
-        let Admission::New(first) = table.admit(7, "a") else {
+        let Admission::New(first) = table.admit(7, "a", "") else {
             panic!("new")
         };
-        let Admission::Coalesced(twin) = table.admit(7, "a") else {
+        let Admission::Coalesced(twin) = table.admit(7, "a", "") else {
             panic!("in-flight twin must coalesce")
         };
         assert_eq!(twin.id, first.id);
@@ -570,7 +478,7 @@ mod tests {
             "one coalesced submission counted"
         );
         // A different hash is its own job.
-        let Admission::New(other) = table.admit(8, "b") else {
+        let Admission::New(other) = table.admit(8, "b", "") else {
             panic!("new")
         };
         assert_ne!(other.id, first.id);
@@ -578,7 +486,7 @@ mod tests {
         first.start();
         first.finish(JobState::Done(Arc::new(String::new())));
         table.retire(&first);
-        let Admission::New(fresh) = table.admit(7, "a") else {
+        let Admission::New(fresh) = table.admit(7, "a", "") else {
             panic!("retired hash must admit a new job")
         };
         assert_ne!(fresh.id, first.id);
@@ -587,7 +495,7 @@ mod tests {
     #[test]
     fn cancel_only_wins_while_queued() {
         let table = JobTable::new();
-        let Admission::New(job) = table.admit(1, "c") else {
+        let Admission::New(job) = table.admit(1, "c", "") else {
             panic!("new")
         };
         assert!(job.cancel());
@@ -596,7 +504,7 @@ mod tests {
         assert!(!job.start());
         // Cancelling again (or after finish) is a no-op.
         assert!(!job.cancel());
-        let Admission::New(running) = table.admit(2, "r") else {
+        let Admission::New(running) = table.admit(2, "r", "") else {
             panic!("new")
         };
         running.start();
@@ -604,7 +512,7 @@ mod tests {
     }
 
     fn admit_new(table: &JobTable, hash: u64) -> Arc<Job> {
-        let Admission::New(job) = table.admit(hash, "counted") else {
+        let Admission::New(job) = table.admit(hash, "counted", "") else {
             panic!("distinct hashes always admit")
         };
         job
@@ -667,7 +575,7 @@ mod tests {
 
     /// Admit a job under `hash`, run it to `Done` with `document` and retire it.
     fn complete(table: &JobTable, hash: u64, document: &Arc<String>) -> Arc<Job> {
-        let Admission::New(job) = table.admit(hash, "churn") else {
+        let Admission::New(job) = table.admit(hash, "churn", "") else {
             panic!("distinct hashes always admit")
         };
         job.start();
@@ -679,7 +587,7 @@ mod tests {
     #[test]
     fn terminal_jobs_are_evicted_past_the_byte_budget_live_ones_never() {
         let table = JobTable::new();
-        let Admission::New(live) = table.admit(0, "live") else {
+        let Admission::New(live) = table.admit(0, "live", "") else {
             panic!("new")
         };
         live.start(); // stays Running for the whole test
@@ -717,66 +625,40 @@ mod tests {
     }
 
     #[test]
-    fn the_spool_holds_exactly_the_retained_records_traces() {
-        let spool = TestSpool::new("evict");
+    fn a_done_record_is_charged_its_document_text_events_and_overhead() {
         let table = JobTable::new();
-        // A shared 1 MiB document fills the budget after 63 records; the
-        // traces are small files of varying length, and every third
-        // record's spool write fails (its directory does not exist).
-        let document = Arc::new("x".repeat(1 << 20));
-        let unwritable = spool.0.join("missing");
-        let mut traced = BTreeMap::new();
-        for i in 1..=100u64 {
-            let Admission::New(job) = table.admit(i, "spooled") else {
-                panic!("distinct hashes always admit")
-            };
-            job.start();
-            let trace = "t".repeat(100 + (i as usize * 37) % 1000);
-            if i % 3 == 0 {
-                assert!(job.spool_trace(&unwritable, &trace).is_err());
-                let reason = job.trace_file().expect_err("nothing spooled");
-                assert!(
-                    reason.contains("could not be written to the spool"),
-                    "{reason}"
-                );
-            } else {
-                job.spool_trace(&spool.0, &trace).expect("spool write");
-                traced.insert(job.id, trace.len());
-            }
-            job.finish(JobState::Done(Arc::clone(&document)));
-            table.retire(&job);
-            let expected: BTreeMap<String, usize> = traced
-                .iter()
-                .filter(|(&id, _)| table.get(id).is_some())
-                .map(|(id, &len)| (format!("{id}.ndjson"), len))
-                .collect();
-            assert_eq!(spool.files(), expected, "after retiring job {i}");
-            let stats = table.stats();
-            let rest = stats.retained * (document.len() + RECORD_OVERHEAD_BYTES);
-            assert_eq!(
-                stats.retained_bytes - rest,
-                expected.values().sum::<usize>(),
-                "the traces' share of the charge is the spool's bytes"
-            );
-            assert!(stats.retained_bytes <= MAX_RETAINED_BYTES);
-        }
-        assert!(table.get(1).is_none(), "the budget evicted the oldest");
-        assert!(!spool.0.join("1.ndjson").exists());
+        let text = "{\"name\": \"charged\"}";
+        let Admission::New(job) = table.admit(9, "charged", text) else {
+            panic!("new")
+        };
+        job.start();
+        job.push_event(Json::Str("phase".into()));
+        job.push_event(Json::UInt(12));
+        let document = Arc::new("d".repeat(5000));
+        job.finish(JobState::Done(Arc::clone(&document)));
+        table.retire(&job);
+        let events = "\"phase\"".len() + "12".len();
+        let stats = table.stats();
+        assert_eq!(stats.retained, 1);
+        assert_eq!(
+            stats.retained_bytes,
+            document.len() + text.len() + events + RECORD_OVERHEAD_BYTES,
+            "document + submission text + events + the fixed overhead"
+        );
+        assert_eq!(table.get(job.id).expect("retained").text, text);
     }
 
     #[test]
     fn a_lone_oversized_record_outlives_the_budget_until_the_next_one() {
-        let spool = TestSpool::new("oversized");
         let table = JobTable::new();
         let small = complete(&table, 1, &Arc::new("{}".to_string()));
         // Larger than the whole budget: everything older goes, it stays, so
         // `GET /jobs/<id>/trace` right after completion still answers.
-        let Admission::New(big) = table.admit(2, "big") else {
+        let Admission::New(big) = table.admit(2, "big", "") else {
             panic!("new")
         };
         big.start();
         big.push_event(Json::Str("progress".into()));
-        big.spool_trace(&spool.0, "t\n").expect("spool write");
         big.finish(JobState::Done(Arc::new("d".repeat(MAX_RETAINED_BYTES))));
         table.retire(&big);
         assert!(table.get(small.id).is_none());
@@ -786,14 +668,12 @@ mod tests {
         let events = "\"progress\"".len();
         assert_eq!(
             stats.retained_bytes,
-            MAX_RETAINED_BYTES + 2 + events + RECORD_OVERHEAD_BYTES,
-            "document + trace + events + the fixed overhead"
+            MAX_RETAINED_BYTES + events + RECORD_OVERHEAD_BYTES,
+            "document + events + the fixed overhead"
         );
-        // The next completion evicts it, unlinks its trace, and the budget
-        // holds again.
+        // The next completion evicts it, and the budget holds again.
         let next = complete(&table, 3, &Arc::new("{}".to_string()));
         assert!(table.get(big.id).is_none());
-        assert!(spool.files().is_empty());
         assert!(table.get(next.id).is_some());
         assert!(table.stats().retained_bytes <= MAX_RETAINED_BYTES);
     }
@@ -801,7 +681,7 @@ mod tests {
     #[test]
     fn timing_splits_wait_from_run() {
         let table = JobTable::new();
-        let Admission::New(job) = table.admit(1, "t") else {
+        let Admission::New(job) = table.admit(1, "t", "") else {
             panic!("new")
         };
         assert_eq!(
@@ -822,7 +702,7 @@ mod tests {
             "both fixed once terminal"
         );
         // A job cancelled in the queue waited and never ran.
-        let Admission::New(cancelled) = table.admit(2, "c") else {
+        let Admission::New(cancelled) = table.admit(2, "c", "") else {
             panic!("new")
         };
         cancelled.cancel();
@@ -834,7 +714,7 @@ mod tests {
     #[test]
     fn followers_wake_across_threads() {
         let table = JobTable::new();
-        let Admission::New(job) = table.admit(3, "w") else {
+        let Admission::New(job) = table.admit(3, "w", "") else {
             panic!("new")
         };
         let follower = {

@@ -93,10 +93,12 @@ pub struct MetricsInput<'a> {
     pub stages: &'a [StageTotals],
     /// The HTTP tally.
     pub http: &'a HttpMetrics,
-    /// Flight-recorder events dropped by ring overflow across all jobs
-    /// this daemon has run. Nonzero means served traces (and every
-    /// forensic answer derived from them) are missing their oldest
-    /// events — alert on it, then raise `--trace-capacity`.
+    /// Flight-recorder events dropped by ring overflow, summed over the
+    /// `trace_end` footers of every trace this daemon has rendered for
+    /// `/trace` or `/flows` (a trace rendered twice counts twice). Nonzero
+    /// means served traces (and every forensic answer derived from them)
+    /// are missing their oldest events — alert on it, then raise
+    /// `--trace-capacity`.
     pub trace_dropped: u64,
 }
 
@@ -208,7 +210,7 @@ pub fn render_prometheus(input: &MetricsInput<'_>) -> String {
     );
     counter(
         "paper_trace_dropped_total",
-        "Flight-recorder events dropped by ring overflow across all jobs.",
+        "Flight-recorder events dropped by ring overflow, summed over every trace rendered for /trace or /flows.",
         input.trace_dropped,
     );
     render_stages(&mut out, input.stages);

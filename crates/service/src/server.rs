@@ -36,15 +36,17 @@
 //! `closed` after every `accept()`, wakes, drops that stream and exits.
 //!
 //! What the daemon keeps of finished jobs (status, events, document,
-//! trace) is bounded by bytes — [`crate::jobs::MAX_RETAINED_BYTES`] —
-//! not by count, so serving faster never means holding more. Traces, by
-//! far the largest part, do not stay in RAM: each finished job's NDJSON
-//! is written to `<id>.ndjson` in the server's spool directory under
-//! `--out`, still charged against that budget and unlinked when its
-//! record is evicted, and `/trace` and `/flows` read the file. A retained
-//! record keeps its document, its events and 1 KiB in memory. The spool
-//! is unique to one running [`Server`] (job ids restart at 1 in every
-//! server), created empty at start and removed once shutdown has drained.
+//! submission text) is bounded by bytes — [`crate::jobs::MAX_RETAINED_BYTES`]
+//! — not by count, so serving faster never means holding more. Jobs run
+//! untraced, and no trace is kept: a run is a pure function of its
+//! scenario, so `/trace` and `/flows` derive the trace on request. They
+//! compile the job's submission again against the same scenario
+//! directory, answer `409` if its content hash is no longer the job's (a
+//! replayed trace file was edited), re-run it traced on the worker pool
+//! at priority 0 (`503` once the pool is gone), and serve the trace only
+//! if the re-run's document is the job's own (`500` naming the first
+//! differing line otherwise). A daemon writes nothing under `--out` but
+//! the cache.
 //!
 //! Wire protocol (documented with examples in the README "Service"
 //! section):
@@ -57,8 +59,8 @@
 //! |                           | `?priority=N`)                                |
 //! | `GET /jobs/<id>`          | status + progress events                      |
 //! | `GET /jobs/<id>/result`   | the result document once done                 |
-//! | `GET /jobs/<id>/trace`    | the job's flight-recorder NDJSON once done    |
-//! | `GET /jobs/<id>/flows`    | slowest-flow span forensics (`?top=N`)        |
+//! | `GET /jobs/<id>/trace`    | the job's flight-recorder NDJSON, re-run      |
+//! | `GET /jobs/<id>/flows`    | slowest-flow span forensics (`?top=N`), re-run|
 //! | `DELETE /jobs/<id>`       | cancel a still-queued job                     |
 //! | `GET /metrics`            | Prometheus text exposition                    |
 //! | `POST /shutdown`          | begin graceful shutdown                       |
@@ -66,17 +68,17 @@
 use std::io::{BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bench::cache::{CacheEntry, ResultCache};
-use bench::scenario::{deterministic_document, execute_traced, load_str};
+use bench::scenario::{deterministic_document, execute_traced, execute_with_progress, load_str};
 use metrics::Json;
 use scenario::hash::hex;
 use scenario::{CompiledScenario, PhaseProgress, ProgressSink};
-use sim::pool::WorkerPool;
+use sim::pool::{JobHandle, WorkerPool};
 
 use crate::http::{is_timeout, read_request, respond, start_stream, Request};
 use crate::jobs::{lock_recover, Admission, Follow, Job, JobState, JobTable};
@@ -104,6 +106,9 @@ pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// so a persistent error cannot spin the accept thread.
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(20);
 
+/// The `503` body for work that arrives once the daemon is draining.
+const SHUTTING_DOWN: &str = "shutting down — not accepting new submissions";
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -115,9 +120,8 @@ pub struct ServeConfig {
     /// wall-clock knob: served documents are byte-identical at any value,
     /// so the cache coalesces across worker counts.
     pub workers: usize,
-    /// Results directory; the shared cache lives at `<out>/cache`, and
-    /// each running server spools its jobs' traces in a directory of its
-    /// own beside it.
+    /// Results directory; the shared cache lives at `<out>/cache`, the
+    /// only thing the daemon writes there.
     pub out: PathBuf,
     /// Scenario library directory (`GET /scenarios`); also anchors
     /// relative trace paths inside submitted scenarios.
@@ -125,8 +129,9 @@ pub struct ServeConfig {
     /// Daemon log verbosity (`--log-level error|info|debug`).
     pub log_level: LogLevel,
     /// Flight-recorder ring capacity per engine (`--trace-capacity`;
-    /// `None` = the default 16Ki). Shapes only the recorded trace bytes —
-    /// served documents, hashes and cache keys are capacity-blind.
+    /// `None` = the default 16Ki) of the re-runs that `/trace` and
+    /// `/flows` make. Shapes only the trace bytes — served documents,
+    /// hashes and cache keys are capacity-blind.
     pub trace_capacity: Option<usize>,
 }
 
@@ -147,8 +152,6 @@ impl Default for ServeConfig {
 struct ServerState {
     config: ServeConfig,
     cache: ResultCache,
-    /// This server's trace spool: `<out>/spool-<pid>-<n>`.
-    spool: PathBuf,
     table: JobTable,
     pool: Mutex<Option<WorkerPool>>,
     /// Submissions are rejected (503) the moment this flips; status and
@@ -161,8 +164,9 @@ struct ServerState {
     accept_errors: AtomicU64,
     /// Request counter + latency histogram for `/metrics`.
     http: HttpMetrics,
-    /// Cumulative flight-recorder ring-overflow drops across every job
-    /// this daemon has run (`paper_trace_dropped_total`).
+    /// Cumulative flight-recorder ring-overflow drops across every trace
+    /// this daemon has rendered for `/trace` or `/flows`
+    /// (`paper_trace_dropped_total`).
     trace_dropped: AtomicU64,
 }
 
@@ -184,10 +188,8 @@ impl Server {
             .local_addr()
             .map_err(|e| format!("local addr: {e}"))?;
         crate::log::set_level(config.log_level);
-        let spool = fresh_spool(&config.out);
         let state = Arc::new(ServerState {
             cache: ResultCache::new(config.out.join("cache")),
-            spool,
             pool: Mutex::new(Some(WorkerPool::new(config.jobs))),
             table: JobTable::new(),
             draining: AtomicBool::new(false),
@@ -217,12 +219,6 @@ impl Server {
         self.addr
     }
 
-    /// The directory this server spools finished jobs' traces in; gone
-    /// once [`Server::shutdown`] returns.
-    pub fn spool_dir(&self) -> &Path {
-        &self.state.spool
-    }
-
     /// Has graceful shutdown begun (signal, `POST /shutdown`, or
     /// [`Server::shutdown`])?
     pub fn draining(&self) -> bool {
@@ -231,8 +227,8 @@ impl Server {
 
     /// Drain gracefully: reject new submissions with a clear 503 (status
     /// and result queries keep answering), run every accepted job to
-    /// completion, flush streaming clients, then stop accepting, join
-    /// all threads and remove the trace spool. Idempotent.
+    /// completion, flush streaming clients, then stop accepting and join
+    /// all threads. Idempotent.
     pub fn shutdown(&mut self) {
         self.state.draining.store(true, Ordering::SeqCst);
         if let Some(mut pool) = lock_recover(&self.state.pool).take() {
@@ -252,30 +248,7 @@ impl Server {
         for handle in handles {
             let _ = handle.join();
         }
-        match std::fs::remove_dir_all(&self.state.spool) {
-            Err(error) if error.kind() != std::io::ErrorKind::NotFound => log_error!(
-                "[shutdown: could not remove the trace spool {}: {error}]",
-                self.state.spool.display()
-            ),
-            _ => {}
-        }
     }
-}
-
-/// Create an empty trace spool under `out`, named for this process and a
-/// per-process count, so servers that run at once never share one. A
-/// directory of that name left by a dead process goes first. If it cannot
-/// be made, the daemon still serves: each job's spool write fails, is
-/// logged, and only its trace is missing.
-fn fresh_spool(out: &Path) -> PathBuf {
-    static SPOOLS: AtomicU64 = AtomicU64::new(0);
-    let n = SPOOLS.fetch_add(1, Ordering::Relaxed);
-    let spool = out.join(format!("spool-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&spool);
-    if let Err(error) = std::fs::create_dir_all(&spool) {
-        log_error!("[spool: could not create {}: {error}]", spool.display());
-    }
-    spool
 }
 
 impl Drop for Server {
@@ -517,7 +490,7 @@ fn handle_submit(
     state: &Arc<ServerState>,
 ) -> std::io::Result<()> {
     if state.draining.load(Ordering::SeqCst) {
-        return error_response(stream, 503, "shutting down — not accepting new submissions");
+        return error_response(stream, 503, SHUTTING_DOWN);
     }
     let Ok(text) = std::str::from_utf8(&request.body) else {
         return error_response(stream, 400, "scenario body is not UTF-8");
@@ -535,8 +508,7 @@ fn handle_submit(
     // submitter one round trip and the daemon nothing. Admission is
     // O(spec) — a hit or a coalesced submission never makes a flow; the
     // worker that runs a miss synthesizes them.
-    let origin = state.config.scenarios_dir.join("<submission>");
-    let compiled = match load_str(text, &origin) {
+    let compiled = match load_str(text, &submission_origin(&state.config)) {
         Ok(compiled) => compiled,
         Err(error) => return error_response(stream, 400, &error),
     };
@@ -544,17 +516,13 @@ fn handle_submit(
     if let Some(entry) = state.cache.lookup(hash) {
         return serve_cached(stream, stream_mode, hash, &entry);
     }
-    let (job, disposition) = match state.table.admit(hash, &compiled.spec.name) {
+    let (job, disposition) = match state.table.admit(hash, &compiled.spec.name, text) {
         Admission::Coalesced(job) => (job, "coalesced"),
         Admission::New(job) => {
             if !dispatch(state, Arc::clone(&job), compiled, priority) {
                 job.finish(JobState::Failed("daemon is shutting down".into()));
                 state.table.retire(&job);
-                return error_response(
-                    stream,
-                    503,
-                    "shutting down — not accepting new submissions",
-                );
+                return error_response(stream, 503, SHUTTING_DOWN);
             }
             (job, "miss")
         }
@@ -583,6 +551,22 @@ fn handle_submit(
     }
 }
 
+/// Where a submitted scenario is taken to live: in the scenario
+/// directory, so relative trace paths resolve against it.
+fn submission_origin(config: &ServeConfig) -> PathBuf {
+    config.scenarios_dir.join("<submission>")
+}
+
+/// Queue `run` on the worker pool at `priority`. `None` once the pool is
+/// gone or draining (the caller reports 503).
+fn pool_submit<T: Send + 'static>(
+    state: &ServerState,
+    priority: i64,
+    run: impl FnOnce() -> T + Send + 'static,
+) -> Option<JobHandle<T>> {
+    lock_recover(&state.pool).as_ref()?.submit(priority, run)
+}
+
 /// Hand a new job to the worker pool. `false` when the pool is already
 /// draining (the caller reports 503).
 fn dispatch(
@@ -591,18 +575,16 @@ fn dispatch(
     compiled: CompiledScenario,
     priority: i64,
 ) -> bool {
-    let pool = lock_recover(&state.pool);
-    let Some(pool) = pool.as_ref() else {
-        return false;
-    };
-    let state = Arc::clone(state);
-    pool.submit(priority, move || execute_job(&state, &job, &compiled))
-        .is_some()
+    let worker_state = Arc::clone(state);
+    pool_submit(state, priority, move || {
+        execute_job(&worker_state, &job, &compiled)
+    })
+    .is_some()
 }
 
-/// The worker-side job body: run the scenario with a progress sink wired
-/// to the job record, store the cache entry atomically, finish the job —
-/// `Failed` with the panic's message if the scenario panicked.
+/// The worker-side job body: run the scenario untraced with a progress
+/// sink wired to the job record, store the cache entry atomically, finish
+/// the job — `Failed` with the panic's message if the scenario panicked.
 fn execute_job(state: &Arc<ServerState>, job: &Arc<Job>, compiled: &CompiledScenario) {
     if !job.start() {
         // Cancelled while queued: never simulate, never cache.
@@ -617,18 +599,11 @@ fn execute_job(state: &Arc<ServerState>, job: &Arc<Job>, compiled: &CompiledScen
         })
     };
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        // Traced execution is the only execution path here: the recorded
-        // NDJSON is what `GET /jobs/<id>/trace` serves, and because the
-        // CLI's `--trace` runs the exact same function, the daemon's
-        // trace and an offline trace of the same scenario are
-        // byte-identical by construction.
-        let (report, trace) = execute_traced(
-            compiled,
-            Some(sink),
-            state.config.workers,
-            state.config.trace_capacity,
-        );
-        let document = deterministic_document(&report);
+        let report = execute_with_progress(compiled, Some(sink), state.config.workers);
+        let mut document = deterministic_document(&report);
+        // The job's record holds the document for as long as the budget
+        // lets it, and its growth capacity would be a third of the record.
+        document.shrink_to_fit();
         let entry = CacheEntry {
             scenario: compiled.spec.name.clone(),
             rendered: report.rendered,
@@ -639,22 +614,10 @@ fn execute_job(state: &Arc<ServerState>, job: &Arc<Job>, compiled: &CompiledScen
             // failed job or a torn entry.
             log_error!("[cache: could not store {}: {error}]", hex(job.hash));
         }
-        (document, trace)
+        document
     }));
     match outcome {
-        Ok((document, trace)) => {
-            state
-                .trace_dropped
-                .fetch_add(bench::traceq::dropped_total(&trace), Ordering::Relaxed);
-            // Trace first, then the terminal transition: a follower that
-            // observes Done must find the file already written. Like a
-            // dead cache disk, a failed write costs the trace, never the
-            // job or its document.
-            if let Err(error) = job.spool_trace(&state.spool, &trace) {
-                log_error!("[spool: could not write job {}'s trace: {error}]", job.id);
-            }
-            job.finish(JobState::Done(Arc::new(document)));
-        }
+        Ok(document) => job.finish(JobState::Done(Arc::new(document))),
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<&str>()
@@ -823,13 +786,15 @@ fn handle_result(
     }
 }
 
-/// `GET /jobs/<id>/trace`: the flight-recorder NDJSON captured while the
-/// job simulated, read back from the spool.
+/// `GET /jobs/<id>/trace`: the job's flight-recorder NDJSON, from a traced
+/// re-run ([`rebuilt_trace`]). The CLI's `--trace` runs the same
+/// function, so the body is byte-identical to an offline trace of the
+/// same scenario.
 fn handle_trace(stream: &mut TcpStream, id: &str, state: &Arc<ServerState>) -> std::io::Result<()> {
     let Some(job) = lookup(id, state) else {
         return error_response(stream, 404, &format!("no job '{id}'"));
     };
-    match spooled_trace(id, &job) {
+    match rebuilt_trace(&job, state) {
         Ok(trace) => respond(
             stream,
             200,
@@ -842,10 +807,10 @@ fn handle_trace(stream: &mut TcpStream, id: &str, state: &Arc<ServerState>) -> s
 }
 
 /// `GET /jobs/<id>/flows?top=N`: the slowest-N completed flows of the
-/// job's trace, with each flow's full span-milestone history. The body is
-/// `bench::traceq::flows_json` — the same function `paper trace query
-/// --top-fct N --json` prints — so daemon answers and offline forensics
-/// can never drift apart.
+/// job's rebuilt trace, with each flow's full span-milestone history. The
+/// body is `bench::traceq::flows_json` — the same function `paper trace
+/// query --top-fct N --json` prints — so daemon answers and offline
+/// forensics can never drift apart.
 fn handle_flows(
     stream: &mut TcpStream,
     request: &Request,
@@ -862,7 +827,7 @@ fn handle_flows(
             _ => return error_response(stream, 400, &format!("bad top '{v}'")),
         },
     };
-    let flows = spooled_trace(id, &job)
+    let flows = rebuilt_trace(&job, state)
         .and_then(|trace| bench::traceq::flows_json(&trace, top).map_err(|e| (500, e)));
     match flows {
         Ok(body) => json_response(stream, 200, &body),
@@ -870,23 +835,60 @@ fn handle_flows(
     }
 }
 
-/// The trace of job `id`, read from the spool, or the status and message
-/// that say why there is none. Only jobs that ran to `Done` have one:
-/// cache hits never create a job, and failed or cancelled jobs never
-/// simulated to the end. A record evicted since the lookup has lost its
-/// file, and answers as an evicted id does.
-fn spooled_trace(id: &str, job: &Job) -> Result<String, (u16, String)> {
-    match job.state() {
-        JobState::Done(_) => {}
+/// The trace of `job`, derived again, or the status and message that say
+/// why there is none. Only jobs that ran to `Done` have one: cache hits
+/// never create a job, and failed or cancelled jobs never simulated to
+/// the end. The job's submission is compiled again and must hash to the
+/// job's hash (`409` otherwise: a replayed trace file changed), then
+/// runs traced on the worker pool at priority 0 (`503` once the pool is
+/// gone), and its document must be the job's (`500` otherwise). Each
+/// trace served adds its ring-overflow drops to
+/// `paper_trace_dropped_total`.
+fn rebuilt_trace(job: &Job, state: &ServerState) -> Result<String, (u16, String)> {
+    let document = match job.state() {
+        JobState::Done(document) => document,
         JobState::Failed(message) => return Err((500, message)),
         JobState::Cancelled => return Err((404, "job was cancelled before running".into())),
         pending => return Err((409, format!("job is {}", pending.label()))),
+    };
+    let changed = |why: String| {
+        let message = format!(
+            "the scenario's inputs changed since job {} ran: {why}",
+            job.id
+        );
+        (409, message)
+    };
+    let compiled = load_str(&job.text, &submission_origin(&state.config)).map_err(changed)?;
+    let hash = compiled.content_hash();
+    if hash != job.hash {
+        let why = format!("its content hash is {}, not {}", hex(hash), hex(job.hash));
+        return Err(changed(why));
     }
-    let path = job.trace_file().map_err(|reason| (404, reason))?;
-    std::fs::read_to_string(&path).map_err(|error| match error.kind() {
-        std::io::ErrorKind::NotFound => (404, format!("no job '{id}'")),
-        _ => (500, format!("reading the spooled trace: {error}")),
+    let (workers, capacity) = (state.config.workers, state.config.trace_capacity);
+    let run = pool_submit(state, 0, move || {
+        let (report, trace) = execute_traced(&compiled, None, workers, capacity);
+        (deterministic_document(&report), trace)
     })
+    .ok_or_else(|| (503, SHUTTING_DOWN.to_string()))?;
+    let (rerun, trace) = run
+        .wait()
+        .ok_or_else(|| (500, format!("re-running job {} panicked", job.id)))?;
+    if rerun != *document {
+        let line = 1 + rerun
+            .lines()
+            .zip(document.lines())
+            .take_while(|(a, b)| a == b)
+            .count();
+        let message = format!(
+            "re-running job {} diverged from its document at line {line}",
+            job.id
+        );
+        return Err((500, message));
+    }
+    state
+        .trace_dropped
+        .fetch_add(bench::traceq::dropped_total(&trace), Ordering::Relaxed);
+    Ok(trace)
 }
 
 fn handle_cancel(
@@ -970,4 +972,48 @@ fn error_response(stream: &mut TcpStream, status: u16, message: &str) -> std::io
     let mut body = Json::object();
     body.push("error", message);
     json_response(stream, status, &body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+
+    /// A trace is a fresh run on the worker pool, so it goes the way a
+    /// submission does once [`Server::shutdown`] has taken the pool: a
+    /// `503` straight away, never a request left waiting on a run that
+    /// nothing will start. After the shutdown the port refuses outright.
+    #[test]
+    fn a_trace_request_is_refused_once_the_pool_is_gone() {
+        let out = std::env::temp_dir().join(format!("nego-server-no-pool-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        let mut server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            jobs: 1,
+            out: out.clone(),
+            scenarios_dir: out.join("scenarios"),
+            ..ServeConfig::default()
+        })
+        .expect("bind ephemeral port");
+        let addr = server.addr().to_string();
+        let text = r#"{"name": "no-pool", "topology": "parallel", "tors": 16, "ports": 4,
+          "seed": 2, "phases": [{"workload": "poisson", "load": 40, "epochs": [0, 20]}]}"#;
+        let (status, document) =
+            client::request_json(&addr, "POST", "/jobs?wait=1", text.as_bytes()).unwrap();
+        assert_eq!(status, 200, "{document}");
+        let mut pool = lock_recover(&server.state.pool)
+            .take()
+            .expect("a live pool");
+        pool.shutdown();
+        for path in ["/jobs/1/trace", "/jobs/1/flows"] {
+            let (status, body) = client::request_json(&addr, "GET", path, b"").unwrap();
+            assert_eq!(status, 503, "{path}: {body}");
+            assert!(body.contains("shutting down"), "{path}: {body}");
+        }
+        let result = client::request_json(&addr, "GET", "/jobs/1/result", b"").unwrap();
+        assert_eq!(result, (200, document), "status queries still answer");
+        server.shutdown();
+        assert!(client::request_json(&addr, "GET", "/jobs/1/trace", b"").is_err());
+        let _ = std::fs::remove_dir_all(&out);
+    }
 }

@@ -10,9 +10,10 @@
 //! * `/metrics` counts each job by the terminal state it reached — a
 //!   cancelled job as cancelled — before its client has the answer;
 //! * a job's `/trace` is byte-identical to the offline traced run and its
-//!   `/flows` to `paper trace query`'s rows, read back from a spool that
-//!   is each server's own and is gone after shutdown; a failed spool
-//!   write costs the trace, never the job;
+//!   `/flows` to `paper trace query`'s rows, both derived again on each
+//!   request from the job's submission; a job whose inputs changed since
+//!   it ran answers `409`, never a trace of other inputs, and the daemon
+//!   writes nothing under `--out` but the cache;
 //! * graceful shutdown rejects new submissions with a clear error while
 //!   draining everything already accepted.
 
@@ -54,29 +55,50 @@ fn offline_document(text: &str) -> String {
 /// The offline traced run's NDJSON: what `paper scenario <file> --trace`
 /// writes for this text.
 fn offline_trace(text: &str) -> String {
+    offline_trace_in(text, Path::new("."), None)
+}
+
+/// [`offline_trace`] for a scenario file in `dir` (which anchors its
+/// relative trace paths), at ring capacity `capacity`.
+fn offline_trace_in(text: &str, dir: &Path, capacity: Option<usize>) -> String {
     let compiled =
-        bench::scenario::load_str(text, Path::new("<test>")).expect("test scenario is valid");
-    bench::scenario::execute_traced(&compiled, None, 1, None).1
+        bench::scenario::load_str(text, &dir.join("<test>")).expect("test scenario is valid");
+    bench::scenario::execute_traced(&compiled, None, 1, capacity).1
+}
+
+fn test_out(tag: &str) -> PathBuf {
+    let out = std::env::temp_dir().join(format!("nego-service-test-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    out
 }
 
 fn start_server(tag: &str, jobs: usize) -> (Server, String, PathBuf) {
-    let out = std::env::temp_dir().join(format!("nego-service-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&out);
+    let out = test_out(tag);
     let server = start_on(&out, jobs);
     let addr = server.addr().to_string();
     (server, addr, out)
 }
 
 fn start_on(out: &Path, jobs: usize) -> Server {
+    start_with(out, jobs, None)
+}
+
+fn start_with(out: &Path, jobs: usize, trace_capacity: Option<usize>) -> Server {
     Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         jobs,
         workers: 2,
         out: out.to_path_buf(),
         scenarios_dir: out.join("scenarios"),
+        trace_capacity,
         ..ServeConfig::default()
     })
     .expect("bind ephemeral port")
+}
+
+/// `GET path`: the status and body.
+fn get(addr: &str, path: &str) -> (u16, String) {
+    client::request_json(addr, "GET", path, b"").unwrap()
 }
 
 /// `POST /jobs?wait=1` with `text`; the result document.
@@ -185,92 +207,107 @@ fn blocking_resubmission_of_a_larger_fabric_is_a_cache_hit() {
 
 /// The daemon's trace contract: a served job's `/trace` is the offline
 /// traced run's bytes and its `/flows` is `paper trace query --top-fct N
-/// --json` over them, both read back from the spool.
+/// --json` over them, both derived again on each request.
 #[test]
 fn served_trace_and_flows_equal_the_offline_ones() {
-    let (server, addr, out) = start_server("trace", 1);
+    let (_server, addr, out) = start_server("trace", 1);
     let text = scenario_text("traced", 21);
     let trace = offline_trace(&text);
     assert_eq!(submit_and_wait(&addr, &text), offline_document(&text));
-    let (status, served) = client::request_json(&addr, "GET", "/jobs/1/trace", b"").unwrap();
+    let (status, served) = get(&addr, "/jobs/1/trace");
     assert_eq!(status, 200, "{served}");
     assert_eq!(served, trace, "daemon trace must be byte-identical");
-    let (status, flows) = client::request_json(&addr, "GET", "/jobs/1/flows?top=5", b"").unwrap();
+    let (status, again) = get(&addr, "/jobs/1/trace");
+    assert_eq!(status, 200, "{again}");
+    assert_eq!(again, served, "a second fetch re-runs to the same bytes");
+    let (status, flows) = get(&addr, "/jobs/1/flows?top=5");
     assert_eq!(status, 200, "{flows}");
     let expected = bench::traceq::flows_json(&trace, 5).expect("offline forensics");
     assert_eq!(flows, format!("{}\n", expected.render()));
-    // A record whose file went (evicted between the lookup and the read)
-    // answers as an evicted id does.
-    std::fs::remove_file(server.spool_dir().join("1.ndjson")).expect("spooled file");
-    for path in ["/jobs/1/trace", "/jobs/1/flows"] {
-        let (status, body) = client::request_json(&addr, "GET", path, b"").unwrap();
-        assert_eq!((status, body.contains("no job '1'")), (404, true), "{body}");
-    }
     let _ = std::fs::remove_dir_all(&out);
 }
 
 #[test]
-fn servers_sharing_an_out_directory_keep_their_own_spools() {
-    let out = std::env::temp_dir().join(format!("nego-service-test-spools-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&out);
+fn servers_sharing_an_out_directory_serve_their_own_traces_and_write_only_the_cache() {
+    let out = test_out("shared-out");
     let mut servers = [start_on(&out, 1), start_on(&out, 1)];
     let texts = [scenario_text("left", 31), scenario_text("right", 32)];
-    assert_ne!(servers[0].spool_dir(), servers[1].spool_dir());
     for (server, text) in servers.iter().zip(&texts) {
-        assert!(server.spool_dir().starts_with(&out));
         submit_and_wait(&server.addr().to_string(), text);
     }
-    // Both jobs are id 1, each in its own server's spool.
+    // Both jobs are id 1, each its own server's.
     for (server, text) in servers.iter().zip(&texts) {
-        let addr = server.addr().to_string();
-        let (status, served) = client::request_json(&addr, "GET", "/jobs/1/trace", b"").unwrap();
+        let (status, served) = get(&server.addr().to_string(), "/jobs/1/trace");
         assert_eq!(status, 200, "{served}");
         assert_eq!(served, offline_trace(text));
     }
-    let spools: Vec<PathBuf> = servers
-        .iter()
-        .map(|s| s.spool_dir().to_path_buf())
-        .collect();
+    let entries = || -> Vec<_> {
+        std::fs::read_dir(&out)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect()
+    };
+    assert_eq!(entries(), ["cache"], "only the shared cache is in --out");
     for server in &mut servers {
         server.shutdown();
     }
-    for spool in &spools {
-        assert!(!spool.exists(), "{} outlived shutdown", spool.display());
-    }
-    let left: Vec<_> = std::fs::read_dir(&out)
-        .unwrap()
-        .map(|entry| entry.unwrap().file_name())
-        .collect();
-    assert_eq!(left, ["cache"], "only the shared cache stays in --out");
+    assert_eq!(entries(), ["cache"], "and only it after shutdown");
     let _ = std::fs::remove_dir_all(&out);
 }
 
-/// Like a dead cache disk, a spool that cannot be written degrades: the
-/// job is done, its document served and cached, and only `/trace` and
-/// `/flows` answer a 404 that says why.
+/// A job whose replayed trace file was rewritten after it ran: `/trace`
+/// and `/flows` refuse with a `409` rather than serve a trace of inputs
+/// the job never saw, while a job submitted on the file as it now is
+/// serves the offline trace.
 #[test]
-fn a_failed_spool_write_costs_the_trace_never_the_job() {
-    let (server, addr, out) = start_server("spool-fail", 1);
-    std::fs::remove_dir_all(server.spool_dir()).expect("remove the spool");
-    let text = scenario_text("unspooled", 41);
-    let expected = offline_document(&text);
-    assert_eq!(submit_and_wait(&addr, &text), expected);
-    let (_, status) = client::request_json(&addr, "GET", "/jobs/1", b"").unwrap();
-    assert!(status.contains("\"done\""), "{status}");
+fn a_changed_input_is_refused_not_re_run() {
+    let (_server, addr, out) = start_server("changed-input", 1);
+    let dir = out.join("scenarios");
+    std::fs::create_dir_all(&dir).unwrap();
+    let tsv = dir.join("burst.tsv");
+    std::fs::write(&tsv, "0\t4\t500000\t0\n1\t5\t20000\t1000\n").unwrap();
+    let text = r#"{
+  "name": "replayed", "topology": "parallel", "tors": 16, "ports": 4, "seed": 3,
+  "phases": [{"workload": "trace", "path": "burst.tsv", "epochs": [0, 40]}]
+}"#;
+    let document = submit_and_wait(&addr, text);
+    std::fs::write(&tsv, "0\t4\t900000\t0\n2\t6\t20000\t1000\n").unwrap();
     for path in ["/jobs/1/trace", "/jobs/1/flows"] {
-        let (status, body) = client::request_json(&addr, "GET", path, b"").unwrap();
-        assert_eq!(status, 404, "{path}: {body}");
+        let (status, body) = get(&addr, path);
+        assert_eq!(status, 409, "{path}: {body}");
         assert!(
-            body.contains("could not be written to the spool"),
+            body.contains("inputs changed since job 1 ran"),
             "{path}: {body}"
         );
     }
-    let (_, exposition) = client::request_json(&addr, "GET", "/metrics", b"").unwrap();
-    assert_eq!(metric(&exposition, "paper_jobs_completed_total"), 1.0);
-    assert_eq!(metric(&exposition, "paper_jobs_failed_total"), 0.0);
-    let again = client::submit(&addr, &text, 0, |_| {}).expect("resubmission");
-    assert_eq!(again.disposition, Disposition::CacheHit);
-    assert_eq!(again.document, expected);
+    assert_eq!(get(&addr, "/jobs/1/result"), (200, document));
+    // The same text on the rewritten file is another recipe: job 2.
+    submit_and_wait(&addr, text);
+    let (status, served) = get(&addr, "/jobs/2/trace");
+    assert_eq!(status, 200, "{served}");
+    assert_eq!(served, offline_trace_in(text, &dir, None));
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+/// `paper_trace_dropped_total` adds a trace's ring-overflow drops (the
+/// sum of its `trace_end` footers' `dropped`) each time the daemon renders
+/// one: a `/trace` and a `/flows` of an overflowing job count it twice.
+#[test]
+fn the_drop_counter_adds_each_rendered_traces_footers() {
+    let out = test_out("dropped");
+    let server = start_with(&out, 1, Some(1024));
+    let addr = server.addr().to_string();
+    let text = scenario_text("overflowing", 51);
+    let trace = offline_trace_in(&text, Path::new("."), Some(1024));
+    let dropped = bench::traceq::dropped_total(&trace);
+    assert!(dropped > 0, "a 1024-event ring must overflow");
+    submit_and_wait(&addr, &text);
+    let scrape = || metric(&get(&addr, "/metrics").1, "paper_trace_dropped_total");
+    assert_eq!(scrape(), 0.0, "an untraced job drops nothing");
+    let (status, served) = get(&addr, "/jobs/1/trace");
+    assert_eq!((status, served == trace), (200, true));
+    assert_eq!(get(&addr, "/jobs/1/flows").0, 200);
+    assert_eq!(scrape(), (2 * dropped) as f64);
     let _ = std::fs::remove_dir_all(&out);
 }
 

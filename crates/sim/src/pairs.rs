@@ -42,6 +42,7 @@
 //! [`PairLists::audit`] checks the links for the debug builds and tests
 //! that want it.
 
+use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 
 /// Per-list links of one pair: arena index + 1, `0` = none.
@@ -98,6 +99,19 @@ pub struct PairLists<T, const L: usize> {
     heads: Vec<Links<L>>, // row * width + col
     tails: Vec<Links<L>>, // likewise; meaningful while the head is non-zero
     arenas: Vec<Arena<T>>,
+    /// [`PairLists::audit`]'s per-slot marks, kept between audits so a
+    /// debug build's audit at every epoch allocates nothing once warm.
+    audit_marks: AuditMarks,
+}
+
+/// Scratch for [`PairLists::audit`], taken and put back by each audit.
+#[derive(Default)]
+struct AuditMarks(Cell<Vec<bool>>);
+
+impl std::fmt::Debug for AuditMarks {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("AuditMarks")
+    }
 }
 
 /// The rows of [`PairLists`] belonging to a contiguous range, with their
@@ -138,6 +152,7 @@ impl<T: Copy, const L: usize> PairLists<T, L> {
             heads: vec![[0; L]; rows * width],
             tails: vec![[0; L]; rows * width],
             arenas: (0..rows).map(|_| Arena::default()).collect(),
+            audit_marks: AuditMarks::default(),
         }
     }
 
@@ -183,7 +198,9 @@ impl<T: Copy, const L: usize> PairLists<T, L> {
     /// check, with [`Pair::iter`].
     pub fn audit(&self, row: usize) {
         let arena = &self.arenas[row];
-        let mut seen = vec![false; arena.slots.len()];
+        let mut seen = self.audit_marks.0.take();
+        seen.clear();
+        seen.resize(arena.slots.len(), false);
         let mut take = |link: u32| {
             let was = std::mem::replace(&mut seen[link as usize - 1], true);
             assert!(!was, "row {row}: slot {} is linked twice", link - 1);
@@ -210,6 +227,7 @@ impl<T: Copy, const L: usize> PairLists<T, L> {
             seen.iter().all(|&s| s),
             "row {row}: a slot is on no list (leaked)"
         );
+        self.audit_marks.0.set(seen);
     }
 }
 
