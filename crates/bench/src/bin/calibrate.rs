@@ -30,7 +30,7 @@ fn main() {
         let trace = background(FlowSizeDist::hadoop(), load, &net, duration, SEED);
         let timed = |system: System| {
             let started = std::time::Instant::now();
-            let report = system.build(1).run(&trace, duration);
+            let report = system.build().run(&trace, duration);
             (report, started.elapsed())
         };
         let (mut rn, tn) = timed(nego(TopologyKind::Parallel, &net));

@@ -43,7 +43,6 @@ impl Experiment for AblThreshold {
                 let net = net.clone();
                 let trace = Arc::clone(&trace);
                 let duration = args.duration;
-                let workers = args.workers;
                 let meta = RunMeta::new(self.id(), index, "nego/parallel", args.seed, duration)
                     .load(1.0)
                     .param("threshold_packets", threshold as f64);
@@ -51,7 +50,7 @@ impl Experiment for AblThreshold {
                     let system = nego_with(TopologyKind::Parallel, &net, |cfg, _| {
                         cfg.request_threshold_packets = threshold
                     });
-                    let mut sim = system.build(workers);
+                    let mut sim = system.build();
                     let mut rep = sim.run(&trace, duration);
                     let st = *sim.negotiator().expect("built one").stats();
                     let cells = vec![

@@ -32,11 +32,10 @@ impl Experiment for Fig14 {
                 let net = net.clone();
                 let trace = Arc::clone(&trace);
                 let duration = args.duration;
-                let workers = args.workers;
                 let label = format!("nego/{}", kind.label());
                 let meta = RunMeta::new(self.id(), index, label, args.seed, duration).load(1.0);
                 RunSpec::new(meta, move || {
-                    let mut sim = nego(kind, &net).build(workers);
+                    let mut sim = nego(kind, &net).build();
                     let rep = sim.run(&trace, duration);
                     let rec = sim.negotiator().expect("built one").match_recorder();
                     let series = rec.series();

@@ -153,11 +153,10 @@ impl Experiment for Fig13a {
             for (name, system) in three_systems(&net) {
                 let shared = Arc::clone(&shared);
                 let duration = args.duration;
-                let workers = args.workers;
                 let meta = RunMeta::new(self.id(), specs.len(), name, SEED, duration).load(load);
                 specs.push(RunSpec::new(meta, move || {
                     let (trace, tags, bg_tags) = &*shared;
-                    let mut sim = system.build(workers);
+                    let mut sim = system.build();
                     let overall = sim.run(trace, duration);
                     let mut bg = sim.report_subset(trace, bg_tags);
                     let finish = incast_finish(trace, tags, duration, sim.tracker());

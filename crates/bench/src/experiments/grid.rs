@@ -175,9 +175,9 @@ impl Experiment for GridExperiment {
                 meta.param = col.param;
                 let (system, trace, cells) =
                     (col.system.clone(), Arc::clone(&trace), cells.clone());
-                let (duration, workers) = (args.duration, args.workers);
+                let duration = args.duration;
                 specs.push(RunSpec::new(meta, move || {
-                    let mut rep = system.build(workers).run(&trace, duration);
+                    let mut rep = system.build().run(&trace, duration);
                     let cells = cells.iter().map(|cell| cell.render(&mut rep)).collect();
                     RunMetrics::with_report(Rendered::Cells(cells), rep)
                 }));

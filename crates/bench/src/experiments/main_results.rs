@@ -90,7 +90,6 @@ impl Experiment for Fig10 {
                 let net = net.clone();
                 let trace = Arc::clone(&trace);
                 let duration = args.duration;
-                let workers = args.workers;
                 let meta =
                     RunMeta::new(self.id(), index, "nego/parallel", args.seed, args.duration)
                         .load(1.0)
@@ -101,7 +100,6 @@ impl Experiment for Fig10 {
                         TopologyKind::Parallel,
                         SimOptions {
                             total_rx_window: Some(20_000),
-                            workers,
                             ..SimOptions::default()
                         },
                     );

@@ -38,7 +38,6 @@ impl Experiment for Table2 {
                 let net = net.clone();
                 let trace = Arc::clone(&trace);
                 let duration = args.duration;
-                let workers = args.workers;
                 let meta = RunMeta::new(
                     self.id(),
                     specs.len(),
@@ -52,7 +51,7 @@ impl Experiment for Table2 {
                         cfg.piggyback = pb;
                         cfg.priority_queues = pq;
                     });
-                    let mut sim = system.build(workers);
+                    let mut sim = system.build();
                     let mut rep = sim.run(&trace, duration);
                     let epoch = sim.negotiator().expect("built one").epoch_len() as f64;
                     let cell = format!(
@@ -98,11 +97,10 @@ impl Experiment for Fig6 {
                 let net = net.clone();
                 let trace = Arc::clone(&trace);
                 let duration = args.duration;
-                let workers = args.workers;
                 let label = format!("nego/{}", kind.label());
                 let meta = RunMeta::new(self.id(), index, label, args.seed, duration).load(1.0);
                 RunSpec::new(meta, move || {
-                    let mut sim = nego(kind, &net).build(workers);
+                    let mut sim = nego(kind, &net).build();
                     let mut rep = sim.run(&trace, duration);
                     let epoch = sim.negotiator().expect("built one").epoch_len();
                     let mut table = Table::new(
@@ -139,8 +137,8 @@ const FIG7A_HORIZON: u64 = 3_000_000;
 
 /// Run one burst trace on `system` and return its finish time, if every
 /// flow completed.
-fn burst_finish(system: System, trace: &FlowTrace, horizon: u64, workers: usize) -> Option<u64> {
-    let mut sim = system.build(workers);
+fn burst_finish(system: System, trace: &FlowTrace, horizon: u64) -> Option<u64> {
+    let mut sim = system.build();
     sim.run(trace, horizon);
     RunReport::burst_finish_time(trace, sim.tracker())
 }
@@ -152,7 +150,7 @@ impl Experiment for Fig7a {
     fn artifact(&self) -> &'static str {
         "Figure 7(a): incast finish time vs degree"
     }
-    fn specs(&self, args: &Args) -> Vec<RunSpec> {
+    fn specs(&self, _: &Args) -> Vec<RunSpec> {
         let net = NetworkConfig::paper_default();
         let mut specs = Vec::new();
         for degree in FIG7A_DEGREES {
@@ -167,12 +165,11 @@ impl Experiment for Fig7a {
             );
             for (name, system) in three_systems(&net) {
                 let trace = Arc::clone(&trace);
-                let workers = args.workers;
                 let meta = RunMeta::new(self.id(), specs.len(), name, SEED, FIG7A_HORIZON)
                     .param("degree", degree as f64);
                 specs.push(RunSpec::new(meta, move || {
-                    let t = burst_finish(system, &trace, FIG7A_HORIZON, workers)
-                        .expect("incast must complete");
+                    let t =
+                        burst_finish(system, &trace, FIG7A_HORIZON).expect("incast must complete");
                     RunMetrics::new(Rendered::Cells(vec![report::us(t as f64)]))
                         .push_extra("finish_ns", t as f64)
                 }));
@@ -218,11 +215,11 @@ impl Experiment for Fig7b {
             let horizon = 10_000_000 + kb * 2_000_000;
             for (name, system) in three_systems(&net) {
                 let trace = Arc::clone(&trace);
-                let (workers, n_tors) = (args.workers, net.n_tors);
+                let n_tors = net.n_tors;
                 let meta = RunMeta::new(self.id(), specs.len(), name, args.seed, horizon)
                     .param("flow_kb", kb as f64);
                 specs.push(RunSpec::new(meta, move || {
-                    match burst_finish(system, &trace, horizon, workers) {
+                    match burst_finish(system, &trace, horizon) {
                         Some(t) if t > 0 => {
                             let gbps = (trace.total_bytes() * 8) as f64 / t as f64 / n_tors as f64;
                             RunMetrics::new(Rendered::Cells(vec![format!("{gbps:.0}")]))
@@ -280,7 +277,6 @@ impl Experiment for Fig8 {
                 let net = net.clone();
                 let trace = Arc::clone(&trace);
                 let duration = args.duration;
-                let workers = args.workers;
                 let label = format!("nego/{}", kind.label());
                 let meta = RunMeta::new(self.id(), specs.len(), label, args.seed, duration)
                     .load(1.0)
@@ -290,7 +286,7 @@ impl Experiment for Fig8 {
                     let system = nego_with(kind, &net, |cfg, _| {
                         cfg.epoch = cfg.epoch.with_guardband(guard, pre_slots)
                     });
-                    let mut rep = system.build(workers).run(&trace, duration);
+                    let mut rep = system.build().run(&trace, duration);
                     let cells = vec![
                         report::ms(rep.mice.p99_ns()),
                         format!("{:.3}", rep.goodput.normalized()),

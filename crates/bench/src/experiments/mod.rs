@@ -28,10 +28,6 @@ pub struct Args {
     pub loads: Vec<f64>,
     /// Workload seed (vary to get error bars across runs).
     pub seed: u64,
-    /// Intra-run shard workers per simulation (`--workers`). Purely a
-    /// wall-clock knob: reports are byte-identical at any value, so it
-    /// never appears in run metadata or output.
-    pub workers: usize,
 }
 
 impl Default for Args {
@@ -40,7 +36,6 @@ impl Default for Args {
             duration: crate::runs::DEFAULT_DURATION,
             loads: vec![0.10, 0.25, 0.50, 0.75, 1.00],
             seed: crate::runs::SEED,
-            workers: 1,
         }
     }
 }

@@ -56,7 +56,7 @@ struct RxFigure {
 }
 
 impl RxFigure {
-    fn specs(self, id: &'static str, workers: usize) -> Vec<RunSpec> {
+    fn specs(self, id: &'static str) -> Vec<RunSpec> {
         let RxFigure {
             figure,
             dst,
@@ -79,7 +79,6 @@ impl RxFigure {
                     kind,
                     SimOptions {
                         rx_window: Some(WINDOW),
-                        workers,
                         ..SimOptions::default()
                     },
                 );
@@ -133,7 +132,7 @@ impl Experiment for Fig17 {
     fn artifact(&self) -> &'static str {
         "Figure 17 (A.3): receiver bandwidth under incast"
     }
-    fn specs(&self, args: &Args) -> Vec<RunSpec> {
+    fn specs(&self, _: &Args) -> Vec<RunSpec> {
         let trace = IncastWorkload {
             degree: 15,
             flow_bytes: 1_000,
@@ -150,7 +149,7 @@ impl Experiment for Fig17 {
             until: 40_000,
             transit: false,
         };
-        figure.specs(self.id(), args.workers)
+        figure.specs(self.id())
     }
 }
 
@@ -182,7 +181,7 @@ impl Experiment for Fig18 {
             until: 250_000,
             transit: true,
         };
-        figure.specs(self.id(), args.workers)
+        figure.specs(self.id())
     }
 }
 
@@ -199,9 +198,8 @@ impl Experiment for Fig19 {
     fn artifact(&self) -> &'static str {
         "Figure 19 (A.4): bandwidth occupation under failures"
     }
-    fn specs(&self, args: &Args) -> Vec<RunSpec> {
+    fn specs(&self, _: &Args) -> Vec<RunSpec> {
         let horizon = 400_000;
-        let workers = args.workers;
         let meta = RunMeta::new(self.id(), 0, "nego/parallel", SEED, horizon);
         vec![RunSpec::new(meta, move || {
             let net = NetworkConfig::paper_default();
@@ -217,7 +215,6 @@ impl Experiment for Fig19 {
                 TopologyKind::Parallel,
                 SimOptions {
                     rx_window: Some(WINDOW),
-                    workers,
                     ..SimOptions::default()
                 },
             );

@@ -2,8 +2,8 @@
 //!
 //! The engines are deterministic zones where wall-clock reads are banned
 //! (lint D002), so profiling lives here: the harness wraps each pipeline
-//! stage — scenario compile, engine execution (which internally covers
-//! shard fan-out and merge), report rendering, cache traffic — in a
+//! stage — scenario compile, engine execution, report rendering, cache
+//! traffic — in a
 //! [`StageTimer`] and accumulates per-stage call counts and elapsed
 //! nanoseconds into process-wide atomics. The daemon's `GET /metrics`
 //! exports the totals as `paper_stage_seconds_total{stage=...}` /
@@ -19,7 +19,7 @@ pub enum Stage {
     /// Scenario parse + compile (`scenario::compile`) and, as a call of
     /// its own before a miss's first engine, the synthesis of its flows.
     Compile,
-    /// One engine simulation, including its shard fan-out and merge.
+    /// One engine simulation.
     Execute,
     /// Report assembly and JSON rendering.
     Render,

@@ -62,11 +62,12 @@ pub struct BatchOutcome {
     pub coalesced: usize,
 }
 
-/// Execute a compiled scenario across `jobs` pool workers with `workers`
-/// intra-run shard workers per simulation, and assemble the sweep report
-/// (rendered text + per-run metrics with series).
-pub fn run(compiled: &CompiledScenario, jobs: usize, workers: usize) -> SweepReport {
-    run_batch(std::slice::from_ref(compiled), jobs, workers)
+/// Execute a compiled scenario across `jobs` pool workers and assemble
+/// the sweep report (rendered text + per-run metrics with series).
+/// `_workers` is read by nothing: the engines own no threads. It stays for
+/// the callers that still pass it.
+pub fn run(compiled: &CompiledScenario, jobs: usize, _workers: usize) -> SweepReport {
+    run_batch(std::slice::from_ref(compiled), jobs)
         .reports
         .pop()
         .expect("one scenario in, one report out")
@@ -77,7 +78,7 @@ pub fn run(compiled: &CompiledScenario, jobs: usize, workers: usize) -> SweepRep
 /// before dispatch: each distinct run simulates once and its output fans
 /// out to every scenario/position that requested it. Reports come back in
 /// input order and are byte-identical at any `jobs`.
-pub fn run_batch(compiled: &[CompiledScenario], jobs: usize, workers: usize) -> BatchOutcome {
+pub fn run_batch(compiled: &[CompiledScenario], jobs: usize) -> BatchOutcome {
     // Map every (scenario, run) slot onto a deduped task list.
     let mut task_of_hash: HashMap<u64, usize> = HashMap::new();
     let mut tasks: Vec<pool::Task<(ScenarioRunOutput, f64)>> = Vec::new();
@@ -87,7 +88,7 @@ pub fn run_batch(compiled: &[CompiledScenario], jobs: usize, workers: usize) -> 
     let mut coalesced = 0usize;
     for c in compiled {
         synthesize(c);
-        let runs = build_runs(c, None, workers, None);
+        let runs = build_runs(c, None, None);
         let mut scenario_slots = Vec::with_capacity(runs.len());
         for (engine, run) in c.spec.engines.iter().zip(runs) {
             let hash = c.run_hash(*engine);
@@ -134,13 +135,14 @@ pub fn run_batch(compiled: &[CompiledScenario], jobs: usize, workers: usize) -> 
 /// boundary. This is the daemon's job executor: one pool worker owns the
 /// whole scenario; intra-scenario parallelism would fight the pool's own.
 /// Output is byte-identical to [`run`] at any `jobs` — both go through
-/// the same run closures and `assemble`.
+/// the same run closures and `assemble`. `_workers` is read by nothing, as
+/// in [`run`].
 pub fn execute_with_progress(
     compiled: &CompiledScenario,
     progress: Option<ProgressSink>,
-    workers: usize,
+    _workers: usize,
 ) -> SweepReport {
-    execute_inner(compiled, progress, workers, None).0
+    execute_inner(compiled, progress, None).0
 }
 
 /// [`execute_with_progress`] with the flight recorder attached: also
@@ -155,22 +157,20 @@ pub fn execute_with_progress(
 pub fn execute_traced(
     compiled: &CompiledScenario,
     progress: Option<ProgressSink>,
-    workers: usize,
     capacity: Option<usize>,
 ) -> (SweepReport, String) {
     let ring = capacity.unwrap_or(metrics::DEFAULT_TRACE_CAPACITY);
-    execute_inner(compiled, progress, workers, Some(ring))
+    execute_inner(compiled, progress, Some(ring))
 }
 
 fn execute_inner(
     compiled: &CompiledScenario,
     progress: Option<ProgressSink>,
-    workers: usize,
     trace: Option<usize>,
 ) -> (SweepReport, String) {
     let mut traces = String::new();
     synthesize(compiled);
-    let runs = build_runs(compiled, progress, workers, trace)
+    let runs = build_runs(compiled, progress, trace)
         .into_iter()
         .map(|run| {
             let timer = profile::start(Stage::Execute);
@@ -322,21 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_is_byte_identical_across_shard_workers() {
-        let c = compiled();
-        let sequential = run(&c, 1, 1);
-        for workers in [2, 8] {
-            let sharded = run(&c, 1, workers);
-            assert_eq!(sequential.rendered, sharded.rendered, "{workers} workers");
-            assert_eq!(
-                deterministic_document(&sequential),
-                deterministic_document(&sharded),
-                "{workers} workers"
-            );
-        }
-    }
-
-    #[test]
     fn serving_path_matches_batch_path_byte_for_byte() {
         let c = compiled();
         let batch = run(&c, 4, 1);
@@ -352,7 +337,7 @@ mod tests {
     fn batch_coalesces_identical_runs_and_fans_out() {
         let c = compiled();
         // The same scenario twice: 4 requested engine runs, 2 simulated.
-        let outcome = run_batch(&[c.clone(), c.clone()], 4, 1);
+        let outcome = run_batch(&[c.clone(), c.clone()], 4);
         assert_eq!(outcome.coalesced, 2);
         assert_eq!(outcome.reports.len(), 2);
         assert_eq!(outcome.reports[0].rendered, outcome.reports[1].rendered);
@@ -372,7 +357,7 @@ mod tests {
             Path::new("."),
         )
         .unwrap();
-        let outcome = run_batch(&[c, other], 4, 1);
+        let outcome = run_batch(&[c, other], 4);
         assert_eq!(outcome.coalesced, 0);
         assert_ne!(
             deterministic_document(&outcome.reports[0]),

@@ -7,7 +7,7 @@
 //! experiment; `fig9@sweep-smoke` pins fig9 again at CI's sweep
 //! configuration. The curated `scenarios/*.json` are rows of the same
 //! fixture — `scenario-<name>`, digest over the deterministic document
-//! plus the traced NDJSON at `--workers 1`. `fig7b` (a 500 KB all-to-all
+//! plus the traced NDJSON. `fig7b` (a 500 KB all-to-all
 //! on 128 ToRs) and `fig9@sweep-smoke` are slow unoptimized, so their
 //! test is `#[ignore]`d and CI's release lane runs it:
 //!
@@ -38,7 +38,6 @@ fn args() -> Args {
         duration: 100_000,
         loads: vec![0.5, 1.0],
         seed: 7,
-        workers: 1,
     }
 }
 
@@ -169,7 +168,7 @@ fn every_scenario_renders_the_recorded_bytes() {
         .iter()
         .filter_map(|path| {
             let compiled = load(path).unwrap_or_else(|e| panic!("{e}"));
-            let (report, trace) = execute_traced(&compiled, None, 1, None);
+            let (report, trace) = execute_traced(&compiled, None, None);
             drift(
                 &recorded,
                 &report.id,

@@ -15,7 +15,6 @@ fn small_args() -> Args {
         duration: 100_000, // 0.1 ms
         loads: vec![0.25, 1.0],
         seed: 7,
-        workers: 1,
     }
 }
 
@@ -119,25 +118,6 @@ fn scenario_run_is_byte_identical_across_jobs() {
     // The series actually made it into the document.
     assert!(s.contains("\"series\""), "{s}");
     assert!(s.contains("\"random_cuts\""), "{s}");
-}
-
-#[test]
-fn scenario_run_is_byte_identical_across_shard_workers() {
-    // The tentpole contract of `--workers`: sharded simulations emit the
-    // very same bytes as sequential ones, composed with `--jobs` or not.
-    let compiled =
-        bench::scenario::load(&scenarios_dir().join("rolling_failures.json")).expect("ships valid");
-    let sequential = bench::scenario::run(&compiled, 1, 1);
-    for (jobs, workers) in [(1, 8), (4, 2)] {
-        let sharded = bench::scenario::run(&compiled, jobs, workers);
-        assert_eq!(
-            sequential.rendered, sharded.rendered,
-            "jobs {jobs} workers {workers}: report diverged"
-        );
-        let s = results::experiment_json(&sequential, None).render();
-        let p = results::experiment_json(&sharded, None).render();
-        assert_eq!(s, p, "jobs {jobs} workers {workers}: results JSON diverged");
-    }
 }
 
 #[test]

@@ -1,10 +1,9 @@
 //! Flight-recorder determinism: the traced NDJSON for a scenario must be
-//! byte-identical at any `--workers` count — the recorder only ever
-//! observes fully-merged per-epoch state, so intra-run sharding can never
-//! leak into trace bytes. This is the same guarantee the result document
-//! already carries, extended to the observability plane: `paper scenario
-//! --trace` on one machine and a daemon trace on another must `cmp`
-//! equal. The causal flow-lifecycle span events ride the same discipline
+//! byte-identical from one run to the next, and tracing must never reach
+//! the result document, which equals the untraced `--jobs 2` batch's. This
+//! is the same guarantee the result document already carries, extended to
+//! the observability plane: `paper scenario --trace` on one machine and a
+//! daemon trace on another must `cmp` equal. The causal flow-lifecycle span events ride the same discipline
 //! (stamped from dirty *sets*, emitted in flow-id order), so the full
 //! span timeline is pinned by the same byte comparison.
 //!
@@ -28,22 +27,22 @@ fn scenarios_dir() -> PathBuf {
         .expect("workspace scenarios/ directory")
 }
 
-/// Trace one scenario at several worker counts; all byte-identical.
-fn assert_worker_invariant(file: &str) -> String {
+/// Trace one scenario twice, on fresh engines: the same bytes, and the
+/// document of the untraced batch at `--jobs 2`.
+fn assert_reproducible(file: &str) -> String {
     let compiled = load(&scenarios_dir().join(file)).expect("scenario compiles");
-    let (report1, trace1) = execute_traced(&compiled, None, 1, None);
-    for workers in [2, 8] {
-        let (report, trace) = execute_traced(&compiled, None, workers, None);
-        assert_eq!(
-            trace1, trace,
-            "{file}: trace bytes differ between --workers 1 and --workers {workers}"
-        );
-        assert_eq!(
-            bench::scenario::deterministic_document(&report1),
-            bench::scenario::deterministic_document(&report),
-            "{file}: result document differs at --workers {workers}"
-        );
-    }
+    let (report1, trace1) = execute_traced(&compiled, None, None);
+    let (_, trace2) = execute_traced(&compiled, None, None);
+    assert_eq!(
+        trace1, trace2,
+        "{file}: trace bytes differ between two runs"
+    );
+    let batch = bench::scenario::run(&compiled, 2, 1);
+    assert_eq!(
+        bench::scenario::deterministic_document(&report1),
+        bench::scenario::deterministic_document(&batch),
+        "{file}: the traced document differs from the --jobs 2 batch's"
+    );
     trace1
 }
 
@@ -66,8 +65,8 @@ fn assert_negotiator_spans(trace: &str, file: &str) {
 }
 
 #[test]
-fn gray_control_plane_trace_is_worker_invariant() {
-    let trace = assert_worker_invariant("gray_control_plane.json");
+fn gray_control_plane_trace_is_reproducible() {
+    let trace = assert_reproducible("gray_control_plane.json");
     assert!(trace.contains("\"event\":\"trace_start\""), "{trace}");
     assert!(trace.contains("\"event\":\"trace_end\""));
     // The gray phase drops control messages and flips the detector; both
@@ -86,18 +85,18 @@ fn gray_control_plane_trace_is_worker_invariant() {
 }
 
 #[test]
-fn greedy_tor_trace_is_worker_invariant() {
-    let trace = assert_worker_invariant("greedy_tor.json");
+fn greedy_tor_trace_is_reproducible() {
+    let trace = assert_reproducible("greedy_tor.json");
     assert!(trace.contains("\"event\":\"sched\""));
     assert!(trace.contains("\"event\":\"phase\""));
     assert_negotiator_spans(&trace, "greedy_tor.json");
 }
 
 #[test]
-fn both_engines_trace_is_worker_invariant() {
+fn both_engines_trace_is_reproducible() {
     // ci_smoke pins no engine list, so it runs negotiator AND oblivious;
     // the trace carries one section per engine, in engine order.
-    let trace = assert_worker_invariant("ci_smoke.json");
+    let trace = assert_reproducible("ci_smoke.json");
     let starts = trace.matches("\"event\":\"trace_start\"").count();
     assert_eq!(starts, 2, "one section per engine:\n{trace}");
     assert!(trace.contains("\"system\":\"nego/parallel\""), "{trace}");
@@ -154,22 +153,13 @@ fn both_engines_trace_is_worker_invariant() {
 }
 
 #[test]
-fn repeated_runs_are_reproducible() {
-    // Same scenario, same worker count, fresh engines: identical bytes.
-    let compiled = load(&scenarios_dir().join("greedy_tor.json")).expect("scenario compiles");
-    let (_, a) = execute_traced(&compiled, None, 2, None);
-    let (_, b) = execute_traced(&compiled, None, 2, None);
-    assert_eq!(a, b);
-}
-
-#[test]
 fn trace_capacity_shapes_only_the_trace() {
     // A deliberately tiny ring (the CLI minimum) overflows on a real
     // scenario: drops are declared in the footer, the summary and
     // document stay byte-identical to the default-capacity run.
     let compiled = load(&scenarios_dir().join("greedy_tor.json")).expect("scenario compiles");
-    let (full_report, full) = execute_traced(&compiled, None, 1, None);
-    let (small_report, small) = execute_traced(&compiled, None, 1, Some(1024));
+    let (full_report, full) = execute_traced(&compiled, None, None);
+    let (small_report, small) = execute_traced(&compiled, None, Some(1024));
     assert_eq!(
         bench::scenario::deterministic_document(&full_report),
         bench::scenario::deterministic_document(&small_report),
@@ -189,17 +179,17 @@ fn trace_capacity_shapes_only_the_trace() {
         small.contains("\"capacity\":1024"),
         "header declares the ring size"
     );
-    // A capacity-limited trace is still worker-invariant.
-    let (_, small8) = execute_traced(&compiled, None, 8, Some(1024));
-    assert_eq!(small, small8);
+    // A capacity-limited trace is reproducible too.
+    let (_, again) = execute_traced(&compiled, None, Some(1024));
+    assert_eq!(small, again);
 }
 
 #[test]
 fn diff_of_identical_runs_reports_no_divergence() {
     let compiled = load(&scenarios_dir().join("greedy_tor.json")).expect("scenario compiles");
-    let (_, a) = execute_traced(&compiled, None, 1, None);
-    let (_, b) = execute_traced(&compiled, None, 4, None);
-    let outcome = traceq::diff("workers1", &a, "workers4", &b, 3);
+    let (_, a) = execute_traced(&compiled, None, None);
+    let (_, b) = execute_traced(&compiled, None, None);
+    let outcome = traceq::diff("run1", &a, "run2", &b, 3);
     assert!(!outcome.divergent, "{}", outcome.report);
     assert!(outcome.report.contains("identical"), "{}", outcome.report);
 }
@@ -223,8 +213,8 @@ fn diff_pins_a_seed_perturbation_to_its_first_divergent_event() {
         &dir,
     )
     .expect("compiles");
-    let (_, trace_a) = execute_traced(&a, None, 1, None);
-    let (_, trace_b) = execute_traced(&b, None, 1, None);
+    let (_, trace_a) = execute_traced(&a, None, None);
+    let (_, trace_b) = execute_traced(&b, None, None);
     let outcome = traceq::diff("seed", &trace_a, "seed+1", &trace_b, 3);
     assert!(outcome.divergent, "seed change must diverge the trace");
     assert!(

@@ -85,9 +85,9 @@ pub fn rules_for(rel: &str, zone: Zone) -> RuleSet {
         d001: zone == Zone::Engine,
         // Wall clock is the *job* of the timing harness and the daemon.
         d002: !matches!(krate, "bench" | "service"),
-        // sim::pool (across runs) and sim::shard (within a run) are the
-        // sanctioned homes for threads and channels.
-        d003: !matches!(rel, "crates/sim/src/pool.rs" | "crates/sim/src/shard.rs"),
+        // sim::pool (across runs) is the one sanctioned home for threads
+        // and channels: the engines own none.
+        d003: rel != "crates/sim/src/pool.rs",
     }
 }
 
@@ -245,26 +245,25 @@ mod tests {
         assert!(!lint.d001 && lint.d002 && lint.d003);
         let pool = rules_for("crates/sim/src/pool.rs", Zone::Engine);
         assert!(!pool.d003, "sim::pool owns the cross-run threads");
-        let shard = rules_for("crates/sim/src/shard.rs", Zone::Engine);
-        assert!(!shard.d003, "sim::shard owns the intra-run threads");
-        let parallel = rules_for("crates/negotiator/src/sim/parallel.rs", Zone::Engine);
-        assert!(
-            parallel.d003,
-            "engine shard consumers must go through sim::shard"
-        );
+        for engine in [
+            "crates/sim/src/lib.rs",
+            "crates/negotiator/src/sim/phases.rs",
+        ] {
+            let rules = rules_for(engine, Zone::Engine);
+            assert!(rules.d003, "{engine}: only sim::pool may start threads");
+        }
     }
 
     #[test]
     fn d003_zone_extension_gates_by_path_not_content() {
-        // The same threading tokens are sanctioned inside sim::shard and a
-        // finding everywhere else — including the engine module that
-        // *consumes* the shard API.
+        // The same threading tokens are sanctioned inside sim::pool and a
+        // finding everywhere else — the epoch engines included.
         let src = "let h = std::thread::spawn(f);\nuse std::sync::mpsc;\n";
         assert!(
-            scan_file("crates/sim/src/shard.rs", src).is_empty(),
-            "sim::shard is a sanctioned threading zone"
+            scan_file("crates/sim/src/pool.rs", src).is_empty(),
+            "sim::pool is the sanctioned threading zone"
         );
-        let findings = scan_file("crates/negotiator/src/sim/parallel.rs", src);
+        let findings = scan_file("crates/negotiator/src/sim/phases.rs", src);
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings.iter().all(|f| f.rule == Rule::D003));
     }

@@ -115,26 +115,30 @@ fn suppression_fixture_hygiene() {
     );
 }
 
-/// The D003 zone extension is a property of the *path*, not the source:
-/// the identical threading snippet is clean when it lives at
-/// `crates/sim/src/shard.rs` (or `pool.rs`) and two findings anywhere
-/// else in the engine zone.
+/// The D003 exemption is a property of the *path*, not the source: the
+/// identical threading snippet is clean when it lives at
+/// `crates/sim/src/pool.rs` and two findings anywhere else in the engine
+/// zone, the epoch engines and the rest of `sim` included.
 #[test]
 fn d003_shard_zone_fixture_is_path_gated() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join("d003_shard_zone.rs");
     let src = std::fs::read_to_string(&path).expect("d003_shard_zone.rs");
-    for exempt in ["crates/sim/src/shard.rs", "crates/sim/src/pool.rs"] {
-        let f = lint::scan_file(exempt, &src);
-        assert!(f.is_empty(), "{exempt} should be exempt, got {f:?}");
+    let f = lint::scan_file("crates/sim/src/pool.rs", &src);
+    assert!(f.is_empty(), "sim::pool should be exempt, got {f:?}");
+    for engine in [
+        "crates/sim/src/lib.rs",
+        "crates/sim/src/shard.rs",
+        "crates/negotiator/src/sim/phases.rs",
+    ] {
+        let f = lint::scan_file(engine, &src);
+        assert_eq!(
+            ids(&f),
+            vec![("D003", 6, 31), ("D003", 7, 31)],
+            "{engine}: the same bytes outside sim::pool must fire"
+        );
     }
-    let f = lint::scan_file("crates/sim/src/lib.rs", &src);
-    assert_eq!(
-        ids(&f),
-        vec![("D003", 6, 31), ("D003", 7, 31)],
-        "same bytes outside the shard engine must fire"
-    );
 }
 
 /// The fault-injection module is engine surface: scanned under its real

@@ -79,9 +79,8 @@ impl RunFrame {
     }
 
     /// Attach a flight recorder. Events are emitted from [`run`]'s loop,
-    /// between ticks — after any intra-tick shards have merged — so the
-    /// trace is byte-identical at any worker count. Off (the default)
-    /// costs one branch per tick.
+    /// between ticks, so the trace is byte-identical from run to run. Off
+    /// (the default) costs one branch per tick.
     pub fn set_recorder(&mut self, recorder: FlightRecorder) {
         self.recorder = Some(Box::new(recorder));
     }
@@ -263,8 +262,8 @@ pub fn run<E: EpochEngine>(engine: &mut E, trace: &FlowTrace, duration: Nanos) -
         }
         engine.apply_schedule(now, tick);
         cursor = engine.tick(tick, now, flows, cursor, &mut tracker);
-        // Span emission iterates live flows in flow-id order from merged
-        // state, which keeps span bytes identical at any worker count.
+        // Span emission iterates live flows in flow-id order, which keeps
+        // span bytes independent of the order the tick visited them in.
         if let Some(spans) = spans.as_mut() {
             let mut rec = engine
                 .recorder

@@ -2,9 +2,9 @@
 //!
 //! Both engines can carry a [`FlightRecorder`] (behind an `Option`, so the
 //! off state costs one branch per epoch); events are emitted from the run
-//! loop the engines share ([`crate::frame::run`]), between ticks — after
-//! the shards of the tick have merged — so a trace is a pure function of
-//! (config, seed) and byte-identical at any `--workers` count. The ring is
+//! loop the engines share ([`crate::frame::run`]), between ticks, so a
+//! trace is a pure function of (config, seed) and byte-identical from run
+//! to run. The ring is
 //! preallocated at construction and never grows: recording is a store into
 //! existing capacity, with no wall-clock reads and no allocation on the
 //! hot path (lint D002/H001 apply to this module — `metrics` is an engine
@@ -437,8 +437,8 @@ mod milestone {
 /// The control plane negotiates per (src, dst) ToR *pair*, not per flow,
 /// so engines stamp pair-level activity ([`FlowSpans::mark_request`] and
 /// friends) with the epoch it happened in — stamping is idempotent and
-/// order-independent, which is what keeps span bytes identical when a
-/// parallel shard merge delivers the same pair set in a different order.
+/// order-independent, so span bytes never depend on the order in which a
+/// step visits the pairs.
 /// [`FlowSpans::sweep`] then walks the live flows in flow-id order (the
 /// one deterministic order) and emits each flow's first crossing of each
 /// milestone. On a tick where no pair was stamped and no flow completed,

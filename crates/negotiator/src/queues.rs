@@ -28,7 +28,7 @@
 //! epoch — a pair's direct elephant backlog, for selective relay — has a
 //! table of its own, allocated only when asked for.
 
-use sim::pairs::{Front, Pair, PairLists, Rows};
+use sim::pairs::{Front, Pair, PairLists};
 use sim::time::Nanos;
 
 /// Number of PIAS levels (§4.1 uses three).
@@ -53,7 +53,7 @@ pub struct Packet {
 }
 
 /// One segment's bytes dequeued for consecutive packets
-/// ([`PairRows::dequeue_run`]): `count` packets, every one `max_payload`
+/// ([`PairQueues::dequeue_run`]): `count` packets, every one `max_payload`
 /// bytes but the last, which carries the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Run {
@@ -131,8 +131,7 @@ fn take(mut head: Front<'_, Node>, level: usize, cap: u64) -> Packet {
 }
 
 /// The per-destination queues of every source ToR of a fabric (see the
-/// module docs for the layout). Reads go through [`PairQueues::pair`],
-/// everything that moves bytes through a row window ([`PairQueues::all`]).
+/// module docs for the layout). Reads go through [`PairQueues::pair`].
 #[derive(Debug)]
 pub struct PairQueues {
     lists: Store,
@@ -140,15 +139,6 @@ pub struct PairQueues {
     /// what selective relay's qualification reads for every pair every
     /// epoch. Empty unless asked for at construction.
     elephants: Vec<u64>,
-}
-
-/// The rows of [`PairQueues`] belonging to a contiguous range of sources,
-/// with their arenas. Sources and destinations are fabric-wide ids; a
-/// source outside the window is an out-of-bounds panic.
-#[derive(Debug)]
-pub struct PairRows<'a> {
-    lists: Rows<'a, Node, PRIORITY_LEVELS>,
-    elephants: &'a mut [u64],
 }
 
 /// Read-only view of one pair's queue.
@@ -170,12 +160,10 @@ impl PairQueues {
         }
     }
 
-    /// The window over every source.
-    pub fn all(&mut self) -> PairRows<'_> {
-        PairRows {
-            lists: self.lists.all(),
-            elephants: &mut self.elephants,
-        }
+    /// The queues themselves, for callers written as
+    /// `queues.all().enqueue_flow(..)`.
+    pub fn all(&mut self) -> &mut Self {
+        self
     }
 
     /// The queue of pair `src → dst`.
@@ -215,31 +203,14 @@ impl PairQueues {
             }
         }
     }
-}
 
-/// Account `bytes` of priority `level` that left pair `row` in the
-/// elephant table (a no-op where the table is not kept).
-#[inline]
-fn note_taken(elephants: &mut [u64], row: usize, level: usize, relayed: bool, bytes: u64) {
-    if !elephants.is_empty() && level == ELEPHANT && !relayed {
-        elephants[row] -= bytes;
-    }
-}
-
-impl<'a> PairRows<'a> {
-    /// Split into the first `rows` sources and the rest.
-    pub fn split_at(self, rows: usize) -> (PairRows<'a>, PairRows<'a>) {
-        let pairs = rows * self.lists.width();
-        let (lists, lists_rest) = self.lists.split_at(rows);
-        let (elephants, elephants_rest) =
-            self.elephants.split_at_mut(pairs.min(self.elephants.len()));
-        (
-            PairRows { lists, elephants },
-            PairRows {
-                lists: lists_rest,
-                elephants: elephants_rest,
-            },
-        )
+    /// Account `bytes` of priority `level` that left pair `row` in the
+    /// elephant table (a no-op where the table is not kept).
+    #[inline]
+    fn note_taken(&mut self, row: usize, level: usize, relayed: bool, bytes: u64) {
+        if !self.elephants.is_empty() && level == ELEPHANT && !relayed {
+            self.elephants[row] -= bytes;
+        }
     }
 
     /// Append one segment to the pair's FIFO at `level`.
@@ -326,7 +297,7 @@ impl<'a> PairRows<'a> {
         debug_assert!(max_payload > 0);
         let row = self.lists.index(src, dst);
         let packet = take(self.lists.front_mut(src, dst, level)?, level, max_payload);
-        note_taken(self.elephants, row, level, packet.relayed, packet.bytes);
+        self.note_taken(row, level, packet.relayed, packet.bytes);
         Some(packet)
     }
 
@@ -369,20 +340,11 @@ impl<'a> PairRows<'a> {
         self.dequeue_lowest_packet(src, dst, max_payload)
     }
 
-    /// The queue of pair `src → dst`, read-only.
-    #[inline]
-    pub fn pair(&self, src: usize, dst: usize) -> PairView<'_> {
-        PairView {
-            lists: self.lists.pair(src, dst),
-            elephant: self.elephants.get(self.lists.index(src, dst)).copied(),
-        }
-    }
-
     /// Dequeue the head segment of the highest non-empty priority level as
     /// one run of at most `room` packets of at most `max_payload` bytes:
     /// the whole segment when it fits, else its first `room` full packets.
     /// The run holds exactly what that many calls of
-    /// [`PairRows::dequeue_packet`] would take ([`Run::packets`]), so the
+    /// [`PairQueues::dequeue_packet`] would take ([`Run::packets`]), so the
     /// scheduled phase drains a matched queue one segment at a time
     /// instead of one packet at a time.
     #[inline]
@@ -410,7 +372,7 @@ impl<'a> PairRows<'a> {
         if head.bytes == 0 {
             head.pop();
         }
-        note_taken(self.elephants, row, level, run.relayed, bytes);
+        self.note_taken(row, level, run.relayed, bytes);
         Some(run)
     }
 }
@@ -427,7 +389,7 @@ impl<'a> PairView<'a> {
     }
 
     /// The highest non-empty priority level: the one the next
-    /// [`PairRows::dequeue_packet`] takes from.
+    /// [`PairQueues::dequeue_packet`] takes from.
     pub fn first_level(&self) -> Option<usize> {
         self.lists.first_nonempty()
     }
@@ -479,13 +441,13 @@ mod tests {
             One(PairQueues::new(1, 1, false))
         }
         fn flow(&mut self, flow: u64, bytes: u64, now: Nanos, pias: bool) {
-            self.0.all().enqueue_flow(0, 0, flow, bytes, now, pias, TH);
+            self.0.enqueue_flow(0, 0, flow, bytes, now, pias, TH);
         }
         fn relay(&mut self, flow: u64, bytes: u64, now: Nanos) {
-            self.0.all().enqueue_relay(0, 0, flow, bytes, now);
+            self.0.enqueue_relay(0, 0, flow, bytes, now);
         }
         fn dequeue(&mut self, cap: u64) -> Option<Packet> {
-            self.0.all().dequeue_packet(0, 0, cap)
+            self.0.dequeue_packet(0, 0, cap)
         }
         fn view(&self) -> PairView<'_> {
             self.0.pair(0, 0)
@@ -608,7 +570,7 @@ mod tests {
             let mut b = build();
             let (mut runs, mut taken) = (Vec::new(), 0);
             while taken < limit {
-                let Some(run) = a.0.all().dequeue_run(0, 0, 1_115, limit - taken) else {
+                let Some(run) = a.0.dequeue_run(0, 0, 1_115, limit - taken) else {
                     break;
                 };
                 taken += run.count;
@@ -631,7 +593,7 @@ mod tests {
         // One run per segment: level 0's three flows, then flow 1's level 1.
         let mut q = build();
         let counts: Vec<(u64, usize)> = (0..4)
-            .map(|_| q.0.all().dequeue_run(0, 0, 1_115, 100).unwrap())
+            .map(|_| q.0.dequeue_run(0, 0, 1_115, 100).unwrap())
             .map(|r| (r.flow, r.count))
             .collect();
         assert_eq!(counts, [(1, 1), (2, 1), (4, 1), (1, 9)]);
@@ -642,7 +604,7 @@ mod tests {
         let mut q = One::new();
         q.flow(1, 50_000, 0, true);
         q.flow(2, 500, 0, true);
-        let p = q.0.all().dequeue_lowest_packet(0, 0, 1_115).unwrap();
+        let p = q.0.dequeue_lowest_packet(0, 0, 1_115).unwrap();
         assert_eq!((p.flow, p.priority), (1, 2));
         assert_eq!(q.view().total_bytes(), 50_500 - 1_115);
     }
@@ -651,44 +613,24 @@ mod tests {
     fn relayed_bytes_follow_the_relayed_segments() {
         for tracked in [false, true] {
             let mut store = PairQueues::new(1, 2, tracked);
-            store.all().enqueue_flow(0, 1, 1, 30_000, 0, true, TH);
-            store.all().enqueue_relay(0, 1, 2, 1_115, 1);
-            store.all().enqueue_relay(0, 1, 3, 700, 2);
+            store.enqueue_flow(0, 1, 1, 30_000, 0, true, TH);
+            store.enqueue_relay(0, 1, 2, 1_115, 1);
+            store.enqueue_relay(0, 1, 3, 700, 2);
             let view = store.pair(0, 1);
             assert_eq!(view.level_bytes(2), 20_000 + 1_815);
             assert_eq!(view.relayed_bytes(), 1_815);
             assert_eq!(view.elephant_backlog(), 20_000);
             // Drain the elephant remainder, then the first relayed segment.
             let drained: u64 = (0..3)
-                .map(|_| store.all().dequeue_run(0, 1, 1_115, 28).unwrap().bytes)
+                .map(|_| store.dequeue_run(0, 1, 1_115, 28).unwrap().bytes)
                 .sum();
             assert_eq!(drained, 30_000);
-            let p = store.all().dequeue_lowest_packet(0, 1, 1_115).unwrap();
+            let p = store.dequeue_lowest_packet(0, 1, 1_115).unwrap();
             assert_eq!((p.flow, p.bytes, p.relayed), (2, 1_115, true));
             let view = store.pair(0, 1);
             assert_eq!((view.relayed_bytes(), view.elephant_backlog()), (700, 0));
             assert!(store.pair(0, 0).is_empty());
             store.audit(0, |dst, bytes| assert_eq!(bytes, [0, 700][dst]));
-        }
-    }
-
-    #[test]
-    fn a_window_owns_its_sources_rows_and_arenas() {
-        let mut store = PairQueues::new(4, 4, true);
-        {
-            let (mut low, mut high) = store.all().split_at(1);
-            low.enqueue_flow(0, 3, 1, 20_000, 0, true, TH);
-            high.enqueue_flow(1, 0, 2, 500, 0, true, TH);
-            let (_, mut last) = high.split_at(2);
-            last.enqueue_flow(3, 2, 3, 20_000, 5, true, TH);
-            assert_eq!(last.dequeue_packet(3, 2, 1_115).unwrap().flow, 3);
-        }
-        assert_eq!(store.pair(0, 3).total_bytes(), 20_000);
-        assert_eq!(store.pair(1, 0).total_bytes(), 500);
-        assert_eq!(store.pair(3, 2).elephant_backlog(), 10_000);
-        assert_eq!(store.segments_allocated(2), 0);
-        for src in 0..4 {
-            store.audit(src, |_, _| {});
         }
     }
 }

@@ -26,11 +26,12 @@
 //! The run loop — clock, fault timeline, phase probe, flight
 //! recorder, report — is [`metrics::frame`], shared with the oblivious
 //! engine; this file supplies the epoch ([`EpochEngine::tick`]). Every
-//! phase has exactly one body. The per-ToR ones live in `sim/parallel.rs`:
-//! ACCEPT, GRANT, REQUEST and the batched scheduled phase as single passes
-//! over the fabric, and the predefined phase in row-window form, run at
-//! whatever shard count `SimOptions::workers` asks for, one shard
-//! included. In the scheduled phase each matched queue drains as one
+//! phase has exactly one body, and every body is one sequential pass on
+//! the caller's thread: the engine owns no threads. The per-ToR ones live
+//! in `sim/phases.rs`: ACCEPT, GRANT and REQUEST, each one loop over the
+//! ToRs, the predefined phase, one loop over the timeslots and the live
+//! connections of each, and the batched scheduled phase, one loop over the
+//! active matches. In the scheduled phase each matched queue drains as one
 //! batch, split only at its own pair's arrivals, and the batch leaves as
 //! segment runs — a queue's head segment, or as much of it as the batch
 //! has room for — each landed as one delivery instead of one per packet.
@@ -44,8 +45,8 @@
 //! runs in every epoch, and the dummies are a pass of their own.
 //!
 //! The state is grouped by who touches it, which is what lets a phase
-//! borrow exactly its share: `SrcQueues` (the per-source data path, a
-//! shard owns its rows), `Outbox` (scheduling messages written at epoch
+//! borrow exactly its share: `SrcQueues` (the per-source data path),
+//! `Outbox` (scheduling messages written at epoch
 //! start, read-only during the predefined phase) and `Landing` (where
 //! cross-ToR effects arrive). An epoch's work tracks its traffic, not the
 //! fabric's `n²` pairs: REQUEST walks a per-source bitmap of non-empty
@@ -59,8 +60,7 @@
 //! zero-initialized tables, the segments in one arena per source ToR — so
 //! a queued segment costs an arena slot, reused once it drains. The hot
 //! path is allocation-free in steady state: every per-epoch buffer is
-//! reused, the predefined phase's shards are fixed at construction, and an
-//! arena grows only when its source's backlog reaches a new high in
+//! reused, and an arena grows only when its source's backlog reaches a new high in
 //! segments. `tests/scale.rs` (`steady_state_epochs_allocate_nothing`)
 //! holds a saturated run of 400 epochs to the bytes of one of 200.
 //! `tests/golden_report.rs` holds the engine to committed golden reports.
@@ -106,7 +106,7 @@
 use crate::config::NegotiatorConfig;
 use crate::fault::FaultDetector;
 use crate::matching::{Accept, AcceptArbiter, Grant, GrantArbiter};
-use crate::queues::{Packet, PairQueues, PairRows, Run, PRIORITY_LEVELS};
+use crate::queues::{Packet, PairQueues, Run, PRIORITY_LEVELS};
 use crate::stats::SchedStats;
 use crate::theory::PIPELINE_DELAY_EPOCHS;
 use crate::variants::greedy;
@@ -119,21 +119,19 @@ use metrics::{
     trace::{FlightRecorder, FlowSpans, TraceCursor},
     EpochEngine, FlowTracker, MatchRatioRecorder, PhaseCounters, RunFrame, RunReport,
 };
-use sim::shard::Shard;
 use sim::time::Nanos;
 use sim::{BandwidthSeries, Xoshiro256};
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use topology::{
-    AnyTopology, LaneMasks, LaneTable, LinkFailures, PredefinedLanes, ThinClos, Topology,
-    TopologyKind,
+    AnyTopology, LaneTable, LinkFailures, PredefinedLanes, ThinClos, Topology, TopologyKind,
 };
 use workload::{Flow, FlowTrace};
 
 pub use topology::inject::FaultAction;
 
-mod parallel;
-use parallel::{Event, Sink, SlotClock};
+mod phases;
+use phases::{Event, Sink, SlotClock};
 
 /// Which scheduling logic runs on top of the common data path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -188,14 +186,10 @@ pub struct SimOptions {
     /// speedup cannot overrun ToR memory. `None` (the paper's evaluation
     /// setting) treats ToRs as sinks.
     pub host_buffer_bytes: Option<u64>,
-    /// Intra-run worker threads for the predefined phase (`--workers`).
-    /// ToRs are partitioned into contiguous shards (`sim::shard`), the
-    /// phase body runs once per shard and the shards' effects replay in
-    /// the order of one pass, so any value — including the default `1`,
-    /// one shard on the caller's thread — produces byte-identical reports,
-    /// selective relay included. A determinism check, not a speed-up: two
-    /// workers have mostly been measured slower than one
-    /// (`sim/parallel.rs`).
+    /// Read by nothing: the engine owns no threads, and every phase is one
+    /// sequential pass whatever this holds. The field stays for the
+    /// callers that still name it, whose runs are therefore the same at
+    /// any value.
     pub workers: usize,
 }
 
@@ -299,10 +293,11 @@ struct SimScratch {
 }
 
 /// The per-source data path: every ToR's per-destination queues with the
-/// mirrors and buffers that move with them. Row-major by source, so a
-/// shard owns a contiguous window of each array — and its sources' segment
-/// arenas ([`SrcRows`]). Every per-pair table here is zero-initialized:
-/// nothing is written to it at construction.
+/// mirrors and buffers that move with them, row-major by source.
+/// Everything that moves bytes in or out of a queue goes through its
+/// methods, so the mirrors and relay buffers cannot drift from the queues
+/// they shadow. Every per-pair table here is zero-initialized: nothing is
+/// written to it at construction.
 struct SrcQueues {
     n: usize,
     s: usize,
@@ -343,50 +338,7 @@ struct SrcQueues {
     relay_buffers: Vec<RelayBuffer>,
 }
 
-/// A window of [`SrcQueues`] covering the source rows of one shard — the
-/// whole fabric for whole-fabric code ([`SrcQueues::all`]). Everything
-/// that moves bytes in or out of a queue goes through here, so the mirrors
-/// and relay buffers cannot drift from the queues they shadow.
-struct SrcRows<'a> {
-    shard: Shard,
-    n: usize,
-    s: usize,
-    pias: bool,
-    pias_th: [u64; 2],
-    pairs: PairRows<'a>,
-    enqueued_total: &'a mut [u64],
-    queue_bytes: &'a mut [u64],
-    words: usize,
-    nonempty: &'a mut [u64],
-    lane_masks: LaneMasks<'a>,
-    backlog_by_port: &'a mut [u64],
-    relay_fabric: Option<&'a ThinClos>,
-    relay_buffers: &'a mut [RelayBuffer],
-}
-
 impl SrcQueues {
-    fn all(&mut self) -> SrcRows<'_> {
-        SrcRows {
-            shard: Shard {
-                start: 0,
-                end: self.n,
-            },
-            n: self.n,
-            s: self.s,
-            pias: self.pias,
-            pias_th: self.pias_th,
-            pairs: self.pairs.all(),
-            enqueued_total: &mut self.enqueued_total,
-            queue_bytes: &mut self.queue_bytes,
-            words: self.words,
-            nonempty: &mut self.nonempty,
-            lane_masks: self.lane_masks.all(),
-            backlog_by_port: &mut self.backlog_by_port,
-            relay_fabric: self.relay_fabric.as_ref(),
-            relay_buffers: &mut self.relay_buffers,
-        }
-    }
-
     /// Destinations `src` holds bytes for, ascending.
     fn live_dsts(&self, src: usize) -> impl Iterator<Item = usize> + '_ {
         topology::lanes::ones(&self.nonempty[src * self.words..(src + 1) * self.words])
@@ -399,116 +351,42 @@ impl SrcQueues {
             .sum()
     }
 
-    /// One window per shard, in shard order, each split off as it is
-    /// taken. `shards` must tile `[0, n)` contiguously ascending, as
-    /// `sim::shard::partition` guarantees.
-    fn windows<'a>(&'a mut self, shards: &'a [Shard]) -> impl Iterator<Item = SrcRows<'a>> + 'a {
-        assert_eq!(
-            shards.last().map_or(0, |s| s.end),
-            self.n,
-            "shards must cover every source"
-        );
-        shards.iter().scan(Some(self.all()), |rest, shard| {
-            let rows = rest.take()?;
-            assert_eq!(shard.start, rows.shard.start, "shards must be contiguous");
-            let (head, tail) = rows.split_at(shard.len());
-            *rest = Some(tail);
-            Some(head)
-        })
-    }
-}
-
-impl<'a> SrcRows<'a> {
-    fn split_at(self, rows: usize) -> (SrcRows<'a>, SrcRows<'a>) {
-        let mid = self.shard.start + rows;
-        // The mode-only tables are empty outside their mode.
-        let port_rows = (rows * self.s).min(self.backlog_by_port.len());
-        let enqueued_rows = (rows * self.n).min(self.enqueued_total.len());
-        let (pairs, pairs_rest) = self.pairs.split_at(rows);
-        let (enqueued, enqueued_rest) = self.enqueued_total.split_at_mut(enqueued_rows);
-        let (bytes, bytes_rest) = self.queue_bytes.split_at_mut(rows * self.n);
-        let (nonempty, nonempty_rest) = self.nonempty.split_at_mut(rows * self.words);
-        let (lanes, lanes_rest) = self.lane_masks.split_at(rows);
-        let (backlog, backlog_rest) = self.backlog_by_port.split_at_mut(port_rows);
-        let (buffers, buffers_rest) = self.relay_buffers.split_at_mut(rows);
-        let head = SrcRows {
-            shard: Shard {
-                start: self.shard.start,
-                end: mid,
-            },
-            pairs,
-            enqueued_total: enqueued,
-            queue_bytes: bytes,
-            nonempty,
-            lane_masks: lanes,
-            backlog_by_port: backlog,
-            relay_buffers: buffers,
-            ..self
-        };
-        let tail = SrcRows {
-            shard: Shard {
-                start: mid,
-                end: self.shard.end,
-            },
-            pairs: pairs_rest,
-            enqueued_total: enqueued_rest,
-            queue_bytes: bytes_rest,
-            nonempty: nonempty_rest,
-            lane_masks: lanes_rest,
-            backlog_by_port: backlog_rest,
-            relay_buffers: buffers_rest,
-            ..self
-        };
-        (head, tail)
-    }
-
     #[inline]
     fn row(&self, src: usize, dst: usize) -> usize {
-        (src - self.shard.start) * self.n + dst
+        src * self.n + dst
     }
 
     /// Word index and mask of the pair's bit in the non-empty bitmap.
     #[inline]
     fn nonempty_bit(&self, src: usize, dst: usize) -> (usize, u64) {
-        (
-            (src - self.shard.start) * self.words + dst / 64,
-            1 << (dst % 64),
-        )
+        (src * self.words + dst / 64, 1 << (dst % 64))
     }
 
-    /// Enqueue every flow of `flows[cursor..]` that has arrived by `now`
-    /// and whose source lies in this window; flows of other shards'
-    /// sources are skipped (their shard enqueues them). Returns the
-    /// advanced cursor.
+    /// Enqueue every flow of `flows[cursor..]` that has arrived by `now`.
+    /// Returns the advanced cursor.
     fn inject(&mut self, flows: &[Flow], mut cursor: usize, now: Nanos) -> usize {
         while cursor < flows.len() && flows[cursor].arrival <= now {
-            let f = &flows[cursor];
+            self.enqueue(&flows[cursor]);
             cursor += 1;
-            if (self.shard.start..self.shard.end).contains(&f.src) {
-                self.enqueue(f);
-            }
         }
         cursor
     }
 
     /// Queue every first hop of `hops[cursor..]` that has landed by `now`
-    /// at its intermediate, when that lies in this window; other shards'
-    /// intermediates are skipped (their shard queues them). `hops` is in
-    /// landing order. Returns the advanced cursor.
+    /// at its intermediate. `hops` is in landing order. Returns the
+    /// advanced cursor.
     fn land(&mut self, hops: &[FirstHop], mut cursor: usize, now: Nanos) -> usize {
         while let Some(h) = hops.get(cursor).filter(|h| h.at <= now) {
             cursor += 1;
             let (via, final_dst) = (h.via as usize, h.final_dst as usize);
-            if (self.shard.start..self.shard.end).contains(&via) {
-                self.pairs
-                    .enqueue_relay(via, final_dst, h.flow, h.bytes, h.at);
-                self.note_enqueue(via, final_dst, h.bytes);
-            }
+            self.pairs
+                .enqueue_relay(via, final_dst, h.flow, h.bytes, h.at);
+            self.note_enqueue(via, final_dst, h.bytes);
         }
         cursor
     }
 
-    /// Enqueue flow `f`, whose source lies in this window.
+    /// Enqueue flow `f`.
     fn enqueue(&mut self, f: &Flow) {
         self.pairs.enqueue_flow(
             f.src,
@@ -548,8 +426,8 @@ impl<'a> SrcRows<'a> {
     /// port. A self pair has no port and counts toward port 0.
     #[inline]
     fn backlog_slot(&self, src: usize, dst: usize) -> Option<usize> {
-        let port = self.relay_fabric?.pair_port(src, dst).unwrap_or(0);
-        Some((src - self.shard.start) * self.s + port)
+        let port = self.relay_fabric.as_ref()?.pair_port(src, dst).unwrap_or(0);
+        Some(src * self.s + port)
     }
 
     /// Account `bytes` that left queue `src → dst`; `relayed` of them came
@@ -567,7 +445,7 @@ impl<'a> SrcRows<'a> {
             self.backlog_by_port[i] -= bytes;
         }
         if relayed > 0 {
-            self.relay_buffers[src - self.shard.start].release(relayed);
+            self.relay_buffers[src].release(relayed);
         }
     }
 
@@ -607,7 +485,7 @@ impl<'a> SrcRows<'a> {
 
     /// Dequeue one packet of the source's own lowest-priority data for a
     /// relay first hop, in a slot that starts at `now`
-    /// ([`PairRows::dequeue_relay_packet`]).
+    /// ([`PairQueues::dequeue_relay_packet`]).
     fn dequeue_relay_packet(
         &mut self,
         src: usize,
@@ -622,7 +500,7 @@ impl<'a> SrcRows<'a> {
 
     /// Dequeue the head segment of `src → dst`'s highest non-empty level
     /// as one run of at most `room` packets of at most `cap` payload bytes
-    /// ([`PairRows::dequeue_run`]).
+    /// ([`PairQueues::dequeue_run`]).
     #[inline]
     fn dequeue_run(&mut self, src: usize, dst: usize, cap: u64, room: usize) -> Option<Run> {
         let run = self.pairs.dequeue_run(src, dst, cap, room)?;
@@ -633,7 +511,7 @@ impl<'a> SrcRows<'a> {
     /// A first hop toward intermediate `via` is sent: its bytes hold room
     /// in `via`'s relay buffer from now until they are forwarded.
     fn admit_relay(&mut self, via: usize, bytes: u64) {
-        self.relay_buffers[via - self.shard.start].admit(bytes);
+        self.relay_buffers[via].admit(bytes);
     }
 
     /// One scheduled-slot transmission of the direct match `src → dst` on
@@ -657,12 +535,12 @@ impl<'a> SrcRows<'a> {
                 stats.scheduled_packets += 1;
                 stats.scheduled_bytes += pkt.bytes;
                 stats.scheduled_deliveries += 1;
-                sink.emit(Event::Data {
-                    slot: k as u32,
-                    dst: dst as u32,
+                let data = Event::Data {
+                    dst,
                     flow: pkt.flow,
                     bytes: pkt.bytes,
-                });
+                };
+                sink.emit(k as u32, data);
             } else {
                 stats.lost_packets += 1;
                 stats.lost_bytes += pkt.bytes;
@@ -769,9 +647,6 @@ pub struct NegotiatorSim {
 
     /// The per-epoch buffers of the whole-fabric phases.
     scratch: SimScratch,
-    /// The predefined phase's shards and their lanes (merge queues,
-    /// counters), fixed at construction and retained across epochs.
-    par: parallel::ParState,
     /// Test oracle: mark every lane at each epoch start, which makes the
     /// predefined phase visit every connection of the round.
     #[cfg(test)]
@@ -922,7 +797,6 @@ impl NegotiatorSim {
             match_rec: MatchRatioRecorder::new(),
             stats: SchedStats::default(),
             scratch: SimScratch::default(),
-            par: parallel::ParState::new(n, opts.workers),
             #[cfg(test)]
             dense: false,
             #[cfg(test)]
@@ -1059,7 +933,7 @@ impl NegotiatorSim {
         self.debug_verify_mirrors();
         #[cfg(test)]
         if self.dense {
-            let mut masks = self.q.lane_masks.all();
+            let masks = &mut self.q.lane_masks;
             (0..self.n).for_each(|src| (0..self.n).for_each(|dst| masks.mark(src, dst)));
         }
         if let SchedulerMode::Iterative { rounds } = self.opts.mode {
@@ -1224,7 +1098,7 @@ impl NegotiatorSim {
                     if self.msg_flags[idx] & RELAY_REQ_FLAG == 0 {
                         self.relay_req_dirty.push(idx as u32);
                         self.msg_flags[idx] |= RELAY_REQ_FLAG;
-                        self.q.lane_masks.all().mark(src, via);
+                        self.q.lane_masks.mark(src, via);
                     }
                     self.out.relay_reqs[src].push(RelayRequest {
                         src,
@@ -1284,7 +1158,7 @@ impl NegotiatorSim {
                 if self.msg_flags[idx] & RELAY_GRANT_FLAG == 0 {
                     self.relay_grant_dirty.push(idx as u32);
                     self.msg_flags[idx] |= RELAY_GRANT_FLAG;
-                    self.q.lane_masks.all().mark(via, r.src);
+                    self.q.lane_masks.mark(via, r.src);
                 }
                 self.out.relay_grants[via].push((r.src as u32, p as u32, r.final_dst as u32, vol));
             }
@@ -1335,7 +1209,7 @@ impl NegotiatorSim {
         }
         let total_slots = (self.n * self.s) as u64;
         let failures = &self.frame.failures;
-        let mut rows = self.q.all();
+        let q = &mut self.q;
         let mut sink = Sink::Apply {
             land: &mut self.land,
             tracker,
@@ -1344,14 +1218,14 @@ impl NegotiatorSim {
         let mut landed = 0;
         for k in 0..k_slots {
             let slot_start = sched_start + k as Nanos * slot_len;
-            cursor = rows.inject(flows, cursor, slot_start);
-            landed = rows.land(&self.first_hops, landed, slot_start);
+            cursor = q.inject(flows, cursor, slot_start);
+            landed = q.land(&self.first_hops, landed, slot_start);
             self.stats.unmatched_slots += total_slots - self.active_list.len() as u64;
             for e in &self.active_list {
                 let slot = e.slot as usize;
                 let (src, port) = (slot / self.s, slot % self.s);
                 if !e.relay {
-                    rows.serve_direct_slot(
+                    q.serve_direct_slot(
                         failures,
                         src,
                         port,
@@ -1369,14 +1243,13 @@ impl NegotiatorSim {
                     let cap = self.sched_payload.min(vol);
                     // Drained once the lowest level is empty or its head
                     // was itself relayed here: two hops at most.
-                    let Some(pkt) = rows.dequeue_relay_packet(src, final_dst, cap, slot_start)
-                    else {
+                    let Some(pkt) = q.dequeue_relay_packet(src, final_dst, cap, slot_start) else {
                         self.active_relay[slot] = None;
                         continue;
                     };
                     self.active_relay[slot] = Some((via, final_dst, vol - pkt.bytes));
                     if failures.link_up(src, via, port) {
-                        rows.admit_relay(via, pkt.bytes);
+                        q.admit_relay(via, pkt.bytes);
                         let hop = FirstHop {
                             at: clock.arrive(k as u32),
                             via: via as u32,
@@ -1472,9 +1345,8 @@ impl EpochEngine for NegotiatorSim {
         mut cursor: usize,
         tracker: &mut FlowTracker,
     ) -> usize {
-        let mut rows = self.q.all();
-        cursor = rows.inject(flows, cursor, t0);
-        let landed = rows.land(&self.first_hops, 0, t0);
+        cursor = self.q.inject(flows, cursor, t0);
+        let landed = self.q.land(&self.first_hops, 0, t0);
         self.first_hops.drain(..landed);
         self.epoch_start(epoch, t0);
         // No link down, no partition, a quiescent detector, no gray
@@ -1494,9 +1366,8 @@ impl EpochEngine for NegotiatorSim {
     /// Control-plane deltas, detector transitions and this epoch's
     /// pair-level REQUEST / GRANT / ACCEPT stamps. Reads the same merged
     /// state the phase counters read: the dirty lists hold this epoch's
-    /// REQUEST pairs and GRANT buckets as *sets* (the steps concatenate
-    /// per-lane lists in shard order, so the set is worker-invariant), and
-    /// stamping is idempotent, so their order never matters. Only traced
+    /// REQUEST pairs and GRANT buckets as *sets*, and stamping is
+    /// idempotent, so their order never matters. Only traced
     /// runs pay for the divergence scan.
     fn trace_control(
         &mut self,
@@ -2072,21 +1943,21 @@ mod tests {
     /// `slot_major` makes every phase take: Hadoop at 90–100 % load
     /// (mid-phase arrivals, queues that several ports serve), PIAS on and
     /// off, a failed-link window that loses scheduled packets, host
-    /// backpressure, one shard and three, and bandwidth series attached.
+    /// backpressure, and bandwidth series attached.
     /// Same report, completion of every flow, counters, series windows and
     /// trace — the batch landing one delivery per run where the walk lands
     /// one per packet.
     #[test]
     fn batched_phase_matches_the_slot_major_walk() {
         let inputs = [
-            (true, 1.0, 1, false),
-            (false, 0.9, 3, false),
-            (true, 0.95, 3, false),
-            (false, 1.0, 1, false),
-            (true, 0.95, 1, true),
+            (true, 1.0, false),
+            (false, 0.9, false),
+            (true, 0.95, false),
+            (false, 1.0, false),
+            (true, 0.95, true),
         ];
         for (kind, n_tors, relay) in FAULT_FABRICS {
-            for (pias, load, workers, series) in inputs {
+            for (pias, load, series) in inputs {
                 let play = |slot_major: bool| {
                     let net = NetworkConfig {
                         n_tors,
@@ -2099,7 +1970,6 @@ mod tests {
                     let opts = SimOptions {
                         selective_relay: relay,
                         host_buffer_bytes: Some(100_000),
-                        workers,
                         rx_window: window,
                         total_rx_window: window,
                         ..SimOptions::default()
@@ -2299,7 +2169,6 @@ mod tests {
             bytes: 10_000_000,
             arrival: 0,
         }]);
-        let mut rows = sim.q.all();
         if relayed > 0 {
             let hop = FirstHop {
                 at: 0,
@@ -2308,9 +2177,9 @@ mod tests {
                 flow: 0,
                 bytes: relayed,
             };
-            rows.land(&[hop], 0, 0);
+            sim.q.land(&[hop], 0, 0);
         }
-        rows.enqueue(&trace.flows()[0]);
+        sim.q.enqueue(&trace.flows()[0]);
         let slot = p1;
         sim.active_relay[slot] = Some((via, fin, u64::MAX));
         if direct {

@@ -1,63 +1,30 @@
-//! The epoch kernel: ACCEPT, GRANT, REQUEST and the scheduled phase
-//! outside selective relay as single passes over the fabric, and the
-//! predefined phase, the one body written over contiguous ToR shards and
-//! byte-identical at any shard count.
-//!
-//! # Single passes
+//! The epoch's per-ToR phases, each one sequential pass over the fabric:
+//! ACCEPT, GRANT and REQUEST, the predefined phase and, outside selective
+//! relay, the scheduled phase.
 //!
 //! In NegotiaToR each ToR computes its GRANT and its ACCEPT from the
 //! messages it received (§3.2), and its REQUEST from its own queues. Each
 //! step is one loop over the ToRs in id order: a ToR's inbox is swapped
 //! out, its arbiter run, and its decisions written straight into the
-//! engine's tables. The scheduled phase outside relay is one loop over the
-//! active-match list ([`NegotiatorSim::scheduled_batched`]). Their
-//! buffers are the engine's one [`SimScratch`], reused every epoch.
+//! engine's tables. The predefined phase is one loop over the round's
+//! timeslots, each visiting the sources in id order and each source's live
+//! connections in port order ([`NegotiatorSim::predefined_phase`]). The
+//! scheduled phase outside relay is one loop over the active-match list
+//! ([`NegotiatorSim::scheduled_batched`]). Their buffers are the engine's
+//! one [`SimScratch`], reused every epoch.
 //!
-//! # The sharded predefined phase
+//! A write that lands on another ToR's state — an inbox push, a data
+//! delivery — is an [`Event`] handed to a [`Sink`], which applies it on the
+//! spot or, on a gray link, counts it as dropped. What an effect *does* is
+//! [`Landing::apply`], and nothing else.
 //!
-//! The predefined phase follows one recipe at any shard count:
+//! # One thread
 //!
-//! 1. **Ownership by row.** ToRs are partitioned into contiguous shards
-//!    once, at construction ([`sim::shard::partition`]). Each shard
-//!    receives disjoint `&mut` windows of the source rows it owns
-//!    ([`sim::shard::split_rows`], `SrcQueues::windows`), handed out as
-//!    they are taken, so that one shard allocates nothing. The type
-//!    system — not a convention — rules out cross-shard writes. Each
-//!    shard injects the flows of its own sources, and queues the relay
-//!    first hops that land at its own intermediates, from slices every
-//!    shard reads.
-//! 2. **Effects for everything else.** A write that lands on another
-//!    ToR's state — an inbox push, a data delivery — is an [`Event`]
-//!    handed to the shard's [`Sink`], in exactly the order a single pass
-//!    over rows `0..n` performs them. With one shard nothing runs beside
-//!    it, so the sink applies the effect on the spot; with several it
-//!    appends the event to the shard's lane. Either way what the effect
-//!    *does* is [`Landing::apply`], and nothing else.
-//! 3. **Ordered replay.** After the fork/join of several shards the merge
-//!    replays lane events on the caller's thread slot-major (events carry
-//!    their slot), lanes in shard order within a slot: the visit order of
-//!    a single pass. The replayed write sequence is therefore *identical*
-//!    to the one-shard one — no commutativity assumptions, no
-//!    floating-point reassociation.
-//!
-//! Shard count moves shard boundaries, never row order, so any
-//! `--workers` value produces the same bytes, selective relay included;
-//! `tests/determinism.rs`, `tests/adversarial.rs` and the CI
-//! `determinism-matrix` job hold the engine to it at 1, 2 and 8, and the
-//! golden-report gate pins the bytes. Shard count alone decides
-//! apply-now versus lane-and-replay: one shard runs inline on the
-//! caller's thread ([`sim::shard::map_shards`]), records nothing and
-//! replays nothing. (A [`Lane`] is a shard's merge queue. The *lane
-//! masks* the phase walks are something else — bits over the predefined
-//! schedule's rotation-invariant connection indices,
-//! [`topology::LaneTable`].)
-//!
-//! # What is not sharded, and why
-//!
-//! Every per-ToR phase once ran the recipe above, and two workers never
-//! beat one. Per-phase wall time of the negotiator runs of
-//! `benchmark/workloads/*.json` on a 2-core host, in ms, median of five
-//! runs, one worker → two, when every phase sharded:
+//! Every phase once also ran over contiguous ToR shards on scoped threads,
+//! with each shard's cross-ToR effects recorded and replayed slot-major
+//! after the join. Two workers never beat one. Per-phase wall time of the
+//! negotiator runs of `benchmark/workloads/*.json` on a 2-core host, in
+//! ms, median of five runs, one worker → two, when every phase sharded:
 //!
 //! | workload | ACCEPT + GRANT + REQUEST | scheduled | predefined |
 //! |---|---|---|---|
@@ -66,145 +33,41 @@
 //! | `alltoall_dense` | 276.5 → 559.5 | 82.6 → 244.3 | 831.4 → 1 044.1 |
 //! | `incast_storm` | 87.3 → 480.3 | 25.0 → 171.0 | 193.5 → 369.5 |
 //!
-//! A fork/join per step, plus the plumbing that split the state into
-//! windows (28 allocations an epoch at one shard), cost more than a
-//! second core returned; only the predefined phase ever broke even. So:
-//!
-//! * **ACCEPT, GRANT, REQUEST and the batched scheduled phase** run as
-//!   the single passes above, at any `--workers`.
-//! * **Selective relay's steps** (`sim.rs`): whole-fabric epilogues of
-//!   ACCEPT, GRANT and REQUEST, written against claims earlier ToRs left
-//!   in the same step. Its scheduled phase walks slot by slot, because a
-//!   relayed packet joins another ToR's queue mid-phase, once it has
-//!   landed there, and may be forwarded later in the same phase.
-//! * **Iterative mode's epoch start**: `IterativeMatcher` is a global
-//!   fixed point over all ToRs, not per-ToR work.
-//! * **The detector's reading of the dummies** (`observe_epoch`): it sees
-//!   each port from both ends, so no row split owns it.
-//! * **`rebuild_active_list` and the flag-clearing prologues**: memset-
-//!   class scans that cost less than a fork/join.
-//!
-//! The predefined phase keeps the recipe: it is the phase `--workers`
-//! checks, a determinism oracle for the effect replay rather than a
-//! speed-up.
+//! A fork/join per step, plus the plumbing that split the state into row
+//! windows, cost more than a second core returned, and a second thread
+//! slowed even a phase it did not run (`alltoall_dense`'s scheduled phase,
+//! 78 → 150 ms). So the engine owns no threads: a run is one sequential
+//! loop, and concurrency lives across runs, in `--jobs` and `sim::pool`.
 
 use super::*;
-use sim::shard;
 use std::ops::Range;
 
-/// Per-shard lane of the predefined phase: merge queue and counters.
-/// Retained across epochs, so the phase allocates nothing once the merge
-/// queues' capacities have warmed up.
-#[derive(Debug, Default)]
-struct Lane {
-    /// Cross-ToR effects awaiting the ordered replay (filled only when
-    /// several shards run).
-    events: Vec<Event>,
-    /// The phase's counters, added into the run's by the merge.
-    stats: SchedStats,
-}
-
-/// The predefined phase's shards and their lanes, fixed at construction.
-#[derive(Debug)]
-pub(super) struct ParState {
-    shards: Vec<Shard>,
-    lanes: Vec<Lane>,
-    /// Per-lane replay cursors (the slot-major merge).
-    ptrs: Vec<usize>,
-}
-
-impl ParState {
-    /// `workers` contiguous shards of `n` ToRs (at least one, at most `n`).
-    pub(super) fn new(n: usize, workers: usize) -> Self {
-        let shards = shard::partition(n, workers);
-        ParState {
-            lanes: shards.iter().map(|_| Lane::default()).collect(),
-            ptrs: vec![0; shards.len()],
-            shards,
-        }
-    }
-}
-
-/// A write that lands on another ToR's state. `slot` is the predefined
-/// timeslot (predefined phase) or the scheduled slot index `k` (scheduled
-/// phase); the arrival time derives from it ([`SlotClock`]).
-#[derive(Debug, Clone, Copy)]
+/// A write that lands on another ToR's state, as it lands: the argument
+/// of [`Landing::apply`].
 pub(super) enum Event {
     /// A REQUEST landing in `inbox_requests[dst]`.
-    Req {
-        slot: u32,
-        dst: u32,
-        src: u32,
-        value: f64,
-        port: u32,
-    },
+    Req { dst: usize, req: ReqIn },
     /// One grant-bucket entry landing in `inbox_grants[dst]`.
     Grant {
-        slot: u32,
-        dst: u32,
-        granter: u32,
-        port: u32,
+        dst: usize,
+        grant: Grant,
         debit: u64,
     },
-    /// A relay request landing in `inbox_relay_req[via]`.
-    RelayReq {
-        slot: u32,
-        via: u32,
-        src: u32,
-        final_dst: u32,
-    },
-    /// One relay-grant entry landing in `inbox_relay_grant[dst]`.
+    /// A relay request landing in `inbox_relay_req[r.via]`.
+    RelayReq(RelayRequest),
+    /// One relay-grant entry, `(via, port, final, vol)`, landing in
+    /// `inbox_relay_grant[dst]`.
     RelayGrant {
-        slot: u32,
-        dst: u32,
-        via: u32,
-        port: u32,
-        final_dst: u32,
-        vol: u64,
+        dst: usize,
+        grant: (usize, usize, usize, u64),
     },
-    /// Data of `flow` delivered to `dst` (tracker + series + rx buffer),
-    /// arriving with the transmissions of `slot`: one packet in the
-    /// predefined phase and the slot-major walk; in the batched scheduled
-    /// phase a whole run of one segment's packets, landed at its last
-    /// delivered packet's slot — or, with a bandwidth series attached,
-    /// one event per slot the run occupies ([`Batch::land`]).
-    Data {
-        slot: u32,
-        dst: u32,
-        flow: u64,
-        bytes: u64,
-    },
-}
-
-impl Event {
-    fn slot(&self) -> u32 {
-        match *self {
-            Event::Req { slot, .. }
-            | Event::Grant { slot, .. }
-            | Event::RelayReq { slot, .. }
-            | Event::RelayGrant { slot, .. }
-            | Event::Data { slot, .. } => slot,
-        }
-    }
-}
-
-/// Projector port bindings are stored as `u16` with `u16::MAX` as
-/// "unbound"; events carry ports in 32 bits, `ReqIn` as `usize`, each with
-/// its type's maximum as "unbound".
-fn port_to_u32(p: u16) -> u32 {
-    if p == u16::MAX {
-        u32::MAX
-    } else {
-        u32::from(p)
-    }
-}
-
-fn port_from_u32(p: u32) -> usize {
-    if p == u32::MAX {
-        usize::MAX
-    } else {
-        p as usize
-    }
+    /// Data of `flow` delivered to `dst` (tracker + series + rx buffer):
+    /// one packet in the predefined phase and the slot-major walk; in the
+    /// batched scheduled phase a whole run of one segment's packets,
+    /// landed at its last delivered packet's slot — or, with a bandwidth
+    /// series attached, one event per slot the run occupies
+    /// ([`Batch::land`]).
+    Data { dst: usize, flow: u64, bytes: u64 },
 }
 
 /// When the transmissions of a phase's slot `k` arrive: `first` for slot
@@ -224,14 +87,14 @@ impl SlotClock {
 
 /// Where a phase body's cross-ToR effects go.
 pub(super) enum Sink<'a> {
-    /// One shard, nothing runs beside it: apply on the spot.
+    /// Apply on the spot, at the arrival time of the transmissions of the
+    /// slot the effect is emitted in: the predefined timeslot (predefined
+    /// phase) or the scheduled slot index `k` (scheduled phase).
     Apply {
         land: &'a mut Landing,
         tracker: &'a mut FlowTracker,
         clock: SlotClock,
     },
-    /// Several shards: append to the shard's lane for the ordered replay.
-    Record(&'a mut Vec<Event>),
     /// A gray link: count the messages it drops.
     Count(&'a mut u64),
 }
@@ -239,15 +102,13 @@ pub(super) enum Sink<'a> {
 impl Sink<'_> {
     // lint: hot-path
     #[inline(always)]
-    pub(super) fn emit(&mut self, ev: Event) {
+    pub(super) fn emit(&mut self, slot: u32, ev: Event) {
         match self {
             Sink::Apply {
                 land,
                 tracker,
                 clock,
-            } => land.apply(ev, clock.arrive(ev.slot()), tracker),
-            // lint: allow(H001) lane vecs keep their capacity across epochs
-            Sink::Record(events) => events.push(ev),
+            } => land.apply(ev, clock.arrive(slot), tracker),
             Sink::Count(dropped) => **dropped += 1,
         }
     }
@@ -261,69 +122,23 @@ impl Landing {
     #[inline(always)]
     fn apply(&mut self, ev: Event, arrive: Nanos, tracker: &mut FlowTracker) {
         match ev {
-            Event::Req {
-                dst,
-                src,
-                value,
-                port,
-                ..
-            } => {
+            Event::Req { dst, req } => {
                 // lint: allow(H001) inbox vecs recycle capacity across epochs (swap-recycled)
-                self.inbox_requests[dst as usize].push(ReqIn {
-                    src: src as usize,
-                    value,
-                    port: port_from_u32(port),
-                });
+                self.inbox_requests[dst].push(req);
             }
-            Event::Grant {
-                dst,
-                granter,
-                port,
-                debit,
-                ..
-            } => {
+            Event::Grant { dst, grant, debit } => {
                 // lint: allow(H001) inbox vecs recycle capacity across epochs (swap-recycled)
-                self.inbox_grants[dst as usize].push((
-                    Grant {
-                        dst: granter as usize,
-                        port: port as usize,
-                    },
-                    debit,
-                ));
+                self.inbox_grants[dst].push((grant, debit));
             }
-            Event::RelayReq {
-                via,
-                src,
-                final_dst,
-                ..
-            } => {
+            Event::RelayReq(r) => {
                 // lint: allow(H001) inbox vecs recycle capacity across epochs (swap-recycled)
-                self.inbox_relay_req[via as usize].push(RelayRequest {
-                    src: src as usize,
-                    via: via as usize,
-                    final_dst: final_dst as usize,
-                });
+                self.inbox_relay_req[r.via].push(r);
             }
-            Event::RelayGrant {
-                dst,
-                via,
-                port,
-                final_dst,
-                vol,
-                ..
-            } => {
+            Event::RelayGrant { dst, grant } => {
                 // lint: allow(H001) inbox vecs recycle capacity across epochs (swap-recycled)
-                self.inbox_relay_grant[dst as usize].push((
-                    via as usize,
-                    port as usize,
-                    final_dst as usize,
-                    vol,
-                ));
+                self.inbox_relay_grant[dst].push(grant);
             }
-            Event::Data {
-                dst, flow, bytes, ..
-            } => {
-                let dst = dst as usize;
+            Event::Data { dst, flow, bytes } => {
                 if let Some(b) = self.rx_buffer.get_mut(dst) {
                     *b += bytes;
                 }
@@ -350,49 +165,38 @@ impl Outbox {
     /// cleared at epoch start).
     #[inline]
     pub(super) fn emit(&self, flags: u8, src: usize, dst: usize, slot: u32, sink: &mut Sink<'_>) {
-        let idx = src * self.n + dst;
-        let (from, to) = (src as u32, dst as u32);
         if flags & REQ_FLAG != 0 {
-            sink.emit(Event::Req {
-                slot,
-                dst: to,
-                src: from,
+            let idx = src * self.n + dst;
+            let req = ReqIn {
+                src,
                 value: self.req.get(idx).copied().unwrap_or(0.0),
-                port: self.req_port.get(idx).map_or(u32::MAX, |&p| port_to_u32(p)),
-            });
+                // A mode without port bindings leaves the request unbound.
+                port: match self.req_port.get(idx) {
+                    Some(&port) if port != u16::MAX => usize::from(port),
+                    _ => usize::MAX,
+                },
+            };
+            sink.emit(slot, Event::Req { dst, req });
         }
         // Grants computed by `src` for requester `dst` ride this connection.
         if flags & GRANT_FLAG != 0 {
             for &(_, port, debit) in self.grants_to(src, dst) {
-                sink.emit(Event::Grant {
-                    slot,
-                    dst: to,
-                    granter: from,
-                    port,
-                    debit,
-                });
+                let grant = Grant {
+                    dst: src,
+                    port: port as usize,
+                };
+                sink.emit(slot, Event::Grant { dst, grant, debit });
             }
         }
         if flags & RELAY_REQ_FLAG != 0 {
-            for r in self.relay_reqs_via(src, dst) {
-                sink.emit(Event::RelayReq {
-                    slot,
-                    via: to,
-                    src: from,
-                    final_dst: r.final_dst as u32,
-                });
+            for &r in self.relay_reqs_via(src, dst) {
+                sink.emit(slot, Event::RelayReq(r));
             }
         }
         if flags & RELAY_GRANT_FLAG != 0 {
             for &(_, port, final_dst, vol) in self.relay_grants_to(src, dst) {
-                sink.emit(Event::RelayGrant {
-                    slot,
-                    dst: to,
-                    via: from,
-                    port,
-                    final_dst,
-                    vol,
-                });
+                let grant = (src, port as usize, final_dst as usize, vol);
+                sink.emit(slot, Event::RelayGrant { dst, grant });
             }
         }
     }
@@ -427,20 +231,11 @@ impl Outbox {
     }
 }
 
-/// A predefined-phase shard's borrows: its source rows and their message
-/// flags, its counters and where its cross-ToR effects go.
-struct PredefCtx<'a> {
-    rows: SrcRows<'a>,
-    msg_flags: &'a mut [u8],
-    stats: &'a mut SchedStats,
-    sink: Sink<'a>,
-}
-
 /// One matched queue's batch of scheduled packets toward `dst`: packet
 /// `i` rides the `i mod m`-th of the queue's `m` ports in slot
 /// `k0 + i / m`, and carries `cap` bytes unless it ends a run.
 struct Batch<'a> {
-    dst: u32,
+    dst: usize,
     k0: usize,
     cap: u64,
     /// `up[q]`: how many of the first `q` ports have their link up
@@ -494,14 +289,10 @@ impl Batch<'_> {
         if delivered == 0 {
             return;
         }
+        let (dst, flow) = (self.dst, run.flow);
         let mut emit = |slot: u32, bytes: u64| {
             stats.scheduled_deliveries += 1;
-            sink.emit(Event::Data {
-                slot,
-                dst: self.dst,
-                flow: run.flow,
-                bytes,
-            });
+            sink.emit(slot, Event::Data { dst, flow, bytes });
         };
         if !self.series {
             // Some port is up, so the walk back stops within `m` packets.
@@ -524,28 +315,6 @@ impl Batch<'_> {
             from = to;
         }
     }
-}
-
-/// One sink per lane, in lane order: apply-now for a single lane, record
-/// otherwise.
-fn sinks<'a>(
-    lanes: &'a mut [Lane],
-    land: &'a mut Landing,
-    tracker: &'a mut FlowTracker,
-    clock: SlotClock,
-) -> impl Iterator<Item = (&'a mut SchedStats, Sink<'a>)> {
-    let mut apply = (lanes.len() == 1).then_some((land, tracker));
-    lanes.iter_mut().map(move |lane| {
-        let sink = match apply.take() {
-            Some((land, tracker)) => Sink::Apply {
-                land,
-                tracker,
-                clock,
-            },
-            None => Sink::Record(&mut lane.events),
-        };
-        (&mut lane.stats, sink)
-    })
 }
 
 impl NegotiatorSim {
@@ -639,7 +408,7 @@ impl NegotiatorSim {
         } = &mut self.scratch;
         let (grants, msg_flags) = (&mut self.out.grants, &mut self.msg_flags);
         let (grant_dirty, port_granted) = (&mut self.grant_dirty, &mut self.port_granted);
-        let mut lane_masks = self.q.lane_masks.all();
+        let lane_masks = &mut self.q.lane_masks;
         let mut push = |granter: usize, requester: usize, port: usize, debit: u64| {
             let idx = granter * n + requester;
             if msg_flags[idx] & GRANT_FLAG == 0 {
@@ -841,25 +610,22 @@ impl NegotiatorSim {
         }
     }
 
-    /// The predefined phase of every epoch (sharded by source ToR): a shard
-    /// injects its own sources' flows, then the relay first hops landed at
-    /// its own intermediates, at slot boundaries, and then looks only at
-    /// the connections whose lane bit is set — those whose pair has
-    /// backlog or scheduling messages ([`topology::LaneTable`]) — moving
-    /// the messages and piggybacking one packet per connected pair. Per
-    /// slot it walks its sources in ascending order and each source's set
-    /// lanes in ascending port order, which is the `(slot, src, port)`
-    /// order of a pass over every connection; every cross-ToR effect goes
-    /// to the shard's sink, slot-tagged. The replay is slot-major, lanes in
-    /// shard order within a slot: exactly the order of a single pass.
-    /// Outside a `healthy` epoch a visit checks its link: messages cross
-    /// only one up and not gray (a gray one drops them, the pair keeps its
-    /// flags), a packet only one the detector has not excluded, lost if
-    /// it is down.
+    /// The predefined phase of every epoch. At each slot boundary it
+    /// injects the flows that have arrived and queues the relay first hops
+    /// that have landed, and then looks only at the connections whose lane
+    /// bit is set — those whose pair has backlog or scheduling messages
+    /// ([`topology::LaneTable`]) — moving the messages and piggybacking one
+    /// packet per connected pair. Per slot it walks the sources in
+    /// ascending order and each source's set lanes in ascending port
+    /// order, which is the `(slot, src, port)` order of a pass over every
+    /// connection, applying each cross-ToR effect as it goes. Outside a
+    /// `healthy` epoch a visit checks its link: messages cross only one up
+    /// and not gray (a gray one drops them, the pair keeps its flags), a
+    /// packet only one the detector has not excluded, lost if it is down.
     pub(super) fn predefined_phase(
         &mut self,
         flows: &[Flow],
-        cursor: usize,
+        mut cursor: usize,
         epoch: u64,
         t0: Nanos,
         healthy: bool,
@@ -874,145 +640,85 @@ impl NegotiatorSim {
         };
         let (failures, faults, detector) =
             (&self.frame.failures, &self.frame.faults, &self.detector);
-        // Flows that arrive during this phase and first hops that land in
-        // it, shared read-only: each shard walks both slices once and
-        // enqueues only at its own sources.
-        let last_start = t0 + (pre_slots as Nanos - 1) * pre_slot_len;
-        let end = cursor + flows[cursor..].partition_point(|f| f.arrival <= last_start);
-        let phase_flows = &flows[cursor..end];
-        let landed = self.first_hops.partition_point(|h| h.at <= last_start);
-        let phase_hops = &self.first_hops[..landed];
-        let ParState {
-            shards,
-            lanes,
-            ptrs,
-        } = &mut self.par;
-        for lane in lanes.iter_mut() {
-            lane.events.clear();
-            lane.stats = SchedStats::default();
-        }
-        let out = &self.out;
-        let ctxs = self
-            .q
-            .windows(shards)
-            .zip(shard::split_rows(&mut self.msg_flags, n, shards))
-            .zip(sinks(lanes, &mut self.land, tracker, clock))
-            .map(|((rows, msg_flags), (stats, sink))| PredefCtx {
-                rows,
-                msg_flags,
-                stats,
-                sink,
-            });
-        shard::map_shards(ctxs, |_, ctx| {
-            let PredefCtx {
-                mut rows,
-                msg_flags,
-                stats,
-                mut sink,
-            } = ctx;
-            let shard = rows.shard;
-            let sched = rows.lane_masks.lanes();
-            let (mut next, mut next_hop) = (0usize, 0usize);
-            // lint: hot-path
-            for slot in 0..pre_slots {
-                let now = t0 + slot as Nanos * pre_slot_len;
-                next = rows.inject(phase_flows, next, now);
-                next_hop = rows.land(phase_hops, next_hop, now);
-                for src in shard.start..shard.end {
-                    let group = rows.lane_masks.group(src, slot);
-                    // Most groups of a lightly loaded fabric are idle.
-                    if rows.lane_masks.is_idle(group) {
-                        continue;
-                    }
-                    let origin = sched.origin(slot, src);
-                    for ports in sched.port_order(epoch) {
-                        let mut from = ports.start;
-                        while let Some(lane) = rows.lane_masks.next_lane(group, from..ports.end) {
-                            from = lane + 1;
-                            let dst = sched.dst(origin, lane);
-                            let row = rows.row(src, dst);
-                            let (flags, mut backlog) = (msg_flags[row], rows.queue_bytes[row]);
-                            let (mut up, mut gray, mut usable) = (true, false, true);
-                            if !healthy {
-                                let port = sched.port(lane, epoch);
-                                up = failures.link_up(src, dst, port);
-                                gray = up && faults.gray_drops(epoch, src, dst);
-                                usable = detector.usable(src, dst, port);
+        let (q, out, msg_flags, stats) =
+            (&mut self.q, &self.out, &mut self.msg_flags, &mut self.stats);
+        let first_hops = &self.first_hops[..];
+        let mut sink = Sink::Apply {
+            land: &mut self.land,
+            tracker,
+            clock,
+        };
+        let sched = q.lane_masks.lanes();
+        let mut landed = 0;
+        // lint: hot-path
+        for slot in 0..pre_slots {
+            let now = t0 + slot as Nanos * pre_slot_len;
+            cursor = q.inject(flows, cursor, now);
+            landed = q.land(first_hops, landed, now);
+            for src in 0..n {
+                let group = q.lane_masks.group(src, slot);
+                // Most groups of a lightly loaded fabric are idle.
+                if q.lane_masks.is_idle(group) {
+                    continue;
+                }
+                let origin = sched.origin(slot, src);
+                for ports in sched.port_order(epoch) {
+                    let mut from = ports.start;
+                    while let Some(lane) = q.lane_masks.next_lane(group, from..ports.end) {
+                        from = lane + 1;
+                        let dst = sched.dst(origin, lane);
+                        let row = src * n + dst;
+                        let (flags, mut backlog) = (msg_flags[row], q.queue_bytes[row]);
+                        let (mut up, mut gray, mut usable) = (true, false, true);
+                        if !healthy {
+                            let port = sched.port(lane, epoch);
+                            up = failures.link_up(src, dst, port);
+                            gray = up && faults.gray_drops(epoch, src, dst);
+                            usable = detector.usable(src, dst, port);
+                        }
+                        stats.predefined_conns_visited += 1;
+                        if flags != 0 {
+                            if up && !gray {
+                                out.emit(flags, src, dst, slot as u32, &mut sink);
+                                msg_flags[row] = flags & !REQ_FLAG; // delivered once
+                            } else if gray {
+                                // Undelivered messages expire at the next
+                                // epoch start.
+                                let dropped = &mut stats.control_dropped;
+                                out.emit(flags, src, dst, 0, &mut Sink::Count(dropped));
                             }
-                            stats.predefined_conns_visited += 1;
-                            if flags != 0 {
-                                if up && !gray {
-                                    out.emit(flags, src, dst, slot as u32, &mut sink);
-                                    msg_flags[row] = flags & !REQ_FLAG; // delivered once
-                                } else if gray {
-                                    // Undelivered messages expire at the
-                                    // next epoch start.
-                                    let dropped = &mut stats.control_dropped;
-                                    out.emit(flags, src, dst, 0, &mut Sink::Count(dropped));
-                                }
+                        }
+                        if piggyback && backlog > 0 && usable {
+                            let pkt = q
+                                .dequeue_packet(src, dst, pb_payload, now)
+                                .expect("non-zero mirror implies a packet");
+                            backlog -= pkt.bytes;
+                            if up {
+                                stats.piggyback_packets += 1;
+                                stats.piggyback_bytes += pkt.bytes;
+                                let data = Event::Data {
+                                    dst,
+                                    flow: pkt.flow,
+                                    bytes: pkt.bytes,
+                                };
+                                sink.emit(slot as u32, data);
+                            } else {
+                                // Recovery is an upper-layer (TCP) concern.
+                                stats.lost_packets += 1;
+                                stats.lost_bytes += pkt.bytes;
                             }
-                            if piggyback && backlog > 0 && usable {
-                                let pkt = rows
-                                    .dequeue_packet(src, dst, pb_payload, now)
-                                    .expect("non-zero mirror implies a packet");
-                                backlog -= pkt.bytes;
-                                if up {
-                                    stats.piggyback_packets += 1;
-                                    stats.piggyback_bytes += pkt.bytes;
-                                    sink.emit(Event::Data {
-                                        slot: slot as u32,
-                                        dst: dst as u32,
-                                        flow: pkt.flow,
-                                        bytes: pkt.bytes,
-                                    });
-                                } else {
-                                    // Recovery is an upper-layer (TCP)
-                                    // concern.
-                                    stats.lost_packets += 1;
-                                    stats.lost_bytes += pkt.bytes;
-                                }
-                            }
-                            // Nothing left to say: the pair's other
-                            // connection, if any, clears its own bit.
-                            if msg_flags[row] as u64 | backlog == 0 {
-                                rows.lane_masks.clear(group, lane);
-                            }
+                        }
+                        // Nothing left to say: the pair's other connection,
+                        // if any, clears its own bit.
+                        if msg_flags[row] as u64 | backlog == 0 {
+                            q.lane_masks.clear(group, lane);
                         }
                     }
                 }
             }
-        });
-        // Replay slot-major: all lanes' slot-`k` events (lanes in shard
-        // order, each lane's events in emission order) before any
-        // slot-`k+1` event. Per-lane streams are slot-sorted by
-        // construction, so one cursor per lane suffices. A single lane
-        // applied its effects as it went and recorded none.
-        ptrs.fill(0);
-        // lint: hot-path
-        for slot in 0..pre_slots as u32 {
-            let arrive = clock.arrive(slot);
-            for (lane, ptr) in lanes.iter().zip(ptrs.iter_mut()) {
-                while let Some(ev) = lane.events.get(*ptr) {
-                    if ev.slot() != slot {
-                        break;
-                    }
-                    *ptr += 1;
-                    self.land.apply(*ev, arrive, tracker);
-                }
-            }
-        }
-        debug_assert!(
-            lanes
-                .iter()
-                .zip(ptrs.iter())
-                .all(|(lane, &p)| p == lane.events.len()),
-            "every event must replay exactly once"
-        );
-        for lane in lanes.iter() {
-            self.stats += lane.stats;
         }
         self.first_hops.drain(..landed);
-        end
+        cursor
     }
 
     /// The scheduled phase outside selective relay. Each source drains
@@ -1056,8 +762,7 @@ impl NegotiatorSim {
             arrivals,
             ..
         } = &mut self.scratch;
-        let stats = &mut self.stats;
-        let mut rows = self.q.all();
+        let (q, stats) = (&mut self.q, &mut self.stats);
         let mut sink = Sink::Apply {
             land: &mut self.land,
             tracker,
@@ -1069,7 +774,7 @@ impl NegotiatorSim {
         // a slot-major walk serves each slot's ports. The queue leaves as
         // runs, each landed whole; a port whose link is down loses its
         // packets.
-        let mut send = |rows: &mut SrcRows<'_>, ports: &[usize], src, dst, slots: Range<usize>| {
+        let mut send = |q: &mut SrcQueues, ports: &[usize], src, dst, slots: Range<usize>| {
             let room = ports.len() * slots.len();
             if room == 0 {
                 return;
@@ -1082,7 +787,7 @@ impl NegotiatorSim {
                 up.push(live);
             }
             let batch = Batch {
-                dst: dst as u32,
+                dst,
                 k0: slots.start,
                 cap,
                 up,
@@ -1090,7 +795,7 @@ impl NegotiatorSim {
             };
             let mut at = 0;
             while at < room {
-                let Some(run) = rows.dequeue_run(src, dst, cap, room - at) else {
+                let Some(run) = q.dequeue_run(src, dst, cap, room - at) else {
                     break;
                 };
                 batch.land(at, run, stats, &mut sink);
@@ -1105,7 +810,7 @@ impl NegotiatorSim {
                 // lint: allow(H001) retained scratch, cleared each phase, never shrunk
                 arrivals.push((f.src as u32, f.dst as u32, i as u32));
             } else {
-                rows.enqueue(f);
+                q.enqueue(f);
             }
         }
         arrivals.sort_unstable();
@@ -1140,11 +845,11 @@ impl NegotiatorSim {
                 for &(_, _, j) in &arrivals[lo..hi] {
                     let f = &phase_flows[j as usize];
                     let k = inject_slot(f.arrival) as usize;
-                    send(&mut rows, ports, src, dst, k0..k);
-                    rows.enqueue(f);
+                    send(q, ports, src, dst, k0..k);
+                    q.enqueue(f);
                     k0 = k;
                 }
-                send(&mut rows, ports, src, dst, k0..k_slots);
+                send(q, ports, src, dst, k0..k_slots);
             }
         }
         end

@@ -12,9 +12,8 @@
 //! ports from honest destinations' grants, and (for the stateful variant)
 //! bypass the demand-matrix debits entirely.
 //!
-//! The logic is a pure function of `(epoch, dst, port)` so the sequential
-//! and sharded grant steps produce identical grants regardless of
-//! `--workers`.
+//! The logic is a pure function of `(epoch, dst, port)`, so the grants do
+//! not depend on the order in which the GRANT step visits destinations.
 
 use topology::Topology;
 

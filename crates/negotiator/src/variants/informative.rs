@@ -54,12 +54,12 @@ mod tests {
         // is left after the mice levels drain. Pair 0 → 1: fresh mice,
         // waiting only briefly.
         let mut q = PairQueues::new(1, 2, false);
-        q.all().enqueue_flow(0, 0, 1, 50_000, 0, true, TH);
+        q.enqueue_flow(0, 0, 1, 50_000, 0, true, TH);
         for level in 0..2 {
-            while q.all().dequeue_level_packet(0, 0, level, 1_115).is_some() {}
+            while q.dequeue_level_packet(0, 0, level, 1_115).is_some() {}
         }
         assert_eq!(q.pair(0, 0).total_bytes(), 40_000);
-        q.all().enqueue_flow(0, 1, 2, 500, 995_000, true, TH);
+        q.enqueue_flow(0, 1, 2, 500, 995_000, true, TH);
         let v_old_elephant = hol_delay_value(q.pair(0, 0), 1_000_000, DEFAULT_ALPHA);
         let v_recent_mice = hol_delay_value(q.pair(0, 1), 1_000_000, DEFAULT_ALPHA);
         // 5 µs of mice waiting outranks 1 ms of elephant waiting at α=0.001.

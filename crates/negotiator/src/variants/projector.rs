@@ -100,8 +100,7 @@ mod tests {
     fn queues_with(n: usize, demands: &[(usize, u64, Nanos)]) -> PairQueues {
         let mut qs = PairQueues::new(1, n, false);
         for &(dst, bytes, at) in demands {
-            qs.all()
-                .enqueue_flow(0, dst, dst as u64, bytes, at, true, TH);
+            qs.enqueue_flow(0, dst, dst as u64, bytes, at, true, TH);
         }
         qs
     }

@@ -116,8 +116,8 @@ mod tests {
         // With the O(1) elephant table (as the engine runs it) and without.
         for tracked in [true, false] {
             let mut q = PairQueues::new(1, 2, tracked);
-            q.all().enqueue_flow(0, 0, 1, 9_000, 0, true, TH); // pure mice
-            q.all().enqueue_flow(0, 1, 2, 500_000, 0, true, TH); // elephant
+            q.enqueue_flow(0, 0, 1, 9_000, 0, true, TH); // pure mice
+            q.enqueue_flow(0, 1, 2, 500_000, 0, true, TH); // elephant
             assert!(!pair_qualifies(q.pair(0, 0), &p));
             assert!(pair_qualifies(q.pair(0, 1), &p));
         }
@@ -129,7 +129,7 @@ mod tests {
         let mut q = PairQueues::new(1, 1, true);
         // Many distinct mice flows: lots of bytes, all at levels 0/1.
         for f in 0..40 {
-            q.all().enqueue_flow(0, 0, f, 9_999, 0, true, TH);
+            q.enqueue_flow(0, 0, f, 9_999, 0, true, TH);
         }
         assert!(q.pair(0, 0).total_bytes() > p.min_elephant_backlog);
         assert!(!pair_qualifies(q.pair(0, 0), &p));
@@ -141,7 +141,7 @@ mod tests {
         let mut q = PairQueues::new(1, 1, true);
         // A deep lowest-level backlog, all of it forwarded for others.
         for f in 0..200 {
-            q.all().enqueue_relay(0, 0, f, 1_115, 0);
+            q.enqueue_relay(0, 0, f, 1_115, 0);
         }
         assert!(q.pair(0, 0).level_bytes(2) > p.min_elephant_backlog);
         assert!(!pair_qualifies(q.pair(0, 0), &p));

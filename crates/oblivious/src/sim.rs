@@ -339,7 +339,7 @@ impl ObliviousSim {
             bytes: bytes as u32,
         };
         if self.q.push(src, via, level, seg) {
-            self.live.all().mark(src, via);
+            self.live.mark(src, via);
         }
     }
 
@@ -419,10 +419,9 @@ impl ObliviousSim {
 
     #[cfg(test)]
     fn mark_all(&mut self) {
-        let mut masks = self.live.all();
         for src in 0..self.n {
             for via in 0..self.n {
-                masks.mark(src, via);
+                self.live.mark(src, via);
             }
         }
     }
@@ -434,13 +433,13 @@ impl RotorQueues {
     #[inline]
     fn push(&mut self, src: usize, via: usize, list: usize, seg: BoundSeg) -> bool {
         self.queued += seg.bytes as u64;
-        self.lists.all().push_back(src, via, list, seg)
+        self.lists.push_back(src, via, list, seg)
     }
 
     /// Unlink the head of `list` of pair `(src, via)`.
     #[inline]
     fn pop(&mut self, src: usize, via: usize, list: usize) -> Option<BoundSeg> {
-        let seg = self.lists.all().pop_front(src, via, list)?;
+        let seg = self.lists.pop_front(src, via, list)?;
         self.queued -= seg.bytes as u64;
         Some(seg)
     }
@@ -482,8 +481,7 @@ impl RotorQueues {
             } else {
                 // First-hop bulk injection, subject to the relay credit of
                 // the (via, final) buffer.
-                let mut lists = self.lists.all();
-                if let Some(mut head) = lists.front_mut(src, via, BULK) {
+                if let Some(mut head) = self.lists.front_mut(src, via, BULK) {
                     let seg = *head;
                     let rc = via * self.n + seg.final_dst as usize;
                     let direct = seg.final_dst as usize == via;
@@ -599,7 +597,7 @@ impl EpochEngine for ObliviousSim {
             self.enqueue_flow(f.id as u32, f.src, f.dst, f.bytes);
             cursor += 1;
         }
-        let mut masks = self.live.all();
+        let masks = &mut self.live;
         // Land first-hop chunks whose flight ends at this slot (the
         // landing buffer is swapped, not reallocated, each slot). Only a
         // FIFO turning non-empty marks: the bits of a FIFO that already

@@ -38,18 +38,11 @@ pub enum System {
 }
 
 impl System {
-    /// Construct the simulator. `workers` is the intra-run shard worker
-    /// count (`--workers`): reports are byte-identical at any value, so it
-    /// is a wall-clock knob and no part of the description. The rotor's
-    /// slot loop is order-semantic (relay credits, one RNG stream) and
-    /// takes none.
-    pub fn build(self, workers: usize) -> Engine {
+    /// Construct the simulator. Either engine runs on the caller's thread
+    /// and owns none of its own.
+    pub fn build(self) -> Engine {
         match self {
             System::Negotiator(kind, cfg, opts) => {
-                let opts = SimOptions {
-                    workers: workers.max(1),
-                    ..opts
-                };
                 Engine::Negotiator(Box::new(NegotiatorSim::with_options(cfg, kind, opts)))
             }
             System::Oblivious(kind, cfg) => {
@@ -167,7 +160,7 @@ pub struct ScenarioRunOutput {
     /// The run's text block (the per-phase table).
     pub rendered: String,
     /// Flight-recorder NDJSON (only when the run was built with tracing;
-    /// byte-identical at any worker count, like every other output).
+    /// byte-identical from run to run, like every other output).
     pub trace: Option<String>,
 }
 
@@ -182,16 +175,14 @@ pub struct ScenarioRun {
 /// Build the scenario's runs, one per engine in spec order.
 ///
 /// `progress`, when given, is invoked from the worker thread as each
-/// engine crosses each phase boundary. `workers` is the intra-run shard
-/// worker count (`--workers`). `trace` attaches the flight recorder with
-/// that ring capacity in events: each run then fills
-/// [`ScenarioRunOutput::trace`] with its NDJSON. All three are
+/// engine crosses each phase boundary. `trace` attaches the flight
+/// recorder with that ring capacity in events: each run then fills
+/// [`ScenarioRunOutput::trace`] with its NDJSON. Both are
 /// observational — every other output byte is the same with or without
 /// them, and none reaches results, hashes or cache keys.
 pub fn build_runs(
     compiled: &CompiledScenario,
     progress: Option<ProgressSink>,
-    workers: usize,
     trace: Option<usize>,
 ) -> Vec<ScenarioRun> {
     compiled
@@ -205,9 +196,7 @@ pub fn build_runs(
             let progress = progress.clone();
             ScenarioRun {
                 system,
-                run: Box::new(move || {
-                    run_engine(engine, &compiled, &label, progress, workers, trace)
-                }),
+                run: Box::new(move || run_engine(engine, &compiled, &label, progress, trace)),
             }
         })
         .collect()
@@ -245,11 +234,10 @@ fn run_engine(
     compiled: &CompiledScenario,
     system: &str,
     progress: Option<ProgressSink>,
-    workers: usize,
     record: Option<usize>,
 ) -> ScenarioRunOutput {
     let spec = &compiled.spec;
-    let mut sim = engine.system(spec).build(workers);
+    let mut sim = engine.system(spec).build();
     for (at, action) in &compiled.timeline {
         sim.schedule_fault(*at, action.clone());
     }
@@ -299,7 +287,7 @@ mod tests {
     #[test]
     fn both_engines_run_and_bucket_phases() {
         let c = compiled("");
-        for run in build_runs(&c, None, 1, None) {
+        for run in build_runs(&c, None, None) {
             let out = (run.run)();
             assert_eq!(out.series.len(), 2, "{}", run.system);
             assert!(out.series.iter().any(|p| p.completed > 0), "{}", run.system);
@@ -342,7 +330,7 @@ mod tests {
   ]
 }"#;
         let c = compile(parse_scenario(text).unwrap(), Path::new(".")).unwrap();
-        let runs = build_runs(&c, None, 2, None);
+        let runs = build_runs(&c, None, None);
         assert_eq!(runs.len(), 1);
         let out = (runs.into_iter().next().unwrap().run)();
         let g: Vec<f64> = out.series.iter().map(|p| p.goodput_normalized).collect();
@@ -369,11 +357,7 @@ mod tests {
   ]
 }"#;
         let c = compile(parse_scenario(text).unwrap(), Path::new(".")).unwrap();
-        let out = (build_runs(&c, None, 2, None)
-            .into_iter()
-            .next()
-            .unwrap()
-            .run)();
+        let out = (build_runs(&c, None, None).into_iter().next().unwrap().run)();
         let s = &out.series;
         assert_eq!(s[0].control_dropped, 0, "{s:?}");
         assert!(s[1].control_dropped > 0, "{s:?}");
@@ -390,7 +374,7 @@ mod tests {
     fn progress_sink_sees_every_phase_and_changes_nothing() {
         use std::sync::Mutex;
         let c = compiled("");
-        let plain: Vec<_> = build_runs(&c, None, 1, None)
+        let plain: Vec<_> = build_runs(&c, None, None)
             .into_iter()
             .map(|r| (r.run)().rendered)
             .collect();
@@ -399,7 +383,7 @@ mod tests {
             let seen = Arc::clone(&seen);
             Arc::new(move |p: PhaseProgress| seen.lock().unwrap().push(p))
         };
-        let observed: Vec<_> = build_runs(&c, Some(sink), 1, None)
+        let observed: Vec<_> = build_runs(&c, Some(sink), None)
             .into_iter()
             .map(|r| (r.run)().rendered)
             .collect();
@@ -420,7 +404,7 @@ mod tests {
     fn run_output_is_deterministic() {
         let c = compiled("");
         let once = |c: &CompiledScenario| {
-            let out: Vec<_> = build_runs(c, None, 1, None)
+            let out: Vec<_> = build_runs(c, None, None)
                 .into_iter()
                 .map(|r| (r.run)())
                 .collect();

@@ -5,9 +5,8 @@
 //! [`service::cli`] (README "The `paper` CLI" carries the same text).
 //!
 //! Experiments expand into independent runs executed across `--jobs`
-//! worker threads, and each simulation can shard its per-ToR phase work
-//! across `--workers` intra-run threads; output is byte-identical at any
-//! job or worker count. `--json`
+//! worker threads, the only concurrency there is: each simulation runs on
+//! one thread, and output is byte-identical at any job count. `--json`
 //! writes one machine-readable `results/<id>.json` per experiment
 //! (schema: see `bench::results`). `paper scenario` runs declarative
 //! scenario files through the same machinery, deduping identical runs in
@@ -46,7 +45,6 @@ fn main() {
         Command::Scenario {
             files,
             jobs,
-            workers,
             cache,
             trace,
             trace_capacity,
@@ -54,7 +52,6 @@ fn main() {
         } => run_scenarios(
             &files,
             jobs,
-            workers,
             cache,
             trace.as_deref().map(|path| (path, trace_capacity)),
             &output,
@@ -167,7 +164,6 @@ enum Plan {
 fn run_scenarios(
     files: &[PathBuf],
     jobs: usize,
-    workers: usize,
     use_cache: bool,
     trace: Option<(&Path, Option<usize>)>,
     output: &Output,
@@ -217,7 +213,7 @@ fn run_scenarios(
                     c.spec.name,
                     c.spec.engines.len()
                 );
-                let (report, ndjson) = scenario::execute_traced(c, None, workers, capacity);
+                let (report, ndjson) = scenario::execute_traced(c, None, capacity);
                 let path = match to_run.len() {
                     1 => path.to_path_buf(),
                     _ => suffixed_trace_path(path, &c.spec.name),
@@ -241,7 +237,7 @@ fn run_scenarios(
                 "[{} scenario(s), {runs} runs across {jobs} jobs]",
                 to_run.len()
             );
-            let outcome = scenario::run_batch(&to_run, jobs, workers);
+            let outcome = scenario::run_batch(&to_run, jobs);
             if outcome.coalesced > 0 {
                 eprintln!(
                     "[coalesced {} duplicate run(s) — identical content hash, simulated once]",

@@ -74,6 +74,8 @@ struct Flag {
     /// The subcommands the flag applies to.
     subs: &'static [Sub],
     help: &'static str,
+    /// The largest count the flag accepts, where it has one.
+    max: Option<usize>,
 }
 
 const fn flag(
@@ -87,6 +89,7 @@ const fn flag(
         value,
         subs,
         help,
+        max: None,
     }
 }
 
@@ -96,8 +99,7 @@ const FLAGS: &[Flag] = &[
     flag("--loads", Some("10,50,100"), &[Run], "sweep load points, percentages in (0, 100]"),
     flag("--seed", Some("N"), &[Run], "workload seed"),
     flag("--seeds", Some("A,B,C"), &[Run], "one full sweep per seed (<id>-s<seed>.json)"),
-    flag("--jobs", Some("N"), &[Run, Scenario, Serve], "worker threads (default: available parallelism)"),
-    flag("--workers", Some("N"), &[Run, Scenario, Serve], "predefined-phase shards per simulation (default 1): a determinism check, mostly measured slower; output bytes never change"),
+    Flag { max: Some(sim::pool::MAX_JOBS), ..flag("--jobs", Some("N"), &[Run, Scenario, Serve], "worker threads (default: available parallelism)") },
     flag("--json", None, &[Run, Scenario, TraceQuery, List, Lint], "machine-readable output (results/<id>.json for runs)"),
     flag("--no-timing", None, &[Run, Scenario], "omit wall-clock fields from written JSON: the deterministic document"),
     flag("--no-cache", None, &[Scenario], "skip the content-addressed result cache in both directions"),
@@ -163,7 +165,11 @@ pub fn usage() -> String {
     }
     out.push_str("flags:\n");
     for flag in FLAGS {
-        out.push_str(&format!("  {:<30} {}\n", flag.spelled(), flag.help));
+        out.push_str(&format!("  {:<30} {}", flag.spelled(), flag.help));
+        if let Some(max) = flag.max {
+            out.push_str(&format!("; at most {max}"));
+        }
+        out.push('\n');
     }
     out
 }
@@ -202,8 +208,6 @@ pub enum Command {
         files: Vec<PathBuf>,
         /// Worker threads of the sweep engine.
         jobs: usize,
-        /// Shard workers inside each simulation.
-        workers: usize,
         /// Consult and populate the result cache (`--no-cache` clears).
         cache: bool,
         /// Write flight-recorder NDJSON here (`--trace PATH`).
@@ -281,12 +285,14 @@ impl Given {
         self.get(name).map(parse).transpose()
     }
 
-    /// A count that must be at least one (`--jobs`, `--workers`).
-    fn at_least_one(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.parsed(name, "an integer")? {
-            Some(0) => Err(format!("{name}: need at least 1")),
+    /// `--jobs`: a count from one to the flag's ceiling.
+    fn jobs(&self) -> Result<usize, String> {
+        let max = sim::pool::MAX_JOBS;
+        match self.parsed("--jobs", "an integer")? {
+            Some(0) => Err("--jobs: need at least 1".into()),
+            Some(n) if n > max => Err(format!("--jobs: {n} threads asked; at most {max}")),
             Some(n) => Ok(n),
-            None => Ok(default),
+            None => Ok(sim::pool::default_jobs()),
         }
     }
 
@@ -378,8 +384,7 @@ pub fn parse(argv: Vec<String>) -> Result<Command, String> {
             }
             Command::Scenario {
                 files: operands.iter().map(PathBuf::from).collect(),
-                jobs: given.at_least_one("--jobs", sim::pool::default_jobs())?,
-                workers: given.at_least_one("--workers", 1)?,
+                jobs: given.jobs()?,
                 cache: !given.has("--no-cache"),
                 trace: trace.map(PathBuf::from),
                 trace_capacity,
@@ -388,8 +393,7 @@ pub fn parse(argv: Vec<String>) -> Result<Command, String> {
         }
         Serve => Command::Serve(ServeConfig {
             addr: given.addr()?,
-            jobs: given.at_least_one("--jobs", sim::pool::default_jobs())?,
-            workers: given.at_least_one("--workers", 1)?,
+            jobs: given.jobs()?,
             out: given.output().dir,
             log_level: match given.get("--log-level") {
                 Some(level) => LogLevel::parse(level).map_err(|e| format!("--log-level: {e}"))?,
@@ -449,10 +453,7 @@ fn run_command(operands: &[String], given: &Given) -> Result<Command, String> {
             return Err(format!("unknown experiment '{id}' — try `paper list`"));
         }
     }
-    let mut args = Args {
-        workers: given.at_least_one("--workers", 1)?,
-        ..Args::default()
-    };
+    let mut args = Args::default();
     if let Some(ms) = given.parsed::<f64>("--duration-ms", "a number")? {
         if !ms.is_finite() || ms <= 0.0 {
             return Err(format!("--duration-ms: {ms} must be > 0"));
@@ -477,7 +478,7 @@ fn run_command(operands: &[String], given: &Given) -> Result<Command, String> {
         ids,
         args,
         seeds,
-        jobs: given.at_least_one("--jobs", sim::pool::default_jobs())?,
+        jobs: given.jobs()?,
         output: given.output(),
     })
 }
@@ -537,7 +538,7 @@ mod tests {
             List => "list",
             Lint => "lint",
         };
-        assert_eq!(FLAGS.len(), 22);
+        assert_eq!(FLAGS.len(), 21);
         for flag in FLAGS {
             let value = match (flag.value, flag.name) {
                 (None, _) => "",
@@ -576,7 +577,7 @@ mod tests {
             ("lint --jobs 3", "--jobs applies to `paper <experiment-id>"),
             ("list --no-cache", "--no-cache applies to `paper scenario"),
             (
-                "trace t.ndjson --workers 2",
+                "trace t.ndjson --jobs 2",
                 "`paper serve`, not to `paper trace",
             ),
             ("fig9 --no-cache", "--no-cache applies to `paper scenario"),
@@ -629,7 +630,6 @@ mod tests {
             ("fig9 --jobs 0", "at least 1"),
             ("fig9 --jobs", "needs a value"),
             ("fig9 --jobs x", "not an integer"),
-            ("fig9 --workers 0", "at least 1"),
             ("fig9 --duration-ms -1", "> 0"),
             // 0 would yield an empty trace and NaN ratio cells.
             ("fig9 --duration-ms 0", "> 0"),
@@ -651,9 +651,38 @@ mod tests {
         ]);
     }
 
+    /// `--jobs` above `sim::pool::MAX_JOBS` is refused while parsing, on
+    /// every subcommand that takes it, before any worker could start; the
+    /// ceiling itself is accepted, and the usage states it.
+    #[test]
+    fn jobs_above_the_ceiling_are_refused() {
+        let max = sim::pool::MAX_JOBS;
+        for sub in ["fig9", "scenario a.json", "serve"] {
+            for jobs in [max + 1, 100_000] {
+                let error = parse_line(&format!("{sub} --jobs {jobs}")).unwrap_err();
+                assert!(error.contains(&format!("at most {max}")), "{sub}: {error}");
+            }
+            assert!(parse_line(&format!("{sub} --jobs {max}")).is_ok(), "{sub}");
+        }
+        assert!(usage().contains(&format!("; at most {max}")));
+    }
+
+    /// The engines own no threads, so there is no intra-run worker count
+    /// to ask for.
+    #[test]
+    fn workers_is_an_unknown_flag() {
+        for line in [
+            "fig9 --workers 2",
+            "scenario a.json --workers 2",
+            "serve --workers 2",
+        ] {
+            assert_rejected(&[(line, "unknown flag '--workers'")]);
+        }
+    }
+
     #[test]
     fn run_parses_its_flags_anywhere_on_the_line() {
-        let line = "--duration-ms 0.5 fig9 --loads 0.1,50,100 table2 --jobs 2 --workers 4 \
+        let line = "--duration-ms 0.5 fig9 --loads 0.1,50,100 table2 --jobs 2 \
                     --json --out results/current --seed 7";
         let Ok(Command::Run {
             ids,
@@ -666,7 +695,7 @@ mod tests {
             panic!("experiment ids make a run")
         };
         assert_eq!(ids, ["fig9", "table2"]);
-        assert_eq!((args.duration, args.workers), (500_000, 4));
+        assert_eq!(args.duration, 500_000);
         assert_eq!(args.loads, [0.001, 0.50, 1.00]);
         assert_eq!((seeds, jobs), (vec![7], 2));
         assert!(output.json && output.timing);
@@ -679,8 +708,10 @@ mod tests {
             panic!("`all` is a run")
         };
         assert_eq!(ids.len(), EXPERIMENTS.len());
-        assert_eq!(seeds, [1, 2, 3]);
-        assert_eq!(args.workers, 1, "defaults to sequential");
+        assert_eq!(
+            (seeds, args.duration),
+            (vec![1, 2, 3], Args::default().duration)
+        );
         let Ok(Command::Run { seeds, .. }) = parse_line("fig9") else {
             panic!("a run")
         };
@@ -689,12 +720,11 @@ mod tests {
 
     #[test]
     fn scenario_takes_a_batch_and_its_own_flags() {
-        let line = "scenario a.json b.json --no-timing --no-cache --jobs 4 --workers 8 \
+        let line = "scenario a.json b.json --no-timing --no-cache --jobs 4 \
                     --trace t.ndjson --trace-capacity 4096";
         let Ok(Command::Scenario {
             files,
             jobs,
-            workers,
             cache,
             trace,
             trace_capacity,
@@ -704,7 +734,7 @@ mod tests {
             panic!("scenario")
         };
         assert_eq!(files, [Path::new("a.json"), Path::new("b.json")]);
-        assert_eq!((jobs, workers, cache), (4, 8, false));
+        assert_eq!((jobs, cache), (4, false));
         assert_eq!(trace.as_deref(), Some(Path::new("t.ndjson")));
         assert_eq!(trace_capacity, Some(4096));
         assert!(!output.json && !output.timing);
@@ -728,7 +758,7 @@ mod tests {
             panic!("serve")
         };
         assert_eq!(config.log_level, LogLevel::Info, "defaults to info");
-        assert_eq!((config.addr.as_str(), config.workers), (DEFAULT_ADDR, 1));
+        assert_eq!(config.addr, DEFAULT_ADDR);
         let Ok(Command::Submit {
             file,
             addr,

@@ -12,7 +12,7 @@
 //! them have piled up; then the oldest go first. A record keeps no trace:
 //! it keeps the submission text ([`Job::text`]) that `/trace` re-runs
 //! instead, and is charged its document, that text, its events and
-//! [`RECORD_OVERHEAD_BYTES`].
+//! `RECORD_OVERHEAD_BYTES`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -116,9 +116,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads draining the job queue.
     pub jobs: usize,
-    /// Intra-run shard workers per simulation (`--workers`). Purely a
-    /// wall-clock knob: served documents are byte-identical at any value,
-    /// so the cache coalesces across worker counts.
+    /// Read by nothing: the engines own no threads, and `jobs` is the
+    /// daemon's only concurrency. The field stays for the callers that
+    /// still build the config field by field.
     pub workers: usize,
     /// Results directory; the shared cache lives at `<out>/cache`, the
     /// only thing the daemon writes there.
@@ -599,7 +599,7 @@ fn execute_job(state: &Arc<ServerState>, job: &Arc<Job>, compiled: &CompiledScen
         })
     };
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let report = execute_with_progress(compiled, Some(sink), state.config.workers);
+        let report = execute_with_progress(compiled, Some(sink), 1);
         let mut document = deterministic_document(&report);
         // The job's record holds the document for as long as the budget
         // lets it, and its growth capacity would be a third of the record.
@@ -864,9 +864,9 @@ fn rebuilt_trace(job: &Job, state: &ServerState) -> Result<String, (u16, String)
         let why = format!("its content hash is {}, not {}", hex(hash), hex(job.hash));
         return Err(changed(why));
     }
-    let (workers, capacity) = (state.config.workers, state.config.trace_capacity);
+    let capacity = state.config.trace_capacity;
     let run = pool_submit(state, 0, move || {
-        let (report, trace) = execute_traced(&compiled, None, workers, capacity);
+        let (report, trace) = execute_traced(&compiled, None, capacity);
         (deterministic_document(&report), trace)
     })
     .ok_or_else(|| (503, SHUTTING_DOWN.to_string()))?;

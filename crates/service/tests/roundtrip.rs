@@ -63,7 +63,7 @@ fn offline_trace(text: &str) -> String {
 fn offline_trace_in(text: &str, dir: &Path, capacity: Option<usize>) -> String {
     let compiled =
         bench::scenario::load_str(text, &dir.join("<test>")).expect("test scenario is valid");
-    bench::scenario::execute_traced(&compiled, None, 1, capacity).1
+    bench::scenario::execute_traced(&compiled, None, capacity).1
 }
 
 fn test_out(tag: &str) -> PathBuf {
@@ -87,7 +87,6 @@ fn start_with(out: &Path, jobs: usize, trace_capacity: Option<usize>) -> Server 
     Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         jobs,
-        workers: 2,
         out: out.to_path_buf(),
         scenarios_dir: out.join("scenarios"),
         trace_capacity,
@@ -559,7 +558,6 @@ fn graceful_shutdown_rejects_new_work_and_drains() {
         let server = Server::start(ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             jobs: 2,
-            workers: 1,
             out: out.clone(),
             scenarios_dir: out.join("scenarios"),
             ..ServeConfig::default()

@@ -14,9 +14,8 @@
 //!   the experiment harness.
 //! * [`series`] — windowed time-series sampling (receiver-bandwidth plots).
 //! * [`pool`] — a minimal ordered worker pool so the experiment harness can
-//!   fan independent runs across cores.
-//! * [`shard`] — contiguous row partitions + scoped fork/join for
-//!   deterministic intra-run parallelism (the epoch engines' `--workers`).
+//!   fan independent runs across cores: the workspace's one home for
+//!   threads.
 //! * [`pairs`] — per-pair FIFO lists over one node arena per ToR: the
 //!   queue store of both engines, sized by what is queued rather than by
 //!   the fabric's `n²` pairs.
@@ -25,17 +24,16 @@
 //! *slot-synchronous* (both architectures in the paper transmit in fixed,
 //! globally synchronized timeslots), so time advances with plain arithmetic
 //! on [`Nanos`] and irregular events (flow arrivals, link failures) are
-//! sorted once and consumed by cursor. Parallelism exists on
-//! two axes, both with the same guarantee — worker counts can never change
-//! output bytes: [`pool`] executes many independent runs at once and
-//! reassembles their outputs in order, and [`shard`] lets one run fan its
-//! per-ToR phase work across workers with an order-preserving merge.
+//! sorted once and consumed by cursor. The engines own no threads: one
+//! run is one sequential loop on the caller's thread. Concurrency lives on
+//! one axis only, across runs — [`pool`] executes many independent runs at
+//! once and reassembles their outputs in order, so the job count can never
+//! change output bytes.
 
 pub mod pairs;
 pub mod pool;
 pub mod rng;
 pub mod series;
-pub mod shard;
 pub mod stats;
 pub mod time;
 

@@ -21,10 +21,8 @@
 //!   per `(pair, list)` and recycled through an intrusive free list (`next`
 //!   of a free slot is the next free slot). A row's pairs share its arena,
 //!   so slots one pair frees are reused by another and the arena's size
-//!   tracks the row's high-water backlog in items, not the fabric. Arenas
-//!   are per row because rows are what shards own: a [`Rows`] window splits
-//!   the tables and the arenas at the same row, and no index ever crosses
-//!   it.
+//!   tracks the row's high-water backlog in items, not the fabric. A row
+//!   is one source ToR, so no link ever crosses from one arena to another.
 //!
 //! **The two-load rule.** A pop is `heads[src · n + dst][list]` — an address
 //! computed from the pair — then the slot it names: two dependent loads,
@@ -90,8 +88,7 @@ impl<T: Copy> Arena<T> {
 }
 
 /// `L` FIFO lists of `T` per pair of a `rows × width` table (see the module
-/// docs for the layout). Reads go through [`PairLists::pair`], everything
-/// that links or unlinks through a row window ([`PairLists::all`]).
+/// docs for the layout). Reads go through [`PairLists::pair`].
 #[derive(Debug)]
 pub struct PairLists<T, const L: usize> {
     /// Pairs per row.
@@ -114,16 +111,22 @@ impl std::fmt::Debug for AuditMarks {
     }
 }
 
-/// The rows of [`PairLists`] belonging to a contiguous range, with their
-/// arenas. Rows and columns are table-wide ids; a row outside the window
-/// is an out-of-bounds panic.
+/// The whole table, borrowed for update: what [`PairLists::all`] hands
+/// out. It derefs to the table, whose own methods do the work.
 #[derive(Debug)]
-pub struct Rows<'a, T, const L: usize> {
-    start: usize,
-    width: usize,
-    heads: &'a mut [Links<L>],
-    tails: &'a mut [Links<L>],
-    arenas: &'a mut [Arena<T>],
+pub struct AllRows<'a, T, const L: usize>(&'a mut PairLists<T, L>);
+
+impl<T, const L: usize> Deref for AllRows<'_, T, L> {
+    type Target = PairLists<T, L>;
+    fn deref(&self) -> &PairLists<T, L> {
+        self.0
+    }
+}
+
+impl<T, const L: usize> DerefMut for AllRows<'_, T, L> {
+    fn deref_mut(&mut self) -> &mut PairLists<T, L> {
+        self.0
+    }
 }
 
 /// Read-only view of one pair's lists.
@@ -161,22 +164,62 @@ impl<T: Copy, const L: usize> PairLists<T, L> {
         self.width
     }
 
-    /// The window over every row.
-    pub fn all(&mut self) -> Rows<'_, T, L> {
-        Rows {
-            start: 0,
-            width: self.width,
-            heads: &mut self.heads,
-            tails: &mut self.tails,
-            arenas: &mut self.arenas,
+    /// The whole table as a value to bind and update through, for callers
+    /// that hold it as `let mut rows = lists.all()`.
+    pub fn all(&mut self) -> AllRows<'_, T, L> {
+        AllRows(self)
+    }
+
+    /// Index of pair `(row, col)`: where a per-pair table of the caller's
+    /// own, laid out like this one, keeps the pair.
+    #[inline]
+    pub fn index(&self, row: usize, col: usize) -> usize {
+        row * self.width + col
+    }
+
+    /// Append `item` to `list` of pair `(row, col)`. True when the list
+    /// was empty before — the moment it turns non-empty.
+    #[inline]
+    pub fn push_back(&mut self, row: usize, col: usize, list: usize, item: T) -> bool {
+        let pair = self.index(row, col);
+        let arena = &mut self.arenas[row];
+        let link = arena.alloc(item);
+        let was_empty = self.heads[pair][list] == 0;
+        if was_empty {
+            self.heads[pair][list] = link;
+        } else {
+            arena.slots[self.tails[pair][list] as usize - 1].next = link;
         }
+        self.tails[pair][list] = link;
+        was_empty
+    }
+
+    /// The head of `list` of pair `(row, col)`, for update, if the list
+    /// holds anything.
+    #[inline]
+    pub fn front_mut(&mut self, row: usize, col: usize, list: usize) -> Option<Front<'_, T>> {
+        let pair = self.index(row, col);
+        let head = &mut self.heads[pair][list];
+        if *head == 0 {
+            return None;
+        }
+        Some(Front {
+            head,
+            arena: &mut self.arenas[row],
+        })
+    }
+
+    /// Unlink and return the head of `list` of pair `(row, col)`.
+    #[inline]
+    pub fn pop_front(&mut self, row: usize, col: usize, list: usize) -> Option<T> {
+        Some(self.front_mut(row, col, list)?.pop())
     }
 
     /// The lists of pair `(row, col)`.
     #[inline]
     pub fn pair(&self, row: usize, col: usize) -> Pair<'_, T, L> {
         Pair {
-            heads: self.heads[row * self.width + col],
+            heads: self.heads[self.index(row, col)],
             slots: &self.arenas[row].slots,
         }
     }
@@ -228,90 +271,6 @@ impl<T: Copy, const L: usize> PairLists<T, L> {
             "row {row}: a slot is on no list (leaked)"
         );
         self.audit_marks.0.set(seen);
-    }
-}
-
-impl<'a, T: Copy, const L: usize> Rows<'a, T, L> {
-    /// Split into the first `rows` rows and the rest.
-    pub fn split_at(self, rows: usize) -> (Rows<'a, T, L>, Rows<'a, T, L>) {
-        let pairs = rows * self.width;
-        let (heads, heads_rest) = self.heads.split_at_mut(pairs);
-        let (tails, tails_rest) = self.tails.split_at_mut(pairs);
-        let (arenas, arenas_rest) = self.arenas.split_at_mut(rows);
-        (
-            Rows {
-                heads,
-                tails,
-                arenas,
-                ..self
-            },
-            Rows {
-                start: self.start + rows,
-                heads: heads_rest,
-                tails: tails_rest,
-                arenas: arenas_rest,
-                ..self
-            },
-        )
-    }
-
-    /// Pairs per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Window-local index of pair `(row, col)`: where a per-pair table of
-    /// the caller's own, split at the same rows, keeps the pair.
-    #[inline]
-    pub fn index(&self, row: usize, col: usize) -> usize {
-        (row - self.start) * self.width + col
-    }
-
-    /// Append `item` to `list` of pair `(row, col)`. True when the list
-    /// was empty before — the moment it turns non-empty.
-    #[inline]
-    pub fn push_back(&mut self, row: usize, col: usize, list: usize, item: T) -> bool {
-        let pair = self.index(row, col);
-        let arena = &mut self.arenas[row - self.start];
-        let link = arena.alloc(item);
-        let was_empty = self.heads[pair][list] == 0;
-        if was_empty {
-            self.heads[pair][list] = link;
-        } else {
-            arena.slots[self.tails[pair][list] as usize - 1].next = link;
-        }
-        self.tails[pair][list] = link;
-        was_empty
-    }
-
-    /// The head of `list` of pair `(row, col)`, for update, if the list
-    /// holds anything.
-    #[inline]
-    pub fn front_mut(&mut self, row: usize, col: usize, list: usize) -> Option<Front<'_, T>> {
-        let pair = self.index(row, col);
-        let head = &mut self.heads[pair][list];
-        if *head == 0 {
-            return None;
-        }
-        Some(Front {
-            head,
-            arena: &mut self.arenas[row - self.start],
-        })
-    }
-
-    /// Unlink and return the head of `list` of pair `(row, col)`.
-    #[inline]
-    pub fn pop_front(&mut self, row: usize, col: usize, list: usize) -> Option<T> {
-        Some(self.front_mut(row, col, list)?.pop())
-    }
-
-    /// The lists of pair `(row, col)`.
-    #[inline]
-    pub fn pair(&self, row: usize, col: usize) -> Pair<'_, T, L> {
-        Pair {
-            heads: self.heads[self.index(row, col)],
-            slots: &self.arenas[row - self.start].slots,
-        }
     }
 }
 
@@ -378,18 +337,17 @@ mod tests {
     #[test]
     fn lists_are_fifo_and_share_their_rows_arena() {
         let mut lists = PairLists::<u64, 2>::new(2, 3);
-        let mut rows = lists.all();
-        assert!(rows.push_back(0, 1, 0, 10));
-        assert!(!rows.push_back(0, 1, 0, 11));
-        assert!(rows.push_back(0, 2, 1, 20));
-        assert_eq!(rows.pop_front(0, 1, 0), Some(10));
+        assert!(lists.push_back(0, 1, 0, 10));
+        assert!(!lists.push_back(0, 1, 0, 11));
+        assert!(lists.push_back(0, 2, 1, 20));
+        assert_eq!(lists.pop_front(0, 1, 0), Some(10));
         // The freed slot is reused by another pair of the row.
-        assert!(rows.push_back(0, 0, 1, 30));
-        let mut head = rows.front_mut(0, 1, 0).unwrap();
+        assert!(lists.push_back(0, 0, 1, 30));
+        let mut head = lists.front_mut(0, 1, 0).unwrap();
         *head += 1;
         assert_eq!(head.pop(), 12);
-        assert!(rows.front_mut(0, 1, 0).is_none());
-        assert_eq!(rows.pair(0, 2).first_nonempty(), Some(1));
+        assert!(lists.front_mut(0, 1, 0).is_none());
+        assert_eq!(lists.pair(0, 2).first_nonempty(), Some(1));
         assert_eq!(lists.slots_allocated(0), 3);
         assert_eq!(lists.slots_allocated(1), 0);
         assert!(lists.pair(0, 1).is_empty());
@@ -398,31 +356,10 @@ mod tests {
     }
 
     #[test]
-    fn a_window_owns_its_rows_and_arenas() {
-        let mut lists = PairLists::<u32, 1>::new(4, 4);
-        {
-            let (mut low, high) = lists.all().split_at(1);
-            low.push_back(0, 3, 0, 1);
-            let (mut mid, mut last) = high.split_at(2);
-            assert_eq!((mid.index(2, 1), last.index(3, 1)), (5, 1));
-            mid.push_back(1, 0, 0, 2);
-            last.push_back(3, 2, 0, 3);
-            assert_eq!(last.pop_front(3, 2, 0), Some(3));
-        }
-        assert_eq!(lists.pair(0, 3).iter(0).collect::<Vec<_>>(), [&1]);
-        assert_eq!(lists.pair(1, 0).front(0), Some(&2));
-        assert!(lists.pair(3, 2).is_empty());
-        assert_eq!(lists.slots_allocated(2), 0);
-        for row in 0..4 {
-            lists.audit(row);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "on no list")]
     fn audit_finds_a_leaked_slot() {
         let mut lists = PairLists::<u8, 1>::new(1, 1);
-        lists.all().push_back(0, 0, 0, 1);
+        lists.push_back(0, 0, 0, 1);
         lists.heads[0][0] = 0;
         lists.audit(0);
     }

@@ -30,15 +30,23 @@ use std::sync::{Arc, Condvar, Mutex};
 /// A boxed task the pool can run.
 pub type Task<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
+/// The most worker threads [`run_ordered`] or a [`WorkerPool`] starts:
+/// `--jobs` above it is refused when the command line is parsed, and a
+/// larger count given here is cut to it.
+pub const MAX_JOBS: usize = 256;
+
 /// Worker count matching the machine: `std::thread::available_parallelism`,
-/// falling back to 1 when the platform cannot say.
+/// falling back to 1 when the platform cannot say, and at most
+/// [`MAX_JOBS`].
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+        .min(MAX_JOBS)
 }
 
-/// Run `tasks` across up to `jobs` worker threads and return the outputs
+/// Run `tasks` across up to `jobs` (at most [`MAX_JOBS`]) worker threads
+/// and return the outputs
 /// in task order, regardless of completion order.
 ///
 /// `jobs <= 1` (or a single task) degenerates to a plain in-order loop on
@@ -51,7 +59,7 @@ pub fn run_ordered<'a, T: Send + 'a>(jobs: usize, tasks: Vec<Task<'a, T>>) -> Ve
     if jobs <= 1 || n <= 1 {
         return tasks.into_iter().map(|task| task()).collect();
     }
-    let workers = jobs.min(n);
+    let workers = jobs.min(n).min(MAX_JOBS);
     // Pre-load the indexed tasks; the channel then acts as the shared,
     // contention-light work queue (recv never blocks: it yields a task or
     // reports the queue empty).
@@ -144,7 +152,7 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawn `jobs` workers (at least one).
+    /// Spawn `jobs` workers (at least one, at most [`MAX_JOBS`]).
     pub fn new(jobs: usize) -> Self {
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
@@ -154,7 +162,7 @@ impl WorkerPool {
             }),
             available: Condvar::new(),
         });
-        let workers = (0..jobs.max(1))
+        let workers = (0..jobs.clamp(1, MAX_JOBS))
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared))

@@ -16,9 +16,9 @@
 //! * **Gray failures** — links stay up for data but negotiation control
 //!   traffic (REQUEST/GRANT and the dummy/feedback messages the fault
 //!   detector relies on) is dropped probabilistically. The drop decision
-//!   is *position-keyed*: a seeded hash of `(epoch, src, dst)`, so any
-//!   shard layout or visit order produces the identical drop set and
-//!   `--workers` can never move a drop.
+//!   is *position-keyed*: a seeded hash of `(epoch, src, dst)`, so the
+//!   drop set is a function of simulated time and position alone, never
+//!   of the order in which a phase visits the connections.
 //! * **Greedy ToRs** — Byzantine-lite granters that ignore requests and
 //!   the debit discipline (the grant logic itself lives in
 //!   `negotiator::variants`; this model only tracks who misbehaves).
@@ -33,9 +33,9 @@
 //! Determinism contract: every random choice is drawn from a seed
 //! carried in the action itself (scenario-compiled, hashed into the
 //! content address) — never from ambient randomness (the D004 lint
-//! forbids it) and never from engine state that varies with `--jobs`
-//! or `--workers`. All mutation happens in [`FaultModel::epoch_update`],
-//! which the engines call from their sequential driver loops only.
+//! forbids it) and never from engine state that varies with `--jobs`.
+//! All mutation happens in [`FaultModel::epoch_update`], which the
+//! engines call from their sequential driver loops only.
 
 use crate::failures::{LinkDir, LinkFailures};
 use sim::time::Nanos;
@@ -220,7 +220,7 @@ impl FaultModel {
 
     /// Apply every action due by `now`, then advance flap duty cycles.
     /// Must be called from the sequential driver loop only — all
-    /// mutation happens here, so shard workers see a frozen model.
+    /// mutation happens here, so an epoch's phases see a frozen model.
     pub fn epoch_update(&mut self, now: Nanos, failures: &mut LinkFailures) {
         while let Some(&(at, ref action)) = self.schedule.get(self.cursor) {
             if at > now {
@@ -356,8 +356,8 @@ impl FaultModel {
     /// Should the control traffic of connection `src → dst` be dropped
     /// this epoch? Position-keyed (seed, epoch, src, dst): the decision
     /// is a pure function of where the connection sits in simulated
-    /// time, never of visit order, so any `--workers` split computes the
-    /// identical drop set.
+    /// time, never of visit order, so any walk of the connections
+    /// computes the identical drop set.
     pub fn gray_drops(&self, epoch: u64, src: usize, dst: usize) -> bool {
         let Some(gray) = &self.gray else {
             return false;

@@ -27,8 +27,8 @@
 //! bit per lane, a *superset* of the connections whose pair has something
 //! to send. An engine marks a pair's lanes where the pair's state turns
 //! non-empty and clears a lane only on the visit that finds nothing left,
-//! so a phase walking the set bits ([`LaneMasks::next_lane`],
-//! [`LaneMasks::is_set`]) visits, in `slot_conns` order, every connection
+//! so a phase walking the set bits ([`LaneTable::next_lane`],
+//! [`LaneTable::is_set`]) visits, in `slot_conns` order, every connection
 //! whose visit would change state. The negotiator's predefined phase and
 //! the oblivious rotor both do, in every epoch and slot, failures
 //! included: a down or gray link changes what a visit does, not which
@@ -268,20 +268,12 @@ pub fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 
 /// The lane masks of every source: `(src · slots + slot) · stride` is the
 /// first of the `stride = ⌈S / 8⌉` bytes holding the lane bits of one
-/// `(src, slot)` group — row-major by source, so a shard owns a contiguous
-/// window ([`LaneMasks`]), and one byte per group up to 8 ports.
+/// `(src, slot)` group — row-major by source, and one byte per group up to
+/// 8 ports.
 #[derive(Debug, Clone)]
 pub struct LaneTable {
     lanes: PredefinedLanes,
     bits: Vec<u8>,
-}
-
-/// A window of the [`LaneTable`] covering the source rows from `first`.
-#[derive(Debug)]
-pub struct LaneMasks<'a> {
-    lanes: PredefinedLanes,
-    first: usize,
-    bits: &'a mut [u8],
 }
 
 impl LaneTable {
@@ -301,49 +293,15 @@ impl LaneTable {
 
     /// Every lane of the pair `src → dst` is set.
     pub fn is_marked(&self, src: usize, dst: usize) -> bool {
-        let stride = self.lanes.stride();
-        self.lanes.pair_lanes(src, dst).all(|(slot, lane)| {
-            let at = (src * self.lanes.slots() + slot) * stride;
-            self.bits[at + lane / 8] & (1 << (lane % 8)) != 0
-        })
-    }
-
-    /// The window covering every source.
-    #[inline]
-    pub fn all(&mut self) -> LaneMasks<'_> {
-        LaneMasks {
-            lanes: self.lanes,
-            first: 0,
-            bits: &mut self.bits,
-        }
-    }
-}
-
-impl<'a> LaneMasks<'a> {
-    /// The schedule inverse the lanes are numbered by.
-    #[inline]
-    pub fn lanes(&self) -> PredefinedLanes {
         self.lanes
-    }
-
-    /// The windows covering the first `rows` sources and the rest.
-    pub fn split_at(self, rows: usize) -> (LaneMasks<'a>, LaneMasks<'a>) {
-        let row_bytes = self.lanes.slots() * self.lanes.stride();
-        let (head, tail) = self.bits.split_at_mut(rows * row_bytes);
-        (
-            LaneMasks { bits: head, ..self },
-            LaneMasks {
-                first: self.first + rows,
-                bits: tail,
-                ..self
-            },
-        )
+            .pair_lanes(src, dst)
+            .all(|(slot, lane)| self.is_set(self.group(src, slot), lane))
     }
 
     /// Where the lane bits of `(src, slot)` start.
     #[inline]
     pub fn group(&self, src: usize, slot: usize) -> usize {
-        ((src - self.first) * self.lanes.slots() + slot) * self.lanes.stride()
+        (src * self.lanes.slots() + slot) * self.lanes.stride()
     }
 
     /// No lane of the group at `at` is set.
@@ -517,9 +475,8 @@ mod tests {
         assert_eq!(ones(&words).collect::<Vec<_>>(), vec![0, 63, 133]);
     }
 
-    /// Marked lanes come back from `next_lane` in range order, survive a
-    /// split by source row, and masks wider than a byte (12 ports) work
-    /// like narrow ones.
+    /// Marked lanes come back from `next_lane` in range order, and masks
+    /// wider than a byte (12 ports) work like narrow ones.
     #[test]
     fn lane_masks_mark_find_and_clear_across_byte_boundaries() {
         let net = NetworkConfig {
@@ -530,32 +487,30 @@ mod tests {
         let topo = AnyTopology::build(TopologyKind::ThinClos, net);
         let lanes = PredefinedLanes::new(&topo);
         let mut table = LaneTable::new(lanes, 24);
-        let (_, mut window) = table.all().split_at(5);
-        let masks = &mut window;
         // Thin-clos: lane = destination group − source group, slot =
         // member difference; ToR 7 = (3, 1).
         for dst in [9, 23, 1] {
-            masks.mark(7, dst);
+            table.mark(7, dst);
         }
-        let at = masks.group(7, 0);
-        assert!(!masks.is_idle(at));
-        assert!(masks.is_idle(masks.group(7, 1)) && masks.is_idle(masks.group(6, 0)));
-        let walk = |masks: &LaneMasks<'_>, range: Range<usize>| {
+        let at = table.group(7, 0);
+        assert!(!table.is_idle(at));
+        assert!(table.is_idle(table.group(7, 1)) && table.is_idle(table.group(6, 0)));
+        let walk = |table: &LaneTable, range: Range<usize>| {
             let mut found = Vec::new();
             let mut from = range.start;
-            while let Some(lane) = masks.next_lane(at, from..range.end) {
+            while let Some(lane) = table.next_lane(at, from..range.end) {
                 found.push(lane);
                 from = lane + 1;
             }
             found
         };
-        assert_eq!(walk(masks, 0..12), vec![1, 8, 9]);
-        assert_eq!(walk(masks, 2..9), vec![8]);
-        assert_eq!(walk(masks, 9..12), vec![9]);
-        let set: Vec<_> = (0..12).filter(|&lane| masks.is_set(at, lane)).collect();
-        assert_eq!(set, walk(masks, 0..12));
-        masks.clear(at, 8);
-        assert_eq!(walk(masks, 0..12), vec![1, 9]);
+        assert_eq!(walk(&table, 0..12), vec![1, 8, 9]);
+        assert_eq!(walk(&table, 2..9), vec![8]);
+        assert_eq!(walk(&table, 9..12), vec![9]);
+        let set: Vec<_> = (0..12).filter(|&lane| table.is_set(at, lane)).collect();
+        assert_eq!(set, walk(&table, 0..12));
+        table.clear(at, 8);
+        assert_eq!(walk(&table, 0..12), vec![1, 9]);
         assert!(table.is_marked(7, 9) && table.is_marked(7, 1) && !table.is_marked(7, 23));
     }
 }

@@ -37,7 +37,7 @@ pub use cache::{PredefinedCache, PredefinedConn};
 pub use config::{NetworkConfig, TopologyKind};
 pub use failures::LinkFailures;
 pub use inject::{FaultAction, FaultModel, FlapTargets, PartitionSpec};
-pub use lanes::{LaneMasks, LaneOrigin, LaneTable, PairLanes, PredefinedLanes};
+pub use lanes::{LaneOrigin, LaneTable, PairLanes, PredefinedLanes};
 pub use parallel::ParallelNet;
 pub use thinclos::ThinClos;
 pub use traits::{AnyTopology, RingScope, Topology};

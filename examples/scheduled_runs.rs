@@ -20,7 +20,7 @@ fn main() {
         let spec = parse_scenario(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
         let dir = Path::new(&path).parent().unwrap_or(Path::new("."));
         let compiled = compile(spec, dir).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let mut sim = EngineKind::Negotiator.system(&compiled.spec).build(1);
+        let mut sim = EngineKind::Negotiator.system(&compiled.spec).build();
         for (at, action) in &compiled.timeline {
             sim.schedule_fault(*at, action.clone());
         }
