@@ -14,6 +14,13 @@
 //! silently swallowed. The serving daemon executes the exact same
 //! assembly path ([`execute_with_progress`]), which is what makes a
 //! served result byte-identical to an offline run.
+//!
+//! Flows are derived per execution, not stored: each execution makes its
+//! scenarios' flows once, before the first engine starts, and hands them to
+//! its engine runs, the last of which drops them. A compiled scenario
+//! that outlives its executions — a benchmark's cold pass, a batch's input
+//! list — costs its recipe and the flow count and offered bytes the first
+//! synthesis recorded, not its trace.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -23,6 +30,7 @@ use crate::profile::{self, Stage};
 use crate::sweep::{Rendered, RunMeta, RunMetrics, RunResult, SweepReport};
 use scenario::series::stats_to_json;
 use sim::pool;
+use workload::FlowTrace;
 // Re-exported so the `paper` binary reaches the scenario crate's API
 // through this module.
 pub use scenario::{
@@ -77,7 +85,8 @@ pub fn run(compiled: &CompiledScenario, jobs: usize, _workers: usize) -> SweepRe
 /// deduping identical engine runs (same [`CompiledScenario::run_hash`])
 /// before dispatch: each distinct run simulates once and its output fans
 /// out to every scenario/position that requested it. Reports come back in
-/// input order and are byte-identical at any `jobs`.
+/// input order and are byte-identical at any `jobs`. Each scenario makes
+/// its flows once, before the pool starts; its last run drops them.
 pub fn run_batch(compiled: &[CompiledScenario], jobs: usize) -> BatchOutcome {
     // Map every (scenario, run) slot onto a deduped task list.
     let mut task_of_hash: HashMap<u64, usize> = HashMap::new();
@@ -87,8 +96,7 @@ pub fn run_batch(compiled: &[CompiledScenario], jobs: usize) -> BatchOutcome {
     let mut slots: Vec<Vec<(usize, String, bool)>> = Vec::new();
     let mut coalesced = 0usize;
     for c in compiled {
-        synthesize(c);
-        let runs = build_runs(c, None, None);
+        let runs = build_runs(c, &make_flows(c), None, None);
         let mut scenario_slots = Vec::with_capacity(runs.len());
         for (engine, run) in c.spec.engines.iter().zip(runs) {
             let hash = c.run_hash(*engine);
@@ -135,8 +143,9 @@ pub fn run_batch(compiled: &[CompiledScenario], jobs: usize) -> BatchOutcome {
 /// boundary. This is the daemon's job executor: one pool worker owns the
 /// whole scenario; intra-scenario parallelism would fight the pool's own.
 /// Output is byte-identical to [`run`] at any `jobs` — both go through
-/// the same run closures and `assemble`. `_workers` is read by nothing, as
-/// in [`run`].
+/// the same run closures and `assemble`. The flows are made once, before
+/// the first engine, and dropped by the last: `compiled` keeps only their
+/// counts. `_workers` is read by nothing, as in [`run`].
 pub fn execute_with_progress(
     compiled: &CompiledScenario,
     progress: Option<ProgressSink>,
@@ -169,8 +178,7 @@ fn execute_inner(
     trace: Option<usize>,
 ) -> (SweepReport, String) {
     let mut traces = String::new();
-    synthesize(compiled);
-    let runs = build_runs(compiled, progress, trace)
+    let runs = build_runs(compiled, &make_flows(compiled), progress, trace)
         .into_iter()
         .map(|run| {
             let timer = profile::start(Stage::Execute);
@@ -184,14 +192,15 @@ fn execute_inner(
     (assemble(compiled, runs), traces)
 }
 
-/// Synthesize the scenario's flows if nothing has yet, charged to the
-/// compile stage: `load_str` leaves them as a recipe so a cache hit never
-/// pays for them, and a miss pays here — before its first engine starts,
-/// so per-engine `wall_secs` and the execute stage stay engine-only.
-fn synthesize(compiled: &CompiledScenario) {
+/// The scenario's flows for one execution, charged to the compile stage:
+/// `load_str` leaves them as a recipe so a cache hit never pays for them,
+/// and a miss pays here — before its first engine starts, so per-engine
+/// `wall_secs` and the execute stage stay engine-only.
+fn make_flows(compiled: &CompiledScenario) -> Arc<FlowTrace> {
     let timer = profile::start(Stage::Compile);
-    compiled.trace.force();
+    let flows = compiled.trace.make();
     timer.stop();
+    flows
 }
 
 /// The deterministic result document for a scenario report: the
@@ -239,7 +248,7 @@ fn assemble(
         spec.name,
         spec.phases.len(),
         spec.events.len(),
-        compiled.trace.len(),
+        compiled.trace.flow_count(),
         spec.total_epochs(),
         compiled.duration as f64 / 1e6,
     );

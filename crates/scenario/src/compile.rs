@@ -14,16 +14,19 @@
 //! (unreadable file, malformed line, out-of-range ToR) surfaces before
 //! anything is queued or simulated.
 //!
-//! **Lazy, on first use of [`CompiledScenario::trace`]:** the synthetic
-//! flows. A poisson / incast / all-to-all phase is a closed form of its
-//! parameters, its seed lane, the fabric and the epoch length, so `compile`
-//! keeps only that recipe ([`LazyTrace`]); the generators run, and the
-//! merged trace is sorted and renumbered, the first time something reads
-//! the flows — an engine run, the per-phase series, the report header —
-//! once, shared by every clone of the compiled scenario. Synthesis cannot
-//! fail: the spec validation already bounded every parameter it takes.
-//! Answering "is this run cached?" ([`CompiledScenario::content_hash`])
-//! reads the recipe, never the flows, so a cache hit costs O(spec).
+//! **Derived, per execution:** the synthetic flows. A poisson / incast /
+//! all-to-all phase is a closed form of its parameters, its seed lane, the
+//! fabric and the epoch length, so `compile` keeps only that recipe
+//! ([`LazyTrace`]); the generators run, and the merged trace is sorted and
+//! renumbered, when an execution asks for its flows
+//! ([`LazyTrace::make`]) — once per execution, handed to every engine it
+//! runs and dropped with it. So a held compiled scenario costs its recipe,
+//! not its flows. The first synthesis records the flow count and offered
+//! bytes, which [`LazyTrace::flow_count`] and [`LazyTrace::total_bytes`]
+//! answer from then on. Synthesis cannot fail: the spec validation already
+//! bounded every parameter it takes. Answering "is this run cached?"
+//! ([`CompiledScenario::content_hash`]) reads the recipe, never the flows,
+//! so a cache hit costs O(spec).
 
 use std::ops::Deref;
 use std::path::Path;
@@ -99,41 +102,83 @@ impl PhaseSource {
     }
 }
 
-/// A scenario's flow trace, synthesized on first use.
+/// A scenario's flow trace, kept as its recipe.
 ///
-/// Holds the per-phase recipe `compile` lowered the spec to and a
-/// once-cell for the merged, time-sorted [`FlowTrace`]; derefs to the
-/// trace, forcing it. Clones share both, so the generators run at most
-/// once per compiled scenario however many engines, clones or threads
-/// read it.
+/// Holds the per-phase recipe `compile` lowered the spec to, the flow
+/// count and offered bytes its first synthesis recorded, and a memo of the
+/// merged, time-sorted [`FlowTrace`] that only direct readers fill: it
+/// derefs to the trace, making and keeping it. An execution asks
+/// [`LazyTrace::make`] instead, which makes the flows for that execution
+/// alone (or shares the memo when a direct reader filled it), so nothing
+/// outlives the execution but the counts. Clones share all three.
 #[derive(Debug, Clone)]
 pub struct LazyTrace(Arc<TraceCell>);
 
 #[derive(Debug)]
 struct TraceCell {
     sources: Vec<PhaseSource>,
-    merged: OnceLock<FlowTrace>,
+    /// `(flows, offered bytes)`, recorded by the first synthesis.
+    counts: OnceLock<(usize, u64)>,
+    merged: OnceLock<Arc<FlowTrace>>,
 }
 
 impl LazyTrace {
     fn new(sources: Vec<PhaseSource>) -> Self {
         LazyTrace(Arc::new(TraceCell {
             sources,
+            counts: OnceLock::new(),
             merged: OnceLock::new(),
         }))
     }
 
-    /// The merged trace, synthesizing it if nothing has yet. Callers that
-    /// time what follows (an engine run) call this first so the synthesis
-    /// is not charged to it.
-    pub fn force(&self) -> &FlowTrace {
-        self.0.merged.get_or_init(|| {
-            let mut flows = Vec::new();
-            for source in &self.0.sources {
-                source.flows_into(&mut flows);
+    /// Run the generators and merge their flows, recording the counts.
+    fn synthesize(&self) -> FlowTrace {
+        let mut flows = Vec::new();
+        for source in &self.0.sources {
+            source.flows_into(&mut flows);
+        }
+        let trace = FlowTrace::new(flows);
+        // A concurrent synthesis records the same pair; either may win.
+        let _ = self.0.counts.set((trace.len(), trace.total_bytes()));
+        trace
+    }
+
+    /// The memoized trace, synthesizing it if no direct reader has yet.
+    fn force(&self) -> &FlowTrace {
+        self.0.merged.get_or_init(|| Arc::new(self.synthesize()))
+    }
+
+    /// The flows for one execution: the memo when a direct reader made it,
+    /// else a fresh synthesis that nothing here keeps — the execution's
+    /// runs hold it, and the last of them drops it.
+    pub fn make(&self) -> Arc<FlowTrace> {
+        match self.0.merged.get() {
+            Some(trace) => Arc::clone(trace),
+            None => Arc::new(self.synthesize()),
+        }
+    }
+
+    /// How many flows the trace has. Reads the counts the first synthesis
+    /// recorded; before any, synthesizes once to record them and keeps
+    /// none of the flows.
+    pub fn flow_count(&self) -> usize {
+        self.counts().0
+    }
+
+    /// The bytes every flow of the trace offers, read like
+    /// [`LazyTrace::flow_count`].
+    pub fn total_bytes(&self) -> u64 {
+        self.counts().1
+    }
+
+    fn counts(&self) -> (usize, u64) {
+        match self.0.counts.get() {
+            Some(&counts) => counts,
+            None => {
+                let trace = self.synthesize();
+                (trace.len(), trace.total_bytes())
             }
-            FlowTrace::new(flows)
-        })
+        }
     }
 
     /// Phase `i`'s replayed flows, if it replays a trace file — the one
@@ -166,8 +211,10 @@ pub struct CompiledScenario {
     pub epoch_len: Nanos,
     /// Simulated horizon: `total_epochs · epoch_len`.
     pub duration: Nanos,
-    /// Every phase's flows, merged and time-sorted: synthesized on first
-    /// use, shared across clones and runs.
+    /// Every phase's flows, merged and time-sorted, as their recipe: each
+    /// execution makes them ([`LazyTrace::make`]) and drops them with its
+    /// last run, so holding the compiled scenario costs the recipe and the
+    /// recorded counts, not the flows.
     pub trace: LazyTrace,
     /// Everything that happens to the fabric, as engine fault-schedule
     /// entries sorted by time: `action` events, phase `faults` blocks

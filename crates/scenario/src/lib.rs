@@ -26,8 +26,8 @@
 //!   everything is rejected before any simulation starts.
 //! * [`compile`](mod@compile) — [`ScenarioSpec`] → [`CompiledScenario`]: phase specs
 //!   become the recipe of one merged [`workload::FlowTrace`]
-//!   ([`LazyTrace`]: replayed files read now, synthetic flows made on
-//!   first use), events and phase `faults` blocks become one
+//!   ([`LazyTrace`]: replayed files read now, synthetic flows made by
+//!   each execution and dropped with it), events and phase `faults` blocks become one
 //!   [`topology::FaultModel`] timeline, phase ends become probe
 //!   boundaries.
 //! * [`hash`] — the content address of a compiled scenario, computed from

@@ -8,12 +8,12 @@
 //! [`RunFrame`], which the built [`Engine`] derefs to, so that code is
 //! written against the frame, once, whichever engine is inside.
 //!
-//! [`build_runs`] wraps a compiled scenario into one deferred closure per
-//! engine, each owning (or `Arc`-sharing) everything it needs so the
-//! harness can execute it on any worker thread. The closure plays the
-//! compiled trace with the fault timeline and phase probe attached, then
-//! derives the per-phase series — returning plain data, never touching
-//! shared state.
+//! [`build_runs`] wraps a compiled scenario and the flows its execution
+//! made into one deferred closure per engine, each owning (or
+//! `Arc`-sharing) everything it needs so the harness can execute it on any
+//! worker thread. The closure plays those flows with the fault timeline
+//! and phase probe attached, then derives the per-phase series — returning
+//! plain data, never touching shared state.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -172,7 +172,9 @@ pub struct ScenarioRun {
     pub run: Box<dyn FnOnce() -> ScenarioRunOutput + Send + 'static>,
 }
 
-/// Build the scenario's runs, one per engine in spec order.
+/// Build the scenario's runs, one per engine in spec order, each playing
+/// `flows` — the execution's one copy of the scenario's trace
+/// ([`LazyTrace::make`](crate::LazyTrace::make)), shared by every run.
 ///
 /// `progress`, when given, is invoked from the worker thread as each
 /// engine crosses each phase boundary. `trace` attaches the flight
@@ -182,6 +184,7 @@ pub struct ScenarioRun {
 /// them, and none reaches results, hashes or cache keys.
 pub fn build_runs(
     compiled: &CompiledScenario,
+    flows: &Arc<FlowTrace>,
     progress: Option<ProgressSink>,
     trace: Option<usize>,
 ) -> Vec<ScenarioRun> {
@@ -191,12 +194,15 @@ pub fn build_runs(
         .iter()
         .map(|&engine| {
             let system = engine.label(compiled.spec.topology);
-            let compiled = compiled.clone(); // Arc-shared trace, cloned spec
+            let compiled = compiled.clone(); // Arc-shared recipe, cloned spec
+            let flows = Arc::clone(flows);
             let label = system.clone();
             let progress = progress.clone();
             ScenarioRun {
                 system,
-                run: Box::new(move || run_engine(engine, &compiled, &label, progress, trace)),
+                run: Box::new(move || {
+                    run_engine(engine, &compiled, &flows, &label, progress, trace)
+                }),
             }
         })
         .collect()
@@ -232,6 +238,7 @@ fn make_probe(
 fn run_engine(
     engine: EngineKind,
     compiled: &CompiledScenario,
+    flows: &FlowTrace,
     system: &str,
     progress: Option<ProgressSink>,
     record: Option<usize>,
@@ -245,10 +252,10 @@ fn run_engine(
     if let Some(capacity) = record {
         sim.set_recorder(FlightRecorder::with_capacity(capacity, spec.net.n_tors));
     }
-    let mut report = sim.run(&compiled.trace, compiled.duration);
+    let mut report = sim.run(flows, compiled.duration);
     let series = series::phase_stats(
         compiled,
-        &compiled.trace,
+        flows,
         sim.tracker(),
         sim.phase_probe().expect("probe attached").snapshots(),
     );
@@ -287,7 +294,7 @@ mod tests {
     #[test]
     fn both_engines_run_and_bucket_phases() {
         let c = compiled("");
-        for run in build_runs(&c, None, None) {
+        for run in build_runs(&c, &c.trace.make(), None, None) {
             let out = (run.run)();
             assert_eq!(out.series.len(), 2, "{}", run.system);
             assert!(out.series.iter().any(|p| p.completed > 0), "{}", run.system);
@@ -330,7 +337,7 @@ mod tests {
   ]
 }"#;
         let c = compile(parse_scenario(text).unwrap(), Path::new(".")).unwrap();
-        let runs = build_runs(&c, None, None);
+        let runs = build_runs(&c, &c.trace.make(), None, None);
         assert_eq!(runs.len(), 1);
         let out = (runs.into_iter().next().unwrap().run)();
         let g: Vec<f64> = out.series.iter().map(|p| p.goodput_normalized).collect();
@@ -357,7 +364,11 @@ mod tests {
   ]
 }"#;
         let c = compile(parse_scenario(text).unwrap(), Path::new(".")).unwrap();
-        let out = (build_runs(&c, None, None).into_iter().next().unwrap().run)();
+        let out = (build_runs(&c, &c.trace.make(), None, None)
+            .into_iter()
+            .next()
+            .unwrap()
+            .run)();
         let s = &out.series;
         assert_eq!(s[0].control_dropped, 0, "{s:?}");
         assert!(s[1].control_dropped > 0, "{s:?}");
@@ -374,7 +385,7 @@ mod tests {
     fn progress_sink_sees_every_phase_and_changes_nothing() {
         use std::sync::Mutex;
         let c = compiled("");
-        let plain: Vec<_> = build_runs(&c, None, None)
+        let plain: Vec<_> = build_runs(&c, &c.trace.make(), None, None)
             .into_iter()
             .map(|r| (r.run)().rendered)
             .collect();
@@ -383,7 +394,7 @@ mod tests {
             let seen = Arc::clone(&seen);
             Arc::new(move |p: PhaseProgress| seen.lock().unwrap().push(p))
         };
-        let observed: Vec<_> = build_runs(&c, Some(sink), None)
+        let observed: Vec<_> = build_runs(&c, &c.trace.make(), Some(sink), None)
             .into_iter()
             .map(|r| (r.run)().rendered)
             .collect();
@@ -404,7 +415,7 @@ mod tests {
     fn run_output_is_deterministic() {
         let c = compiled("");
         let once = |c: &CompiledScenario| {
-            let out: Vec<_> = build_runs(c, None, None)
+            let out: Vec<_> = build_runs(c, &c.trace.make(), None, None)
                 .into_iter()
                 .map(|r| (r.run)())
                 .collect();

@@ -507,7 +507,7 @@ fn handle_submit(
     // Validate + compile before anything queues: a bad scenario costs the
     // submitter one round trip and the daemon nothing. Admission is
     // O(spec) — a hit or a coalesced submission never makes a flow; the
-    // worker that runs a miss synthesizes them.
+    // worker that runs a miss makes them and drops them with the run.
     let compiled = match load_str(text, &submission_origin(&state.config)) {
         Ok(compiled) => compiled,
         Err(error) => return error_response(stream, 400, &error),
